@@ -4,12 +4,14 @@ The variable is a chain (q_1, ..., q_k) with q_i constrained to the i-th
 itinerary subspace; the constraint is enforced exactly by working in intrinsic
 coordinates c_i with q_i = B_i^T c_i for the orthonormal basis B_i.
 
-The Hessian is assembled per edge: an edge of length r and unit direction n
-contributes the quadratic form |η - <η, n> n|^2 / r in the difference η of its
-endpoint variations, with the anchor variations frozen.  At a critical point
-this reproduces the block-tridiagonal normal form with diagonal weights
-β_i = 1/r_{i-1,i} + 1/r_{i,i+1} and contraction factors that make the
-preconditioned matrix I minus a sub-unit-norm coupling.
+One private kernel holds the per-edge math for a smoothing mu^2 >= 0: an edge
+of soft length f = sqrt(r^2 + mu^2) and direction n contributes the quadratic
+form |η - <η, n> n|^2 / f in the difference η of its endpoint variations, so
+the ambient Hessian is block-tridiagonal with weights (I - n n^T) / f.  The
+solver, the Hessian model and the thickened wall polish reduce it to their own
+coordinates.  At a critical point (mu = 0) this reproduces the normal form with
+diagonal weights β_i = 1/r_{i-1,i} + 1/r_{i,i+1} and contraction factors that
+make the preconditioned matrix I minus a sub-unit-norm coupling.
 """
 
 from __future__ import annotations
@@ -67,12 +69,8 @@ class Chain:
 
     @classmethod
     def from_stacked(cls, arr: Arrangement, itinerary: Itinerary, x: np.ndarray) -> "Chain":
-        coords = []
-        pos = 0
-        for idx in itinerary:
-            m = arr.subspaces[idx].subdim
-            coords.append(np.asarray(x[pos:pos + m], dtype=float))
-            pos += m
+        # one codimension per arrangement: every block has the same size
+        coords = np.asarray(x, dtype=float).reshape(len(itinerary), arr.subspaces[0].subdim)
         return cls.from_coords(arr, itinerary, coords)
 
 
@@ -89,8 +87,7 @@ def action(A, chain_points, B) -> float:
     Defined everywhere, including at coincident vertices where it is
     non-smooth; equals the travel time at unit speed.
     """
-    pts = _point_list(A, chain_points, B)
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+    return _path_value(_point_list(A, chain_points, B))
 
 
 def _edges(pts: np.ndarray, scale: float, coincidence_tol: float):
@@ -99,6 +96,45 @@ def _edges(pts: np.ndarray, scale: float, coincidence_tol: float):
     if np.any(lengths <= coincidence_tol * scale):
         raise NonSmoothPoint("consecutive path points coincide")
     return diffs / lengths[:, None], lengths
+
+
+def _path_value(pts: np.ndarray, mu2: float = 0.0) -> float:
+    """Smoothed length sum_e sqrt(r_e^2 + mu2) of the point list."""
+    edges = np.diff(pts, axis=0)
+    return float(np.sum(np.sqrt(np.sum(edges * edges, axis=1) + mu2)))
+
+
+def _path_kernel(pts: np.ndarray, mu2: float = 0.0):
+    """Value and ambient derivatives of the smoothed length of A, q_1..q_k, B.
+
+    With W_e = (I - n_e n_e^T) / f_e per edge, returns the value, the vertex
+    gradients n_in - n_out (k, dim), the diagonal Hessian blocks W_j + W_{j+1}
+    (k, dim, dim) and the blocks -W_{j+1} coupling vertices j, j+1 (k-1, dim,
+    dim).  At mu2 = 0 the caller must keep consecutive points apart.
+    """
+    edges = np.diff(pts, axis=0)
+    f = np.sqrt(np.sum(edges * edges, axis=1) + mu2)
+    n = edges / f[:, None]
+    W = (np.eye(pts.shape[1]) - n[:, :, None] * n[:, None, :]) / f[:, None, None]
+    return float(np.sum(f)), n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
+
+
+def _stacked_derivatives(bases: np.ndarray, pts: np.ndarray, mu2: float = 0.0):
+    """The kernel in stacked chain coordinates for bases stacked as (k, m, dim).
+
+    Returns the value, the gradient (k*m,) and the dense Hessian (k*m, k*m).
+    """
+    value, grad, diag, off = _path_kernel(pts, mu2)
+    k, m, _ = bases.shape
+    bases_t = bases.transpose(0, 2, 1)
+    H = np.zeros((k, m, k, m))
+    idx = np.arange(k)
+    H[idx, :, idx, :] = bases @ diag @ bases_t
+    cross = bases[:-1] @ off @ bases_t[1:]
+    H[idx[:-1], :, idx[1:], :] = cross
+    H[idx[1:], :, idx[:-1], :] = cross.transpose(0, 2, 1)
+    grad = (bases @ grad[:, :, None]).reshape(k * m)
+    return value, grad, H.reshape(k * m, k * m)
 
 
 def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
@@ -113,14 +149,10 @@ def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
     pts = _point_list(A, chain.points, B)
     scale = max(float(np.linalg.norm(B - A)), 1e-300)
     units, _ = _edges(pts, scale, coincidence_tol)
-    blocks = []
-    for j, idx in enumerate(itinerary):
-        sub = arr.subspaces[idx]
-        # units[j] is the incoming edge direction at vertex j+1, units[j+1]
-        # the outgoing one; their difference is the ambient derivative
-        ambient = units[j] - units[j + 1]
-        blocks.append(sub.basis @ ambient if sub.subdim else np.zeros(0))
-    return blocks
+    # units[j] is the incoming edge direction at vertex j+1, units[j+1]
+    # the outgoing one; their difference is the ambient derivative
+    ambient = units[:-1] - units[1:]
+    return [arr.subspaces[idx].basis @ ambient[j] for j, idx in enumerate(itinerary)]
 
 
 def gradient_stacked(arr, itinerary, A, chain, B, **kw) -> np.ndarray:
@@ -149,36 +181,15 @@ class HessianModel:
         self.unit_edges = units            # (k+1, dim)
         self.edge_lengths = lengths        # (k+1,)
         k = chain.k
-        dims = chain.block_dims()
-        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        self._offsets = offsets
-        total = offsets[-1]
-        H = np.zeros((total, total))
-        bases = [arr.subspaces[idx].basis for idx in itinerary]
-        for e in range(k + 1):  # edge e joins vertex e-1 (or A) to vertex e (or B)
-            n = units[e]
-            W = (np.eye(arr.dim) - np.outer(n, n)) / lengths[e]
-            left, right = e - 1, e
-            if left >= 0 and dims[left]:
-                BL = bases[left]
-                H[offsets[left]:offsets[left + 1], offsets[left]:offsets[left + 1]] += BL @ W @ BL.T
-            if right < k and dims[right]:
-                BR = bases[right]
-                H[offsets[right]:offsets[right + 1], offsets[right]:offsets[right + 1]] += BR @ W @ BR.T
-            if left >= 0 and right < k and dims[left] and dims[right]:
-                BL, BR = bases[left], bases[right]
-                cross = -BL @ W @ BR.T
-                H[offsets[left]:offsets[left + 1], offsets[right]:offsets[right + 1]] += cross
-                H[offsets[right]:offsets[right + 1], offsets[left]:offsets[left + 1]] += cross.T
-        self.matrix = H
+        self._offsets = np.concatenate([[0], np.cumsum(chain.block_dims())]).astype(int)
+        bases = np.array([arr.subspaces[idx].basis for idx in itinerary])
+        _, _, self.matrix = _stacked_derivatives(bases, pts)
 
         # β_i = 1/r_{i-1,i} + 1/r_{i,i+1}
         self.betas = np.array([1.0 / lengths[j] + 1.0 / lengths[j + 1] for j in range(k)])
         # tangential components a_i of the incoming/outgoing edge directions
-        self.a_in = np.array([arr.subspaces[itinerary[j]].project(units[j]) for j in range(k)]) \
-            if k else np.zeros((0, arr.dim))
-        self.a_out = np.array([arr.subspaces[itinerary[j]].project(units[j + 1]) for j in range(k)]) \
-            if k else np.zeros((0, arr.dim))
+        self.a_in = np.array([arr.subspaces[itinerary[j]].project(units[j]) for j in range(k)])
+        self.a_out = np.array([arr.subspaces[itinerary[j]].project(units[j + 1]) for j in range(k)])
 
     # -- structured critical-point form ------------------------------------
 
@@ -212,12 +223,8 @@ class HessianModel:
         """Coordinate matrix of the operator S_{ij}: L_j -> L_i, |i-j| = 1."""
         if abs(i - j) != 1:
             raise InputError("coupling defined only for adjacent blocks")
-        e = min(i, j) + 1  # the edge joining the two vertices
-        n = self.unit_edges[e]
-        P = np.eye(self.arr.dim) - np.outer(n, n)
-        Bi = self.arr.subspaces[self.itinerary[i]].basis
-        Bj = self.arr.subspaces[self.itinerary[j]].basis
-        Q = Bi @ P @ Bj.T
+        # the Hessian block is -B_i (I - n n^T) B_j^T / r on the joining edge
+        Q = -self.edge_lengths[min(i, j) + 1] * self.block(self.matrix, i, j)
         G = self.norm_grams()[i]
         return np.linalg.solve(G, Q)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .solver import SolverOptions, minimize
 from .symmetry import RotationGenerator
 from .trajectory import BilliardTrajectory, reflection_residual
@@ -196,7 +196,9 @@ def three_body_slice(phi_grid, psi_grid) -> ScatterSlice:
         center13 = 0.5 * (m1 + m3)
         u_norm = 0.5 * abs(m3 - m1)
         # consistency with the zero-momentum rewrite |u| = |1.5 v3 - w| / 2
-        assert abs(u_norm - 0.5 * abs(1.5 * v3 - w)) < 1e-12
+        if not abs(u_norm - 0.5 * abs(1.5 * v3 - w)) < 1e-12:
+            raise PreconditionError(
+                "incoming velocities break the zero-momentum rewrite |u| = |1.5 v3 - w| / 2")
         for j, psi in enumerate(psi_grid):
             u = u_norm * np.exp(1j * psi)
             p1, p3 = center13 + u, center13 - u

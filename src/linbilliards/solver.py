@@ -9,6 +9,10 @@ continuation is a ghost, confirmed by solving the convex problem with the
 collapsing pair fused onto the intersection of its subspaces.  Smooth
 minimizers get a final exact-Newton polish on the true length.
 
+Every stage runs the one damped-Newton core here (full-step local phase,
+Armijo backtracking, jittered Cholesky solve), which the thickened wall
+polish reuses with its own coordinates and retraction onto the walls.
+
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
 mirrors the exclusions that define membership in the trajectory space.
 """
@@ -18,12 +22,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
 from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
-from .action import Chain, action, gradient_stacked, hessian
+from .action import (Chain, _path_value, _stacked_derivatives, action,
+                     gradient_stacked, hessian)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, is_generic
 
@@ -113,20 +119,15 @@ class _StackedProblem:
     """
 
     def __init__(self, arr, itinerary, A, B):
-        self.bases = [arr.subspaces[i].basis for i in itinerary]
-        self.dims = [b.shape[0] for b in self.bases]
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-        self.total = int(self.offsets[-1])
-        self.k = len(itinerary)
-        self.dim = arr.dim
+        # one codimension per arrangement, so the bases stack as (k, m, dim)
+        self.bases = np.array([arr.subspaces[i].basis for i in itinerary])
+        self.k, m, self.dim = self.bases.shape
         self.A = A
         self.B = B
-        self.eye = np.eye(arr.dim)
         # stacked coords -> flattened chain points, one matmul
-        self.T = np.zeros((self.k * arr.dim, self.total))
+        self.T = np.zeros((self.k * self.dim, self.k * m))
         for j, b in enumerate(self.bases):
-            self.T[j * arr.dim:(j + 1) * arr.dim,
-                   self.offsets[j]:self.offsets[j + 1]] = b.T
+            self.T[j * self.dim:(j + 1) * self.dim, j * m:(j + 1) * m] = b.T
 
     def points_of(self, x: np.ndarray) -> np.ndarray:
         return (self.T @ x).reshape(self.k, self.dim)
@@ -134,37 +135,14 @@ class _StackedProblem:
     def coords_of(self, points: np.ndarray) -> np.ndarray:
         return self.T.T @ points.reshape(-1)
 
+    def _point_list(self, x: np.ndarray) -> np.ndarray:
+        return np.vstack([self.A[None, :], self.points_of(x), self.B[None, :]])
+
     def value(self, x: np.ndarray, mu2: float) -> float:
-        pts = np.vstack([self.A[None, :], self.points_of(x), self.B[None, :]])
-        edges = np.diff(pts, axis=0)
-        return float(np.sum(np.sqrt(np.einsum("ij,ij->i", edges, edges) + mu2)))
+        return _path_value(self._point_list(x), mu2)
 
     def derivatives(self, x: np.ndarray, mu2: float):
-        pts = np.vstack([self.A[None, :], self.points_of(x), self.B[None, :]])
-        edges = np.diff(pts, axis=0)
-        f = np.sqrt(np.einsum("ij,ij->i", edges, edges) + mu2)
-        value = float(np.sum(f))
-        grad = np.zeros(self.total)
-        H = np.zeros((self.total, self.total))
-        soft = edges / f[:, None]
-        o, dims, bases, k = self.offsets, self.dims, self.bases, self.k
-        for e in range(k + 1):
-            n_soft = soft[e]
-            left, right = e - 1, e  # chain indices of the endpoints
-            W = (self.eye - np.outer(n_soft, n_soft)) / f[e]
-            if left >= 0 and dims[left]:
-                BL = bases[left]
-                grad[o[left]:o[left + 1]] -= BL @ n_soft
-                H[o[left]:o[left + 1], o[left]:o[left + 1]] += BL @ W @ BL.T
-            if right < k and dims[right]:
-                BR = bases[right]
-                grad[o[right]:o[right + 1]] += BR @ n_soft
-                H[o[right]:o[right + 1], o[right]:o[right + 1]] += BR @ W @ BR.T
-            if left >= 0 and right < k and dims[left] and dims[right]:
-                cross = -bases[left] @ W @ bases[right].T
-                H[o[left]:o[left + 1], o[right]:o[right + 1]] += cross
-                H[o[right]:o[right + 1], o[left]:o[left + 1]] += cross.T
-        return value, grad, H
+        return _stacked_derivatives(self.bases, self._point_list(x), mu2)
 
 
 def _solve_spd(H: np.ndarray, g: np.ndarray):
@@ -182,51 +160,61 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
     return None
 
 
-def _newton_stage(problem: _StackedProblem, x, mu2, opts,
-                  rel_tol, max_iters=40):
-    """Damped Newton on the (smoothed) problem; returns (x, grad_norm, ok).
+def _add_step(x, step, t):
+    return x + t * step
 
+
+def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, opts,
+                   max_iters):
+    """Damped Newton from x; returns (x, value, grad_norm, reason).
+
+    derivatives(x) gives the value, gradient and Hessian in the coordinates
+    of the step, value_of(x) the value alone, and retract(x, step, t) the
+    point reached by the step scaled by t, or None where that is infeasible.
     Backtracks on the value while decreases are resolvable; once they sink
     below the rounding floor of the value, the full step is accepted as long
     as it keeps contracting the gradient norm, which drives the gradient to
-    its own machine floor instead of stalling around sqrt(eps).
+    its own machine floor instead of stalling around sqrt(eps).  reason is
+    "converged" (grad_norm <= tol * max(1, value)), "floor" (no resolvable
+    progress left, or an accepted step no longer than step_tol),
+    "no_descent" (no descent step) or "max_iters".
     """
-    value, g, H = problem.derivatives(x, mu2)
+    value, g, H = derivatives(x)
     grad_norm = float(np.linalg.norm(g))
     for _ in range(max_iters):
-        if grad_norm <= rel_tol * max(1.0, value):
-            return x, grad_norm, True
+        if grad_norm <= tol * max(1.0, value):
+            return x, value, grad_norm, "converged"
         step = _solve_spd(H, g)
         if step is None:
-            return x, grad_norm, False
+            return x, value, grad_norm, "no_descent"
         # local phase: the full Newton step contracts the gradient near the
         # minimum, where value differences are already below rounding
-        full = x + step
-        fval, fg, fH = problem.derivatives(full, mu2)
-        full_norm = float(np.linalg.norm(fg))
-        if full_norm <= 0.5 * grad_norm and fval <= value + 1e-12 * max(1.0, value):
-            x, value, g, H, grad_norm = full, fval, fg, fH, full_norm
-            continue
+        full = retract(x, step, 1.0)
+        if full is not None:
+            fval, fg, fH = derivatives(full)
+            full_norm = float(np.linalg.norm(fg))
+            if full_norm <= 0.5 * grad_norm and fval <= value + 1e-12 * max(1.0, value):
+                x, value, g, H, grad_norm = full, fval, fg, fH, full_norm
+                continue
         # global phase: backtracking on the value
         t = 1.0
         slope = float(np.dot(g, step))
         moved = False
         while t >= opts.step_floor:
-            trial = x + t * step
-            tval = problem.value(trial, mu2)
-            if tval <= value + opts.armijo * t * slope:
+            trial = retract(x, step, t)
+            if trial is not None and value_of(trial) <= value + opts.armijo * t * slope:
                 x, moved = trial, True
                 break
             t *= 0.5
         if not moved:
             # neither rule makes progress: gradient floor of the arithmetic
-            return x, grad_norm, True
-        small = float(np.linalg.norm(t * step)) <= opts.step_tol
-        value, g, H = problem.derivatives(x, mu2)
+            return x, value, grad_norm, "floor"
+        small = float(np.linalg.norm(t * step)) <= step_tol
+        value, g, H = derivatives(x)
         grad_norm = float(np.linalg.norm(g))
         if small:
-            return x, grad_norm, True
-    return x, grad_norm, grad_norm <= math.sqrt(rel_tol) * max(1.0, value)
+            return x, value, grad_norm, "floor"
+    return x, value, grad_norm, "max_iters"
 
 
 def _intersection_subspace(a: Subspace, b: Subspace) -> Subspace:
@@ -303,7 +291,10 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     iterations = 0
     for exponent in range(2, 15, 2):
         mu = scale * 10.0 ** (-exponent)
-        x, _, _ = _newton_stage(problem, x, mu * mu, opts, rel_tol=1e-9)
+        mu2 = mu * mu
+        x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
+                               partial(problem.value, mu2=mu2), _add_step,
+                               1e-9, opts.step_tol, opts, max_iters=40)
         iterations += 1
         if _min_gap(A, problem.points_of(x), B) > 1e4 * mu:
             break
@@ -311,12 +302,16 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     points = problem.points_of(x)
     value = action(A, points, B)
     if _min_gap(A, points, B) > coincidence:
-        x, grad_norm, ok = _newton_stage(problem, x, 0.0, opts,
-                                         rel_tol=opts.grad_tol,
-                                         max_iters=opts.max_iters)
+        x, value, grad_norm, reason = _damped_newton(
+            x, partial(problem.derivatives, mu2=0.0),
+            partial(problem.value, mu2=0.0), _add_step,
+            opts.grad_tol, opts.step_tol, opts, max_iters=opts.max_iters)
+        stalled = reason == "no_descent" or (
+            reason == "max_iters"
+            and grad_norm > math.sqrt(opts.grad_tol) * max(1.0, value))
         points = problem.points_of(x)
         value = action(A, points, B)
-        if not ok:
+        if stalled:
             raise MaxIterations(
                 f"exact polish stalled with |grad| = {grad_norm:.3e}")
     if k >= 2:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
-from .solver import SolverOptions, _solve_spd, minimize
+from .action import _path_kernel, _path_value, _point_list
+from .solver import SolverOptions, _damped_newton, minimize
 from .trajectory import TRANSVERSE_TOL, is_transverse
 
 CORNER_TOL = 1e-9
@@ -206,35 +207,6 @@ class ThickenedMinimizeResult:
     message: str = ""
 
 
-def _ambient_gradient(A, points, B):
-    pts = np.vstack([A[None, :], points, B[None, :]])
-    diffs = np.diff(pts, axis=0)
-    lens = np.linalg.norm(diffs, axis=1)
-    units = diffs / lens[:, None]
-    return units[:-1] - units[1:], lens  # (k, dim) per-vertex gradient
-
-
-def _ambient_hessian(A, points, B):
-    k, dim = points.shape
-    pts = np.vstack([A[None, :], points, B[None, :]])
-    diffs = np.diff(pts, axis=0)
-    lens = np.linalg.norm(diffs, axis=1)
-    units = diffs / lens[:, None]
-    H = np.zeros((k * dim, k * dim))
-    eye = np.eye(dim)
-    for e in range(k + 1):
-        W = (eye - np.outer(units[e], units[e])) / lens[e]
-        left, right = e - 1, e
-        if left >= 0:
-            H[left * dim:(left + 1) * dim, left * dim:(left + 1) * dim] += W
-        if right < k:
-            H[right * dim:(right + 1) * dim, right * dim:(right + 1) * dim] += W
-        if left >= 0 and right < k:
-            H[left * dim:(left + 1) * dim, right * dim:(right + 1) * dim] -= W
-            H[right * dim:(right + 1) * dim, left * dim:(left + 1) * dim] -= W
-    return H
-
-
 def _perp_basis(sub: Subspace, omega: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent to the perp sphere at omega:
     directions in L-perp orthogonal to omega."""
@@ -242,11 +214,6 @@ def _perp_basis(sub: Subspace, omega: np.ndarray) -> np.ndarray:
     perp_proj = np.eye(n) - sub.basis.T @ sub.basis if sub.subdim else np.eye(n)
     rows = [row - np.dot(row, omega) * omega for row in perp_proj]
     return orthonormalize(np.array(rows), n)
-
-
-def _path_value(A, points, B) -> float:
-    pts = np.vstack([A[None, :], points, B[None, :]])
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
 
 def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
@@ -273,19 +240,26 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
     radii = [s.sigma * table.r for s in subs]
     scale = max(float(np.linalg.norm(B - A)), table.r)
 
+    def length(pts):
+        return _path_value(_point_list(A, pts, B))
+
+    def on_walls(pts):
+        return [abs(subs[j].distance_to(pts[j]) - radii[j]) <= 1e-6 * radii[j]
+                for j in range(k)]
+
     # start from the projection of the straight chord into the cylinders
     points = np.array([
         table.project_cylinder(itinerary[j], A + (j + 1) / (k + 1) * (B - A))
         for j in range(k)
     ])
-    value = _path_value(A, points, B)
+    value = length(points)
     step = 1.0
     kkt = math.inf
     prev_kkt = math.inf
     for phase in range(max_phases):
         # -- projected gradient phase
         for _ in range(200):
-            grad, lens = _ambient_gradient(A, points, B)
+            _, grad, _, _ = _path_kernel(_point_list(A, points, B))
             trial_step = step
             moved = False
             for _ in range(60):
@@ -293,7 +267,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                     table.project_cylinder(itinerary[j], points[j] - trial_step * grad[j])
                     for j in range(k)
                 ])
-                cand_val = _path_value(A, cand, B)
+                cand_val = length(cand)
                 decrease = value - cand_val
                 move2 = float(np.sum((cand - points) ** 2))
                 if decrease >= 1e-4 * move2 / max(trial_step, 1e-300):
@@ -309,10 +283,8 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                 break
 
         # -- active-set Newton phase
-        active = [abs(subs[j].distance_to(points[j]) - radii[j]) <= 1e-6 * radii[j]
-                  for j in range(k)]
         points, value, kkt, clean = _newton_on_walls(
-            table, itinerary, A, points, B, active, opts)
+            table, itinerary, A, points, B, on_walls(points), opts)
         if clean and kkt <= max(opts.grad_tol, 1e-12) * max(1.0, value):
             break
         if clean and kkt >= prev_kkt * 0.99:
@@ -321,18 +293,11 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
     else:
         raise MaxIterations(f"thickened minimization stalled (kkt = {kkt:.3e})")
 
-    grad, _ = _ambient_gradient(A, points, B)
-    active = [abs(subs[j].distance_to(points[j]) - radii[j]) <= 1e-6 * radii[j]
-              for j in range(k)]
-    multipliers = []
-    for j in range(k):
-        if active[j]:
-            perp = points[j] - subs[j].project(points[j])
-            omega = perp / np.linalg.norm(perp)
-            multipliers.append(-float(np.dot(grad[j], omega)))
-        else:
-            multipliers.append(0.0)
-    jump = _direction_jumps(A, points, B)
+    _, grad, _, _ = _path_kernel(_point_list(A, points, B))
+    active = on_walls(points)
+    multipliers = _multipliers(grad, _wall_normals(subs, active, points))
+    # the ambient gradient n_in - n_out at a vertex is its direction jump
+    jump = np.linalg.norm(grad, axis=1)
     honest = all(active) and all(j > opts.transverse_tol for j in jump) \
         and all(m > 0 for m in multipliers)
     msg = "" if honest else "ghost: vertex off the wall or no direction change"
@@ -340,119 +305,120 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                                    multipliers, msg)
 
 
-def _direction_jumps(A, points, B):
-    pts = np.vstack([A[None, :], points, B[None, :]])
-    diffs = np.diff(pts, axis=0)
-    units = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-    return [float(np.linalg.norm(units[j + 1] - units[j])) for j in range(len(points))]
+def _wall_normals(subs, active, points) -> list:
+    """Outward unit normal of each active vertex's cylinder wall, else None."""
+    normals = []
+    for sub, on_wall, q in zip(subs, active, points):
+        perp = q - sub.project(q)
+        normals.append(perp / np.linalg.norm(perp) if on_wall else None)
+    return normals
 
 
-def _newton_on_walls(table, itinerary, A, points, B, active, opts):
-    """Newton polish with active vertices parameterized on their cylinder walls.
+def _multipliers(grad, normals) -> list[float]:
+    """Outward-normal force -<g_j, omega_j> at wall vertices, 0 elsewhere."""
+    return [0.0 if omega is None else -float(np.dot(g, omega))
+            for g, omega in zip(grad, normals)]
+
+
+class _WallProblem:
+    """Path length with the active vertices parameterized on their cylinder walls.
 
     Wall coordinates per active vertex: in-subspace coordinates plus tangent
     angles of the perp sphere; the sphere contributes the exact curvature term
-    -rho <g, omega> I to the Hessian diagonal.  Returns (points, value, kkt
-    residual, active-set-clean flag).
+    -rho <g, omega> I to the Hessian diagonal.  Free vertices keep ambient
+    coordinates.  The ambient kernel blocks are reduced through the per-vertex
+    wall Jacobians J_j, which couple only adjacent vertices.
     """
-    arr = table.arrangement
-    subs = [arr.subspaces[i] for i in itinerary]
-    radii = [s.sigma * table.r for s in subs]
-    k, dim = points.shape
-    points = points.copy()
-    value = _path_value(A, points, B)
 
-    def residual(pts):
-        """(kkt blocks, jacobians, omegas, multipliers-clean) at given points."""
-        grad, _ = _ambient_gradient(A, pts, B)
-        blocks, jacs, omegas = [], [], []
-        clean = True
-        for j in range(k):
-            if active[j]:
-                perp = pts[j] - subs[j].project(pts[j])
-                omega = perp / np.linalg.norm(perp)
-                omegas.append(omega)
-                V = _perp_basis(subs[j], omega)
-                Jj = np.hstack([subs[j].basis.T, radii[j] * V.T]) if subs[j].subdim \
-                    else radii[j] * V.T
-                jacs.append(Jj)
-                blocks.append(Jj.T @ grad[j])
-                if -float(np.dot(grad[j], omega)) < -1e-10:
-                    clean = False  # multiplier wants to release the vertex
+    def __init__(self, table, itinerary, A, B, active):
+        self.subs = [table.arrangement.subspaces[i] for i in itinerary]
+        self.radii = [s.sigma * table.r for s in self.subs]
+        self.A = A
+        self.B = B
+        self.active = active
+        self.dim = table.arrangement.dim
+
+    def value(self, pts) -> float:
+        return _path_value(_point_list(self.A, pts, self.B))
+
+    def frame(self, pts):
+        """Wall normals, perp-sphere tangent bases and block offsets at pts.
+
+        Block sizes follow the tangent bases, which can gain a row when a
+        normal carries rounding error along its subspace.
+        """
+        normals = _wall_normals(self.subs, self.active, pts)
+        tangents = [None if omega is None else _perp_basis(sub, omega)
+                    for sub, omega in zip(self.subs, normals)]
+        sizes = [self.dim if V is None else sub.subdim + V.shape[0]
+                 for sub, V in zip(self.subs, tangents)]
+        return normals, tangents, np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+
+    def derivatives(self, pts):
+        value, grad, diag, off = _path_kernel(_point_list(self.A, pts, self.B))
+        normals, tangents, offs = self.frame(pts)
+        jacs = []
+        for sub, rho, V in zip(self.subs, self.radii, tangents):
+            if V is None:
+                jacs.append(np.eye(self.dim))
             else:
-                omegas.append(None)
-                jacs.append(np.eye(dim))
-                blocks.append(grad[j])
-        return grad, blocks, jacs, omegas, clean
+                jacs.append(np.hstack([sub.basis.T, rho * V.T]) if sub.subdim else rho * V.T)
+        forces = _multipliers(grad, normals)
+        H = np.zeros((offs[-1], offs[-1]))
+        for j, sub in enumerate(self.subs):
+            blk = slice(offs[j], offs[j + 1])
+            H[blk, blk] = jacs[j].T @ diag[j] @ jacs[j]
+            if self.active[j]:
+                angles = np.arange(offs[j] + sub.subdim, offs[j + 1])
+                H[angles, angles] += self.radii[j] * forces[j]
+            if j + 1 < len(self.subs):
+                nxt = slice(offs[j + 1], offs[j + 2])
+                H[blk, nxt] = jacs[j].T @ off[j] @ jacs[j + 1]
+                H[nxt, blk] = H[blk, nxt].T
+        g_red = np.concatenate([J.T @ g for J, g in zip(jacs, grad)])
+        return value, g_red, H
 
-    kkt = math.inf
-    for _ in range(60):
-        grad, blocks, jac_blocks, omegas, clean = residual(points)
-        kkt = float(np.linalg.norm(np.concatenate(blocks))) if blocks else 0.0
-        if kkt <= max(opts.grad_tol, 1e-13) * max(1.0, value):
-            return points, value, kkt, clean
-        H = _ambient_hessian(A, points, B)
-        sizes = [jb.shape[1] for jb in jac_blocks]
-        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        Hred = np.zeros((offs[-1], offs[-1]))
-        for a in range(k):
-            for b in range(k):
-                Hab = H[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim]
-                Hred[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = \
-                    jac_blocks[a].T @ Hab @ jac_blocks[b]
-        for j in range(k):
-            if active[j]:
-                m = subs[j].subdim
-                curv = -radii[j] * float(np.dot(grad[j], omegas[j]))
-                for t in range(offs[j] + m, offs[j + 1]):
-                    Hred[t, t] += curv
-        g_red = np.concatenate(blocks)
-        step = _solve_spd(Hred, g_red)
-        if step is None:
-            return points, value, kkt, False
-
-        def apply_step(t):
-            cand = points.copy()
-            for j in range(k):
-                delta = step[offs[j]:offs[j + 1]] * t
-                if active[j]:
-                    m = subs[j].subdim
-                    y = subs[j].project(points[j]) + (subs[j].basis.T @ delta[:m]
-                                                      if m else 0.0)
-                    V = _perp_basis(subs[j], omegas[j])
-                    w = omegas[j] + (V.T @ delta[m:]) / radii[j]
-                    cand[j] = y + radii[j] * w / np.linalg.norm(w)
-                else:
-                    cand[j] = points[j] + delta
-                    if subs[j].distance_to(cand[j]) > radii[j]:
-                        return None
-            return cand
-
-        # local phase: full step accepted while it contracts the residual
-        full = apply_step(1.0)
-        if full is not None:
-            _, blocks_f, _, _, _ = residual(full)
-            kkt_f = float(np.linalg.norm(np.concatenate(blocks_f)))
-            fval = _path_value(A, full, B)
-            if kkt_f <= 0.5 * kkt and fval <= value + 1e-12 * max(1.0, value):
-                points, value = full, fval
+    def retract(self, pts, step, t):
+        """Move by t * step in wall coordinates; None if a free vertex leaves
+        its solid cylinder."""
+        normals, tangents, offs = self.frame(pts)
+        cand = pts.copy()
+        for j, (sub, rho, omega, V) in enumerate(zip(self.subs, self.radii,
+                                                     normals, tangents)):
+            delta = step[offs[j]:offs[j + 1]] * t
+            if omega is None:
+                cand[j] = pts[j] + delta
+                if sub.distance_to(cand[j]) > rho:
+                    return None
                 continue
-        # global phase: backtracking on the value
-        t = 1.0
-        slope = float(np.dot(g_red, step))
-        moved = False
-        while t >= opts.step_floor:
-            cand = apply_step(t)
-            if cand is not None:
-                cand_val = _path_value(A, cand, B)
-                if cand_val <= value + opts.armijo * t * slope:
-                    points, value, moved = cand, cand_val, True
-                    break
-            t *= 0.5
-        if not moved:
-            # neither rule makes progress: residual floor of the arithmetic
-            return points, value, kkt, True
-    return points, value, kkt, False
+            m = sub.subdim
+            y = sub.project(pts[j]) + (sub.basis.T @ delta[:m] if m else 0.0)
+            # the angles move the unit normal; the Jacobian block rho V^T in
+            # derivatives() is the first-order part of this map
+            w = omega + V.T @ delta[m:]
+            cand[j] = y + rho * w / np.linalg.norm(w)
+        return cand
+
+
+def _newton_on_walls(table, itinerary, A, points, B, active, opts):
+    """Newton polish of the wall problem with the solver's damped-Newton core.
+
+    Returns (points, value, kkt residual, active-set-clean flag).
+    """
+    problem = _WallProblem(table, itinerary, A, B, active)
+    # no small-step stop (step_tol 0): the phase loop of minimize_thickened
+    # reads a "floor" return as a clean residual floor
+    points, value, kkt, reason = _damped_newton(
+        points.copy(), problem.derivatives, problem.value, problem.retract,
+        max(opts.grad_tol, 1e-13), 0.0, opts, max_iters=60)
+    if reason == "converged":
+        _, grad, _, _ = _path_kernel(_point_list(A, points, B))
+        # a negative multiplier wants to release its vertex from the wall
+        forces = _multipliers(grad, _wall_normals(problem.subs, active, points))
+        clean = min(forces) >= -1e-10
+    else:
+        clean = reason == "floor"
+    return points, value, kkt, clean
 
 
 def curve_shorten(table: ThickenedTable, A, chain_points, B):

@@ -84,6 +84,18 @@ def fd_hessian(arr, itinerary, A, chain, B, h=1e-5):
     return out
 
 
+def fd_jacobian(fun, x0, h):
+    """Central finite differences of fun at x0: the gradient (n,) of a scalar
+    function, or the Jacobian (m, n) of a vector function."""
+    cols = []
+    for i in range(len(x0)):
+        xp, xm = x0.copy(), x0.copy()
+        xp[i] += h
+        xm[i] -= h
+        cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def random_smooth_chain(arr, itinerary, A, B, rng, radius=3.0, min_gap=1e-2):
     """Random chain whose consecutive points stay apart (smooth region)."""
     from linbilliards.solver import random_chain

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from linbilliards.arrangement import Itinerary
-from linbilliards.errors import InputError
+import linbilliards.nbody as nbody
+from linbilliards.errors import InputError, PreconditionError
 from linbilliards.nbody import (
     MASSES_THIRD,
     NBodySystem,
@@ -154,3 +155,11 @@ def test_diagonal_rotation_conserved_on_slice_trajectories():
                                       itin)
             report = conservation_report(arr, traj, [gen])
             assert report.max_angular_jump < 1e-9
+
+
+def test_slice_rejects_velocities_with_momentum(monkeypatch):
+    # the slice relies on zero total incoming momentum; the check must raise
+    # a package error rather than an assert that python -O strips
+    monkeypatch.setattr(nbody, "V_MINUS", V_MINUS + 0.1)
+    with pytest.raises(PreconditionError):
+        three_body_slice([0.3], [0.7])
