@@ -100,8 +100,8 @@ def _edges(pts: np.ndarray, scale: float, coincidence_tol: float):
 
 def _path_value(pts: np.ndarray, mu2: float = 0.0) -> float:
     """Smoothed length sum_e sqrt(r_e^2 + mu2) of the point list."""
-    edges = np.diff(pts, axis=0)
-    return float(np.sum(np.sqrt(np.sum(edges * edges, axis=1) + mu2)))
+    edges = pts[1:] - pts[:-1]
+    return float(np.sqrt((edges * edges).sum(axis=1) + mu2).sum())
 
 
 def _path_kernel(pts: np.ndarray, mu2: float = 0.0):
@@ -112,11 +112,11 @@ def _path_kernel(pts: np.ndarray, mu2: float = 0.0):
     (k, dim, dim) and the blocks -W_{j+1} coupling vertices j, j+1 (k-1, dim,
     dim).  At mu2 = 0 the caller must keep consecutive points apart.
     """
-    edges = np.diff(pts, axis=0)
-    f = np.sqrt(np.sum(edges * edges, axis=1) + mu2)
+    edges = pts[1:] - pts[:-1]
+    f = np.sqrt((edges * edges).sum(axis=1) + mu2)
     n = edges / f[:, None]
     W = (np.eye(pts.shape[1]) - n[:, :, None] * n[:, None, :]) / f[:, None, None]
-    return float(np.sum(f)), n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
+    return float(f.sum()), n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
 
 
 def _stacked_derivatives(bases: np.ndarray, pts: np.ndarray, mu2: float = 0.0):

@@ -28,3 +28,9 @@ class CornerCollision(RuntimeError):
     def __init__(self, message, path=None):
         super().__init__(message)
         self.path = path
+
+
+# every error the package raises on purpose; a caller that turns a failed
+# solve into an ordinary outcome catches these and lets anything else escape
+PACKAGE_ERRORS = (InputError, PreconditionError, NonSmoothPoint, MaxIterations,
+                  CornerCollision)

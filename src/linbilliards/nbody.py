@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
-from .errors import InputError, PreconditionError
+from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import SolverOptions, minimize
 from .symmetry import RotationGenerator
 from .trajectory import BilliardTrajectory, reflection_residual
@@ -284,7 +284,7 @@ def cross_validate_slice(s: ScatterSlice, sample_budget: int = 100,
         worst_residual = max(worst_residual, res)
         try:
             result = minimize(arr, itin, A, B, opts)
-        except Exception:
+        except PACKAGE_ERRORS:
             misses += 1
             continue
         if not result.is_valid:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement, Itinerary, principal_angle
-from .errors import InputError, PreconditionError
+from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import SolverOptions, minimize
 from .trajectory import BilliardTrajectory
 
@@ -212,7 +212,7 @@ def _search_one(task) -> SearchRow:
         used = s + 1
         try:
             result = minimize(arr, itinerary, A, B, opts)
-        except Exception:
+        except PACKAGE_ERRORS:
             continue
         if result.is_valid:
             return SearchRow(labels, "realized", witness_A=A, witness_B=B,

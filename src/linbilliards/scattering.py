@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement, Itinerary
-from .errors import InputError, PreconditionError
+from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import Classification, MinimizeResult, SolverOptions, minimize
 from .trajectory import BilliardTrajectory, OrientedLine, boundary_lines
 
@@ -140,7 +140,7 @@ def _solve_cell(task):
         return free_motion_sample(arr, A, B)
     try:
         result = minimize(arr, itinerary, A, B, opts)
-    except Exception:
+    except PACKAGE_ERRORS:
         return None
     return (RelationSample.from_result(result, A, B)
             if result.classification is Classification.VALID else None)

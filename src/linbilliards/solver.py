@@ -9,6 +9,13 @@ continuation is a ghost, confirmed by solving the convex problem with the
 collapsing pair fused onto the intersection of its subspaces.  Smooth
 minimizers get a final exact-Newton polish on the true length.
 
+A ghost need not run every stage.  The smoothed edge directions u_e at a
+stage's minimizer are multipliers with |u_e| < 1, so weak duality gives a
+rigorous lower bound on the true minimum (duality gap O(mu^2 / r)); once the
+fused-pair value meets that bound within the final merge test's tolerance,
+the continuation stops and returns the fused point, the same one the merge
+test after the last stage would accept.
+
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve), which the thickened wall
 polish reuses with its own coordinates and retraction onto the walls.
@@ -67,7 +74,7 @@ class MinimizeResult:
     classification: Classification
     trajectory: BilliardTrajectory | None
     hessian_min_eig: float | None
-    iterations: int
+    iterations: int          # smoothing stages run (fewer for certified ghosts)
     message: str = ""
 
     @property
@@ -104,9 +111,18 @@ def _vertex_two_leg_min(sub: Subspace, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return a_par + t * (b_par - a_par)
 
 
-def _min_gap(A, points, B) -> float:
-    pts = np.vstack([A[None, :], points, B[None, :]])
-    return float(np.min(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+def _gaps(pts: np.ndarray) -> np.ndarray:
+    """Edge lengths of the point list A, q_1..q_k, B."""
+    return np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+
+
+def _collapsing_pair(gaps: np.ndarray, detect: float) -> int | None:
+    """Index i of the shortest interior edge q_{i+1} -> q_{i+2} if it is no
+    longer than detect, else None (also when there is no interior edge)."""
+    if len(gaps) < 3:
+        return None
+    pair = int(np.argmin(gaps[1:-1]))
+    return pair if gaps[1 + pair] <= detect else None
 
 
 class _StackedProblem:
@@ -124,6 +140,10 @@ class _StackedProblem:
         self.k, m, self.dim = self.bases.shape
         self.A = A
         self.B = B
+        # A, q_1..q_k, B; the chain rows are overwritten on every call
+        self._pts = np.empty((self.k + 2, self.dim))
+        self._pts[0] = A
+        self._pts[-1] = B
         # stacked coords -> flattened chain points, one matmul
         self.T = np.zeros((self.k * self.dim, self.k * m))
         for j, b in enumerate(self.bases):
@@ -136,7 +156,8 @@ class _StackedProblem:
         return self.T.T @ points.reshape(-1)
 
     def _point_list(self, x: np.ndarray) -> np.ndarray:
-        return np.vstack([self.A[None, :], self.points_of(x), self.B[None, :]])
+        self._pts[1:-1] = self.points_of(x)
+        return self._pts
 
     def value(self, x: np.ndarray, mu2: float) -> float:
         return _path_value(self._point_list(x), mu2)
@@ -145,17 +166,36 @@ class _StackedProblem:
         return _stacked_derivatives(self.bases, self._point_list(x), mu2)
 
 
+# the LAPACK routines behind scipy.linalg.cho_factor / cho_solve, called
+# directly: at the block sizes here the wrappers cost more than the solve
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
+                                               (np.zeros((1, 1)),))
+
+
 def _solve_spd(H: np.ndarray, g: np.ndarray):
+    """Newton step -H^{-1} g by Cholesky, adding growing diagonal jitter until
+    it is a descent step; None if five attempts give none.
+
+    Raises ValueError on non-finite input, as cho_factor / cho_solve do.
+    """
+    n = H.shape[0]
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if n == 0:
+        return None
     jitter = 0.0
-    base = float(np.trace(H)) / max(H.shape[0], 1)
+    base = float(np.trace(H)) / n
     for _ in range(5):
-        try:
-            c, low = scipy.linalg.cho_factor(H + jitter * np.eye(H.shape[0]))
-            step = scipy.linalg.cho_solve((c, low), -g)
+        c, info = _POTRF(H + jitter * np.eye(n), lower=False, overwrite_a=True,
+                         clean=False)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        if info == 0:
+            step, info = _POTRS(c, -g, lower=False, overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of potrs")
             if np.dot(g, step) < 0:
                 return step
-        except np.linalg.LinAlgError:
-            pass
         jitter = max(jitter * 100.0, 1e-14 * max(base, 1.0))
     return None
 
@@ -180,7 +220,7 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, opts,
     "no_descent" (no descent step) or "max_iters".
     """
     value, g, H = derivatives(x)
-    grad_norm = float(np.linalg.norm(g))
+    grad_norm = math.sqrt(g @ g)
     for _ in range(max_iters):
         if grad_norm <= tol * max(1.0, value):
             return x, value, grad_norm, "converged"
@@ -192,26 +232,30 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, opts,
         full = retract(x, step, 1.0)
         if full is not None:
             fval, fg, fH = derivatives(full)
-            full_norm = float(np.linalg.norm(fg))
+            full_norm = math.sqrt(fg @ fg)
             if full_norm <= 0.5 * grad_norm and fval <= value + 1e-12 * max(1.0, value):
                 x, value, g, H, grad_norm = full, fval, fg, fH, full_norm
                 continue
-        # global phase: backtracking on the value
+        # global phase: backtracking on the value; at t = 1 the full step's
+        # point, value and derivatives are already at hand
         t = 1.0
         slope = float(np.dot(g, step))
         moved = False
         while t >= opts.step_floor:
-            trial = retract(x, step, t)
-            if trial is not None and value_of(trial) <= value + opts.armijo * t * slope:
-                x, moved = trial, True
-                break
+            trial = full if t == 1.0 else retract(x, step, t)
+            if trial is not None:
+                trial_value = fval if t == 1.0 else value_of(trial)
+                if trial_value <= value + opts.armijo * t * slope:
+                    x, moved = trial, True
+                    break
             t *= 0.5
         if not moved:
             # neither rule makes progress: gradient floor of the arithmetic
             return x, value, grad_norm, "floor"
-        small = float(np.linalg.norm(t * step)) <= step_tol
-        value, g, H = derivatives(x)
-        grad_norm = float(np.linalg.norm(g))
+        taken = t * step
+        small = math.sqrt(taken @ taken) <= step_tol
+        value, g, H = (fval, fg, fH) if t == 1.0 else derivatives(x)
+        grad_norm = math.sqrt(g @ g)
         if small:
             return x, value, grad_norm, "floor"
     return x, value, grad_norm, "max_iters"
@@ -253,6 +297,42 @@ def _merged_minimum(arr, itinerary, A, B, pair: int):
     return val, expanded
 
 
+def _dual_lower_bound(problem, x, mu2, upper) -> float:
+    """Lower bound on the minimum L* of the exact path length, by weak
+    duality with the smoothed edge directions at x as multipliers.
+
+    u_e = d_e / sqrt(r_e^2 + mu2) has |u_e| < 1, so every chain q has
+    L(q) >= sum_e <u_e, d_e(q)> = <u_k, B> - <u_0, A> + sum_i <g_i, c_i>,
+    with g_i = B_i (u_{i-1} - u_i) the smoothed gradient block at x and c_i
+    the coordinates of q_i.  A minimizer has |c_i| = |q_i| <= |A| + L*, and
+    L* <= upper, the length of any chain.
+    """
+    pts = problem._point_list(x)
+    edges = pts[1:] - pts[:-1]
+    u = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
+    g = (problem.bases @ (u[:-1] - u[1:])[:, :, None])[:, :, 0]
+    radius = math.sqrt(problem.A @ problem.A) + upper
+    return float(u[-1] @ problem.B - u[0] @ problem.A
+                 - radius * np.linalg.norm(g, axis=1).sum())
+
+
+def _certify_ghost(problem, x, mu2, merged, opts):
+    """merged = (value, points) of a fused-pair minimum if the dual bound at
+    this smoothing certifies it as the global minimum, else None.
+
+    Up to four more Newton steps, on a copy of the stage's minimizer x, shrink
+    the gradient term of the bound.  Acceptance puts the merged value within
+    1e-11 * max(1, L*) of the true minimum L*, inside the tolerance of the
+    final merge test, which would therefore accept the same point.
+    """
+    merged_val = merged[0]
+    x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
+                           partial(problem.value, mu2=mu2), _add_step,
+                           0.0, opts.step_tol, opts, max_iters=4)
+    lower = _dual_lower_bound(problem, x, mu2, merged_val)
+    return merged if merged_val - lower <= 1e-11 * max(1.0, lower) else None
+
+
 def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
              opts: SolverOptions = SolverOptions()) -> MinimizeResult:
     """Find the global minimizer of the path length over the chain space.
@@ -274,7 +354,6 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
 
     chain = opts.initial_chain or initial_chain_chord(arr, itinerary, A, B)
     points = chain.points.copy()
-    k = len(itinerary)
     coincidence = opts.coincidence_tol * scale
 
     if sum(arr.subspaces[i].subdim for i in itinerary) == 0:
@@ -285,10 +364,22 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
 
     # continuation in the smoothing parameter; warm-started Newton each stage.
     # Once every gap dwarfs mu the smoothing is irrelevant and the exact
-    # polish takes over; ghost candidates keep gaps ~ mu and run all stages.
+    # polish takes over.  Ghost candidates keep gaps ~ mu; each of their
+    # stages tries to certify the fused-pair minimum by weak duality, and
+    # stops the continuation as soon as it does.
     problem = _StackedProblem(arr, itinerary, A, B)
     x = problem.coords_of(points)
+    detect = opts.merge_detect * scale
+    fused = {}
+
+    def merged(pair):
+        # shared by the certificate and the final merge test
+        if pair not in fused:
+            fused[pair] = _merged_minimum(arr, itinerary, A, B, pair)
+        return fused[pair]
+
     iterations = 0
+    certified = None
     for exponent in range(2, 15, 2):
         mu = scale * 10.0 ** (-exponent)
         mu2 = mu * mu
@@ -296,33 +387,40 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                                partial(problem.value, mu2=mu2), _add_step,
                                1e-9, opts.step_tol, opts, max_iters=40)
         iterations += 1
-        if _min_gap(A, problem.points_of(x), B) > 1e4 * mu:
+        gaps = _gaps(problem._point_list(x))
+        if gaps.min() > 1e4 * mu:
             break
+        pair = _collapsing_pair(gaps, detect)
+        if pair is not None:
+            certified = _certify_ghost(problem, x, mu2, merged(pair), opts)
+            if certified is not None:
+                break
 
-    points = problem.points_of(x)
-    value = action(A, points, B)
-    if _min_gap(A, points, B) > coincidence:
-        x, value, grad_norm, reason = _damped_newton(
-            x, partial(problem.derivatives, mu2=0.0),
-            partial(problem.value, mu2=0.0), _add_step,
-            opts.grad_tol, opts.step_tol, opts, max_iters=opts.max_iters)
-        stalled = reason == "no_descent" or (
-            reason == "max_iters"
-            and grad_norm > math.sqrt(opts.grad_tol) * max(1.0, value))
+    if certified is not None:
+        value, points = certified
+    else:
         points = problem.points_of(x)
         value = action(A, points, B)
-        if stalled:
-            raise MaxIterations(
-                f"exact polish stalled with |grad| = {grad_norm:.3e}")
-    if k >= 2:
+        if gaps.min() > coincidence:
+            x, value, grad_norm, reason = _damped_newton(
+                x, partial(problem.derivatives, mu2=0.0),
+                partial(problem.value, mu2=0.0), _add_step,
+                opts.grad_tol, opts.step_tol, opts, max_iters=opts.max_iters)
+            stalled = reason == "no_descent" or (
+                reason == "max_iters"
+                and grad_norm > math.sqrt(opts.grad_tol) * max(1.0, value))
+            points = problem.points_of(x)
+            value = action(A, points, B)
+            gaps = _gaps(problem._point_list(x))
+            if stalled:
+                raise MaxIterations(
+                    f"exact polish stalled with |grad| = {grad_norm:.3e}")
         # confirm/repair a collapsing pair via the fused convex problem: the
         # fused minimum is attainable in the chain space, so matching values
         # certify a ghost and give it an exactly coincident representative
-        pts_all = np.vstack([A[None, :], points, B[None, :]])
-        gaps = np.linalg.norm(np.diff(pts_all, axis=0), axis=1)
-        pair = int(np.argmin(gaps[1:k]))
-        if gaps[1 + pair] <= opts.merge_detect * scale:
-            merged_val, merged_pts = _merged_minimum(arr, itinerary, A, B, pair)
+        pair = _collapsing_pair(gaps, detect)
+        if pair is not None:
+            merged_val, merged_pts = merged(pair)
             if merged_val <= value + 1e-11 * max(1.0, value):
                 points, value = merged_pts, merged_val
 

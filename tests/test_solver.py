@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from linbilliards.action import Chain, action
@@ -191,3 +192,147 @@ def test_initial_chain_override(twolines_arr):
     result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, opts)
     reference = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     assert np.allclose(result.chain.points, reference.chain.points, atol=1e-8)
+
+
+# -- ghost certificate by weak duality ----------------------------------------
+
+FIXTURES = ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr", "planes4d_arr"]
+
+
+def _random_case(arr, rng, min_len, max_len):
+    """Repeat-free itinerary and anchors on spheres of radius 1 or 10."""
+    n = len(arr.subspaces)
+    k = 1 if n == 1 else int(rng.integers(min_len, max_len + 1))
+    seq = [int(rng.integers(n))]
+    while len(seq) < k:
+        nxt = int(rng.integers(n - 1))
+        seq.append(nxt if nxt < seq[-1] else nxt + 1)
+    anchors = []
+    for _ in range(2):
+        v = rng.standard_normal(arr.dim)
+        anchors.append(v / np.linalg.norm(v) * (1.0, 10.0)[int(rng.integers(2))])
+    return Itinerary(tuple(seq)), anchors[0], anchors[1]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_dual_lower_bound_below_every_chain(fixture, request):
+    from linbilliards.solver import (_StackedProblem, _add_step, _damped_newton,
+                                     _dual_lower_bound, random_chain)
+    arr = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        it, A, B = _random_case(arr, rng, 1, 4)
+        result = minimize(arr, it, A, B)
+        scale = float(np.linalg.norm(B - A))
+        problem = _StackedProblem(arr, it, A, B)
+        # multipliers from a random point and from smoothed minimizers
+        multipliers = [(rng.standard_normal(problem.T.shape[1]), (1e-2 * scale) ** 2)]
+        for exponent in (2, 6, 10):
+            mu2 = (scale * 10.0 ** -exponent) ** 2
+            x, *_ = _damped_newton(problem.coords_of(result.chain.points),
+                                   lambda y, mu2=mu2: problem.derivatives(y, mu2),
+                                   lambda y, mu2=mu2: problem.value(y, mu2),
+                                   _add_step, 0.0, 1e-12, SolverOptions(), 20)
+            multipliers.append((x, mu2))
+        bounds = [_dual_lower_bound(problem, x, mu2, result.value)
+                  for x, mu2 in multipliers]
+        chains = [result.chain] + [random_chain(arr, it, 3.0 * scale, rng)
+                                   for _ in range(20)]
+        shortest = min(action(A, c.points, B) for c in chains)
+        assert max(bounds) <= shortest + 1e-13 * max(1.0, shortest)
+        # at mu = 1e-6 * scale the bound is already close to the minimum
+        assert result.value - bounds[2] <= 1e-6 * max(1.0, result.value)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_certified_ghosts_match_full_continuation(fixture, request, monkeypatch):
+    import linbilliards.solver as solver_module
+    arr = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(5)
+    cases = [_random_case(arr, rng, 2, 6) for _ in range(40)]
+    early = [minimize(arr, it, A, B) for it, A, B in cases]
+    monkeypatch.setattr(solver_module, "_certify_ghost", lambda *args: None)
+    ghosts = 0
+    for (it, A, B), fast in zip(cases, early):
+        if fast.classification is not Classification.GHOST:
+            continue
+        ghosts += 1
+        full = minimize(arr, it, A, B)
+        assert full.classification is fast.classification
+        assert full.value == fast.value
+        assert full.chain.points.tobytes() == fast.chain.points.tobytes()
+        assert fast.iterations <= full.iterations
+    if len(arr.subspaces) == 1:
+        # one subspace allows only length-1 itineraries, which cannot collapse
+        assert ghosts == 0
+    else:
+        assert ghosts >= 5
+        # the certificate must have cut some continuations short
+        assert any(r.iterations < 7 for r in early
+                   if r.classification is Classification.GHOST)
+
+
+def test_valid_solve_never_reaches_certificate(twolines_arr, monkeypatch):
+    import linbilliards.solver as solver_module
+
+    def forbidden(*args):
+        raise AssertionError("certificate ran on a valid solve")
+
+    reference = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
+    monkeypatch.setattr(solver_module, "_certify_ghost", forbidden)
+    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
+    assert result.is_valid
+    assert result.chain.points.tobytes() == reference.chain.points.tobytes()
+
+
+# -- Cholesky step ------------------------------------------------------------
+
+def _reference_solve_spd(H, g):
+    """The jittered Cholesky step through scipy's cho_factor / cho_solve."""
+    jitter = 0.0
+    base = float(np.trace(H)) / max(H.shape[0], 1)
+    for _ in range(5):
+        try:
+            c, low = scipy.linalg.cho_factor(H + jitter * np.eye(H.shape[0]))
+            step = scipy.linalg.cho_solve((c, low), -g)
+            if np.dot(g, step) < 0:
+                return step
+        except np.linalg.LinAlgError:
+            pass
+        jitter = max(jitter * 100.0, 1e-14 * max(base, 1.0))
+    return None
+
+
+def test_solve_spd_matches_cho_factor_bitwise():
+    from linbilliards.solver import _solve_spd
+    rng = np.random.default_rng(3)
+    cases = [(np.zeros((0, 0)), np.zeros(0))]
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(10):
+            M = rng.standard_normal((n, n))
+            g = rng.standard_normal(n)
+            spd = M @ M.T + 1e-3 * np.eye(n)
+            # rounding-level asymmetry: only the upper triangle is read
+            cases.append((spd + 1e-15 * rng.standard_normal((n, n)), g))
+            cases.append((M + M.T, g))                        # indefinite
+            cases.append((-(M @ M.T), g))                     # negative definite
+            cases.append((np.outer(M[0], M[0]), g))           # singular
+    jittered = 0
+    for H, g in cases:
+        expected = _reference_solve_spd(H, g)
+        got = _solve_spd(H, g)
+        if expected is None:
+            assert got is None
+            continue
+        assert got.tobytes() == expected.tobytes()
+        jittered += not np.all(np.linalg.eigvalsh(H) > 0)
+    assert jittered > 0
+
+
+def test_solve_spd_rejects_non_finite_input():
+    from linbilliards.solver import _solve_spd
+    H = np.eye(2)
+    with pytest.raises(ValueError):
+        _solve_spd(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError):
+        _solve_spd(H, np.array([np.inf, 0.0]))
