@@ -5,16 +5,17 @@ minimum for anchors off the collision locus, but it is non-smooth exactly
 where consecutive vertices collide, and minimizers may sit there (ghosts).
 The solver therefore minimizes the smoothed length sum(sqrt(r^2 + mu^2)) by
 damped Newton and drives mu to zero; a minimizer whose gaps collapse along the
-continuation is a ghost, confirmed by solving the convex problem with the
-collapsing pair fused onto the intersection of its subspaces.  Smooth
-minimizers get a final exact-Newton polish on the true length.
+continuation is a ghost.  It is repaired by snapping each collapsed run of
+consecutive vertices onto the intersection of the run's subspaces, a stratum
+of the collision locus; the snapped chain is feasible, so its length bounds
+the minimum from above.  Smooth minimizers get a final exact-Newton polish on
+the true length.
 
 A ghost need not run every stage.  The smoothed edge directions u_e at a
 stage's minimizer are multipliers with |u_e| < 1, so weak duality gives a
 rigorous lower bound on the true minimum (duality gap O(mu^2 / r)); once the
-fused-pair value meets that bound within the final merge test's tolerance,
-the continuation stops and returns the fused point, the same one the merge
-test after the last stage would accept.
+snapped chain's length meets that bound within the final merge test's
+tolerance, the continuation stops and returns the snapped chain.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve), which the thickened wall
@@ -34,7 +35,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
+from .arrangement import Arrangement, Itinerary
 from .action import (Chain, _path_value, _stacked_derivatives, action,
                      gradient_stacked, hessian)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
@@ -94,35 +95,18 @@ def initial_chain_chord(arr: Arrangement, itinerary: Itinerary, A, B) -> Chain:
     return Chain.from_points(arr, itinerary, np.array(pts))
 
 
-def _vertex_two_leg_min(sub: Subspace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact minimizer of |a - q| + |q - b| over q in the subspace.
-
-    Unfold the two legs into the plane spanned by the in-subspace chord and
-    the perpendicular offsets; the optimum splits the chord in the ratio of
-    the offsets (the classical mirror construction).  Valid at non-smooth
-    configurations too.
-    """
-    a_par, b_par = sub.project(a), sub.project(b)
-    alpha = float(np.linalg.norm(a - a_par))
-    beta = float(np.linalg.norm(b - b_par))
-    if alpha + beta <= 0.0:
-        return 0.5 * (a_par + b_par)
-    t = alpha / (alpha + beta)
-    return a_par + t * (b_par - a_par)
-
-
 def _gaps(pts: np.ndarray) -> np.ndarray:
     """Edge lengths of the point list A, q_1..q_k, B."""
     return np.linalg.norm(pts[1:] - pts[:-1], axis=1)
 
 
-def _collapsing_pair(gaps: np.ndarray, detect: float) -> int | None:
-    """Index i of the shortest interior edge q_{i+1} -> q_{i+2} if it is no
-    longer than detect, else None (also when there is no interior edge)."""
-    if len(gaps) < 3:
-        return None
-    pair = int(np.argmin(gaps[1:-1]))
-    return pair if gaps[1 + pair] <= detect else None
+def _collapsing_runs(gaps: np.ndarray, detect: float) -> list[tuple[int, int]]:
+    """Maximal runs [start, stop) of chain vertices (0-based) joined by
+    interior edges no longer than detect; empty if there are none."""
+    # interior edge j joins vertices j and j + 1; pad so every run has both ends
+    short = np.concatenate(([0], gaps[1:-1] <= detect, [0])).astype(np.int8)
+    ends = np.flatnonzero(np.diff(short))
+    return [(int(a), int(b) + 1) for a, b in zip(ends[::2], ends[1::2])]
 
 
 class _StackedProblem:
@@ -261,40 +245,22 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, opts,
     return x, value, grad_norm, "max_iters"
 
 
-def _intersection_subspace(a: Subspace, b: Subspace) -> Subspace:
-    """Orthonormal basis of a ∩ b via the null space of the stacked projectors."""
-    n = a.dim
-    stacked = np.vstack([np.eye(n) - a.basis.T @ a.basis,
-                         np.eye(n) - b.basis.T @ b.basis])
-    _, s, vt = np.linalg.svd(stacked)
-    return Subspace(f"{a.name}&{b.name}", orthonormalize(vt[s <= 1e-10], n), n)
+def _snapped(problem, points: np.ndarray, runs):
+    """(length, points) with the vertices of each run replaced by the
+    projection of their mean onto the intersection of the run's subspaces.
 
-
-def _merged_minimum(arr, itinerary, A, B, pair: int):
-    """Global minimum of the path length when vertices pair, pair+1 are fused
-    onto the intersection of their subspaces.
-
-    Exact coordinate descent on the reduced convex problem; returns the value
-    and the full-length chain with the fused vertex duplicated.
+    The intersection is the null space of the stacked projectors I - B^T B;
+    it is {0} when the subspaces meet only at the origin.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    subs = [arr.subspaces[i] for i in itinerary]
-    fused = subs[:pair] + [_intersection_subspace(subs[pair], subs[pair + 1])] + subs[pair + 2:]
-    pts = np.array([s.project(0.5 * (A + B)) for s in fused])
-    val = action(A, pts, B)
-    for _ in range(5000):
-        for j, s in enumerate(fused):
-            prev = A if j == 0 else pts[j - 1]
-            nxt = B if j == len(fused) - 1 else pts[j + 1]
-            pts[j] = _vertex_two_leg_min(s, prev, nxt)
-        new_val = action(A, pts, B)
-        if val - new_val <= 1e-15 * max(1.0, val):
-            val = new_val
-            break
-        val = new_val
-    expanded = np.vstack([pts[:pair + 1], pts[pair:pair + 1], pts[pair + 1:]])
-    return val, expanded
+    points = points.copy()
+    eye = np.eye(problem.dim)
+    for start, stop in runs:
+        bases = problem.bases[start:stop]
+        stacked = (eye - bases.transpose(0, 2, 1) @ bases).reshape(-1, problem.dim)
+        _, s, vt = np.linalg.svd(stacked)
+        meet = vt[s <= 1e-10]
+        points[start:stop] = meet.T @ (meet @ points[start:stop].mean(axis=0))
+    return action(problem.A, points, problem.B), points
 
 
 def _dual_lower_bound(problem, x, mu2, upper) -> float:
@@ -316,21 +282,22 @@ def _dual_lower_bound(problem, x, mu2, upper) -> float:
                  - radius * np.linalg.norm(g, axis=1).sum())
 
 
-def _certify_ghost(problem, x, mu2, merged, opts):
-    """merged = (value, points) of a fused-pair minimum if the dual bound at
-    this smoothing certifies it as the global minimum, else None.
+def _certify_ghost(problem, x, mu2, runs, opts):
+    """(length, points) of the chain snapped on the collapsed runs if the
+    dual bound at this smoothing certifies it as the global minimum, else
+    None.
 
     Up to four more Newton steps, on a copy of the stage's minimizer x, shrink
-    the gradient term of the bound.  Acceptance puts the merged value within
-    1e-11 * max(1, L*) of the true minimum L*, inside the tolerance of the
-    final merge test, which would therefore accept the same point.
+    the gradient term of the bound before the snap.  The snapped chain is
+    feasible, so acceptance puts its length within 1e-11 * max(1, L*) of the
+    true minimum L*, inside the tolerance of the final merge test.
     """
-    merged_val = merged[0]
     x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
                            partial(problem.value, mu2=mu2), _add_step,
                            0.0, opts.step_tol, opts, max_iters=4)
-    lower = _dual_lower_bound(problem, x, mu2, merged_val)
-    return merged if merged_val - lower <= 1e-11 * max(1.0, lower) else None
+    value, points = _snapped(problem, problem.points_of(x), runs)
+    lower = _dual_lower_bound(problem, x, mu2, value)
+    return (value, points) if value - lower <= 1e-11 * max(1.0, lower) else None
 
 
 def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
@@ -365,19 +332,11 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     # continuation in the smoothing parameter; warm-started Newton each stage.
     # Once every gap dwarfs mu the smoothing is irrelevant and the exact
     # polish takes over.  Ghost candidates keep gaps ~ mu; each of their
-    # stages tries to certify the fused-pair minimum by weak duality, and
-    # stops the continuation as soon as it does.
+    # stages tries to certify the snapped chain by weak duality, and stops
+    # the continuation as soon as it does.
     problem = _StackedProblem(arr, itinerary, A, B)
     x = problem.coords_of(points)
     detect = opts.merge_detect * scale
-    fused = {}
-
-    def merged(pair):
-        # shared by the certificate and the final merge test
-        if pair not in fused:
-            fused[pair] = _merged_minimum(arr, itinerary, A, B, pair)
-        return fused[pair]
-
     iterations = 0
     certified = None
     for exponent in range(2, 15, 2):
@@ -390,9 +349,9 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         gaps = _gaps(problem._point_list(x))
         if gaps.min() > 1e4 * mu:
             break
-        pair = _collapsing_pair(gaps, detect)
-        if pair is not None:
-            certified = _certify_ghost(problem, x, mu2, merged(pair), opts)
+        runs = _collapsing_runs(gaps, detect)
+        if runs:
+            certified = _certify_ghost(problem, x, mu2, runs, opts)
             if certified is not None:
                 break
 
@@ -407,22 +366,23 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                 partial(problem.value, mu2=0.0), _add_step,
                 opts.grad_tol, opts.step_tol, opts, max_iters=opts.max_iters)
             stalled = reason == "no_descent" or (
-                reason == "max_iters"
+                reason in ("floor", "max_iters")
                 and grad_norm > math.sqrt(opts.grad_tol) * max(1.0, value))
             points = problem.points_of(x)
             value = action(A, points, B)
             gaps = _gaps(problem._point_list(x))
             if stalled:
                 raise MaxIterations(
-                    f"exact polish stalled with |grad| = {grad_norm:.3e}")
-        # confirm/repair a collapsing pair via the fused convex problem: the
-        # fused minimum is attainable in the chain space, so matching values
-        # certify a ghost and give it an exactly coincident representative
-        pair = _collapsing_pair(gaps, detect)
-        if pair is not None:
-            merged_val, merged_pts = merged(pair)
-            if merged_val <= value + 1e-11 * max(1.0, value):
-                points, value = merged_pts, merged_val
+                    f"exact polish stalled ({reason}) with |grad| = {grad_norm:.3e}")
+        # repair collapsed runs by snapping them onto their intersections:
+        # the snapped chain is feasible, so a length no larger than the
+        # continuation's confirms the ghost and gives it a coincident
+        # representative
+        runs = _collapsing_runs(gaps, detect)
+        if runs:
+            snapped_val, snapped_pts = _snapped(problem, points, runs)
+            if snapped_val <= value + 1e-11 * max(1.0, value):
+                points, value = snapped_pts, snapped_val
 
     chain = Chain.from_points(arr, itinerary, points)
     return _classify(arr, itinerary, A, chain, B, opts, value, iterations)
@@ -433,7 +393,7 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
     scale = float(np.linalg.norm(B - A))
     points = chain.points
     pts_all = np.vstack([np.asarray(A)[None, :], points, np.asarray(B)[None, :]])
-    gaps = np.linalg.norm(np.diff(pts_all, axis=0), axis=1)
+    gaps = _gaps(pts_all)
 
     def done(cls, traj=None, eig=None, msg=""):
         g_norm = _safe_grad_norm(arr, itinerary, A, chain, B, opts)

@@ -48,6 +48,17 @@ def planes4d_arr():
     ))
 
 
+@pytest.fixture
+def planes3d_arr():
+    """Three 2-planes in three dimensions that meet pairwise in lines, so a
+    collapsed pair of vertices is still free along its line."""
+    return Arrangement(3, (
+        Subspace.from_spanning("P1", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 3),
+        Subspace.from_spanning("P2", [[1.0, 0.0, 0.0], [0.0, 0.3, 1.0]], 3),
+        Subspace.from_spanning("P3", [[0.2, 1.0, 0.5], [0.0, 0.6, -1.0]], 3),
+    ))
+
+
 # A two-line valid fixture found by scan and frozen; the solved trajectory is
 # strongly transverse (direction jumps ~1) with well-separated vertices.
 TWOLINE_A = np.array([1.98916641, -0.44632446])

@@ -8,7 +8,8 @@ import pytest
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.solver import minimize
 
-FIXTURES = ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr", "planes4d_arr"]
+FIXTURES = ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr", "planes4d_arr",
+            "planes3d_arr"]
 SEEDS = [0, 1, 2, 4]
 
 

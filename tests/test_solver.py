@@ -214,7 +214,7 @@ def _random_case(arr, rng, min_len, max_len):
     return Itinerary(tuple(seq)), anchors[0], anchors[1]
 
 
-@pytest.mark.parametrize("fixture", FIXTURES)
+@pytest.mark.parametrize("fixture", FIXTURES + ["planes3d_arr"])
 def test_dual_lower_bound_below_every_chain(fixture, request):
     from linbilliards.solver import (_StackedProblem, _add_step, _damped_newton,
                                      _dual_lower_bound, random_chain)
@@ -283,6 +283,133 @@ def test_valid_solve_never_reaches_certificate(twolines_arr, monkeypatch):
     result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     assert result.is_valid
     assert result.chain.points.tobytes() == reference.chain.points.tobytes()
+
+
+def _four_body_table():
+    from linbilliards import nbody
+    return nbody.build_arrangement(nbody.NBodySystem(4, 3, (1.0,) * 4, reduce_cm=True))
+
+
+@pytest.mark.parametrize("table", ["planes3d_arr", "four_body"])
+def test_snapped_ghosts_match_full_continuation(table, request, monkeypatch):
+    """Where collapsed vertices are free along their intersection, the early
+    certificate and the full continuation snap at different mu, so their
+    representatives differ; both must still be certified minima."""
+    import linbilliards.solver as solver_module
+    arr = _four_body_table() if table == "four_body" else request.getfixturevalue(table)
+    rng = np.random.default_rng(5)
+    cases = [_random_case(arr, rng, 2, 6) for _ in range(40 if table == "planes3d_arr" else 12)]
+    snaps = []
+    real_snapped = solver_module._snapped
+
+    def recording(problem, points, runs):
+        snaps.append((runs, *real_snapped(problem, points, runs)))
+        return snaps[-1][1:]
+
+    monkeypatch.setattr(solver_module, "_snapped", recording)
+
+    def solve(it, A, B):
+        del snaps[:]
+        result = minimize(arr, it, A, B)
+        scale = float(np.linalg.norm(B - A))
+        for i, q in zip(it, result.chain.points):
+            assert arr.subspaces[i].distance_to(q) <= 1e-12 * max(1.0, scale)
+        if result.classification is Classification.GHOST:
+            # the returned chain is the last snap, its runs exactly coincident
+            runs, value, points = snaps[-1]
+            assert result.value == value
+            assert runs
+            for start, stop in runs:
+                assert np.all(points[start:stop] == points[start])
+            assert np.allclose(result.chain.points, points, rtol=0,
+                               atol=1e-14 * max(1.0, scale))
+        return result
+
+    early = [solve(*case) for case in cases]
+    monkeypatch.setattr(solver_module, "_certify_ghost", lambda *args: None)
+    ghosts = 0
+    for case, fast in zip(cases, early):
+        full = solve(*case)
+        assert full.classification is fast.classification
+        assert abs(full.value - fast.value) <= 1e-11 * max(1.0, full.value)
+        if fast.classification is Classification.GHOST:
+            ghosts += 1
+            assert fast.iterations <= full.iterations
+    assert ghosts >= 5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_four_body_ghosts_collapse_exactly(seed):
+    """Repeat-free itineraries on four bodies in 3-D end in a total collision:
+    every vertex at the origin, length |A| + |B|, certified before the last
+    smoothing stage."""
+    arr = _four_body_table()
+    rng = np.random.default_rng(seed)
+    ghosts = 0
+    for k in (8, 16):
+        it, A, B = _random_case(arr, rng, k, k)
+        result = minimize(arr, it, A, B)
+        if result.classification is not Classification.GHOST:
+            continue
+        ghosts += 1
+        total = np.linalg.norm(A) + np.linalg.norm(B)
+        assert not result.chain.points.any()
+        assert abs(result.value - total) <= 1e-14 * result.value
+        assert result.iterations < 7
+    assert ghosts > 0
+
+
+def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
+    from linbilliards.solver import _StackedProblem, _collapsing_runs, _snapped
+    # short edges at A and B join no two vertices
+    gaps = np.array([1e-5, 1e-5, 1e-5, 1.0, 1e-5, 1e-5])
+    assert _collapsing_runs(gaps, 1e-4) == [(0, 3), (3, 5)]
+    assert _collapsing_runs(gaps[:4], 1e-4) == [(0, 3)]
+    assert _collapsing_runs(np.ones(4), 1e-4) == []
+    assert _collapsing_runs(np.ones(2), 1e-4) == []
+    it = Itinerary((0, 1, 2, 0))
+    A, B = np.array([1.0, 2.0, 3.0]), np.array([-2.0, 1.0, 0.5])
+    rng = np.random.default_rng(7)
+    points = np.array([planes3d_arr.subspaces[i].project(rng.standard_normal(3))
+                       for i in it])
+    problem = _StackedProblem(planes3d_arr, it, A, B)
+    value, snapped = _snapped(problem, points, [(0, 2), (2, 4)])
+    # P1 and P2 meet in the x-axis; P3 and P1 in a line through the origin
+    assert np.array_equal(snapped[0], snapped[1])
+    assert np.array_equal(snapped[2], snapped[3])
+    assert np.allclose(snapped[0], [points[:2, 0].mean(), 0.0, 0.0], atol=1e-15)
+    for i, q in zip(it, snapped):
+        assert planes3d_arr.subspaces[i].distance_to(q) <= 1e-15
+    assert np.linalg.norm(snapped[2]) > 0
+    assert value == action(A, snapped, B)
+    # three planes with no common line meet only at the origin
+    _, origin = _snapped(problem, points, [(0, 3)])
+    assert not origin[:3].any()
+    assert np.array_equal(origin[3], points[3])
+
+
+@pytest.mark.parametrize("grad_norm, raises", [(1.0, True), (1e-7, False)])
+def test_polish_floor_is_checked_against_the_value(grad_norm, raises, twolines_arr,
+                                                   monkeypatch):
+    """A polish that stops on the rounding floor is accepted only when |grad|
+    is within sqrt(grad_tol) * max(1, value), as at max_iters."""
+    import linbilliards.solver as solver_module
+    from linbilliards.errors import MaxIterations
+    real = solver_module._damped_newton
+
+    def floored(x, derivatives, value_of, retract, tol, step_tol, opts, max_iters):
+        x, value, norm, reason = real(x, derivatives, value_of, retract, tol,
+                                      step_tol, opts, max_iters)
+        if max_iters == opts.max_iters:          # the exact polish
+            return x, value, grad_norm, "floor"
+        return x, value, norm, reason
+
+    monkeypatch.setattr(solver_module, "_damped_newton", floored)
+    if raises:
+        with pytest.raises(MaxIterations, match="floor"):
+            minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
+    else:
+        assert minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B).is_valid
 
 
 # -- Cholesky step ------------------------------------------------------------
