@@ -32,46 +32,47 @@ COINCIDENCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Chain:
-    """Intrinsic coordinates of the collision vertices, one block per subspace."""
+    """A chain of collision vertices: coordinates c_i over the itinerary's
+    stacked bases (one (k, m) array) and the points q_i = B_i^T c_i."""
 
-    coords: tuple[np.ndarray, ...]
-    points: np.ndarray  # (k, dim), cached q_i = B_i^T c_i
+    coords: np.ndarray  # (k, m)
+    points: np.ndarray  # (k, dim)
 
     @classmethod
     def from_coords(cls, arr: Arrangement, itinerary: Itinerary, coords) -> "Chain":
-        coords = tuple(np.asarray(c, dtype=float) for c in coords)
-        if len(coords) != len(itinerary):
-            raise InputError("one coordinate block per itinerary entry required")
-        pts = np.array([
-            arr.subspaces[idx].from_coords(c)
-            for idx, c in zip(itinerary, coords)
-        ])
-        return cls(coords, pts)
+        bases = arr.bases_of(itinerary)
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape != bases.shape[:2]:
+            raise InputError(f"coords have shape {coords.shape}, expected {bases.shape[:2]}")
+        return cls(coords, _to_points(bases, coords))
 
     @classmethod
     def from_points(cls, arr: Arrangement, itinerary: Itinerary, points) -> "Chain":
         """Project the given points onto their subspaces and take coordinates."""
         points = np.asarray(points, dtype=float).reshape(len(itinerary), arr.dim)
-        coords = tuple(arr.subspaces[idx].coords(p) for idx, p in zip(itinerary, points))
-        return cls.from_coords(arr, itinerary, coords)
+        return cls.from_coords(arr, itinerary, _to_coords(arr.bases_of(itinerary), points))
 
     @property
     def k(self) -> int:
         return self.points.shape[0]
 
-    def block_dims(self) -> list[int]:
-        return [c.shape[0] for c in self.coords]
-
     def stacked(self) -> np.ndarray:
-        if not self.coords:
-            return np.zeros(0)
-        return np.concatenate(self.coords)
+        return self.coords.reshape(-1)
 
     @classmethod
     def from_stacked(cls, arr: Arrangement, itinerary: Itinerary, x: np.ndarray) -> "Chain":
-        # one codimension per arrangement: every block has the same size
-        coords = np.asarray(x, dtype=float).reshape(len(itinerary), arr.subspaces[0].subdim)
+        coords = np.asarray(x, dtype=float).reshape(len(itinerary), arr.bases.shape[1])
         return cls.from_coords(arr, itinerary, coords)
+
+
+def _to_points(bases: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Points B_i^T c_i (k, dim) of coordinates (k, m) over bases (k, m, dim)."""
+    return (bases.transpose(0, 2, 1) @ coords[:, :, None])[:, :, 0]
+
+
+def _to_coords(bases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Coordinates B_i v_i (k, m) of the projections of vectors (k, dim)."""
+    return (bases @ vectors[:, :, None])[:, :, 0]
 
 
 def _point_list(A, chain_points, B) -> np.ndarray:
@@ -138,10 +139,10 @@ def _stacked_derivatives(bases: np.ndarray, pts: np.ndarray, mu2: float = 0.0):
 
 
 def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
-             coincidence_tol: float = COINCIDENCE_TOL) -> list[np.ndarray]:
-    """Per-block intrinsic gradient of the path length at the chain.
+             coincidence_tol: float = COINCIDENCE_TOL) -> np.ndarray:
+    """Intrinsic gradient (k, m) of the path length at the chain.
 
-    Block i is B_i (n(q_i, q_{i-1}) - n(q_{i+1}, q_i)); all blocks vanish
+    Row i is B_i (n(q_i, q_{i-1}) - n(q_{i+1}, q_i)); all rows vanish
     exactly when the tangential-momentum law holds at every vertex.
     """
     A = _as_vector(A, arr.dim, "anchor A")
@@ -151,51 +152,43 @@ def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
     units, _ = _edges(pts, scale, coincidence_tol)
     # units[j] is the incoming edge direction at vertex j+1, units[j+1]
     # the outgoing one; their difference is the ambient derivative
-    ambient = units[:-1] - units[1:]
-    return [arr.subspaces[idx].basis @ ambient[j] for j, idx in enumerate(itinerary)]
+    return _to_coords(arr.bases_of(itinerary), units[:-1] - units[1:])
 
 
 def gradient_stacked(arr, itinerary, A, chain, B, **kw) -> np.ndarray:
-    blocks = gradient(arr, itinerary, A, chain, B, **kw)
-    return np.concatenate(blocks) if blocks else np.zeros(0)
+    return gradient(arr, itinerary, A, chain, B, **kw).reshape(-1)
 
 
 class HessianModel:
     """Exact second derivative of the path length in chain coordinates.
 
-    ``matrix`` is the symmetric quadratic form.  The structured pieces of the
-    critical-point normal form (betas, per-vertex norms, coupling operators,
-    the tridiagonal operator matrix M and its preconditioning) are exposed as
-    methods; they are meaningful where the per-vertex tangential direction
-    a_i has norm < 1, which holds at generic chains.
+    ``matrix`` is the symmetric quadratic form and ``gradient`` the stacked
+    first derivative, both over the itinerary's stacked bases ``bases``
+    (k, m, dim).  The structured pieces of the critical-point normal form
+    (betas, per-vertex norms, coupling operators, the tridiagonal operator
+    matrix M and its preconditioning) are exposed as methods; they are
+    meaningful where the per-vertex tangential direction a_i has norm < 1,
+    which holds at generic chains.
     """
 
     def __init__(self, arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
                  coincidence_tol: float = COINCIDENCE_TOL):
-        self.arr = arr
-        self.itinerary = itinerary
         self.chain = chain
         pts = _point_list(A, chain.points, B)
         scale = max(float(np.linalg.norm(pts[-1] - pts[0])), 1e-300)
         units, lengths = _edges(pts, scale, coincidence_tol)
         self.unit_edges = units            # (k+1, dim)
         self.edge_lengths = lengths        # (k+1,)
-        k = chain.k
-        self._offsets = np.concatenate([[0], np.cumsum(chain.block_dims())]).astype(int)
-        bases = np.array([arr.subspaces[idx].basis for idx in itinerary])
-        _, _, self.matrix = _stacked_derivatives(bases, pts)
+        self.bases = arr.bases_of(itinerary)   # (k, m, dim)
+        _, self.gradient, self.matrix = _stacked_derivatives(self.bases, pts)
 
         # β_i = 1/r_{i-1,i} + 1/r_{i,i+1}
-        self.betas = np.array([1.0 / lengths[j] + 1.0 / lengths[j + 1] for j in range(k)])
+        self.betas = 1.0 / lengths[:-1] + 1.0 / lengths[1:]
         # tangential components a_i of the incoming/outgoing edge directions
-        self.a_in = np.array([arr.subspaces[itinerary[j]].project(units[j]) for j in range(k)])
-        self.a_out = np.array([arr.subspaces[itinerary[j]].project(units[j + 1]) for j in range(k)])
+        self.a_in = _to_points(self.bases, _to_coords(self.bases, units[:-1]))
+        self.a_out = _to_points(self.bases, _to_coords(self.bases, units[1:]))
 
     # -- structured critical-point form ------------------------------------
-
-    def block(self, H: np.ndarray, i: int, j: int) -> np.ndarray:
-        o = self._offsets
-        return H[o[i]:o[i + 1], o[j]:o[j + 1]]
 
     def a_consistency(self) -> float:
         """Max mismatch between the two tangential projections at the vertices
@@ -204,27 +197,29 @@ class HessianModel:
             return 0.0
         return float(np.max(np.linalg.norm(self.a_in - self.a_out, axis=1)))
 
-    def norm_grams(self) -> list[np.ndarray]:
-        """Gram matrices of the per-vertex inner products |ξ|^2 - <ξ, a_i>^2."""
-        grams = []
-        for j, idx in enumerate(self.itinerary):
-            sub = self.arr.subspaces[idx]
-            alpha = sub.coords(self.a_in[j])
-            if np.linalg.norm(alpha) >= 1.0:
-                raise NonSmoothPoint("per-vertex norm degenerate: |a_i| >= 1")
-            grams.append(np.eye(sub.subdim) - np.outer(alpha, alpha))
-        return grams
+    def norm_grams(self) -> np.ndarray:
+        """Gram matrices (k, m, m) of the per-vertex inner products
+        |ξ|^2 - <ξ, a_i>^2."""
+        alpha = _to_coords(self.bases, self.a_in)
+        if np.any(np.linalg.norm(alpha, axis=1) >= 1.0):
+            raise NonSmoothPoint("per-vertex norm degenerate: |a_i| >= 1")
+        return np.eye(alpha.shape[1]) - alpha[:, :, None] * alpha[:, None, :]
 
     def gram(self) -> np.ndarray:
         grams = self.norm_grams()
-        return scipy.linalg.block_diag(*grams) if grams else np.zeros((0, 0))
+        k, m, _ = grams.shape
+        G = np.zeros((k, m, k, m))
+        G[np.arange(k), :, np.arange(k), :] = grams
+        return G.reshape(k * m, k * m)
 
     def coupling(self, i: int, j: int) -> np.ndarray:
         """Coordinate matrix of the operator S_{ij}: L_j -> L_i, |i-j| = 1."""
         if abs(i - j) != 1:
             raise InputError("coupling defined only for adjacent blocks")
         # the Hessian block is -B_i (I - n n^T) B_j^T / r on the joining edge
-        Q = -self.edge_lengths[min(i, j) + 1] * self.block(self.matrix, i, j)
+        m = self.bases.shape[1]
+        Q = -self.edge_lengths[min(i, j) + 1] * self.matrix[i * m:(i + 1) * m,
+                                                            j * m:(j + 1) * m]
         G = self.norm_grams()[i]
         return np.linalg.solve(G, Q)
 
@@ -291,15 +286,11 @@ class Preconditioned:
 def preconditioned_P(model: HessianModel) -> Preconditioned:
     """Precondition the tridiagonal operator matrix by the inverse β weights."""
     M = model.tridiagonal()
-    k = model.chain.k
-    dims = model.chain.block_dims()
-    if k == 0 or M.size == 0:
-        eye = np.eye(sum(dims))
-        return Preconditioned(eye, np.zeros_like(eye), np.zeros(0), np.zeros(0))
-    scale = np.concatenate([np.full(dims[j], 1.0 / model.betas[j]) for j in range(k)])
-    P = scale[:, None] * M
+    if M.size == 0:
+        return Preconditioned(M, M, np.zeros(0), np.zeros(0))
+    P = np.repeat(1.0 / model.betas, model.bases.shape[1])[:, None] * M
     A = np.eye(P.shape[0]) - P
     r = model.edge_lengths
-    weight_a = np.array([r[j + 1] / (r[j] + r[j + 1]) for j in range(k)])
-    weight_b = np.array([r[j] / (r[j] + r[j + 1]) for j in range(k)])
+    weight_a = r[1:] / (r[:-1] + r[1:])
+    weight_b = r[:-1] / (r[:-1] + r[1:])
     return Preconditioned(P, A, weight_a, weight_b)

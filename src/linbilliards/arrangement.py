@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,19 +108,6 @@ class Subspace:
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance_to(x) <= tol
 
-    def coords(self, x) -> np.ndarray:
-        """Coordinates of the projection of x in the orthonormal basis."""
-        x = _as_vector(x, self.dim)
-        return self.basis @ x
-
-    def from_coords(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.subdim,):
-            raise InputError(f"coords have shape {c.shape}, expected ({self.subdim},)")
-        if self.subdim == 0:
-            return np.zeros(self.dim)
-        return self.basis.T @ c
-
     def tube_interval(self, p, d, tol: float):
         """Parameter interval {t : dist(p + t*d, L) <= tol} along a full line.
 
@@ -174,12 +161,29 @@ def intersection_dim(a: Subspace, b: Subspace, tol: float = 1e-10) -> int:
     return int(np.sum(s >= 1.0 - tol))
 
 
+def intersection_basis(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the intersection of the subspaces whose bases
+    are stacked as (r, m, dim), r >= 1; no rows when they meet only at 0.
+
+    The intersection is the joint null space of the projectors I - B^T B.
+    """
+    dim = bases.shape[2]
+    stacked = (np.eye(dim) - bases.transpose(0, 2, 1) @ bases).reshape(-1, dim)
+    _, s, vt = np.linalg.svd(stacked)
+    return vt[s <= 1e-10]
+
+
 @dataclass(frozen=True)
 class Arrangement:
-    """A finite collection of collision subspaces of a common codimension."""
+    """A finite collection of collision subspaces of a common codimension.
+
+    Every subspace thus has the same dimension m, and ``bases`` stacks their
+    orthonormal bases once, at construction, as one (n, m, dim) array.
+    """
 
     dim: int
     subspaces: tuple[Subspace, ...]
+    bases: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
@@ -200,10 +204,11 @@ class Arrangement:
             for b in self.subspaces[i + 1:]:
                 if a.subdim == b.subdim and intersection_dim(a, b) == a.subdim:
                     raise InputError(f"subspaces {a.name!r} and {b.name!r} coincide")
+        object.__setattr__(self, "bases", np.array([s.basis for s in self.subspaces]))
 
-    @property
-    def common_codim(self) -> int:
-        return self.subspaces[0].codim
+    def bases_of(self, itinerary) -> np.ndarray:
+        """The bases B_i of the itinerary's subspaces, stacked as (k, m, dim)."""
+        return self.bases[list(itinerary)]
 
     def index_of(self, name: str) -> int:
         for i, s in enumerate(self.subspaces):

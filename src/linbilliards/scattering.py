@@ -103,10 +103,6 @@ class RelationPatch:
     def sample(self, ia, ib):
         return self.samples.get((tuple(ia), tuple(ib)))
 
-    @property
-    def n_axes(self) -> int:
-        return self.grid_A.axes.shape[0] + self.grid_B.axes.shape[0]
-
     def valid_fraction(self) -> float:
         total = len(self.samples)
         good = sum(1 for s in self.samples.values() if s is not None)

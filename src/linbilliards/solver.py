@@ -35,9 +35,9 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .arrangement import Arrangement, Itinerary
-from .action import (Chain, _path_value, _stacked_derivatives, action,
-                     gradient_stacked, hessian)
+from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, intersection_basis
+from .action import (Chain, _path_value, _stacked_derivatives, _to_coords, _to_points,
+                     action, hessian)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, is_generic
 
@@ -52,18 +52,18 @@ class Classification(enum.Enum):
         return self.value
 
 
+STEP_TOL = 1e-12       # stagnation threshold on the step norm
+ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking
+STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
+MERGE_DETECT = 1e-4    # gap below this * scale marks a collapsing run
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 400
     grad_tol: float = 1e-10          # on |grad| / max(1, S)
-    step_tol: float = 1e-12          # stagnation threshold on the step norm
     coincidence_tol: float = 1e-9    # gap below this * scale is a ghost point
-    armijo: float = 1e-4
-    step_floor: float = 1e-12
-    membership_tol: float = 1e-9
     edge_tol: float = 1e-9           # edge direction within this of a subspace
-    transverse_tol: float = 1e-8
-    merge_detect: float = 1e-4       # gap below this * scale triggers the merge test
     initial_chain: Chain | None = None
 
 
@@ -119,25 +119,20 @@ class _StackedProblem:
     """
 
     def __init__(self, arr, itinerary, A, B):
-        # one codimension per arrangement, so the bases stack as (k, m, dim)
-        self.bases = np.array([arr.subspaces[i].basis for i in itinerary])
-        self.k, m, self.dim = self.bases.shape
+        self.bases = arr.bases_of(itinerary)
+        self.k, self.m, self.dim = self.bases.shape
         self.A = A
         self.B = B
         # A, q_1..q_k, B; the chain rows are overwritten on every call
         self._pts = np.empty((self.k + 2, self.dim))
         self._pts[0] = A
         self._pts[-1] = B
-        # stacked coords -> flattened chain points, one matmul
-        self.T = np.zeros((self.k * self.dim, self.k * m))
-        for j, b in enumerate(self.bases):
-            self.T[j * self.dim:(j + 1) * self.dim, j * m:(j + 1) * m] = b.T
 
     def points_of(self, x: np.ndarray) -> np.ndarray:
-        return (self.T @ x).reshape(self.k, self.dim)
+        return _to_points(self.bases, x.reshape(self.k, self.m))
 
     def coords_of(self, points: np.ndarray) -> np.ndarray:
-        return self.T.T @ points.reshape(-1)
+        return _to_coords(self.bases, points).reshape(-1)
 
     def _point_list(self, x: np.ndarray) -> np.ndarray:
         self._pts[1:-1] = self.points_of(x)
@@ -188,8 +183,7 @@ def _add_step(x, step, t):
     return x + t * step
 
 
-def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, opts,
-                   max_iters):
+def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters):
     """Damped Newton from x; returns (x, value, grad_norm, reason).
 
     derivatives(x) gives the value, gradient and Hessian in the coordinates
@@ -225,11 +219,11 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, opts,
         t = 1.0
         slope = float(np.dot(g, step))
         moved = False
-        while t >= opts.step_floor:
+        while t >= STEP_FLOOR:
             trial = full if t == 1.0 else retract(x, step, t)
             if trial is not None:
                 trial_value = fval if t == 1.0 else value_of(trial)
-                if trial_value <= value + opts.armijo * t * slope:
+                if trial_value <= value + ARMIJO * t * slope:
                     x, moved = trial, True
                     break
             t *= 0.5
@@ -247,18 +241,12 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, opts,
 
 def _snapped(problem, points: np.ndarray, runs):
     """(length, points) with the vertices of each run replaced by the
-    projection of their mean onto the intersection of the run's subspaces.
-
-    The intersection is the null space of the stacked projectors I - B^T B;
-    it is {0} when the subspaces meet only at the origin.
+    projection of their mean onto the intersection of the run's subspaces
+    (the origin when they meet only there).
     """
     points = points.copy()
-    eye = np.eye(problem.dim)
     for start, stop in runs:
-        bases = problem.bases[start:stop]
-        stacked = (eye - bases.transpose(0, 2, 1) @ bases).reshape(-1, problem.dim)
-        _, s, vt = np.linalg.svd(stacked)
-        meet = vt[s <= 1e-10]
+        meet = intersection_basis(problem.bases[start:stop])
         points[start:stop] = meet.T @ (meet @ points[start:stop].mean(axis=0))
     return action(problem.A, points, problem.B), points
 
@@ -282,7 +270,7 @@ def _dual_lower_bound(problem, x, mu2, upper) -> float:
                  - radius * np.linalg.norm(g, axis=1).sum())
 
 
-def _certify_ghost(problem, x, mu2, runs, opts):
+def _certify_ghost(problem, x, mu2, runs):
     """(length, points) of the chain snapped on the collapsed runs if the
     dual bound at this smoothing certifies it as the global minimum, else
     None.
@@ -294,7 +282,7 @@ def _certify_ghost(problem, x, mu2, runs, opts):
     """
     x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
                            partial(problem.value, mu2=mu2), _add_step,
-                           0.0, opts.step_tol, opts, max_iters=4)
+                           0.0, STEP_TOL, max_iters=4)
     value, points = _snapped(problem, problem.points_of(x), runs)
     lower = _dual_lower_bound(problem, x, mu2, value)
     return (value, points) if value - lower <= 1e-11 * max(1.0, lower) else None
@@ -314,7 +302,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         raise InputError("anchors must match the arrangement dimension")
     itinerary.validate_against(arr)
     scale = float(np.linalg.norm(B - A))
-    mtol = opts.membership_tol * max(1.0, scale)
+    mtol = MEMBERSHIP_TOL * max(1.0, scale)
     if arr.on_locus(A, mtol) or arr.on_locus(B, mtol):
         raise PreconditionError("anchors must lie off the collision locus")
     scale = max(scale, arr.distance_to_locus(A), arr.distance_to_locus(B))
@@ -323,7 +311,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     points = chain.points.copy()
     coincidence = opts.coincidence_tol * scale
 
-    if sum(arr.subspaces[i].subdim for i in itinerary) == 0:
+    if arr.bases.shape[1] == 0:
         # chain is pinned (all subspaces zero-dimensional); nothing to minimize
         chain = Chain.from_points(arr, itinerary, points)
         return _classify(arr, itinerary, A, chain, B, opts,
@@ -336,7 +324,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     # the continuation as soon as it does.
     problem = _StackedProblem(arr, itinerary, A, B)
     x = problem.coords_of(points)
-    detect = opts.merge_detect * scale
+    detect = MERGE_DETECT * scale
     iterations = 0
     certified = None
     for exponent in range(2, 15, 2):
@@ -344,14 +332,14 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         mu2 = mu * mu
         x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
                                partial(problem.value, mu2=mu2), _add_step,
-                               1e-9, opts.step_tol, opts, max_iters=40)
+                               1e-9, STEP_TOL, max_iters=40)
         iterations += 1
         gaps = _gaps(problem._point_list(x))
         if gaps.min() > 1e4 * mu:
             break
         runs = _collapsing_runs(gaps, detect)
         if runs:
-            certified = _certify_ghost(problem, x, mu2, runs, opts)
+            certified = _certify_ghost(problem, x, mu2, runs)
             if certified is not None:
                 break
 
@@ -364,7 +352,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
             x, value, grad_norm, reason = _damped_newton(
                 x, partial(problem.derivatives, mu2=0.0),
                 partial(problem.value, mu2=0.0), _add_step,
-                opts.grad_tol, opts.step_tol, opts, max_iters=opts.max_iters)
+                opts.grad_tol, STEP_TOL, max_iters=opts.max_iters)
             stalled = reason == "no_descent" or (
                 reason in ("floor", "max_iters")
                 and grad_norm > math.sqrt(opts.grad_tol) * max(1.0, value))
@@ -392,48 +380,42 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
               value: float, iterations: int) -> MinimizeResult:
     scale = float(np.linalg.norm(B - A))
     points = chain.points
-    pts_all = np.vstack([np.asarray(A)[None, :], points, np.asarray(B)[None, :]])
-    gaps = _gaps(pts_all)
+    gaps = _gaps(np.vstack([A[None, :], points, B[None, :]]))
 
-    def done(cls, traj=None, eig=None, msg=""):
-        g_norm = _safe_grad_norm(arr, itinerary, A, chain, B, opts)
-        return MinimizeResult(chain, value, g_norm, cls, traj, eig, iterations, msg)
+    def done(cls, grad_norm, traj=None, eig=None, msg=""):
+        return MinimizeResult(chain, value, grad_norm, cls, traj, eig, iterations, msg)
 
     if np.any(gaps <= opts.coincidence_tol * max(scale, 1e-30)):
-        return done(Classification.GHOST,
+        return done(Classification.GHOST, math.nan,
                     msg="consecutive vertices collapse; minimizer leaves the trajectory space")
 
-    units = np.diff(pts_all, axis=0) / gaps[:, None]
-    for j, idx in enumerate(itinerary):
-        sub = arr.subspaces[idx]
-        for edge in (units[j], units[j + 1]):
-            if np.linalg.norm(sub.perp(edge)) <= opts.edge_tol:
-                return done(Classification.EDGE_IN_SUBSPACE,
-                            msg=f"an edge at vertex {j + 1} lies inside {sub.name}")
+    # past the ghost test every edge is long enough for the exact model
+    model = hessian(arr, itinerary, A, chain, B, coincidence_tol=opts.coincidence_tol)
+    grad_norm = float(np.linalg.norm(model.gradient))
+    # an edge lies inside its vertex's subspace when it equals its projection
+    units = model.unit_edges
+    inside = np.minimum(np.linalg.norm(units[:-1] - model.a_in, axis=1),
+                        np.linalg.norm(units[1:] - model.a_out, axis=1)) <= opts.edge_tol
+    if inside.any():
+        j = int(np.argmax(inside))
+        return done(Classification.EDGE_IN_SUBSPACE, grad_norm,
+                    msg=f"an edge at vertex {j + 1} lies inside "
+                        f"{arr.subspaces[itinerary[j]].name}")
 
     if not is_generic(arr, A, points, B, itinerary,
-                      tol=opts.membership_tol * max(1.0, scale)):
-        return done(Classification.NON_GENERIC_RAY,
+                      tol=MEMBERSHIP_TOL * max(1.0, scale)):
+        return done(Classification.NON_GENERIC_RAY, grad_norm,
                     msg="configuration violates genericity (adjacent membership or ray recrossing)")
 
-    traj = BilliardTrajectory(np.asarray(A, float), np.asarray(B, float),
-                              points, itinerary)
+    traj = BilliardTrajectory(A, B, points, itinerary)
     eig = None
     try:
-        model = hessian(arr, itinerary, A, chain, B, coincidence_tol=opts.coincidence_tol)
         eig = model.min_eigenvalue()
     except NonSmoothPoint:
+        # |a_i| can round to 1 for an edge just outside edge_tol, where the
+        # per-vertex norm degenerates
         pass
-    return done(Classification.VALID, traj=traj, eig=eig)
-
-
-def _safe_grad_norm(arr, itinerary, A, chain, B, opts) -> float:
-    try:
-        g = gradient_stacked(arr, itinerary, A, chain, B,
-                             coincidence_tol=opts.coincidence_tol)
-        return float(np.linalg.norm(g))
-    except NonSmoothPoint:
-        return math.nan
+    return done(Classification.VALID, grad_norm, traj=traj, eig=eig)
 
 
 def envelope_gradients(result: MinimizeResult, A, B):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace, orthonormalize
+from .arrangement import Arrangement, Subspace, intersection_basis, orthonormalize
 from .errors import InputError, PreconditionError
 from .trajectory import BilliardTrajectory
 
@@ -54,18 +54,8 @@ class RotationGenerator:
 
 
 def translation_core(arr: Arrangement) -> Subspace:
-    """The intersection of all collision subspaces (may be the zero subspace).
-
-    Computed as the joint null space of the perpendicular projectors.
-    """
-    n = arr.dim
-    stacked = np.vstack([
-        np.eye(n) - (s.basis.T @ s.basis if s.subdim else np.zeros((n, n)))
-        for s in arr.subspaces
-    ])
-    _, sv, vt = np.linalg.svd(stacked)
-    null_rows = vt[sv <= 1e-10] if sv.size else vt
-    return Subspace("L_tr", orthonormalize(null_rows, n), n)
+    """The intersection of all collision subspaces (may be the zero subspace)."""
+    return Subspace("L_tr", orthonormalize(intersection_basis(arr.bases), arr.dim), arr.dim)
 
 
 def linear_momentum(arr: Arrangement, v) -> np.ndarray:

@@ -298,7 +298,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
     multipliers = _multipliers(grad, _wall_normals(subs, active, points))
     # the ambient gradient n_in - n_out at a vertex is its direction jump
     jump = np.linalg.norm(grad, axis=1)
-    honest = all(active) and all(j > opts.transverse_tol for j in jump) \
+    honest = all(active) and all(j > TRANSVERSE_TOL for j in jump) \
         and all(m > 0 for m in multipliers)
     msg = "" if honest else "ghost: vertex off the wall or no direction change"
     return ThickenedMinimizeResult(points, value, honest, active, kkt,
@@ -410,7 +410,7 @@ def _newton_on_walls(table, itinerary, A, points, B, active, opts):
     # reads a "floor" return as a clean residual floor
     points, value, kkt, reason = _damped_newton(
         points.copy(), problem.derivatives, problem.value, problem.retract,
-        max(opts.grad_tol, 1e-13), 0.0, opts, max_iters=60)
+        max(opts.grad_tol, 1e-13), 0.0, max_iters=60)
     if reason == "converged":
         _, grad, _, _ = _path_kernel(_point_list(A, points, B))
         # a negative multiplier wants to release its vertex from the wall
@@ -421,44 +421,39 @@ def _newton_on_walls(table, itinerary, A, points, B, active, opts):
     return points, value, kkt, clean
 
 
-def curve_shorten(table: ThickenedTable, A, chain_points, B):
+def curve_shorten(table: ThickenedTable, itinerary: Itinerary, A, chain_points, B):
     """Slide each vertex of a transverse chain outward onto its cylinder wall,
     strictly shortening the path at every replacement.
 
     Works in the plane of the vertex triangle: both incident edges exit the
     cylinder (their far endpoints must lie outside it), and the replacement
     point is taken on the wall along the bisecting chord, inside the triangle.
-    Returns (new chain, list of path lengths after each replacement).
+    Vertex j must lie on the subspace itinerary[j].  Returns (new chain,
+    list of path lengths after each replacement).
     """
     arr = table.arrangement
+    itinerary.validate_against(arr)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     chain_points = np.asarray(chain_points, dtype=float)
-    k = chain_points.shape[0]
+    if chain_points.shape != (len(itinerary), arr.dim):
+        raise InputError("one chain point per itinerary entry required")
     radii = table.radii
     traj_pts = np.vstack([A[None, :], chain_points, B[None, :]])
     diffs = np.diff(traj_pts, axis=0)
     units = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-    for j in range(k):
+    for j in range(len(itinerary)):
         if np.linalg.norm(units[j + 1] - units[j]) <= TRANSVERSE_TOL:
             raise PreconditionError(f"vertex {j + 1} is internal; chain must be transverse")
 
     current = traj_pts.copy()
     lengths = [float(np.sum(np.linalg.norm(np.diff(current, axis=0), axis=1)))]
-    # the itinerary of the chain is implicit: vertex j sits on the subspace
-    # nearest to it; resolve each vertex's subspace by exact membership
-    labels = []
-    for j in range(k):
-        dists = [s.distance_to(chain_points[j]) for s in arr.subspaces]
-        idx = int(np.argmin(dists))
-        if dists[idx] > 1e-9 * max(1.0, float(np.linalg.norm(chain_points[j]))):
-            raise PreconditionError(f"vertex {j + 1} lies on no subspace")
-        labels.append(idx)
-
-    for j in range(k):
-        sub = arr.subspaces[labels[j]]
-        rho = radii[labels[j]]
+    for j, idx in enumerate(itinerary):
+        sub = arr.subspaces[idx]
+        rho = radii[idx]
         q = current[j + 1]
+        if sub.distance_to(q) > 1e-9 * max(1.0, float(np.linalg.norm(q))):
+            raise PreconditionError(f"vertex {j + 1} lies off {sub.name}")
         prev_pt, next_pt = current[j], current[j + 2]
         for neighbor in (prev_pt, next_pt):
             if sub.distance_to(neighbor) <= rho:
@@ -507,7 +502,7 @@ def r_family(arr: Arrangement, itinerary: Itinerary, A, B, r_list,
     if not point_result.is_valid:
         raise PreconditionError(
             f"point billiard solve is {point_result.classification}, not valid")
-    if not is_transverse(point_result.trajectory, opts.transverse_tol):
+    if not is_transverse(point_result.trajectory):
         raise PreconditionError("point billiard trajectory is not transverse")
     reference = point_result.chain.points
     labels = itinerary.labels(arr)

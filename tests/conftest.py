@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from linbilliards import nbody
 from linbilliards.arrangement import Arrangement, Subspace
 from linbilliards.action import Chain, action, gradient
 
@@ -57,6 +58,13 @@ def planes3d_arr():
         Subspace.from_spanning("P2", [[1.0, 0.0, 0.0], [0.0, 0.3, 1.0]], 3),
         Subspace.from_spanning("P3", [[0.2, 1.0, 0.5], [0.0, 0.6, -1.0]], 3),
     ))
+
+
+@pytest.fixture
+def fourbody_arr():
+    """Pair collisions of four unit masses in 3-D with the centre of mass
+    removed: six 6-dimensional subspaces in dimension 9 (m = 6)."""
+    return nbody.build_arrangement(nbody.NBodySystem(4, 3, (1, 1, 1, 1), reduce_cm=True))
 
 
 # A two-line valid fixture found by scan and frozen; the solved trajectory is

@@ -324,7 +324,7 @@ def test_criterion_8_thickened_convergence(mirror, twolines):
 
         point = minimize(arr, it, A, B, TIGHT)
         table = ThickenedTable(arr, 1e-3)
-        _, lengths = curve_shorten(table, A, point.chain.points, B)
+        _, lengths = curve_shorten(table, it, A, point.chain.points, B)
         assert len(lengths) == len(it) + 1
         assert all(b < a for a, b in zip(lengths, lengths[1:]))
     _report(8, f"deviation slopes {slopes['mirror']:.3f} / {slopes['twolines']:.3f}; "

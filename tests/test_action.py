@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from linbilliards.action import Chain, action, gradient, hessian, preconditioned_P
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
@@ -65,6 +66,7 @@ def test_gradient_nonsmooth_raises(twolines_arr):
     ("twolines_arr", (0, 1)),
     ("lines3d_arr", (0, 1, 0)),
     ("planes4d_arr", (0, 1, 0, 1)),
+    ("fourbody_arr", (0, 1, 2)),
 ])
 def test_gradient_matches_finite_differences(request, fixture_name, itinerary):
     arr = request.getfixturevalue(fixture_name)
@@ -84,6 +86,7 @@ def test_gradient_matches_finite_differences(request, fixture_name, itinerary):
     ("twolines_arr", (0, 1)),
     ("lines3d_arr", (0, 1)),
     ("planes4d_arr", (0, 1, 0)),
+    ("fourbody_arr", (0, 1)),
 ])
 def test_hessian_matches_finite_differences(request, fixture_name, itinerary):
     arr = request.getfixturevalue(fixture_name)
@@ -96,6 +99,17 @@ def test_hessian_matches_finite_differences(request, fixture_name, itinerary):
         H = hessian(arr, it, A, ch, B).matrix
         Hf = fd_hessian(arr, it, A, ch, B)
         assert np.linalg.norm(H - Hf) / max(1.0, np.linalg.norm(Hf)) < 1e-5
+
+
+@pytest.mark.parametrize("fixture_name", ["planes4d_arr", "fourbody_arr"])
+def test_gram_is_the_block_diagonal_of_the_vertex_grams(request, fixture_name):
+    arr = request.getfixturevalue(fixture_name)
+    it = Itinerary((0, 1, 0))
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=arr.dim) * 2
+    B = rng.normal(size=arr.dim) * 2
+    model = hessian(arr, it, A, random_smooth_chain(arr, it, A, B, rng), B)
+    assert np.array_equal(model.gram(), scipy.linalg.block_diag(*model.norm_grams()))
 
 
 def test_hessian_mirror_value(mirror_arr):

@@ -12,7 +12,7 @@ from linbilliards.thickened import ThickenedTable, _WallProblem
 
 from conftest import fd_jacobian, random_smooth_chain
 
-FIXTURES = ["twolines_arr", "lines3d_arr", "planes4d_arr"]
+FIXTURES = ["twolines_arr", "lines3d_arr", "planes4d_arr", "fourbody_arr"]
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -23,7 +23,7 @@ def test_smoothed_kernel_matches_finite_differences(request, name, mu2):
     itin = Itinerary((0, 1, 0))
     A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
     problem = _StackedProblem(arr, itin, A, B)
-    x = rng.normal(size=problem.T.shape[1])
+    x = rng.normal(size=problem.k * problem.m)
     value, grad, H = problem.derivatives(x, mu2)
     edges = np.diff(np.vstack([A, problem.points_of(x), B]), axis=0)
     assert value == pytest.approx(np.sum(np.sqrt(np.sum(edges ** 2, axis=1) + mu2)),
@@ -42,7 +42,7 @@ def test_smoothed_kernel_at_coincident_vertices(request, name):
     rng = np.random.default_rng(3)
     A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
     problem = _StackedProblem(arr, Itinerary((0, 1)), A, B)
-    x = np.zeros(problem.T.shape[1])
+    x = np.zeros(problem.k * problem.m)
     mu2 = 1e-3
     value, grad, H = problem.derivatives(x, mu2)
     assert value == pytest.approx(np.sqrt(A @ A + mu2) + np.sqrt(mu2)

@@ -226,13 +226,13 @@ def test_dual_lower_bound_below_every_chain(fixture, request):
         scale = float(np.linalg.norm(B - A))
         problem = _StackedProblem(arr, it, A, B)
         # multipliers from a random point and from smoothed minimizers
-        multipliers = [(rng.standard_normal(problem.T.shape[1]), (1e-2 * scale) ** 2)]
+        multipliers = [(rng.standard_normal(problem.k * problem.m), (1e-2 * scale) ** 2)]
         for exponent in (2, 6, 10):
             mu2 = (scale * 10.0 ** -exponent) ** 2
             x, *_ = _damped_newton(problem.coords_of(result.chain.points),
                                    lambda y, mu2=mu2: problem.derivatives(y, mu2),
                                    lambda y, mu2=mu2: problem.value(y, mu2),
-                                   _add_step, 0.0, 1e-12, SolverOptions(), 20)
+                                   _add_step, 0.0, 1e-12, 20)
             multipliers.append((x, mu2))
         bounds = [_dual_lower_bound(problem, x, mu2, result.value)
                   for x, mu2 in multipliers]
@@ -397,10 +397,10 @@ def test_polish_floor_is_checked_against_the_value(grad_norm, raises, twolines_a
     from linbilliards.errors import MaxIterations
     real = solver_module._damped_newton
 
-    def floored(x, derivatives, value_of, retract, tol, step_tol, opts, max_iters):
+    def floored(x, derivatives, value_of, retract, tol, step_tol, max_iters):
         x, value, norm, reason = real(x, derivatives, value_of, retract, tol,
-                                      step_tol, opts, max_iters)
-        if max_iters == opts.max_iters:          # the exact polish
+                                      step_tol, max_iters)
+        if max_iters == SolverOptions().max_iters:  # the exact polish
             return x, value, grad_norm, "floor"
         return x, value, norm, reason
 

@@ -171,7 +171,7 @@ def test_replay_two_lines(twolines_arr):
 
 
 def test_curve_shorten_mirror(mirror_table):
-    new_chain, lengths = curve_shorten(mirror_table, A_MIRROR,
+    new_chain, lengths = curve_shorten(mirror_table, Itinerary((0,)), A_MIRROR,
                                        np.array([[1.0, 0.0]]), B_MIRROR)
     assert np.allclose(new_chain, [[1.0, 0.1]], atol=1e-12)
     assert lengths[1] < lengths[0]
@@ -182,7 +182,7 @@ def test_curve_shorten_strict_decrease(twolines_arr):
     itin = Itinerary((0, 1))
     result = minimize(twolines_arr, itin, TWOLINE_A, TWOLINE_B)
     table = ThickenedTable(twolines_arr, 1e-3)
-    _, lengths = curve_shorten(table, TWOLINE_A, result.chain.points, TWOLINE_B)
+    _, lengths = curve_shorten(table, itin, TWOLINE_A, result.chain.points, TWOLINE_B)
     assert len(lengths) == 3
     assert all(b < a for a, b in zip(lengths, lengths[1:]))
 
@@ -193,13 +193,34 @@ def test_curve_shorten_rejects_internal_vertex(mirror_table):
     B = np.array([1.0, 0.0]) * 2
     # A and B lie on the line through the vertex: internal vertex
     with pytest.raises(PreconditionError):
-        curve_shorten(mirror_table, A + [0, 1e-12], chain, B + [0, -1e-12])
+        curve_shorten(mirror_table, Itinerary((0,)), A + [0, 1e-12], chain, B + [0, -1e-12])
 
 
 def test_curve_shorten_rejects_large_radius(mirror_arr):
     table = ThickenedTable(mirror_arr, 5.0)  # neighbors end up inside
     with pytest.raises(PreconditionError):
-        curve_shorten(table, A_MIRROR, np.array([[1.0, 0.0]]), B_MIRROR)
+        curve_shorten(table, Itinerary((0,)), A_MIRROR, np.array([[1.0, 0.0]]), B_MIRROR)
+
+
+def test_curve_shorten_follows_the_itinerary_at_an_intersection(planes3d_arr):
+    """A vertex on the line P1 ∩ P2 is as near to P1 as to P2; its itinerary
+    label, not the nearest subspace, names the wall it slides onto."""
+    table = ThickenedTable(planes3d_arr, 0.05)
+    P1, P2 = planes3d_arr.subspaces[:2]
+    A = np.array([0.0, 2.0, 1.5])
+    vertex = np.array([[1.0, 0.0, 0.0]])
+    # A and this B lie on one side of P1 and on opposite sides of P2
+    B = np.array([2.0, -1.5, 2.0])
+    new, _ = curve_shorten(table, Itinerary((0,)), A, vertex, B)
+    assert P1.distance_to(new[0]) == pytest.approx(0.05, rel=1e-12)
+    # the path passes through P2 at the vertex: no reflection to shorten
+    with pytest.raises(PreconditionError):
+        curve_shorten(table, Itinerary((1,)), A, vertex, B)
+    # with y and z negated, B is on the side of A for P2 instead
+    B = np.array([2.0, 1.5, -2.0])
+    new, lengths = curve_shorten(table, Itinerary((1,)), A, vertex, B)
+    assert P2.distance_to(new[0]) == pytest.approx(0.05, rel=1e-12)
+    assert lengths[1] < lengths[0]
 
 
 def test_r_family_mirror_slope(mirror_arr):
