@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arrangement import Arrangement, Itinerary
 from .errors import PACKAGE_ERRORS, InputError, PreconditionError
-from .solver import Classification, MinimizeResult, SolverOptions, minimize
+from .solver import MinimizeResult, SolverOptions, minimize
 from .trajectory import BilliardTrajectory, OrientedLine, boundary_lines
 
 
@@ -130,16 +130,25 @@ def free_motion_sample(arr: Arrangement, A, B,
     return RelationSample(A, B, v, v, line, line, np.zeros((0, arr.dim)), float(norm))
 
 
-def _solve_cell(task):
-    arr, itinerary, A, B, opts = task
+def _solve_row(task):
+    """Samples of one A-row, in B-grid order: each cell starts from the
+    chain of the row's previous valid cell, the first cell and any cell
+    after an absent one from ``opts`` as given."""
+    arr, itinerary, A, Bs, opts = task
     if itinerary is None:
-        return free_motion_sample(arr, A, B)
-    try:
-        result = minimize(arr, itinerary, A, B, opts)
-    except PACKAGE_ERRORS:
-        return None
-    return (RelationSample.from_result(result, A, B)
-            if result.classification is Classification.VALID else None)
+        return [free_motion_sample(arr, A, B) for B in Bs]
+    samples = []
+    warm = None
+    for B in Bs:
+        try:
+            result = minimize(arr, itinerary, A, B,
+                              opts if warm is None else replace(opts, initial_chain=warm))
+        except PACKAGE_ERRORS:
+            result = None
+        valid = result is not None and result.is_valid
+        samples.append(RelationSample.from_result(result, A, B) if valid else None)
+        warm = result.chain if valid else None
+    return samples
 
 
 def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
@@ -149,21 +158,29 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
     """Solve the billiard problem on every (A, B) grid cell.
 
     ``itinerary=None`` samples free straight motion (the identity relation).
-    Cells are independent pure solves; with jobs > 1 they fan out over a
-    process pool and are merged back by grid index, so the result does not
-    depend on the worker count.
+    Each A-row (one A anchor, every B anchor) is walked in B-grid order: its
+    first cell is solved from ``opts`` as given, each later cell from the
+    solved chain of the previous valid cell, which the solver polishes
+    directly at the grid spacings used here (see ``solver.minimize``).  Rows
+    are independent; with jobs > 1 they fan out over a process pool and are
+    merged back by grid index, so the result does not depend on the worker
+    count.
     """
-    keys = [(ia, ib) for ia in grid_A.indices() for ib in grid_B.indices()]
-    tasks = [(arr, itinerary, grid_A.point(ia), grid_B.point(ib), opts)
-             for ia, ib in keys]
+    b_indices = list(grid_B.indices())
+    Bs = [grid_B.point(ib) for ib in b_indices]
+    a_indices = list(grid_A.indices())
+    tasks = [(arr, itinerary, grid_A.point(ia), Bs, opts) for ia in a_indices]
     if jobs > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_cell, tasks,
-                                    chunksize=max(1, len(tasks) // (4 * jobs))))
+            rows = list(pool.map(_solve_row, tasks,
+                                 chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
-        results = [_solve_cell(t) for t in tasks]
-    return RelationPatch(arr, itinerary, grid_A, grid_B, dict(zip(keys, results)))
+        rows = [_solve_row(t) for t in tasks]
+    samples = {(ia, ib): sample
+               for ia, row in zip(a_indices, rows)
+               for ib, sample in zip(b_indices, row)}
+    return RelationPatch(arr, itinerary, grid_A, grid_B, samples)
 
 
 def _axis_list(patch: RelationPatch):

@@ -17,6 +17,16 @@ rigorous lower bound on the true minimum (duality gap O(mu^2 / r)); once the
 snapped chain's length meets that bound within the final merge test's
 tolerance, the continuation stops and returns the snapped chain.
 
+A smooth start needs no continuation at all.  When the caller's initial
+chain already lies in Newton's quadratic basin -- its first exact (mu = 0)
+Newton step is at most WARM_GATE of the chain's shortest edge, as for the
+solved chain of a neighbouring anchor pair -- the solver polishes it by exact
+Newton past grad_tol and, if no gap sinks to the merge threshold on the way,
+classifies it directly (iterations == 0).  A smooth critical point of the
+convex path length is its global minimizer, so this classifies as a cold
+solve would.  Any other start, including the random chains of multistart,
+fails the gate and runs the continuation from the given chain unchanged.
+
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve), which the thickened wall
 polish reuses with its own coordinates and retraction onto the walls.
@@ -56,6 +66,8 @@ STEP_TOL = 1e-12       # stagnation threshold on the step norm
 ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking
 STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
 MERGE_DETECT = 1e-4    # gap below this * scale marks a collapsing run
+WARM_GATE = 1e-2       # warm start: first exact Newton step / shortest edge
+WARM_AIM = 1e-4        # warm polish targets this * grad_tol, accepts grad_tol
 
 
 @dataclass(frozen=True)
@@ -75,7 +87,8 @@ class MinimizeResult:
     classification: Classification
     trajectory: BilliardTrajectory | None
     hessian_min_eig: float | None
-    iterations: int          # smoothing stages run (fewer for certified ghosts)
+    iterations: int          # smoothing stages run (fewer for certified ghosts;
+                             # 0 when a warm start was polished directly)
     message: str = ""
 
     @property
@@ -183,12 +196,14 @@ def _add_step(x, step, t):
     return x + t * step
 
 
-def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters):
+def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
+                   start=None):
     """Damped Newton from x; returns (x, value, grad_norm, reason).
 
     derivatives(x) gives the value, gradient and Hessian in the coordinates
-    of the step, value_of(x) the value alone, and retract(x, step, t) the
-    point reached by the step scaled by t, or None where that is infeasible.
+    of the step (start, if given, holds them at x already), value_of(x) the
+    value alone, and retract(x, step, t) the point reached by the step scaled
+    by t, or None where that is infeasible.
     Backtracks on the value while decreases are resolvable; once they sink
     below the rounding floor of the value, the full step is accepted as long
     as it keeps contracting the gradient norm, which drives the gradient to
@@ -197,7 +212,7 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters):
     progress left, or an accepted step no longer than step_tol),
     "no_descent" (no descent step) or "max_iters".
     """
-    value, g, H = derivatives(x)
+    value, g, H = derivatives(x) if start is None else start
     grad_norm = math.sqrt(g @ g)
     for _ in range(max_iters):
         if grad_norm <= tol * max(1.0, value):
@@ -237,6 +252,33 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters):
         if small:
             return x, value, grad_norm, "floor"
     return x, value, grad_norm, "max_iters"
+
+
+def _warm_polish(problem, x, tol, detect, max_iters):
+    """Coordinates of the exact-Newton polish of a warm start x, or None if
+    x is not one.
+
+    x is warm when every gap exceeds detect and its first exact (mu = 0)
+    Newton step is at most WARM_GATE of the shortest gap.  The polish aims
+    at WARM_AIM * tol, typically one quadratic step past tol: a warm chain's
+    error depends on where its neighbour sat, so left at tol it would be
+    noise that finite differences over a patch divide by the spacing.  It is
+    accepted once the gradient meets tol, with every gap still above detect.
+    """
+    shortest = _gaps(problem._point_list(x)).min()
+    if not shortest > detect:
+        return None
+    start = problem.derivatives(x, 0.0)
+    step = _solve_spd(start[2], start[1])
+    if step is None or math.sqrt(step @ step) > WARM_GATE * shortest:
+        return None
+    x, value, grad_norm, _ = _damped_newton(
+        x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
+        _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start)
+    if grad_norm > tol * max(1.0, value) or \
+            _gaps(problem._point_list(x)).min() <= detect:
+        return None
+    return x
 
 
 def _snapped(problem, points: np.ndarray, runs):
@@ -317,14 +359,24 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         return _classify(arr, itinerary, A, chain, B, opts,
                          action(A, points, B), 0)
 
+    problem = _StackedProblem(arr, itinerary, A, B)
+    x = problem.coords_of(points)
+    detect = MERGE_DETECT * scale
+    if opts.initial_chain is not None:
+        # a caller's chain in Newton's basin (a solved neighbour) is polished
+        # at mu = 0 directly; any other falls through to the continuation
+        warm = _warm_polish(problem, x, opts.grad_tol, detect, opts.max_iters)
+        if warm is not None:
+            points = problem.points_of(warm)
+            chain = Chain.from_points(arr, itinerary, points)
+            return _classify(arr, itinerary, A, chain, B, opts,
+                             action(A, points, B), 0)
+
     # continuation in the smoothing parameter; warm-started Newton each stage.
     # Once every gap dwarfs mu the smoothing is irrelevant and the exact
     # polish takes over.  Ghost candidates keep gaps ~ mu; each of their
     # stages tries to certify the snapped chain by weak duality, and stops
     # the continuation as soon as it does.
-    problem = _StackedProblem(arr, itinerary, A, B)
-    x = problem.coords_of(points)
-    detect = MERGE_DETECT * scale
     iterations = 0
     certified = None
     for exponent in range(2, 15, 2):

@@ -209,9 +209,15 @@ class ThickenedMinimizeResult:
 
 def _perp_basis(sub: Subspace, omega: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the tangent to the perp sphere at omega:
-    directions in L-perp orthogonal to omega."""
+    directions in L-perp orthogonal to omega, codim - 1 of them.
+
+    omega is re-projected onto L-perp first: a rounding-level component
+    along L would otherwise survive as one extra tangent row.
+    """
     n = sub.dim
     perp_proj = np.eye(n) - sub.basis.T @ sub.basis if sub.subdim else np.eye(n)
+    omega = perp_proj @ omega
+    omega = omega / np.linalg.norm(omega)
     rows = [row - np.dot(row, omega) * omega for row in perp_proj]
     return orthonormalize(np.array(rows), n)
 

@@ -186,3 +186,30 @@ def test_usage_error_missing_file(tmp_path):
                  "--itinerary", "L1", "--A", "0,1", "--B", "2,1",
                  "--out", str(tmp_path / "x")])
     assert code == 64
+
+
+def test_scatter_jobs_do_not_change_outputs(tmp_path, twolines_json):
+    outs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        code = main(["scatter", "--arrangement", str(twolines_json),
+                     "--itinerary", "L1,L2", "--A=1.98916641,-0.44632446",
+                     "--B=-0.44703404,-5.58316732", "--half", "1",
+                     "--jobs", str(jobs), "--out", str(out)])
+        assert code == 0
+        outs.append([(out / name).read_bytes() for name in ("patch.csv", "residuals.json")])
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0][1])["valid_fraction"] == 1.0
+
+
+def test_scatter_readme_example_decays_at_second_order(tmp_path, mirror_json):
+    """The README scatter example resolves the O(h^2) decay of the Lagrangian
+    residual: warm-started cells are polished well below the spacing noise."""
+    out = tmp_path / "sc"
+    code = main(["scatter", "--arrangement", str(mirror_json),
+                 "--itinerary", "L1", "--A", "0,1", "--B", "2,1",
+                 "--half", "2", "--spacing", "1e-3", "--out", str(out)])
+    assert code == 0
+    payload = json.loads((out / "residuals.json").read_text())
+    assert "residual_slope_note" not in payload
+    assert payload["residual_slope"] == pytest.approx(2.0, abs=0.1)

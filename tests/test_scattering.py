@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linbilliards.arrangement import Itinerary
-from linbilliards.errors import InputError, PreconditionError
+from linbilliards.errors import PACKAGE_ERRORS, InputError, PreconditionError
 from linbilliards.scattering import (
     AnchorGrid,
     RelationSample,
@@ -202,3 +202,107 @@ def test_patch_csv(tmp_path, mirror_arr):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 81  # header + 9 * 9 cells
     assert lines[0].startswith("status,A_0")
+
+
+
+def _cold_cells(arr, itinerary, grid_A, grid_B):
+    """Reference patch: every cell solved on its own from the chord start."""
+    cells = {}
+    for ia in grid_A.indices():
+        for ib in grid_B.indices():
+            A, B = grid_A.point(ia), grid_B.point(ib)
+            try:
+                result = minimize(arr, itinerary, A, B)
+            except PACKAGE_ERRORS:
+                result = None
+            cells[(ia, ib)] = (RelationSample.from_result(result, A, B)
+                               if result is not None and result.is_valid else None)
+    return cells
+
+
+def _assert_samples_close(got, ref, tol):
+    for field in ("vA", "vB", "chain_points"):
+        assert np.abs(getattr(got, field) - getattr(ref, field)).max() <= tol
+    for line in ("ell_minus", "ell_plus"):
+        assert np.abs(getattr(got, line).Q - getattr(ref, line).Q).max() <= tol
+    assert abs(got.value - ref.value) <= tol
+
+
+# B beyond TWOLINE_B + (2.2, 0) gives ghosts at TWOLINE_A; this grid's inner
+# B axis runs along x across that edge, so each row leaves the valid region
+# and re-enters it
+GHOST_EDGE_B = TWOLINE_B + np.array([2.18, 0.0])
+
+ROW_WALK_GRIDS = {
+    # inside the valid region: after its first cell every row is warm
+    "interior": (AnchorGrid(TWOLINE_A, rot2(0.21), 1, 5e-4),
+                 AnchorGrid(TWOLINE_B, rot2(-0.43), 1, 5e-4)),
+    # B walks along y = 1 onto the line L2 (x = 1/sqrt(3)), beyond which the
+    # path is non-generic; the gate passes far from L2 and fails near it
+    "line_crossing": (AnchorGrid(TWOLINE_A, [[math.cos(0.3), math.sin(0.3)]], 1, 2e-4),
+                      AnchorGrid(np.array([1 / math.sqrt(3) - 0.0101, 1.0]),
+                                 [[1.0, 0.0]], 60, 2e-4)),
+    "ghost_edge": (AnchorGrid(TWOLINE_A, rot2(0.3), 1, 2e-2),
+                   AnchorGrid(GHOST_EDGE_B, [[0.0, 1.0], [1.0, 0.0]], 2, 2e-2)),
+}
+
+
+@pytest.mark.parametrize("name", ROW_WALK_GRIDS)
+def test_row_walk_matches_cold_cells(twolines_arr, name, monkeypatch):
+    """Each cell starts from the chain of the previous valid cell of its
+    A-row, and the patch matches cell-by-cell cold solves."""
+    import linbilliards.scattering as scattering_module
+    grid_A, grid_B = ROW_WALK_GRIDS[name]
+    itin = Itinerary((0, 1))
+    calls = []
+    real = scattering_module.minimize
+
+    def recording(arr, itinerary, A, B, opts):
+        calls.append((opts.initial_chain, None))
+        result = real(arr, itinerary, A, B, opts)
+        calls[-1] = (opts.initial_chain, result.iterations)
+        return result
+
+    monkeypatch.setattr(scattering_module, "minimize", recording)
+    patch = sample_relation(twolines_arr, itin, grid_A, grid_B)
+    monkeypatch.undo()
+    reference = _cold_cells(twolines_arr, itin, grid_A, grid_B)
+    keys = list(reference)
+    assert list(patch.samples) == keys
+    n_b = len(list(grid_B.indices()))
+    warm = 0
+    for n, key in enumerate(keys):
+        got, ref = patch.samples[key], reference[key]
+        assert (got is None) == (ref is None), key
+        if ref is not None:
+            _assert_samples_close(got, ref, 1e-8)
+        start, iterations = calls[n]
+        previous = None if n % n_b == 0 else patch.samples[keys[n - 1]]
+        assert (start is None) == (previous is None)
+        if start is not None:
+            assert np.array_equal(start.points, previous.chain_points)
+        warm += iterations == 0
+    assert len(calls) == len(reference)
+    if name == "interior":
+        assert patch.valid_fraction() == 1.0
+        assert warm == len(calls) - len(list(grid_A.indices()))
+    elif name == "line_crossing":
+        assert 0.0 < patch.valid_fraction() < 1.0
+        assert 0 < warm < len(calls)
+    else:
+        assert 0.0 < patch.valid_fraction() < 1.0
+
+
+def test_row_walk_does_not_depend_on_jobs(twolines_arr):
+    itin = Itinerary((0, 1))
+    grid_A, grid_B = ROW_WALK_GRIDS["ghost_edge"]
+    one = sample_relation(twolines_arr, itin, grid_A, grid_B, jobs=1)
+    two = sample_relation(twolines_arr, itin, grid_A, grid_B, jobs=2)
+    assert list(one.samples) == list(two.samples)
+    for key, s1 in one.samples.items():
+        s2 = two.samples[key]
+        assert (s1 is None) == (s2 is None)
+        if s1 is not None:
+            for field in ("vA", "vB", "chain_points"):
+                assert getattr(s1, field).tobytes() == getattr(s2, field).tobytes()
+            assert s1.value == s2.value

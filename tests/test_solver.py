@@ -412,6 +412,67 @@ def test_polish_floor_is_checked_against_the_value(grad_norm, raises, twolines_a
         assert minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B).is_valid
 
 
+# -- warm start from a solved neighbour ---------------------------------------
+
+@pytest.mark.parametrize("fixture", ["twolines_arr", "lines3d_arr", "planes4d_arr"])
+def test_warm_start_from_neighbour_matches_cold_solve(fixture, request):
+    """The solved chain of anchors 1e-4 * scale away gives the cold solve's
+    minimizer.  Where every edge is at least a tenth of the anchor distance it
+    passes the warm gate and runs no continuation; nearer the collision locus
+    the gate may send it through the continuation instead."""
+    arr = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(60):
+        it, A, B = _random_case(arr, rng, 1, 3)
+        base = minimize(arr, it, A, B)
+        if not base.is_valid:
+            continue
+        scale = float(np.linalg.norm(B - A))
+        shift = rng.standard_normal((2, arr.dim))
+        shift *= 1e-4 * scale / np.linalg.norm(shift, axis=1)[:, None]
+        A2, B2 = A + shift[0], B + shift[1]
+        warm = minimize(arr, it, A2, B2, SolverOptions(initial_chain=base.chain))
+        cold = minimize(arr, it, A2, B2)
+        assert warm.classification is Classification.VALID
+        assert cold.classification is warm.classification
+        assert np.abs(warm.chain.points - cold.chain.points).max() <= 1e-8 * scale
+        assert abs(warm.value - cold.value) <= 1e-12 * cold.value
+        pts = np.vstack([A, base.chain.points, B])
+        if np.linalg.norm(np.diff(pts, axis=0), axis=1).min() >= 0.1 * scale:
+            assert warm.iterations == 0
+            checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("itinerary", [(0, 1), (0, 1, 0)])
+def test_multistart_random_starts_fail_the_warm_gate(itinerary, twolines_arr):
+    report = multistart_minimize(twolines_arr, Itinerary(itinerary), TWOLINE_A,
+                                 TWOLINE_B, n_starts=100)
+    assert len(report.results) == 100
+    assert all(r.iterations > 0 for r in report.results)
+
+
+def test_failed_warm_gate_runs_the_continuation_unchanged(twolines_arr, monkeypatch):
+    """A start outside Newton's basin gives bit for bit what the continuation
+    alone gives from the same chain."""
+    import linbilliards.solver as solver_module
+    from linbilliards.solver import random_chain
+    it = Itinerary((0, 1))
+    rng = np.random.default_rng(8)
+    starts = [random_chain(twolines_arr, it, 10.0, rng) for _ in range(10)]
+    gated = [minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B,
+                      SolverOptions(initial_chain=c)) for c in starts]
+    monkeypatch.setattr(solver_module, "_warm_polish", lambda *args: None)
+    for start, result in zip(starts, gated):
+        reference = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B,
+                             SolverOptions(initial_chain=start))
+        assert result.iterations == reference.iterations > 0
+        assert result.classification is reference.classification
+        assert result.value == reference.value
+        assert result.chain.points.tobytes() == reference.chain.points.tobytes()
+
+
 # -- Cholesky step ------------------------------------------------------------
 
 def _reference_solve_spd(H, g):

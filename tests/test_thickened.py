@@ -249,3 +249,18 @@ def test_events_csv(tmp_path, mirror_table):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("time,label")
     assert len(lines) == 2
+
+
+def test_perp_basis_ignores_rounding_along_the_subspace(lines3d_arr):
+    """A wall normal with a small component along its line still gives one
+    tangent direction of the perp circle, not two."""
+    from linbilliards.thickened import _perp_basis
+    sub = lines3d_arr.subspaces[1]
+    line = sub.basis[0]
+    perp = np.cross(line, [1.0, 0.0, 0.0])
+    omega = perp / np.linalg.norm(perp) + 1e-8 * line
+    V = _perp_basis(sub, omega)
+    assert V.shape == (sub.dim - sub.subdim - 1, sub.dim)
+    assert np.allclose(V @ V.T, np.eye(V.shape[0]), atol=1e-14)
+    assert np.abs(V @ omega).max() < 1e-14
+    assert np.abs(V @ sub.basis.T).max() < 1e-14
