@@ -105,27 +105,37 @@ def _path_value(pts: np.ndarray, mu2: float = 0.0) -> float:
     return float(np.sqrt((edges * edges).sum(axis=1) + mu2).sum())
 
 
+def _edge_lengths(pts: np.ndarray, mu2: float = 0.0):
+    """Edge vectors of the point list and their soft lengths sqrt(r^2 + mu2)."""
+    edges = pts[1:] - pts[:-1]
+    return edges, np.sqrt((edges * edges).sum(axis=1) + mu2)
+
+
+def _edge_terms(edges: np.ndarray, f: np.ndarray):
+    """Kernel terms of edges of soft length f (all f > 0): the value, the unit
+    directions n (k+1, dim), the vertex gradients n_in - n_out (k, dim), the
+    diagonal Hessian blocks W_j + W_{j+1} (k, dim, dim) and the blocks
+    -W_{j+1} coupling vertices j, j+1 (k-1, dim, dim), W_e = (I - n_e n_e^T)
+    / f_e."""
+    n = edges / f[:, None]
+    W = (np.eye(edges.shape[1]) - n[:, :, None] * n[:, None, :]) / f[:, None, None]
+    return float(f.sum()), n, n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
+
+
 def _path_kernel(pts: np.ndarray, mu2: float = 0.0):
     """Value and ambient derivatives of the smoothed length of A, q_1..q_k, B.
 
-    With W_e = (I - n_e n_e^T) / f_e per edge, returns the value, the vertex
-    gradients n_in - n_out (k, dim), the diagonal Hessian blocks W_j + W_{j+1}
-    (k, dim, dim) and the blocks -W_{j+1} coupling vertices j, j+1 (k-1, dim,
-    dim).  At mu2 = 0 the caller must keep consecutive points apart.
+    Returns the value, the vertex gradients, and the diagonal and coupling
+    Hessian blocks of ``_edge_terms``.  At mu2 = 0 the caller must keep
+    consecutive points apart.
     """
-    edges = pts[1:] - pts[:-1]
-    f = np.sqrt((edges * edges).sum(axis=1) + mu2)
-    n = edges / f[:, None]
-    W = (np.eye(pts.shape[1]) - n[:, :, None] * n[:, None, :]) / f[:, None, None]
-    return float(f.sum()), n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
+    value, _, grad, diag, off = _edge_terms(*_edge_lengths(pts, mu2))
+    return value, grad, diag, off
 
 
-def _stacked_derivatives(bases: np.ndarray, pts: np.ndarray, mu2: float = 0.0):
-    """The kernel in stacked chain coordinates for bases stacked as (k, m, dim).
-
-    Returns the value, the gradient (k*m,) and the dense Hessian (k*m, k*m).
-    """
-    value, grad, diag, off = _path_kernel(pts, mu2)
+def _stacked(bases: np.ndarray, grad, diag, off):
+    """Ambient kernel derivatives reduced to stacked chain coordinates over
+    bases (k, m, dim): the gradient (k*m,) and the dense Hessian (k*m, k*m)."""
     k, m, _ = bases.shape
     bases_t = bases.transpose(0, 2, 1)
     H = np.zeros((k, m, k, m))
@@ -135,7 +145,39 @@ def _stacked_derivatives(bases: np.ndarray, pts: np.ndarray, mu2: float = 0.0):
     H[idx[:-1], :, idx[1:], :] = cross
     H[idx[1:], :, idx[:-1], :] = cross.transpose(0, 2, 1)
     grad = (bases @ grad[:, :, None]).reshape(k * m)
-    return value, grad, H.reshape(k * m, k * m)
+    return grad, H.reshape(k * m, k * m)
+
+
+def _stacked_derivatives(bases: np.ndarray, pts: np.ndarray, mu2: float = 0.0):
+    """The kernel in stacked chain coordinates for bases stacked as (k, m, dim).
+
+    Returns the value, the gradient (k*m,) and the dense Hessian (k*m, k*m).
+    """
+    value, grad, diag, off = _path_kernel(pts, mu2)
+    return (value, *_stacked(bases, grad, diag, off))
+
+
+def _normal_form_min_eig(H: np.ndarray, alpha: np.ndarray) -> float:
+    """Smallest eigenvalue of H x = λ G x, with G block-diagonal of the
+    vertex Grams G_i = I - α_i α_i^T, for the stacked Hessian H (k*m, k*m)
+    and tangential coordinates α (k, m); inf for an empty chain space.
+
+    Taken as eigvalsh(G^{-1/2} H G^{-1/2}) with the closed form
+    G_i^{-1/2} = I + c_i α_i α_i^T, c_i = ((1 - |α_i|^2)^{-1/2} - 1) / |α_i|^2
+    = 1 / (s_i (1 + s_i)) for s_i = sqrt(1 - |α_i|^2), which needs no
+    division by |α_i|.  Raises NonSmoothPoint where some |α_i| >= 1.
+    """
+    if H.size == 0:
+        return math.inf
+    if np.any(np.linalg.norm(alpha, axis=1) >= 1.0):
+        raise NonSmoothPoint("per-vertex norm degenerate: |a_i| >= 1")
+    k, m = alpha.shape
+    s = np.sqrt(1.0 - (alpha * alpha).sum(axis=1))
+    root = np.eye(m) + (1.0 / (s * (1.0 + s)))[:, None, None] \
+        * alpha[:, :, None] * alpha[:, None, :]
+    blocks = H.reshape(k, m, k, m).transpose(0, 2, 1, 3)
+    scaled = (root[:, None] @ blocks @ root[None, :]).transpose(0, 2, 1, 3)
+    return float(np.linalg.eigvalsh(scaled.reshape(k * m, k * m))[0])
 
 
 def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
@@ -245,10 +287,7 @@ class HessianModel:
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of M (generalized problem H x = μ G x)."""
-        if self.matrix.size == 0:
-            return math.inf
-        return float(scipy.linalg.eigh(self.matrix, self.gram(),
-                                       eigvals_only=True)[0])
+        return _normal_form_min_eig(self.matrix, _to_coords(self.bases, self.a_in))
 
     def symmetry_defect(self) -> float:
         H = self.matrix

@@ -30,6 +30,24 @@ def _as_vector(x, dim: int, what: str = "point") -> np.ndarray:
     return v
 
 
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows of u and v (..., dim) -> (...).
+
+    A stacked matmul of (1, dim) rows by (dim, 1) columns, which rounds as
+    one BLAS dot per row does (np.dot and the norm of a 1-D array), unlike a
+    pairwise-summed reduction over the last axis.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _perp(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Components x - B^T(B x) of x orthogonal to the subspaces with
+    orthonormal bases (..., m, dim), for x (..., dim); leading axes
+    broadcast, so x[..., None, :] against (n, m, dim) gives every subspace."""
+    col = x[..., :, None]
+    return (col - np.swapaxes(bases, -1, -2) @ (bases @ col))[..., 0]
+
+
 def orthonormalize(vectors: np.ndarray, dim: int) -> np.ndarray:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
@@ -218,7 +236,9 @@ class Arrangement:
 
     def distance_to_locus(self, x) -> float:
         """Distance to the union of all collision subspaces."""
-        return min(s.distance_to(x) for s in self.subspaces)
+        x = _as_vector(x, self.dim)
+        w = _perp(self.bases, x[None, :])
+        return math.sqrt(float(_row_dot(w, w).min()))
 
     def on_locus(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance_to_locus(x) <= tol
@@ -249,27 +269,35 @@ class Arrangement:
 
     def ray_hits_beyond_start(self, start, direction, tol: float = MEMBERSHIP_TOL) -> bool:
         """True when the ray start + t*direction (t >= 0) meets some subspace
-        tube beyond its initial point.
-
-        A tube interval containing t = 0 is the allowed initial collision;
-        by convexity of the distance to each subspace along a line there is at
-        most one interval per subspace, so no large-t truncation is needed.
-        """
+        tube beyond its initial point."""
         start = _as_vector(start, self.dim)
         direction = _as_vector(direction, self.dim, "direction")
-        for sub in self.subspaces:
-            interval = sub.tube_interval(start, direction, tol)
-            if interval is None:
-                continue
-            lo, hi = interval
-            if hi < 0.0:
-                continue
-            if lo > 0.0:
-                return True
-            if math.isinf(hi):
-                # ray runs inside the tube forever
-                return True
-        return False
+        return bool(self.rays_hit_beyond_start(start[None], direction[None], tol)[0])
+
+    def rays_hit_beyond_start(self, starts, directions, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """For rays (r, dim) of starts and directions, whether each meets some
+        subspace tube beyond its initial point, tested against every subspace
+        at once; (r,) booleans.
+
+        Along a line the distance to a subspace is convex, so each tube is
+        one parameter interval (see Subspace.tube_interval).  An interval
+        containing t = 0 is the allowed initial collision; a ray meets a tube
+        beyond its start when the interval begins at t > 0, or when the ray
+        runs parallel to the subspace inside the tube forever.
+        """
+        starts = np.asarray(starts, dtype=float).reshape(-1, self.dim)
+        directions = np.asarray(directions, dtype=float).reshape(starts.shape)
+        w = _perp(self.bases, starts[:, None, :])       # (r, n, dim)
+        u = _perp(self.bases, directions[:, None, :])
+        a = _row_dot(u, u)                              # (r, n)
+        parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
+        a = np.where(parallel, 1.0, a)
+        t_star = -_row_dot(w, u) / a
+        res = w + t_star[..., None] * u
+        gap2 = tol * tol - _row_dot(res, res)
+        enters_later = (gap2 >= 0.0) & (t_star - np.sqrt(np.maximum(gap2, 0.0) / a) > 0.0)
+        runs_inside = _row_dot(w, w) <= tol * tol
+        return np.where(parallel, runs_inside, enters_later).any(axis=1)
 
     def min_angle(self) -> float:
         """Smallest principal angle over all subspace pairs, in (0, pi/2].

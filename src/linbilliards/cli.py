@@ -4,7 +4,9 @@ thickened dynamics, search realizability, and emit the three-body slice.
 All commands write deterministic artifacts (CSV/JSON plus a generic
 matplotlib plot script where a figure makes sense) into --out.  Exit codes:
 0 valid billiard / success, 3 ghost, 4 edge-in-subspace, 5 non-generic ray,
-64 usage error, 70 solver failure.
+6 corner collision in the thickened simulation (the events before it are
+still written), 64 usage error (InputError, PreconditionError, a missing or
+malformed input file), 70 solver failure (MaxIterations, NonSmoothPoint).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .arrangement import Itinerary, load_arrangement
-from .errors import InputError, MaxIterations, PreconditionError
+from .errors import (PACKAGE_ERRORS, CornerCollision, InputError, MaxIterations,
+                     NonSmoothPoint, PreconditionError)
 from .origami import (
     collinearity_residual,
     develop_planar,
@@ -54,6 +57,7 @@ EXIT_OK = 0
 EXIT_GHOST = 3
 EXIT_EDGE = 4
 EXIT_NONGENERIC = 5
+EXIT_CORNER = 6
 EXIT_USAGE = 64
 EXIT_SOLVER = 70
 
@@ -62,6 +66,15 @@ CLASS_EXIT = {
     Classification.GHOST: EXIT_GHOST,
     Classification.EDGE_IN_SUBSPACE: EXIT_EDGE,
     Classification.NON_GENERIC_RAY: EXIT_NONGENERIC,
+}
+
+# every error the package raises on purpose, with its exit code and log label
+ERROR_EXIT = {
+    InputError: (EXIT_USAGE, "usage error"),
+    PreconditionError: (EXIT_USAGE, "usage error"),
+    MaxIterations: (EXIT_SOLVER, "solver failure"),
+    NonSmoothPoint: (EXIT_SOLVER, "solver failure"),
+    CornerCollision: (EXIT_CORNER, "corner collision"),
 }
 
 logger = logging.getLogger("linbilliards")
@@ -97,15 +110,7 @@ def cmd_solve(args) -> int:
     B = _parse_vector(args.B)
     opts = _solver_options(args)
     out = _out_dir(args)
-    try:
-        result = minimize(arr, itinerary, A, B, opts)
-    except (PreconditionError, InputError) as exc:
-        logger.error("solve refused: %s", exc)
-        return EXIT_USAGE
-    except MaxIterations as exc:
-        logger.error("solver failure: %s", exc)
-        return EXIT_SOLVER
-
+    result = minimize(arr, itinerary, A, B, opts)
     payload = {
         "classification": str(result.classification),
         "value": result.value,
@@ -191,7 +196,14 @@ def cmd_thicken(args) -> int:
         v = _parse_vector(args.simulate.split(";")[1])
         v = v / np.linalg.norm(v)
         table = ThickenedTable(arr, args.r)
-        path = simulate(table, p, v, max_events=args.max_events, t_max=args.t_max)
+        try:
+            path = simulate(table, p, v, max_events=args.max_events, t_max=args.t_max)
+        except CornerCollision as exc:
+            # the dynamics is undefined in a corner; keep the events before it
+            events_to_csv(exc.path, out / "events.csv")
+            logger.error("simulate: corner collision after %d events at t = %.17g: %s",
+                         len(exc.path.events), exc.path.end_time, exc)
+            return EXIT_CORNER
         events_to_csv(path, out / "events.csv")
         logger.info("simulate: %d events, status %s", len(path.events), path.status)
         return EXIT_OK
@@ -419,12 +431,13 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (InputError, PreconditionError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
         logger.error("usage error: %s", exc)
         return EXIT_USAGE
-    except MaxIterations as exc:
-        logger.error("solver failure: %s", exc)
-        return EXIT_SOLVER
+    except PACKAGE_ERRORS as exc:
+        code, label = next(v for cls, v in ERROR_EXIT.items() if isinstance(exc, cls))
+        logger.error("%s: %s", label, exc)
+        return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from .arrangement import Arrangement, Itinerary
 from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import MinimizeResult, SolverOptions, minimize
-from .trajectory import BilliardTrajectory, OrientedLine, boundary_lines
+from .trajectory import BilliardTrajectory, OrientedLine
 
 
 def reduce_line(A, vA) -> OrientedLine:
@@ -45,7 +45,8 @@ class RelationSample:
         traj = result.trajectory
         edges = traj.edge_velocities
         vA, vB = edges[0], edges[-1]
-        lm, lp = boundary_lines(traj)
+        # the boundary lines of the trajectory, from the same edge directions
+        lm, lp = OrientedLine.through(traj.A, vA), OrientedLine.through(traj.B, vB)
         return cls(np.asarray(A, float), np.asarray(B, float), vA, vB,
                    lm, lp, traj.chain.copy(), result.value)
 

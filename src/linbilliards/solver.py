@@ -46,10 +46,10 @@ import numpy as np
 import scipy.linalg
 
 from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, intersection_basis
-from .action import (Chain, _path_value, _stacked_derivatives, _to_coords, _to_points,
-                     action, hessian)
+from .action import (Chain, _edge_lengths, _edge_terms, _normal_form_min_eig, _path_value,
+                     _stacked, _stacked_derivatives, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
-from .trajectory import BilliardTrajectory, is_generic
+from .trajectory import BilliardTrajectory, _chain_is_generic
 
 
 class Classification(enum.Enum):
@@ -197,13 +197,14 @@ def _add_step(x, step, t):
 
 
 def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
-                   start=None):
+                   start=None, first_step=None):
     """Damped Newton from x; returns (x, value, grad_norm, reason).
 
     derivatives(x) gives the value, gradient and Hessian in the coordinates
-    of the step (start, if given, holds them at x already), value_of(x) the
-    value alone, and retract(x, step, t) the point reached by the step scaled
-    by t, or None where that is infeasible.
+    of the step (start, if given, holds them at x already, and first_step
+    the Newton step they give), value_of(x) the value alone, and
+    retract(x, step, t) the point reached by the step scaled by t, or None
+    where that is infeasible.
     Backtracks on the value while decreases are resolvable; once they sink
     below the rounding floor of the value, the full step is accepted as long
     as it keeps contracting the gradient norm, which drives the gradient to
@@ -217,7 +218,8 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
     for _ in range(max_iters):
         if grad_norm <= tol * max(1.0, value):
             return x, value, grad_norm, "converged"
-        step = _solve_spd(H, g)
+        step = _solve_spd(H, g) if first_step is None else first_step
+        first_step = None
         if step is None:
             return x, value, grad_norm, "no_descent"
         # local phase: the full Newton step contracts the gradient near the
@@ -255,8 +257,8 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
 
 
 def _warm_polish(problem, x, tol, detect, max_iters):
-    """Coordinates of the exact-Newton polish of a warm start x, or None if
-    x is not one.
+    """(coordinates, length) of the exact-Newton polish of a warm start x, or
+    None if x is not one.
 
     x is warm when every gap exceeds detect and its first exact (mu = 0)
     Newton step is at most WARM_GATE of the shortest gap.  The polish aims
@@ -274,11 +276,11 @@ def _warm_polish(problem, x, tol, detect, max_iters):
         return None
     x, value, grad_norm, _ = _damped_newton(
         x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
-        _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start)
+        _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start, first_step=step)
     if grad_norm > tol * max(1.0, value) or \
             _gaps(problem._point_list(x)).min() <= detect:
         return None
-    return x
+    return x, value
 
 
 def _snapped(problem, points: np.ndarray, runs):
@@ -344,10 +346,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         raise InputError("anchors must match the arrangement dimension")
     itinerary.validate_against(arr)
     scale = float(np.linalg.norm(B - A))
-    mtol = MEMBERSHIP_TOL * max(1.0, scale)
-    if arr.on_locus(A, mtol) or arr.on_locus(B, mtol):
+    # the anchors' locus test here is the one genericity asks for, at the
+    # same tolerance, so classification does not repeat it
+    near_A, near_B = arr.distance_to_locus(A), arr.distance_to_locus(B)
+    if min(near_A, near_B) <= MEMBERSHIP_TOL * max(1.0, scale):
         raise PreconditionError("anchors must lie off the collision locus")
-    scale = max(scale, arr.distance_to_locus(A), arr.distance_to_locus(B))
+    scale = max(scale, near_A, near_B)
 
     chain = opts.initial_chain or initial_chain_chord(arr, itinerary, A, B)
     points = chain.points.copy()
@@ -367,10 +371,9 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         # at mu = 0 directly; any other falls through to the continuation
         warm = _warm_polish(problem, x, opts.grad_tol, detect, opts.max_iters)
         if warm is not None:
-            points = problem.points_of(warm)
-            chain = Chain.from_points(arr, itinerary, points)
-            return _classify(arr, itinerary, A, chain, B, opts,
-                             action(A, points, B), 0)
+            x, value = warm
+            chain = Chain.from_points(arr, itinerary, problem.points_of(x))
+            return _classify(arr, itinerary, A, chain, B, opts, value, 0)
 
     # continuation in the smoothing parameter; warm-started Newton each stage.
     # Once every gap dwarfs mu the smoothing is irrelevant and the exact
@@ -430,9 +433,13 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
 
 def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
               value: float, iterations: int) -> MinimizeResult:
+    """Classify the solved chain in one pass over the itinerary's stacked
+    bases: one kernel evaluation gives the gaps, unit edges, tangential
+    coordinates, gradient and Hessian.  The anchors' locus test of
+    genericity is minimize's precondition and is not repeated."""
     scale = float(np.linalg.norm(B - A))
     points = chain.points
-    gaps = _gaps(np.vstack([A[None, :], points, B[None, :]]))
+    edges, gaps = _edge_lengths(np.vstack([A[None, :], points, B[None, :]]))
 
     def done(cls, grad_norm, traj=None, eig=None, msg=""):
         return MinimizeResult(chain, value, grad_norm, cls, traj, eig, iterations, msg)
@@ -441,28 +448,32 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
         return done(Classification.GHOST, math.nan,
                     msg="consecutive vertices collapse; minimizer leaves the trajectory space")
 
-    # past the ghost test every edge is long enough for the exact model
-    model = hessian(arr, itinerary, A, chain, B, coincidence_tol=opts.coincidence_tol)
-    grad_norm = float(np.linalg.norm(model.gradient))
+    # past the ghost test every edge is long enough for the exact kernel
+    bases = arr.bases_of(itinerary)
+    _, units, grad, diag, off = _edge_terms(edges, gaps)
+    grad, H = _stacked(bases, grad, diag, off)
+    grad_norm = float(np.linalg.norm(grad))
     # an edge lies inside its vertex's subspace when it equals its projection
-    units = model.unit_edges
-    inside = np.minimum(np.linalg.norm(units[:-1] - model.a_in, axis=1),
-                        np.linalg.norm(units[1:] - model.a_out, axis=1)) <= opts.edge_tol
+    a_in = _to_points(bases, _to_coords(bases, units[:-1]))
+    a_out = _to_points(bases, _to_coords(bases, units[1:]))
+    inside = np.minimum(np.linalg.norm(units[:-1] - a_in, axis=1),
+                        np.linalg.norm(units[1:] - a_out, axis=1)) <= opts.edge_tol
     if inside.any():
         j = int(np.argmax(inside))
         return done(Classification.EDGE_IN_SUBSPACE, grad_norm,
                     msg=f"an edge at vertex {j + 1} lies inside "
                         f"{arr.subspaces[itinerary[j]].name}")
 
-    if not is_generic(arr, A, points, B, itinerary,
-                      tol=MEMBERSHIP_TOL * max(1.0, scale)):
+    if not _chain_is_generic(arr, bases, A, points, B,
+                             MEMBERSHIP_TOL * max(1.0, scale)):
         return done(Classification.NON_GENERIC_RAY, grad_norm,
                     msg="configuration violates genericity (adjacent membership or ray recrossing)")
 
     traj = BilliardTrajectory(A, B, points, itinerary)
     eig = None
     try:
-        eig = model.min_eigenvalue()
+        # over the coordinates of a_in, as in HessianModel.min_eigenvalue
+        eig = _normal_form_min_eig(H, _to_coords(bases, a_in))
     except NonSmoothPoint:
         # |a_i| can round to 1 for an edge just outside edge_tol, where the
         # per-vertex norm degenerates

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, MEMBERSHIP_TOL, _as_vector
+from .arrangement import Arrangement, Itinerary, MEMBERSHIP_TOL, _as_vector, _perp, _row_dot
 from .errors import InputError
 
 # |v_+ - v_-| below this means the vertex is internal (no direction change).
@@ -158,19 +158,22 @@ def is_generic(arr: Arrangement, A, chain, B, itinerary: Itinerary,
     A = _as_vector(A, arr.dim, "anchor A")
     B = _as_vector(B, arr.dim, "anchor B")
     chain = np.asarray(chain, dtype=float).reshape(len(itinerary), arr.dim)
-    k = len(itinerary)
     if arr.on_locus(A, tol) or arr.on_locus(B, tol):
         return False
-    for j in range(k):
-        for adj in (j - 1, j + 1):
-            if 0 <= adj < k:
-                if arr.subspaces[itinerary[adj]].contains(chain[j], tol):
-                    return False
-    if arr.ray_hits_beyond_start(chain[0], A - chain[0], tol):
+    return _chain_is_generic(arr, arr.bases_of(itinerary), A, chain, B, tol)
+
+
+def _chain_is_generic(arr: Arrangement, bases: np.ndarray, A, chain, B, tol: float) -> bool:
+    """is_generic past the anchors' locus test, for a chain (k, dim) over the
+    itinerary's stacked bases (k, m, dim): one batched membership test of
+    every vertex against its neighbours' subspaces, and one batched tube test
+    of both boundary rays against every subspace."""
+    off = _perp(np.concatenate((bases[1:], bases[:-1])),
+                np.concatenate((chain[:-1], chain[1:])))
+    if np.any(np.sqrt(_row_dot(off, off)) <= tol):
         return False
-    if arr.ray_hits_beyond_start(chain[-1], B - chain[-1], tol):
-        return False
-    return True
+    rays = arr.rays_hit_beyond_start(chain[[0, -1]], np.stack((A - chain[0], B - chain[-1])), tol)
+    return not rays.any()
 
 
 def boundary_lines(traj: BilliardTrajectory):

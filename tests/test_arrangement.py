@@ -224,3 +224,83 @@ def test_principal_angle_diagonal():
     a = Subspace.from_spanning("a", [[1.0, 0.0]], 2)
     b = Subspace.from_spanning("b", [[1.0, 1.0]], 2)
     assert principal_angle(a, b) == pytest.approx(math.pi / 4, abs=1e-12)
+
+
+def _ray_hits_by_loop(arr, start, direction, tol):
+    """Ray test by one tube interval per subspace: the ray meets a tube
+    beyond its start when the interval begins at t > 0 or never ends."""
+    for sub in arr.subspaces:
+        interval = sub.tube_interval(start, direction, tol)
+        if interval is not None and interval[1] >= 0.0 and (
+                interval[0] > 0.0 or math.isinf(interval[1])):
+            return True
+    return False
+
+
+def _random_arrangement(rng, dim, m, n):
+    while True:
+        try:
+            return Arrangement(dim, tuple(
+                Subspace.from_spanning(f"S{i}", rng.normal(size=(m, dim)), dim)
+                for i in range(n)))
+        except InputError:
+            continue
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_batched_locus_and_ray_queries_match_per_subspace_loops(dim):
+    rng = np.random.default_rng(dim)
+    hits = 0
+    for m in range(dim):
+        for _ in range(25):
+            # the zero subspace is the only one of dimension 0
+            arr = _random_arrangement(rng, dim, m, int(rng.integers(1, 5)) if m else 1)
+            x = rng.normal(size=dim) * rng.uniform(0.1, 10.0)
+            assert arr.distance_to_locus(x) == pytest.approx(
+                min(s.distance_to(x) for s in arr.subspaces), rel=1e-14, abs=0.0)
+            starts = rng.normal(size=(6, dim)) * 3.0
+            directions = rng.normal(size=(6, dim))
+            # one ray aimed through a point close to a subspace, one along it
+            near = arr.subspaces[0].project(rng.normal(size=dim))
+            directions[0] = near + 1e-3 * rng.normal(size=dim) - starts[0]
+            directions[1] = arr.subspaces[0].project(directions[1])
+            tol = 10.0 ** rng.uniform(-9, -1)
+            expected = [_ray_hits_by_loop(arr, p, d, tol) for p, d in zip(starts, directions)]
+            hits += sum(expected)
+            assert arr.rays_hit_beyond_start(starts, directions, tol).tolist() == expected
+            assert [arr.ray_hits_beyond_start(p, d, tol)
+                    for p, d in zip(starts, directions)] == expected
+    assert hits > 0
+
+
+def test_rays_parallel_to_a_subspace_inside_and_outside_its_tube(mirror_arr):
+    tol = 1e-3
+    starts = np.array([[0.0, 5e-4], [0.0, 2e-3], [0.0, -5e-4], [0.0, 2e-3]])
+    directions = np.array([[1.0, 0.0], [1.0, 0.0], [-3.0, 0.0], [-1.0, 1e-20]])
+    expected = [True, False, True, False]
+    assert [_ray_hits_by_loop(mirror_arr, p, d, tol)
+            for p, d in zip(starts, directions)] == expected
+    assert mirror_arr.rays_hit_beyond_start(starts, directions, tol).tolist() == expected
+
+
+def test_rays_starting_inside_a_tube(twolines_arr):
+    tol = 1e-2
+    # each start lies within tol of L1; leaving away from L2 is the allowed
+    # initial collision, heading across L2 meets a tube beyond the start
+    starts = np.array([[2.0, 5e-3], [2.0, 5e-3], [-2.0, -5e-3]])
+    directions = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -0.1]])
+    expected = [False, True, False]
+    assert [_ray_hits_by_loop(twolines_arr, p, d, tol)
+            for p, d in zip(starts, directions)] == expected
+    assert twolines_arr.rays_hit_beyond_start(starts, directions, tol).tolist() == expected
+
+
+def test_batched_queries_on_zero_dimensional_subspaces(origin_arr):
+    x = np.array([3.0, -4.0])
+    assert origin_arr.distance_to_locus(x) == origin_arr.subspaces[0].distance_to(x) == 5.0
+    starts = np.array([[3.0, -4.0], [3.0, -4.0], [3.0, -4.0], [1e-12, 0.0]])
+    directions = np.array([[-3.0, 4.0], [3.0, -4.0], [-3.0, 4.1], [1.0, 0.0]])
+    expected = [True, False, False, False]
+    assert [_ray_hits_by_loop(origin_arr, p, d, 1e-9)
+            for p, d in zip(starts, directions)] == expected
+    assert origin_arr.rays_hit_beyond_start(starts, directions, 1e-9).tolist() == expected

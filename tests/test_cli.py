@@ -3,7 +3,10 @@ import math
 
 import pytest
 
-from linbilliards.cli import main
+from linbilliards import cli
+from linbilliards.cli import EXIT_CORNER, main
+from linbilliards.errors import (PACKAGE_ERRORS, CornerCollision, InputError, MaxIterations,
+                                 NonSmoothPoint, PreconditionError)
 from linbilliards.arrangement import load_arrangement
 from linbilliards.trajectory import trajectory_from_json, validate_trajectory
 
@@ -213,3 +216,26 @@ def test_scatter_readme_example_decays_at_second_order(tmp_path, mirror_json):
     payload = json.loads((out / "residuals.json").read_text())
     assert "residual_slope_note" not in payload
     assert payload["residual_slope"] == pytest.approx(2.0, abs=0.1)
+
+
+def test_thicken_simulate_corner_hit_keeps_partial_path(tmp_path, twolines_json):
+    # straight down the bisector of the two lines, into their corner
+    out = tmp_path / "corner"
+    code = main(["thicken", "--arrangement", str(twolines_json), "--itinerary", "L1",
+                 "--r", "0.1", "--simulate",
+                 "4.330127018922193,2.5;-0.8660254037844386,-0.5", "--out", str(out)])
+    assert code == EXIT_CORNER == 6
+    lines = (out / "events.csv").read_text().splitlines()
+    assert lines[0].startswith("time,label,")
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS)
+def test_every_package_error_maps_to_its_documented_exit_code(error, monkeypatch, tmp_path):
+    def fail(args):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "cmd_threebody", fail)
+    expected = {InputError: 64, PreconditionError: 64, MaxIterations: 70,
+                NonSmoothPoint: 70, CornerCollision: 6}[error]
+    assert main(["threebody", "--out", str(tmp_path)]) == expected
+    assert f" {expected} " in cli.__doc__.replace("\n", " ")

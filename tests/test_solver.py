@@ -1,13 +1,15 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 
-from linbilliards.action import Chain, action
-from linbilliards.arrangement import Arrangement, Itinerary, Subspace
-from linbilliards.errors import PreconditionError
+from linbilliards import solver
+from linbilliards.action import Chain, action, hessian
+from linbilliards.arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace
+from linbilliards.errors import NonSmoothPoint, PreconditionError
 from linbilliards.solver import (
     Classification,
     SolverOptions,
@@ -524,3 +526,103 @@ def test_solve_spd_rejects_non_finite_input():
         _solve_spd(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
     with pytest.raises(ValueError):
         _solve_spd(H, np.array([np.inf, 0.0]))
+
+
+def _classify_by_model(arr, itinerary, A, chain, B, opts):
+    """(classification, message, grad_norm, min eigenvalue) of a chain as
+    built from the Hessian model, is_generic and the generalized symmetric
+    eigenproblem H x = λ G x."""
+    scale = float(np.linalg.norm(B - A))
+    pts = np.vstack([A, chain.points, B])
+    if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1)
+              <= opts.coincidence_tol * max(scale, 1e-30)):
+        return (Classification.GHOST,
+                "consecutive vertices collapse; minimizer leaves the trajectory space",
+                math.nan, None)
+    model = hessian(arr, itinerary, A, chain, B, coincidence_tol=opts.coincidence_tol)
+    grad_norm = float(np.linalg.norm(model.gradient))
+    units = model.unit_edges
+    inside = np.minimum(np.linalg.norm(units[:-1] - model.a_in, axis=1),
+                        np.linalg.norm(units[1:] - model.a_out, axis=1)) <= opts.edge_tol
+    if inside.any():
+        j = int(np.argmax(inside))
+        return (Classification.EDGE_IN_SUBSPACE,
+                f"an edge at vertex {j + 1} lies inside {arr.subspaces[itinerary[j]].name}",
+                grad_norm, None)
+    if not is_generic(arr, A, chain.points, B, itinerary,
+                      tol=MEMBERSHIP_TOL * max(1.0, scale)):
+        return (Classification.NON_GENERIC_RAY,
+                "configuration violates genericity (adjacent membership or ray recrossing)",
+                grad_norm, None)
+    try:
+        eig = (float(scipy.linalg.eigh(model.matrix, model.gram(), eigvals_only=True)[0])
+               if model.matrix.size else math.inf)
+    except NonSmoothPoint:
+        eig = None
+    return Classification.VALID, "", grad_norm, eig
+
+
+def _classify_cases(arr, rng):
+    """Random (itinerary, A, chain coordinates, B, forced class or None):
+    free random chains, and chains forced into a valid billiard (anchors
+    nearly radially out from q_1 and q_k), a ghost (two vertices at the
+    origin), an edge inside its subspace (a vertex of L_j joined to the
+    origin) and a non-generic ray (A halfway from q_1 to a point of another
+    subspace, which the ray from q_1 through A then meets beyond A)."""
+    n, m = len(arr.subspaces), arr.bases.shape[1]
+    for _ in range(12):
+        k = 1 if n == 1 else int(rng.integers(1, 5))
+        labels = [int(rng.integers(n))]
+        while len(labels) < k:
+            labels.append(int((labels[-1] + rng.integers(1, n)) % n))
+        itinerary = Itinerary(tuple(labels))
+        A, B = rng.normal(size=arr.dim) * 2.0, rng.normal(size=arr.dim) * 2.0
+        coords = rng.normal(size=(k, m))
+        yield itinerary, A, coords, B, None
+        if m > 0:
+            # boundary rays leaving nearly radially: each subspace's distance
+            # grows along them, so they meet no tube beyond their start
+            q1, qk = Chain.from_coords(arr, itinerary, coords).points[[0, -1]]
+            yield (itinerary, 2.0 * q1 + 0.1 * np.linalg.norm(q1) * rng.normal(size=arr.dim),
+                   coords, 2.0 * qk + 0.1 * np.linalg.norm(qk) * rng.normal(size=arr.dim),
+                   Classification.VALID)
+        if n > 1:
+            q1 = arr.bases[labels[0]].T @ coords[0]
+            beyond = arr.bases[(labels[0] + 1) % n].T @ rng.normal(size=m)
+            yield itinerary, 0.5 * (q1 + beyond), coords, B, Classification.NON_GENERIC_RAY
+        if k >= 2:
+            j = int(rng.integers(k - 1))
+            ghost = coords.copy()
+            ghost[j:j + 2] = 0.0
+            yield itinerary, A, ghost, B, Classification.GHOST
+            edge = coords.copy()
+            edge[j + 1] = 0.0
+            yield itinerary, A, edge, B, Classification.EDGE_IN_SUBSPACE
+
+
+@pytest.mark.parametrize("fixture", ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr",
+                                     "planes4d_arr", "planes3d_arr", "fourbody_arr"])
+def test_classify_matches_hessian_model_and_is_generic(fixture, request):
+    arr = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(zlib.crc32(fixture.encode()))
+    opts = SolverOptions()
+    seen = set()
+    for itinerary, A, coords, B, forced in _classify_cases(arr, rng):
+        chain = Chain.from_coords(arr, itinerary, coords)
+        cls, msg, grad_norm, eig = _classify_by_model(arr, itinerary, A, chain, B, opts)
+        result = solver._classify(arr, itinerary, A, chain, B, opts, 1.0, 0)
+        assert (result.classification, result.message) == (cls, msg)
+        assert forced in (None, cls)
+        seen.add(cls)
+        if math.isnan(grad_norm):
+            assert math.isnan(result.grad_norm)
+        else:
+            assert result.grad_norm == pytest.approx(grad_norm, rel=1e-12, abs=0.0)
+        if eig is None or math.isinf(eig):
+            assert result.hessian_min_eig == eig
+        else:
+            assert result.hessian_min_eig == pytest.approx(eig, rel=1e-12, abs=0.0)
+    # with one subspace the itinerary has length 1 and a boundary ray leaves
+    # the subspace at its start for good
+    assert seen == (set(Classification) if len(arr.subspaces) > 1
+                    else {Classification.VALID})
