@@ -40,12 +40,32 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+def _project(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Projections B^T(B x) of x (..., dim) onto the subspaces with
+    orthonormal bases (..., m, dim); leading axes broadcast, so
+    x[..., None, :] against (n, m, dim) gives every subspace."""
+    return (np.swapaxes(bases, -1, -2) @ (bases @ x[..., :, None]))[..., 0]
+
+
 def _perp(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Components x - B^T(B x) of x orthogonal to the subspaces with
-    orthonormal bases (..., m, dim), for x (..., dim); leading axes
-    broadcast, so x[..., None, :] against (n, m, dim) gives every subspace."""
-    col = x[..., :, None]
-    return (col - np.swapaxes(bases, -1, -2) @ (bases @ col))[..., 0]
+    """Components x - B^T(B x) of x orthogonal to the subspaces, as in _project."""
+    return x - _project(bases, x)
+
+
+def _line_tube(bases: np.ndarray, radii, p: np.ndarray, d: np.ndarray):
+    """Closest approach of lines p + t d (..., dim) to the tubes of radii
+    rho (n,) around the subspaces with bases (n, m, dim): (a, t_star, gap2,
+    w2), each (..., n), with a = |P⊥d|^2 raw, t_star = -<P⊥p, P⊥d> / a (0 at
+    a = 0), gap2 = rho^2 - |P⊥(p + t_star d)|^2 and w2 = |P⊥p|^2.  A line
+    with gap2 >= 0 is in the tube for t_star -+ sqrt(gap2 / a).  The residual
+    is formed before its norm: b^2 - ac would cancel when rho << |p|.
+    """
+    w = _perp(bases, p[..., None, :])
+    u = _perp(bases, d[..., None, :])
+    a = _row_dot(u, u)
+    t_star = -_row_dot(w, u) / np.where(a == 0.0, 1.0, a)
+    res = w + t_star[..., None] * u
+    return a, t_star, radii * radii - _row_dot(res, res), _row_dot(w, w)
 
 
 def orthonormalize(vectors: np.ndarray, dim: int) -> np.ndarray:
@@ -86,8 +106,8 @@ class Subspace:
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float).reshape(-1, self.dim)
         object.__setattr__(self, "basis", basis)
-        if self.sigma <= 0:
-            raise InputError(f"subspace {self.name!r}: sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise InputError(f"subspace {self.name!r}: sigma must be positive and finite")
         if self.codim < 1:
             raise InputError(f"subspace {self.name!r}: codimension must be >= 1")
         gram = basis @ basis.T
@@ -131,9 +151,8 @@ class Subspace:
 
         Returns (t_lo, t_hi), possibly infinite for directions inside the
         subspace, or None when the line stays farther than tol everywhere.
-        The closest-approach residual is formed vectorially before taking
-        norms: the textbook discriminant b^2 - ac cancels catastrophically
-        when tol is many orders below the data scale.
+        The scalar, one-subspace reference for Arrangement.tube_intervals,
+        which the package's line-tube queries use.
         """
         p = _as_vector(p, self.dim)
         d = _as_vector(d, self.dim, "direction")
@@ -243,29 +262,42 @@ class Arrangement:
     def on_locus(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance_to_locus(x) <= tol
 
+    def tube_intervals(self, starts, directions, tol: float):
+        """Subspace.tube_interval of lines p + t d, p and d (..., dim), against
+        every subspace at once: (lo, hi), each (..., n).  A direction parallel
+        to L (|P⊥d|^2 <= 1e-30 max(|d|^2, 1)) gives (-inf, inf) inside the
+        tube; a line farther than tol everywhere the empty (inf, -inf).
+        """
+        starts = np.asarray(starts, dtype=float)
+        directions = np.asarray(directions, dtype=float)
+        if starts.shape[-1:] != (self.dim,) or directions.shape != starts.shape:
+            raise InputError(f"lines need starts and directions of one shape (..., {self.dim})")
+        a, t_star, gap2, w2 = _line_tube(self.bases, tol, starts, directions)
+        parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[..., None]
+        half = np.where(parallel, math.inf,
+                        np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a)))
+        meets = np.where(parallel, w2 <= tol * tol, gap2 >= 0.0)
+        return np.where(meets, t_star - half, math.inf), np.where(meets, t_star + half, -math.inf)
+
     def segment_collisions(self, p, q, tol: float = MEMBERSHIP_TOL):
         """Proximity events of the segment p->q with the arrangement.
 
         For each subspace whose tol-tube the segment enters, reports one
         (subspace index, t) pair with t the midpoint of the within-tolerance
         parameter range clamped to [0, 1]; for a transversal crossing this is
-        the crossing parameter itself.  Sorted by t.
+        the crossing parameter itself.  Sorted by t, ties by index.
         """
         p = _as_vector(p, self.dim)
         q = _as_vector(q, self.dim)
         d = q - p
         if np.linalg.norm(d) == 0.0:
             raise InputError("segment endpoints coincide")
-        hits = []
-        for i, sub in enumerate(self.subspaces):
-            interval = sub.tube_interval(p, d, tol)
-            if interval is None:
-                continue
-            lo, hi = max(interval[0], 0.0), min(interval[1], 1.0)
-            if lo <= hi:
-                hits.append((i, 0.5 * (lo + hi)))
-        hits.sort(key=lambda h: h[1])
-        return hits
+        lo, hi = self.tube_intervals(p, d, tol)
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+        hits = np.flatnonzero(lo <= hi)
+        t = 0.5 * (lo[hits] + hi[hits])
+        order = np.argsort(t, kind="stable")
+        return [(int(i), float(ti)) for i, ti in zip(hits[order], t[order])]
 
     def ray_hits_beyond_start(self, start, direction, tol: float = MEMBERSHIP_TOL) -> bool:
         """True when the ray start + t*direction (t >= 0) meets some subspace
@@ -280,24 +312,15 @@ class Arrangement:
         at once; (r,) booleans.
 
         Along a line the distance to a subspace is convex, so each tube is
-        one parameter interval (see Subspace.tube_interval).  An interval
-        containing t = 0 is the allowed initial collision; a ray meets a tube
-        beyond its start when the interval begins at t > 0, or when the ray
-        runs parallel to the subspace inside the tube forever.
+        one parameter interval (see tube_intervals).  An interval containing
+        t = 0 is the allowed initial collision; a ray meets a tube beyond its
+        start when the interval begins at t > 0, or when the ray runs
+        parallel to the subspace inside the tube forever.
         """
         starts = np.asarray(starts, dtype=float).reshape(-1, self.dim)
         directions = np.asarray(directions, dtype=float).reshape(starts.shape)
-        w = _perp(self.bases, starts[:, None, :])       # (r, n, dim)
-        u = _perp(self.bases, directions[:, None, :])
-        a = _row_dot(u, u)                              # (r, n)
-        parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
-        a = np.where(parallel, 1.0, a)
-        t_star = -_row_dot(w, u) / a
-        res = w + t_star[..., None] * u
-        gap2 = tol * tol - _row_dot(res, res)
-        enters_later = (gap2 >= 0.0) & (t_star - np.sqrt(np.maximum(gap2, 0.0) / a) > 0.0)
-        runs_inside = _row_dot(w, w) <= tol * tol
-        return np.where(parallel, runs_inside, enters_later).any(axis=1)
+        lo, hi = self.tube_intervals(starts, directions, tol)
+        return ((lo <= hi) & ((lo > 0.0) | (hi == math.inf))).any(axis=1)
 
     def min_angle(self) -> float:
         """Smallest principal angle over all subspace pairs, in (0, pi/2].

@@ -123,9 +123,9 @@ def free_motion_sample(arr: Arrangement, A, B,
     norm = np.linalg.norm(d)
     if norm == 0.0:
         raise InputError("anchors coincide")
-    for sub in arr.subspaces:
-        if sub.tube_interval(A, d, tol) is not None:
-            return None
+    lo, hi = arr.tube_intervals(A, d, tol)
+    if np.any(lo <= hi):
+        return None
     v = d / norm
     line = OrientedLine.through(A, v)
     return RelationSample(A, B, v, v, line, line, np.zeros((0, arr.dim)), float(norm))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
+from .arrangement import (Arrangement, Itinerary, Subspace, _as_vector, _line_tube, _perp,
+                          _project, _row_dot, orthonormalize)
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
 from .action import _path_kernel, _path_value, _point_list
 from .solver import SolverOptions, _damped_newton, minimize
@@ -28,35 +29,26 @@ GRAZING_DISC = 1e-14
 
 @dataclass(frozen=True)
 class ThickenedTable:
+    """The complement of solid cylinders around the subspaces, with radii
+    sigma_L * r stacked once as one (n,) array."""
+
     arrangement: Arrangement
     r: float
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise InputError("thickening radius must be positive")
-
-    @property
-    def radii(self) -> list[float]:
-        return [s.sigma * self.r for s in self.arrangement.subspaces]
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise InputError("thickening radius must be positive and finite")
+        sigmas = np.array([s.sigma for s in self.arrangement.subspaces])
+        object.__setattr__(self, "radii", sigmas * self.r)
 
     def distance_to_wall(self, x) -> float:
         """Signed clearance: min over cylinders of dist(x, L) - rho_L."""
-        return min(s.distance_to(x) - s.sigma * self.r
-                   for s in self.arrangement.subspaces)
+        w = _perp(self.arrangement.bases, _as_vector(x, self.arrangement.dim))
+        return float(np.min(np.sqrt(_row_dot(w, w)) - self.radii))
 
     def in_table(self, x, tol: float = 1e-9) -> bool:
         return self.distance_to_wall(x) >= -tol
-
-    def project_cylinder(self, i: int, q) -> np.ndarray:
-        """Exact convex projection onto the i-th solid cylinder."""
-        sub = self.arrangement.subspaces[i]
-        rho = sub.sigma * self.r
-        par = sub.project(q)
-        perp = np.asarray(q, dtype=float) - par
-        norm = float(np.linalg.norm(perp))
-        if norm <= rho:
-            return np.asarray(q, dtype=float)
-        return par + perp * (rho / norm)
 
 
 @dataclass(frozen=True)
@@ -97,40 +89,29 @@ def first_hit(table: ThickenedTable, p, v):
     if p.shape != (arr.dim,) or v.shape != (arr.dim,):
         raise InputError("point/velocity dimension mismatch")
     radii = table.radii
-    for sub, rho in zip(arr.subspaces, radii):
-        if sub.distance_to(p) < rho - 1e-9 * max(1.0, rho):
-            raise PreconditionError(
-                f"start point lies strictly inside cylinder around {sub.name}")
+    a, t_star, gap2, w2 = _line_tube(arr.bases, radii, p, v)
+    inside = np.sqrt(w2) < radii - 1e-9 * np.maximum(1.0, radii)
+    if inside.any():
+        raise PreconditionError(f"start point lies strictly inside cylinder around "
+                                f"{arr.subspaces[int(np.argmax(inside))].name}")
     t_eps = 1e-12 * max(1.0, float(np.linalg.norm(p)))
-    best = None
-    for i, (sub, rho) in enumerate(zip(arr.subspaces, radii)):
-        w = sub.perp(p)
-        u = sub.perp(v)
-        a = float(np.dot(u, u))
-        if a <= 1e-30:
-            continue  # constant clearance along the ray
-        t_star = -float(np.dot(w, u)) / a
-        res = w + t_star * u
-        gap2 = rho * rho - float(np.dot(res, res))
-        if gap2 * a < GRAZING_DISC:
-            continue
-        t_enter = t_star - math.sqrt(gap2 / a)
-        if t_enter <= t_eps:
-            continue
-        if best is None or t_enter < best[0]:
-            best = (t_enter, i)
-    if best is None:
+    # a <= 1e-30: constant clearance along the ray
+    enters = (a > 1e-30) & (gap2 * a >= GRAZING_DISC)
+    t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / np.where(enters, a, 1.0))
+    t_enter = np.where(enters & (t_enter > t_eps), t_enter, math.inf)
+    i = int(np.argmin(t_enter))  # the lowest index on ties
+    if t_enter[i] == math.inf:
         return None
-    t, i = best
+    t = float(t_enter[i])
     x = p + t * v
-    sub = arr.subspaces[i]
-    perp = sub.perp(x)
-    nu = perp / np.linalg.norm(perp)
-    for j, (other, rho_j) in enumerate(zip(arr.subspaces, radii)):
-        if j != i and other.distance_to(x) < rho_j + CORNER_TOL:
-            raise CornerCollision(
-                f"hit on {sub.name} lies in the corner margin of {other.name}")
-    return t, i, x, nu
+    perp = _perp(arr.bases, x)
+    dist = np.sqrt(_row_dot(perp, perp))
+    corner = dist < radii + CORNER_TOL
+    corner[i] = False
+    if corner.any():
+        raise CornerCollision(f"hit on {arr.subspaces[i].name} lies in the corner margin "
+                              f"of {arr.subspaces[int(np.argmax(corner))].name}")
+    return t, i, x, perp[i] / dist[i]
 
 
 def simulate(table: ThickenedTable, p, v, max_events: int = 100,
@@ -242,22 +223,28 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
         if table.distance_to_wall(x) <= 1e-12:
             raise PreconditionError(f"anchor {name} must lie in the table interior")
     k = len(itinerary)
-    subs = [arr.subspaces[i] for i in itinerary]
-    radii = [s.sigma * table.r for s in subs]
+    bases = arr.bases_of(itinerary)
+    radii = table.radii[list(itinerary)]
     scale = max(float(np.linalg.norm(B - A)), table.r)
 
     def length(pts):
         return _path_value(_point_list(A, pts, B))
 
     def on_walls(pts):
-        return [abs(subs[j].distance_to(pts[j]) - radii[j]) <= 1e-6 * radii[j]
-                for j in range(k)]
+        w = _perp(bases, pts)
+        return (np.abs(np.sqrt(_row_dot(w, w)) - radii) <= 1e-6 * radii).tolist()
+
+    def project(pts):
+        """Exact convex projection of each vertex onto its solid cylinder."""
+        par = _project(bases, pts)
+        perp = pts - par
+        norm = np.sqrt(_row_dot(perp, perp))
+        inside = norm <= radii
+        shrink = radii / np.where(inside, 1.0, norm)
+        return np.where(inside[:, None], pts, par + perp * shrink[:, None])
 
     # start from the projection of the straight chord into the cylinders
-    points = np.array([
-        table.project_cylinder(itinerary[j], A + (j + 1) / (k + 1) * (B - A))
-        for j in range(k)
-    ])
+    points = project(A + (np.arange(1, k + 1) / (k + 1))[:, None] * (B - A))
     value = length(points)
     step = 1.0
     kkt = math.inf
@@ -269,10 +256,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
             trial_step = step
             moved = False
             for _ in range(60):
-                cand = np.array([
-                    table.project_cylinder(itinerary[j], points[j] - trial_step * grad[j])
-                    for j in range(k)
-                ])
+                cand = project(points - trial_step * grad)
                 cand_val = length(cand)
                 decrease = value - cand_val
                 move2 = float(np.sum((cand - points) ** 2))
@@ -282,9 +266,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                     break
                 trial_step *= 0.5
             step = min(trial_step * 2.0, 1e3)
-            mapping = float(np.sqrt(float(np.sum((np.array([
-                table.project_cylinder(itinerary[j], points[j] - grad[j])
-                for j in range(k)]) - points) ** 2))))
+            mapping = float(np.sqrt(float(np.sum((project(points - grad) - points) ** 2))))
             if mapping <= 1e-8 * scale or not moved:
                 break
 
@@ -301,7 +283,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
 
     _, grad, _, _ = _path_kernel(_point_list(A, points, B))
     active = on_walls(points)
-    multipliers = _multipliers(grad, _wall_normals(subs, active, points))
+    multipliers = _multipliers(grad, _wall_normals(bases, active, points))
     # the ambient gradient n_in - n_out at a vertex is its direction jump
     jump = np.linalg.norm(grad, axis=1)
     honest = all(active) and all(j > TRANSVERSE_TOL for j in jump) \
@@ -311,13 +293,11 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                                    multipliers, msg)
 
 
-def _wall_normals(subs, active, points) -> list:
-    """Outward unit normal of each active vertex's cylinder wall, else None."""
-    normals = []
-    for sub, on_wall, q in zip(subs, active, points):
-        perp = q - sub.project(q)
-        normals.append(perp / np.linalg.norm(perp) if on_wall else None)
-    return normals
+def _wall_normals(bases, active, points) -> list:
+    """Outward unit normal of each active vertex's cylinder wall, else None;
+    vertex j's subspace has the basis bases[j]."""
+    return [perp / np.linalg.norm(perp) if on_wall else None
+            for perp, on_wall in zip(_perp(bases, points), active)]
 
 
 def _multipliers(grad, normals) -> list[float]:
@@ -338,37 +318,33 @@ class _WallProblem:
 
     def __init__(self, table, itinerary, A, B, active):
         self.subs = [table.arrangement.subspaces[i] for i in itinerary]
-        self.radii = [s.sigma * table.r for s in self.subs]
+        self.bases = table.arrangement.bases_of(itinerary)
+        self.radii = table.radii[list(itinerary)]
         self.A = A
         self.B = B
         self.active = active
         self.dim = table.arrangement.dim
+        # block offsets: an active vertex has subdim in-subspace coordinates
+        # plus codim - 1 angles (_perp_basis), dim - 1 in all; a free one dim
+        self.offs = np.cumsum([0] + [self.dim - bool(on) for on in active])
 
     def value(self, pts) -> float:
         return _path_value(_point_list(self.A, pts, self.B))
 
     def frame(self, pts):
-        """Wall normals, perp-sphere tangent bases and block offsets at pts.
-
-        Block sizes follow the tangent bases, which can gain a row when a
-        normal carries rounding error along its subspace.
-        """
-        normals = _wall_normals(self.subs, self.active, pts)
-        tangents = [None if omega is None else _perp_basis(sub, omega)
-                    for sub, omega in zip(self.subs, normals)]
-        sizes = [self.dim if V is None else sub.subdim + V.shape[0]
-                 for sub, V in zip(self.subs, tangents)]
-        return normals, tangents, np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        """Wall normals and perp-sphere tangent bases (codim - 1 rows each)
+        at pts, None at free vertices."""
+        normals = _wall_normals(self.bases, self.active, pts)
+        return normals, [None if omega is None else _perp_basis(sub, omega)
+                         for sub, omega in zip(self.subs, normals)]
 
     def derivatives(self, pts):
         value, grad, diag, off = _path_kernel(_point_list(self.A, pts, self.B))
-        normals, tangents, offs = self.frame(pts)
-        jacs = []
-        for sub, rho, V in zip(self.subs, self.radii, tangents):
-            if V is None:
-                jacs.append(np.eye(self.dim))
-            else:
-                jacs.append(np.hstack([sub.basis.T, rho * V.T]) if sub.subdim else rho * V.T)
+        normals, tangents = self.frame(pts)
+        offs = self.offs
+        jacs = [np.eye(self.dim) if V is None
+                else np.hstack([sub.basis.T, rho * V.T]) if sub.subdim else rho * V.T
+                for sub, rho, V in zip(self.subs, self.radii, tangents)]
         forces = _multipliers(grad, normals)
         H = np.zeros((offs[-1], offs[-1]))
         for j, sub in enumerate(self.subs):
@@ -387,7 +363,8 @@ class _WallProblem:
     def retract(self, pts, step, t):
         """Move by t * step in wall coordinates; None if a free vertex leaves
         its solid cylinder."""
-        normals, tangents, offs = self.frame(pts)
+        normals, tangents = self.frame(pts)
+        offs = self.offs
         cand = pts.copy()
         for j, (sub, rho, omega, V) in enumerate(zip(self.subs, self.radii,
                                                      normals, tangents)):
@@ -420,7 +397,7 @@ def _newton_on_walls(table, itinerary, A, points, B, active, opts):
     if reason == "converged":
         _, grad, _, _ = _path_kernel(_point_list(A, points, B))
         # a negative multiplier wants to release its vertex from the wall
-        forces = _multipliers(grad, _wall_normals(problem.subs, active, points))
+        forces = _multipliers(grad, _wall_normals(problem.bases, active, points))
         clean = min(forces) >= -1e-10
     else:
         clean = reason == "floor"

@@ -15,6 +15,7 @@ from linbilliards.arrangement import (
     save_arrangement,
 )
 from linbilliards.errors import InputError, PreconditionError
+from linbilliards.scattering import free_motion_sample
 
 
 def test_project_x_axis():
@@ -82,6 +83,17 @@ def test_spanning_set_redundancy():
 def test_sigma_positive_required():
     with pytest.raises(InputError):
         Subspace.from_spanning("bad", [[1.0, 0.0]], 2, sigma=0.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_sigma_finite_required(sigma):
+    with pytest.raises(InputError):
+        Subspace.from_spanning("bad", [[1.0, 0.0]], 2, sigma=sigma)
+    # json.loads reads a bare NaN or Infinity as a float
+    data = json.loads('{"dim": 2, "subspaces": [{"name": "L", "basis": [[1.0, 0.0]], '
+                      f'"sigma": {json.dumps(sigma)}}}]}}')
+    with pytest.raises(InputError):
+        Arrangement.from_json_dict(data)
 
 
 def test_codim_zero_rejected():
@@ -304,3 +316,85 @@ def test_batched_queries_on_zero_dimensional_subspaces(origin_arr):
     assert [_ray_hits_by_loop(origin_arr, p, d, 1e-9)
             for p, d in zip(starts, directions)] == expected
     assert origin_arr.rays_hit_beyond_start(starts, directions, 1e-9).tolist() == expected
+
+
+def _segment_collisions_by_loop(arr, p, q, tol):
+    """segment_collisions by one tube interval per subspace, sorted by t."""
+    hits = []
+    for i, sub in enumerate(arr.subspaces):
+        interval = sub.tube_interval(p, q - p, tol)
+        if interval is None:
+            continue
+        lo, hi = max(interval[0], 0.0), min(interval[1], 1.0)
+        if lo <= hi:
+            hits.append((i, 0.5 * (lo + hi)))
+    hits.sort(key=lambda h: h[1])
+    return hits
+
+
+def _free_line_by_loop(arr, A, B, tol):
+    return all(sub.tube_interval(A, B - A, tol) is None for sub in arr.subspaces)
+
+
+def _assert_segment_queries_match_loops(arr, p, q, tol):
+    expected = _segment_collisions_by_loop(arr, p, q, tol)
+    hits = arr.segment_collisions(p, q, tol)
+    assert hits == expected
+    assert [type(t) for _, t in hits] == [float] * len(hits)
+    assert (free_motion_sample(arr, p, q, tol) is None) == (
+        not _free_line_by_loop(arr, p, q, tol))
+    return expected
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_segment_and_free_line_queries_match_per_subspace_loops(dim):
+    rng = np.random.default_rng(100 + dim)
+    hits = free = 0
+    for m in range(dim):
+        for _ in range(20):
+            arr = _random_arrangement(rng, dim, m, int(rng.integers(1, 5)) if m else 1)
+            tol = 10.0 ** rng.uniform(-9, 0)
+            for n in range(6):
+                p = rng.normal(size=dim) * 3.0
+                q = rng.normal(size=dim) * 3.0
+                sub = arr.subspaces[int(rng.integers(len(arr.subspaces)))]
+                if n == 1:
+                    # through a point close to a subspace
+                    q = p + 2.0 * (sub.project(rng.normal(size=dim))
+                                   + tol * rng.normal(size=dim) - p)
+                elif n == 2:
+                    # along a subspace, inside or outside its tube
+                    q = p + sub.project(q)
+                    p = p * 10.0 ** rng.uniform(-12, 0)
+                expected = _assert_segment_queries_match_loops(arr, p, q, tol)
+                hits += len(expected)
+                free += not expected
+    assert hits > 0 and free > 0
+
+
+def test_segment_queries_on_parallel_lines_and_the_zero_subspace(mirror_arr, origin_arr):
+    tol = 1e-3
+    inside = _assert_segment_queries_match_loops(
+        mirror_arr, np.array([0.0, 5e-4]), np.array([3.0, 5e-4]), tol)
+    assert inside == [(0, 0.5)]
+    assert _assert_segment_queries_match_loops(
+        mirror_arr, np.array([0.0, 2e-3]), np.array([3.0, 2e-3]), tol) == []
+    assert _assert_segment_queries_match_loops(
+        origin_arr, np.array([-1.0, 1e-4]), np.array([3.0, 1e-4]), tol)[0][0] == 0
+    assert _assert_segment_queries_match_loops(
+        origin_arr, np.array([-1.0, 2e-3]), np.array([3.0, 2e-3]), tol) == []
+    with pytest.raises(InputError):
+        free_motion_sample(mirror_arr, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def test_tied_segment_collisions_keep_index_order():
+    # lines mirror-symmetric about the x-axis: the segment along it meets
+    # both at the same parameter, and the line parallel to it at t = 0.5
+    c = 1.0 / math.sqrt(2.0)
+    arr = Arrangement(2, (Subspace("X", np.array([[1.0, 0.0]]), 2),
+                          Subspace("D1", np.array([[c, c]]), 2),
+                          Subspace("D2", np.array([[c, -c]]), 2)))
+    hits = _assert_segment_queries_match_loops(arr, np.array([-1.0, 0.0]),
+                                               np.array([3.0, 0.0]), 1e-6)
+    assert [i for i, _ in hits] == [1, 2, 0]
+    assert hits[0][1] == hits[1][1] == 0.25 and hits[2][1] == 0.5

@@ -134,6 +134,27 @@ def test_thicken_simulate_mode(tmp_path, mirror_json):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--A", "0,1", "--B", "2,1", "--r-list", "1e-1,nan"],
+    ["--simulate", "0,1;1,-1", "--r", "inf"],
+])
+def test_thicken_rejects_a_non_finite_radius(tmp_path, mirror_json, argv):
+    out = tmp_path / "th"
+    code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 *argv, "--out", str(out)])
+    assert code == 64
+    assert not any(out.iterdir())
+
+
+def test_non_finite_sigma_is_a_usage_error(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"dim": 2, "subspaces": [{"name": "L1", "basis": [[1.0, 0.0]], '
+                    '"sigma": NaN}]}')
+    code = main(["thicken", "--arrangement", str(path), "--itinerary", "L1",
+                 "--simulate", "0,1;1,-1", "--r", "0.1", "--out", str(tmp_path / "th")])
+    assert code == 64
+
+
 def test_origami_command(tmp_path, twolines_json):
     out = tmp_path / "ori"
     code = main(["origami", "--arrangement", str(twolines_json),

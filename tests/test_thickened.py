@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from linbilliards.arrangement import Itinerary
-from linbilliards.errors import CornerCollision, PreconditionError
+from linbilliards import nbody
+from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _line_tube
+from linbilliards.errors import CornerCollision, InputError, PreconditionError
 from linbilliards.thickened import (
+    CORNER_TOL,
+    GRAZING_DISC,
     ThickenedTable,
     curve_shorten,
     events_to_csv,
@@ -264,3 +267,166 @@ def test_perp_basis_ignores_rounding_along_the_subspace(lines3d_arr):
     assert np.allclose(V @ V.T, np.eye(V.shape[0]), atol=1e-14)
     assert np.abs(V @ omega).max() < 1e-14
     assert np.abs(V @ sub.basis.T).max() < 1e-14
+
+
+def _first_hit_by_loop(table, p, v):
+    """first_hit written as one closed form per subspace in turn: the
+    reference the stacked first_hit must reproduce bit for bit."""
+    arr = table.arrangement
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    radii = [s.sigma * table.r for s in arr.subspaces]
+    for sub, rho in zip(arr.subspaces, radii):
+        if sub.distance_to(p) < rho - 1e-9 * max(1.0, rho):
+            raise PreconditionError(
+                f"start point lies strictly inside cylinder around {sub.name}")
+    t_eps = 1e-12 * max(1.0, float(np.linalg.norm(p)))
+    best = None
+    for i, (sub, rho) in enumerate(zip(arr.subspaces, radii)):
+        w = sub.perp(p)
+        u = sub.perp(v)
+        a = float(np.dot(u, u))
+        if a <= 1e-30:
+            continue
+        t_star = -float(np.dot(w, u)) / a
+        res = w + t_star * u
+        gap2 = rho * rho - float(np.dot(res, res))
+        if gap2 * a < GRAZING_DISC:
+            continue
+        t_enter = t_star - math.sqrt(gap2 / a)
+        if t_enter <= t_eps:
+            continue
+        if best is None or t_enter < best[0]:
+            best = (t_enter, i)
+    if best is None:
+        return None
+    t, i = best
+    x = p + t * v
+    sub = arr.subspaces[i]
+    perp = sub.perp(x)
+    nu = perp / np.linalg.norm(perp)
+    for j, (other, rho_j) in enumerate(zip(arr.subspaces, radii)):
+        if j != i and other.distance_to(x) < rho_j + CORNER_TOL:
+            raise CornerCollision(
+                f"hit on {sub.name} lies in the corner margin of {other.name}")
+    return t, i, x, nu
+
+
+def _outcome(fn, table, p, v):
+    """A first_hit result as bytes, or the class and message it raised."""
+    try:
+        hit = fn(table, p, v)
+    except (PreconditionError, CornerCollision) as exc:
+        return type(exc).__name__, str(exc)
+    if hit is None:
+        return None
+    t, i, x, nu = hit
+    return type(t), np.float64(t).tobytes(), type(i), i, x.tobytes(), nu.tobytes()
+
+
+def _assert_first_hit_matches_loop(table, p, v):
+    expected = _outcome(_first_hit_by_loop, table, p, v)
+    assert _outcome(first_hit, table, p, v) == expected
+    return expected
+
+
+def _three_body_arr():
+    return nbody.build_arrangement(
+        nbody.NBodySystem(3, 2, nbody.MASSES_THIRD, reduce_cm=True))
+
+
+@pytest.mark.parametrize("name", ["threebody", "fourbody", "twolines", "lines3d", "planes4d"])
+def test_first_hit_matches_the_per_subspace_loop(name, request):
+    arr = _three_body_arr() if name == "threebody" else request.getfixturevalue(f"{name}_arr")
+    rng = np.random.default_rng(sum(map(ord, name)))
+    kinds = set()
+    for r in (1e-1, 1e-2, 1e-3, 1e-4):
+        table = ThickenedTable(arr, r)
+        for n in range(60):
+            p = rng.normal(size=arr.dim) * 3.0
+            sub = arr.subspaces[int(rng.integers(len(arr.subspaces)))]
+            if n % 3 == 0:
+                v = rng.normal(size=arr.dim)
+            elif n % 3 == 1:
+                # aimed inside a random cylinder, so most of these hit
+                offset = sub.perp(rng.normal(size=arr.dim))
+                target = sub.project(rng.normal(size=arr.dim)) \
+                    + rng.uniform(0.0, 1.5) * sub.sigma * r * offset / np.linalg.norm(offset)
+                v = target - p
+            else:
+                # aimed at the origin, where every cylinder meets
+                v = rng.normal(size=arr.dim) * 1e-3 * r - p
+            v /= np.linalg.norm(v)
+            expected = _assert_first_hit_matches_loop(table, p, v)
+            kinds.add("none" if expected is None else expected[0])
+            if expected is not None and expected[0] is float:
+                # from the hit point on the wall, into it and away from it:
+                # the entry at t ~ 0 lies within t_eps
+                _, _, x, nu = first_hit(table, p, v)
+                _assert_first_hit_matches_loop(table, x, v)
+                _assert_first_hit_matches_loop(table, x, v - 2.0 * np.dot(v, nu) * nu)
+    assert {"none", float} <= kinds
+
+
+def test_first_hit_matches_the_loop_on_forced_cases(mirror_arr, twolines_arr, lines3d_arr):
+    # parallel rays: along a line exactly (a = 0) and along a line whose
+    # perpendicular part is rounding error (0 < a <= 1e-30)
+    table = ThickenedTable(twolines_arr, 0.1)
+    assert _assert_first_hit_matches_loop(table, [0.0, -1.0], [1.0, 0.0]) is None
+    table3 = ThickenedTable(lines3d_arr, 0.1)
+    along = lines3d_arr.subspaces[1].basis[0]
+    u = lines3d_arr.subspaces[1].perp(along)
+    assert 0.0 < np.dot(u, u) <= 1e-30
+    assert _assert_first_hit_matches_loop(table3, [0.0, 0.0, 1.0], along) is None
+
+    # grazing: the ray passes the line M1 at depth gap2 with a = 1, on both
+    # sides of the discriminant cut-off
+    p = np.array([0.5, 0.0, -1.0])
+    v = np.array([0.0, 0.0, 1.0])
+    outcomes = []
+    for disc in (0.5 * GRAZING_DISC, 2.0 * GRAZING_DISC):
+        p[1] = math.sqrt(0.1 * 0.1 - disc)
+        a, _, gap2, _ = _line_tube(lines3d_arr.bases[:1], 0.1, p, v)
+        assert (gap2[0] * a[0] < GRAZING_DISC) == (disc < GRAZING_DISC)
+        outcomes.append(_assert_first_hit_matches_loop(table3, p, v))
+    assert outcomes[0] is None and outcomes[1][3] == 0
+
+    # an exact tie: lines mirror-symmetric about the ray, which meets both
+    # walls at one point, in the corner margin of the line not picked
+    c = 1.0 / math.sqrt(2.0)
+    cross = Arrangement(2, (Subspace("D1", np.array([[c, c]]), 2),
+                            Subspace("D2", np.array([[c, -c]]), 2)))
+    tie = ThickenedTable(cross, 0.1)
+    a, t_star, gap2, _ = _line_tube(cross.bases, 0.1, np.array([5.0, 0.0]),
+                                    np.array([-1.0, 0.0]))
+    assert a[0] == a[1] and t_star[0] == t_star[1] and gap2[0] == gap2[1]
+    assert _assert_first_hit_matches_loop(tie, [5.0, 0.0], [-1.0, 0.0]) == (
+        "CornerCollision", "hit on D1 lies in the corner margin of D2")
+
+    # a hit in a corner margin, and a start strictly inside a cylinder
+    bis = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
+    assert _assert_first_hit_matches_loop(
+        ThickenedTable(twolines_arr, 0.05), 2.0 * bis, -bis)[0] == "CornerCollision"
+    assert _assert_first_hit_matches_loop(
+        ThickenedTable(mirror_arr, 0.1), [0.0, 0.05], [1.0, 0.0])[0] == "PreconditionError"
+
+
+@pytest.mark.parametrize("name", ["threebody", "fourbody", "origin", "lines3d", "planes4d"])
+def test_distance_to_wall_is_the_per_subspace_minimum(name, request):
+    # unequal masses give the three-body cylinders unequal radii
+    arr = nbody.build_arrangement(nbody.NBodySystem(3, 2, (1.0, 2.0, 5.0), reduce_cm=True)) \
+        if name == "threebody" else request.getfixturevalue(f"{name}_arr")
+    assert name != "threebody" or len({s.sigma for s in arr.subspaces}) == 3
+    rng = np.random.default_rng(len(name))
+    for r in (1e-1, 1e-4):
+        table = ThickenedTable(arr, r)
+        for _ in range(40):
+            x = rng.normal(size=arr.dim) * rng.uniform(1e-3, 3.0)
+            assert table.distance_to_wall(x) == min(
+                s.distance_to(x) - s.sigma * r for s in arr.subspaces)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_thickening_radius_must_be_positive_and_finite(mirror_arr, r):
+    with pytest.raises(InputError):
+        ThickenedTable(mirror_arr, r)
