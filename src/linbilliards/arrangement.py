@@ -370,7 +370,7 @@ class Arrangement:
                     float(entry.get("sigma", 1.0)))
                 for entry in data["subspaces"]
             ]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed arrangement JSON: {exc}") from exc
         return cls(dim, tuple(subs))
 

@@ -194,6 +194,8 @@ def cmd_thicken(args) -> int:
     if args.simulate:
         p = _parse_vector(args.simulate.split(";")[0])
         v = _parse_vector(args.simulate.split(";")[1])
+        if not np.linalg.norm(v) > 0.0:
+            raise InputError("simulation direction must be nonzero")
         v = v / np.linalg.norm(v)
         table = ThickenedTable(arr, args.r)
         try:

@@ -5,17 +5,22 @@ minimum for anchors off the collision locus, but it is non-smooth exactly
 where consecutive vertices collide, and minimizers may sit there (ghosts).
 The solver therefore minimizes the smoothed length sum(sqrt(r^2 + mu^2)) by
 damped Newton and drives mu to zero; a minimizer whose gaps collapse along the
-continuation is a ghost.  It is repaired by snapping each collapsed run of
-consecutive vertices onto the intersection of the run's subspaces, a stratum
-of the collision locus; the snapped chain is feasible, so its length bounds
-the minimum from above.  Smooth minimizers get a final exact-Newton polish on
-the true length.
+continuation is a ghost.  Smooth minimizers get a final exact-Newton polish
+on the true length.
 
-A ghost need not run every stage.  The smoothed edge directions u_e at a
-stage's minimizer are multipliers with |u_e| < 1, so weak duality gives a
-rigorous lower bound on the true minimum (duality gap O(mu^2 / r)); once the
-snapped chain's length meets that bound within the final merge test's
-tolerance, the continuation stops and returns the snapped chain.
+A ghost is certified exactly, independently of mu, and need not run every
+stage.  The length is convex, so a chain is its global minimum if and only
+if 0 lies in the subdifferential: there are edge multipliers u_e with
+u_e = d_e / |d_e| on every open edge, |u_e| <= 1 on every collapsed edge
+and B_i (u_{i-1} - u_i) = 0 at every vertex, the conservation of momentum
+at a collision in the subdifferential sense (Burago, Ferleger and
+Kononenko).  After each stage with an interior gap within CERT_WINDOW * mu,
+and once more after the last stage, the certificate joins the vertices of
+the shortest gaps into runs, makes each run one point on the intersection
+of its subspaces (a stratum of the collision locus), solves that reduced
+chain by exact Newton, and looks for collapsed-edge multipliers inside the
+balls |u_e| <= 1 - CERT_MARGIN that meet the vertex equations to rounding
+level.  A chain that passes is returned; no tolerance on the length enters.
 
 A smooth start needs no continuation at all.  When the caller's initial
 chain already lies in Newton's quadratic basin -- its first exact (mu = 0)
@@ -28,8 +33,9 @@ solve would.  Any other start, including the random chains of multistart,
 fails the gate and runs the continuation from the given chain unchanged.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
-Armijo backtracking, jittered Cholesky solve), which the thickened wall
-polish reuses with its own coordinates and retraction onto the walls.
+Armijo backtracking, jittered Cholesky solve), which the certificate's
+multiplier search and the thickened wall polish reuse with their own
+coordinates and retractions.
 
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
 mirrors the exclusions that define membership in the trajectory space.
@@ -66,6 +72,10 @@ STEP_TOL = 1e-12       # stagnation threshold on the step norm
 ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking
 STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
 MERGE_DETECT = 1e-4    # gap below this * scale marks a collapsing run
+CERT_WINDOW = 10.0     # certify a stage once an interior gap is within this * mu
+CERT_MARGIN = 1e-9     # certified collapsed-edge multipliers: |u_e| <= 1 - this
+CERT_TRIES = 4         # thresholds tried per certificate
+CERT_RESIDUAL = 1e-12  # stationarity residual accepted as rounding
 WARM_GATE = 1e-2       # warm start: first exact Newton step / shortest edge
 WARM_AIM = 1e-4        # warm polish targets this * grad_tol, accepts grad_tol
 
@@ -131,9 +141,12 @@ class _StackedProblem:
     the continuation relies on.
     """
 
-    def __init__(self, arr, itinerary, A, B):
-        self.bases = arr.bases_of(itinerary)
+    def __init__(self, bases, A, B):
+        self.bases = bases
         self.k, self.m, self.dim = self.bases.shape
+        # coordinates of zero basis rows, which pad a run's intersection in
+        # a reduced chain; a unit diagonal there keeps Newton definite
+        self.pad = np.flatnonzero(~bases.any(axis=2))
         self.A = A
         self.B = B
         # A, q_1..q_k, B; the chain rows are overwritten on every call
@@ -155,7 +168,9 @@ class _StackedProblem:
         return _path_value(self._point_list(x), mu2)
 
     def derivatives(self, x: np.ndarray, mu2: float):
-        return _stacked_derivatives(self.bases, self._point_list(x), mu2)
+        value, g, H = _stacked_derivatives(self.bases, self._point_list(x), mu2)
+        H[self.pad, self.pad] = 1.0
+        return value, g, H
 
 
 # the LAPACK routines behind scipy.linalg.cho_factor / cho_solve, called
@@ -295,41 +310,172 @@ def _snapped(problem, points: np.ndarray, runs):
     return action(problem.A, points, problem.B), points
 
 
-def _dual_lower_bound(problem, x, mu2, upper) -> float:
-    """Lower bound on the minimum L* of the exact path length, by weak
-    duality with the smoothed edge directions at x as multipliers.
+def _reduced_minimum(problem, points, runs, floor, mu2):
+    """Points of the exact (mu = 0) minimum over chains whose runs are each
+    one point on the intersection of the run's subspaces, from the snap of
+    points; None if it is not found with every reduced edge above floor.
 
-    u_e = d_e / sqrt(r_e^2 + mu2) has |u_e| < 1, so every chain q has
-    L(q) >= sum_e <u_e, d_e(q)> = <u_k, B> - <u_0, A> + sum_i <g_i, c_i>,
-    with g_i = B_i (u_{i-1} - u_i) the smoothed gradient block at x and c_i
-    the coordinates of q_i.  A minimizer has |c_i| = |q_i| <= |A| + L*, and
-    L* <= upper, the length of any chain.
+    The reduced chain keeps the first vertex of each run, with the run's
+    intersection basis padded by zero rows to the common m.  Its free
+    vertices are solved at the next stage's smoothing, which carries them
+    past the kinks of the exact length, then polished by exact Newton if
+    that is then in its quadratic basin (_warm_polish); a run set missing a
+    collapsed edge fails that gate.
+    """
+    keep = np.ones(problem.k, dtype=bool)
+    bases = problem.bases.copy()
+    for start, stop in runs:
+        keep[start + 1:stop] = False
+        meet = intersection_basis(problem.bases[start:stop])
+        bases[start] = 0.0
+        bases[start, :len(meet)] = meet
+    reduced = _StackedProblem(bases[keep], problem.A, problem.B)
+    y = reduced.coords_of(_snapped(problem, points, runs)[1][keep])
+    if reduced.pad.size < y.size:
+        mu2 *= 1e-4
+        y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
+                               partial(reduced.value, mu2=mu2), _add_step,
+                               1e-9, STEP_TOL, max_iters=40)
+        polished = _warm_polish(reduced, y, CERT_RESIDUAL, floor, 40)
+        if polished is None:
+            return None
+        y = polished[0]
+    elif _gaps(reduced._point_list(y)).min() <= floor:
+        return None
+    return reduced.points_of(y)[np.cumsum(keep) - 1]
+
+
+def _lowest_multipliers(w, rows, bound):
+    """Point of the affine set w + ker(rows) whose squared norms |w_e|^2 are
+    all below bound, starting from w (C, dim); None if none is found.
+
+    Barrier method for min s subject to |w_e|^2 <= s over the affine set
+    (Boyd & Vandenberghe, sec. 11.3): each centering minimizes
+    tau s - sum_e log(s - |w_e|^2) by the damped-Newton core in (z, s), z
+    the coordinates along the kernel, and tau grows tenfold between
+    centerings.  A centred point is within C / tau of the optimum, so
+    s - C / tau >= bound shows that the optimum misses the bound.
+    """
+    C, dim = w.shape
+    if (w * w).sum(axis=1).max() < bound:
+        return w
+    kernel = np.linalg.qr(rows.T, mode="complete")[0][:, len(rows):].reshape(C, dim, -1)
+    d = kernel.shape[2]
+
+    def point(x):
+        v = w + kernel @ x[:d]
+        return v, x[d], x[d] - (v * v).sum(axis=1)
+
+    def merit(x, tau):
+        _, s, slack = point(x)
+        return tau * s - np.log(slack).sum()
+
+    def derivatives(x, tau):
+        v, s, slack = point(x)
+        inv = 1.0 / slack
+        J = 2.0 * np.einsum("edk,ed->ek", kernel, v)
+        H = np.empty((d + 1, d + 1))
+        H[:d, :d] = 2.0 * np.einsum("edk,edl,e->kl", kernel, kernel, inv) \
+            + (J.T * inv * inv) @ J
+        H[:d, d] = H[d, :d] = -(J.T * inv * inv).sum(axis=1)
+        H[d, d] = inv @ inv
+        return merit(x, tau), np.append(J.T @ inv, tau - inv.sum()), H
+
+    def retract(x, step, t):
+        x = x + t * step
+        return x if point(x)[2].min() > 0.0 else None
+
+    x = np.append(np.zeros(d), (w * w).sum(axis=1).max() + 1.0)
+    tau = float(C)
+    for _ in range(12):
+        x, *_ = _damped_newton(x, partial(derivatives, tau=tau), partial(merit, tau=tau),
+                               retract, 1e-8, 0.0, max_iters=40)
+        v, s, _ = point(x)
+        if (v * v).sum(axis=1).max() < bound:
+            return v
+        if s - C / tau >= bound:
+            return None
+        tau *= 10.0
+    return None
+
+
+def _multipliers_certify(problem, points, runs, start):
+    """True if edge multipliers u_e prove points a global minimum: u_e =
+    d_e / |d_e| on every open edge, |u_e| <= 1 - CERT_MARGIN on the collapsed
+    edges inside the runs, and B_i (u_{i-1} - u_i) = 0 at every vertex to
+    rounding level.
+
+    The collapsed u_e start from start (the stage's smoothed directions),
+    projected onto the affine set of the vertex equations; where a norm
+    then exceeds the bound, _lowest_multipliers moves them within the
+    affine set until every norm meets it.
+    """
+    k, m, dim = problem.bases.shape
+    edges = np.diff(np.vstack([problem.A, points, problem.B]), axis=0)
+    shut = np.zeros(k + 1, dtype=bool)
+    for a, b in runs:
+        shut[a + 1:b] = True
+    u = np.zeros_like(edges)
+    u[~shut] = edges[~shut] / np.linalg.norm(edges[~shut], axis=1)[:, None]
+    # residual of the vertex equations without the collapsed edges, and
+    # their coefficients: edge e enters vertex e and leaves vertex e - 1
+    fixed = _to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
+    cols = np.flatnonzero(shut)
+    M = np.zeros((k, m, len(cols), dim))
+    j = np.arange(len(cols))
+    M[cols, :, j, :] = problem.bases[cols]
+    M[cols - 1, :, j, :] = -problem.bases[cols - 1]
+    U, s, rows = np.linalg.svd(M.reshape(k * m, -1), full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    rows = rows[:rank]
+    # the start moved onto the solutions of M w = -fixed
+    w = start[cols].reshape(-1)
+    w = w - rows.T @ (rows @ w + (U[:, :rank].T @ fixed) / s[:rank])
+    w = _lowest_multipliers(w.reshape(-1, dim), rows, (1.0 - CERT_MARGIN) ** 2)
+    if w is None:
+        return False
+    u[cols] = w
+    residual = np.linalg.norm(_to_coords(problem.bases, u[:-1] - u[1:]), axis=1)
+    return bool(residual.max() <= CERT_RESIDUAL)
+
+
+def _certified(problem, x, mu2, floor, limit):
+    """(length, points) of a chain certified as the global minimum by edge
+    multipliers, or None.
+
+    Runs are joined by the interior gaps of x up to a threshold: first the
+    largest gap within limit, then each larger gap in turn (collapsed edges
+    whose multiplier is near unit norm stay open longest), then each smaller
+    one.
     """
     pts = problem._point_list(x)
-    edges = pts[1:] - pts[:-1]
-    u = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
-    g = (problem.bases @ (u[:-1] - u[1:])[:, :, None])[:, :, 0]
-    radius = math.sqrt(problem.A @ problem.A) + upper
-    return float(u[-1] @ problem.B - u[0] @ problem.A
-                 - radius * np.linalg.norm(g, axis=1).sum())
+    edges, soft = _edge_lengths(pts, mu2)
+    start = edges / soft[:, None]
+    gaps = np.linalg.norm(edges, axis=1)
+    interior = np.unique(gaps[1:-1])
+    first = np.searchsorted(interior, limit, side="right") - 1
+    if first < 0:
+        return None
+    for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:CERT_TRIES]:
+        runs = _collapsing_runs(gaps, interior[j])
+        try:
+            points = _reduced_minimum(problem, pts[1:-1].copy(), runs, floor, mu2)
+            if points is not None and _multipliers_certify(problem, points, runs, start):
+                return action(problem.A, points, problem.B), points
+        except np.linalg.LinAlgError:
+            pass
+    return None
 
 
-def _certify_ghost(problem, x, mu2, runs):
-    """(length, points) of the chain snapped on the collapsed runs if the
-    dual bound at this smoothing certifies it as the global minimum, else
-    None.
+def _certify_ghost(problem, x, mu2, floor):
+    """(length, points) of the ghost certified exactly after the smoothing
+    stage mu2 whose minimizer is x, or None.
 
-    Up to four more Newton steps, on a copy of the stage's minimizer x, shrink
-    the gradient term of the bound before the snap.  The snapped chain is
-    feasible, so acceptance puts its length within 1e-11 * max(1, L*) of the
-    true minimum L*, inside the tolerance of the final merge test.
+    The seam of the continuation: the runs are tried from the largest gap
+    within CERT_WINDOW * mu, and an accepted chain is the global minimum up
+    to rounding, so minimize returns it and skips the remaining stages.
     """
-    x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
-                           partial(problem.value, mu2=mu2), _add_step,
-                           0.0, STEP_TOL, max_iters=4)
-    value, points = _snapped(problem, problem.points_of(x), runs)
-    lower = _dual_lower_bound(problem, x, mu2, value)
-    return (value, points) if value - lower <= 1e-11 * max(1.0, lower) else None
+    return _certified(problem, x, mu2, floor, CERT_WINDOW * math.sqrt(mu2))
 
 
 def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
@@ -363,7 +509,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         return _classify(arr, itinerary, A, chain, B, opts,
                          action(A, points, B), 0)
 
-    problem = _StackedProblem(arr, itinerary, A, B)
+    problem = _StackedProblem(arr.bases_of(itinerary), A, B)
     x = problem.coords_of(points)
     detect = MERGE_DETECT * scale
     if opts.initial_chain is not None:
@@ -378,8 +524,8 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     # continuation in the smoothing parameter; warm-started Newton each stage.
     # Once every gap dwarfs mu the smoothing is irrelevant and the exact
     # polish takes over.  Ghost candidates keep gaps ~ mu; each of their
-    # stages tries to certify the snapped chain by weak duality, and stops
-    # the continuation as soon as it does.
+    # stages tries the multiplier certificate, and stops the continuation as
+    # soon as it holds.
     iterations = 0
     certified = None
     for exponent in range(2, 15, 2):
@@ -392,17 +538,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         gaps = _gaps(problem._point_list(x))
         if gaps.min() > 1e4 * mu:
             break
-        runs = _collapsing_runs(gaps, detect)
-        if runs:
-            certified = _certify_ghost(problem, x, mu2, runs)
+        if gaps[1:-1].min(initial=math.inf) <= CERT_WINDOW * mu:
+            certified = _certify_ghost(problem, x, mu2, coincidence)
             if certified is not None:
                 break
 
-    if certified is not None:
-        value, points = certified
-    else:
-        points = problem.points_of(x)
-        value = action(A, points, B)
+    if certified is None:
         if gaps.min() > coincidence:
             x, value, grad_norm, reason = _damped_newton(
                 x, partial(problem.derivatives, mu2=0.0),
@@ -411,21 +552,17 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
             stalled = reason == "no_descent" or (
                 reason in ("floor", "max_iters")
                 and grad_norm > math.sqrt(opts.grad_tol) * max(1.0, value))
-            points = problem.points_of(x)
-            value = action(A, points, B)
-            gaps = _gaps(problem._point_list(x))
             if stalled:
                 raise MaxIterations(
                     f"exact polish stalled ({reason}) with |grad| = {grad_norm:.3e}")
-        # repair collapsed runs by snapping them onto their intersections:
-        # the snapped chain is feasible, so a length no larger than the
-        # continuation's confirms the ghost and gives it a coincident
-        # representative
-        runs = _collapsing_runs(gaps, detect)
-        if runs:
-            snapped_val, snapped_pts = _snapped(problem, points, runs)
-            if snapped_val <= value + 1e-11 * max(1.0, value):
-                points, value = snapped_pts, snapped_val
+        # collapsed runs get the same certificate: a chain it accepts is the
+        # minimum and has coincident runs
+        certified = _certified(problem, x, mu2, coincidence, detect)
+    if certified is not None:
+        value, points = certified
+    else:
+        points = problem.points_of(x)
+        value = action(A, points, B)
 
     chain = Chain.from_points(arr, itinerary, points)
     return _classify(arr, itinerary, A, chain, B, opts, value, iterations)

@@ -123,8 +123,11 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise InputError("simulation velocity must be unit")
+    # written so that a NaN fails each test
+    if not math.isfinite(p @ p):
+        raise InputError("simulation start must be finite")
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
+        raise InputError("simulation velocity must be finite and unit")
     if not table.in_table(p):
         raise PreconditionError("start point lies inside a cylinder")
     path = ThickenedPath(p.copy(), v.copy())

@@ -49,8 +49,7 @@ def planes4d_arr():
     ))
 
 
-@pytest.fixture
-def planes3d_arr():
+def planes3d():
     """Three 2-planes in three dimensions that meet pairwise in lines, so a
     collapsed pair of vertices is still free along its line."""
     return Arrangement(3, (
@@ -60,11 +59,20 @@ def planes3d_arr():
     ))
 
 
-@pytest.fixture
-def fourbody_arr():
+def fourbody():
     """Pair collisions of four unit masses in 3-D with the centre of mass
     removed: six 6-dimensional subspaces in dimension 9 (m = 6)."""
     return nbody.build_arrangement(nbody.NBodySystem(4, 3, (1, 1, 1, 1), reduce_cm=True))
+
+
+@pytest.fixture
+def planes3d_arr():
+    return planes3d()
+
+
+@pytest.fixture
+def fourbody_arr():
+    return fourbody()
 
 
 # A two-line valid fixture found by scan and frozen; the solved trajectory is

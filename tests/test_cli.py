@@ -155,6 +155,27 @@ def test_non_finite_sigma_is_a_usage_error(tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize("entry", [
+    '{"name": "L1", "basis": [[1.0, 0.0]], "sigma": "abc"}',
+    '{"name": "L1", "basis": [["x", 0.0]]}',
+])
+def test_non_numeric_arrangement_values_are_a_usage_error(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "subspaces": [%s]}' % entry)
+    code = main(["thicken", "--arrangement", str(path), "--itinerary", "L1",
+                 "--simulate", "0,1;1,-1", "--r", "0.1", "--out", str(tmp_path / "th")])
+    assert code == 64
+
+
+@pytest.mark.parametrize("simulate", ["0,1;nan,1", "nan,1;1,-1", "0,1;0,0"])
+def test_thicken_rejects_a_non_finite_or_zero_start(tmp_path, mirror_json, simulate):
+    out = tmp_path / "sim"
+    code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--simulate", simulate, "--r", "0.1", "--out", str(out)])
+    assert code == 64
+    assert not (out / "events.csv").exists()
+
+
 def test_origami_command(tmp_path, twolines_json):
     out = tmp_path / "ori"
     code = main(["origami", "--arrangement", str(twolines_json),

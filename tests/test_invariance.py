@@ -1,12 +1,16 @@
 """Invariances of the point solver implied by the variational problem: an
 orthogonal change of frame, reversal of the path (A <-> B with the itinerary
-reversed) and scaling of the anchors."""
+reversed), scaling of the anchors and relabelling of the subspaces."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
+from linbilliards.errors import PACKAGE_ERRORS
 from linbilliards.solver import minimize
+
+from conftest import fourbody, planes3d
 
 FIXTURES = ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr", "planes4d_arr",
             "planes3d_arr"]
@@ -68,3 +72,55 @@ def test_scaling(request, name, seed, lam):
     assert scaled.value == pytest.approx(lam * base.value, rel=1e-10)
     assert np.allclose(scaled.chain.points, lam * base.chain.points,
                        atol=1e-7 * lam)
+
+
+@st.composite
+def _relabelled_cases(draw):
+    """A table, a seeded repeat-free itinerary with anchors, and an order of
+    its subspaces.  Random tables have 2-4 subspaces of one codimension in
+    dimension 2-4."""
+    table = draw(st.sampled_from(["random", "planes3d", "four_body"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if table == "planes3d":
+        arr = planes3d()
+    elif table == "four_body":
+        arr = fourbody()
+    else:
+        dim = int(rng.integers(2, 5))
+        sub = int(rng.integers(1, dim))
+        arr = Arrangement(dim, tuple(
+            Subspace.from_spanning(f"S{i}", rng.standard_normal((sub, dim)), dim)
+            for i in range(int(rng.integers(2, 5)))))
+    n = len(arr.subspaces)
+    labels = [int(rng.integers(n))]
+    for _ in range(int(rng.integers(0, 5))):
+        labels.append((labels[-1] + int(rng.integers(1, n))) % n)
+    A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
+    order = draw(st.permutations(range(n)))
+    return arr, Itinerary(tuple(labels)), A, B, order
+
+
+def _outcome(arr, itin, A, B):
+    try:
+        return minimize(arr, itin, A, B)
+    except PACKAGE_ERRORS as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_relabelled_cases())
+def test_relabelling_subspaces(case):
+    """Listing the subspaces in another order, with the itinerary renamed to
+    match, changes no solve."""
+    arr, itin, A, B, order = case
+    moved = Arrangement(arr.dim, tuple(arr.subspaces[i] for i in order))
+    rename = {old: new for new, old in enumerate(order)}
+    base = _outcome(arr, itin, A, B)
+    other = _outcome(moved, Itinerary(tuple(rename[i] for i in itin.indices)), A, B)
+    if isinstance(base, type):
+        assert other is base
+        return
+    scale = float(np.linalg.norm(B - A))
+    assert other.classification is base.classification
+    assert other.value == pytest.approx(base.value, rel=1e-12)
+    assert np.abs(other.chain.points - base.chain.points).max() <= 1e-9 * scale

@@ -22,7 +22,7 @@ def test_smoothed_kernel_matches_finite_differences(request, name, mu2):
     rng = np.random.default_rng(7)
     itin = Itinerary((0, 1, 0))
     A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
-    problem = _StackedProblem(arr, itin, A, B)
+    problem = _StackedProblem(arr.bases_of(itin), A, B)
     x = rng.normal(size=problem.k * problem.m)
     value, grad, H = problem.derivatives(x, mu2)
     edges = np.diff(np.vstack([A, problem.points_of(x), B]), axis=0)
@@ -41,7 +41,7 @@ def test_smoothed_kernel_at_coincident_vertices(request, name):
     arr = request.getfixturevalue(name)
     rng = np.random.default_rng(3)
     A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
-    problem = _StackedProblem(arr, Itinerary((0, 1)), A, B)
+    problem = _StackedProblem(arr.bases_of(Itinerary((0, 1))), A, B)
     x = np.zeros(problem.k * problem.m)
     mu2 = 1e-3
     value, grad, H = problem.derivatives(x, mu2)

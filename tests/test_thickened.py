@@ -85,6 +85,13 @@ def test_simulate_single_bounce(mirror_table):
     assert e.v_after[1] == pytest.approx(-e.v_before[1], abs=1e-14)
 
 
+@pytest.mark.parametrize("p, v", [([0.0, 1.0], [math.nan, 1.0]),
+                                  ([math.inf, 1.0], [1.0, 0.0])])
+def test_simulate_rejects_a_non_finite_start(mirror_table, p, v):
+    with pytest.raises(InputError, match="finite"):
+        simulate(mirror_table, p, v)
+
+
 def test_simulate_two_lines_bounce_bound(twolines_arr):
     # small thickening of two lines at pi/3: at most 4 bounces
     table = ThickenedTable(twolines_arr, 1e-3)
