@@ -9,9 +9,12 @@ of soft length f = sqrt(r^2 + mu^2) and direction n contributes the quadratic
 form |η - <η, n> n|^2 / f in the difference η of its endpoint variations, so
 the ambient Hessian is block-tridiagonal with weights (I - n n^T) / f.  The
 solver, the Hessian model and the thickened wall polish reduce it to their own
-coordinates.  At a critical point (mu = 0) this reproduces the normal form with
-diagonal weights β_i = 1/r_{i-1,i} + 1/r_{i,i+1} and contraction factors that
-make the preconditioned matrix I minus a sub-unit-norm coupling.
+coordinates.  ``HessianModel`` is one exact (mu = 0) pass of it at a chain:
+the edge lengths, the coincidence test, the edge terms and their reduction to
+stacked coordinates; ``gradient``, ``hessian`` and the solver's classification
+all read that one model.  At a critical point this reproduces the normal
+form with diagonal weights β_i = 1/r_{i-1,i} + 1/r_{i,i+1} and contraction
+factors that make the preconditioned matrix I minus a sub-unit-norm coupling.
 """
 
 from __future__ import annotations
@@ -91,14 +94,6 @@ def action(A, chain_points, B) -> float:
     return _path_value(_point_list(A, chain_points, B))
 
 
-def _edges(pts: np.ndarray, scale: float, coincidence_tol: float):
-    diffs = np.diff(pts, axis=0)
-    lengths = np.linalg.norm(diffs, axis=1)
-    if np.any(lengths <= coincidence_tol * scale):
-        raise NonSmoothPoint("consecutive path points coincide")
-    return diffs / lengths[:, None], lengths
-
-
 def _path_value(pts: np.ndarray, mu2: float = 0.0) -> float:
     """Smoothed length sum_e sqrt(r_e^2 + mu2) of the point list."""
     edges = pts[1:] - pts[:-1]
@@ -157,29 +152,6 @@ def _stacked_derivatives(bases: np.ndarray, pts: np.ndarray, mu2: float = 0.0):
     return (value, *_stacked(bases, grad, diag, off))
 
 
-def _normal_form_min_eig(H: np.ndarray, alpha: np.ndarray) -> float:
-    """Smallest eigenvalue of H x = λ G x, with G block-diagonal of the
-    vertex Grams G_i = I - α_i α_i^T, for the stacked Hessian H (k*m, k*m)
-    and tangential coordinates α (k, m); inf for an empty chain space.
-
-    Taken as eigvalsh(G^{-1/2} H G^{-1/2}) with the closed form
-    G_i^{-1/2} = I + c_i α_i α_i^T, c_i = ((1 - |α_i|^2)^{-1/2} - 1) / |α_i|^2
-    = 1 / (s_i (1 + s_i)) for s_i = sqrt(1 - |α_i|^2), which needs no
-    division by |α_i|.  Raises NonSmoothPoint where some |α_i| >= 1.
-    """
-    if H.size == 0:
-        return math.inf
-    if np.any(np.linalg.norm(alpha, axis=1) >= 1.0):
-        raise NonSmoothPoint("per-vertex norm degenerate: |a_i| >= 1")
-    k, m = alpha.shape
-    s = np.sqrt(1.0 - (alpha * alpha).sum(axis=1))
-    root = np.eye(m) + (1.0 / (s * (1.0 + s)))[:, None, None] \
-        * alpha[:, :, None] * alpha[:, None, :]
-    blocks = H.reshape(k, m, k, m).transpose(0, 2, 1, 3)
-    scaled = (root[:, None] @ blocks @ root[None, :]).transpose(0, 2, 1, 3)
-    return float(np.linalg.eigvalsh(scaled.reshape(k * m, k * m))[0])
-
-
 def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
              coincidence_tol: float = COINCIDENCE_TOL) -> np.ndarray:
     """Intrinsic gradient (k, m) of the path length at the chain.
@@ -187,14 +159,8 @@ def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
     Row i is B_i (n(q_i, q_{i-1}) - n(q_{i+1}, q_i)); all rows vanish
     exactly when the tangential-momentum law holds at every vertex.
     """
-    A = _as_vector(A, arr.dim, "anchor A")
-    B = _as_vector(B, arr.dim, "anchor B")
-    pts = _point_list(A, chain.points, B)
-    scale = max(float(np.linalg.norm(B - A)), 1e-300)
-    units, _ = _edges(pts, scale, coincidence_tol)
-    # units[j] is the incoming edge direction at vertex j+1, units[j+1]
-    # the outgoing one; their difference is the ambient derivative
-    return _to_coords(arr.bases_of(itinerary), units[:-1] - units[1:])
+    model = hessian(arr, itinerary, A, chain, B, coincidence_tol)
+    return model.gradient.reshape(model.bases.shape[:2])
 
 
 def gradient_stacked(arr, itinerary, A, chain, B, **kw) -> np.ndarray:
@@ -217,12 +183,15 @@ class HessianModel:
                  coincidence_tol: float = COINCIDENCE_TOL):
         self.chain = chain
         pts = _point_list(A, chain.points, B)
-        scale = max(float(np.linalg.norm(pts[-1] - pts[0])), 1e-300)
-        units, lengths = _edges(pts, scale, coincidence_tol)
+        edges, lengths = _edge_lengths(pts)
+        scale = max(float(np.linalg.norm(pts[-1] - pts[0])), 1e-30)
+        if np.any(lengths <= coincidence_tol * scale):
+            raise NonSmoothPoint("consecutive path points coincide")
+        _, units, grad, diag, off = _edge_terms(edges, lengths)
         self.unit_edges = units            # (k+1, dim)
         self.edge_lengths = lengths        # (k+1,)
         self.bases = arr.bases_of(itinerary)   # (k, m, dim)
-        _, self.gradient, self.matrix = _stacked_derivatives(self.bases, pts)
+        self.gradient, self.matrix = _stacked(self.bases, grad, diag, off)
 
         # β_i = 1/r_{i-1,i} + 1/r_{i,i+1}
         self.betas = 1.0 / lengths[:-1] + 1.0 / lengths[1:]
@@ -286,8 +255,28 @@ class HessianModel:
         return np.linalg.solve(G, self.matrix)
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of M (generalized problem H x = μ G x)."""
-        return _normal_form_min_eig(self.matrix, _to_coords(self.bases, self.a_in))
+        """Smallest eigenvalue of M: the generalized problem H x = μ G x for
+        G = ``gram()``, with the vertex Grams G_i = I - α_i α_i^T over the
+        coordinates α_i of a_i; inf for an empty chain space.
+
+        Taken as eigvalsh(G^{-1/2} H G^{-1/2}) with the closed form
+        G_i^{-1/2} = I + c_i α_i α_i^T, c_i = ((1 - |α_i|^2)^{-1/2} - 1) / |α_i|^2
+        = 1 / (s_i (1 + s_i)) for s_i = sqrt(1 - |α_i|^2), which needs no
+        division by |α_i|.  Raises NonSmoothPoint where some |α_i| >= 1.
+        """
+        H = self.matrix
+        if H.size == 0:
+            return math.inf
+        alpha = _to_coords(self.bases, self.a_in)
+        if np.any(np.linalg.norm(alpha, axis=1) >= 1.0):
+            raise NonSmoothPoint("per-vertex norm degenerate: |a_i| >= 1")
+        k, m = alpha.shape
+        s = np.sqrt(1.0 - (alpha * alpha).sum(axis=1))
+        root = np.eye(m) + (1.0 / (s * (1.0 + s)))[:, None, None] \
+            * alpha[:, :, None] * alpha[:, None, :]
+        blocks = H.reshape(k, m, k, m).transpose(0, 2, 1, 3)
+        scaled = (root[:, None] @ blocks @ root[None, :]).transpose(0, 2, 1, 3)
+        return float(np.linalg.eigvalsh(scaled.reshape(k * m, k * m))[0])
 
     def symmetry_defect(self) -> float:
         H = self.matrix

@@ -192,8 +192,10 @@ def cmd_thicken(args) -> int:
     out = _out_dir(args)
     opts = _solver_options(args)
     if args.simulate:
-        p = _parse_vector(args.simulate.split(";")[0])
-        v = _parse_vector(args.simulate.split(";")[1])
+        parts = args.simulate.split(";")
+        if len(parts) != 2:
+            raise InputError(f"--simulate takes 'p;v', got {args.simulate!r}")
+        p, v = map(_parse_vector, parts)
         if not np.linalg.norm(v) > 0.0:
             raise InputError("simulation direction must be nonzero")
         v = v / np.linalg.norm(v)

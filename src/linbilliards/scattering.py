@@ -224,6 +224,29 @@ def _patch_tangents(patch: RelationPatch, ia, ib, fields):
     return tangents
 
 
+def _interior_stencils(patch: RelationPatch, fields):
+    """(sample, tangents) at every interior node of the patch whose sample
+    and central-difference stencil (``_patch_tangents`` of ``fields``) are
+    all present; raises InputError once the walk has found none."""
+    found = False
+    for ia in patch.grid_A.indices():
+        if not patch.grid_A.is_interior(ia):
+            continue
+        for ib in patch.grid_B.indices():
+            if not patch.grid_B.is_interior(ib):
+                continue
+            node = patch.sample(ia, ib)
+            if node is None:
+                continue
+            tangents = _patch_tangents(patch, ia, ib, fields)
+            if tangents is None:
+                continue
+            found = True
+            yield node, tangents
+    if not found:
+        raise InputError("patch has no interior node with a full stencil")
+
+
 def lagrangian_residual(patch: RelationPatch) -> float:
     """Max of the product symplectic form on finite-difference tangent pairs.
 
@@ -232,32 +255,14 @@ def lagrangian_residual(patch: RelationPatch) -> float:
     relation swept out by the solved trajectories, so the sampled residual is
     pure truncation: O(spacing^2) for central differences.
     """
-    got_interior = False
     worst = 0.0
-
-    def fields(s: RelationSample):
-        return (s.vA, s.vB)
-
-    for ia in patch.grid_A.indices():
-        if not patch.grid_A.is_interior(ia):
-            continue
-        for ib in patch.grid_B.indices():
-            if not patch.grid_B.is_interior(ib):
-                continue
-            if patch.sample(ia, ib) is None:
-                continue
-            tangents = _patch_tangents(patch, ia, ib, fields)
-            if tangents is None:
-                continue
-            got_interior = True
-            for t1, t2 in itertools.combinations(tangents, 2):
-                dA1, dB1, dvA1, dvB1 = t1
-                dA2, dB2, dvA2, dvB2 = t2
-                omega_A = np.dot(dA1, dvA2) - np.dot(dA2, dvA1)
-                omega_B = np.dot(dB1, dvB2) - np.dot(dB2, dvB1)
-                worst = max(worst, abs(omega_B - omega_A))
-    if not got_interior:
-        raise InputError("patch has no interior node with a full stencil")
+    for _, tangents in _interior_stencils(patch, lambda s: (s.vA, s.vB)):
+        for t1, t2 in itertools.combinations(tangents, 2):
+            dA1, dB1, dvA1, dvB1 = t1
+            dA2, dB2, dvA2, dvB2 = t2
+            omega_A = np.dot(dA1, dvA2) - np.dot(dA2, dvA1)
+            omega_B = np.dot(dB1, dvB2) - np.dot(dB2, dvB1)
+            worst = max(worst, abs(omega_B - omega_A))
     return worst
 
 
@@ -272,31 +277,12 @@ def legendrian_theta_residual(patch: RelationPatch, allow_short: bool = False) -
     if patch.itinerary is not None and len(patch.itinerary) <= 1 and not allow_short:
         raise PreconditionError(
             "Legendrian statement needs itinerary length > 1 (allow_short to override)")
-    got_interior = False
     worst = 0.0
-
-    def fields(s: RelationSample):
-        return (s.ell_minus.v, s.ell_plus.v)
-
-    for ia in patch.grid_A.indices():
-        if not patch.grid_A.is_interior(ia):
-            continue
-        for ib in patch.grid_B.indices():
-            if not patch.grid_B.is_interior(ib):
-                continue
-            node = patch.sample(ia, ib)
-            if node is None:
-                continue
-            tangents = _patch_tangents(patch, ia, ib, fields)
-            if tangents is None:
-                continue
-            got_interior = True
-            for _, _, dv_minus, dv_plus in tangents:
-                theta = (np.dot(node.ell_minus.Q, dv_minus)
-                         - np.dot(node.ell_plus.Q, dv_plus))
-                worst = max(worst, abs(theta))
-    if not got_interior:
-        raise InputError("patch has no interior node with a full stencil")
+    for node, tangents in _interior_stencils(patch, lambda s: (s.ell_minus.v, s.ell_plus.v)):
+        for _, _, dv_minus, dv_plus in tangents:
+            theta = (np.dot(node.ell_minus.Q, dv_minus)
+                     - np.dot(node.ell_plus.Q, dv_plus))
+            worst = max(worst, abs(theta))
     return worst
 
 

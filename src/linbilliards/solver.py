@@ -51,9 +51,9 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, intersection_basis
-from .action import (Chain, _edge_lengths, _edge_terms, _normal_form_min_eig, _path_value,
-                     _stacked, _stacked_derivatives, _to_coords, _to_points, action)
+from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, _project, intersection_basis
+from .action import (Chain, HessianModel, _edge_lengths, _path_value, _stacked_derivatives,
+                     _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _chain_is_generic
 
@@ -110,17 +110,9 @@ def initial_chain_chord(arr: Arrangement, itinerary: Itinerary, A, B) -> Chain:
     """Default start: project equally spaced chord points onto their subspaces."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    k = len(itinerary)
-    pts = []
-    for i in range(1, k + 1):
-        s = i / (k + 1)
-        pts.append(arr.subspaces[itinerary[i - 1]].project((1 - s) * A + s * B))
-    return Chain.from_points(arr, itinerary, np.array(pts))
-
-
-def _gaps(pts: np.ndarray) -> np.ndarray:
-    """Edge lengths of the point list A, q_1..q_k, B."""
-    return np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+    s = np.arange(1, len(itinerary) + 1) / (len(itinerary) + 1)
+    chord = (1 - s)[:, None] * A + s[:, None] * B
+    return Chain.from_points(arr, itinerary, _project(arr.bases_of(itinerary), chord))
 
 
 def _collapsing_runs(gaps: np.ndarray, detect: float) -> list[tuple[int, int]]:
@@ -282,7 +274,7 @@ def _warm_polish(problem, x, tol, detect, max_iters):
     noise that finite differences over a patch divide by the spacing.  It is
     accepted once the gradient meets tol, with every gap still above detect.
     """
-    shortest = _gaps(problem._point_list(x)).min()
+    shortest = _edge_lengths(problem._point_list(x))[1].min()
     if not shortest > detect:
         return None
     start = problem.derivatives(x, 0.0)
@@ -293,7 +285,7 @@ def _warm_polish(problem, x, tol, detect, max_iters):
         x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
         _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start, first_step=step)
     if grad_norm > tol * max(1.0, value) or \
-            _gaps(problem._point_list(x)).min() <= detect:
+            _edge_lengths(problem._point_list(x))[1].min() <= detect:
         return None
     return x, value
 
@@ -340,7 +332,7 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
         if polished is None:
             return None
         y = polished[0]
-    elif _gaps(reduced._point_list(y)).min() <= floor:
+    elif _edge_lengths(reduced._point_list(y))[1].min() <= floor:
         return None
     return reduced.points_of(y)[np.cumsum(keep) - 1]
 
@@ -485,6 +477,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     Uniqueness of the minimum is a theorem for anchors off the collision
     locus; this routine verifies nothing global by itself (see multistart) but
     converges to the minimum by smoothed-Newton continuation from any start.
+
+    A ghost's classification and value are reproducible, but its chain need
+    not be: when a free vertex sits between two collapsed runs inside its own
+    subspace, it slides along the segment between them at constant length,
+    and the returned chain is one point of that minimizing segment, which
+    depends on the start and on the stage whose certificate held.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -535,7 +533,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                                partial(problem.value, mu2=mu2), _add_step,
                                1e-9, STEP_TOL, max_iters=40)
         iterations += 1
-        gaps = _gaps(problem._point_list(x))
+        gaps = _edge_lengths(problem._point_list(x))[1]
         if gaps.min() > 1e4 * mu:
             break
         if gaps[1:-1].min(initial=math.inf) <= CERT_WINDOW * mu:
@@ -570,38 +568,35 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
 
 def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
               value: float, iterations: int) -> MinimizeResult:
-    """Classify the solved chain in one pass over the itinerary's stacked
-    bases: one kernel evaluation gives the gaps, unit edges, tangential
-    coordinates, gradient and Hessian.  The anchors' locus test of
-    genericity is minimize's precondition and is not repeated."""
+    """Classify the solved chain from one HessianModel, the exact kernel pass
+    at the chain: its coincidence test is the ghost test, and its unit edges,
+    tangential projections a_in / a_out, gradient and normal-form eigenvalue
+    give the rest.  The anchors' locus test of genericity is minimize's
+    precondition and is not repeated."""
     scale = float(np.linalg.norm(B - A))
     points = chain.points
-    edges, gaps = _edge_lengths(np.vstack([A[None, :], points, B[None, :]]))
 
     def done(cls, grad_norm, traj=None, eig=None, msg=""):
         return MinimizeResult(chain, value, grad_norm, cls, traj, eig, iterations, msg)
 
-    if np.any(gaps <= opts.coincidence_tol * max(scale, 1e-30)):
+    try:
+        model = HessianModel(arr, itinerary, A, chain, B, opts.coincidence_tol)
+    except NonSmoothPoint:
         return done(Classification.GHOST, math.nan,
                     msg="consecutive vertices collapse; minimizer leaves the trajectory space")
 
-    # past the ghost test every edge is long enough for the exact kernel
-    bases = arr.bases_of(itinerary)
-    _, units, grad, diag, off = _edge_terms(edges, gaps)
-    grad, H = _stacked(bases, grad, diag, off)
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = float(np.linalg.norm(model.gradient))
     # an edge lies inside its vertex's subspace when it equals its projection
-    a_in = _to_points(bases, _to_coords(bases, units[:-1]))
-    a_out = _to_points(bases, _to_coords(bases, units[1:]))
-    inside = np.minimum(np.linalg.norm(units[:-1] - a_in, axis=1),
-                        np.linalg.norm(units[1:] - a_out, axis=1)) <= opts.edge_tol
+    units = model.unit_edges
+    inside = np.minimum(np.linalg.norm(units[:-1] - model.a_in, axis=1),
+                        np.linalg.norm(units[1:] - model.a_out, axis=1)) <= opts.edge_tol
     if inside.any():
         j = int(np.argmax(inside))
         return done(Classification.EDGE_IN_SUBSPACE, grad_norm,
                     msg=f"an edge at vertex {j + 1} lies inside "
                         f"{arr.subspaces[itinerary[j]].name}")
 
-    if not _chain_is_generic(arr, bases, A, points, B,
+    if not _chain_is_generic(arr, model.bases, A, points, B,
                              MEMBERSHIP_TOL * max(1.0, scale)):
         return done(Classification.NON_GENERIC_RAY, grad_norm,
                     msg="configuration violates genericity (adjacent membership or ray recrossing)")
@@ -609,8 +604,7 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
     traj = BilliardTrajectory(A, B, points, itinerary)
     eig = None
     try:
-        # over the coordinates of a_in, as in HessianModel.min_eigenvalue
-        eig = _normal_form_min_eig(H, _to_coords(bases, a_in))
+        eig = model.min_eigenvalue()
     except NonSmoothPoint:
         # |a_i| can round to 1 for an edge just outside edge_tol, where the
         # per-vertex norm degenerates

@@ -167,7 +167,8 @@ def test_non_numeric_arrangement_values_are_a_usage_error(tmp_path, entry):
     assert code == 64
 
 
-@pytest.mark.parametrize("simulate", ["0,1;nan,1", "nan,1;1,-1", "0,1;0,0"])
+@pytest.mark.parametrize("simulate", ["0,1;nan,1", "nan,1;1,-1", "0,1;0,0", "0,1",
+                                      "0,1;1,-1;3"])
 def test_thicken_rejects_a_non_finite_or_zero_start(tmp_path, mirror_json, simulate):
     out = tmp_path / "sim"
     code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",

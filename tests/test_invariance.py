@@ -124,3 +124,22 @@ def test_relabelling_subspaces(case):
     assert other.classification is base.classification
     assert other.value == pytest.approx(base.value, rel=1e-12)
     assert np.abs(other.chain.points - base.chain.points).max() <= 1e-9 * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_relabelled_cases())
+def test_reversal_on_random_tables(case):
+    """Reversal on the random codim tables, planes3d and the four-body table
+    with itineraries of length 1-5.  Ghost chains need not be unique, so only
+    valid chains are compared."""
+    arr, itin, A, B, _ = case
+    base = _outcome(arr, itin, A, B)
+    back = _outcome(arr, Itinerary(tuple(reversed(itin.indices))), B, A)
+    if isinstance(base, type):
+        assert back is base
+        return
+    assert not isinstance(back, type)
+    assert back.classification is base.classification
+    assert back.value == pytest.approx(base.value, rel=1e-10)
+    if base.is_valid:
+        assert np.allclose(back.chain.points, base.chain.points[::-1], atol=1e-7)

@@ -67,6 +67,8 @@ def test_unrealizable_selection_gives_empty_patch(twolines_arr):
     assert patch.valid_fraction() == 0.0
     with pytest.raises(InputError):
         lagrangian_residual(patch)
+    with pytest.raises(InputError):
+        legendrian_theta_residual(patch)
 
 
 def test_lagrangian_residual_mirror_small(mirror_arr):
