@@ -22,7 +22,7 @@ from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
 from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import SolverOptions, minimize
 from .symmetry import RotationGenerator
-from .trajectory import BilliardTrajectory, reflection_residual
+from .trajectory import BilliardTrajectory, max_reflection_residual
 
 
 @dataclass(frozen=True)
@@ -279,9 +279,7 @@ def cross_validate_slice(s: ScatterSlice, sample_budget: int = 100,
         B = sys.embed(B_cfg)
         chain = np.array([sys.embed(x1), sys.embed(x2)])
         traj = BilliardTrajectory(A, B, chain, itin)
-        res = max(reflection_residual(arr, traj, 1)[1],
-                  reflection_residual(arr, traj, 2)[1])
-        worst_residual = max(worst_residual, res)
+        worst_residual = max(worst_residual, max_reflection_residual(arr, traj))
         try:
             result = minimize(arr, itin, A, B, opts)
         except PACKAGE_ERRORS:

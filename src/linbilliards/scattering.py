@@ -18,15 +18,12 @@ import numpy as np
 from .arrangement import Arrangement, Itinerary
 from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import MinimizeResult, SolverOptions, minimize
-from .trajectory import BilliardTrajectory, OrientedLine
+from .trajectory import BilliardTrajectory, OrientedLine, boundary_lines
 
 
 def reduce_line(A, vA) -> OrientedLine:
     """Quotient a pointed ray (A, vA) to its oriented line (v, Q), Q ⊥ v."""
-    vA = np.asarray(vA, dtype=float)
-    if abs(np.linalg.norm(vA) - 1.0) > 1e-9:
-        raise InputError("direction must be a unit vector")
-    return OrientedLine.through(np.asarray(A, dtype=float), vA)
+    return OrientedLine.through(A, vA)
 
 
 @dataclass(frozen=True)
@@ -44,11 +41,8 @@ class RelationSample:
     def from_result(cls, result: MinimizeResult, A, B) -> "RelationSample":
         traj = result.trajectory
         edges = traj.edge_velocities
-        vA, vB = edges[0], edges[-1]
-        # the boundary lines of the trajectory, from the same edge directions
-        lm, lp = OrientedLine.through(traj.A, vA), OrientedLine.through(traj.B, vB)
-        return cls(np.asarray(A, float), np.asarray(B, float), vA, vB,
-                   lm, lp, traj.chain.copy(), result.value)
+        return cls(np.asarray(A, float), np.asarray(B, float), edges[0], edges[-1],
+                   *boundary_lines(traj), traj.chain.copy(), result.value)
 
 
 @dataclass(frozen=True)
@@ -184,43 +178,28 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
     return RelationPatch(arr, itinerary, grid_A, grid_B, samples)
 
 
-def _axis_list(patch: RelationPatch):
-    """All grid axes of the combined (A, B) parameter space as
-    (side, axis index, spacing, ambient direction)."""
-    axes = []
-    for j in range(patch.grid_A.axes.shape[0]):
-        axes.append(("A", j, patch.grid_A.spacing, patch.grid_A.axes[j]))
-    for j in range(patch.grid_B.axes.shape[0]):
-        axes.append(("B", j, patch.grid_B.spacing, patch.grid_B.axes[j]))
-    return axes
-
-
-def _shift(ia, ib, side, j, delta):
-    if side == "A":
-        ia = tuple(v + (delta if t == j else 0) for t, v in enumerate(ia))
-    else:
-        ib = tuple(v + (delta if t == j else 0) for t, v in enumerate(ib))
-    return ia, ib
-
-
 def _patch_tangents(patch: RelationPatch, ia, ib, fields):
     """Central-difference tangent vectors of the sample fields at a node.
 
     ``fields`` maps a RelationSample to a tuple of vectors; returns one
-    tangent tuple per grid axis (plus the exact anchor variations), or None
-    if any needed neighbor is absent.
+    tangent tuple per grid axis, the A-axes first (plus the exact anchor
+    variations), or None if any needed neighbor is absent.
     """
     tangents = []
-    for side, j, spacing, direction in _axis_list(patch):
-        plus = patch.sample(*_shift(ia, ib, side, j, +1))
-        minus = patch.sample(*_shift(ia, ib, side, j, -1))
-        if plus is None or minus is None:
-            return None
-        dA = direction if side == "A" else np.zeros_like(direction)
-        dB = direction if side == "B" else np.zeros_like(direction)
-        diffs = tuple((fp - fm) / (2.0 * spacing)
-                      for fp, fm in zip(fields(plus), fields(minus)))
-        tangents.append((dA, dB) + diffs)
+    for side, grid in enumerate((patch.grid_A, patch.grid_B)):
+        for j, direction in enumerate(grid.axes):
+            stencil = []
+            for delta in (+1, -1):
+                node = [ia, ib]
+                node[side] = tuple(v + (delta if t == j else 0) for t, v in enumerate(node[side]))
+                stencil.append(patch.sample(*node))
+            plus, minus = stencil
+            if plus is None or minus is None:
+                return None
+            zero = np.zeros_like(direction)
+            diffs = tuple((fp - fm) / (2.0 * grid.spacing)
+                          for fp, fm in zip(fields(plus), fields(minus)))
+            tangents.append(((direction, zero) if side == 0 else (zero, direction)) + diffs)
     return tangents
 
 

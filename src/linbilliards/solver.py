@@ -52,8 +52,8 @@ import numpy as np
 import scipy.linalg
 
 from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, _project, intersection_basis
-from .action import (Chain, HessianModel, _edge_lengths, _path_value, _stacked_derivatives,
-                     _to_coords, _to_points, action)
+from .action import (Chain, HessianModel, _edge_lengths, _path_value, _point_list,
+                     _stacked_derivatives, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _chain_is_generic
 
@@ -403,12 +403,12 @@ def _multipliers_certify(problem, points, runs, start):
     affine set until every norm meets it.
     """
     k, m, dim = problem.bases.shape
-    edges = np.diff(np.vstack([problem.A, points, problem.B]), axis=0)
+    edges, lengths = _edge_lengths(_point_list(problem.A, points, problem.B))
     shut = np.zeros(k + 1, dtype=bool)
     for a, b in runs:
         shut[a + 1:b] = True
     u = np.zeros_like(edges)
-    u[~shut] = edges[~shut] / np.linalg.norm(edges[~shut], axis=1)[:, None]
+    u[~shut] = edges[~shut] / lengths[~shut][:, None]
     # residual of the vertex equations without the collapsed edges, and
     # their coefficients: edge e enters vertex e and leaves vertex e - 1
     fixed = _to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)

@@ -107,10 +107,9 @@ def conservation_report(arr: Arrangement, traj: BilliardTrajectory,
     for g, gen in enumerate(gens):
         for e in range(k + 1):
             values[g, e] = angular_momentum(gen, pts[e], edges[e])
+        # J on the edge leaving vertex j + 1 minus J on the edge entering it
         for j in range(k):
-            before = angular_momentum(gen, traj.chain[j], edges[j])
-            after = angular_momentum(gen, traj.chain[j], edges[j + 1])
-            jumps[g, j] = after - before
+            jumps[g, j] = values[g, j + 1] - angular_momentum(gen, traj.chain[j], edges[j])
     max_jump = float(np.max(np.abs(jumps))) if jumps.size else 0.0
     return ConservationReport(lin, jumps, values, lin_dev, max_jump)
 

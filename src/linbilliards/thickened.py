@@ -19,12 +19,14 @@ import numpy as np
 from .arrangement import (Arrangement, Itinerary, Subspace, _as_vector, _line_tube, _perp,
                           _project, _row_dot, orthonormalize)
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
-from .action import _path_kernel, _path_value, _point_list
+from .action import _path_kernel, _point_list, action
 from .solver import SolverOptions, _damped_newton, minimize
-from .trajectory import TRANSVERSE_TOL, is_transverse
+from .trajectory import TRANSVERSE_TOL, BilliardTrajectory, is_transverse
 
 CORNER_TOL = 1e-9
 GRAZING_DISC = 1e-14
+# projected-gradient/Newton rounds of minimize_thickened before it gives up
+MAX_PHASES = 40
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,7 @@ def _perp_basis(sub: Subspace, omega: np.ndarray) -> np.ndarray:
 
 
 def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
-                       opts: SolverOptions = SolverOptions(),
-                       max_phases: int = 40) -> ThickenedMinimizeResult:
+                       opts: SolverOptions = SolverOptions()) -> ThickenedMinimizeResult:
     """Minimize the path length with each vertex confined to its solid cylinder.
 
     Projected gradient with backtracking makes global progress on the convex
@@ -230,9 +231,6 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
     radii = table.radii[list(itinerary)]
     scale = max(float(np.linalg.norm(B - A)), table.r)
 
-    def length(pts):
-        return _path_value(_point_list(A, pts, B))
-
     def on_walls(pts):
         w = _perp(bases, pts)
         return (np.abs(np.sqrt(_row_dot(w, w)) - radii) <= 1e-6 * radii).tolist()
@@ -248,11 +246,11 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
 
     # start from the projection of the straight chord into the cylinders
     points = project(A + (np.arange(1, k + 1) / (k + 1))[:, None] * (B - A))
-    value = length(points)
+    value = action(A, points, B)
     step = 1.0
     kkt = math.inf
     prev_kkt = math.inf
-    for phase in range(max_phases):
+    for phase in range(MAX_PHASES):
         # -- projected gradient phase
         for _ in range(200):
             _, grad, _, _ = _path_kernel(_point_list(A, points, B))
@@ -260,7 +258,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
             moved = False
             for _ in range(60):
                 cand = project(points - trial_step * grad)
-                cand_val = length(cand)
+                cand_val = action(A, cand, B)
                 decrease = value - cand_val
                 move2 = float(np.sum((cand - points) ** 2))
                 if decrease >= 1e-4 * move2 / max(trial_step, 1e-300):
@@ -332,7 +330,7 @@ class _WallProblem:
         self.offs = np.cumsum([0] + [self.dim - bool(on) for on in active])
 
     def value(self, pts) -> float:
-        return _path_value(_point_list(self.A, pts, self.B))
+        return action(self.A, pts, self.B)
 
     def frame(self, pts):
         """Wall normals and perp-sphere tangent bases (codim - 1 rows each)
@@ -414,8 +412,9 @@ def curve_shorten(table: ThickenedTable, itinerary: Itinerary, A, chain_points, 
     Works in the plane of the vertex triangle: both incident edges exit the
     cylinder (their far endpoints must lie outside it), and the replacement
     point is taken on the wall along the bisecting chord, inside the triangle.
-    Vertex j must lie on the subspace itinerary[j].  Returns (new chain,
-    list of path lengths after each replacement).
+    Vertex j must lie on the subspace itinerary[j], and consecutive points
+    must differ (InputError otherwise).  Returns (new chain, list of path
+    lengths after each replacement).
     """
     arr = table.arrangement
     itinerary.validate_against(arr)
@@ -425,15 +424,12 @@ def curve_shorten(table: ThickenedTable, itinerary: Itinerary, A, chain_points, 
     if chain_points.shape != (len(itinerary), arr.dim):
         raise InputError("one chain point per itinerary entry required")
     radii = table.radii
-    traj_pts = np.vstack([A[None, :], chain_points, B[None, :]])
-    diffs = np.diff(traj_pts, axis=0)
-    units = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-    for j in range(len(itinerary)):
-        if np.linalg.norm(units[j + 1] - units[j]) <= TRANSVERSE_TOL:
-            raise PreconditionError(f"vertex {j + 1} is internal; chain must be transverse")
+    traj = BilliardTrajectory(A, B, chain_points, itinerary)
+    if not is_transverse(traj):
+        raise PreconditionError("internal vertex; chain must be transverse")
 
-    current = traj_pts.copy()
-    lengths = [float(np.sum(np.linalg.norm(np.diff(current, axis=0), axis=1)))]
+    current = traj.points.copy()
+    lengths = [traj.length]
     for j, idx in enumerate(itinerary):
         sub = arr.subspaces[idx]
         rho = radii[idx]
@@ -463,7 +459,7 @@ def curve_shorten(table: ThickenedTable, itinerary: Itinerary, A, chain_points, 
             raise PreconditionError(
                 "thickening too large: replacement does not shorten the path")
         current[j + 1] = replacement
-        lengths.append(float(np.sum(np.linalg.norm(np.diff(current, axis=0), axis=1))))
+        lengths.append(action(A, current[1:-1], B))
     return current[1:-1], lengths
 
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .action import _edge_lengths, _point_list
 from .arrangement import Arrangement, Itinerary, MEMBERSHIP_TOL, _as_vector, _perp, _row_dot
 from .errors import InputError
 
@@ -55,12 +56,19 @@ class BilliardTrajectory:
 
     ``chain`` holds the collision vertices (k, dim); consecutive points must
     differ so edge directions are defined.  k = 0 encodes free straight motion.
+    The edges are measured once, on construction, by the path-length kernel's
+    own edge pass (``action._edge_lengths``): ``points`` holds every vertex
+    q_0 = A, ..., q_{k+1} = B, ``edge_velocities`` the unit edge directions
+    n_{i,i+1} (k+1, dim) and ``length`` the total length.
     """
 
     A: np.ndarray
     B: np.ndarray
     chain: np.ndarray
     itinerary: Itinerary | None
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_velocities: np.ndarray = field(init=False, repr=False, compare=False)
+    length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -71,29 +79,17 @@ class BilliardTrajectory:
         object.__setattr__(self, "chain", chain)
         if self.itinerary is not None and len(self.itinerary) != len(chain):
             raise InputError("chain length does not match itinerary length")
-        pts = self.points
-        gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        if np.any(gaps == 0.0):
+        pts = _point_list(A, chain, B)
+        edges, lengths = _edge_lengths(pts)
+        if np.any(lengths == 0.0):
             raise InputError("consecutive trajectory points coincide")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "edge_velocities", edges / lengths[:, None])
+        object.__setattr__(self, "length", float(lengths.sum()))
 
     @property
     def k(self) -> int:
         return self.chain.shape[0]
-
-    @property
-    def points(self) -> np.ndarray:
-        """All vertices including anchors: q_0 = A, ..., q_{k+1} = B."""
-        return np.vstack([self.A[None, :], self.chain, self.B[None, :]])
-
-    @property
-    def edge_velocities(self) -> np.ndarray:
-        """Unit edge directions n_{i,i+1}, shape (k+1, dim)."""
-        diffs = np.diff(self.points, axis=0)
-        return diffs / np.linalg.norm(diffs, axis=1, keepdims=True)
-
-    @property
-    def length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.diff(self.points, axis=0), axis=1)))
 
     def to_json_dict(self, arr: Arrangement) -> dict:
         return {
@@ -139,11 +135,8 @@ def max_reflection_residual(arr: Arrangement, traj: BilliardTrajectory) -> float
 
 def is_transverse(traj: BilliardTrajectory, tol: float = TRANSVERSE_TOL) -> bool:
     """No internal vertices: the direction jumps at every collision."""
-    edges = traj.edge_velocities
-    for i in range(traj.k):
-        if np.linalg.norm(edges[i + 1] - edges[i]) <= tol:
-            return False
-    return True
+    jumps = np.diff(traj.edge_velocities, axis=0)
+    return bool(np.all(np.sqrt(_row_dot(jumps, jumps)) > tol))
 
 
 def is_generic(arr: Arrangement, A, chain, B, itinerary: Itinerary,

@@ -225,6 +225,22 @@ def test_deterministic_outputs(tmp_path, twolines_json):
         assert code == 0
         outs.append((out / "realizability.csv").read_bytes())
     assert outs[0] == outs[1]
+    # the artifacts written from a solved trajectory's edges
+    problem = ["--arrangement", str(twolines_json), "--itinerary", "L1,L2",
+               "--A=1.98916641,-0.44632446", "--B=-0.44703404,-5.58316732"]
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["solve", *problem, "--out", str(out / "solve")]) == 0
+        assert main(["thicken", *problem, "--r-list", "1e-1,1e-2,1e-3",
+                     "--out", str(out / "thicken")]) == 0
+        files = [out / "solve" / f for f in ("result.json", "trajectory.json",
+                                              "conservation.csv")]
+        files += [out / "thicken" / "rfamily.csv",
+                  *sorted((out / "thicken").glob("events_*.csv"))]
+        outs.append([(f.name, f.read_bytes()) for f in files])
+    assert len(outs[0]) == 7
+    assert outs[0] == outs[1]
 
 
 def test_usage_error_missing_file(tmp_path):

@@ -143,3 +143,41 @@ def test_reversal_on_random_tables(case):
     assert back.value == pytest.approx(base.value, rel=1e-10)
     if base.is_valid:
         assert np.allclose(back.chain.points, base.chain.points[::-1], atol=1e-7)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 7.5])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_relabelled_cases())
+def test_scaling_on_random_tables(lam, case):
+    """Scaling both anchors by lam on the random codim tables, planes3d and
+    the four-body table scales the value and a valid chain by lam."""
+    arr, itin, A, B, _ = case
+    base = _outcome(arr, itin, A, B)
+    scaled = _outcome(arr, itin, lam * A, lam * B)
+    if isinstance(base, type):
+        assert scaled is base
+        return
+    assert not isinstance(scaled, type)
+    assert scaled.classification is base.classification
+    assert scaled.value == pytest.approx(lam * base.value, rel=1e-10)
+    if base.is_valid:
+        assert np.allclose(scaled.chain.points, lam * base.chain.points, atol=1e-7 * lam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_relabelled_cases(), st.integers(0, 2**32 - 1))
+def test_orthogonal_frame_on_random_tables(case, seed):
+    """A random orthogonal change of frame of the random codim tables,
+    planes3d and the four-body table moves a valid chain with the frame."""
+    arr, itin, A, B, _ = case
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(arr.dim, arr.dim)))
+    base = _outcome(arr, itin, A, B)
+    moved = _outcome(_rotated(arr, Q), itin, Q @ A, Q @ B)
+    if isinstance(base, type):
+        assert moved is base
+        return
+    assert not isinstance(moved, type)
+    assert moved.classification is base.classification
+    assert moved.value == pytest.approx(base.value, rel=1e-10)
+    if base.is_valid:
+        assert np.allclose(moved.chain.points, base.chain.points @ Q.T, atol=1e-7)

@@ -437,3 +437,11 @@ def test_distance_to_wall_is_the_per_subspace_minimum(name, request):
 def test_thickening_radius_must_be_positive_and_finite(mirror_arr, r):
     with pytest.raises(InputError):
         ThickenedTable(mirror_arr, r)
+
+
+def test_curve_shorten_rejects_coincident_points(mirror_table):
+    """A vertex equal to its neighbour has no edge direction: a usage error,
+    not a division by zero."""
+    with pytest.raises(InputError, match="consecutive trajectory points coincide"):
+        curve_shorten(mirror_table, Itinerary((0,)), np.array([0.0, 1.0]),
+                      np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))

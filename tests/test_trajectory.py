@@ -176,3 +176,34 @@ def test_max_residual_on_free_motion(mirror_arr):
     traj = BilliardTrajectory(np.array([0.0, 1.0]), np.array([2.0, 3.0]),
                               np.zeros((0, 2)), None)
     assert max_reflection_residual(mirror_arr, traj) == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stored_edges_match_the_vertex_formulas(dim):
+    """points, edge_velocities and length, measured once on construction,
+    equal the per-access formulas bit for bit, for k = 0 as well."""
+    rng = np.random.default_rng(dim)
+    for k in (0, 1, 2, 5, 17):
+        A, B = rng.normal(size=dim), rng.normal(size=dim)
+        chain = rng.normal(size=(k, dim)) * 3
+        traj = BilliardTrajectory(A, B, chain, None)
+        points = np.vstack([A[None, :], chain, B[None, :]])
+        diffs = np.diff(points, axis=0)
+        units = diffs / np.linalg.norm(diffs, axis=1, keepdims=True)
+        length = float(np.sum(np.linalg.norm(diffs, axis=1)))
+        assert traj.points.tobytes() == points.tobytes()
+        assert traj.edge_velocities.tobytes() == units.tobytes()
+        assert traj.length.hex() == length.hex()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_max_residual_is_the_max_of_the_vertex_residuals(dim):
+    rng = np.random.default_rng(10 + dim)
+    arr = Arrangement(dim, tuple(
+        Subspace.from_spanning(f"S{i}", rng.normal(size=(1, dim)), dim) for i in range(3)))
+    for k in (1, 2, 6):
+        itin = Itinerary(tuple(i % 3 for i in range(k)))
+        traj = BilliardTrajectory(rng.normal(size=dim), rng.normal(size=dim),
+                                  rng.normal(size=(k, dim)), itin)
+        per_vertex = [reflection_residual(arr, traj, i)[1] for i in range(1, k + 1)]
+        assert max_reflection_residual(arr, traj) == max(per_vertex)
