@@ -52,8 +52,8 @@ import numpy as np
 import scipy.linalg
 
 from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, _project, intersection_basis
-from .action import (Chain, HessianModel, _edge_lengths, _path_value, _point_list,
-                     _stacked_derivatives, _to_coords, _to_points, action)
+from .action import (Chain, HessianModel, _edge_lengths, _edge_terms, _point_list, _stacked,
+                     _to_coords, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _chain_is_generic
 
@@ -131,10 +131,15 @@ class _StackedProblem:
     exact path length (with its exact derivatives at smooth points).  Smooth
     and convex for mu > 0 regardless of vertex coincidences, which is what
     the continuation relies on.
+
+    value keeps the edge pass of the point it valued, and derivatives at that
+    same point (the same array, at the same mu^2) reads it instead of
+    measuring the edges again.
     """
 
     def __init__(self, bases, A, B):
         self.bases = bases
+        self.bases_t = bases.transpose(0, 2, 1)
         self.k, self.m, self.dim = self.bases.shape
         # coordinates of zero basis rows, which pad a run's intersection in
         # a reduced chain; a unit diagonal there keeps Newton definite
@@ -145,9 +150,10 @@ class _StackedProblem:
         self._pts = np.empty((self.k + 2, self.dim))
         self._pts[0] = A
         self._pts[-1] = B
+        self._valued = None   # (x, mu2, edges, soft lengths) of the last value
 
     def points_of(self, x: np.ndarray) -> np.ndarray:
-        return _to_points(self.bases, x.reshape(self.k, self.m))
+        return (self.bases_t @ x.reshape(self.k, self.m)[:, :, None])[:, :, 0]
 
     def coords_of(self, points: np.ndarray) -> np.ndarray:
         return _to_coords(self.bases, points).reshape(-1)
@@ -157,10 +163,18 @@ class _StackedProblem:
         return self._pts
 
     def value(self, x: np.ndarray, mu2: float) -> float:
-        return _path_value(self._point_list(x), mu2)
+        edges, soft = _edge_lengths(self._point_list(x), mu2)
+        self._valued = (x, mu2, edges, soft)
+        return float(soft.sum())
 
     def derivatives(self, x: np.ndarray, mu2: float):
-        value, g, H = _stacked_derivatives(self.bases, self._point_list(x), mu2)
+        valued = self._valued
+        if valued is not None and valued[0] is x and valued[1] == mu2:
+            edges, soft = valued[2:]
+        else:
+            edges, soft = _edge_lengths(self._point_list(x), mu2)
+        value, _, grad, diag, off = _edge_terms(edges, soft)
+        g, H = _stacked(self.bases, grad, diag, off)
         H[self.pad, self.pad] = 1.0
         return value, g, H
 
@@ -175,6 +189,8 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
     """Newton step -H^{-1} g by Cholesky, adding growing diagonal jitter until
     it is a descent step; None if five attempts give none.
 
+    The first attempt factors H itself; H + jitter I and the trace that
+    scales the jitter are formed only once one is needed.
     Raises ValueError on non-finite input, as cho_factor / cho_solve do.
     """
     n = H.shape[0]
@@ -183,10 +199,12 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
     if n == 0:
         return None
     jitter = 0.0
-    base = float(np.trace(H)) / n
     for _ in range(5):
-        c, info = _POTRF(H + jitter * np.eye(n), lower=False, overwrite_a=True,
-                         clean=False)
+        if jitter:
+            c, info = _POTRF(H + jitter * np.eye(n), lower=False, overwrite_a=True,
+                             clean=False)
+        else:
+            c, info = _POTRF(H, lower=False, clean=False)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of potrf")
         if info == 0:
@@ -195,7 +213,7 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
                 raise ValueError(f"illegal value in argument {-info} of potrs")
             if np.dot(g, step) < 0:
                 return step
-        jitter = max(jitter * 100.0, 1e-14 * max(base, 1.0))
+        jitter = jitter * 100.0 if jitter else 1e-14 * max(float(np.trace(H)) / n, 1.0)
     return None
 
 
@@ -209,13 +227,17 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
 
     derivatives(x) gives the value, gradient and Hessian in the coordinates
     of the step (start, if given, holds them at x already, and first_step
-    the Newton step they give), value_of(x) the value alone, and
+    the Newton step they give), value_of(x) the same value alone, and
     retract(x, step, t) the point reached by the step scaled by t, or None
     where that is infeasible.
     Backtracks on the value while decreases are resolvable; once they sink
     below the rounding floor of the value, the full step is accepted as long
     as it keeps contracting the gradient norm, which drives the gradient to
-    its own machine floor instead of stalling around sqrt(eps).  reason is
+    its own machine floor instead of stalling around sqrt(eps).  The full
+    step's point is valued first and differentiated only when that value
+    can let it be kept (within rounding of the current value, where only
+    its gradient can still reject it); _StackedProblem's derivatives then
+    read the edge pass of that value.  reason is
     "converged" (grad_norm <= tol * max(1, value)), "floor" (no resolvable
     progress left, or an accepted step no longer than step_tol),
     "no_descent" (no descent step) or "max_iters".
@@ -230,14 +252,20 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
         if step is None:
             return x, value, grad_norm, "no_descent"
         # local phase: the full Newton step contracts the gradient near the
-        # minimum, where value differences are already below rounding
+        # minimum, where value differences are already below rounding.  A
+        # value above that rounding bound fails Armijo at t = 1 as well (the
+        # slope is negative), so the full step is valued first and
+        # differentiated only below it
         full = retract(x, step, 1.0)
+        kept = None
         if full is not None:
-            fval, fg, fH = derivatives(full)
-            full_norm = math.sqrt(fg @ fg)
-            if full_norm <= 0.5 * grad_norm and fval <= value + 1e-12 * max(1.0, value):
-                x, value, g, H, grad_norm = full, fval, fg, fH, full_norm
-                continue
+            fval = value_of(full)
+            if fval <= value + 1e-12 * max(1.0, value):
+                kept = derivatives(full)
+                full_norm = math.sqrt(kept[1] @ kept[1])
+                if full_norm <= 0.5 * grad_norm:
+                    x, (value, g, H), grad_norm = full, kept, full_norm
+                    continue
         # global phase: backtracking on the value; at t = 1 the full step's
         # point, value and derivatives are already at hand
         t = 1.0
@@ -256,7 +284,7 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
             return x, value, grad_norm, "floor"
         taken = t * step
         small = math.sqrt(taken @ taken) <= step_tol
-        value, g, H = (fval, fg, fH) if t == 1.0 else derivatives(x)
+        value, g, H = kept if t == 1.0 else derivatives(x)
         grad_norm = math.sqrt(g @ g)
         if small:
             return x, value, grad_norm, "floor"
@@ -290,14 +318,16 @@ def _warm_polish(problem, x, tol, detect, max_iters):
     return x, value
 
 
-def _snapped(problem, points: np.ndarray, runs):
+def _snapped(problem, points: np.ndarray, runs, meets=None):
     """(length, points) with the vertices of each run replaced by the
     projection of their mean onto the intersection of the run's subspaces
-    (the origin when they meet only there).
+    (the origin when they meet only there); meets, if given, holds the
+    runs' intersection bases.
     """
+    if meets is None:
+        meets = [intersection_basis(problem.bases[start:stop]) for start, stop in runs]
     points = points.copy()
-    for start, stop in runs:
-        meet = intersection_basis(problem.bases[start:stop])
+    for (start, stop), meet in zip(runs, meets):
         points[start:stop] = meet.T @ (meet @ points[start:stop].mean(axis=0))
     return action(problem.A, points, problem.B), points
 
@@ -316,13 +346,13 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     """
     keep = np.ones(problem.k, dtype=bool)
     bases = problem.bases.copy()
-    for start, stop in runs:
+    meets = [intersection_basis(problem.bases[start:stop]) for start, stop in runs]
+    for (start, stop), meet in zip(runs, meets):
         keep[start + 1:stop] = False
-        meet = intersection_basis(problem.bases[start:stop])
         bases[start] = 0.0
         bases[start, :len(meet)] = meet
     reduced = _StackedProblem(bases[keep], problem.A, problem.B)
-    y = reduced.coords_of(_snapped(problem, points, runs)[1][keep])
+    y = reduced.coords_of(_snapped(problem, points, runs, meets)[1][keep])
     if reduced.pad.size < y.size:
         mu2 *= 1e-4
         y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),

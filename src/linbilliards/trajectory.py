@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,9 @@ class OrientedLine:
         Q = np.asarray(self.Q, dtype=float)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "Q", Q)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if abs(math.sqrt(v @ v) - 1.0) > 1e-12:
             raise InputError("oriented line direction must be unit")
-        if abs(float(np.dot(Q, v))) > 1e-12 * max(1.0, float(np.linalg.norm(Q))):
+        if abs(float(np.dot(Q, v))) > 1e-12 * max(1.0, math.sqrt(Q @ Q)):
             raise InputError("foot point must be orthogonal to the direction")
 
     @classmethod
@@ -37,9 +38,10 @@ class OrientedLine:
         """The oriented line through ``point`` with unit ``direction``."""
         point = np.asarray(point, dtype=float)
         direction = np.asarray(direction, dtype=float)
-        if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
+        norm = math.sqrt(direction @ direction)
+        if abs(norm - 1.0) > 1e-9:
             raise InputError("direction must be a unit vector")
-        direction = direction / np.linalg.norm(direction)
+        direction = direction / norm
         Q = point - np.dot(point, direction) * direction
         # clean the residual component along v so the invariant holds exactly
         Q = Q - np.dot(Q, direction) * direction

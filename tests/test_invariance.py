@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.errors import PACKAGE_ERRORS
-from linbilliards.solver import minimize
+from linbilliards.solver import Classification, minimize, multistart_minimize
 
 from conftest import fourbody, planes3d
 
@@ -181,3 +181,24 @@ def test_orthogonal_frame_on_random_tables(case, seed):
     assert moved.value == pytest.approx(base.value, rel=1e-10)
     if base.is_valid:
         assert np.allclose(moved.chain.points, base.chain.points @ Q.T, atol=1e-7)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_relabelled_cases())
+def test_multistart_spread_on_random_tables(case):
+    """Four random starts on the random codim tables, planes3d and the
+    four-body table reach one minimum: a valid one within 1e-7 max(1, |B - A|)
+    in the chain and 1e-10 in the value.  Ghost chains need not be unique, so
+    only their values are compared."""
+    arr, itin, A, B, _ = case
+    try:
+        report = multistart_minimize(arr, itin, A, B, n_starts=4)
+    except PACKAGE_ERRORS as exc:
+        assert _outcome(arr, itin, A, B) is type(exc)
+        return
+    classes = set(report.classifications)
+    assert len(classes) == 1
+    value = max(r.value for r in report.results)
+    assert report.value_spread <= 1e-10 * value
+    if classes == {Classification.VALID}:
+        assert report.chain_spread <= 1e-7 * max(1.0, float(np.linalg.norm(B - A)))

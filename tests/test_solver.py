@@ -631,6 +631,165 @@ def test_solve_spd_rejects_non_finite_input():
         _solve_spd(H, np.array([np.inf, 0.0]))
 
 
+# -- Newton core: trial points valued first ------------------------------------
+
+def _reference_damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
+                             start=None, first_step=None):
+    """The Newton core as it was before trial points were valued first: every
+    full step is differentiated, and steps come from the cho_factor solve
+    above."""
+    value, g, H = derivatives(x) if start is None else start
+    grad_norm = math.sqrt(g @ g)
+    for _ in range(max_iters):
+        if grad_norm <= tol * max(1.0, value):
+            return x, value, grad_norm, "converged"
+        step = _reference_solve_spd(H, g) if first_step is None else first_step
+        first_step = None
+        if step is None:
+            return x, value, grad_norm, "no_descent"
+        full = retract(x, step, 1.0)
+        if full is not None:
+            fval, fg, fH = derivatives(full)
+            full_norm = math.sqrt(fg @ fg)
+            if full_norm <= 0.5 * grad_norm and fval <= value + 1e-12 * max(1.0, value):
+                x, value, g, H, grad_norm = full, fval, fg, fH, full_norm
+                continue
+        t = 1.0
+        slope = float(np.dot(g, step))
+        moved = False
+        while t >= solver.STEP_FLOOR:
+            trial = full if t == 1.0 else retract(x, step, t)
+            if trial is not None:
+                trial_value = fval if t == 1.0 else value_of(trial)
+                if trial_value <= value + solver.ARMIJO * t * slope:
+                    x, moved = trial, True
+                    break
+            t *= 0.5
+        if not moved:
+            return x, value, grad_norm, "floor"
+        taken = t * step
+        small = math.sqrt(taken @ taken) <= step_tol
+        value, g, H = (fval, fg, fH) if t == 1.0 else derivatives(x)
+        grad_norm = math.sqrt(g @ g)
+        if small:
+            return x, value, grad_norm, "floor"
+    return x, value, grad_norm, "max_iters"
+
+
+def _checked_core(seen):
+    """Stand-in for solver._damped_newton that runs the reference core and
+    the library core on the same callables and asserts that they return the
+    same x bytes, value, grad_norm and reason.  The library core must value
+    each full step before it differentiates it, and differentiate no point
+    but its iterates and the full steps whose value is within rounding of
+    their iterate's, which only the gradient can then reject.  Appends the
+    retract and the start of every call, and the number of full steps
+    rejected on their value alone, to seen."""
+    core = solver._damped_newton
+
+    def run(x, derivatives, value_of, retract, *args, **kwargs):
+        expected = _reference_damped_newton(x, derivatives, value_of, retract,
+                                            *args, **kwargs)
+        start = kwargs.get("start")
+        values = {} if start is None else {x.tobytes(): start}
+        valued, differentiated, full_steps = {}, [], {}
+        iterates = {x.tobytes()}
+
+        def watched_derivatives(y):
+            key = y.tobytes()
+            differentiated.append(key)
+            values[key] = derivatives(y)
+            return values[key]
+
+        def watched_value(y):
+            valued[y.tobytes()] = value_of(y)
+            return valued[y.tobytes()]
+
+        def watched_retract(y, step, t):
+            point = retract(y, step, t)
+            if t == 1.0:
+                # every iteration first tries the full step from its iterate
+                iterates.add(y.tobytes())
+                if point is not None:
+                    full_steps[point.tobytes()] = y.tobytes()
+            return point
+
+        got = core(x, watched_derivatives, watched_value, watched_retract, *args, **kwargs)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1:] == expected[1:]
+        iterates.add(got[0].tobytes())
+        for key in differentiated:
+            if key in iterates:
+                continue
+            value = values[full_steps[key]][0]
+            assert valued[key] <= value + 1e-12 * max(1.0, value)
+        seen.append((retract, start, len(set(full_steps) - set(differentiated))))
+        return got
+
+    return run
+
+
+def test_value_first_core_matches_the_reference_core(twolines_arr, monkeypatch):
+    """Every Newton core call of these solves returns bit for bit what the
+    core that differentiates every full step returns: the continuation
+    stages of twolines k = 4 and 5 ghosts from the chord, their certificates'
+    reduced solves and barrier centerings, the four-body k = 8 partial
+    collapses of nbody rounds 3, 7 and 11, and a mu = 0 warm polish."""
+    seen = []
+    monkeypatch.setattr(solver, "_damped_newton", _checked_core(seen))
+    rng = np.random.default_rng(21)
+    for k in (4, 5):
+        for _ in range(8):
+            it, A, B = _random_case(twolines_arr, rng, k, k)
+            minimize(twolines_arr, it, A, B)
+    four = _four_body_table()
+    for r in (3, 7, 11):
+        draw = np.random.default_rng([0, r, 0])
+        it = Itinerary(_repeat_free(draw, len(four.subspaces), 8))
+        A, B = draw.standard_normal(four.dim), draw.standard_normal(four.dim)
+        assert minimize(four, it, A, B).classification is Classification.GHOST
+    it = Itinerary((0, 1))
+    base = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
+    warm = minimize(twolines_arr, it, TWOLINE_A + 1e-4, TWOLINE_B,
+                    SolverOptions(initial_chain=base.chain))
+    assert warm.iterations == 0
+    assert any(start is not None for _, start, _ in seen)
+    assert any(retract is not solver._add_step for retract, _, _ in seen)
+    assert sum(rejected for _, _, rejected in seen) > 0
+
+
+@pytest.mark.parametrize("mu2", [1e-4, 0.0])
+def test_derivatives_after_value_reuse_its_edge_pass(mu2, monkeypatch):
+    """derivatives at the point value has just measured reads that edge pass
+    and equals a fresh evaluation at a copy of the point bit for bit."""
+    from linbilliards.solver import _StackedProblem
+    arr = _four_body_table()
+    rng = np.random.default_rng(9)
+    it, A, B = _random_case(arr, rng, 6, 6)
+    problem = _StackedProblem(arr.bases_of(it), A, B)
+    x = rng.standard_normal(problem.k * problem.m)
+    value = problem.value(x, mu2)
+    measured = []
+    real = solver._edge_lengths
+
+    def counted(*args):
+        measured.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_edge_lengths", counted)
+    got = problem.derivatives(x, mu2)
+    assert not measured
+    fresh = problem.derivatives(x.copy(), mu2)
+    assert len(measured) == 1
+    assert got[0] == fresh[0] == value
+    assert got[1].tobytes() == fresh[1].tobytes()
+    assert got[2].tobytes() == fresh[2].tobytes()
+    # the same point at another smoothing is measured again
+    problem.value(x, mu2)
+    problem.derivatives(x, mu2 + 1e-6)
+    assert len(measured) == 3
+
+
 def _classify_by_model(arr, itinerary, A, chain, B, opts):
     """(classification, message, grad_norm, min eigenvalue) of a chain as
     built from the Hessian model, is_generic and the generalized symmetric
