@@ -12,7 +12,8 @@ solver, the Hessian model and the thickened wall polish reduce it to their own
 coordinates.  ``HessianModel`` is one exact (mu = 0) pass of it at a chain:
 the edge lengths, the coincidence test, the edge terms and their reduction to
 stacked coordinates; ``gradient``, ``hessian`` and the solver's classification
-all read that one model.  At a critical point this reproduces the normal
+all read that one model, which the solver builds from the exact pass its
+Newton core stopped at.  At a critical point this reproduces the normal
 form with diagonal weights β_i = 1/r_{i-1,i} + 1/r_{i,i+1} and contraction
 factors that make the preconditioned matrix I minus a sub-unit-norm coupling.
 """
@@ -143,15 +144,6 @@ def _stacked(bases: np.ndarray, grad, diag, off):
     return grad, H.reshape(k * m, k * m)
 
 
-def _stacked_derivatives(bases: np.ndarray, pts: np.ndarray, mu2: float = 0.0):
-    """The kernel in stacked chain coordinates for bases stacked as (k, m, dim).
-
-    Returns the value, the gradient (k*m,) and the dense Hessian (k*m, k*m).
-    """
-    value, grad, diag, off = _path_kernel(pts, mu2)
-    return (value, *_stacked(bases, grad, diag, off))
-
-
 def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
              coincidence_tol: float = COINCIDENCE_TOL) -> np.ndarray:
     """Intrinsic gradient (k, m) of the path length at the chain.
@@ -177,21 +169,34 @@ class HessianModel:
     matrix M and its preconditioning) are exposed as methods; they are
     meaningful where the per-vertex tangential direction a_i has norm < 1,
     which holds at generic chains.
+
+    The model is built from one exact (mu = 0) kernel pass at the chain.  It
+    measures that pass itself unless the caller passes the one it holds
+    already as ``edge_pass``: the edge lengths (k+1,), unit edges (k+1, dim),
+    stacked gradient (k*m,) and Hessian (k*m, k*m) of ``_edge_terms`` and
+    ``_stacked`` at exactly these points, as the solver's Newton core
+    computes them.  Either way the coincidence test and the structured pieces
+    below are built here from the same arrays.
     """
 
     def __init__(self, arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
-                 coincidence_tol: float = COINCIDENCE_TOL):
+                 coincidence_tol: float = COINCIDENCE_TOL, edge_pass=None):
         self.chain = chain
-        pts = _point_list(A, chain.points, B)
-        edges, lengths = _edge_lengths(pts)
-        scale = max(float(np.linalg.norm(pts[-1] - pts[0])), 1e-30)
+        self.bases = arr.bases_of(itinerary)   # (k, m, dim)
+        if edge_pass is None:
+            edges, lengths = _edge_lengths(_point_list(A, chain.points, B))
+        else:
+            lengths = edge_pass[0]
+        scale = max(float(np.linalg.norm(np.asarray(B, dtype=float)
+                                         - np.asarray(A, dtype=float))), 1e-30)
         if np.any(lengths <= coincidence_tol * scale):
             raise NonSmoothPoint("consecutive path points coincide")
-        _, units, grad, diag, off = _edge_terms(edges, lengths)
+        if edge_pass is None:
+            _, units, grad, diag, off = _edge_terms(edges, lengths)
+            edge_pass = (lengths, units, *_stacked(self.bases, grad, diag, off))
+        lengths, units, self.gradient, self.matrix = edge_pass
         self.unit_edges = units            # (k+1, dim)
         self.edge_lengths = lengths        # (k+1,)
-        self.bases = arr.bases_of(itinerary)   # (k, m, dim)
-        self.gradient, self.matrix = _stacked(self.bases, grad, diag, off)
 
         # β_i = 1/r_{i-1,i} + 1/r_{i,i+1}
         self.betas = 1.0 / lengths[:-1] + 1.0 / lengths[1:]

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -91,19 +91,41 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """A solve's chain, value and classification.
+
+    A smooth result is classified from the exact (mu = 0) kernel pass at
+    which the Newton core stopped, read as a ``HessianModel``; the model of
+    a VALID result is kept as ``model``, and ``hessian_min_eig``, the
+    smallest eigenvalue of its normal-form operator, is computed from it on
+    first read.
+    """
+
     chain: Chain
     value: float
     grad_norm: float
     classification: Classification
     trajectory: BilliardTrajectory | None
-    hessian_min_eig: float | None
     iterations: int          # smoothing stages run (fewer for certified ghosts;
                              # 0 when a warm start was polished directly)
     message: str = ""
+    model: HessianModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_valid(self) -> bool:
         return self.classification is Classification.VALID
+
+    @cached_property
+    def hessian_min_eig(self) -> float | None:
+        """``HessianModel.min_eigenvalue`` at a VALID chain, computed once, on
+        first read; None for every other class and where the per-vertex norm
+        degenerates (NonSmoothPoint)."""
+        if self.model is None:
+            return None
+        try:
+            return self.model.min_eigenvalue()
+        except NonSmoothPoint:
+            # |a_i| can round to 1 for an edge just outside edge_tol
+            return None
 
 
 def initial_chain_chord(arr: Arrangement, itinerary: Itinerary, A, B) -> Chain:
@@ -132,9 +154,11 @@ class _StackedProblem:
     and convex for mu > 0 regardless of vertex coincidences, which is what
     the continuation relies on.
 
-    value keeps the edge pass of the point it valued, and derivatives at that
-    same point (the same array, at the same mu^2) reads it instead of
-    measuring the edges again.
+    The edges of a point are measured once: value and edge_pass keep the
+    edge pass of the last point they measured, and derivatives and the gap
+    tests at that same point (the same array, at the same mu^2) read it.
+    derivatives also keeps its own pass, which exact_pass hands to the
+    classification of the point the Newton core stopped at.
     """
 
     def __init__(self, bases, A, B):
@@ -150,7 +174,8 @@ class _StackedProblem:
         self._pts = np.empty((self.k + 2, self.dim))
         self._pts[0] = A
         self._pts[-1] = B
-        self._valued = None   # (x, mu2, edges, soft lengths) of the last value
+        self._measured = None   # (x, mu2, edges, soft lengths) last measured
+        self._derived = None    # (x, mu2, soft lengths, units, g, H) last derived
 
     def points_of(self, x: np.ndarray) -> np.ndarray:
         return (self.bases_t @ x.reshape(self.k, self.m)[:, :, None])[:, :, 0]
@@ -162,21 +187,40 @@ class _StackedProblem:
         self._pts[1:-1] = self.points_of(x)
         return self._pts
 
-    def value(self, x: np.ndarray, mu2: float) -> float:
+    def edge_pass(self, x: np.ndarray, mu2: float):
+        """Edge vectors and soft lengths at x, measured unless x is the point
+        measured last."""
+        last = self._measured
+        if last is not None and last[0] is x and last[1] == mu2:
+            return last[2:]
         edges, soft = _edge_lengths(self._point_list(x), mu2)
-        self._valued = (x, mu2, edges, soft)
+        self._measured = (x, mu2, edges, soft)
+        return edges, soft
+
+    def value(self, x: np.ndarray, mu2: float) -> float:
+        # the Newton core values only points it has not measured yet
+        edges, soft = _edge_lengths(self._point_list(x), mu2)
+        self._measured = (x, mu2, edges, soft)
         return float(soft.sum())
 
     def derivatives(self, x: np.ndarray, mu2: float):
-        valued = self._valued
-        if valued is not None and valued[0] is x and valued[1] == mu2:
-            edges, soft = valued[2:]
-        else:
-            edges, soft = _edge_lengths(self._point_list(x), mu2)
-        value, _, grad, diag, off = _edge_terms(edges, soft)
+        edges, soft = self.edge_pass(x, mu2)
+        value, units, grad, diag, off = _edge_terms(edges, soft)
         g, H = _stacked(self.bases, grad, diag, off)
         H[self.pad, self.pad] = 1.0
+        self._derived = (x, mu2, soft, units, g, H)
         return value, g, H
+
+    def exact_pass(self, x: np.ndarray):
+        """HessianModel's edge_pass (lengths, unit edges, gradient, Hessian)
+        from the last derivatives, if they were taken at x with mu = 0;
+        None otherwise.  Only a problem without padded coordinates (every
+        basis row nonzero, as for an itinerary's own bases) gives the
+        model's Hessian there."""
+        last = self._derived
+        if last is None or last[0] is not x or last[1] != 0.0:
+            return None
+        return last[2:]
 
 
 # the LAPACK routines behind scipy.linalg.cho_factor / cho_solve, called
@@ -302,7 +346,7 @@ def _warm_polish(problem, x, tol, detect, max_iters):
     noise that finite differences over a patch divide by the spacing.  It is
     accepted once the gradient meets tol, with every gap still above detect.
     """
-    shortest = _edge_lengths(problem._point_list(x))[1].min()
+    shortest = problem.edge_pass(x, 0.0)[1].min()
     if not shortest > detect:
         return None
     start = problem.derivatives(x, 0.0)
@@ -312,8 +356,7 @@ def _warm_polish(problem, x, tol, detect, max_iters):
     x, value, grad_norm, _ = _damped_newton(
         x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
         _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start, first_step=step)
-    if grad_norm > tol * max(1.0, value) or \
-            _edge_lengths(problem._point_list(x))[1].min() <= detect:
+    if grad_norm > tol * max(1.0, value) or problem.edge_pass(x, 0.0)[1].min() <= detect:
         return None
     return x, value
 
@@ -362,7 +405,7 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
         if polished is None:
             return None
         y = polished[0]
-    elif _edge_lengths(reduced._point_list(y))[1].min() <= floor:
+    elif reduced.edge_pass(y, 0.0)[1].min() <= floor:
         return None
     return reduced.points_of(y)[np.cumsum(keep) - 1]
 
@@ -527,7 +570,11 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         raise PreconditionError("anchors must lie off the collision locus")
     scale = max(scale, near_A, near_B)
 
-    chain = opts.initial_chain or initial_chain_chord(arr, itinerary, A, B)
+    if opts.initial_chain is None:
+        chain = initial_chain_chord(arr, itinerary, A, B)
+    else:
+        chain = opts.initial_chain
+        _check_start(arr, itinerary, chain)
     points = chain.points.copy()
     coincidence = opts.coincidence_tol * scale
 
@@ -546,8 +593,8 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         warm = _warm_polish(problem, x, opts.grad_tol, detect, opts.max_iters)
         if warm is not None:
             x, value = warm
-            chain = Chain.from_points(arr, itinerary, problem.points_of(x))
-            return _classify(arr, itinerary, A, chain, B, opts, value, 0)
+            return _classify(arr, itinerary, A, _iterate_chain(problem, x), B, opts,
+                             value, 0, problem.exact_pass(x))
 
     # continuation in the smoothing parameter; warm-started Newton each stage.
     # Once every gap dwarfs mu the smoothing is irrelevant and the exact
@@ -563,7 +610,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                                partial(problem.value, mu2=mu2), _add_step,
                                1e-9, STEP_TOL, max_iters=40)
         iterations += 1
-        gaps = _edge_lengths(problem._point_list(x))[1]
+        gaps = problem.edge_pass(x, 0.0)[1]
         if gaps.min() > 1e4 * mu:
             break
         if gaps[1:-1].min(initial=math.inf) <= CERT_WINDOW * mu:
@@ -588,29 +635,56 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         certified = _certified(problem, x, mu2, coincidence, detect)
     if certified is not None:
         value, points = certified
-    else:
-        points = problem.points_of(x)
-        value = action(A, points, B)
+        return _classify(arr, itinerary, A, Chain.from_points(arr, itinerary, points), B,
+                         opts, value, iterations)
+    chain = _iterate_chain(problem, x)
+    return _classify(arr, itinerary, A, chain, B, opts, action(A, chain.points, B),
+                     iterations, problem.exact_pass(x))
 
-    chain = Chain.from_points(arr, itinerary, points)
-    return _classify(arr, itinerary, A, chain, B, opts, value, iterations)
+
+def _check_start(arr: Arrangement, itinerary: Itinerary, chain: Chain) -> None:
+    """Raise InputError unless a caller's start chain has one point per
+    itinerary entry and finite coordinates small enough that its squared
+    edge lengths stay finite (next to anchors of no larger size).  The
+    Newton core would otherwise fail on a broadcast, in its Cholesky solve
+    or by overflow."""
+    points = np.asarray(chain.points, dtype=float)
+    if points.shape != (len(itinerary), arr.dim):
+        raise InputError(f"initial chain points have shape {points.shape}, "
+                         f"expected {(len(itinerary), arr.dim)}")
+    limit = math.sqrt(np.finfo(float).max / (4.0 * arr.dim))
+    # NaN fails the comparison too
+    if not float(np.abs(points).max(initial=0.0)) <= limit:
+        raise InputError(f"initial chain must be finite, with coordinates of "
+                         f"magnitude at most {limit:.3g}")
+
+
+def _iterate_chain(problem: _StackedProblem, x: np.ndarray) -> Chain:
+    """The chain of the Newton core's iterate x itself, with no coordinate
+    round trip, so that its exact pass describes the returned chain."""
+    return Chain(x.reshape(problem.k, problem.m), problem.points_of(x))
 
 
 def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
-              value: float, iterations: int) -> MinimizeResult:
+              value: float, iterations: int, edge_pass=None) -> MinimizeResult:
     """Classify the solved chain from one HessianModel, the exact kernel pass
     at the chain: its coincidence test is the ghost test, and its unit edges,
-    tangential projections a_in / a_out, gradient and normal-form eigenvalue
-    give the rest.  The anchors' locus test of genericity is minimize's
-    precondition and is not repeated."""
+    tangential projections a_in / a_out and gradient give the rest.  A VALID
+    chain's trajectory is built from the same unit edges and lengths, and
+    its normal-form eigenvalue is left to MinimizeResult.hessian_min_eig,
+    which computes it when read.  edge_pass is the exact (mu = 0) pass at
+    which the Newton core stopped, when it stopped at this chain; without
+    it (a "floor" stop, a certified ghost) the chain is measured.  The
+    anchors' locus test of genericity is minimize's precondition and is not
+    repeated."""
     scale = float(np.linalg.norm(B - A))
     points = chain.points
 
-    def done(cls, grad_norm, traj=None, eig=None, msg=""):
-        return MinimizeResult(chain, value, grad_norm, cls, traj, eig, iterations, msg)
+    def done(cls, grad_norm, traj=None, model=None, msg=""):
+        return MinimizeResult(chain, value, grad_norm, cls, traj, iterations, msg, model)
 
     try:
-        model = HessianModel(arr, itinerary, A, chain, B, opts.coincidence_tol)
+        model = HessianModel(arr, itinerary, A, chain, B, opts.coincidence_tol, edge_pass)
     except NonSmoothPoint:
         return done(Classification.GHOST, math.nan,
                     msg="consecutive vertices collapse; minimizer leaves the trajectory space")
@@ -631,15 +705,9 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
         return done(Classification.NON_GENERIC_RAY, grad_norm,
                     msg="configuration violates genericity (adjacent membership or ray recrossing)")
 
-    traj = BilliardTrajectory(A, B, points, itinerary)
-    eig = None
-    try:
-        eig = model.min_eigenvalue()
-    except NonSmoothPoint:
-        # |a_i| can round to 1 for an edge just outside edge_tol, where the
-        # per-vertex norm degenerates
-        pass
-    return done(Classification.VALID, grad_norm, traj=traj, eig=eig)
+    traj = BilliardTrajectory(A, B, points, itinerary,
+                              edge_pass=(model.unit_edges, model.edge_lengths))
+    return done(Classification.VALID, grad_norm, traj=traj, model=model)
 
 
 def envelope_gradients(result: MinimizeResult, A, B):

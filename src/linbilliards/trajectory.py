@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -61,7 +61,9 @@ class BilliardTrajectory:
     The edges are measured once, on construction, by the path-length kernel's
     own edge pass (``action._edge_lengths``): ``points`` holds every vertex
     q_0 = A, ..., q_{k+1} = B, ``edge_velocities`` the unit edge directions
-    n_{i,i+1} (k+1, dim) and ``length`` the total length.
+    n_{i,i+1} (k+1, dim) and ``length`` the total length.  A caller that
+    holds that pass already, such as the solver's classification, passes its
+    unit edges and lengths as ``edge_pass`` and nothing is measured again.
     """
 
     A: np.ndarray
@@ -71,8 +73,9 @@ class BilliardTrajectory:
     points: np.ndarray = field(init=False, repr=False, compare=False)
     edge_velocities: np.ndarray = field(init=False, repr=False, compare=False)
     length: float = field(init=False, repr=False, compare=False)
+    edge_pass: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, edge_pass):
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float)
         chain = np.asarray(self.chain, dtype=float).reshape(-1, A.shape[0])
@@ -82,11 +85,14 @@ class BilliardTrajectory:
         if self.itinerary is not None and len(self.itinerary) != len(chain):
             raise InputError("chain length does not match itinerary length")
         pts = _point_list(A, chain, B)
-        edges, lengths = _edge_lengths(pts)
-        if np.any(lengths == 0.0):
-            raise InputError("consecutive trajectory points coincide")
+        if edge_pass is None:
+            edges, lengths = _edge_lengths(pts)
+            if np.any(lengths == 0.0):
+                raise InputError("consecutive trajectory points coincide")
+            edge_pass = edges / lengths[:, None], lengths
+        units, lengths = edge_pass
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "edge_velocities", edges / lengths[:, None])
+        object.__setattr__(self, "edge_velocities", units)
         object.__setattr__(self, "length", float(lengths.sum()))
 
     @property

@@ -5,7 +5,7 @@ in wall coordinates."""
 import numpy as np
 import pytest
 
-from linbilliards.action import _stacked_derivatives, gradient_stacked, hessian
+from linbilliards.action import gradient_stacked, hessian
 from linbilliards.arrangement import Itinerary
 from linbilliards.solver import _StackedProblem
 from linbilliards.thickened import ThickenedTable, _WallProblem
@@ -63,8 +63,7 @@ def test_kernel_at_zero_smoothing_is_the_exact_model(request, name):
     A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
     chain = random_smooth_chain(arr, itin, A, B, rng)
     bases = np.array([arr.subspaces[i].basis for i in itin])
-    pts = np.vstack([A, chain.points, B])
-    value, grad, H = _stacked_derivatives(bases, pts)
+    value, grad, H = _StackedProblem(bases, A, B).derivatives(chain.coords.reshape(-1), 0.0)
     assert np.allclose(grad, gradient_stacked(arr, itin, A, chain, B),
                        rtol=1e-12, atol=1e-14)
     assert np.array_equal(H, hessian(arr, itin, A, chain, B).matrix)

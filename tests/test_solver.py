@@ -7,9 +7,9 @@ import scipy.linalg
 import scipy.optimize
 
 from linbilliards import solver
-from linbilliards.action import Chain, action, hessian
+from linbilliards.action import Chain, HessianModel, _to_points, action, hessian
 from linbilliards.arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace
-from linbilliards.errors import NonSmoothPoint, PreconditionError
+from linbilliards.errors import InputError, NonSmoothPoint, PreconditionError
 from linbilliards.solver import (
     Classification,
     SolverOptions,
@@ -17,7 +17,7 @@ from linbilliards.solver import (
     minimize,
     multistart_minimize,
 )
-from linbilliards.trajectory import is_generic, max_reflection_residual
+from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
 from conftest import TWOLINE_A, TWOLINE_B
 
@@ -194,6 +194,24 @@ def test_initial_chain_override(twolines_arr):
     result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, opts)
     reference = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     assert np.allclose(result.chain.points, reference.chain.points, atol=1e-8)
+
+
+@pytest.mark.parametrize("itinerary, coords", [
+    ((0, 1, 0), [[1.0], [1.0]]),         # two vertices for three entries
+    ((0, 1), [[np.nan], [1.0]]),
+    ((0, 1), [[1e308], [-1e308]]),       # squared edge lengths overflow
+], ids=["wrong_length", "nan", "overflow"])
+def test_bad_initial_chain_is_an_input_error(itinerary, coords, twolines_arr):
+    """A start chain that does not fit the itinerary, is not finite or is so
+    far out that its edge lengths overflow is refused up front, and a
+    scatter row turns the refusal into an absent cell."""
+    from linbilliards.scattering import _solve_row
+    start = Chain.from_coords(twolines_arr, Itinerary((0, 1)), coords)
+    opts = SolverOptions(initial_chain=start)
+    with pytest.raises(InputError, match="initial chain"):
+        minimize(twolines_arr, Itinerary(itinerary), TWOLINE_A, TWOLINE_B, opts)
+    assert _solve_row((twolines_arr, Itinerary(itinerary), TWOLINE_A, [TWOLINE_B],
+                       opts)) == [None]
 
 
 # -- ghost certificate by weak duality ----------------------------------------
@@ -888,3 +906,106 @@ def test_classify_matches_hessian_model_and_is_generic(fixture, request):
     # the subspace at its start for good
     assert seen == (set(Classification) if len(arr.subspaces) > 1
                     else {Classification.VALID})
+
+
+# -- classification from the Newton core's final exact pass --------------------
+
+def _min_eig_or_none(model):
+    try:
+        return model.min_eigenvalue()
+    except NonSmoothPoint:
+        return None
+
+
+@pytest.mark.parametrize("table", FIXTURES + ["planes3d_arr", "fourbody_arr", 0, 1])
+def test_results_are_classified_from_the_final_exact_pass(table, request, monkeypatch):
+    """Cold solves and the warm solves of their neighbours 1e-4 * scale away
+    return the Newton core's own iterate (no coordinate round trip), and a
+    VALID one carries bit for bit what a fresh HessianModel and a fresh
+    trajectory at its chain give; the classification is the one the
+    measuring path gives at the round-tripped chain."""
+    arr = request.getfixturevalue(table) if isinstance(table, str) else _random_planes(table)
+    rng = np.random.default_rng(zlib.crc32(str(table).encode()))
+    opts = SolverOptions()
+    fed = []
+    real = solver._classify
+
+    def watched(*args):
+        fed.append(len(args) > 8 and args[8] is not None)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_classify", watched)
+    cases = [(Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)] if table == "twolines_arr" else []
+    cases += [_random_case(arr, rng, 1, 3) for _ in range(32)]
+    valid = 0
+    for it, A, B in cases:
+        solves = [(A, B, minimize(arr, it, A, B))]
+        if solves[0][2].is_valid:
+            scale = float(np.linalg.norm(B - A))
+            shift = rng.standard_normal((2, arr.dim))
+            shift *= 1e-4 * scale / np.linalg.norm(shift, axis=1)[:, None]
+            A2, B2 = A + shift[0], B + shift[1]
+            solves.append((A2, B2, minimize(arr, it, A2, B2,
+                                            SolverOptions(initial_chain=solves[0][2].chain))))
+        for a, b, result in solves:
+            chain = result.chain
+            assert chain.points.tobytes() == _to_points(arr.bases_of(it), chain.coords).tobytes()
+            parent = real(arr, it, a, Chain.from_points(arr, it, chain.points), b, opts,
+                          result.value, result.iterations)
+            assert result.classification is parent.classification
+            assert result.message == parent.message
+            if not result.is_valid:
+                assert result.hessian_min_eig is None
+                continue
+            valid += 1
+            model = HessianModel(arr, it, a, chain, b)
+            assert result.grad_norm == float(np.linalg.norm(model.gradient))
+            assert result.hessian_min_eig == _min_eig_or_none(model)
+            fresh = BilliardTrajectory(a, b, chain.points, it)
+            for traj in (result.trajectory, fresh):
+                assert traj.edge_velocities.tobytes() == model.unit_edges.tobytes()
+                assert traj.length == float(model.edge_lengths.sum())
+            assert result.trajectory.points.tobytes() == fresh.points.tobytes()
+    # the planes of R^3 meet pairwise in lines, where most minimizers collapse
+    assert valid >= 1
+    # solves of a positive-dimensional chain space hand their pass on
+    assert any(fed) or arr.bases.shape[1] == 0
+
+
+def test_hessian_min_eig_is_computed_on_first_read(twolines_arr, monkeypatch):
+    """A scatter patch computes no eigenvalue; a result computes its own
+    once, on the first read of hessian_min_eig, and that is the value the
+    model gives."""
+    from linbilliards.scattering import AnchorGrid, sample_relation
+    calls = []
+    real = HessianModel.min_eigenvalue
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(HessianModel, "min_eigenvalue", counted)
+    it = Itinerary((0, 1))
+    patch = sample_relation(twolines_arr, it, AnchorGrid(TWOLINE_A, np.eye(2), 2, 1e-3),
+                            AnchorGrid(TWOLINE_B, np.eye(2), 2, 1e-3))
+    assert patch.valid_fraction() == 1.0
+    assert not calls
+    result = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
+    assert not calls
+    eager = real(hessian(twolines_arr, it, TWOLINE_A, result.chain, TWOLINE_B))
+    assert result.hessian_min_eig == eager > 0.0
+    assert len(calls) == 1
+    assert result.hessian_min_eig == eager
+    assert len(calls) == 1
+
+
+def test_degenerate_vertex_norm_reads_no_eigenvalue(twolines_arr, monkeypatch):
+    """Where the per-vertex norm degenerates, min_eigenvalue raises
+    NonSmoothPoint and a VALID result reads hessian_min_eig as None."""
+    def degenerate(model):
+        raise NonSmoothPoint("per-vertex norm degenerate: |a_i| >= 1")
+
+    monkeypatch.setattr(HessianModel, "min_eigenvalue", degenerate)
+    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
+    assert result.is_valid
+    assert result.hessian_min_eig is None
