@@ -8,8 +8,10 @@ One private kernel holds the per-edge math for a smoothing mu^2 >= 0: an edge
 of soft length f = sqrt(r^2 + mu^2) and direction n contributes the quadratic
 form |η - <η, n> n|^2 / f in the difference η of its endpoint variations, so
 the ambient Hessian is block-tridiagonal with weights (I - n n^T) / f.  The
-solver, the Hessian model and the thickened wall polish reduce it to their own
-coordinates.  ``HessianModel`` is one exact (mu = 0) pass of it at a chain:
+solver and the Hessian model reduce it to stacked chain coordinates with
+``_stacked``, and the thickened wall polish reduces it with the same
+``_stacked`` through the tangent projectors of its cylinder walls.
+``HessianModel`` is one exact (mu = 0) pass of it at a chain:
 the edge lengths, the coincidence test, the edge terms and their reduction to
 stacked coordinates; ``gradient``, ``hessian`` and the solver's classification
 all read that one model, which the solver builds from the exact pass its
@@ -92,13 +94,7 @@ def action(A, chain_points, B) -> float:
     Defined everywhere, including at coincident vertices where it is
     non-smooth; equals the travel time at unit speed.
     """
-    return _path_value(_point_list(A, chain_points, B))
-
-
-def _path_value(pts: np.ndarray, mu2: float = 0.0) -> float:
-    """Smoothed length sum_e sqrt(r_e^2 + mu2) of the point list."""
-    edges = pts[1:] - pts[:-1]
-    return float(np.sqrt((edges * edges).sum(axis=1) + mu2).sum())
+    return float(_edge_lengths(_point_list(A, chain_points, B))[1].sum())
 
 
 def _edge_lengths(pts: np.ndarray, mu2: float = 0.0):
@@ -131,7 +127,9 @@ def _path_kernel(pts: np.ndarray, mu2: float = 0.0):
 
 def _stacked(bases: np.ndarray, grad, diag, off):
     """Ambient kernel derivatives reduced to stacked chain coordinates over
-    bases (k, m, dim): the gradient (k*m,) and the dense Hessian (k*m, k*m)."""
+    bases (k, m, dim): the gradient (k*m,) and the dense Hessian (k*m, k*m).
+    The rows of each basis may be any linear map of a vertex's variation,
+    such as the wall polish's tangent projectors (k, dim, dim)."""
     k, m, _ = bases.shape
     bases_t = bases.transpose(0, 2, 1)
     H = np.zeros((k, m, k, m))

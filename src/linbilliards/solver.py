@@ -561,6 +561,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     B = np.asarray(B, dtype=float)
     if A.shape != (arr.dim,) or B.shape != (arr.dim,):
         raise InputError("anchors must match the arrangement dimension")
+    _check_size(np.array([A, B]), arr.dim, "anchors")
     itinerary.validate_against(arr)
     scale = float(np.linalg.norm(B - A))
     # the anchors' locus test here is the one genericity asks for, at the
@@ -642,21 +643,27 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                      iterations, problem.exact_pass(x))
 
 
+def _check_size(points: np.ndarray, dim: int, what: str) -> None:
+    """Raise InputError unless the points are finite, with coordinates small
+    enough that squared distances between points of that size stay finite
+    in dimension dim.  The Newton core would otherwise fail in its Cholesky
+    solve or by overflow."""
+    limit = math.sqrt(np.finfo(float).max / (4.0 * dim))
+    # NaN fails the comparison too
+    if not float(np.abs(points).max(initial=0.0)) <= limit:
+        raise InputError(f"{what} must be finite, with coordinates of "
+                         f"magnitude at most {limit:.3g}")
+
+
 def _check_start(arr: Arrangement, itinerary: Itinerary, chain: Chain) -> None:
     """Raise InputError unless a caller's start chain has one point per
-    itinerary entry and finite coordinates small enough that its squared
-    edge lengths stay finite (next to anchors of no larger size).  The
-    Newton core would otherwise fail on a broadcast, in its Cholesky solve
-    or by overflow."""
+    itinerary entry and passes _check_size; a wrong shape would otherwise
+    fail on a broadcast in the Newton core."""
     points = np.asarray(chain.points, dtype=float)
     if points.shape != (len(itinerary), arr.dim):
         raise InputError(f"initial chain points have shape {points.shape}, "
                          f"expected {(len(itinerary), arr.dim)}")
-    limit = math.sqrt(np.finfo(float).max / (4.0 * arr.dim))
-    # NaN fails the comparison too
-    if not float(np.abs(points).max(initial=0.0)) <= limit:
-        raise InputError(f"initial chain must be finite, with coordinates of "
-                         f"magnitude at most {limit:.3g}")
+    _check_size(points, arr.dim, "initial chain")
 
 
 def _iterate_chain(problem: _StackedProblem, x: np.ndarray) -> Chain:

@@ -5,7 +5,8 @@ sigma_L * r.  The dynamics on the complement is ordinary specular billiards
 off the cylinder walls (away from corners, which are refused rather than
 modelled).  The variational side constrains the chain vertices to the solid
 cylinders: projected gradient plus projected Newton on the active cylinder
-manifold, with minimizers classified as honest reflections or ghosts.
+walls in ambient coordinates, with minimizers classified as honest
+reflections or ghosts.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrangement import (Arrangement, Itinerary, Subspace, _as_vector, _line_tube, _perp,
-                          _project, _row_dot, orthonormalize)
+from .arrangement import (Arrangement, Itinerary, _as_vector, _line_tube, _perp, _project,
+                          _row_dot)
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
-from .action import _path_kernel, _point_list, action
-from .solver import SolverOptions, _damped_newton, minimize
+from .action import _path_kernel, _point_list, _stacked, action
+from .solver import SolverOptions, _check_size, _damped_newton, minimize
 from .trajectory import TRANSVERSE_TOL, BilliardTrajectory, is_transverse
 
 CORNER_TOL = 1e-9
@@ -193,21 +194,6 @@ class ThickenedMinimizeResult:
     message: str = ""
 
 
-def _perp_basis(sub: Subspace, omega: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the tangent to the perp sphere at omega:
-    directions in L-perp orthogonal to omega, codim - 1 of them.
-
-    omega is re-projected onto L-perp first: a rounding-level component
-    along L would otherwise survive as one extra tangent row.
-    """
-    n = sub.dim
-    perp_proj = np.eye(n) - sub.basis.T @ sub.basis if sub.subdim else np.eye(n)
-    omega = perp_proj @ omega
-    omega = omega / np.linalg.norm(omega)
-    rows = [row - np.dot(row, omega) * omega for row in perp_proj]
-    return orthonormalize(np.array(rows), n)
-
-
 def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                        opts: SolverOptions = SolverOptions()) -> ThickenedMinimizeResult:
     """Minimize the path length with each vertex confined to its solid cylinder.
@@ -217,13 +203,16 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
     stabilizes, projected Newton on the wall manifold polishes to full
     accuracy.  The minimizer is honest when every vertex sits on its wall and
     the direction jumps there; otherwise it is a ghost (straight-through or
-    tangential passage).
+    tangential passage).  A ghost's value is reproducible but its points need
+    not be: a free vertex inside its cylinder can slide along a straight
+    segment at constant length.
     """
     arr = table.arrangement
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     itinerary.validate_against(arr)
     for x, name in ((A, "A"), (B, "B")):
+        _check_size(x, arr.dim, f"anchor {name}")
         if table.distance_to_wall(x) <= 1e-12:
             raise PreconditionError(f"anchor {name} must lie in the table interior")
     k = len(itinerary)
@@ -284,7 +273,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
 
     _, grad, _, _ = _path_kernel(_point_list(A, points, B))
     active = on_walls(points)
-    multipliers = _multipliers(grad, _wall_normals(bases, active, points))
+    multipliers = _wall_forces(bases, active, points, grad)[1].tolist()
     # the ambient gradient n_in - n_out at a vertex is its direction jump
     jump = np.linalg.norm(grad, axis=1)
     honest = all(active) and all(j > TRANSVERSE_TOL for j in jump) \
@@ -294,94 +283,69 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                                    multipliers, msg)
 
 
-def _wall_normals(bases, active, points) -> list:
-    """Outward unit normal of each active vertex's cylinder wall, else None;
-    vertex j's subspace has the basis bases[j]."""
-    return [perp / np.linalg.norm(perp) if on_wall else None
-            for perp, on_wall in zip(_perp(bases, points), active)]
-
-
-def _multipliers(grad, normals) -> list[float]:
-    """Outward-normal force -<g_j, omega_j> at wall vertices, 0 elsewhere."""
-    return [0.0 if omega is None else -float(np.dot(g, omega))
-            for g, omega in zip(grad, normals)]
+def _wall_forces(bases, active, points, grad):
+    """Outward unit wall normals (k, dim) of the active vertices, zero rows
+    at free ones, and the outward-normal forces -<g_j, omega_j> (k,), 0 at
+    free vertices; vertex j's subspace has the basis bases[j]."""
+    active = np.asarray(active)
+    perp = _perp(bases, points)
+    norms = np.sqrt(_row_dot(perp, perp))
+    normals = np.where(active[:, None], perp / np.where(active, norms, 1.0)[:, None], 0.0)
+    return normals, np.where(active, -_row_dot(grad, normals), 0.0)
 
 
 class _WallProblem:
-    """Path length with the active vertices parameterized on their cylinder walls.
+    """Path length with the active vertices held on their cylinder walls, in
+    ambient (k, dim) coordinates.
 
-    Wall coordinates per active vertex: in-subspace coordinates plus tangent
-    angles of the perp sphere; the sphere contributes the exact curvature term
-    -rho <g, omega> I to the Hessian diagonal.  Free vertices keep ambient
-    coordinates.  The ambient kernel blocks are reduced through the per-vertex
-    wall Jacobians J_j, which couple only adjacent vertices.
+    The kernel blocks are reduced through the tangent projectors
+    P_j = I - omega_j omega_j^T of the active walls (I at free vertices) by
+    ``action._stacked``, which the solver uses with the chain bases.  Each
+    active vertex adds omega omega^T, a unit diagonal in its normal direction
+    that keeps Newton definite and its step tangent, and the exact
+    perp-sphere curvature (force / rho)(I - B^T B - omega omega^T).  The
+    gradient is the tangential gradient P g, so the Newton core's stopping
+    norm, the reported kkt residual, does not depend on the radius.  Newton
+    steps do not depend on the tangent coordinates, so they are those of any
+    parameterization of the walls.
     """
 
     def __init__(self, table, itinerary, A, B, active):
-        self.subs = [table.arrangement.subspaces[i] for i in itinerary]
         self.bases = table.arrangement.bases_of(itinerary)
         self.radii = table.radii[list(itinerary)]
         self.A = A
         self.B = B
-        self.active = active
-        self.dim = table.arrangement.dim
-        # block offsets: an active vertex has subdim in-subspace coordinates
-        # plus codim - 1 angles (_perp_basis), dim - 1 in all; a free one dim
-        self.offs = np.cumsum([0] + [self.dim - bool(on) for on in active])
+        self.active = np.asarray(active)
+        dim = table.arrangement.dim
+        # I - B^T B: the projector onto each vertex's subspace complement
+        self.perps = np.eye(dim) - self.bases.transpose(0, 2, 1) @ self.bases
 
     def value(self, pts) -> float:
         return action(self.A, pts, self.B)
 
-    def frame(self, pts):
-        """Wall normals and perp-sphere tangent bases (codim - 1 rows each)
-        at pts, None at free vertices."""
-        normals = _wall_normals(self.bases, self.active, pts)
-        return normals, [None if omega is None else _perp_basis(sub, omega)
-                         for sub, omega in zip(self.subs, normals)]
-
     def derivatives(self, pts):
         value, grad, diag, off = _path_kernel(_point_list(self.A, pts, self.B))
-        normals, tangents = self.frame(pts)
-        offs = self.offs
-        jacs = [np.eye(self.dim) if V is None
-                else np.hstack([sub.basis.T, rho * V.T]) if sub.subdim else rho * V.T
-                for sub, rho, V in zip(self.subs, self.radii, tangents)]
-        forces = _multipliers(grad, normals)
-        H = np.zeros((offs[-1], offs[-1]))
-        for j, sub in enumerate(self.subs):
-            blk = slice(offs[j], offs[j + 1])
-            H[blk, blk] = jacs[j].T @ diag[j] @ jacs[j]
-            if self.active[j]:
-                angles = np.arange(offs[j] + sub.subdim, offs[j + 1])
-                H[angles, angles] += self.radii[j] * forces[j]
-            if j + 1 < len(self.subs):
-                nxt = slice(offs[j + 1], offs[j + 2])
-                H[blk, nxt] = jacs[j].T @ off[j] @ jacs[j + 1]
-                H[nxt, blk] = H[blk, nxt].T
-        g_red = np.concatenate([J.T @ g for J, g in zip(jacs, grad)])
-        return value, g_red, H
+        normals, forces = _wall_forces(self.bases, self.active, pts, grad)
+        normal = normals[:, :, None] * normals[:, None, :]
+        g, H = _stacked(np.eye(pts.shape[1]) - normal, grad, diag, off)
+        k, dim = pts.shape
+        curvature = (forces / self.radii)[:, None, None]
+        idx = np.arange(k)
+        # the diagonal blocks, through a (k, dim, k, dim) view of H
+        H.reshape(k, dim, k, dim)[idx, :, idx, :] += normal + curvature * (self.perps - normal)
+        return value, g, H
 
     def retract(self, pts, step, t):
-        """Move by t * step in wall coordinates; None if a free vertex leaves
-        its solid cylinder."""
-        normals, tangents = self.frame(pts)
-        offs = self.offs
-        cand = pts.copy()
-        for j, (sub, rho, omega, V) in enumerate(zip(self.subs, self.radii,
-                                                     normals, tangents)):
-            delta = step[offs[j]:offs[j + 1]] * t
-            if omega is None:
-                cand[j] = pts[j] + delta
-                if sub.distance_to(cand[j]) > rho:
-                    return None
-                continue
-            m = sub.subdim
-            y = sub.project(pts[j]) + (sub.basis.T @ delta[:m] if m else 0.0)
-            # the angles move the unit normal; the Jacobian block rho V^T in
-            # derivatives() is the first-order part of this map
-            w = omega + V.T @ delta[m:]
-            cand[j] = y + rho * w / np.linalg.norm(w)
-        return cand
+        """Move by t * step and project each active vertex radially back onto
+        its wall; None if a free vertex leaves its solid cylinder."""
+        cand = pts + t * step.reshape(pts.shape)
+        par = _project(self.bases, cand)
+        perp = cand - par
+        norms = np.sqrt(_row_dot(perp, perp))
+        if np.any(~self.active & (norms > self.radii)):
+            return None
+        on_wall = par + perp * (self.radii / np.where(self.active, norms, 1.0))[:, None]
+        return np.where(self.active[:, None], on_wall, cand)
 
 
 def _newton_on_walls(table, itinerary, A, points, B, active, opts):
@@ -398,8 +362,8 @@ def _newton_on_walls(table, itinerary, A, points, B, active, opts):
     if reason == "converged":
         _, grad, _, _ = _path_kernel(_point_list(A, points, B))
         # a negative multiplier wants to release its vertex from the wall
-        forces = _multipliers(grad, _wall_normals(problem.bases, active, points))
-        clean = min(forces) >= -1e-10
+        forces = _wall_forces(problem.bases, active, points, grad)[1]
+        clean = forces.min() >= -1e-10
     else:
         clean = reason == "floor"
     return points, value, kkt, clean

@@ -97,6 +97,15 @@ def test_solve_anchor_on_locus_usage(tmp_path, mirror_json):
     assert code == 64
 
 
+@pytest.mark.parametrize("command", ["solve", "thicken"])
+def test_non_finite_anchor_is_a_usage_error(tmp_path, mirror_json, command):
+    out = tmp_path / "x"
+    code = main([command, "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--A", "nan,1", "--B", "2,1", "--out", str(out)])
+    assert code == 64
+    assert not any(out.iterdir())
+
+
 def test_scatter_command(tmp_path, mirror_json):
     out = tmp_path / "sc"
     code = main(["scatter", "--arrangement", str(mirror_json),

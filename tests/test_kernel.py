@@ -1,9 +1,10 @@
 """Finite-difference oracles for the shared path-length kernel: the smoothed
 length in stacked chain coordinates (mu > 0) and the thickened wall problem
-in wall coordinates."""
+in ambient coordinates."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from linbilliards.action import gradient_stacked, hessian
 from linbilliards.arrangement import Itinerary
@@ -84,9 +85,11 @@ def _wall_chain(table, itin, active, rng):
 @pytest.mark.parametrize("name", ["twolines_arr", "lines3d_arr", "planes4d_arr"])
 @pytest.mark.parametrize("r", [0.5, 0.05])
 def test_wall_coordinate_hessian_matches_finite_differences(request, name, r):
-    """The reduced Hessian J^T H J + curvature and the reduced gradient are the
-    derivatives of the length along the wall retraction the Newton polish
-    steps with (codim 1: twolines; codim 2: lines3d, planes4d)."""
+    """In the ambient coordinates of the wall problem, P H P and the gradient
+    are the derivatives of the length along the wall retraction the Newton
+    polish steps with, for the tangent projector P; the normal block is the
+    identity and does not couple to the tangent directions (codim 1:
+    twolines; codim 2: lines3d, planes4d)."""
     arr = request.getfixturevalue(name)
     rng = np.random.default_rng(5)
     table = ThickenedTable(arr, r)
@@ -98,10 +101,20 @@ def test_wall_coordinate_hessian_matches_finite_differences(request, name, r):
     value, grad, H = problem.derivatives(pts)
     assert value == pytest.approx(problem.value(pts), rel=1e-15)
 
+    normal = []
+    for idx, q, on_wall in zip(itin, pts, active):
+        omega = arr.subspaces[idx].perp(q) if on_wall else np.zeros(arr.dim)
+        normal.append(np.outer(omega, omega) / max(omega @ omega, 1e-300))
+    N = scipy.linalg.block_diag(*normal)
+    P = np.eye(len(grad)) - N
+
     def along(s):
-        return problem.value(problem.retract(pts, s, 1.0))
+        return problem.value(problem.retract(pts, P @ s, 1.0))
 
     zero = np.zeros(len(grad))
     assert np.allclose(grad, fd_jacobian(along, zero, 1e-6), atol=1e-8)
     fd_H = fd_jacobian(lambda s: fd_jacobian(along, s, 1e-4), zero, 1e-4)
-    assert np.allclose(H, fd_H, atol=1e-5 * max(1.0, np.max(np.abs(H))))
+    size = max(1.0, np.max(np.abs(H)))
+    assert np.allclose(P @ H @ P, fd_H, atol=1e-5 * size)
+    assert np.allclose(N @ H @ N, N, rtol=0.0, atol=1e-14 * size)
+    assert np.allclose(P @ H @ N, 0.0, rtol=0.0, atol=1e-14 * size)

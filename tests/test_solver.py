@@ -62,6 +62,17 @@ def test_anchor_on_locus_rejected(mirror_arr):
         minimize(mirror_arr, Itinerary((0,)), [0.0, 1.0], [2.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("A", [[np.nan, 1.0], [np.inf, 1.0], [1e308, 1.0]],
+                         ids=["nan", "inf", "overflow"])
+def test_non_finite_or_overflowing_anchor_is_an_input_error(twolines_arr, A):
+    """An anchor that is not finite, or so far out that squared edge lengths
+    overflow, is refused up front, with no arithmetic warning on the way."""
+    for anchors in ((A, TWOLINE_B), (TWOLINE_A, A)):
+        with pytest.raises(InputError, match="anchors must be finite"):
+            minimize(twolines_arr, Itinerary((0, 1)), *anchors)
+
+
 def test_valid_results_satisfy_invariants(twolines_arr):
     result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     assert result.is_valid

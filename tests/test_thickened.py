@@ -148,6 +148,44 @@ def test_minimize_thickened_anchor_inside_rejected(mirror_table):
                            np.array([-1.0, 0.05]), np.array([1.0, 0.5]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("A", [[np.nan, 1.0], [np.inf, 1.0], [1e308, 1.0]],
+                         ids=["nan", "inf", "overflow"])
+def test_minimize_thickened_rejects_a_non_finite_or_overflowing_anchor(mirror_table, A):
+    for (A_, B_), name in (((A, B_MIRROR), "A"), ((A_MIRROR, A), "B")):
+        with pytest.raises(InputError, match=f"anchor {name} must be finite"):
+            minimize_thickened(mirror_table, Itinerary((0,)), A_, B_)
+
+
+def test_kkt_residual_is_the_ambient_tangential_gradient():
+    """On the three-body table at a small radius the reported residual is the
+    gradient of the length along the walls, |P_T grad L| with P_T = I -
+    omega omega^T at wall vertices, measured at the returned points."""
+    system = nbody.NBodySystem(3, 2, nbody.MASSES_THIRD, reduce_cm=True)
+    arr = nbody.build_arrangement(system)
+    itin = Itinerary.from_labels(arr, ["D12", "D13"])
+    s = nbody.three_body_slice([1.9], [2.6])
+    to_config = nbody._complex_to_config
+    v_mid = to_config(s.v_mid[0])
+    p = -(1.0 / 3.0) * (v_mid[0] - v_mid[2])
+    x1 = np.array([p, p, -2.0 * p])
+    A = system.embed(x1 - to_config(nbody.V_MINUS))
+    B = system.embed(x1 + v_mid + to_config(s.v_plus[0, 0]))
+    result = minimize_thickened(ThickenedTable(arr, 1e-4), itin, A, B)
+    assert result.honest
+    points = np.vstack([A, result.points, B])
+    units = np.diff(points, axis=0)
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    tangential = []
+    for idx, q, g in zip(itin, result.points, units[:-1] - units[1:]):
+        omega = arr.subspaces[idx].perp(q)
+        omega /= np.linalg.norm(omega)
+        tangential.append(g - np.dot(g, omega) * omega)
+    measured = np.linalg.norm(tangential)
+    assert measured > 1e-14
+    assert result.kkt_residual == pytest.approx(measured, rel=0.0, abs=1e-15)
+
+
 def test_minimize_thickened_multistart_value(mirror_table):
     # the thickened problem is solved from a deterministic start; perturbing
     # the anchors slightly and re-solving confirms stability of the minimum
@@ -259,21 +297,6 @@ def test_events_csv(tmp_path, mirror_table):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("time,label")
     assert len(lines) == 2
-
-
-def test_perp_basis_ignores_rounding_along_the_subspace(lines3d_arr):
-    """A wall normal with a small component along its line still gives one
-    tangent direction of the perp circle, not two."""
-    from linbilliards.thickened import _perp_basis
-    sub = lines3d_arr.subspaces[1]
-    line = sub.basis[0]
-    perp = np.cross(line, [1.0, 0.0, 0.0])
-    omega = perp / np.linalg.norm(perp) + 1e-8 * line
-    V = _perp_basis(sub, omega)
-    assert V.shape == (sub.dim - sub.subdim - 1, sub.dim)
-    assert np.allclose(V @ V.T, np.eye(V.shape[0]), atol=1e-14)
-    assert np.abs(V @ omega).max() < 1e-14
-    assert np.abs(V @ sub.basis.T).max() < 1e-14
 
 
 def _first_hit_by_loop(table, p, v):
