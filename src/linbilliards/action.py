@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .arrangement import Arrangement, Itinerary, _as_vector
 from .errors import InputError, NonSmoothPoint
@@ -112,17 +111,6 @@ def _edge_terms(edges: np.ndarray, f: np.ndarray):
     n = edges / f[:, None]
     W = (np.eye(edges.shape[1]) - n[:, :, None] * n[:, None, :]) / f[:, None, None]
     return float(f.sum()), n, n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
-
-
-def _path_kernel(pts: np.ndarray, mu2: float = 0.0):
-    """Value and ambient derivatives of the smoothed length of A, q_1..q_k, B.
-
-    Returns the value, the vertex gradients, and the diagonal and coupling
-    Hessian blocks of ``_edge_terms``.  At mu2 = 0 the caller must keep
-    consecutive points apart.
-    """
-    value, _, grad, diag, off = _edge_terms(*_edge_lengths(pts, mu2))
-    return value, grad, diag, off
 
 
 def _stacked(bases: np.ndarray, grad, diag, off):
@@ -211,13 +199,27 @@ class HessianModel:
             return 0.0
         return float(np.max(np.linalg.norm(self.a_in - self.a_out, axis=1)))
 
-    def norm_grams(self) -> np.ndarray:
-        """Gram matrices (k, m, m) of the per-vertex inner products
-        |ξ|^2 - <ξ, a_i>^2."""
+    def _alphas(self) -> np.ndarray:
+        """Coordinates α_i (k, m) of the a_i; NonSmoothPoint if some |α_i| >= 1."""
         alpha = _to_coords(self.bases, self.a_in)
         if np.any(np.linalg.norm(alpha, axis=1) >= 1.0):
             raise NonSmoothPoint("per-vertex norm degenerate: |a_i| >= 1")
+        return alpha
+
+    def norm_grams(self) -> np.ndarray:
+        """Gram matrices (k, m, m) of the per-vertex inner products
+        |ξ|^2 - <ξ, a_i>^2."""
+        alpha = self._alphas()
         return np.eye(alpha.shape[1]) - alpha[:, :, None] * alpha[:, None, :]
+
+    def _inverse_roots(self) -> np.ndarray:
+        """Closed-form G_i^{-1/2} = I + c_i α_i α_i^T (k, m, m), c_i = ((1 -
+        |α_i|^2)^{-1/2} - 1) / |α_i|^2 = 1 / (s_i (1 + s_i)) for s_i = sqrt(1 -
+        |α_i|^2), which needs no division by |α_i|."""
+        alpha = self._alphas()
+        s = np.sqrt(1.0 - (alpha * alpha).sum(axis=1))
+        return np.eye(alpha.shape[1]) + (1.0 / (s * (1.0 + s)))[:, None, None] \
+            * alpha[:, :, None] * alpha[:, None, :]
 
     def gram(self) -> np.ndarray:
         grams = self.norm_grams()
@@ -226,25 +228,24 @@ class HessianModel:
         G[np.arange(k), :, np.arange(k), :] = grams
         return G.reshape(k * m, k * m)
 
-    def coupling(self, i: int, j: int) -> np.ndarray:
-        """Coordinate matrix of the operator S_{ij}: L_j -> L_i, |i-j| = 1."""
+    def _joining_block(self, i: int, j: int) -> np.ndarray:
+        """Q_{ij} = B_i (I - n n^T) B_j^T, |i-j| = 1: the Hessian block times -r."""
         if abs(i - j) != 1:
             raise InputError("coupling defined only for adjacent blocks")
-        # the Hessian block is -B_i (I - n n^T) B_j^T / r on the joining edge
         m = self.bases.shape[1]
-        Q = -self.edge_lengths[min(i, j) + 1] * self.matrix[i * m:(i + 1) * m,
-                                                            j * m:(j + 1) * m]
-        G = self.norm_grams()[i]
-        return np.linalg.solve(G, Q)
+        return -self.edge_lengths[min(i, j) + 1] * self.matrix[i * m:(i + 1) * m,
+                                                               j * m:(j + 1) * m]
+
+    def coupling(self, i: int, j: int) -> np.ndarray:
+        """Coordinate matrix of the operator S_{ij} = G_i^{-1} Q_{ij}: L_j -> L_i."""
+        return np.linalg.solve(self.norm_grams()[i], self._joining_block(i, j))
 
     def coupling_opnorm(self, i: int, j: int) -> float:
-        """Operator norm of S_{ij} relative to the per-vertex norms."""
-        grams = self.norm_grams()
-        Gi, Gj = grams[i], grams[j]
-        S = self.coupling(i, j)
-        gi = scipy.linalg.sqrtm(Gi).real
-        gj = scipy.linalg.sqrtm(Gj).real
-        return float(np.linalg.norm(gi @ S @ np.linalg.inv(gj), 2))
+        """Operator norm of S_{ij} relative to the per-vertex norms:
+        |G_i^{1/2} S_{ij} G_j^{-1/2}| = |G_i^{-1/2} Q_{ij} G_j^{-1/2}|."""
+        Q = self._joining_block(i, j)
+        roots = self._inverse_roots()
+        return float(np.linalg.norm(roots[i] @ Q @ roots[j], 2))
 
     def tridiagonal(self) -> np.ndarray:
         """The operator matrix M with d2S(ξ, ζ) = <ξ, M ζ>_* in chain coordinates.
@@ -262,21 +263,14 @@ class HessianModel:
         G = ``gram()``, with the vertex Grams G_i = I - α_i α_i^T over the
         coordinates α_i of a_i; inf for an empty chain space.
 
-        Taken as eigvalsh(G^{-1/2} H G^{-1/2}) with the closed form
-        G_i^{-1/2} = I + c_i α_i α_i^T, c_i = ((1 - |α_i|^2)^{-1/2} - 1) / |α_i|^2
-        = 1 / (s_i (1 + s_i)) for s_i = sqrt(1 - |α_i|^2), which needs no
-        division by |α_i|.  Raises NonSmoothPoint where some |α_i| >= 1.
+        Taken as eigvalsh(G^{-1/2} H G^{-1/2}) over ``_inverse_roots``; raises
+        NonSmoothPoint where some |α_i| >= 1.
         """
         H = self.matrix
         if H.size == 0:
             return math.inf
-        alpha = _to_coords(self.bases, self.a_in)
-        if np.any(np.linalg.norm(alpha, axis=1) >= 1.0):
-            raise NonSmoothPoint("per-vertex norm degenerate: |a_i| >= 1")
-        k, m = alpha.shape
-        s = np.sqrt(1.0 - (alpha * alpha).sum(axis=1))
-        root = np.eye(m) + (1.0 / (s * (1.0 + s)))[:, None, None] \
-            * alpha[:, :, None] * alpha[:, None, :]
+        root = self._inverse_roots()
+        k, m, _ = root.shape
         blocks = H.reshape(k, m, k, m).transpose(0, 2, 1, 3)
         scaled = (root[:, None] @ blocks @ root[None, :]).transpose(0, 2, 1, 3)
         return float(np.linalg.eigvalsh(scaled.reshape(k * m, k * m))[0])

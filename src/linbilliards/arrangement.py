@@ -9,6 +9,7 @@ Subspaces are linear (through the origin) and carried as orthonormal bases.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,9 @@ from .errors import InputError, PreconditionError
 MEMBERSHIP_TOL = 1e-9
 
 _ORTHO_TOL = 1e-12
+_CLAMP_LOG_TOL = 1e-12
+
+logger = logging.getLogger(__name__)
 
 
 def _as_vector(x, dim: int, what: str = "point") -> np.ndarray:
@@ -143,9 +147,6 @@ class Subspace:
         """Euclidean distance from x to the subspace; zero iff x lies on it."""
         return float(np.linalg.norm(self.perp(x)))
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.distance_to(x) <= tol
-
     def tube_interval(self, p, d, tol: float):
         """Parameter interval {t : dist(p + t*d, L) <= tol} along a full line.
 
@@ -173,13 +174,17 @@ class Subspace:
 
 
 def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two nonzero vectors, arccos clamped."""
+    """Angle in [0, pi] between two nonzero vectors, arccos clamped (with a
+    warning when the cosine is off the unit range by more than rounding)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise InputError("angle undefined for zero vector")
-    return math.acos(min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv))))
+    c = float(np.dot(u, v)) / (nu * nv)
+    if abs(c) > 1.0 + _CLAMP_LOG_TOL:
+        logger.warning("angle cosine %.17g clamped to unit range", c)
+    return math.acos(min(1.0, max(-1.0, c)))
 
 
 def principal_angle(a: Subspace, b: Subspace) -> float:
@@ -298,13 +303,6 @@ class Arrangement:
         t = 0.5 * (lo[hits] + hi[hits])
         order = np.argsort(t, kind="stable")
         return [(int(i), float(ti)) for i, ti in zip(hits[order], t[order])]
-
-    def ray_hits_beyond_start(self, start, direction, tol: float = MEMBERSHIP_TOL) -> bool:
-        """True when the ray start + t*direction (t >= 0) meets some subspace
-        tube beyond its initial point."""
-        start = _as_vector(start, self.dim)
-        direction = _as_vector(direction, self.dim, "direction")
-        return bool(self.rays_hit_beyond_start(start[None], direction[None], tol)[0])
 
     def rays_hit_beyond_start(self, starts, directions, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         """For rays (r, dim) of starts and directions, whether each meets some

@@ -47,7 +47,6 @@ from .thickened import (
     ThickenedTable,
     events_to_csv,
     r_family,
-    replay_honest,
     simulate,
 )
 from .nbody import slice_to_csv, three_body_slice
@@ -211,6 +210,8 @@ def cmd_thicken(args) -> int:
         events_to_csv(path, out / "events.csv")
         logger.info("simulate: %d events, status %s", len(path.events), path.status)
         return EXIT_OK
+    if args.A is None or args.B is None:
+        raise InputError("thicken needs --A and --B, or --simulate")
     A = _parse_vector(args.A)
     B = _parse_vector(args.B)
     r_list = [float(x) for x in args.r_list.split(",")]
@@ -223,10 +224,8 @@ def cmd_thicken(args) -> int:
             fh.write(f"{e.r:.17g},{e.deviation:.17g},{honest},"
                      f"{str(e.itinerary_match).lower()},{value},{e.error}\n")
     for e in entries:
-        if e.result is not None and e.result.honest:
-            table = ThickenedTable(arr, e.r)
-            path = replay_honest(table, e.result, A, len(itinerary))
-            events_to_csv(path, out / f"events_r{e.r:.0e}.csv")
+        if e.replay is not None:
+            events_to_csv(e.replay, out / f"events_r{e.r:.0e}.csv")
     logger.info("thicken: %d radii, deviations %s", len(entries),
                 ["%.3g" % e.deviation for e in entries])
     return EXIT_OK
@@ -358,14 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--itinerary", required=True,
                            help="comma-separated subspace names")
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--max-iters", type=int, default=400)
         p.add_argument("--grad-tol", type=float, default=1e-10)
         p.add_argument("--coincidence-tol", type=float, default=1e-9)
 
     p = sub.add_parser("solve", help="solve one itinerary between two anchors")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--multistart", type=int, default=0)
@@ -375,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", help="sample a relation patch around two anchors")
     common(p, needs_itinerary=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--itinerary", default=None,
                    help="comma-separated names; omit for free motion")
     p.add_argument("--A", required=True)
@@ -400,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("origami", help="unfolding identities and realizability search")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--A", default=None)
     p.add_argument("--B", default=None)
     p.add_argument("--max-len", type=int, default=4)

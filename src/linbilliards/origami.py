@@ -15,29 +15,15 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, principal_angle
+from .arrangement import Arrangement, Itinerary, angle_between, principal_angle
 from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import SolverOptions, minimize
 from .trajectory import BilliardTrajectory
-
-logger = logging.getLogger(__name__)
-
-_CLAMP_LOG_TOL = 1e-12
-
-
-def _safe_angle(u, v) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    c = float(np.dot(u, v)) / (nu * nv)
-    if abs(c) > 1.0 + _CLAMP_LOG_TOL:
-        logger.warning("angle cosine %.17g clamped to unit range", c)
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 @dataclass(frozen=True)
@@ -76,10 +62,10 @@ def unfold(traj: BilliardTrajectory) -> Unfolding:
     if np.any(norms <= 1e-12):
         raise PreconditionError("collision point at the origin: rays undefined")
     edges = traj.edge_velocities
-    theta = [_safe_angle(chain[0], -edges[0])]
+    theta = [angle_between(chain[0], -edges[0])]
     for i in range(k - 1):
-        theta.append(_safe_angle(chain[i], chain[i + 1]))
-    theta.append(_safe_angle(chain[-1], edges[-1]))
+        theta.append(angle_between(chain[i], chain[i + 1]))
+    theta.append(angle_between(chain[-1], edges[-1]))
     return Unfolding(tuple(theta))
 
 
@@ -126,7 +112,7 @@ def develop_planar(traj: BilliardTrajectory) -> np.ndarray:
     seq = [traj.A] + [chain[i] for i in range(k)] + [traj.B]
     phi = 0.0
     for prev, cur in zip(seq, seq[1:]):
-        phi += _safe_angle(prev, cur)
+        phi += angle_between(prev, cur)
         angles.append(phi)
         radii.append(float(np.linalg.norm(cur)))
     return np.array([[r * math.cos(a), r * math.sin(a)]

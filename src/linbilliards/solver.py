@@ -362,17 +362,17 @@ def _warm_polish(problem, x, tol, detect, max_iters):
 
 
 def _snapped(problem, points: np.ndarray, runs, meets=None):
-    """(length, points) with the vertices of each run replaced by the
-    projection of their mean onto the intersection of the run's subspaces
-    (the origin when they meet only there); meets, if given, holds the
-    runs' intersection bases.
+    """Points with the vertices of each run replaced by the projection of
+    their mean onto the intersection of the run's subspaces (the origin when
+    they meet only there); meets, if given, holds the runs' intersection
+    bases.
     """
     if meets is None:
         meets = [intersection_basis(problem.bases[start:stop]) for start, stop in runs]
     points = points.copy()
     for (start, stop), meet in zip(runs, meets):
         points[start:stop] = meet.T @ (meet @ points[start:stop].mean(axis=0))
-    return action(problem.A, points, problem.B), points
+    return points
 
 
 def _reduced_minimum(problem, points, runs, floor, mu2):
@@ -395,7 +395,7 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
         bases[start] = 0.0
         bases[start, :len(meet)] = meet
     reduced = _StackedProblem(bases[keep], problem.A, problem.B)
-    y = reduced.coords_of(_snapped(problem, points, runs, meets)[1][keep])
+    y = reduced.coords_of(_snapped(problem, points, runs, meets)[keep])
     if reduced.pad.size < y.size:
         mu2 *= 1e-4
         y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),

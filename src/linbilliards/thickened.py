@@ -20,7 +20,7 @@ import numpy as np
 from .arrangement import (Arrangement, Itinerary, _as_vector, _line_tube, _perp, _project,
                           _row_dot)
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
-from .action import _path_kernel, _point_list, _stacked, action
+from .action import _edge_lengths, _edge_terms, _point_list, _stacked, action
 from .solver import SolverOptions, _check_size, _damped_newton, minimize
 from .trajectory import TRANSVERSE_TOL, BilliardTrajectory, is_transverse
 
@@ -198,14 +198,14 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                        opts: SolverOptions = SolverOptions()) -> ThickenedMinimizeResult:
     """Minimize the path length with each vertex confined to its solid cylinder.
 
-    Projected gradient with backtracking makes global progress on the convex
-    problem; once the active set (vertices pressed onto their cylinder walls)
-    stabilizes, projected Newton on the wall manifold polishes to full
-    accuracy.  The minimizer is honest when every vertex sits on its wall and
-    the direction jumps there; otherwise it is a ghost (straight-through or
-    tangential passage).  A ghost's value is reproducible but its points need
-    not be: a free vertex inside its cylinder can slide along a straight
-    segment at constant length.
+    Each phase makes global progress on the convex problem by projected
+    gradient with backtracking, then polishes by the solver's Newton core on
+    the walls of the vertices pressed onto them; one gradient at its chain
+    serves the release test, the next phase and the result.  The minimizer
+    is honest when every vertex sits on its wall and the direction jumps
+    there; otherwise it is a ghost (straight-through or tangential passage).
+    A ghost's value is reproducible but its points need not be: a free vertex
+    inside its cylinder can slide along a straight segment at constant length.
     """
     arr = table.arrangement
     A = np.asarray(A, dtype=float)
@@ -233,16 +233,19 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
         shrink = radii / np.where(inside, 1.0, norm)
         return np.where(inside[:, None], pts, par + perp * shrink[:, None])
 
+    def vertex_gradients(pts):
+        return _edge_terms(*_edge_lengths(_point_list(A, pts, B)))[2]
+
     # start from the projection of the straight chord into the cylinders
     points = project(A + (np.arange(1, k + 1) / (k + 1))[:, None] * (B - A))
     value = action(A, points, B)
+    grad = vertex_gradients(points)
     step = 1.0
     kkt = math.inf
     prev_kkt = math.inf
     for phase in range(MAX_PHASES):
-        # -- projected gradient phase
+        # -- projected gradient phase; grad is the gradient at points
         for _ in range(200):
-            _, grad, _, _ = _path_kernel(_point_list(A, points, B))
             trial_step = step
             moved = False
             for _ in range(60):
@@ -259,10 +262,18 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
             mapping = float(np.sqrt(float(np.sum((project(points - grad) - points) ** 2))))
             if mapping <= 1e-8 * scale or not moved:
                 break
+            grad = vertex_gradients(points)
 
-        # -- active-set Newton phase
-        points, value, kkt, clean = _newton_on_walls(
-            table, itinerary, A, points, B, on_walls(points), opts)
+        # -- active-set Newton phase; no small-step stop (step_tol 0), so a
+        # "floor" return is a clean residual floor
+        problem = _WallProblem(table, itinerary, A, B, on_walls(points))
+        points, value, kkt, reason = _damped_newton(
+            points.copy(), problem.derivatives, problem.value, problem.retract,
+            max(opts.grad_tol, 1e-13), 0.0, max_iters=60)
+        grad = vertex_gradients(points)
+        # a negative multiplier wants to release its vertex from the wall
+        clean = (_wall_forces(bases, problem.active, points, grad)[1].min() >= -1e-10
+                 if reason == "converged" else reason == "floor")
         if clean and kkt <= max(opts.grad_tol, 1e-12) * max(1.0, value):
             break
         if clean and kkt >= prev_kkt * 0.99:
@@ -271,7 +282,6 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
     else:
         raise MaxIterations(f"thickened minimization stalled (kkt = {kkt:.3e})")
 
-    _, grad, _, _ = _path_kernel(_point_list(A, points, B))
     active = on_walls(points)
     multipliers = _wall_forces(bases, active, points, grad)[1].tolist()
     # the ambient gradient n_in - n_out at a vertex is its direction jump
@@ -324,7 +334,7 @@ class _WallProblem:
         return action(self.A, pts, self.B)
 
     def derivatives(self, pts):
-        value, grad, diag, off = _path_kernel(_point_list(self.A, pts, self.B))
+        value, _, grad, diag, off = _edge_terms(*_edge_lengths(_point_list(self.A, pts, self.B)))
         normals, forces = _wall_forces(self.bases, self.active, pts, grad)
         normal = normals[:, :, None] * normals[:, None, :]
         g, H = _stacked(np.eye(pts.shape[1]) - normal, grad, diag, off)
@@ -346,27 +356,6 @@ class _WallProblem:
             return None
         on_wall = par + perp * (self.radii / np.where(self.active, norms, 1.0))[:, None]
         return np.where(self.active[:, None], on_wall, cand)
-
-
-def _newton_on_walls(table, itinerary, A, points, B, active, opts):
-    """Newton polish of the wall problem with the solver's damped-Newton core.
-
-    Returns (points, value, kkt residual, active-set-clean flag).
-    """
-    problem = _WallProblem(table, itinerary, A, B, active)
-    # no small-step stop (step_tol 0): the phase loop of minimize_thickened
-    # reads a "floor" return as a clean residual floor
-    points, value, kkt, reason = _damped_newton(
-        points.copy(), problem.derivatives, problem.value, problem.retract,
-        max(opts.grad_tol, 1e-13), 0.0, max_iters=60)
-    if reason == "converged":
-        _, grad, _, _ = _path_kernel(_point_list(A, points, B))
-        # a negative multiplier wants to release its vertex from the wall
-        forces = _wall_forces(problem.bases, active, points, grad)[1]
-        clean = forces.min() >= -1e-10
-    else:
-        clean = reason == "floor"
-    return points, value, kkt, clean
 
 
 def curve_shorten(table: ThickenedTable, itinerary: Itinerary, A, chain_points, B):
@@ -429,11 +418,15 @@ def curve_shorten(table: ThickenedTable, itinerary: Itinerary, A, chain_points, 
 
 @dataclass(frozen=True)
 class RFamilyEntry:
+    """One radius of an r-family; an honest result keeps its replay_honest
+    path, and itinerary_match says whether it hits the itinerary in order."""
+
     r: float
     result: ThickenedMinimizeResult | None
     deviation: float
     itinerary_match: bool
     error: str = ""
+    replay: ThickenedPath | None = None
 
 
 def r_family(arr: Arrangement, itinerary: Itinerary, A, B, r_list,
@@ -458,11 +451,9 @@ def r_family(arr: Arrangement, itinerary: Itinerary, A, B, r_list,
         try:
             result = minimize_thickened(table, itinerary, A, B, opts)
             deviation = float(np.max(np.linalg.norm(result.points - reference, axis=1)))
-            match = False
-            if result.honest:
-                replay = replay_honest(table, result, A, len(itinerary))
-                match = replay.itinerary_labels == labels
-            entries.append(RFamilyEntry(float(r), result, deviation, match))
+            replay = replay_honest(table, result, A, len(itinerary)) if result.honest else None
+            match = replay is not None and replay.itinerary_labels == labels
+            entries.append(RFamilyEntry(float(r), result, deviation, match, replay=replay))
         except (PreconditionError, MaxIterations, CornerCollision) as exc:
             entries.append(RFamilyEntry(float(r), None, math.nan, False, str(exc)))
     return entries

@@ -162,6 +162,42 @@ def test_structured_form_at_solution(twolines_arr):
     assert model.min_eigenvalue() > 0.0
 
 
+def _sqrtm_coupling_opnorm(model, i, j):
+    """Reference |G_i^{1/2} S_ij G_j^{-1/2}| through scipy's matrix square root
+    and an explicit inverse."""
+    grams = model.norm_grams()
+    root_i = scipy.linalg.sqrtm(grams[i]).real
+    root_j = scipy.linalg.sqrtm(grams[j]).real
+    return float(np.linalg.norm(root_i @ model.coupling(i, j) @ np.linalg.inv(root_j), 2))
+
+
+@pytest.mark.parametrize("fixture_name,itinerary", [
+    ("twolines_arr", (0, 1)),
+    ("lines3d_arr", (0, 1, 0)),
+    ("planes4d_arr", (0, 1, 0, 1)),
+    ("fourbody_arr", (0, 1, 2)),
+])
+def test_coupling_opnorm_matches_the_matrix_square_root(request, fixture_name, itinerary):
+    """The closed-form G^{-1/2} gives the coupling norms of the sqrtm route,
+    at solved chains and at random smooth ones."""
+    from conftest import TWOLINE_A, TWOLINE_B
+    arr = request.getfixturevalue(fixture_name)
+    it = Itinerary(itinerary)
+    rng = np.random.default_rng(zlib.crc32(fixture_name.encode()))
+    models = []
+    for _ in range(5):
+        A = rng.normal(size=arr.dim) * 3
+        B = rng.normal(size=arr.dim) * 3
+        models.append(hessian(arr, it, A, random_smooth_chain(arr, it, A, B, rng), B))
+    if fixture_name == "twolines_arr":
+        models.append(_solved_model(arr, it, TWOLINE_A, TWOLINE_B)[0])
+    for model in models:
+        for i in range(len(it) - 1):
+            for a, b in ((i, i + 1), (i + 1, i)):
+                assert model.coupling_opnorm(a, b) == pytest.approx(
+                    _sqrtm_coupling_opnorm(model, a, b), rel=1e-14, abs=0.0)
+
+
 def test_preconditioned_weights_and_spectrum(twolines_arr):
     from conftest import TWOLINE_A, TWOLINE_B
     it = Itinerary((0, 1))

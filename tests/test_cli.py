@@ -133,6 +133,50 @@ def test_thicken_command_monotone(tmp_path, mirror_json):
     assert all(r.split(",")[3] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("anchor", ["--A", "--B"])
+def test_thicken_without_an_anchor_is_a_usage_error(tmp_path, mirror_json, anchor):
+    """Without --simulate, thicken solves an r-family and needs both anchors."""
+    anchors = {"--A": "0,1", "--B": "2,1"}
+    del anchors[anchor]
+    out = tmp_path / "th"
+    code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 *[x for item in anchors.items() for x in item], "--out", str(out)])
+    assert code == 64
+    assert not any(out.iterdir())
+
+
+def test_thicken_simulates_each_honest_radius_once(tmp_path, mirror_json, monkeypatch):
+    """The event logs are written from the replays r_family already ran."""
+    from linbilliards import thickened
+    radii = []
+    simulate = thickened.simulate
+
+    def counting(table, *args, **kwargs):
+        radii.append(table.r)
+        return simulate(table, *args, **kwargs)
+
+    monkeypatch.setattr(thickened, "simulate", counting)
+    out = tmp_path / "th"
+    code = main(["thicken", "--arrangement", str(mirror_json),
+                 "--itinerary", "L1", "--A", "0,1", "--B", "2,1",
+                 "--r-list", "1e-1,1e-2,1e-3", "--out", str(out)])
+    assert code == 0
+    rows = [r.split(",") for r in (out / "rfamily.csv").read_text().splitlines()[1:]]
+    honest = [float(r[0]) for r in rows if r[2] == "true"]
+    assert len(honest) == 3
+    assert radii == honest
+    assert len(list(out.glob("events_r*.csv"))) == 3
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--jobs"), ("thicken", "--seed"), ("thicken", "--jobs")])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, mirror_json,
+                                                        command, flag):
+    code = main([command, "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--A", "0,1", "--B", "2,1", flag, "2", "--out", str(tmp_path / "x")])
+    assert code == 64
+
+
 def test_thicken_simulate_mode(tmp_path, mirror_json):
     out = tmp_path / "sim"
     code = main(["thicken", "--arrangement", str(mirror_json),

@@ -282,6 +282,25 @@ def test_r_family_mirror_slope(mirror_arr):
     assert slope == pytest.approx(1.0, abs=0.2)
 
 
+def _path_bits(path):
+    """Every field of a thickened path, with arrays as their bytes."""
+    arrays = (path.start_point, path.start_velocity, path.end_point, path.end_velocity)
+    return ([a.tobytes() for a in arrays], path.end_time, path.status,
+            [(e.time, e.label, e.point.tobytes(), e.v_before.tobytes(), e.v_after.tobytes())
+             for e in path.events])
+
+
+def test_r_family_keeps_the_replay_of_each_honest_radius(twolines_arr):
+    from conftest import TWOLINE_A, TWOLINE_B
+    itin = Itinerary((0, 1))
+    entries = r_family(twolines_arr, itin, TWOLINE_A, TWOLINE_B, [1e-1, 1e-2, 1e-3])
+    assert all(e.result is not None and e.result.honest for e in entries)
+    for e in entries:
+        fresh = replay_honest(ThickenedTable(twolines_arr, e.r), e.result, TWOLINE_A, 2)
+        assert _path_bits(e.replay) == _path_bits(fresh)
+        assert e.itinerary_match == (fresh.itinerary_labels == ["L1", "L2"])
+
+
 def test_r_family_refuses_nontransverse(origin_arr):
     # the straight pass through the origin is an internal vertex
     with pytest.raises(PreconditionError):
