@@ -79,11 +79,11 @@ ERROR_EXIT = {
 logger = logging.getLogger("linbilliards")
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, what: str = "vector") -> np.ndarray:
     try:
         return np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise InputError(f"cannot parse vector {text!r}") from exc
+        raise InputError(f"cannot parse {what} {text!r}") from exc
 
 
 def _solver_options(args) -> SolverOptions:
@@ -186,11 +186,26 @@ def cmd_scatter(args) -> int:
     return EXIT_OK
 
 
+# thicken options read by one mode only, with the defaults of that mode
+SIMULATE_DEFAULTS = {"r": 1e-2, "max_events": 100, "t_max": math.inf}
+FAMILY_DEFAULTS = {"r_list": "1e-1,1e-2,1e-3,1e-4"}
+
+
 def cmd_thicken(args) -> int:
+    simulating = args.simulate is not None
+    ignored = ["A", "B", *FAMILY_DEFAULTS] if simulating else [*SIMULATE_DEFAULTS]
+    given = ["--" + name.replace("_", "-") for name in ignored
+             if getattr(args, name) is not None]
+    if given:
+        mode = "with" if simulating else "without"
+        raise InputError(f"thicken {mode} --simulate does not read {', '.join(given)}")
+    for name, default in (SIMULATE_DEFAULTS if simulating else FAMILY_DEFAULTS).items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     arr, itinerary = _load_problem(args)
     out = _out_dir(args)
     opts = _solver_options(args)
-    if args.simulate:
+    if simulating:
         parts = args.simulate.split(";")
         if len(parts) != 2:
             raise InputError(f"--simulate takes 'p;v', got {args.simulate!r}")
@@ -214,7 +229,7 @@ def cmd_thicken(args) -> int:
         raise InputError("thicken needs --A and --B, or --simulate")
     A = _parse_vector(args.A)
     B = _parse_vector(args.B)
-    r_list = [float(x) for x in args.r_list.split(",")]
+    r_list = _parse_vector(args.r_list, "radius list").tolist()
     entries = r_family(arr, itinerary, A, B, r_list, opts)
     with open(out / "rfamily.csv", "w") as fh:
         fh.write("r,deviation,honest,itinerary_match,value,error\n")
@@ -388,12 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thicken", help="r-family minimization or event simulation")
     common(p)
-    p.add_argument("--A")
-    p.add_argument("--B")
-    p.add_argument("--r", type=float, default=1e-2)
-    p.add_argument("--r-list", default="1e-1,1e-2,1e-3,1e-4")
-    p.add_argument("--max-events", type=int, default=100)
-    p.add_argument("--t-max", type=float, default=math.inf)
+    p.add_argument("--A", help="r-family only")
+    p.add_argument("--B", help="r-family only")
+    p.add_argument("--r", type=float, default=None,
+                   help="--simulate only (default: %g)" % SIMULATE_DEFAULTS["r"])
+    p.add_argument("--r-list", default=None,
+                   help="r-family only (default: %s)" % FAMILY_DEFAULTS["r_list"])
+    p.add_argument("--max-events", type=int, default=None,
+                   help="--simulate only (default: %d)" % SIMULATE_DEFAULTS["max_events"])
+    p.add_argument("--t-max", type=float, default=None,
+                   help="--simulate only (default: %g)" % SIMULATE_DEFAULTS["t_max"])
     p.add_argument("--simulate", default=None,
                    help="'p;v' start point and direction for raw simulation")
     p.set_defaults(func=cmd_thicken)

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,6 +7,28 @@ import pytest
 from linbilliards import nbody
 from linbilliards.arrangement import Arrangement, Subspace
 from linbilliards.action import Chain, action, gradient
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Counter of the solver's kernel passes: calls of
+    _StackedProblem.derivatives ("derivatives") and _StackedProblem.value
+    ("value"), patched as class attributes, so that every problem counts,
+    the certificate's reduced chains included."""
+    from linbilliards.solver import _StackedProblem
+    counts = collections.Counter()
+
+    def counted(name):
+        real = getattr(_StackedProblem, name)
+
+        def call(self, *args, **kwargs):
+            counts[name] += 1
+            return real(self, *args, **kwargs)
+        return call
+
+    for name in ("derivatives", "value"):
+        monkeypatch.setattr(_StackedProblem, name, counted(name))
+    return counts
 
 
 @pytest.fixture

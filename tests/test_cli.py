@@ -199,6 +199,57 @@ def test_thicken_rejects_a_non_finite_radius(tmp_path, mirror_json, argv):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("r_list", ["x", "", "1e-1,,1e-2"])
+def test_thicken_rejects_an_unparsable_radius_list(tmp_path, mirror_json, r_list):
+    out = tmp_path / "th"
+    code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--A", "0,1", "--B", "2,1", "--r-list", r_list, "--out", str(out)])
+    assert code == 64
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--simulate", "0,1;1,-1", "--A", "garbage"],
+    ["--simulate", "0,1;1,-1", "--B", "2,1"],
+    ["--simulate", "0,1;1,-1", "--r-list", "x"],
+    ["--A", "0,1", "--B", "2,1", "--r", "0.1"],
+    ["--A", "0,1", "--B", "2,1", "--max-events", "5"],
+    ["--A", "0,1", "--B", "2,1", "--t-max", "1"],
+])
+def test_thicken_refuses_the_options_of_the_other_mode(tmp_path, mirror_json, argv):
+    """--A, --B and --r-list belong to the r-family, --r, --max-events and
+    --t-max to --simulate; neither mode ignores the other's options."""
+    out = tmp_path / "th"
+    code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 *argv, "--out", str(out)])
+    assert code == 64
+    assert not out.exists()
+
+
+def test_thicken_modes_apply_their_documented_defaults(tmp_path, mirror_json,
+                                                        monkeypatch):
+    from linbilliards import thickened
+    seen = {}
+
+    def family(arr, itinerary, A, B, r_list, opts):
+        seen["r_list"] = r_list
+        return []
+
+    def simulate(table, p, v, max_events, t_max):
+        seen.update(r=table.r, max_events=max_events, t_max=t_max)
+        return thickened.simulate(table, p, v, max_events=max_events, t_max=t_max)
+
+    monkeypatch.setattr(cli, "r_family", family)
+    monkeypatch.setattr(cli, "simulate", simulate)
+    problem = ["--arrangement", str(mirror_json), "--itinerary", "L1"]
+    assert main(["thicken", *problem, "--A", "0,1", "--B", "2,1",
+                 "--out", str(tmp_path / "fam")]) == 0
+    assert main(["thicken", *problem, "--simulate", "0,1;1,-1",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert seen == {"r_list": [1e-1, 1e-2, 1e-3, 1e-4], "r": 1e-2, "max_events": 100,
+                    "t_max": math.inf}
+
+
 def test_non_finite_sigma_is_a_usage_error(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"dim": 2, "subspaces": [{"name": "L1", "basis": [[1.0, 0.0]], '

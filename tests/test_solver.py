@@ -460,6 +460,43 @@ def test_four_body_partial_collapses_are_certified_early(r, monkeypatch):
     assert abs(fast.value - full.value) <= 1e-13 * full.value
 
 
+@pytest.mark.parametrize("r", [3, 7, 11])
+def test_four_body_partial_collapses_certify_independently_of_the_start(r):
+    """The k = 8 ghosts of nbody rounds 3, 7 and 11 at seed 0, from the chord
+    moved by eps * N(0, 1) in its coordinates, eps from 1e-11 to 1e-2: every
+    start certifies at the same stage, with the same value, which needs the
+    reduced polish to hold a free vertex between two collapsed runs in place
+    on its flat segment."""
+    from linbilliards.solver import initial_chain_chord
+    arr = _four_body_table()
+    rng = np.random.default_rng([0, r, 0])
+    it = Itinerary(_repeat_free(rng, len(arr.subspaces), 8))
+    A, B = rng.standard_normal(arr.dim), rng.standard_normal(arr.dim)
+    chord = initial_chain_chord(arr, it, A, B).stacked()
+    draws = np.random.default_rng(r)
+    stages, values = set(), set()
+    for eps in np.logspace(-11, -2, 14):
+        start = Chain.from_stacked(arr, it, chord + eps * draws.standard_normal(chord.size))
+        result = minimize(arr, it, A, B, SolverOptions(initial_chain=start))
+        assert result.classification is Classification.GHOST
+        stages.add(result.iterations)
+        values.add(result.value)
+    assert len(stages) == 1
+    assert len(values) == 1
+
+
+def test_unfiltered_search_kernel_passes(twolines_arr, kernel_passes):
+    """The unfiltered realizability search of the realize benchmark at seed
+    0 (lengths 1-5, 100 samples each) stays within its kernel passes: 2,790
+    derivative and 2,813 value passes with the opening stage at mu = scale,
+    6,050 and 14,895 when every ghost backtracked from mu = 1e-2 scale."""
+    from linbilliards.origami import search_realizable
+    rows = search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
+    assert [row.status for row in rows[:6]] == ["realized"] * 6
+    assert kernel_passes["derivatives"] <= 3500
+    assert kernel_passes["value"] <= 3500
+
+
 def _random_planes(seed, n=3):
     """n random 2-planes through the origin of R^3: any two meet in a line."""
     rng = np.random.default_rng(seed)
