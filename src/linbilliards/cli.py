@@ -86,6 +86,18 @@ def _parse_vector(text: str, what: str = "vector") -> np.ndarray:
         raise InputError(f"cannot parse {what} {text!r}") from exc
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    """Write a JSON artifact.  Strict JSON has no NaN or Infinity, so a
+    non-finite float is an error here; an undefined number is written as
+    null (see _finite)."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _finite(x: float | None) -> float | None:
+    """x, or None where it is undefined (None, NaN) or infinite."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(max_iters=args.max_iters, grad_tol=args.grad_tol,
                          coincidence_tol=args.coincidence_tol)
@@ -113,8 +125,9 @@ def cmd_solve(args) -> int:
     payload = {
         "classification": str(result.classification),
         "value": result.value,
-        "grad_norm": result.grad_norm,
-        "hessian_min_eig": result.hessian_min_eig,
+        # NaN for a ghost, inf for an empty chain space: null in JSON
+        "grad_norm": _finite(result.grad_norm),
+        "hessian_min_eig": _finite(result.hessian_min_eig),
         "iterations": result.iterations,
         "chain": result.chain.points.tolist(),
         "message": result.message,
@@ -128,7 +141,7 @@ def cmd_solve(args) -> int:
             "chain_spread": report.chain_spread,
             "value_spread": report.value_spread,
         }
-    (out / "result.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "result.json", payload)
     if result.trajectory is not None:
         (out / "trajectory.json").write_text(
             trajectory_to_json(result.trajectory, arr) + "\n")
@@ -179,7 +192,7 @@ def cmd_scatter(args) -> int:
                 "noise-limited; increase --spacing to see the decay order"
     if itinerary is not None and len(itinerary) > 1:
         payload["legendrian_theta_residual"] = legendrian_theta_residual(patch)
-    (out / "residuals.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "residuals.json", payload)
     _write_patch_plot_script(out)
     logger.info("scatter: %d cells, valid fraction %.3f",
                 len(patch.samples), patch.valid_fraction())
@@ -272,7 +285,7 @@ def cmd_origami(args) -> int:
     search_to_csv(rows, out / "realizability.csv")
     realized = [len(r.labels) for r in rows if r.status == "realized"]
     payload["max_realized_length"] = max(realized) if realized else 0
-    (out / "origami.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "origami.json", payload)
     logger.info("origami: bound %d, max realized length %d",
                 payload["itinerary_bound"], payload["max_realized_length"])
     return EXIT_OK
@@ -298,7 +311,7 @@ def cmd_threebody(args) -> int:
         "max_conservation_residual": s.max_conservation_residual(),
         "internal_points": int(np.sum(s.internal)),
     }
-    (out / "threebody.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "threebody.json", payload)
     return EXIT_OK
 
 

@@ -8,12 +8,16 @@ damped Newton and drives mu to zero; a minimizer whose gaps collapse along the
 continuation is a ghost.  Smooth minimizers get a final exact-Newton polish
 on the true length.
 
-The continuation opens at mu = scale, solved loosely (|grad| <= OPEN_TOL *
-max(1, S)).  There mu dwarfs every gap, the smoothed length is close to
-sum(mu + r^2 / 2 mu), and Newton from the chord takes nearly full steps; a
-start at mu = 1e-2 scale backtracks through about three value passes for
-every derivative pass instead.  The later stages run mu = 1e-2 ... 1e-14
-scale to tolerance 1e-9.
+A cold solve starts from the spring chain.  As mu grows the smoothed length
+tends to sum(mu + r^2 / 2 mu), whose minimizer is the minimizer of sum
+|d_e|^2 over the edges d_e: one solve with the Cholesky factor of the chain
+Laplacian (the Hessian of 1/2 sum |d_e|^2, SPD for every itinerary).  The
+continuation opens at mu = scale, solved loosely (|grad| <= OPEN_TOL *
+max(1, S)).  There mu dwarfs every gap and the smoothed length is close to
+that limit, so the spring chain is already near the stage's minimizer (from
+the chord, Newton spent three or four passes reaching it); a start at mu =
+1e-2 scale backtracks through about three value passes for every derivative
+pass instead.  The later stages run mu = 1e-2 ... 1e-14 scale to tolerance 1e-9.
 
 A ghost is certified exactly, independently of mu, and need not run every
 stage.  The length is convex, so a chain is its global minimum if and only
@@ -51,6 +55,12 @@ convex path length is its global minimizer, so this classifies as a cold
 solve would.  Any other start, including the random chains of multistart,
 fails the gate and runs the continuation from the given chain unchanged.
 
+What depends on the itinerary alone is kept in solve plans: small LRU
+caches keyed on the content of the itinerary's stacked bases, which hold
+read-only arrays (the chain Laplacian's factor, and for each run set the
+certificate's intersection bases, reduced bases and factored vertex
+equations), so a hit returns exactly what recomputing would.
+
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve), which the certificate's
 multiplier search and the thickened wall polish reuse with their own
@@ -65,7 +75,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -100,6 +110,8 @@ CERT_RESIDUAL = 1e-12  # stationarity residual accepted as rounding
 WARM_GATE = 1e-2       # warm start: first exact Newton step / shortest edge
 WARM_AIM = 1e-4        # warm polish targets this * grad_tol, accepts grad_tol
 LIFT = 1e-8            # reduced exact Hessian: eigenvalues up to this * max are lifted
+PLANS = 4              # entries of each solve-plan cache (itineraries, run sets)
+GHOST_MESSAGE = "consecutive vertices collapse; minimizer leaves the trajectory space"
 
 
 @dataclass(frozen=True)
@@ -201,6 +213,12 @@ class _StackedProblem:
         self._measured = None   # (x, mu2, edges, soft lengths) last measured
         self._derived = None    # (x, mu2, soft lengths, units, g, H) last derived
 
+    @cached_property
+    def key(self):
+        """Content key of the bases, (shape, bytes), under which the solve
+        plan caches keep what depends on the itinerary alone."""
+        return self.bases.shape, self.bases.tobytes()
+
     def points_of(self, x: np.ndarray) -> np.ndarray:
         return (self.bases_t @ x.reshape(self.k, self.m)[:, :, None])[:, :, 0]
 
@@ -272,8 +290,8 @@ class _ReducedProblem(_StackedProblem):
 
 # the LAPACK routines behind scipy.linalg.cho_factor / cho_solve, called
 # directly: at the block sizes here the wrappers cost more than the solve
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
-                                               (np.zeros((1, 1)),))
+_POTRF, _POTRS, _PBTRF, _PBTRS = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "pbtrf", "pbtrs"), (np.zeros((1, 1)),))
 
 
 def _solve_spd(H: np.ndarray, g: np.ndarray):
@@ -306,6 +324,103 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
                 return step
         jitter = jitter * 100.0 if jitter else 1e-14 * max(float(np.trace(H)) / n, 1.0)
     return None
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: a solve plan shares it between solves."""
+    array.flags.writeable = False
+    return array
+
+
+# Solve plans: what a solve needs that depends only on its itinerary's
+# stacked bases (and, for a certificate, on its run set) is kept in small LRU
+# caches keyed on the content of the bases, (shape, bytes): a hit returns
+# exactly what recomputing would, arrangements with equal bases share
+# entries, and no entry can go stale.
+
+@lru_cache(maxsize=PLANS)
+def _spring_factor(shape, data) -> np.ndarray:
+    """Cholesky factor of the chain Laplacian over the stacked bases held in
+    data: the Hessian of 1/2 sum_e |d_e|^2 (ambient diagonal blocks 2I,
+    off-diagonal blocks -I) reduced by _stacked.  The edges determine the
+    chain, so it is SPD for every itinerary.  It is block tridiagonal, so
+    its lower factor has 2m - 1 subdiagonals and is kept in LAPACK's band
+    storage, (2m, k m): 18 KB instead of 295 KB at k = 32, m = 6."""
+    bases = np.frombuffer(data).reshape(shape)
+    k, m, dim = shape
+    eye = np.eye(dim)
+    _, H = _stacked(bases, np.zeros((k, dim)), np.broadcast_to(2.0 * eye, (k, dim, dim)),
+                    np.broadcast_to(-eye, (k - 1, dim, dim)))
+    band = np.zeros((2 * m, k * m))
+    for d in range(min(2 * m, k * m)):
+        band[d, :k * m - d] = np.diagonal(H, -d)
+    factor, info = _PBTRF(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("chain Laplacian is not positive definite")
+    return _frozen(factor)
+
+
+def _spring_coords(problem) -> np.ndarray:
+    """Stacked coordinates of the spring chain, the minimizer of sum_e
+    |d_e|^2, to which the smoothed length's minimizers tend as mu grows:
+    one solve with the cached chain Laplacian, right-hand side B_1 A at the
+    first vertex and B_k B at the last."""
+    rhs = np.zeros((problem.k, problem.m))
+    rhs[0] = problem.bases[0] @ problem.A
+    rhs[-1] += problem.bases[-1] @ problem.B
+    x, _ = _PBTRS(_spring_factor(*problem.key), rhs.reshape(-1, 1), lower=1, overwrite_b=1)
+    return x.reshape(-1)
+
+
+class _RunPlan:
+    """The certificate's structure for one run set of an itinerary, all of
+    it read-only: the intersection basis of each run (meets), the vertices
+    the reduced chain keeps (keep, the first of each run), the reduced
+    chain's bases (reduced, each run's meet padded by zero rows) and the
+    collapsed edges (shut, (k+1,)).  The vertex equations of the collapsed
+    edges' multipliers and the kernel basis of _lowest_multipliers are
+    factored on first use."""
+
+    def __init__(self, bases, runs):
+        self.bases = bases
+        self.meets = tuple(_frozen(intersection_basis(bases[a:b])) for a, b in runs)
+        keep = np.ones(len(bases), dtype=bool)
+        shut = np.zeros(len(bases) + 1, dtype=bool)
+        reduced = bases.copy()
+        for (start, stop), meet in zip(runs, self.meets):
+            keep[start + 1:stop] = False
+            shut[start + 1:stop] = True
+            reduced[start] = 0.0
+            reduced[start, :len(meet)] = meet
+        self.keep, self.shut, self.reduced = map(_frozen, (keep, shut, reduced[keep]))
+
+    @cached_property
+    def equations(self):
+        """(cols, rows, left, s): the collapsed edges cols, and the SVD
+        left.T diag(s) rows of their coefficients in the vertex equations
+        (edge e enters vertex e and leaves vertex e - 1), cut at rank."""
+        k, m, dim = self.bases.shape
+        cols = np.flatnonzero(self.shut)
+        M = np.zeros((k, m, len(cols), dim))
+        j = np.arange(len(cols))
+        M[cols, :, j, :] = self.bases[cols]
+        M[cols - 1, :, j, :] = -self.bases[cols - 1]
+        U, s, rows = map(_frozen, np.linalg.svd(M.reshape(k * m, -1), full_matrices=False))
+        rank = int(np.sum(s > 1e-10 * s[0]))
+        return _frozen(cols), rows[:rank], U[:, :rank].T, s[:rank]
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis (C, dim, d) of the null space of the rows of
+        the vertex equations, over the C collapsed edges."""
+        cols, rows, _, _ = self.equations
+        q = np.linalg.qr(rows.T, mode="complete")[0]
+        return _frozen(q[:, len(rows):].reshape(len(cols), self.bases.shape[2], -1))
+
+
+@lru_cache(maxsize=PLANS)
+def _run_plan(shape, data, runs) -> _RunPlan:
+    return _RunPlan(np.frombuffer(data).reshape(shape), runs)
 
 
 def _add_step(x, step, t):
@@ -434,15 +549,9 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     that is then in its quadratic basin (_warm_polish); a run set missing a
     collapsed edge fails that gate.
     """
-    keep = np.ones(problem.k, dtype=bool)
-    bases = problem.bases.copy()
-    meets = [intersection_basis(problem.bases[start:stop]) for start, stop in runs]
-    for (start, stop), meet in zip(runs, meets):
-        keep[start + 1:stop] = False
-        bases[start] = 0.0
-        bases[start, :len(meet)] = meet
-    reduced = _ReducedProblem(bases[keep], problem.A, problem.B)
-    y = reduced.coords_of(_snapped(problem, points, runs, meets)[keep])
+    plan = _run_plan(*problem.key, tuple(runs))
+    reduced = _ReducedProblem(plan.reduced, problem.A, problem.B)
+    y = reduced.coords_of(_snapped(problem, points, runs, plan.meets)[plan.keep])
     if reduced.pad.size < y.size:
         mu2 *= 1e-4
         y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
@@ -454,12 +563,13 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
         y = polished[0]
     elif reduced.edge_pass(y, 0.0)[1].min() <= floor:
         return None
-    return reduced.points_of(y)[np.cumsum(keep) - 1]
+    return reduced.points_of(y)[np.cumsum(plan.keep) - 1]
 
 
-def _lowest_multipliers(w, rows, bound):
-    """Point of the affine set w + ker(rows) whose squared norms |w_e|^2 are
-    all below bound, starting from w (C, dim); None if none is found.
+def _lowest_multipliers(w, plan, bound):
+    """Point of the affine set w + ker(rows) of the run plan's vertex
+    equations whose squared norms |w_e|^2 are all below bound, starting from
+    w (C, dim); None if none is found.
 
     Barrier method for min s subject to |w_e|^2 <= s over the affine set
     (Boyd & Vandenberghe, sec. 11.3): each centering minimizes
@@ -468,10 +578,10 @@ def _lowest_multipliers(w, rows, bound):
     centerings.  A centred point is within C / tau of the optimum, so
     s - C / tau >= bound shows that the optimum misses the bound.
     """
-    C, dim = w.shape
+    C = len(w)
     if (w * w).sum(axis=1).max() < bound:
         return w
-    kernel = np.linalg.qr(rows.T, mode="complete")[0][:, len(rows):].reshape(C, dim, -1)
+    kernel = plan.kernel
     d = kernel.shape[2]
 
     def point(x):
@@ -512,43 +622,33 @@ def _lowest_multipliers(w, rows, bound):
 
 
 def _multipliers_certify(problem, points, runs, start):
-    """True if edge multipliers u_e prove points a global minimum: u_e =
-    d_e / |d_e| on every open edge, |u_e| <= 1 - CERT_MARGIN on the collapsed
-    edges inside the runs, and B_i (u_{i-1} - u_i) = 0 at every vertex to
-    rounding level.
+    """The length of points if edge multipliers u_e prove them a global
+    minimum, None otherwise: u_e = d_e / |d_e| on every open edge, |u_e| <=
+    1 - CERT_MARGIN on the collapsed edges inside the runs, and B_i (u_{i-1}
+    - u_i) = 0 at every vertex to rounding level.
 
     The collapsed u_e start from start (the stage's smoothed directions),
     projected onto the affine set of the vertex equations; where a norm
     then exceeds the bound, _lowest_multipliers moves them within the
     affine set until every norm meets it.
     """
-    k, m, dim = problem.bases.shape
+    plan = _run_plan(*problem.key, tuple(runs))
     edges, lengths = _edge_lengths(_point_list(problem.A, points, problem.B))
-    shut = np.zeros(k + 1, dtype=bool)
-    for a, b in runs:
-        shut[a + 1:b] = True
+    open_ = ~plan.shut
     u = np.zeros_like(edges)
-    u[~shut] = edges[~shut] / lengths[~shut][:, None]
-    # residual of the vertex equations without the collapsed edges, and
-    # their coefficients: edge e enters vertex e and leaves vertex e - 1
+    u[open_] = edges[open_] / lengths[open_][:, None]
+    # residual of the vertex equations without the collapsed edges
     fixed = _to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
-    cols = np.flatnonzero(shut)
-    M = np.zeros((k, m, len(cols), dim))
-    j = np.arange(len(cols))
-    M[cols, :, j, :] = problem.bases[cols]
-    M[cols - 1, :, j, :] = -problem.bases[cols - 1]
-    U, s, rows = np.linalg.svd(M.reshape(k * m, -1), full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    rows = rows[:rank]
+    cols, rows, left, s = plan.equations
     # the start moved onto the solutions of M w = -fixed
     w = start[cols].reshape(-1)
-    w = w - rows.T @ (rows @ w + (U[:, :rank].T @ fixed) / s[:rank])
-    w = _lowest_multipliers(w.reshape(-1, dim), rows, (1.0 - CERT_MARGIN) ** 2)
+    w = w - rows.T @ (rows @ w + (left @ fixed) / s)
+    w = _lowest_multipliers(w.reshape(-1, problem.dim), plan, (1.0 - CERT_MARGIN) ** 2)
     if w is None:
-        return False
+        return None
     u[cols] = w
     residual = np.linalg.norm(_to_coords(problem.bases, u[:-1] - u[1:]), axis=1)
-    return bool(residual.max() <= CERT_RESIDUAL)
+    return float(lengths.sum()) if residual.max() <= CERT_RESIDUAL else None
 
 
 def _certified(problem, x, mu2, floor, limit):
@@ -558,22 +658,24 @@ def _certified(problem, x, mu2, floor, limit):
     Runs are joined by the interior gaps of x up to a threshold: first the
     largest gap within limit, then each larger gap in turn (collapsed edges
     whose multiplier is near unit norm stay open longest), then each smaller
-    one.
+    one.  The edges are those of the stage's exact pass at x, and the length
+    that of the certificate's own pass at the accepted chain.
     """
-    pts = problem._point_list(x)
-    edges, soft = _edge_lengths(pts, mu2)
-    start = edges / soft[:, None]
-    gaps = np.linalg.norm(edges, axis=1)
+    edges, gaps = problem.edge_pass(x, 0.0)
+    start = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
     interior = np.unique(gaps[1:-1])
     first = np.searchsorted(interior, limit, side="right") - 1
     if first < 0:
         return None
+    chain = problem.points_of(x)
     for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:CERT_TRIES]:
         runs = _collapsing_runs(gaps, interior[j])
         try:
-            points = _reduced_minimum(problem, pts[1:-1].copy(), runs, floor, mu2)
-            if points is not None and _multipliers_certify(problem, points, runs, start):
-                return action(problem.A, points, problem.B), points
+            points = _reduced_minimum(problem, chain, runs, floor, mu2)
+            if points is not None:
+                length = _multipliers_certify(problem, points, runs, start)
+                if length is not None:
+                    return length, points
         except np.linalg.LinAlgError:
             pass
     return None
@@ -597,6 +699,9 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     Uniqueness of the minimum is a theorem for anchors off the collision
     locus; this routine verifies nothing global by itself (see multistart) but
     converges to the minimum by smoothed-Newton continuation from any start.
+    Without opts.initial_chain it starts from the spring chain, the minimizer
+    of the sum of squared edge lengths; a certified ghost is returned as
+    GHOST at once, since its collapsed runs give it a zero-length edge.
 
     A ghost's classification and value are reproducible, but its chain need
     not be: when a free vertex sits between two collapsed runs inside its own
@@ -621,24 +726,23 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         raise PreconditionError("anchors must lie off the collision locus")
     scale = max(scale, near_A, near_B)
 
-    if opts.initial_chain is None:
-        chain = initial_chain_chord(arr, itinerary, A, B)
-    else:
-        chain = opts.initial_chain
-        _check_start(arr, itinerary, chain)
-    points = chain.points.copy()
+    if opts.initial_chain is not None:
+        _check_start(arr, itinerary, opts.initial_chain)
     coincidence = opts.coincidence_tol * scale
 
     if arr.bases.shape[1] == 0:
         # chain is pinned (all subspaces zero-dimensional); nothing to minimize
-        chain = Chain.from_points(arr, itinerary, points)
+        chain = Chain.from_coords(arr, itinerary, np.zeros((len(itinerary), 0)))
         return _classify(arr, itinerary, A, chain, B, opts,
-                         action(A, points, B), 0)
+                         action(A, chain.points, B), 0)
 
     problem = _StackedProblem(arr.bases_of(itinerary), A, B)
-    x = problem.coords_of(points)
     detect = MERGE_DETECT * scale
-    if opts.initial_chain is not None:
+    if opts.initial_chain is None:
+        # the minimizer of the smoothed length's limit as mu grows
+        x = _spring_coords(problem)
+    else:
+        x = problem.coords_of(opts.initial_chain.points)
         # a caller's chain in Newton's basin (a solved neighbour) is polished
         # at mu = 0 directly; any other falls through to the continuation
         warm = _warm_polish(problem, x, opts.grad_tol, detect, opts.max_iters)
@@ -686,9 +790,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         # minimum and has coincident runs
         certified = _certified(problem, x, mu2, coincidence, detect)
     if certified is not None:
+        # every run of a certified chain is one point, so the chain has a
+        # zero-length edge and leaves the trajectory space: no HessianModel
+        # is needed to classify it
         value, points = certified
-        return _classify(arr, itinerary, A, Chain.from_points(arr, itinerary, points), B,
-                         opts, value, iterations)
+        return MinimizeResult(Chain.from_points(arr, itinerary, points), value, math.nan,
+                              Classification.GHOST, None, iterations, GHOST_MESSAGE)
     chain = _iterate_chain(problem, x)
     return _classify(arr, itinerary, A, chain, B, opts, action(A, chain.points, B),
                      iterations, problem.exact_pass(x))
@@ -744,8 +851,7 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
     try:
         model = HessianModel(arr, itinerary, A, chain, B, opts.coincidence_tol, edge_pass)
     except NonSmoothPoint:
-        return done(Classification.GHOST, math.nan,
-                    msg="consecutive vertices collapse; minimizer leaves the trajectory space")
+        return done(Classification.GHOST, math.nan, msg=GHOST_MESSAGE)
 
     grad_norm = float(np.linalg.norm(model.gradient))
     # an edge lies inside its vertex's subspace when it equals its projection

@@ -212,7 +212,7 @@ def validate_trajectory(arr: Arrangement, traj: BilliardTrajectory,
 
 
 def trajectory_to_json(traj: BilliardTrajectory, arr: Arrangement) -> str:
-    return json.dumps(traj.to_json_dict(arr), indent=2, sort_keys=True)
+    return json.dumps(traj.to_json_dict(arr), indent=2, sort_keys=True, allow_nan=False)
 
 
 def trajectory_from_json(text: str, arr: Arrangement) -> BilliardTrajectory:

@@ -402,3 +402,54 @@ def test_every_package_error_maps_to_its_documented_exit_code(error, monkeypatch
                 NonSmoothPoint: 70, CornerCollision: 6}[error]
     assert main(["threebody", "--out", str(tmp_path)]) == expected
     assert f" {expected} " in cli.__doc__.replace("\n", " ")
+
+
+def _strict_json(text):
+    """Parse JSON as the standard defines it: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_ghost_result_json_is_strict_json(tmp_path, twolines_json):
+    """A ghost has no gradient norm; result.json writes null for it (as for
+    hessian_min_eig), never NaN, which strict JSON parsers reject."""
+    out = tmp_path / "ghost"
+    code = main(["solve", "--arrangement", str(twolines_json), "--itinerary", "L1,L2,L1,L2",
+                 "--A", "2,1", "--B=-1,-3", "--out", str(out)])
+    assert code == 3
+    payload = _strict_json((out / "result.json").read_text())
+    assert payload["classification"] == "Ghost"
+    assert payload["grad_norm"] is None
+    assert payload["hessian_min_eig"] is None
+
+
+def test_empty_chain_space_result_json_is_strict_json(tmp_path, origin_json):
+    """A pinned chain (zero-dimensional subspaces) has no eigenvalue to
+    report: null, not Infinity."""
+    out = tmp_path / "run"
+    assert main(["solve", "--arrangement", str(origin_json), "--itinerary", "O",
+                 "--A", "3,0", "--B", "0,4", "--out", str(out)]) == 0
+    payload = _strict_json((out / "result.json").read_text())
+    assert payload["hessian_min_eig"] is None
+    assert payload["grad_norm"] == 0.0
+
+
+def test_origami_jobs_do_not_change_outputs(tmp_path, twolines_json):
+    """Worker processes start with cold solve-plan caches (they are cleared
+    before the pool forks), the serial runs with cold and warm ones: the
+    artifacts are identical, so the caches are transparent."""
+    from linbilliards import solver
+    outs = []
+    for name, jobs in (("pool", 2), ("serial", 1), ("warm", 1)):
+        if name != "warm":
+            solver._spring_factor.cache_clear()
+            solver._run_plan.cache_clear()
+        out = tmp_path / name
+        code = main(["origami", "--arrangement", str(twolines_json), "--itinerary", "L1,L2",
+                     "--max-len", "5", "--budget", "40", "--seed", "3",
+                     "--jobs", str(jobs), "--out", str(out)])
+        assert code == 0
+        outs.append([(out / f).read_bytes() for f in ("realizability.csv", "origami.json")])
+    assert outs[0] == outs[1] == outs[2]
+    assert b"not-found" in outs[0][0] and b",realized," in outs[0][0]
