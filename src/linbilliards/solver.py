@@ -63,8 +63,9 @@ equations), so a hit returns exactly what recomputing would.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve), which the certificate's
-multiplier search and the thickened wall polish reuse with their own
-coordinates and retractions.
+reduced polish and the thickened wall polish reuse with their own
+coordinates and retractions.  The certificate's search for collapsed-edge
+multipliers minimizes no value, and is a short Newton loop of its own.
 
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
 mirrors the exclusions that define membership in the trajectory space.
@@ -107,6 +108,8 @@ CERT_WINDOW = 10.0     # certify a later stage once an interior gap is within th
 CERT_MARGIN = 1e-9     # certified collapsed-edge multipliers: |u_e| <= 1 - this
 CERT_TRIES = 4         # thresholds tried per certificate
 CERT_RESIDUAL = 1e-12  # stationarity residual accepted as rounding
+MULTIPLIER_STEPS = 30  # Newton steps of the collapsed-multiplier search
+INSIDE = 0.25          # a start row on or outside its ball is scaled to this * bound
 WARM_GATE = 1e-2       # warm start: first exact Newton step / shortest edge
 WARM_AIM = 1e-4        # warm polish targets this * grad_tol, accepts grad_tol
 LIFT = 1e-8            # reduced exact Hessian: eigenvalues up to this * max are lifted
@@ -377,9 +380,10 @@ class _RunPlan:
     it read-only: the intersection basis of each run (meets), the vertices
     the reduced chain keeps (keep, the first of each run), the reduced
     chain's bases (reduced, each run's meet padded by zero rows) and the
-    collapsed edges (shut, (k+1,)).  The vertex equations of the collapsed
-    edges' multipliers and the kernel basis of _lowest_multipliers are
-    factored on first use."""
+    collapsed edges (shut, (k+1,)); pinned when no kept vertex has a free
+    coordinate.  The vertex equations of the collapsed edges' multipliers
+    and the kernel basis of their affine set, in whose coordinates
+    _lowest_multipliers takes its Newton steps, are factored on first use."""
 
     def __init__(self, bases, runs):
         self.bases = bases
@@ -393,6 +397,7 @@ class _RunPlan:
             reduced[start] = 0.0
             reduced[start, :len(meet)] = meet
         self.keep, self.shut, self.reduced = map(_frozen, (keep, shut, reduced[keep]))
+        self.pinned = not self.reduced.any()
 
     @cached_property
     def equations(self):
@@ -547,11 +552,19 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     vertices are solved at the next stage's smoothing, which carries them
     past the kinks of the exact length, then polished by exact Newton if
     that is then in its quadratic basin (_warm_polish); a run set missing a
-    collapsed edge fails that gate.
+    collapsed edge fails that gate.  A pinned run set (plan.pinned) has no
+    free coordinate to solve: its snapped chain is tested against floor on
+    the reduced edges alone.
     """
     plan = _run_plan(*problem.key, tuple(runs))
+    points = _snapped(problem, points, runs, plan.meets)
+    if plan.pinned:
+        # every run meets only at the origin and no vertex is free: the
+        # snapped chain is the only one, and only its edges are left to test
+        _, lengths = _edge_lengths(_point_list(problem.A, points[plan.keep], problem.B))
+        return points if lengths.min() > floor else None
     reduced = _ReducedProblem(plan.reduced, problem.A, problem.B)
-    y = reduced.coords_of(_snapped(problem, points, runs, plan.meets)[plan.keep])
+    y = reduced.coords_of(points[plan.keep])
     if reduced.pad.size < y.size:
         mu2 *= 1e-4
         y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
@@ -566,58 +579,63 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     return reduced.points_of(y)[np.cumsum(plan.keep) - 1]
 
 
-def _lowest_multipliers(w, plan, bound):
+def _lowest_multipliers(w, start, plan, bound):
     """Point of the affine set w + ker(rows) of the run plan's vertex
-    equations whose squared norms |w_e|^2 are all below bound, starting from
-    w (C, dim); None if none is found.
+    equations whose squared norms |v_e|^2 are all below bound, or None if
+    none is found; w (C, dim) is a point of that set, start (C, dim) the
+    stage's smoothed directions on the collapsed edges.
 
-    Barrier method for min s subject to |w_e|^2 <= s over the affine set
-    (Boyd & Vandenberghe, sec. 11.3): each centering minimizes
-    tau s - sum_e log(s - |w_e|^2) by the damped-Newton core in (z, s), z
-    the coordinates along the kernel, and tau grows tenfold between
-    centerings.  A centred point is within C / tau of the optimum, so
-    s - C / tau >= bound shows that the optimum misses the bound.
+    w itself is tried first.  Otherwise infeasible-start Newton on the
+    barrier -sum_e log(bound - |v_e|^2) over the affine set (Boyd &
+    Vandenberghe, sec. 10.3) runs from start, whose rows on or outside
+    their ball are first scaled into it.  A point is w + K z + y, K the
+    plan's kernel and y the residual off the affine set: each Newton step
+    removes y and moves z by the solve of the d x d reduced system, and is
+    halved only while a norm would reach the bound (y then shrinks by the
+    untaken fraction).  The first full step lands on the affine set inside
+    every ball, which ends the search; a step below STEP_FLOOR, or
+    MULTIPLIER_STEPS steps, give None.
     """
-    C = len(w)
     if (w * w).sum(axis=1).max() < bound:
         return w
     kernel = plan.kernel
-    d = kernel.shape[2]
-
-    def point(x):
-        v = w + kernel @ x[:d]
-        return v, x[d], x[d] - (v * v).sum(axis=1)
-
-    def merit(x, tau):
-        _, s, slack = point(x)
-        return tau * s - np.log(slack).sum()
-
-    def derivatives(x, tau):
-        v, s, slack = point(x)
-        inv = 1.0 / slack
-        J = 2.0 * np.einsum("edk,ed->ek", kernel, v)
-        H = np.empty((d + 1, d + 1))
-        H[:d, :d] = 2.0 * np.einsum("edk,edl,e->kl", kernel, kernel, inv) \
-            + (J.T * inv * inv) @ J
-        H[:d, d] = H[d, :d] = -(J.T * inv * inv).sum(axis=1)
-        H[d, d] = inv @ inv
-        return merit(x, tau), np.append(J.T @ inv, tau - inv.sum()), H
-
-    def retract(x, step, t):
-        x = x + t * step
-        return x if point(x)[2].min() > 0.0 else None
-
-    x = np.append(np.zeros(d), (w * w).sum(axis=1).max() + 1.0)
-    tau = float(C)
-    for _ in range(12):
-        x, *_ = _damped_newton(x, partial(derivatives, tau=tau), partial(merit, tau=tau),
-                               retract, 1e-8, 0.0, max_iters=40)
-        v, s, _ = point(x)
-        if (v * v).sum(axis=1).max() < bound:
-            return v
-        if s - C / tau >= bound:
+    if kernel.shape[2] == 0:
+        return None
+    C, dim = w.shape
+    K = kernel.reshape(C * dim, -1)
+    norms2 = (start * start).sum(axis=1)
+    outside = norms2 >= bound
+    v = start.copy()
+    v[outside] *= np.sqrt(INSIDE * bound / norms2[outside])[:, None]
+    w = w.reshape(-1)
+    z = K.T @ (v.reshape(-1) - w)
+    y = v.reshape(-1) - w - K @ z
+    for _ in range(MULTIPLIER_STEPS):
+        # barrier terms 1 / (bound - |v_e|^2); per edge, the Hessian block is
+        # 2 inv I + 4 inv^2 v v^T and the gradient 2 inv v
+        inv = 1.0 / (bound - (v * v).sum(axis=1))
+        each = np.repeat(inv, dim)
+        J = (kernel * v[:, :, None]).sum(axis=1)
+        JI = J.T * (inv * inv)
+        H = 2.0 * (K.T * each) @ K + 4.0 * JI @ J
+        # the Newton step is -y + K dz, where K^T H K dz = -K^T (g - H y)
+        vy = (v * y.reshape(C, dim)).sum(axis=1)
+        factor, info = _POTRF(H, lower=False, clean=False)
+        if info != 0:
             return None
-        tau *= 10.0
+        dz, _ = _POTRS(factor, 4.0 * JI @ vy - 2.0 * K.T @ (each * (v.reshape(-1) - y)),
+                       lower=False)
+        t = 1.0
+        while True:
+            trial = (w + K @ (z + t * dz) + (1.0 - t) * y).reshape(C, dim)
+            if (trial * trial).sum(axis=1).max() < bound:
+                break
+            t *= 0.5
+            if t < STEP_FLOOR:
+                return None
+        if t == 1.0:
+            return trial
+        v, z, y = trial, z + t * dz, (1.0 - t) * y
     return None
 
 
@@ -627,10 +645,12 @@ def _multipliers_certify(problem, points, runs, start):
     1 - CERT_MARGIN on the collapsed edges inside the runs, and B_i (u_{i-1}
     - u_i) = 0 at every vertex to rounding level.
 
-    The collapsed u_e start from start (the stage's smoothed directions),
-    projected onto the affine set of the vertex equations; where a norm
-    then exceeds the bound, _lowest_multipliers moves them within the
-    affine set until every norm meets it.
+    The collapsed u_e are first the stage's smoothed directions start,
+    projected onto the affine set of the vertex equations.  Where a norm of
+    the projection exceeds the bound, _lowest_multipliers searches the
+    affine set by infeasible-start Newton from the directions themselves,
+    which lie inside the balls up to rounding.  Every point it returns is
+    checked here against CERT_RESIDUAL like the projection.
     """
     plan = _run_plan(*problem.key, tuple(runs))
     edges, lengths = _edge_lengths(_point_list(problem.A, points, problem.B))
@@ -643,7 +663,8 @@ def _multipliers_certify(problem, points, runs, start):
     # the start moved onto the solutions of M w = -fixed
     w = start[cols].reshape(-1)
     w = w - rows.T @ (rows @ w + (left @ fixed) / s)
-    w = _lowest_multipliers(w.reshape(-1, problem.dim), plan, (1.0 - CERT_MARGIN) ** 2)
+    w = _lowest_multipliers(w.reshape(-1, problem.dim), start[cols], plan,
+                            (1.0 - CERT_MARGIN) ** 2)
     if w is None:
         return None
     u[cols] = w

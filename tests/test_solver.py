@@ -431,6 +431,165 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
                                     np.zeros((3, 2)))
 
 
+def _reference_lowest_multipliers(w, plan, bound):
+    """The collapsed-multiplier search as a barrier method, as it was before
+    the infeasible-start Newton search: min s subject to |w_e|^2 <= s over
+    the affine set w + ker (Boyd & Vandenberghe, sec. 11.3).  Each centering
+    minimizes tau s - sum_e log(s - |w_e|^2) by the damped-Newton core in
+    (z, s), z the coordinates along the kernel, and tau grows tenfold
+    between centerings; a centred point is within C / tau of the optimum,
+    so s - C / tau >= bound shows that the optimum misses the bound."""
+    C = len(w)
+    if (w * w).sum(axis=1).max() < bound:
+        return w
+    kernel = plan.kernel
+    d = kernel.shape[2]
+
+    def point(x):
+        v = w + kernel @ x[:d]
+        return v, x[d], x[d] - (v * v).sum(axis=1)
+
+    def merit(x, tau):
+        _, s, slack = point(x)
+        return tau * s - np.log(slack).sum()
+
+    def derivatives(x, tau):
+        v, s, slack = point(x)
+        inv = 1.0 / slack
+        J = 2.0 * np.einsum("edk,ed->ek", kernel, v)
+        H = np.empty((d + 1, d + 1))
+        H[:d, :d] = 2.0 * np.einsum("edk,edl,e->kl", kernel, kernel, inv) \
+            + (J.T * inv * inv) @ J
+        H[:d, d] = H[d, :d] = -(J.T * inv * inv).sum(axis=1)
+        H[d, d] = inv @ inv
+        return merit(x, tau), np.append(J.T @ inv, tau - inv.sum()), H
+
+    def retract(x, step, t):
+        x = x + t * step
+        return x if point(x)[2].min() > 0.0 else None
+
+    x = np.append(np.zeros(d), (w * w).sum(axis=1).max() + 1.0)
+    tau = float(C)
+    for _ in range(12):
+        x, *_ = solver._damped_newton(x, lambda y: derivatives(y, tau),
+                                      lambda y: merit(y, tau), retract, 1e-8, 0.0,
+                                      max_iters=40)
+        v, s, _ = point(x)
+        if (v * v).sum(axis=1).max() < bound:
+            return v
+        if s - C / tau >= bound:
+            return None
+        tau *= 10.0
+    return None
+
+
+def _vertex_residual(plan, v, w):
+    """Largest per-vertex norm of M (v - w), M the plan's vertex equations of
+    the collapsed edges: the residual of v where w meets them."""
+    _, rows, left, s = plan.equations
+    return float(np.linalg.norm((left.T @ (s * (rows @ (v - w).reshape(-1))))
+                                .reshape(len(plan.bases), -1), axis=1).max())
+
+
+def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
+    """Over the seed-0 unfiltered search and nbody rounds 0-3, the
+    infeasible-start Newton search returns a point exactly when the barrier
+    method does, and every point it returns meets the vertex equations to
+    CERT_RESIDUAL with every norm below the bound."""
+    calls = []
+    real = solver._lowest_multipliers
+
+    def compared(w, start, plan, bound):
+        got = real(w, start, plan, bound)
+        expected = _reference_lowest_multipliers(w, plan, bound)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert bound == (1.0 - solver.CERT_MARGIN) ** 2
+            assert (got * got).sum(axis=1).max() < bound
+            assert _vertex_residual(plan, got, w) <= solver.CERT_RESIDUAL
+        calls.append((got is not None, got is w))
+        return got
+
+    monkeypatch.setattr(solver, "_lowest_multipliers", compared)
+    _search_and_nbody_solves(twolines_arr, monkeypatch)
+    searched = [found for found, projected in calls if not projected]
+    # the projection alone fails in a share of the calls, and the search
+    # then both finds points and proves that none exists
+    assert len(searched) > 50
+    assert sum(searched) > 0 and not all(searched)
+
+
+def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_arr):
+    """Collapsing the bounce L1, L2, L1 between far anchors onto the origin
+    needs collapsed multipliers whose components along L2 differ by about
+    1.15, while both must stay below 1 and match the anchors' unit
+    directions (norm 0.995) along L1: the affine set of the vertex
+    equations misses the balls, and the search returns None where the
+    barrier proves the same."""
+    from linbilliards.solver import _StackedProblem
+    it = Itinerary((0, 1, 0))
+    A, B = np.array([10.0, 1.0]), np.array([10.0, -1.0])
+    problem = _StackedProblem(twolines_arr.bases_of(it), A, B)
+    plan = solver._run_plan(*problem.key, ((0, 3),))
+    cols, rows, left, s = plan.equations
+    u = np.zeros((4, 2))
+    u[0], u[-1] = -A / np.linalg.norm(A), B / np.linalg.norm(B)
+    fixed = solver._to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
+    w = -(rows.T @ ((left @ fixed) / s)).reshape(-1, 2)
+    # w meets the vertex equations, and the affine set is a line
+    assert np.abs(left.T @ (s * (rows @ w.reshape(-1))) + fixed).max() <= solver.CERT_RESIDUAL
+    assert plan.kernel.shape[2] == 1
+    bound = (1.0 - solver.CERT_MARGIN) ** 2
+    assert (w * w).sum(axis=1).max() >= bound
+    start = np.array([[-0.9, 0.0], [0.9, 0.0]])
+    assert solver._lowest_multipliers(w, start, plan, bound) is None
+    assert _reference_lowest_multipliers(w, plan, bound) is None
+    assert solver._multipliers_certify(problem, np.zeros((3, 2)), [(0, 3)],
+                                       np.zeros((4, 2))) is None
+
+
+def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
+    """A start row on or outside its ball is scaled into it, and the search
+    still finds a point of the affine set inside every ball: here the line
+    through v0 (norms 0.22 and 0.32) along the plan's kernel, entered at w,
+    2 from v0 along it."""
+    it = Itinerary((0, 1, 0))
+    problem = solver._StackedProblem(twolines_arr.bases_of(it), np.array([10.0, 1.0]),
+                                     np.array([10.0, -1.0]))
+    plan = solver._run_plan(*problem.key, ((0, 3),))
+    v0 = np.array([[0.1, 0.2], [-0.1, 0.3]])
+    w = v0 + 2.0 * plan.kernel[:, :, 0]
+    bound = (1.0 - solver.CERT_MARGIN) ** 2
+    assert (w * w).sum(axis=1).max() >= bound
+    for start in (np.array([[3.0, 0.0], [0.0, -5.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])):
+        got = solver._lowest_multipliers(w, start, plan, bound)
+        assert got is not None
+        assert (got * got).sum(axis=1).max() < bound
+        assert _vertex_residual(plan, got, w) <= solver.CERT_RESIDUAL
+
+
+def test_pinned_run_sets_skip_the_reduced_problem(twolines_arr, monkeypatch):
+    """When every kept vertex is pinned (each run meets only at the origin
+    and no vertex is free), the certificate tests the snapped chain's
+    reduced edges and builds no reduced problem: the total collapse of
+    L1, L2, L1, L2 certifies that way, bit for bit as through the reduced
+    problem."""
+    it, A, B = Itinerary((0, 1, 0, 1)), np.array([1.0, 0.2]), np.array([1.0, -0.3])
+    built = []
+    real = solver._ReducedProblem
+    monkeypatch.setattr(solver, "_ReducedProblem", lambda *args: built.append(args) or real(*args))
+    fast = minimize(twolines_arr, it, A, B)
+    assert fast.classification is Classification.GHOST and not fast.chain.points.any()
+    assert not built
+    plan = solver._run_plan(*solver._StackedProblem(twolines_arr.bases_of(it), A, B).key,
+                            ((0, 4),))
+    assert plan.pinned
+    monkeypatch.setattr(plan, "pinned", False)
+    reduced = minimize(twolines_arr, it, A, B)
+    assert built
+    assert _result_bytes(reduced) == _result_bytes(fast)
+
+
 def _repeat_free(rng, n_labels, k):
     """The repeat-free itinerary draw of the nbody benchmark rounds."""
     seq = [int(rng.integers(n_labels))]
@@ -799,10 +958,17 @@ def test_value_first_core_matches_the_reference_core(twolines_arr, monkeypatch):
     """Every Newton core call of these solves returns bit for bit what the
     core that differentiates every full step returns: the continuation
     stages of twolines k = 4 and 5 ghosts from the chord, their certificates'
-    reduced solves and barrier centerings, the four-body k = 8 partial
-    collapses of nbody rounds 3, 7 and 11, and a mu = 0 warm polish."""
+    reduced solves, the four-body k = 8 partial collapses of nbody rounds 3,
+    7 and 11, a mu = 0 warm polish, and the wall-Newton phase of a
+    thickened two-line solve, whose steps go through the wall retraction
+    rather than _add_step."""
+    from linbilliards import thickened
+    from linbilliards.thickened import ThickenedTable
     seen = []
     monkeypatch.setattr(solver, "_damped_newton", _checked_core(seen))
+    monkeypatch.setattr(thickened, "_damped_newton", solver._damped_newton)
+    thickened.minimize_thickened(ThickenedTable(twolines_arr, 1e-2), Itinerary((0, 1)),
+                                 TWOLINE_A, TWOLINE_B)
     rng = np.random.default_rng(21)
     for k in (4, 5):
         for _ in range(8):
