@@ -213,10 +213,11 @@ def search_realizable(arr: Arrangement, max_len: int, sample_budget: int,
                       jobs: int = 1) -> list[SearchRow]:
     """Try to realize every repeat-free itinerary up to max_len.
 
-    Anchors are sampled on spheres of radius 1 and 10 (scaling symmetry makes
-    the radius immaterial; direction coverage is what matters), stratified
-    over the four radius combinations.  "realized" comes with a witness;
-    "not-found" is inconclusive by design.  Itineraries are independent and
+    Anchors are sampled on spheres of radius 1 and 10, stratified over the
+    four radius combinations.  The solver's stop tests have no scale and its
+    locus tests are relative at scales above 1, so by the scaling symmetry
+    the radius is immaterial; direction coverage is what matters.
+    "realized" comes with a witness; "not-found" is inconclusive by design.  Itineraries are independent and
     fan out over a process pool when jobs > 1; the row order (and content,
     seeds being per-itinerary) never depends on the worker count.
     """

@@ -10,14 +10,19 @@ on the true length.
 
 A cold solve starts from the spring chain.  As mu grows the smoothed length
 tends to sum(mu + r^2 / 2 mu), whose minimizer is the minimizer of sum
-|d_e|^2 over the edges d_e: one solve with the Cholesky factor of the chain
-Laplacian (the Hessian of 1/2 sum |d_e|^2, SPD for every itinerary).  The
-continuation opens at mu = scale, solved loosely (|grad| <= OPEN_TOL *
-max(1, S)).  There mu dwarfs every gap and the smoothed length is close to
-that limit, so the spring chain is already near the stage's minimizer (from
-the chord, Newton spent three or four passes reaching it); a start at mu =
-1e-2 scale backtracks through about three value passes for every derivative
-pass instead.  The later stages run mu = 1e-2 ... 1e-14 scale to tolerance 1e-9.
+|d_e|^2 over the edges d_e: the chain Laplacian (the Hessian of 1/2 sum
+|d_e|^2, SPD for every itinerary) inverted on the anchors' right-hand side,
+which lives in the first and last vertex blocks alone.  The continuation
+opens at mu = scale, solved loosely (|grad| <= OPEN_TOL).  There mu dwarfs
+every gap and the smoothed length is close to that limit, so the spring
+chain is already near the stage's minimizer (from the chord, Newton spent
+three or four passes reaching it); a start at mu = 1e-2 scale backtracks
+through about three value passes for every derivative pass instead.  The
+later stages run mu = 1e-2 ... 1e-14 scale to tolerance 1e-9.
+
+The gradient of the length is a sum of differences of unit vectors, so it
+has no unit: every stop test compares |grad| with its tolerance alone, and a
+solve stops at the same point of a table whatever the scale of its anchors.
 
 A ghost is certified exactly, independently of mu, and need not run every
 stage.  The length is convex, so a chain is its global minimum if and only
@@ -57,9 +62,10 @@ fails the gate and runs the continuation from the given chain unchanged.
 
 What depends on the itinerary alone is kept in solve plans: small LRU
 caches keyed on the content of the itinerary's stacked bases, which hold
-read-only arrays (the chain Laplacian's factor, and for each run set the
-certificate's intersection bases, reduced bases and factored vertex
-equations), so a hit returns exactly what recomputing would.
+read-only arrays (the columns of the inverse chain Laplacian at the first
+and last vertex blocks, and for each run set the certificate's
+intersection bases, reduced bases and factored vertex equations), so a hit
+returns exactly what recomputing would.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve), which the certificate's
@@ -79,7 +85,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-import scipy.linalg
 
 from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, _project, intersection_basis
 from .action import (Chain, HessianModel, _edge_lengths, _edge_terms, _point_list, _stacked,
@@ -102,7 +107,7 @@ STEP_TOL = 1e-12       # stagnation threshold on the step norm
 ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking
 STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
 MERGE_DETECT = 1e-4    # gap below this * scale marks a collapsing run
-OPEN_TOL = 1e-4        # the opening stage (mu = scale) stops at |grad| <= this * max(1, S)
+OPEN_TOL = 1e-4        # the opening stage (mu = scale) stops at |grad| <= this
 OPEN_WINDOW = 0.1      # certify the opening stage once an interior gap is within this * mu
 CERT_WINDOW = 10.0     # certify a later stage once an interior gap is within this * mu
 CERT_MARGIN = 1e-9     # certified collapsed-edge multipliers: |u_e| <= 1 - this
@@ -120,7 +125,7 @@ GHOST_MESSAGE = "consecutive vertices collapse; minimizer leaves the trajectory 
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 400
-    grad_tol: float = 1e-10          # on |grad| / max(1, S)
+    grad_tol: float = 1e-10          # on |grad|, which has no unit
     coincidence_tol: float = 1e-9    # gap below this * scale is a ghost point
     edge_tol: float = 1e-9           # edge direction within this of a subspace
     initial_chain: Chain | None = None
@@ -291,10 +296,14 @@ class _ReducedProblem(_StackedProblem):
         return value, g, H
 
 
-# the LAPACK routines behind scipy.linalg.cho_factor / cho_solve, called
-# directly: at the block sizes here the wrappers cost more than the solve
-_POTRF, _POTRS, _PBTRF, _PBTRS = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "pbtrf", "pbtrs"), (np.zeros((1, 1)),))
+def _spd_solve(M: np.ndarray, b: np.ndarray):
+    """Solution of M s = b, or None where Cholesky finds M not positive
+    definite: the factor decides definiteness, and the solve gives s."""
+    try:
+        np.linalg.cholesky(M)
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _solve_spd(H: np.ndarray, g: np.ndarray):
@@ -303,7 +312,7 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
 
     The first attempt factors H itself; H + jitter I and the trace that
     scales the jitter are formed only once one is needed.
-    Raises ValueError on non-finite input, as cho_factor / cho_solve do.
+    Raises ValueError on non-finite input.
     """
     n = H.shape[0]
     if not (np.isfinite(H).all() and np.isfinite(g).all()):
@@ -312,19 +321,9 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
         return None
     jitter = 0.0
     for _ in range(5):
-        if jitter:
-            c, info = _POTRF(H + jitter * np.eye(n), lower=False, overwrite_a=True,
-                             clean=False)
-        else:
-            c, info = _POTRF(H, lower=False, clean=False)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of potrf")
-        if info == 0:
-            step, info = _POTRS(c, -g, lower=False, overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of potrs")
-            if np.dot(g, step) < 0:
-                return step
+        step = _spd_solve(H + jitter * np.eye(n) if jitter else H, -g)
+        if step is not None and np.dot(g, step) < 0:
+            return step
         jitter = jitter * 100.0 if jitter else 1e-14 * max(float(np.trace(H)) / n, 1.0)
     return None
 
@@ -342,37 +341,31 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 # entries, and no entry can go stale.
 
 @lru_cache(maxsize=PLANS)
-def _spring_factor(shape, data) -> np.ndarray:
-    """Cholesky factor of the chain Laplacian over the stacked bases held in
-    data: the Hessian of 1/2 sum_e |d_e|^2 (ambient diagonal blocks 2I,
-    off-diagonal blocks -I) reduced by _stacked.  The edges determine the
-    chain, so it is SPD for every itinerary.  It is block tridiagonal, so
-    its lower factor has 2m - 1 subdiagonals and is kept in LAPACK's band
-    storage, (2m, k m): 18 KB instead of 295 KB at k = 32, m = 6."""
+def _spring_columns(shape, data) -> np.ndarray:
+    """The (k m, 2m) columns of the inverse chain Laplacian at the first and
+    last vertex blocks, over the stacked bases held in data.  The Laplacian
+    is the Hessian of 1/2 sum_e |d_e|^2 (ambient diagonal blocks 2I,
+    off-diagonal blocks -I) reduced by _stacked; the edges determine the
+    chain, so it is SPD for every itinerary.  At k = 1 both column blocks
+    are the one block."""
     bases = np.frombuffer(data).reshape(shape)
     k, m, dim = shape
     eye = np.eye(dim)
     _, H = _stacked(bases, np.zeros((k, dim)), np.broadcast_to(2.0 * eye, (k, dim, dim)),
                     np.broadcast_to(-eye, (k - 1, dim, dim)))
-    band = np.zeros((2 * m, k * m))
-    for d in range(min(2 * m, k * m)):
-        band[d, :k * m - d] = np.diagonal(H, -d)
-    factor, info = _PBTRF(band, lower=1, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("chain Laplacian is not positive definite")
-    return _frozen(factor)
+    ends = np.zeros((k * m, 2 * m))
+    ends[:m, :m] = np.eye(m)
+    ends[-m:, m:] = np.eye(m)
+    return _frozen(np.linalg.solve(H, ends))
 
 
 def _spring_coords(problem) -> np.ndarray:
     """Stacked coordinates of the spring chain, the minimizer of sum_e
     |d_e|^2, to which the smoothed length's minimizers tend as mu grows:
-    one solve with the cached chain Laplacian, right-hand side B_1 A at the
-    first vertex and B_k B at the last."""
-    rhs = np.zeros((problem.k, problem.m))
-    rhs[0] = problem.bases[0] @ problem.A
-    rhs[-1] += problem.bases[-1] @ problem.B
-    x, _ = _PBTRS(_spring_factor(*problem.key), rhs.reshape(-1, 1), lower=1, overwrite_b=1)
-    return x.reshape(-1)
+    the cached end columns of the inverse chain Laplacian applied to the
+    right-hand side, B_1 A at the first vertex and B_k B at the last."""
+    return _spring_columns(*problem.key) @ np.concatenate(
+        (problem.bases[0] @ problem.A, problem.bases[-1] @ problem.B))
 
 
 class _RunPlan:
@@ -449,14 +442,14 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
     can let it be kept (within rounding of the current value, where only
     its gradient can still reject it); _StackedProblem's derivatives then
     read the edge pass of that value.  reason is
-    "converged" (grad_norm <= tol * max(1, value)), "floor" (no resolvable
+    "converged" (grad_norm <= tol), "floor" (no resolvable
     progress left, or an accepted step no longer than step_tol),
     "no_descent" (no descent step) or "max_iters".
     """
     value, g, H = derivatives(x) if start is None else start
     grad_norm = math.sqrt(g @ g)
     for _ in range(max_iters):
-        if grad_norm <= tol * max(1.0, value):
+        if grad_norm <= tol:
             return x, value, grad_norm, "converged"
         step = _solve_spd(H, g) if first_step is None else first_step
         first_step = None
@@ -523,7 +516,7 @@ def _warm_polish(problem, x, tol, detect, max_iters):
     x, value, grad_norm, _ = _damped_newton(
         x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
         _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start, first_step=step)
-    if grad_norm > tol * max(1.0, value) or problem.edge_pass(x, 0.0)[1].min() <= detect:
+    if grad_norm > tol or problem.edge_pass(x, 0.0)[1].min() <= detect:
         return None
     return x, value
 
@@ -620,11 +613,9 @@ def _lowest_multipliers(w, start, plan, bound):
         H = 2.0 * (K.T * each) @ K + 4.0 * JI @ J
         # the Newton step is -y + K dz, where K^T H K dz = -K^T (g - H y)
         vy = (v * y.reshape(C, dim)).sum(axis=1)
-        factor, info = _POTRF(H, lower=False, clean=False)
-        if info != 0:
+        dz = _spd_solve(H, 4.0 * JI @ vy - 2.0 * K.T @ (each * (v.reshape(-1) - y)))
+        if dz is None:
             return None
-        dz, _ = _POTRS(factor, 4.0 * JI @ vy - 2.0 * K.T @ (each * (v.reshape(-1) - y)),
-                       lower=False)
         t = 1.0
         while True:
             trial = (w + K @ (z + t * dz) + (1.0 - t) * y).reshape(C, dim)
@@ -803,7 +794,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                 opts.grad_tol, STEP_TOL, max_iters=opts.max_iters)
             stalled = reason == "no_descent" or (
                 reason in ("floor", "max_iters")
-                and grad_norm > math.sqrt(opts.grad_tol) * max(1.0, value))
+                and grad_norm > math.sqrt(opts.grad_tol))
             if stalled:
                 raise MaxIterations(
                     f"exact polish stalled ({reason}) with |grad| = {grad_norm:.3e}")

@@ -1,7 +1,13 @@
 import collections
 import math
+import os
 
-import numpy as np
+# one BLAS thread, set before numpy loads its BLAS: the solver's matrices are
+# small, and a thread pool per process only contends on a shared machine
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from linbilliards import nbody

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import linbilliards
 from linbilliards import cli
 from linbilliards.cli import EXIT_CORNER, main
 from linbilliards.errors import (PACKAGE_ERRORS, CornerCollision, InputError, MaxIterations,
@@ -347,6 +351,39 @@ def test_deterministic_outputs(tmp_path, twolines_json):
     assert outs[0] == outs[1]
 
 
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None   # any import of scipy now raises ImportError
+from linbilliards.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(name for name, module in sys.modules.items()
+                                  if name.startswith("scipy") and module is not None)}))
+"""
+
+
+def test_the_cli_runs_without_scipy(tmp_path, twolines_json):
+    """numpy is the only runtime dependency: with every import of scipy made
+    to fail, solve, scatter, origami and thicken on two lines exit normally,
+    and no scipy module is loaded."""
+    problem = ["--arrangement", str(twolines_json), "--itinerary", "L1,L2",
+               "--A=1.98916641,-0.44632446", "--B=-0.44703404,-5.58316732"]
+    runs = [["solve", *problem, "--out", str(tmp_path / "solve")],
+            ["scatter", *problem, "--half", "1", "--levels", "1",
+             "--out", str(tmp_path / "scatter")],
+            ["origami", *problem, "--max-len", "3", "--budget", "20",
+             "--out", str(tmp_path / "origami")],
+            ["thicken", *problem, "--r-list", "1e-1,1e-2", "--out", str(tmp_path / "thicken")]]
+    src = os.path.dirname(os.path.dirname(linbilliards.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
 def test_usage_error_missing_file(tmp_path):
     code = main(["solve", "--arrangement", str(tmp_path / "nope.json"),
                  "--itinerary", "L1", "--A", "0,1", "--B", "2,1",
@@ -443,7 +480,7 @@ def test_origami_jobs_do_not_change_outputs(tmp_path, twolines_json):
     outs = []
     for name, jobs in (("pool", 2), ("serial", 1), ("warm", 1)):
         if name != "warm":
-            solver._spring_factor.cache_clear()
+            solver._spring_columns.cache_clear()
             solver._run_plan.cache_clear()
         out = tmp_path / name
         code = main(["origami", "--arrangement", str(twolines_json), "--itinerary", "L1,L2",

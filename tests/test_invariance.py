@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.errors import PACKAGE_ERRORS
 from linbilliards.solver import Classification, minimize, multistart_minimize
+from linbilliards.trajectory import validate_trajectory
 
 from conftest import fourbody, planes3d
 
@@ -162,6 +163,33 @@ def test_scaling_on_random_tables(lam, case):
     assert scaled.value == pytest.approx(lam * base.value, rel=1e-10)
     if base.is_valid:
         assert np.allclose(scaled.chain.points, lam * base.chain.points, atol=1e-7 * lam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_relabelled_cases())
+def test_solves_agree_at_every_anchor_scale(case):
+    """Scaling both anchors by lam = 10^j, j = -6 ... 8, on the random codim
+    tables, planes3d and the four-body table keeps the classification; value
+    / lam agrees to 1e-12 (relative) and a valid chain / lam to 1e-10 |B - A|,
+    and every valid result passes validate_trajectory.  The gradient of the
+    length has no unit, so a stop test on it that grew with the value would
+    accept worse chains at larger scales."""
+    arr, itin, A, B, _ = case
+    base = _outcome(arr, itin, A, B)
+    scale = float(np.linalg.norm(B - A))
+    for j in range(-6, 9):
+        lam = 10.0 ** j
+        scaled = _outcome(arr, itin, lam * A, lam * B)
+        if isinstance(base, type):
+            assert scaled is base
+            continue
+        assert not isinstance(scaled, type)
+        assert scaled.classification is base.classification
+        assert abs(scaled.value / lam - base.value) <= 1e-12 * base.value
+        if base.is_valid:
+            assert np.abs(scaled.chain.points / lam - base.chain.points).max(initial=0.0) \
+                <= 1e-10 * scale
+            assert validate_trajectory(arr, scaled.trajectory) == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

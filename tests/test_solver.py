@@ -722,7 +722,7 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
 def test_polish_floor_is_checked_against_the_value(grad_norm, raises, twolines_arr,
                                                    monkeypatch):
     """A polish that stops on the rounding floor is accepted only when |grad|
-    is within sqrt(grad_tol) * max(1, value), as at max_iters."""
+    is within sqrt(grad_tol), as at max_iters."""
     import linbilliards.solver as solver_module
     from linbilliards.errors import MaxIterations
     real = solver_module._damped_newton
@@ -806,7 +806,8 @@ def test_failed_warm_gate_runs_the_continuation_unchanged(twolines_arr, monkeypa
 # -- Cholesky step ------------------------------------------------------------
 
 def _reference_solve_spd(H, g):
-    """The jittered Cholesky step through scipy's cho_factor / cho_solve."""
+    """The jittered Cholesky step through scipy's cho_factor / cho_solve, and
+    the jitter it was taken at; (None, None) if five attempts give none."""
     jitter = 0.0
     base = float(np.trace(H)) / max(H.shape[0], 1)
     for _ in range(5):
@@ -814,14 +815,17 @@ def _reference_solve_spd(H, g):
             c, low = scipy.linalg.cho_factor(H + jitter * np.eye(H.shape[0]))
             step = scipy.linalg.cho_solve((c, low), -g)
             if np.dot(g, step) < 0:
-                return step
+                return step, jitter
         except np.linalg.LinAlgError:
             pass
         jitter = max(jitter * 100.0, 1e-14 * max(base, 1.0))
-    return None
+    return None, None
 
 
-def test_solve_spd_matches_cho_factor_bitwise():
+def test_solve_spd_matches_cho_factor_to_backward_error():
+    """_solve_spd finds a step exactly where scipy's cho_factor / cho_solve
+    do, and its step solves the jittered system that reference accepted to
+    a backward error of 1e-12: |(H + jI) s + g| <= 1e-12 (|H + jI| |s| + |g|)."""
     from linbilliards.solver import _solve_spd
     rng = np.random.default_rng(3)
     cases = [(np.zeros((0, 0)), np.zeros(0))]
@@ -830,19 +834,22 @@ def test_solve_spd_matches_cho_factor_bitwise():
             M = rng.standard_normal((n, n))
             g = rng.standard_normal(n)
             spd = M @ M.T + 1e-3 * np.eye(n)
-            # rounding-level asymmetry: only the upper triangle is read
-            cases.append((spd + 1e-15 * rng.standard_normal((n, n)), g))
+            cases.append((spd + 1e-15 * rng.standard_normal((n, n)), g))  # rounding asymmetry
             cases.append((M + M.T, g))                        # indefinite
             cases.append((-(M @ M.T), g))                     # negative definite
             cases.append((np.outer(M[0], M[0]), g))           # singular
     jittered = 0
     for H, g in cases:
-        expected = _reference_solve_spd(H, g)
+        expected, jitter = _reference_solve_spd(H, g)
         got = _solve_spd(H, g)
         if expected is None:
             assert got is None
             continue
-        assert got.tobytes() == expected.tobytes()
+        assert got is not None
+        shifted = H + jitter * np.eye(len(g))
+        residual = np.linalg.norm(shifted @ got + g)
+        assert residual <= 1e-12 * (np.linalg.norm(shifted, 2) * np.linalg.norm(got)
+                                    + np.linalg.norm(g))
         jittered += not np.all(np.linalg.eigvalsh(H) > 0)
     assert jittered > 0
 
@@ -861,14 +868,14 @@ def test_solve_spd_rejects_non_finite_input():
 def _reference_damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
                              start=None, first_step=None):
     """The Newton core as it was before trial points were valued first: every
-    full step is differentiated, and steps come from the cho_factor solve
-    above."""
+    full step is differentiated.  Its steps come from the library's
+    _solve_spd: the core's control flow is what is checked here."""
     value, g, H = derivatives(x) if start is None else start
     grad_norm = math.sqrt(g @ g)
     for _ in range(max_iters):
-        if grad_norm <= tol * max(1.0, value):
+        if grad_norm <= tol:
             return x, value, grad_norm, "converged"
-        step = _reference_solve_spd(H, g) if first_step is None else first_step
+        step = solver._solve_spd(H, g) if first_step is None else first_step
         first_step = None
         if step is None:
             return x, value, grad_norm, "no_descent"
@@ -1226,7 +1233,7 @@ def test_degenerate_vertex_norm_reads_no_eigenvalue(twolines_arr, monkeypatch):
 
 
 def _clear_solve_plans():
-    solver._spring_factor.cache_clear()
+    solver._spring_columns.cache_clear()
     solver._run_plan.cache_clear()
 
 
@@ -1321,7 +1328,7 @@ def test_solves_with_cold_and_warm_solve_plans_agree(planes3d_arr, fourbody_arr)
             assert _result_bytes(cold) == _result_bytes(warm)
             classes.add(cold.classification)
     assert Classification.GHOST in classes and len(classes) >= 2
-    assert solver._spring_factor.cache_info().hits > 0
+    assert solver._spring_columns.cache_info().hits > 0
     assert solver._run_plan.cache_info().hits > 0
 
 
@@ -1331,7 +1338,7 @@ def test_solve_plan_arrays_are_read_only(planes3d_arr):
                                      np.array([1.0, 2.0, 3.0]), np.array([-2.0, 1.0, -1.0]))
     plan = solver._run_plan(*problem.key, ((0, 2), (2, 4)))
     cols, rows, left, s = plan.equations
-    arrays = [solver._spring_factor(*problem.key), *plan.meets, plan.keep, plan.shut,
+    arrays = [solver._spring_columns(*problem.key), *plan.meets, plan.keep, plan.shut,
               plan.reduced, plan.bases, cols, rows, left, s, plan.kernel]
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
