@@ -30,15 +30,16 @@ if 0 lies in the subdifferential: there are edge multipliers u_e with
 u_e = d_e / |d_e| on every open edge, |u_e| <= 1 on every collapsed edge
 and B_i (u_{i-1} - u_i) = 0 at every vertex, the conservation of momentum
 at a collision in the subdifferential sense (Burago, Ferleger and
-Kononenko).  After each stage with an interior gap within CERT_WINDOW * mu
-(OPEN_WINDOW * mu at the opening stage, where the stage's dual u_e =
-d_e / sqrt(r_e^2 + mu^2) then has |u_e| <= OPEN_WINDOW on that edge), and
-once more after the last stage, the certificate joins the vertices of the
-shortest gaps into runs, makes each run one point on the intersection of
-its subspaces (a stratum of the collision locus), solves that reduced chain
-by exact Newton, and looks for collapsed-edge multipliers inside the balls
-|u_e| <= 1 - CERT_MARGIN that meet the vertex equations to rounding level.
-A chain that passes is returned; no tolerance on the length enters.
+Kononenko).  After each stage with an interior gap within CERT_WINDOW * mu,
+the opening stage at mu = scale included, and once more after the last
+stage, the certificate joins the vertices of the shortest gaps into runs,
+makes each run one point on the intersection of its subspaces (a stratum of
+the collision locus), solves that reduced chain by exact Newton, and looks
+for collapsed-edge multipliers inside the balls |u_e| <= 1 - CERT_MARGIN
+that meet the vertex equations to rounding level.  A chain that passes is
+returned; no tolerance on the length enters.  A Farkas test ends most
+multiplier searches that must fail before any Newton step, so a failed
+attempt is cheap.
 
 A free vertex of the reduced chain between two collapsed runs sits on a
 segment along which the exact length is flat.  The reduced exact Hessian
@@ -108,8 +109,7 @@ ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking
 STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
 MERGE_DETECT = 1e-4    # gap below this * scale marks a collapsing run
 OPEN_TOL = 1e-4        # the opening stage (mu = scale) stops at |grad| <= this
-OPEN_WINDOW = 0.1      # certify the opening stage once an interior gap is within this * mu
-CERT_WINDOW = 10.0     # certify a later stage once an interior gap is within this * mu
+CERT_WINDOW = 10.0     # certify a stage once an interior gap is within this * mu
 CERT_MARGIN = 1e-9     # certified collapsed-edge multipliers: |u_e| <= 1 - this
 CERT_TRIES = 4         # thresholds tried per certificate
 CERT_RESIDUAL = 1e-12  # stationarity residual accepted as rounding
@@ -578,24 +578,31 @@ def _lowest_multipliers(w, start, plan, bound):
     none is found; w (C, dim) is a point of that set, start (C, dim) the
     stage's smoothed directions on the collapsed edges.
 
-    w itself is tried first.  Otherwise infeasible-start Newton on the
-    barrier -sum_e log(bound - |v_e|^2) over the affine set (Boyd &
-    Vandenberghe, sec. 10.3) runs from start, whose rows on or outside
-    their ball are first scaled into it.  A point is w + K z + y, K the
-    plan's kernel and y the residual off the affine set: each Newton step
-    removes y and moves z by the solve of the d x d reduced system, and is
-    halved only while a norm would reach the bound (y then shrinks by the
-    untaken fraction).  The first full step lands on the affine set inside
-    every ball, which ends the search; a step below STEP_FLOOR, or
-    MULTIPLIER_STEPS steps, give None.
+    w itself is tried first.  Then a Farkas test (theorem of alternatives;
+    Boyd & Vandenberghe, sec. 5.8) ends most searches that must fail before
+    any Newton step: a = w - K K^T w, the least-norm point of the set, lies
+    in the row space, so <a, v> = |a|^2 at every point v of the set, which
+    |v_e| < r = sqrt(bound) on every edge would keep below r sum_e |a_e|.
+    Otherwise infeasible-start Newton on the barrier -sum_e log(bound -
+    |v_e|^2) over the affine set (Boyd & Vandenberghe, sec. 10.3) runs from
+    start, whose rows on or outside their ball are first scaled into it.  A
+    point is w + K z + y, K the plan's kernel and y the residual off the
+    affine set: each Newton step removes y and moves z by the solve of the
+    d x d reduced system, and is halved only while a norm would reach the
+    bound (y then shrinks by the untaken fraction).  The first full step
+    lands on the affine set inside every ball, which ends the search; a
+    step below STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
     """
     if (w * w).sum(axis=1).max() < bound:
         return w
     kernel = plan.kernel
-    if kernel.shape[2] == 0:
-        return None
     C, dim = w.shape
     K = kernel.reshape(C * dim, -1)
+    # the Farkas exit, with a margin of 1e-12 for rounding
+    a = w.reshape(-1) - K @ (K.T @ w.reshape(-1))
+    reach = math.sqrt(bound) * np.linalg.norm(a.reshape(C, dim), axis=1).sum()
+    if kernel.shape[2] == 0 or a @ a > (1.0 + 1e-12) * reach:
+        return None
     norms2 = (start * start).sum(axis=1)
     outside = norms2 >= bound
     v = start.copy()
@@ -770,9 +777,9 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     # stops the continuation as soon as it holds.
     iterations = 0
     certified = None
-    stages = [(scale, OPEN_TOL, OPEN_WINDOW)]
-    stages += [(scale * 10.0 ** -exponent, 1e-9, CERT_WINDOW) for exponent in range(2, 15, 2)]
-    for mu, tol, window in stages:
+    stages = [(scale, OPEN_TOL)]
+    stages += [(scale * 10.0 ** -exponent, 1e-9) for exponent in range(2, 15, 2)]
+    for mu, tol in stages:
         mu2 = mu * mu
         x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
                                partial(problem.value, mu2=mu2), _add_step,
@@ -781,7 +788,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         gaps = problem.edge_pass(x, 0.0)[1]
         if gaps.min() > 1e4 * mu:
             break
-        if gaps[1:-1].min(initial=math.inf) <= window * mu:
+        if gaps[1:-1].min(initial=math.inf) <= CERT_WINDOW * mu:
             certified = _certify_ghost(problem, x, mu2, coincidence)
             if certified is not None:
                 break

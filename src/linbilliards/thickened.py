@@ -274,7 +274,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
         # a negative multiplier wants to release its vertex from the wall
         clean = (_wall_forces(bases, problem.active, points, grad)[1].min() >= -1e-10
                  if reason == "converged" else reason == "floor")
-        if clean and kkt <= max(opts.grad_tol, 1e-12) * max(1.0, value):
+        if clean and kkt <= max(opts.grad_tol, 1e-12):
             break
         if clean and kkt >= prev_kkt * 0.99:
             break  # residual floor: successive phases no longer improve

@@ -313,17 +313,46 @@ def test_certified_ghosts_match_full_continuation(fixture, request, monkeypatch)
                    if r.classification is Classification.GHOST)
 
 
-def test_valid_solve_never_reaches_certificate(twolines_arr, monkeypatch):
-    import linbilliards.solver as solver_module
+def _counting_spd_solves(monkeypatch):
+    """Counter of solver._spd_solve calls made while _lowest_multipliers
+    runs, one entry per search: ("found" | "none" | "projected", solves,
+    kernel dimension)."""
+    searches, inside = [], []
+    real_spd, real_search = solver._spd_solve, solver._lowest_multipliers
 
-    def forbidden(*args):
-        raise AssertionError("certificate ran on a valid solve")
+    def spd(M, b):
+        if inside:
+            inside[-1] += 1
+        return real_spd(M, b)
 
-    reference = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
-    monkeypatch.setattr(solver_module, "_certify_ghost", forbidden)
-    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
+    def search(w, start, plan, bound):
+        inside.append(0)
+        try:
+            got = real_search(w, start, plan, bound)
+        finally:
+            solves = inside.pop()
+        outcome = "projected" if got is w else "none" if got is None else "found"
+        searches.append((outcome, solves, plan.kernel.shape[2]))
+        return got
+
+    monkeypatch.setattr(solver, "_spd_solve", spd)
+    monkeypatch.setattr(solver, "_lowest_multipliers", search)
+    return searches
+
+
+def test_valid_solve_certificate_ends_at_the_farkas_test(twolines_arr, monkeypatch):
+    """The opening stage of the two-line valid solve tries the certificate
+    once.  Its multiplier search ends before any Newton step, and the result
+    is bit for bit that of a solve without the certificate."""
+    it = Itinerary((0, 1))
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_certify_ghost", lambda *args: None)
+        reference = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
+    searches = _counting_spd_solves(monkeypatch)
+    result = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
     assert result.is_valid
-    assert result.chain.points.tobytes() == reference.chain.points.tobytes()
+    assert _result_bytes(result) == _result_bytes(reference)
+    assert [(outcome, solves) for outcome, solves, _ in searches] == [("none", 0)]
 
 
 def _four_body_table():
@@ -495,8 +524,9 @@ def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
     """Over the seed-0 unfiltered search and nbody rounds 0-3, the
     infeasible-start Newton search returns a point exactly when the barrier
     method does, and every point it returns meets the vertex equations to
-    CERT_RESIDUAL with every norm below the bound."""
-    calls = []
+    CERT_RESIDUAL with every norm below the bound.  The Farkas exit ends some
+    of the failing searches before any Newton step."""
+    searches = _counting_spd_solves(monkeypatch)
     real = solver._lowest_multipliers
 
     def compared(w, start, plan, bound):
@@ -507,25 +537,29 @@ def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
             assert bound == (1.0 - solver.CERT_MARGIN) ** 2
             assert (got * got).sum(axis=1).max() < bound
             assert _vertex_residual(plan, got, w) <= solver.CERT_RESIDUAL
-        calls.append((got is not None, got is w))
         return got
 
     monkeypatch.setattr(solver, "_lowest_multipliers", compared)
     _search_and_nbody_solves(twolines_arr, monkeypatch)
-    searched = [found for found, projected in calls if not projected]
+    searched = [outcome == "found" for outcome, _, _ in searches if outcome != "projected"]
     # the projection alone fails in a share of the calls, and the search
     # then both finds points and proves that none exists
     assert len(searched) > 50
     assert sum(searched) > 0 and not all(searched)
+    # the Farkas exit: a failure without a Newton step where the kernel is
+    # not empty
+    assert any(outcome == "none" and solves == 0 and d > 0 for outcome, solves, d in searches)
 
 
-def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_arr):
+def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_arr,
+                                                                          monkeypatch):
     """Collapsing the bounce L1, L2, L1 between far anchors onto the origin
     needs collapsed multipliers whose components along L2 differ by about
     1.15, while both must stay below 1 and match the anchors' unit
     directions (norm 0.995) along L1: the affine set of the vertex
     equations misses the balls, and the search returns None where the
-    barrier proves the same."""
+    barrier proves the same.  The least-norm point of that line proves it
+    too (the Farkas exit), so the search takes no Newton step."""
     from linbilliards.solver import _StackedProblem
     it = Itinerary((0, 1, 0))
     A, B = np.array([10.0, 1.0]), np.array([10.0, -1.0])
@@ -542,7 +576,10 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     bound = (1.0 - solver.CERT_MARGIN) ** 2
     assert (w * w).sum(axis=1).max() >= bound
     start = np.array([[-0.9, 0.0], [0.9, 0.0]])
+    # the Farkas exit ends the search before any Newton step
+    searches = _counting_spd_solves(monkeypatch)
     assert solver._lowest_multipliers(w, start, plan, bound) is None
+    assert searches == [("none", 0, 1)]
     assert _reference_lowest_multipliers(w, plan, bound) is None
     assert solver._multipliers_certify(problem, np.zeros((3, 2)), [(0, 3)],
                                        np.zeros((4, 2))) is None
@@ -646,15 +683,18 @@ def test_four_body_partial_collapses_certify_independently_of_the_start(r):
 
 def test_unfiltered_search_kernel_passes(twolines_arr, kernel_passes):
     """The unfiltered realizability search of the realize benchmark at seed
-    0 (lengths 1-5, 100 samples each) stays within its kernel passes: 2,160
-    derivative and 2,104 value passes from the spring start, 2,790 and 2,813
-    from the chord (both with the opening stage at mu = scale), 6,050 and
-    14,895 when every ghost backtracked from mu = 1e-2 scale."""
+    0 (lengths 1-5, 100 samples each) stays within its kernel passes: 1,508
+    derivative and 957 value passes when the opening stage certifies under
+    CERT_WINDOW like every later stage; 2,302 and 2,249 under the old 0.1 mu
+    opening window with the scale-free stop test, 2,160 and 2,104 before it;
+    2,790 and 2,813 from the chord (all with the opening stage at mu =
+    scale), 6,050 and 14,895 when every ghost backtracked from mu = 1e-2
+    scale."""
     from linbilliards.origami import search_realizable
     rows = search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
     assert [row.status for row in rows[:6]] == ["realized"] * 6
-    assert kernel_passes["derivatives"] <= 2700
-    assert kernel_passes["value"] <= 2700
+    assert kernel_passes["derivatives"] <= 1650
+    assert kernel_passes["value"] <= 1050
 
 
 def _random_planes(seed, n=3):

@@ -301,6 +301,44 @@ def test_r_family_keeps_the_replay_of_each_honest_radius(twolines_arr):
         assert e.itinerary_match == (fresh.itinerary_labels == ["L1", "L2"])
 
 
+@pytest.mark.parametrize("itin, A, B, honest", [
+    ((0, 1), [1.98916641, -0.44632446], [-0.44703404, -5.58316732], True),
+    ((0,), [-1.0, 1.0], [1.0, 1.0], True),
+    ((1, 0), [2.0, 1.0], [3.0, -1.0], False),
+])
+def test_thickened_solves_agree_at_every_anchor_scale(twolines_arr, itin, A, B, honest):
+    """Scaling the anchors and the radius together by lam = 10^j, j = -3 ...
+    8, on the two-line table keeps every result of r = 1e-1, 1e-2, 1e-3 at
+    the same point / lam: honest or ghost and itinerary_match are the same,
+    value / lam agrees to 1e-12 (relative) and an honest chain / lam to 1e-10
+    |B - A| (a ghost's points may slide at constant length).  The KKT
+    residual is a tangential gradient and has no unit, so an accept test on
+    it that grew with the value would accept worse chains at larger scales.
+    The honest cases run through r_family; the chord of the ghost case
+    passes both cylinders straight, so it has no valid point solve."""
+    itin, A, B = Itinerary(itin), np.array(A), np.array(B)
+    radii = np.array([1e-1, 1e-2, 1e-3])
+    scale = float(np.linalg.norm(B - A))
+
+    def solves(lam):
+        if honest:
+            return [(e.result, e.itinerary_match)
+                    for e in r_family(twolines_arr, itin, lam * A, lam * B, lam * radii)]
+        return [(minimize_thickened(ThickenedTable(twolines_arr, lam * r), itin,
+                                    lam * A, lam * B), False) for r in radii]
+
+    base = solves(1.0)
+    assert [result.honest for result, _ in base] == [honest] * len(radii)
+    for j in range(-3, 9):
+        lam = 10.0 ** j
+        for (result, match), (ref, ref_match) in zip(solves(lam), base):
+            assert result.honest == ref.honest
+            assert match == ref_match
+            assert abs(result.value / lam - ref.value) <= 1e-12 * ref.value
+            if honest:
+                assert np.abs(result.points / lam - ref.points).max() <= 1e-10 * scale
+
+
 def test_r_family_refuses_nontransverse(origin_arr):
     # the straight pass through the origin is an internal vertex
     with pytest.raises(PreconditionError):
