@@ -70,8 +70,8 @@ returns exactly what recomputing would.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve), which the certificate's
-reduced polish and the thickened wall polish reuse with their own
-coordinates and retractions.  The certificate's search for collapsed-edge
+reduced polish and the thickened barrier stages and wall polish reuse with
+their own coordinates and retractions.  The certificate's search for collapsed-edge
 multipliers minimizes no value, and is a short Newton loop of its own.
 
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
@@ -423,6 +423,11 @@ def _run_plan(shape, data, runs) -> _RunPlan:
 
 def _add_step(x, step, t):
     return x + t * step
+
+
+def _stages(scale: float) -> list[tuple[float, float]]:
+    """(mu, tol) of each stage: mu = scale to OPEN_TOL, then 1e-2 ... 1e-14 scale to 1e-9."""
+    return [(scale, OPEN_TOL)] + [(scale * 10.0 ** -e, 1e-9) for e in range(2, 15, 2)]
 
 
 def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
@@ -777,9 +782,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     # stops the continuation as soon as it holds.
     iterations = 0
     certified = None
-    stages = [(scale, OPEN_TOL)]
-    stages += [(scale * 10.0 ** -exponent, 1e-9) for exponent in range(2, 15, 2)]
-    for mu, tol in stages:
+    for mu, tol in _stages(scale):
         mu2 = mu * mu
         x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
                                partial(problem.value, mu2=mu2), _add_step,

@@ -4,9 +4,9 @@ Thickening replaces each collision subspace by a solid cylinder of radius
 sigma_L * r.  The dynamics on the complement is ordinary specular billiards
 off the cylinder walls (away from corners, which are refused rather than
 modelled).  The variational side constrains the chain vertices to the solid
-cylinders: projected gradient plus projected Newton on the active cylinder
-walls in ambient coordinates, with minimizers classified as honest
-reflections or ghosts.
+cylinders: a log-barrier continuation on the point solver's stages and
+Newton core, then a Newton polish on the walls of the pressed vertices, with
+minimizers classified as honest reflections, ghosts or corner ghosts.
 """
 
 from __future__ import annotations
@@ -14,20 +14,20 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .arrangement import (Arrangement, Itinerary, _as_vector, _line_tube, _perp, _project,
-                          _row_dot)
+from .arrangement import Arrangement, Itinerary, _as_vector, _line_tube, _perp, _row_dot
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
-from .action import _edge_lengths, _edge_terms, _point_list, _stacked, action
-from .solver import SolverOptions, _check_size, _damped_newton, minimize
+from .action import _edge_terms, _stacked, action
+from .solver import (SolverOptions, _check_size, _damped_newton, _spring_coords, _stages,
+                     _StackedProblem, minimize)
 from .trajectory import TRANSVERSE_TOL, BilliardTrajectory, is_transverse
 
 CORNER_TOL = 1e-9
 GRAZING_DISC = 1e-14
-# projected-gradient/Newton rounds of minimize_thickened before it gives up
-MAX_PHASES = 40
+SPLIT = 100.0  # slack and barrier force this far apart mark a vertex pressed or free
 
 
 @dataclass(frozen=True)
@@ -185,11 +185,13 @@ def events_to_csv(path: ThickenedPath, out) -> None:
 
 @dataclass(frozen=True)
 class ThickenedMinimizeResult:
+    """A thickened minimizer; a corner ghost has kkt_residual NaN and zero multipliers."""
+
     points: np.ndarray          # (k, dim) vertices
     value: float
     honest: bool                # on-wall, direction-changing minimizer
     active: list[bool]          # vertex on its cylinder wall
-    kkt_residual: float
+    kkt_residual: float         # tangential gradient of the polished chain
     multipliers: list[float]    # outward-normal force at active vertices
     message: str = ""
 
@@ -198,14 +200,20 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
                        opts: SolverOptions = SolverOptions()) -> ThickenedMinimizeResult:
     """Minimize the path length with each vertex confined to its solid cylinder.
 
-    Each phase makes global progress on the convex problem by projected
-    gradient with backtracking, then polishes by the solver's Newton core on
-    the walls of the vertices pressed onto them; one gradient at its chain
-    serves the release test, the next phase and the result.  The minimizer
-    is honest when every vertex sits on its wall and the direction jumps
-    there; otherwise it is a ghost (straight-through or tangential passage).
-    A ghost's value is reproducible but its points need not be: a free vertex
-    inside its cylinder can slide along a straight segment at constant length.
+    An interior-point continuation (Boyd & Vandenberghe, sec. 11.3): each of
+    the point solver's stages mu minimizes the smoothed length plus the
+    barrier -mu sum log(rho^2 - |P⊥ q|^2), from the spring chain on the axes.
+    On the central path relative slack s / rho^2 times barrier force 2 mu |w|
+    / s is about 2 mu / rho, so the force is small at a free vertex and the
+    slack at a pressed one.  Once they differ by SPLIT at every vertex and no
+    interior gap is within SPLIT mu, the pressed vertices are polished on
+    their walls at mu = 0; a polish within grad_tol and with no wall force
+    below -1e-10 is the minimizer: honest when every vertex is on its wall
+    and the direction jumps there, a ghost otherwise.  Unpolished after the
+    last stage, a chain with a collapsed interior edge is a corner ghost
+    (vertices meet where cylinders cross) valued at its exact length;
+    anything else raises MaxIterations.  A ghost's points need not be
+    reproducible: a free vertex can slide along a straight segment.
     """
     arr = table.arrangement
     A = np.asarray(A, dtype=float)
@@ -215,146 +223,135 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
         _check_size(x, arr.dim, f"anchor {name}")
         if table.distance_to_wall(x) <= 1e-12:
             raise PreconditionError(f"anchor {name} must lie in the table interior")
-    k = len(itinerary)
-    bases = arr.bases_of(itinerary)
-    radii = table.radii[list(itinerary)]
     scale = max(float(np.linalg.norm(B - A)), table.r)
+    spring = _StackedProblem(arr.bases_of(itinerary), A, B)
+    points = spring.points_of(_spring_coords(spring))
+    problem = _WallProblem(table, itinerary, A, B, np.zeros(len(itinerary), dtype=bool))
+    for mu, tol in _stages(scale):
+        # no small-step stop: STEP_TOL is absolute, and the barrier's steps shrink with mu
+        points, *_ = _damped_newton(points, partial(problem.derivatives, mu2=mu * mu),
+                                    partial(problem.value, mu2=mu * mu), problem.retract,
+                                    tol, 0.0, max_iters=40)
+        w, s = problem.slack(points)
+        slack, force = s / problem.radii ** 2, 2.0 * mu * np.sqrt(_row_dot(w, w)) / s
+        gap = problem.edge_pass(points, 0.0)[1][1:-1].min(initial=math.inf)
+        split = np.all(np.maximum(slack, force) >= SPLIT * np.minimum(slack, force))
+        if split and gap > SPLIT * mu:
+            result = _polished(table, itinerary, A, B, points, force > slack, opts)
+            if result is not None:
+                return result
+    if gap > opts.coincidence_tol * scale:
+        raise MaxIterations("thickened continuation ended without a polished minimizer")
+    return ThickenedMinimizeResult(points, action(A, points, B), False, (force > slack).tolist(),
+                                   math.nan, [0.0] * len(points), "ghost: collapsed at a corner")
 
-    def on_walls(pts):
-        w = _perp(bases, pts)
-        return (np.abs(np.sqrt(_row_dot(w, w)) - radii) <= 1e-6 * radii).tolist()
 
-    def project(pts):
-        """Exact convex projection of each vertex onto its solid cylinder."""
-        par = _project(bases, pts)
-        perp = pts - par
-        norm = np.sqrt(_row_dot(perp, perp))
-        inside = norm <= radii
-        shrink = radii / np.where(inside, 1.0, norm)
-        return np.where(inside[:, None], pts, par + perp * shrink[:, None])
-
-    def vertex_gradients(pts):
-        return _edge_terms(*_edge_lengths(_point_list(A, pts, B)))[2]
-
-    # start from the projection of the straight chord into the cylinders
-    points = project(A + (np.arange(1, k + 1) / (k + 1))[:, None] * (B - A))
-    value = action(A, points, B)
-    grad = vertex_gradients(points)
-    step = 1.0
-    kkt = math.inf
-    prev_kkt = math.inf
-    for phase in range(MAX_PHASES):
-        # -- projected gradient phase; grad is the gradient at points
-        for _ in range(200):
-            trial_step = step
-            moved = False
-            for _ in range(60):
-                cand = project(points - trial_step * grad)
-                cand_val = action(A, cand, B)
-                decrease = value - cand_val
-                move2 = float(np.sum((cand - points) ** 2))
-                if decrease >= 1e-4 * move2 / max(trial_step, 1e-300):
-                    if move2 > 0:
-                        points, value, moved = cand, cand_val, True
-                    break
-                trial_step *= 0.5
-            step = min(trial_step * 2.0, 1e3)
-            mapping = float(np.sqrt(float(np.sum((project(points - grad) - points) ** 2))))
-            if mapping <= 1e-8 * scale or not moved:
-                break
-            grad = vertex_gradients(points)
-
-        # -- active-set Newton phase; no small-step stop (step_tol 0), so a
-        # "floor" return is a clean residual floor
-        problem = _WallProblem(table, itinerary, A, B, on_walls(points))
-        points, value, kkt, reason = _damped_newton(
-            points.copy(), problem.derivatives, problem.value, problem.retract,
-            max(opts.grad_tol, 1e-13), 0.0, max_iters=60)
-        grad = vertex_gradients(points)
-        # a negative multiplier wants to release its vertex from the wall
-        clean = (_wall_forces(bases, problem.active, points, grad)[1].min() >= -1e-10
-                 if reason == "converged" else reason == "floor")
-        if clean and kkt <= max(opts.grad_tol, 1e-12):
-            break
-        if clean and kkt >= prev_kkt * 0.99:
-            break  # residual floor: successive phases no longer improve
-        prev_kkt = kkt
-    else:
-        raise MaxIterations(f"thickened minimization stalled (kkt = {kkt:.3e})")
-
-    active = on_walls(points)
-    multipliers = _wall_forces(bases, active, points, grad)[1].tolist()
+def _polished(table, itinerary, A, B, points, pressed, opts):
+    """The chain polished from points at mu = 0 with the pressed vertices on
+    their walls; None unless it meets grad_tol with every wall force >= -1e-10."""
+    problem = _WallProblem(table, itinerary, A, B, pressed)
+    points, value, kkt, _ = _damped_newton(
+        problem.retract(points, np.zeros(points.size), 0.0), problem.lifted, problem.value,
+        problem.retract, max(opts.grad_tol, 1e-13), 0.0, max_iters=60)
+    grad = _edge_terms(*problem.edge_pass(points, 0.0))[2]
+    forces = np.where(pressed, -_row_dot(grad, problem.normals(points)), 0.0)
+    if not (kkt <= max(opts.grad_tol, 1e-12) and forces.min() >= -1e-10):
+        return None
     # the ambient gradient n_in - n_out at a vertex is its direction jump
-    jump = np.linalg.norm(grad, axis=1)
-    honest = all(active) and all(j > TRANSVERSE_TOL for j in jump) \
-        and all(m > 0 for m in multipliers)
+    honest = bool(pressed.all() and (forces > 0).all()
+                  and (np.linalg.norm(grad, axis=1) > TRANSVERSE_TOL).all())
     msg = "" if honest else "ghost: vertex off the wall or no direction change"
-    return ThickenedMinimizeResult(points, value, honest, active, kkt,
-                                   multipliers, msg)
+    return ThickenedMinimizeResult(points, value, honest, pressed.tolist(), kkt,
+                                   forces.tolist(), msg)
 
 
-def _wall_forces(bases, active, points, grad):
-    """Outward unit wall normals (k, dim) of the active vertices, zero rows
-    at free ones, and the outward-normal forces -<g_j, omega_j> (k,), 0 at
-    free vertices; vertex j's subspace has the basis bases[j]."""
-    active = np.asarray(active)
-    perp = _perp(bases, points)
-    norms = np.sqrt(_row_dot(perp, perp))
-    normals = np.where(active[:, None], perp / np.where(active, norms, 1.0)[:, None], 0.0)
-    return normals, np.where(active, -_row_dot(grad, normals), 0.0)
-
-
-class _WallProblem:
-    """Path length with the active vertices held on their cylinder walls, in
-    ambient (k, dim) coordinates.
-
-    The kernel blocks are reduced through the tangent projectors
-    P_j = I - omega_j omega_j^T of the active walls (I at free vertices) by
-    ``action._stacked``, which the solver uses with the chain bases.  Each
-    active vertex adds omega omega^T, a unit diagonal in its normal direction
-    that keeps Newton definite and its step tangent, and the exact
-    perp-sphere curvature (force / rho)(I - B^T B - omega omega^T).  The
-    gradient is the tangential gradient P g, so the Newton core's stopping
-    norm, the reported kkt residual, does not depend on the radius.  Newton
-    steps do not depend on the tangent coordinates, so they are those of any
-    parameterization of the walls.
-    """
+class _WallProblem(_StackedProblem):
+    """Path length in ambient (k, dim) coordinates, a _StackedProblem over
+    identity bases (so the Newton core measures a point's edges once), with
+    the active vertices on their walls and, at mu > 0, the barrier -mu sum
+    log(rho^2 - |P⊥ q|^2) over the free ones.  An active vertex's blocks are
+    reduced through its wall's tangent projector P = I - omega omega^T by
+    ``action._stacked``, plus omega omega^T (a unit diagonal that keeps Newton
+    definite and its step tangent) and the perp-sphere curvature (force /
+    rho)(I - B^T B - omega omega^T).  The gradient P g has no unit."""
 
     def __init__(self, table, itinerary, A, B, active):
-        self.bases = table.arrangement.bases_of(itinerary)
+        walls = table.arrangement.bases_of(itinerary)
+        k, _, dim = walls.shape
+        super().__init__(np.broadcast_to(np.eye(dim), (k, dim, dim)), A, B)
+        self.walls = walls
         self.radii = table.radii[list(itinerary)]
-        self.A = A
-        self.B = B
         self.active = np.asarray(active)
-        dim = table.arrangement.dim
         # I - B^T B: the projector onto each vertex's subspace complement
-        self.perps = np.eye(dim) - self.bases.transpose(0, 2, 1) @ self.bases
+        self.perps = np.eye(dim) - walls.transpose(0, 2, 1) @ walls
+        self._slacks = (None,)  # (pts, w, s) last measured
 
-    def value(self, pts) -> float:
-        return action(self.A, pts, self.B)
+    def points_of(self, pts):
+        return pts.reshape(self.k, self.dim)
 
-    def derivatives(self, pts):
-        value, _, grad, diag, off = _edge_terms(*_edge_lengths(_point_list(self.A, pts, self.B)))
-        normals, forces = _wall_forces(self.bases, self.active, pts, grad)
-        normal = normals[:, :, None] * normals[:, None, :]
-        g, H = _stacked(np.eye(pts.shape[1]) - normal, grad, diag, off)
-        k, dim = pts.shape
-        curvature = (forces / self.radii)[:, None, None]
-        idx = np.arange(k)
-        # the diagonal blocks, through a (k, dim, k, dim) view of H
-        H.reshape(k, dim, k, dim)[idx, :, idx, :] += normal + curvature * (self.perps - normal)
+    def slack(self, pts):
+        """Offsets w = P⊥ q (k, dim) and slacks rho^2 - |w|^2 (k,) at pts,
+        measured unless pts is the point measured last."""
+        if self._slacks[0] is not pts:
+            w = _perp(self.walls, pts)
+            self._slacks = (pts, w, self.radii ** 2 - _row_dot(w, w))
+        return self._slacks[1:]
+
+    def normals(self, pts):
+        """Outward unit wall normals (k, dim) at pts, zero rows at free vertices."""
+        w = self.slack(pts)[0]
+        norms = np.where(self.active, np.sqrt(_row_dot(w, w)), 1.0)
+        return np.where(self.active[:, None], w / norms[:, None], 0.0)
+
+    def value(self, pts, mu2: float = 0.0) -> float:
+        s = self.slack(pts)[1][~self.active] if mu2 > 0.0 else 1.0
+        return super().value(pts, mu2) - math.sqrt(mu2) * float(np.log(s).sum())
+
+    def derivatives(self, pts, mu2: float = 0.0):
+        if not self.active.any():
+            value, g, H = super().derivatives(pts, mu2)
+        else:
+            value, _, grad, diag, off = _edge_terms(*self.edge_pass(pts, mu2))
+            normals = self.normals(pts)
+            normal = normals[:, :, None] * normals[:, None, :]
+            g, H = _stacked(np.eye(self.dim) - normal, grad, diag, off)
+        # a writable view of the diagonal blocks (k, dim, dim)
+        blocks = np.einsum("ijik->ijk", H.reshape(self.k, self.dim, self.k, self.dim))
+        if self.active.any():
+            forces = -_row_dot(grad, normals)   # outward-normal force, 0 at free vertices
+            blocks += normal + (forces / self.radii)[:, None, None] * (self.perps - normal)
+        if mu2 > 0.0:
+            # -mu log s: gradient 2 mu w / s, Hessian 2 mu P⊥ / s + 4 mu w w^T / s^2
+            mu, (w, s), free = math.sqrt(mu2), self.slack(pts), ~self.active
+            pull = np.where(free, 2.0 * mu / np.where(free, s, 1.0), 0.0)
+            value -= mu * float(np.log(s[free]).sum())
+            g = g + (pull[:, None] * w).reshape(-1)
+            blocks += pull[:, None, None] * self.perps \
+                + (pull * pull / mu)[:, None, None] * w[:, :, None] * w[:, None, :]
+        return value, g, H
+
+    def lifted(self, pts):
+        """derivatives at mu = 0 plus (1/f_in + 1/f_out) nbar nbar^T at each free
+        vertex: along its unit mean edge direction nbar the length is flat, and
+        exact Newton steps would leave the cylinder.  Only the steps change."""
+        value, g, H = self.derivatives(pts)
+        edges, lengths = self.edge_pass(pts, 0.0)
+        along = edges[:-1] / lengths[:-1, None] + edges[1:] / lengths[1:, None]
+        nbar = along / np.sqrt(np.maximum(_row_dot(along, along), 1e-300))[:, None]
+        weight = np.where(self.active, 0.0, 1.0 / lengths[:-1] + 1.0 / lengths[1:])
+        np.einsum("ijik->ijk", H.reshape(self.k, self.dim, self.k, self.dim))[...] += \
+            weight[:, None, None] * nbar[:, :, None] * nbar[:, None, :]
         return value, g, H
 
     def retract(self, pts, step, t):
         """Move by t * step and project each active vertex radially back onto
-        its wall; None if a free vertex leaves its solid cylinder."""
+        its wall; None unless every free vertex stays strictly inside."""
         cand = pts + t * step.reshape(pts.shape)
-        par = _project(self.bases, cand)
-        perp = cand - par
-        norms = np.sqrt(_row_dot(perp, perp))
-        if np.any(~self.active & (norms > self.radii)):
+        if not np.all(self.active | (self.slack(cand)[1] > 0.0)):
             return None
-        on_wall = par + perp * (self.radii / np.where(self.active, norms, 1.0))[:, None]
+        if not self.active.any():
+            return cand
+        on_wall = cand - self.slack(cand)[0] + self.radii[:, None] * self.normals(cand)
         return np.where(self.active[:, None], on_wall, cand)
 
 

@@ -1006,9 +1006,9 @@ def test_value_first_core_matches_the_reference_core(twolines_arr, monkeypatch):
     core that differentiates every full step returns: the continuation
     stages of twolines k = 4 and 5 ghosts from the chord, their certificates'
     reduced solves, the four-body k = 8 partial collapses of nbody rounds 3,
-    7 and 11, a mu = 0 warm polish, and the wall-Newton phase of a
-    thickened two-line solve, whose steps go through the wall retraction
-    rather than _add_step."""
+    7 and 11, a mu = 0 warm polish, and the barrier stages and the wall
+    polish of a thickened two-line solve, whose steps go through the wall
+    retraction rather than _add_step."""
     from linbilliards import thickened
     from linbilliards.thickened import ThickenedTable
     seen = []

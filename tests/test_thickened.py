@@ -18,7 +18,9 @@ from linbilliards.thickened import (
     replay_honest,
     simulate,
 )
-from linbilliards.solver import minimize
+from linbilliards.solver import SolverOptions, minimize
+
+from conftest import TWOLINE_A, TWOLINE_B
 
 A_MIRROR = np.array([0.0, 1.0])
 B_MIRROR = np.array([2.0, 1.0])
@@ -207,7 +209,6 @@ def test_replay_reproduces_minimizer(mirror_table):
 
 
 def test_replay_two_lines(twolines_arr):
-    from conftest import TWOLINE_A, TWOLINE_B
     itin = Itinerary((0, 1))
     table = ThickenedTable(twolines_arr, 1e-3)
     result = minimize_thickened(table, itin, TWOLINE_A, TWOLINE_B)
@@ -226,7 +227,6 @@ def test_curve_shorten_mirror(mirror_table):
 
 
 def test_curve_shorten_strict_decrease(twolines_arr):
-    from conftest import TWOLINE_A, TWOLINE_B
     itin = Itinerary((0, 1))
     result = minimize(twolines_arr, itin, TWOLINE_A, TWOLINE_B)
     table = ThickenedTable(twolines_arr, 1e-3)
@@ -291,7 +291,6 @@ def _path_bits(path):
 
 
 def test_r_family_keeps_the_replay_of_each_honest_radius(twolines_arr):
-    from conftest import TWOLINE_A, TWOLINE_B
     itin = Itinerary((0, 1))
     entries = r_family(twolines_arr, itin, TWOLINE_A, TWOLINE_B, [1e-1, 1e-2, 1e-3])
     assert all(e.result is not None and e.result.honest for e in entries)
@@ -305,6 +304,8 @@ def test_r_family_keeps_the_replay_of_each_honest_radius(twolines_arr):
     ((0, 1), [1.98916641, -0.44632446], [-0.44703404, -5.58316732], True),
     ((0,), [-1.0, 1.0], [1.0, 1.0], True),
     ((1, 0), [2.0, 1.0], [3.0, -1.0], False),
+    ((0, 1, 0), TWOLINE_A, TWOLINE_B, False),
+    ((1, 0), TWOLINE_A, TWOLINE_B, False),
 ])
 def test_thickened_solves_agree_at_every_anchor_scale(twolines_arr, itin, A, B, honest):
     """Scaling the anchors and the radius together by lam = 10^j, j = -3 ...
@@ -337,6 +338,56 @@ def test_thickened_solves_agree_at_every_anchor_scale(twolines_arr, itin, A, B, 
             assert abs(result.value / lam - ref.value) <= 1e-12 * ref.value
             if honest:
                 assert np.abs(result.points / lam - ref.points).max() <= 1e-10 * scale
+
+
+def _thickened_case(arr, rng):
+    """A repeat-free itinerary of length 1-4, a radius 10^U(-4, -1) and
+    anchors in the table interior."""
+    n = len(arr.subspaces)
+    labels = [int(rng.integers(n))]
+    for _ in range(int(rng.integers(0, 4))):
+        labels.append((labels[-1] + int(rng.integers(1, n))) % n)
+    table = ThickenedTable(arr, 10.0 ** rng.uniform(-4.0, -1.0))
+    while True:
+        A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
+        if min(table.distance_to_wall(A), table.distance_to_wall(B)) > 0.1 * table.r:
+            return table, Itinerary(tuple(labels)), A, B
+
+
+def _check_minimizer(table, itin, A, B, result):
+    """result is polished (kkt within grad_tol, no wall pulling its vertex)
+    or a corner ghost (a collapsed interior edge), with every vertex in its
+    solid cylinder to 1e-9 rho."""
+    arr = table.arrangement
+    scale = max(float(np.linalg.norm(B - A)), table.r)
+    for idx, q in zip(itin, result.points):
+        rho = arr.subspaces[idx].sigma * table.r
+        assert arr.subspaces[idx].distance_to(q) <= rho * (1.0 + 1e-9)
+    if math.isnan(result.kkt_residual):
+        gaps = np.linalg.norm(np.diff(np.vstack([A, result.points, B]), axis=0), axis=1)
+        assert not result.honest
+        assert gaps[1:-1].min() <= SolverOptions().coincidence_tol * scale
+    else:
+        assert result.kkt_residual <= SolverOptions().grad_tol
+        assert min(result.multipliers) >= -1e-10
+
+
+@pytest.mark.parametrize("name", ["twolines", "lines3d", "planes3d", "planes4d", "fourbody"])
+def test_every_thickened_result_is_a_minimizer(name, request):
+    """On seeded random thickened solves every result is a KKT point of the
+    convex problem or a corner ghost, no solve raises, and the reversed
+    itinerary from B to A gives the same classification and value."""
+    arr = request.getfixturevalue(f"{name}_arr")
+    rng = np.random.default_rng([23, len(name)])
+    for _ in range(8):
+        table, itin, A, B = _thickened_case(arr, rng)
+        result = minimize_thickened(table, itin, A, B)
+        _check_minimizer(table, itin, A, B, result)
+        back = minimize_thickened(table, Itinerary(tuple(reversed(itin.indices))), B, A)
+        _check_minimizer(table, Itinerary(tuple(reversed(itin.indices))), B, A, back)
+        assert back.honest == result.honest
+        assert math.isnan(back.kkt_residual) == math.isnan(result.kkt_residual)
+        assert abs(back.value - result.value) <= 1e-12 * result.value
 
 
 def test_r_family_refuses_nontransverse(origin_arr):
