@@ -37,7 +37,9 @@ makes each run one point on the intersection of its subspaces (a stratum of
 the collision locus), solves that reduced chain by exact Newton, and looks
 for collapsed-edge multipliers inside the balls |u_e| <= 1 - CERT_MARGIN
 that meet the vertex equations to rounding level.  A chain that passes is
-returned; no tolerance on the length enters.  A Farkas test ends most
+returned; no tolerance on the length enters.  One SVD of a run set's vertex
+equations gives both their least-norm solution and the kernel along which
+the multipliers move; a Farkas test on that least-norm solution ends most
 multiplier searches that must fail before any Newton step, so a failed
 attempt is cheap.
 
@@ -65,8 +67,9 @@ What depends on the itinerary alone is kept in solve plans: small LRU
 caches keyed on the content of the itinerary's stacked bases, which hold
 read-only arrays (the columns of the inverse chain Laplacian at the first
 and last vertex blocks, and for each run set the certificate's
-intersection bases, reduced bases and factored vertex equations), so a hit
-returns exactly what recomputing would.
+intersection bases, reduced bases and vertex equations factored by one
+SVD into their pseudo-inverse and kernel), so a hit returns exactly what
+recomputing would.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve), which the certificate's
@@ -375,8 +378,7 @@ class _RunPlan:
     chain's bases (reduced, each run's meet padded by zero rows) and the
     collapsed edges (shut, (k+1,)); pinned when no kept vertex has a free
     coordinate.  The vertex equations of the collapsed edges' multipliers
-    and the kernel basis of their affine set, in whose coordinates
-    _lowest_multipliers takes its Newton steps, are factored on first use."""
+    are factored on first use, once, by one SVD (equations)."""
 
     def __init__(self, bases, runs):
         self.bases = bases
@@ -394,26 +396,24 @@ class _RunPlan:
 
     @cached_property
     def equations(self):
-        """(cols, rows, left, s): the collapsed edges cols, and the SVD
-        left.T diag(s) rows of their coefficients in the vertex equations
-        (edge e enters vertex e and leaves vertex e - 1), cut at rank."""
+        """(cols, pinv, kernel): the collapsed edges cols, the pseudo-inverse
+        (C dim, k m) of their coefficients M in the vertex equations (edge e
+        enters vertex e and leaves vertex e - 1), and an orthonormal basis
+        (C, dim, d) of the null space of M.  One SVD M = U diag(s) V, cut at
+        rank, gives both: pinv = V_r^T diag(1 / s) U_r^T and the kernel the
+        rows of V past rank.  V is complete; only a wide M needs the full
+        SVD for it (a tall M's thin V is square already)."""
         k, m, dim = self.bases.shape
         cols = np.flatnonzero(self.shut)
         M = np.zeros((k, m, len(cols), dim))
         j = np.arange(len(cols))
         M[cols, :, j, :] = self.bases[cols]
         M[cols - 1, :, j, :] = -self.bases[cols - 1]
-        U, s, rows = map(_frozen, np.linalg.svd(M.reshape(k * m, -1), full_matrices=False))
+        M = M.reshape(k * m, -1)
+        U, s, V = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
         rank = int(np.sum(s > 1e-10 * s[0]))
-        return _frozen(cols), rows[:rank], U[:, :rank].T, s[:rank]
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """Orthonormal basis (C, dim, d) of the null space of the rows of
-        the vertex equations, over the C collapsed edges."""
-        cols, rows, _, _ = self.equations
-        q = np.linalg.qr(rows.T, mode="complete")[0]
-        return _frozen(q[:, len(rows):].reshape(len(cols), self.bases.shape[2], -1))
+        pinv = (V[:rank].T / s[:rank]) @ U[:, :rank].T
+        return tuple(map(_frozen, (cols, pinv, V[rank:].T.reshape(len(cols), dim, -1))))
 
 
 @lru_cache(maxsize=PLANS)
@@ -526,14 +526,11 @@ def _warm_polish(problem, x, tol, detect, max_iters):
     return x, value
 
 
-def _snapped(problem, points: np.ndarray, runs, meets=None):
+def _snapped(points: np.ndarray, runs, meets):
     """Points with the vertices of each run replaced by the projection of
     their mean onto the intersection of the run's subspaces (the origin when
-    they meet only there); meets, if given, holds the runs' intersection
-    bases.
-    """
-    if meets is None:
-        meets = [intersection_basis(problem.bases[start:stop]) for start, stop in runs]
+    they meet only there); meets holds the runs' intersection bases, a run
+    plan's meets."""
     points = points.copy()
     for (start, stop), meet in zip(runs, meets):
         points[start:stop] = meet.T @ (meet @ points[start:stop].mean(axis=0))
@@ -555,7 +552,7 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     the reduced edges alone.
     """
     plan = _run_plan(*problem.key, tuple(runs))
-    points = _snapped(problem, points, runs, plan.meets)
+    points = _snapped(points, runs, plan.meets)
     if plan.pinned:
         # every run meets only at the origin and no vertex is free: the
         # snapped chain is the only one, and only its edges are left to test
@@ -577,44 +574,44 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     return reduced.points_of(y)[np.cumsum(plan.keep) - 1]
 
 
-def _lowest_multipliers(w, start, plan, bound):
-    """Point of the affine set w + ker(rows) of the run plan's vertex
+def _lowest_multipliers(p, start, kernel, bound):
+    """Point of the affine set p + span(kernel) of a run plan's vertex
     equations whose squared norms |v_e|^2 are all below bound, or None if
-    none is found; w (C, dim) is a point of that set, start (C, dim) the
+    none is found; p (C, dim) is the set's least-norm point, kernel (C, dim,
+    d) an orthonormal basis of its directions, and start (C, dim) the
     stage's smoothed directions on the collapsed edges.
 
-    w itself is tried first.  Then a Farkas test (theorem of alternatives;
-    Boyd & Vandenberghe, sec. 5.8) ends most searches that must fail before
-    any Newton step: a = w - K K^T w, the least-norm point of the set, lies
-    in the row space, so <a, v> = |a|^2 at every point v of the set, which
-    |v_e| < r = sqrt(bound) on every edge would keep below r sum_e |a_e|.
+    The projection of start onto the set, p + K K^T start, is tried first.
+    Then a Farkas test (theorem of alternatives; Boyd & Vandenberghe, sec.
+    5.8) ends most searches that must fail before any Newton step: p lies in
+    the row space, so <p, v> = |p|^2 at every point v of the set, which
+    |v_e| < r = sqrt(bound) on every edge would keep below r sum_e |p_e|.
     Otherwise infeasible-start Newton on the barrier -sum_e log(bound -
     |v_e|^2) over the affine set (Boyd & Vandenberghe, sec. 10.3) runs from
     start, whose rows on or outside their ball are first scaled into it.  A
-    point is w + K z + y, K the plan's kernel and y the residual off the
-    affine set: each Newton step removes y and moves z by the solve of the
-    d x d reduced system, and is halved only while a norm would reach the
-    bound (y then shrinks by the untaken fraction).  The first full step
-    lands on the affine set inside every ball, which ends the search; a
-    step below STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
+    point is p + K z + y, K the kernel and y the residual off the affine
+    set: each Newton step removes y and moves z by the solve of the d x d
+    reduced system, and is halved only while a norm would reach the bound (y
+    then shrinks by the untaken fraction).  The first full step lands on the
+    affine set inside every ball, which ends the search; a step below
+    STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
     """
+    C, dim = p.shape
+    K = kernel.reshape(C * dim, -1)
+    w = p + (K @ (K.T @ start.reshape(-1))).reshape(C, dim)
     if (w * w).sum(axis=1).max() < bound:
         return w
-    kernel = plan.kernel
-    C, dim = w.shape
-    K = kernel.reshape(C * dim, -1)
     # the Farkas exit, with a margin of 1e-12 for rounding
-    a = w.reshape(-1) - K @ (K.T @ w.reshape(-1))
-    reach = math.sqrt(bound) * np.linalg.norm(a.reshape(C, dim), axis=1).sum()
-    if kernel.shape[2] == 0 or a @ a > (1.0 + 1e-12) * reach:
+    reach = math.sqrt(bound) * np.linalg.norm(p, axis=1).sum()
+    p = p.reshape(-1)
+    if kernel.shape[2] == 0 or p @ p > (1.0 + 1e-12) * reach:
         return None
     norms2 = (start * start).sum(axis=1)
     outside = norms2 >= bound
     v = start.copy()
     v[outside] *= np.sqrt(INSIDE * bound / norms2[outside])[:, None]
-    w = w.reshape(-1)
-    z = K.T @ (v.reshape(-1) - w)
-    y = v.reshape(-1) - w - K @ z
+    z = K.T @ (v.reshape(-1) - p)
+    y = v.reshape(-1) - p - K @ z
     for _ in range(MULTIPLIER_STEPS):
         # barrier terms 1 / (bound - |v_e|^2); per edge, the Hessian block is
         # 2 inv I + 4 inv^2 v v^T and the gradient 2 inv v
@@ -630,7 +627,7 @@ def _lowest_multipliers(w, start, plan, bound):
             return None
         t = 1.0
         while True:
-            trial = (w + K @ (z + t * dz) + (1.0 - t) * y).reshape(C, dim)
+            trial = (p + K @ (z + t * dz) + (1.0 - t) * y).reshape(C, dim)
             if (trial * trial).sum(axis=1).max() < bound:
                 break
             t *= 0.5
@@ -648,12 +645,14 @@ def _multipliers_certify(problem, points, runs, start):
     1 - CERT_MARGIN on the collapsed edges inside the runs, and B_i (u_{i-1}
     - u_i) = 0 at every vertex to rounding level.
 
-    The collapsed u_e are first the stage's smoothed directions start,
-    projected onto the affine set of the vertex equations.  Where a norm of
-    the projection exceeds the bound, _lowest_multipliers searches the
-    affine set by infeasible-start Newton from the directions themselves,
-    which lie inside the balls up to rounding.  Every point it returns is
-    checked here against CERT_RESIDUAL like the projection.
+    The collapsed u_e solve M u = -fixed, M the run plan's vertex equations
+    and fixed the open edges' residual in them; p = -pinv fixed is the
+    least-norm solution.  _lowest_multipliers tries the stage's smoothed
+    directions start projected onto that affine set, and where a norm of
+    the projection exceeds the bound searches the set by infeasible-start
+    Newton from the directions themselves, which lie inside the balls up to
+    rounding.  Every point it returns is checked here against
+    CERT_RESIDUAL.
     """
     plan = _run_plan(*problem.key, tuple(runs))
     edges, lengths = _edge_lengths(_point_list(problem.A, points, problem.B))
@@ -662,11 +661,8 @@ def _multipliers_certify(problem, points, runs, start):
     u[open_] = edges[open_] / lengths[open_][:, None]
     # residual of the vertex equations without the collapsed edges
     fixed = _to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
-    cols, rows, left, s = plan.equations
-    # the start moved onto the solutions of M w = -fixed
-    w = start[cols].reshape(-1)
-    w = w - rows.T @ (rows @ w + (left @ fixed) / s)
-    w = _lowest_multipliers(w.reshape(-1, problem.dim), start[cols], plan,
+    cols, pinv, kernel = plan.equations
+    w = _lowest_multipliers(-(pinv @ fixed).reshape(-1, problem.dim), start[cols], kernel,
                             (1.0 - CERT_MARGIN) ** 2)
     if w is None:
         return None
@@ -802,10 +798,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                 x, partial(problem.derivatives, mu2=0.0),
                 partial(problem.value, mu2=0.0), _add_step,
                 opts.grad_tol, STEP_TOL, max_iters=opts.max_iters)
-            stalled = reason == "no_descent" or (
-                reason in ("floor", "max_iters")
-                and grad_norm > math.sqrt(opts.grad_tol))
-            if stalled:
+            if grad_norm > opts.grad_tol:
                 raise MaxIterations(
                     f"exact polish stalled ({reason}) with |grad| = {grad_norm:.3e}")
         # collapsed runs get the same certificate: a chain it accepts is the

@@ -308,13 +308,12 @@ class _WallProblem(_StackedProblem):
         return super().value(pts, mu2) - math.sqrt(mu2) * float(np.log(s).sum())
 
     def derivatives(self, pts, mu2: float = 0.0):
-        if not self.active.any():
-            value, g, H = super().derivatives(pts, mu2)
-        else:
-            value, _, grad, diag, off = _edge_terms(*self.edge_pass(pts, mu2))
-            normals = self.normals(pts)
-            normal = normals[:, :, None] * normals[:, None, :]
-            g, H = _stacked(np.eye(self.dim) - normal, grad, diag, off)
+        value, _, grad, diag, off = _edge_terms(*self.edge_pass(pts, mu2))
+        # zero normals at the free vertices: with no active vertex this is
+        # the reduction over the identity bases
+        normals = self.normals(pts)
+        normal = normals[:, :, None] * normals[:, None, :]
+        g, H = _stacked(np.eye(self.dim) - normal, grad, diag, off)
         # a writable view of the diagonal blocks (k, dim, dim)
         blocks = np.einsum("ijik->ijk", H.reshape(self.k, self.dim, self.k, self.dim))
         if self.active.any():

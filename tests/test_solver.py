@@ -316,7 +316,8 @@ def test_certified_ghosts_match_full_continuation(fixture, request, monkeypatch)
 def _counting_spd_solves(monkeypatch):
     """Counter of solver._spd_solve calls made while _lowest_multipliers
     runs, one entry per search: ("found" | "none" | "projected", solves,
-    kernel dimension)."""
+    kernel dimension).  A point found without a solve is the projection of
+    the start: the search's own points all follow a Newton step."""
     searches, inside = [], []
     real_spd, real_search = solver._spd_solve, solver._lowest_multipliers
 
@@ -325,14 +326,14 @@ def _counting_spd_solves(monkeypatch):
             inside[-1] += 1
         return real_spd(M, b)
 
-    def search(w, start, plan, bound):
+    def search(p, start, kernel, bound):
         inside.append(0)
         try:
-            got = real_search(w, start, plan, bound)
+            got = real_search(p, start, kernel, bound)
         finally:
             solves = inside.pop()
-        outcome = "projected" if got is w else "none" if got is None else "found"
-        searches.append((outcome, solves, plan.kernel.shape[2]))
+        outcome = "none" if got is None else "found" if solves else "projected"
+        searches.append((outcome, solves, kernel.shape[2]))
         return got
 
     monkeypatch.setattr(solver, "_spd_solve", spd)
@@ -460,18 +461,25 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
                                     np.zeros((3, 2)))
 
 
-def _reference_lowest_multipliers(w, plan, bound):
+def _projected_start(p, start, kernel):
+    """The start moved onto the affine set p + span(kernel): p + K K^T start."""
+    K = kernel.reshape(p.size, -1)
+    return p + (K @ (K.T @ start.reshape(-1))).reshape(p.shape)
+
+
+def _reference_lowest_multipliers(p, start, kernel, bound):
     """The collapsed-multiplier search as a barrier method, as it was before
     the infeasible-start Newton search: min s subject to |w_e|^2 <= s over
-    the affine set w + ker (Boyd & Vandenberghe, sec. 11.3).  Each centering
-    minimizes tau s - sum_e log(s - |w_e|^2) by the damped-Newton core in
-    (z, s), z the coordinates along the kernel, and tau grows tenfold
-    between centerings; a centred point is within C / tau of the optimum,
-    so s - C / tau >= bound shows that the optimum misses the bound."""
-    C = len(w)
+    the affine set w + ker (Boyd & Vandenberghe, sec. 11.3), w the start
+    projected onto it.  Each centering minimizes tau s - sum_e log(s -
+    |w_e|^2) by the damped-Newton core in (z, s), z the coordinates along
+    the kernel, and tau grows tenfold between centerings; a centred point
+    is within C / tau of the optimum, so s - C / tau >= bound shows that
+    the optimum misses the bound."""
+    C = len(p)
+    w = _projected_start(p, start, kernel)
     if (w * w).sum(axis=1).max() < bound:
         return w
-    kernel = plan.kernel
     d = kernel.shape[2]
 
     def point(x):
@@ -512,11 +520,24 @@ def _reference_lowest_multipliers(w, plan, bound):
     return None
 
 
+def _vertex_matrix(plan):
+    """The coefficients M (k m, C dim) of the collapsed edges' multipliers in
+    the vertex equations B_i (u_{i-1} - u_i) = 0 of a run plan, built column
+    by column from a unit multiplier on one collapsed edge."""
+    k, _, dim = plan.bases.shape
+    columns = []
+    for e in np.flatnonzero(plan.shut):
+        for a in range(dim):
+            u = np.zeros((k + 1, dim))
+            u[e, a] = 1.0
+            columns.append(solver._to_coords(plan.bases, u[:-1] - u[1:]).reshape(-1))
+    return np.array(columns).T
+
+
 def _vertex_residual(plan, v, w):
     """Largest per-vertex norm of M (v - w), M the plan's vertex equations of
     the collapsed edges: the residual of v where w meets them."""
-    _, rows, left, s = plan.equations
-    return float(np.linalg.norm((left.T @ (s * (rows @ (v - w).reshape(-1))))
+    return float(np.linalg.norm((_vertex_matrix(plan) @ (v - w).reshape(-1))
                                 .reshape(len(plan.bases), -1), axis=1).max())
 
 
@@ -527,18 +548,28 @@ def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
     CERT_RESIDUAL with every norm below the bound.  The Farkas exit ends some
     of the failing searches before any Newton step."""
     searches = _counting_spd_solves(monkeypatch)
-    real = solver._lowest_multipliers
+    real, real_plan = solver._lowest_multipliers, solver._run_plan
+    plans = [None]
 
-    def compared(w, start, plan, bound):
-        got = real(w, start, plan, bound)
-        expected = _reference_lowest_multipliers(w, plan, bound)
+    def recorded_plan(*key):
+        plans[-1] = real_plan(*key)
+        return plans[-1]
+
+    def compared(p, start, kernel, bound):
+        # the plan of the certificate that calls the search
+        plan = plans[-1]
+        assert plan.equations[2] is kernel
+        got = real(p, start, kernel, bound)
+        expected = _reference_lowest_multipliers(p, start, kernel, bound)
         assert (got is None) == (expected is None)
         if got is not None:
             assert bound == (1.0 - solver.CERT_MARGIN) ** 2
             assert (got * got).sum(axis=1).max() < bound
-            assert _vertex_residual(plan, got, w) <= solver.CERT_RESIDUAL
+            assert _vertex_residual(plan, got, _projected_start(p, start, kernel)) \
+                <= solver.CERT_RESIDUAL
         return got
 
+    monkeypatch.setattr(solver, "_run_plan", recorded_plan)
     monkeypatch.setattr(solver, "_lowest_multipliers", compared)
     _search_and_nbody_solves(twolines_arr, monkeypatch)
     searched = [outcome == "found" for outcome, _, _ in searches if outcome != "projected"]
@@ -565,22 +596,22 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     A, B = np.array([10.0, 1.0]), np.array([10.0, -1.0])
     problem = _StackedProblem(twolines_arr.bases_of(it), A, B)
     plan = solver._run_plan(*problem.key, ((0, 3),))
-    cols, rows, left, s = plan.equations
+    cols, pinv, kernel = plan.equations
     u = np.zeros((4, 2))
     u[0], u[-1] = -A / np.linalg.norm(A), B / np.linalg.norm(B)
     fixed = solver._to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
-    w = -(rows.T @ ((left @ fixed) / s)).reshape(-1, 2)
-    # w meets the vertex equations, and the affine set is a line
-    assert np.abs(left.T @ (s * (rows @ w.reshape(-1))) + fixed).max() <= solver.CERT_RESIDUAL
-    assert plan.kernel.shape[2] == 1
+    p = -(pinv @ fixed).reshape(-1, 2)
+    # p meets the vertex equations, and the affine set is a line
+    assert np.abs(_vertex_matrix(plan) @ p.reshape(-1) + fixed).max() <= solver.CERT_RESIDUAL
+    assert kernel.shape[2] == 1
     bound = (1.0 - solver.CERT_MARGIN) ** 2
-    assert (w * w).sum(axis=1).max() >= bound
+    assert (p * p).sum(axis=1).max() >= bound
     start = np.array([[-0.9, 0.0], [0.9, 0.0]])
     # the Farkas exit ends the search before any Newton step
     searches = _counting_spd_solves(monkeypatch)
-    assert solver._lowest_multipliers(w, start, plan, bound) is None
+    assert solver._lowest_multipliers(p, start, kernel, bound) is None
     assert searches == [("none", 0, 1)]
-    assert _reference_lowest_multipliers(w, plan, bound) is None
+    assert _reference_lowest_multipliers(p, start, kernel, bound) is None
     assert solver._multipliers_certify(problem, np.zeros((3, 2)), [(0, 3)],
                                        np.zeros((4, 2))) is None
 
@@ -588,18 +619,21 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
 def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
     """A start row on or outside its ball is scaled into it, and the search
     still finds a point of the affine set inside every ball: here the line
-    through v0 (norms 0.22 and 0.32) along the plan's kernel, entered at w,
-    2 from v0 along it."""
+    through v0 (norms 0.22 and 0.32) along the plan's kernel, whose
+    least-norm point is p, from starts whose projections onto the line
+    miss the balls."""
     it = Itinerary((0, 1, 0))
     problem = solver._StackedProblem(twolines_arr.bases_of(it), np.array([10.0, 1.0]),
                                      np.array([10.0, -1.0]))
     plan = solver._run_plan(*problem.key, ((0, 3),))
+    kernel = plan.equations[2]
     v0 = np.array([[0.1, 0.2], [-0.1, 0.3]])
-    w = v0 + 2.0 * plan.kernel[:, :, 0]
+    p = v0 - _projected_start(np.zeros_like(v0), v0, kernel)
     bound = (1.0 - solver.CERT_MARGIN) ** 2
-    assert (w * w).sum(axis=1).max() >= bound
-    for start in (np.array([[3.0, 0.0], [0.0, -5.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])):
-        got = solver._lowest_multipliers(w, start, plan, bound)
+    for start in (np.array([[3.0, 0.0], [0.0, -5.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
+        w = _projected_start(p, start, kernel)
+        assert (w * w).sum(axis=1).max() >= bound
+        got = solver._lowest_multipliers(p, start, kernel, bound)
         assert got is not None
         assert (got * got).sum(axis=1).max() < bound
         assert _vertex_residual(plan, got, w) <= solver.CERT_RESIDUAL
@@ -744,7 +778,8 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
     points = np.array([planes3d_arr.subspaces[i].project(rng.standard_normal(3))
                        for i in it])
     problem = _StackedProblem(planes3d_arr.bases_of(it), A, B)
-    snapped = _snapped(problem, points, [(0, 2), (2, 4)])
+    runs = [(0, 2), (2, 4)]
+    snapped = _snapped(points, runs, solver._run_plan(*problem.key, tuple(runs)).meets)
     # P1 and P2 meet in the x-axis; P3 and P1 in a line through the origin
     assert np.array_equal(snapped[0], snapped[1])
     assert np.array_equal(snapped[2], snapped[3])
@@ -753,16 +788,17 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
         assert planes3d_arr.subspaces[i].distance_to(q) <= 1e-15
     assert np.linalg.norm(snapped[2]) > 0
     # three planes with no common line meet only at the origin
-    origin = _snapped(problem, points, [(0, 3)])
+    origin = _snapped(points, [(0, 3)], solver._run_plan(*problem.key, ((0, 3),)).meets)
     assert not origin[:3].any()
     assert np.array_equal(origin[3], points[3])
 
 
-@pytest.mark.parametrize("grad_norm, raises", [(1.0, True), (1e-7, False)])
+@pytest.mark.parametrize("grad_norm, raises", [(1.0, True), (1e-7, True), (1e-11, False)])
 def test_polish_floor_is_checked_against_the_value(grad_norm, raises, twolines_arr,
                                                    monkeypatch):
     """A polish that stops on the rounding floor is accepted only when |grad|
-    is within sqrt(grad_tol), as at max_iters."""
+    is within grad_tol (1e-10), as at max_iters: a solve never reports that
+    it converged when it only stopped moving."""
     import linbilliards.solver as solver_module
     from linbilliards.errors import MaxIterations
     real = solver_module._damped_newton
@@ -1377,13 +1413,65 @@ def test_solve_plan_arrays_are_read_only(planes3d_arr):
     problem = solver._StackedProblem(planes3d_arr.bases_of(Itinerary((0, 1, 2, 0))),
                                      np.array([1.0, 2.0, 3.0]), np.array([-2.0, 1.0, -1.0]))
     plan = solver._run_plan(*problem.key, ((0, 2), (2, 4)))
-    cols, rows, left, s = plan.equations
     arrays = [solver._spring_columns(*problem.key), *plan.meets, plan.keep, plan.shut,
-              plan.reduced, plan.bases, cols, rows, left, s, plan.kernel]
+              plan.reduced, plan.bases, *plan.equations]
+    assert len(plan.equations) == 3
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         plan.reduced[0] = 0.0
     assert solver._run_plan(*problem.key, ((0, 2), (2, 4))) is plan
+
+
+@pytest.mark.parametrize("table, itinerary, runs", [
+    ("twolines_arr", (0, 1, 0), ((0, 3),)),             # wide
+    ("twolines_arr", (0, 1), ((0, 2),)),                # square, empty kernel
+    ("planes3d_arr", (0, 1, 2, 0), ((0, 2), (2, 4))),   # tall
+    ("planes3d_arr", (0, 1, 0, 1), ((0, 4),)),          # wide, rank 7 of 8
+    ("fourbody_arr", (0, 1, 2, 3), ((0, 2), (2, 4))),   # tall
+    ("fourbody_arr", None, ((0, 16),)),                 # total collapse at k = 16
+])
+def test_vertex_equations_match_the_reference_factorization(table, itinerary, runs, request):
+    """The run plan's one SVD of the vertex equations M gives what scipy
+    gives: the pseudo-inverse at the same rank, and an orthonormal kernel
+    with M K = 0 spanning scipy's null space to 1e-12.  Its least-norm
+    multipliers p = -pinv fixed equal, to rounding, the re-projection w - K
+    K^T w of any solution w of M w = -fixed."""
+    arr = request.getfixturevalue(table)
+    rng = np.random.default_rng(11)
+    if itinerary is None:
+        itinerary = _repeat_free(rng, len(arr.subspaces), 16)
+    problem = solver._StackedProblem(arr.bases_of(Itinerary(itinerary)),
+                                     rng.standard_normal(arr.dim), rng.standard_normal(arr.dim))
+    plan = solver._run_plan(*problem.key, runs)
+    cols, pinv, kernel = plan.equations
+    M = _vertex_matrix(plan)
+    C, dim, d = kernel.shape
+    assert len(cols) == C and M.shape == (problem.k * problem.m, C * dim)
+    reference, rank = scipy.linalg.pinv(M, return_rank=True)
+    null = scipy.linalg.null_space(M)
+    assert rank == C * dim - d and null.shape[1] == d
+    assert np.abs(pinv - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+    K = kernel.reshape(C * dim, d)
+    assert np.abs(K.T @ K - np.eye(d)).max(initial=0.0) <= 1e-12
+    assert np.abs(M @ K).max(initial=0.0) <= 1e-12
+    assert np.abs(K @ K.T - null @ null.T).max() <= 1e-12
+    w = rng.standard_normal(C * dim)
+    fixed = -M @ w
+    p = -pinv @ fixed
+    assert np.abs(p - (w - K @ (K.T @ w))).max() <= 1e-13 * max(1.0, np.abs(w).max())
+
+
+def test_certificate_factors_without_qr(twolines_arr, monkeypatch):
+    """The seed-0 unfiltered search builds its run plans from cold and
+    calls no QR: the SVD of the vertex equations gives the kernel too."""
+    from linbilliards.origami import search_realizable
+    calls = []
+    real = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    _clear_solve_plans()
+    search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
+    assert solver._run_plan.cache_info().misses > 0
+    assert not calls
 
 
 @pytest.mark.parametrize("table", ["twolines_arr", "planes3d_arr", "fourbody_arr"])
