@@ -313,12 +313,19 @@ class Arrangement:
         one parameter interval (see tube_intervals).  An interval containing
         t = 0 is the allowed initial collision; a ray meets a tube beyond its
         start when the interval begins at t > 0, or when the ray runs
-        parallel to the subspace inside the tube forever.
+        parallel to the subspace inside the tube forever.  The test reads
+        _line_tube directly, with tube_intervals' parallel rule: t* - half >
+        0 is t* > half in IEEE arithmetic, and an end t* + half that
+        overflows to inf still counts as a hit, so every decision is that of
+        the intervals.
         """
         starts = np.asarray(starts, dtype=float).reshape(-1, self.dim)
         directions = np.asarray(directions, dtype=float).reshape(starts.shape)
-        lo, hi = self.tube_intervals(starts, directions, tol)
-        return ((lo <= hi) & ((lo > 0.0) | (hi == math.inf))).any(axis=1)
+        a, t_star, gap2, w2 = _line_tube(self.bases, tol, starts, directions)
+        parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
+        half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
+        beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
+        return np.where(parallel, w2 <= tol * tol, beyond).any(axis=1)
 
     def min_angle(self) -> float:
         """Smallest principal angle over all subspace pairs, in (0, pi/2].

@@ -5,6 +5,12 @@ unit directions, and the reduced oriented lines.  Patches are grids of samples
 over anchor rectangles; the Lagrangian/Legendrian residuals contract
 finite-difference tangents of the patch with the relevant two-form/one-form
 and should vanish to truncation order.
+
+A patch is solved by predictor-corrector continuation along each row of its
+grid (Allgower and Georg, Introduction to Numerical Continuation Methods,
+ch. 2): at a solved cell the relation's tangent dq/dx = -H_qq^{-1} H_qx is
+explicit, so the next cell starts from a second-order prediction, which the
+solver's warm path corrects by exact Newton.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .action import Chain, _to_points
 from .arrangement import Arrangement, Itinerary
 from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import MinimizeResult, SolverOptions, minimize
@@ -125,24 +132,63 @@ def free_motion_sample(arr: Arrangement, A, B,
     return RelationSample(A, B, v, v, line, line, np.zeros((0, arr.dim)), float(norm))
 
 
+def _predicted_chain(result: MinimizeResult, A0, B0, A1, B1) -> Chain:
+    """The chain at anchors (A1, B1) predicted from a VALID result at (A0,
+    B0) along the relation's tangent dq/dx = -H_qq^{-1} H_qx.
+
+    The anchors enter the gradient only through the first and last edges,
+    so the right-hand side r is zero but for B_1 W_1 dA in the first block
+    and B_k W_{k+1} dB in the last, W_e = (I - n_e n_e^T) / f_e; the
+    prediction is coords + H^{-1} r, second order in (dA, dB).  It reads
+    the exact kernel pass the result's model holds and makes one solve; a
+    singular or non-finite solve, or an empty chain space, gives the
+    result's own chain.
+    """
+    model, chain = result.model, result.chain
+    k, m = chain.coords.shape
+    if k * m == 0:
+        return chain
+    n, f = model.unit_edges, model.edge_lengths
+    r = np.zeros((k, m))
+    # vertex 1 ends edge 0, vertex k starts edge k (index -1 of both)
+    for i, d in ((0, np.subtract(A1, A0)), (-1, np.subtract(B1, B0))):
+        r[i] += model.bases[i] @ ((d - n[i] * (n[i] @ d)) / f[i])
+    try:
+        step = np.linalg.solve(model.matrix, r.reshape(-1))
+    except np.linalg.LinAlgError:
+        return chain
+    coords = chain.coords + step.reshape(k, m)
+    if not np.isfinite(coords).all():
+        return chain
+    return Chain(coords, _to_points(model.bases, coords))
+
+
+def _solve_cell(arr, itinerary, A, B, opts, start):
+    """One cell's result from the start chain (None: from opts as given),
+    or None where the solver raises a package error."""
+    try:
+        return minimize(arr, itinerary, A, B,
+                        opts if start is None else replace(opts, initial_chain=start))
+    except PACKAGE_ERRORS:
+        return None
+
+
 def _solve_row(task):
-    """Samples of one A-row, in B-grid order: each cell starts from the
-    chain of the row's previous valid cell, the first cell and any cell
-    after an absent one from ``opts`` as given."""
-    arr, itinerary, A, Bs, opts = task
+    """Samples of the cells (A, B) for B in Bs, in order.  task is (arr,
+    itinerary, A, Bs, opts, start): the first cell starts from the chain
+    start (None: from opts as given), each cell after a valid one from the
+    tangent prediction made at that valid cell, and each cell after an
+    absent one from opts as given."""
+    arr, itinerary, A, Bs, opts, start = task
     if itinerary is None:
         return [free_motion_sample(arr, A, B) for B in Bs]
     samples = []
-    warm = None
-    for B in Bs:
-        try:
-            result = minimize(arr, itinerary, A, B,
-                              opts if warm is None else replace(opts, initial_chain=warm))
-        except PACKAGE_ERRORS:
-            result = None
+    for n, B in enumerate(Bs):
+        result = _solve_cell(arr, itinerary, A, B, opts, start)
         valid = result is not None and result.is_valid
         samples.append(RelationSample.from_result(result, A, B) if valid else None)
-        warm = result.chain if valid else None
+        start = (_predicted_chain(result, A, B, A, Bs[n + 1])
+                 if valid and n + 1 < len(Bs) else None)
     return samples
 
 
@@ -153,18 +199,34 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
     """Solve the billiard problem on every (A, B) grid cell.
 
     ``itinerary=None`` samples free straight motion (the identity relation).
-    Each A-row (one A anchor, every B anchor) is walked in B-grid order: its
-    first cell is solved from ``opts`` as given, each later cell from the
-    solved chain of the previous valid cell, which the solver polishes
-    directly at the grid spacings used here (see ``solver.minimize``).  Rows
-    are independent; with jobs > 1 they fan out over a process pool and are
-    merged back by grid index, so the result does not depend on the worker
-    count.
+    Each A-row (one A anchor, every B anchor) is walked in B-grid order, and
+    every cell after a valid one starts from the chain that the relation's
+    tangent at that cell predicts (``_predicted_chain``), which the solver
+    polishes directly at the grid spacings used here (see
+    ``solver.minimize``); a cell after an absent one is solved from ``opts``
+    as given.  The first cell of the first row, the base, is solved from
+    ``opts`` as given, here, before any fan-out; every other row's first
+    cell starts from the base's prediction at its A (B unchanged).  Rows
+    are independent after that; with jobs > 1 they fan out over a process
+    pool and are merged back by grid index, so the result does not depend
+    on the worker count.
     """
     b_indices = list(grid_B.indices())
     Bs = [grid_B.point(ib) for ib in b_indices]
     a_indices = list(grid_A.indices())
-    tasks = [(arr, itinerary, grid_A.point(ia), Bs, opts) for ia in a_indices]
+    As = [grid_A.point(ia) for ia in a_indices]
+    row_Bs, starts, head = [Bs] * len(As), [None] * len(As), []
+    if itinerary is not None:
+        base = _solve_cell(arr, itinerary, As[0], Bs[0], opts, None)
+        valid = base is not None and base.is_valid
+        head = [RelationSample.from_result(base, As[0], Bs[0]) if valid else None]
+        # the first row goes on at its second cell
+        row_Bs[0] = Bs[1:]
+        if valid:
+            starts = [_predicted_chain(base, As[0], Bs[0], A, row[0]) if row else None
+                      for A, row in zip(As, row_Bs)]
+    tasks = [(arr, itinerary, A, row, opts, start)
+             for A, row, start in zip(As, row_Bs, starts)]
     if jobs > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -172,6 +234,7 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
                                  chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         rows = [_solve_row(t) for t in tasks]
+    rows[0] = head + rows[0]
     samples = {(ia, ib): sample
                for ia, row in zip(a_indices, rows)
                for ib, sample in zip(b_indices, row)}

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -281,6 +282,52 @@ def test_batched_locus_and_ray_queries_match_per_subspace_loops(dim):
             hits += sum(expected)
             assert arr.rays_hit_beyond_start(starts, directions, tol).tolist() == expected
     assert hits > 0
+
+
+def _rays_hit_by_intervals(arr, starts, directions, tol):
+    """The ray rule applied to Arrangement.tube_intervals."""
+    lo, hi = arr.tube_intervals(starts, directions, tol)
+    return ((lo <= hi) & ((lo > 0.0) | (hi == math.inf))).any(axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_ray_decisions_match_tube_intervals(dim):
+    """rays_hit_beyond_start decides from _line_tube directly; on rays
+    parallel to a subspace (inside and outside its tube), tangent to a tube
+    and starting inside one, every decision is that of tube_intervals."""
+    rng = np.random.default_rng(100 + dim)
+    kinds = collections.Counter()
+    for m in range(dim):
+        for _ in range(20):
+            arr = _random_arrangement(rng, dim, m, int(rng.integers(1, 5)) if m else 1)
+            sub = arr.subspaces[int(rng.integers(len(arr.subspaces)))]
+            tol = 10.0 ** rng.uniform(-9, -1)
+            starts = rng.normal(size=(8, dim)) * 3.0
+            directions = rng.normal(size=(8, dim))
+            normal = sub.perp(rng.normal(size=dim))
+            normal /= np.linalg.norm(normal)
+            along = sub.project(rng.normal(size=dim))
+            # parallel inside and outside the tube (m > 0), or at rest (m = 0)
+            starts[0] = sub.project(starts[0]) + 0.5 * tol * normal
+            starts[1] = sub.project(starts[1]) + 2.0 * tol * normal
+            directions[0] = directions[1] = along
+            # tangent: closest approach at distance tol, ahead of or behind the start
+            foot = sub.project(rng.normal(size=dim)) + tol * normal
+            for row, t in ((2, 1.0), (3, -1.0)):
+                run = sub.perp(rng.normal(size=dim))
+                run -= (run @ normal) * normal
+                run += along
+                if not run.any():
+                    run = along
+                starts[row] = foot - t * run
+                directions[row] = run
+            # starting inside the tube, leaving it one way or the other
+            starts[4] = starts[5] = sub.project(starts[4]) + 0.3 * tol * normal
+            directions[5] = -directions[4]
+            expected = _rays_hit_by_intervals(arr, starts, directions, tol)
+            assert np.array_equal(arr.rays_hit_beyond_start(starts, directions, tol), expected)
+            kinds.update(("hit" if e else "miss") for e in expected)
+    assert kinds["hit"] > 0 and kinds["miss"] > 0
 
 
 def test_rays_parallel_to_a_subspace_inside_and_outside_its_tube(mirror_arr):

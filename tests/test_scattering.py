@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from linbilliards.errors import PACKAGE_ERRORS, InputError, PreconditionError
 from linbilliards.scattering import (
     AnchorGrid,
     RelationSample,
+    _predicted_chain,
     free_motion_sample,
     lagrangian_residual,
     legendrian_theta_residual,
@@ -19,7 +22,7 @@ from linbilliards.scattering import (
 )
 from linbilliards.solver import SolverOptions, minimize
 
-from conftest import TWOLINE_A, TWOLINE_B
+from conftest import TWOLINE_A, TWOLINE_B, fourbody, planes3d
 
 
 def rot2(theta):
@@ -251,8 +254,11 @@ ROW_WALK_GRIDS = {
 
 @pytest.mark.parametrize("name", ROW_WALK_GRIDS)
 def test_row_walk_matches_cold_cells(twolines_arr, name, monkeypatch):
-    """Each cell starts from the chain of the previous valid cell of its
-    A-row, and the patch matches cell-by-cell cold solves."""
+    """Each cell after a valid one starts from the tangent prediction made
+    at that cell of its A-row, each row's first cell from the prediction
+    made at the base (the first row's first cell, solved cold), and each
+    cell after an absent one cold; the patch matches cell-by-cell cold
+    solves."""
     import linbilliards.scattering as scattering_module
     grid_A, grid_B = ROW_WALK_GRIDS[name]
     itin = Itinerary((0, 1))
@@ -260,9 +266,9 @@ def test_row_walk_matches_cold_cells(twolines_arr, name, monkeypatch):
     real = scattering_module.minimize
 
     def recording(arr, itinerary, A, B, opts):
-        calls.append((opts.initial_chain, None))
+        calls.append((A, B, opts.initial_chain, None))
         result = real(arr, itinerary, A, B, opts)
-        calls[-1] = (opts.initial_chain, result.iterations)
+        calls[-1] = (A, B, opts.initial_chain, result)
         return result
 
     monkeypatch.setattr(scattering_module, "minimize", recording)
@@ -278,16 +284,24 @@ def test_row_walk_matches_cold_cells(twolines_arr, name, monkeypatch):
         assert (got is None) == (ref is None), key
         if ref is not None:
             _assert_samples_close(got, ref, 1e-8)
-        start, iterations = calls[n]
-        previous = None if n % n_b == 0 else patch.samples[keys[n - 1]]
-        assert (start is None) == (previous is None)
-        if start is not None:
-            assert np.array_equal(start.points, previous.chain_points)
-        warm += iterations == 0
+        A, B, start, result = calls[n]
+        assert np.array_equal(A, grid_A.point(key[0]))
+        assert np.array_equal(B, grid_B.point(key[1]))
+        # the cell the start is predicted from: the previous one in the row,
+        # the base for a later row's first cell, none for the base itself
+        source = None if n == 0 else n - 1 if n % n_b else 0
+        before = None if source is None else calls[source]
+        if before is None or patch.samples[keys[source]] is None:
+            assert start is None
+        else:
+            predicted = _predicted_chain(before[3], before[0], before[1], A, B)
+            assert not np.array_equal(predicted.points, before[3].chain.points)
+            assert np.array_equal(start.points, predicted.points)
+        warm += result is not None and result.iterations == 0
     assert len(calls) == len(reference)
     if name == "interior":
         assert patch.valid_fraction() == 1.0
-        assert warm == len(calls) - len(list(grid_A.indices()))
+        assert warm == len(calls) - 1
     elif name == "line_crossing":
         assert 0.0 < patch.valid_fraction() < 1.0
         assert 0 < warm < len(calls)
@@ -308,3 +322,88 @@ def test_row_walk_does_not_depend_on_jobs(twolines_arr):
             for field in ("vA", "vB", "chain_points"):
                 assert getattr(s1, field).tobytes() == getattr(s2, field).tobytes()
             assert s1.value == s2.value
+
+
+# valid solves on which the tangent predictor is checked: the two lines (k = 2
+# and k = 1, where both anchor terms land on the one block), planes3d and the
+# four-body table
+PREDICTOR_CASES = {
+    "twolines": ("twolines", (0, 1), TWOLINE_A, TWOLINE_B),
+    "twolines_k1": ("twolines", (0,), TWOLINE_A, TWOLINE_B),
+    "planes3d": ("planes3d", (0, 2, 1, 0), np.array([0.211, -1.861, -0.059]),
+                 np.array([1.391, -2.688, -0.915])),
+    "four_body": ("four_body", (0, 5, 1),
+                  np.array([-0.378, 1.366, -0.133, 1.334, 2.877, -1.351, 0.406, -0.927, 0.255]),
+                  np.array([-2.374, -1.159, -0.392, 1.798, 2.29, -2.647, -1.589, 1.294, -3.985])),
+}
+
+
+def _predictor_case(name, twolines_arr):
+    table, itinerary, A, B = PREDICTOR_CASES[name]
+    arr = {"twolines": twolines_arr, "planes3d": planes3d(), "four_body": fourbody()}[table]
+    base = minimize(arr, Itinerary(itinerary), A, B, TIGHT)
+    assert base.is_valid
+    return arr, Itinerary(itinerary), A, B, base
+
+
+@pytest.mark.parametrize("name", PREDICTOR_CASES)
+def test_predicted_chain_is_second_order(twolines_arr, name):
+    """The tangent prediction misses the solved chain by O(h^2) along a
+    direction of anchor pairs (the unpredicted chain by O(h)), and the
+    tangent dq/dx = -H_qq^{-1} H_qx matches central differences of solved
+    chains to O(h^2): both errors fall about 4x per halving of h."""
+    arr, itin, A, B, base = _predictor_case(name, twolines_arr)
+    rng = np.random.default_rng(1)
+    dA, dB = rng.normal(size=arr.dim), rng.normal(size=arr.dim)
+    predicted, unpredicted, central = [], [], []
+    for h in (4e-3, 2e-3, 1e-3, 5e-4):
+        plus, minus = (minimize(arr, itin, A + s * h * dA, B + s * h * dB, TIGHT)
+                       for s in (1.0, -1.0))
+        chain = _predicted_chain(base, A, B, A + h * dA, B + h * dB)
+        predicted.append(np.abs(chain.points - plus.chain.points).max())
+        unpredicted.append(np.abs(base.chain.points - plus.chain.points).max())
+        tangent = (chain.coords - base.chain.coords) / h
+        central.append(np.abs((plus.chain.coords - minus.chain.coords) / (2 * h)
+                              - tangent).max())
+    for errors, order in ((predicted, 2), (unpredicted, 1), (central, 2)):
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 0.9 * 2**order < coarse / fine < 1.1 * 2**order, (errors, order)
+
+
+def test_predicted_chain_falls_back_to_the_solved_chain(twolines_arr):
+    """A singular Hessian (LinAlgError) or a prediction that overflows gives
+    the result's own chain."""
+    arr, itin, A, B, base = _predictor_case("twolines", twolines_arr)
+    for matrix in (np.zeros((2, 2)), 1e-310 * np.eye(2)):
+        model = copy.copy(base.model)
+        model.matrix = matrix
+        broken = dataclasses.replace(base, model=model)
+        assert _predicted_chain(broken, A, B, A + 1.0, B) is broken.chain
+
+
+def test_patch_pass_budget(twolines_arr, kernel_passes, monkeypatch):
+    """The bench patch grid (half 2, spacing 1e-4 |B - A| and half of it, at
+    the TWOLINE anchors): one cold solve per sample_relation call, and about
+    two derivative passes and one value pass per warm cell; the bounds sit
+    just above the 1,268-1,383 derivative and 639-754 value passes counted
+    per call on such grids."""
+    import linbilliards.scattering as scattering_module
+    real = scattering_module.minimize
+    cold = []
+
+    def counting(arr, itinerary, A, B, opts):
+        cold.append(opts.initial_chain is None)
+        return real(arr, itinerary, A, B, opts)
+
+    monkeypatch.setattr(scattering_module, "minimize", counting)
+    spacing = 1e-4 * float(np.linalg.norm(TWOLINE_B - TWOLINE_A))
+    for h in (spacing, spacing / 2):
+        kernel_passes.clear()
+        cold.clear()
+        patch = sample_relation(twolines_arr, Itinerary((0, 1)),
+                                AnchorGrid(TWOLINE_A, rot2(0.7), 2, h),
+                                AnchorGrid(TWOLINE_B, rot2(-1.1), 2, h))
+        assert patch.valid_fraction() == 1.0
+        assert len(cold) == 625 and sum(cold) == 1
+        assert kernel_passes["derivatives"] <= 1400, kernel_passes
+        assert kernel_passes["value"] <= 775, kernel_passes

@@ -222,7 +222,7 @@ def test_bad_initial_chain_is_an_input_error(itinerary, coords, twolines_arr):
     with pytest.raises(InputError, match="initial chain"):
         minimize(twolines_arr, Itinerary(itinerary), TWOLINE_A, TWOLINE_B, opts)
     assert _solve_row((twolines_arr, Itinerary(itinerary), TWOLINE_A, [TWOLINE_B],
-                       opts)) == [None]
+                       SolverOptions(), start)) == [None]
 
 
 # -- ghost certificate by weak duality ----------------------------------------
