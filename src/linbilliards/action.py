@@ -61,14 +61,6 @@ class Chain:
     def k(self) -> int:
         return self.points.shape[0]
 
-    def stacked(self) -> np.ndarray:
-        return self.coords.reshape(-1)
-
-    @classmethod
-    def from_stacked(cls, arr: Arrangement, itinerary: Itinerary, x: np.ndarray) -> "Chain":
-        coords = np.asarray(x, dtype=float).reshape(len(itinerary), arr.bases.shape[1])
-        return cls.from_coords(arr, itinerary, coords)
-
 
 def _to_points(bases: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Points B_i^T c_i (k, dim) of coordinates (k, m) over bases (k, m, dim)."""

@@ -195,12 +195,12 @@ def principal_angle(a: Subspace, b: Subspace) -> float:
     return math.acos(min(1.0, max(-1.0, float(s[0]))))
 
 
-def intersection_dim(a: Subspace, b: Subspace, tol: float = 1e-10) -> int:
+def intersection_dim(a: Subspace, b: Subspace) -> int:
     """Dimension of a ∩ b, counted as the number of unit singular values."""
     if a.subdim == 0 or b.subdim == 0:
         return 0
     s = np.linalg.svd(a.basis @ b.basis.T, compute_uv=False)
-    return int(np.sum(s >= 1.0 - tol))
+    return int(np.sum(s >= 1.0 - 1e-10))
 
 
 def intersection_basis(bases: np.ndarray) -> np.ndarray:
@@ -343,18 +343,6 @@ class Arrangement:
                         f"subspaces {a.name!r} and {b.name!r} intersect nontrivially")
                 best = min(best, principal_angle(a, b))
         return best
-
-    def is_pairwise_transversal(self, tol: float = 1e-10) -> bool:
-        """Whether every pair intersects in the generic (minimal) dimension.
-
-        Exposed as a predicate only; no behavior in this package depends on it.
-        """
-        for i, a in enumerate(self.subspaces):
-            for b in self.subspaces[i + 1:]:
-                generic = max(a.subdim + b.subdim - self.dim, 0)
-                if intersection_dim(a, b, tol) != generic:
-                    return False
-        return True
 
     def to_json_dict(self) -> dict:
         return {

@@ -155,6 +155,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    if args.levels < 1:
+        raise InputError(f"--levels must be at least 1, got {args.levels}")
     arr = load_arrangement(args.arrangement)
     itinerary = (Itinerary.from_labels(arr, args.itinerary.split(","))
                  if args.itinerary else None)
@@ -292,6 +294,9 @@ def cmd_origami(args) -> int:
 
 
 def cmd_threebody(args) -> int:
+    for flag, n in (("--n-phi", args.n_phi), ("--n-psi", args.n_psi)):
+        if n < 1:
+            raise InputError(f"{flag} must be at least 1, got {n}")
     out = _out_dir(args)
     phi = np.linspace(0.0, 2.0 * math.pi, args.n_phi, endpoint=False)
     psi = np.linspace(0.0, 2.0 * math.pi, args.n_psi, endpoint=False)

@@ -69,11 +69,6 @@ def unfold(traj: BilliardTrajectory) -> Unfolding:
     return Unfolding(tuple(theta))
 
 
-def check_angle_sum_bound(unfolding: Unfolding) -> bool:
-    """Existence requires the developed interior opening to stay below pi."""
-    return unfolding.beta < math.pi
-
-
 def itinerary_bound(arr: Arrangement) -> int:
     """Upper bound 1 + floor(pi / min pairwise angle) on itinerary length."""
     theta_min = arr.min_angle()

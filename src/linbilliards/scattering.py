@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .action import Chain, _to_points
 from .arrangement import Arrangement, Itinerary
 from .errors import PACKAGE_ERRORS, InputError, PreconditionError
 from .solver import MinimizeResult, SolverOptions, minimize
-from .trajectory import BilliardTrajectory, OrientedLine, boundary_lines
+from .trajectory import OrientedLine, boundary_lines
 
 
 def reduce_line(A, vA) -> OrientedLine:
@@ -66,8 +67,9 @@ class AnchorGrid:
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         axes = np.asarray(self.axes, dtype=float)
         object.__setattr__(self, "axes", axes.reshape(-1, self.base.shape[0]))
-        if self.half < 0 or self.spacing <= 0:
-            raise InputError("grid needs half >= 0 and positive spacing")
+        # written so that a NaN spacing fails it
+        if not (self.half >= 0 and 0 < self.spacing < math.inf):
+            raise InputError("grid needs half >= 0 and a finite, positive spacing")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -308,17 +310,16 @@ def lagrangian_residual(patch: RelationPatch) -> float:
     return worst
 
 
-def legendrian_theta_residual(patch: RelationPatch, allow_short: bool = False) -> float:
+def legendrian_theta_residual(patch: RelationPatch) -> float:
     """Max of Theta = Q_- . dv_-  -  Q_+ . dv_+ on finite-difference tangents.
 
     The scaling orbit is tangent to the relation and Theta contracts it to
     zero, so on a Legendrian quotient every patch tangent annihilates Theta.
-    The underlying statement assumes itineraries of length > 1; pass
-    ``allow_short`` to evaluate anyway (e.g. for the identity relation).
+    The underlying statement assumes itineraries of length > 1; a free-motion
+    patch (no itinerary, the identity relation) is evaluated as well.
     """
-    if patch.itinerary is not None and len(patch.itinerary) <= 1 and not allow_short:
-        raise PreconditionError(
-            "Legendrian statement needs itinerary length > 1 (allow_short to override)")
+    if patch.itinerary is not None and len(patch.itinerary) <= 1:
+        raise PreconditionError("Legendrian statement needs itinerary length > 1")
     worst = 0.0
     for node, tangents in _interior_stencils(patch, lambda s: (s.ell_minus.v, s.ell_plus.v)):
         for _, _, dv_minus, dv_plus in tangents:
@@ -339,20 +340,6 @@ def scale_action(sample: RelationSample, lam: float) -> RelationSample:
         OrientedLine(sample.ell_plus.v, lam * sample.ell_plus.Q),
         lam * sample.chain_points, lam * sample.value)
     return scaled
-
-
-def verify_scaled_sample(arr: Arrangement, itinerary: Itinerary,
-                         sample: RelationSample,
-                         residual_tol: float = 1e-9) -> bool:
-    """Check that a (possibly scaled) sample still satisfies the reflection
-    laws and genericity: used to confirm the scaling symmetry on data."""
-    from .trajectory import is_generic, max_reflection_residual
-    traj = BilliardTrajectory(sample.A, sample.B, sample.chain_points, itinerary)
-    if max_reflection_residual(arr, traj) > residual_tol:
-        return False
-    scale = max(1.0, float(np.linalg.norm(sample.A - sample.B)))
-    return is_generic(arr, sample.A, sample.chain_points, sample.B, itinerary,
-                      tol=1e-9 * scale)
 
 
 def patch_to_csv(patch: RelationPatch, path) -> None:

@@ -90,7 +90,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, _project, intersection_basis
+from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, intersection_basis
 from .action import (Chain, HessianModel, _edge_lengths, _edge_terms, _point_list, _stacked,
                      _to_coords, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
@@ -173,15 +173,6 @@ class MinimizeResult:
         except NonSmoothPoint:
             # |a_i| can round to 1 for an edge just outside edge_tol
             return None
-
-
-def initial_chain_chord(arr: Arrangement, itinerary: Itinerary, A, B) -> Chain:
-    """Default start: project equally spaced chord points onto their subspaces."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    s = np.arange(1, len(itinerary) + 1) / (len(itinerary) + 1)
-    chord = (1 - s)[:, None] * A + s[:, None] * B
-    return Chain.from_points(arr, itinerary, _project(arr.bases_of(itinerary), chord))
 
 
 def _collapsing_runs(gaps: np.ndarray, detect: float) -> list[tuple[int, int]]:
@@ -889,22 +880,17 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
     return done(Classification.VALID, grad_norm, traj=traj, model=model)
 
 
-def envelope_gradients(result: MinimizeResult, A, B):
+def envelope_gradients(result: MinimizeResult):
     """Incoming/outgoing directions as endpoint gradients of the optimal value.
 
     vA equals minus the anchor-A gradient of the path length at the solved
-    chain, and vB the anchor-B gradient; both coincide with the boundary edge
-    directions of the trajectory.
+    chain, and vB the anchor-B gradient: the trajectory's first and last unit
+    edge directions.
     """
     if not result.is_valid:
         raise PreconditionError("envelope directions require a valid billiard result")
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    q1, qk = result.chain.points[0], result.chain.points[-1]
-    grad_A = (A - q1) / np.linalg.norm(A - q1)   # analytic anchor gradient n(A, q1)
-    grad_B = (B - qk) / np.linalg.norm(B - qk)
-    vA, vB = -grad_A, grad_B
-    return vA, vB
+    edges = result.trajectory.edge_velocities
+    return edges[0], edges[-1]
 
 
 @dataclass(frozen=True)

@@ -116,12 +116,12 @@ class BilliardTrajectory:
                    np.asarray(data["chain"], float), itin)
 
 
-def reflection_residual(arr: Arrangement, traj: BilliardTrajectory, i: int):
-    """Reflection-law residuals at vertex i (1-based).
+def reflection_residual(arr: Arrangement, traj: BilliardTrajectory, i: int) -> float:
+    """Reflection-law residual at vertex i (1-based).
 
-    Returns (energy_res, momentum_res): the speed jump |‖v_-‖ - ‖v_+‖| (zero
-    by construction for unit edge directions) and the norm of the jump of the
-    velocity component tangent to the labelled subspace.
+    The norm of the jump of the velocity component tangent to the labelled
+    subspace.  The speeds agree by construction: both edge directions are
+    unit vectors.
     """
     if not 1 <= i <= traj.k:
         raise InputError(f"vertex index {i} out of range 1..{traj.k}")
@@ -130,21 +130,19 @@ def reflection_residual(arr: Arrangement, traj: BilliardTrajectory, i: int):
     edges = traj.edge_velocities
     v_minus, v_plus = edges[i - 1], edges[i]
     sub = arr.subspaces[traj.itinerary[i - 1]]
-    energy = abs(float(np.linalg.norm(v_minus)) - float(np.linalg.norm(v_plus)))
-    momentum = float(np.linalg.norm(sub.project(v_plus) - sub.project(v_minus)))
-    return energy, momentum
+    return float(np.linalg.norm(sub.project(v_plus) - sub.project(v_minus)))
 
 
 def max_reflection_residual(arr: Arrangement, traj: BilliardTrajectory) -> float:
     if traj.k == 0:
         return 0.0
-    return max(reflection_residual(arr, traj, i)[1] for i in range(1, traj.k + 1))
+    return max(reflection_residual(arr, traj, i) for i in range(1, traj.k + 1))
 
 
-def is_transverse(traj: BilliardTrajectory, tol: float = TRANSVERSE_TOL) -> bool:
+def is_transverse(traj: BilliardTrajectory) -> bool:
     """No internal vertices: the direction jumps at every collision."""
     jumps = np.diff(traj.edge_velocities, axis=0)
-    return bool(np.all(np.sqrt(_row_dot(jumps, jumps)) > tol))
+    return bool(np.all(np.sqrt(_row_dot(jumps, jumps)) > TRANSVERSE_TOL))
 
 
 def is_generic(arr: Arrangement, A, chain, B, itinerary: Itinerary,
@@ -188,9 +186,7 @@ def boundary_lines(traj: BilliardTrajectory):
     return ell_minus, ell_plus
 
 
-def validate_trajectory(arr: Arrangement, traj: BilliardTrajectory,
-                        membership_tol: float = MEMBERSHIP_TOL,
-                        residual_tol: float = 1e-9) -> list[str]:
+def validate_trajectory(arr: Arrangement, traj: BilliardTrajectory) -> list[str]:
     """All violated trajectory invariants, as human-readable strings."""
     problems = []
     if traj.itinerary is None:
@@ -200,13 +196,13 @@ def validate_trajectory(arr: Arrangement, traj: BilliardTrajectory,
     for j, idx in enumerate(traj.itinerary):
         sub = arr.subspaces[idx]
         d = sub.distance_to(traj.chain[j])
-        if d > membership_tol * scale:
+        if d > MEMBERSHIP_TOL * scale:
             problems.append(f"vertex {j + 1} off {sub.name} by {d:.3e}")
         for edge in (edges[j], edges[j + 1]):
-            if np.linalg.norm(sub.perp(edge)) <= membership_tol:
+            if np.linalg.norm(sub.perp(edge)) <= MEMBERSHIP_TOL:
                 problems.append(f"edge at vertex {j + 1} lies inside {sub.name}")
-        _, mom = reflection_residual(arr, traj, j + 1)
-        if mom > residual_tol:
+        mom = reflection_residual(arr, traj, j + 1)
+        if mom > 1e-9:
             problems.append(f"momentum residual {mom:.3e} at vertex {j + 1}")
     return problems
 

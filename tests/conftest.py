@@ -112,30 +112,30 @@ TWOLINE_B = np.array([-0.44703404, -5.58316732])
 
 def fd_gradient(arr, itinerary, A, chain, B, h=1e-6):
     """Central finite differences of the path length in chain coordinates."""
-    x0 = chain.stacked()
-    out = np.zeros_like(x0)
-    for i in range(len(x0)):
+    x0 = chain.coords
+    out = np.zeros(x0.size)
+    for i in range(x0.size):
         xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (action(A, Chain.from_stacked(arr, itinerary, xp).points, B)
-                  - action(A, Chain.from_stacked(arr, itinerary, xm).points, B)) / (2 * h)
+        xp.flat[i] += h
+        xm.flat[i] -= h
+        out[i] = (action(A, Chain.from_coords(arr, itinerary, xp).points, B)
+                  - action(A, Chain.from_coords(arr, itinerary, xm).points, B)) / (2 * h)
     return out
 
 
 def fd_hessian(arr, itinerary, A, chain, B, h=1e-5):
     """Central finite differences of the analytic gradient."""
-    x0 = chain.stacked()
-    n = len(x0)
+    x0 = chain.coords
+    n = x0.size
     out = np.zeros((n, n))
     for i in range(n):
         xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
+        xp.flat[i] += h
+        xm.flat[i] -= h
         gp = np.concatenate(gradient(arr, itinerary, A,
-                                     Chain.from_stacked(arr, itinerary, xp), B))
+                                     Chain.from_coords(arr, itinerary, xp), B))
         gm = np.concatenate(gradient(arr, itinerary, A,
-                                     Chain.from_stacked(arr, itinerary, xm), B))
+                                     Chain.from_coords(arr, itinerary, xm), B))
         out[:, i] = (gp - gm) / (2 * h)
     return out
 

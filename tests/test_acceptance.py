@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from linbilliards.action import Chain, gradient, hessian, preconditioned_P
+from linbilliards.action import gradient, hessian, preconditioned_P
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.nbody import (
     MASSES_THIRD,
@@ -194,9 +194,8 @@ def test_criterion_4_uniqueness(mirror, origin, twolines):
     for arr_i, it_i, A_i, B_i in (mirror, twolines):
         result = minimize(arr_i, it_i, A_i, B_i, TIGHT)
         radius = 2.0 * float(np.linalg.norm(np.asarray(A_i) - np.asarray(B_i)))
-        x, fun = brute_force_minimum(arr_i, it_i, A_i, B_i, radius=radius)
+        pts, fun = brute_force_minimum(arr_i, it_i, A_i, B_i, radius=radius)
         assert abs(fun - result.value) < 1e-6
-        pts = Chain.from_stacked(arr_i, it_i, x).points
         assert np.max(np.abs(pts - result.chain.points)) < 1e-6
     _report(4, f"{len(fixtures)} fixtures x 100 starts, max spread {max(spreads):.2e}; "
                "grid+refine agrees to 1e-6")
@@ -214,7 +213,7 @@ def test_criterion_5_conservation(twolines):
         traj = result.trajectory
         for v in range(1, traj.k + 1):
             worst_momentum = max(worst_momentum,
-                                 reflection_residual(arr_i, traj, v)[1])
+                                 reflection_residual(arr_i, traj, v))
         report = conservation_report(arr_i, traj, [])
         worst_linear = max(worst_linear, report.max_linear_deviation)
     assert worst_momentum < 1e-9

@@ -125,6 +125,28 @@ def test_scatter_command(tmp_path, mirror_json):
     assert (out / "plot_patch.py").exists()
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_scatter_without_a_level_is_a_usage_error(tmp_path, mirror_json, levels):
+    out = tmp_path / "sc"
+    code = main(["scatter", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--A", "0,1", "--B", "2,1", "--levels", levels, "--out", str(out)])
+    assert code == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spacing", ["nan", "inf"])
+def test_scatter_rejects_a_non_finite_spacing(tmp_path, mirror_json, spacing, monkeypatch):
+    """The grid refuses the spacing before any cell is solved."""
+    def solve(*args, **kwargs):
+        pytest.fail("a cell was solved")
+    monkeypatch.setattr(cli, "sample_relation", solve)
+    out = tmp_path / "sc"
+    code = main(["scatter", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--A", "0,1", "--B", "2,1", f"--spacing={spacing}", "--out", str(out)])
+    assert code == 64
+    assert not any(out.iterdir())
+
+
 def test_thicken_command_monotone(tmp_path, mirror_json):
     out = tmp_path / "th"
     code = main(["thicken", "--arrangement", str(mirror_json),
@@ -314,6 +336,15 @@ def test_threebody_command(tmp_path):
     assert len(rows) == 1 + 64
 
 
+@pytest.mark.parametrize("counts", [("0", "8"), ("8", "-2"), ("0", "0")])
+def test_threebody_counts_below_one_are_usage_errors(tmp_path, counts):
+    out = tmp_path / "tb"
+    code = main(["threebody", "--n-phi", counts[0], "--n-psi", counts[1],
+                 "--out", str(out)])
+    assert code == 64
+    assert not out.exists()
+
+
 def test_enumerate_command(tmp_path, twolines_json):
     out = tmp_path / "en"
     code = main(["enumerate", "--arrangement", str(twolines_json),
@@ -364,8 +395,8 @@ print(json.dumps({"codes": codes,
 
 def test_the_cli_runs_without_scipy(tmp_path, twolines_json):
     """numpy is the only runtime dependency: with every import of scipy made
-    to fail, solve, scatter, origami and thicken on two lines exit normally,
-    and no scipy module is loaded."""
+    to fail, solve, scatter, origami and thicken on two lines, threebody and
+    enumerate exit normally, and no scipy module is loaded."""
     problem = ["--arrangement", str(twolines_json), "--itinerary", "L1,L2",
                "--A=1.98916641,-0.44632446", "--B=-0.44703404,-5.58316732"]
     runs = [["solve", *problem, "--out", str(tmp_path / "solve")],
@@ -373,7 +404,10 @@ def test_the_cli_runs_without_scipy(tmp_path, twolines_json):
              "--out", str(tmp_path / "scatter")],
             ["origami", *problem, "--max-len", "3", "--budget", "20",
              "--out", str(tmp_path / "origami")],
-            ["thicken", *problem, "--r-list", "1e-1,1e-2", "--out", str(tmp_path / "thicken")]]
+            ["thicken", *problem, "--r-list", "1e-1,1e-2", "--out", str(tmp_path / "thicken")],
+            ["threebody", "--n-phi", "4", "--n-psi", "4", "--out", str(tmp_path / "threebody")],
+            ["enumerate", "--arrangement", str(twolines_json), "--max-len", "3",
+             "--out", str(tmp_path / "enumerate")]]
     src = os.path.dirname(os.path.dirname(linbilliards.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -381,7 +415,7 @@ def test_the_cli_runs_without_scipy(tmp_path, twolines_json):
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert report == {"codes": [0, 0, 0, 0, 0, 0], "scipy": []}
 
 
 def test_usage_error_missing_file(tmp_path):

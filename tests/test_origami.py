@@ -7,7 +7,6 @@ from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.errors import PreconditionError
 from linbilliards.origami import (
     angle_prefilter_passes,
-    check_angle_sum_bound,
     collinearity_residual,
     develop_planar,
     enumerate_itineraries,
@@ -43,7 +42,7 @@ def test_unfold_two_lines_angle_sum(twolines_arr):
     result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, TIGHT)
     u = unfold(result.trajectory)
     assert u.total == pytest.approx(math.pi, abs=1e-10)
-    assert check_angle_sum_bound(u)
+    assert u.beta < math.pi
 
 
 def test_unfold_rejects_origin_vertex():
@@ -55,8 +54,8 @@ def test_unfold_rejects_origin_vertex():
 
 def test_angle_sum_bound_values():
     from linbilliards.origami import Unfolding
-    assert check_angle_sum_bound(Unfolding((0.1, math.pi / 2, 0.1)))
-    assert not check_angle_sum_bound(Unfolding((0.1, math.pi, 0.1)))
+    assert Unfolding((0.1, math.pi / 2, 0.1)).beta < math.pi
+    assert not Unfolding((0.1, math.pi, 0.1)).beta < math.pi
 
 
 def test_itinerary_bound_values():
@@ -129,7 +128,7 @@ def test_generalized_angle_sum_codim2(planes4d_arr):
             continue
         u = unfold(result.trajectory)
         assert u.total == pytest.approx(math.pi, abs=1e-10)
-        assert check_angle_sum_bound(u)
+        assert u.beta < math.pi
         assert collinearity_residual(develop_planar(result.trajectory)) < 1e-9
         checked += 1
         if checked >= 5:

@@ -18,9 +18,9 @@ from linbilliards.scattering import (
     reduce_line,
     sample_relation,
     scale_action,
-    verify_scaled_sample,
 )
 from linbilliards.solver import SolverOptions, minimize
+from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
 from conftest import TWOLINE_A, TWOLINE_B, fourbody, planes3d
 
@@ -59,6 +59,12 @@ def test_mirror_patch_dense(mirror_arr):
     grid_B = AnchorGrid(np.array([2.0, 1.0]), np.eye(2), 1, 1e-3)
     patch = sample_relation(mirror_arr, Itinerary((0,)), grid_A, grid_B, TIGHT)
     assert patch.valid_fraction() == 1.0
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -1e-3])
+def test_anchor_grid_needs_a_finite_positive_spacing(spacing):
+    with pytest.raises(InputError):
+        AnchorGrid(np.array([0.0, 1.0]), np.eye(2), 1, spacing)
 
 
 def test_unrealizable_selection_gives_empty_patch(twolines_arr):
@@ -106,7 +112,7 @@ def test_free_motion_identity_relation(origin_arr):
     patch = sample_relation(origin_arr, None, grid_A, grid_B)
     assert patch.valid_fraction() == 1.0
     assert lagrangian_residual(patch) < 1e-6
-    assert legendrian_theta_residual(patch, allow_short=True) < 1e-6
+    assert legendrian_theta_residual(patch) < 1e-6
     # axis-aligned symmetric stencils make the truncation cancel entirely
     aligned = sample_relation(origin_arr, None,
                               AnchorGrid(np.array([0.0, 1.0]), np.eye(2), 1, 1e-3),
@@ -145,7 +151,10 @@ def test_scale_action_mirror(mirror_arr):
     assert np.allclose(scaled.chain_points, [[2.0, 0.0]], atol=1e-10)
     assert scaled.value == pytest.approx(4 * math.sqrt(2), abs=1e-10)
     assert np.allclose(scaled.vA, sample.vA)
-    assert verify_scaled_sample(mirror_arr, Itinerary((0,)), scaled)
+    traj = BilliardTrajectory(scaled.A, scaled.B, scaled.chain_points, Itinerary((0,)))
+    assert max_reflection_residual(mirror_arr, traj) <= 1e-9
+    assert is_generic(mirror_arr, scaled.A, scaled.chain_points, scaled.B, Itinerary((0,)),
+                      tol=1e-9 * max(1.0, float(np.linalg.norm(scaled.A - scaled.B))))
     with pytest.raises(InputError):
         scale_action(sample, 0.0)
 

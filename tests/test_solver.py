@@ -24,20 +24,23 @@ from conftest import TWOLINE_A, TWOLINE_B
 
 def brute_force_minimum(arr, itinerary, A, B, radius, n_grid=21):
     """Derivative-free oracle: dense grid over the chain coordinates followed
-    by Nelder-Mead refinement of the best cell (no analytic gradients)."""
-    dims = [arr.subspaces[i].subdim for i in itinerary]
-    total = sum(dims)
+    by Nelder-Mead refinement of the best cell (no analytic gradients).
+    Returns the minimizing chain's points and the minimum."""
+    shape = arr.bases_of(itinerary).shape[:2]
+
+    def points(x):
+        return Chain.from_coords(arr, itinerary, x.reshape(shape)).points
 
     def value(x):
-        return action(A, Chain.from_stacked(arr, itinerary, x).points, B)
+        return action(A, points(x), B)
 
-    grids = np.meshgrid(*[np.linspace(-radius, radius, n_grid)] * total)
+    grids = np.meshgrid(*[np.linspace(-radius, radius, n_grid)] * (shape[0] * shape[1]))
     stacked = np.stack([g.ravel() for g in grids], axis=1)
     best = min(stacked, key=value)
     res = scipy.optimize.minimize(value, best, method="Nelder-Mead",
                                   options={"xatol": 1e-10, "fatol": 1e-14,
                                            "maxiter": 20000})
-    return res.x, res.fun
+    return points(res.x), res.fun
 
 
 def test_mirror_closed_form(mirror_arr):
@@ -97,9 +100,8 @@ def test_ghost_two_skew_lines():
     assert result.value == pytest.approx(np.linalg.norm(A) + np.linalg.norm(B),
                                          abs=1e-12)
     # confirm against the derivative-free oracle: the true minimum collapses
-    x, fun = brute_force_minimum(arr, Itinerary((0, 1)), A, B, radius=2.0)
+    chain, fun = brute_force_minimum(arr, Itinerary((0, 1)), A, B, radius=2.0)
     assert fun == pytest.approx(result.value, abs=1e-7)
-    chain = Chain.from_stacked(arr, Itinerary((0, 1)), x).points
     assert np.linalg.norm(chain[0] - chain[1]) < 1e-4
 
 
@@ -144,26 +146,24 @@ def test_multistart_pinned_chain(origin_arr):
 
 def test_brute_force_agreement_mirror(mirror_arr):
     A, B = np.array([0.0, 1.0]), np.array([2.0, 1.0])
-    x, fun = brute_force_minimum(mirror_arr, Itinerary((0,)), A, B, radius=4.0)
+    chain, fun = brute_force_minimum(mirror_arr, Itinerary((0,)), A, B, radius=4.0)
     result = minimize(mirror_arr, Itinerary((0,)), A, B)
     assert fun == pytest.approx(result.value, abs=1e-8)
-    assert np.allclose(Chain.from_stacked(mirror_arr, Itinerary((0,)), x).points,
-                       result.chain.points, atol=1e-6)
+    assert np.allclose(chain, result.chain.points, atol=1e-6)
 
 
 def test_brute_force_agreement_twolines(twolines_arr):
     result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     radius = 2.0 * float(np.linalg.norm(TWOLINE_A - TWOLINE_B))
-    x, fun = brute_force_minimum(twolines_arr, Itinerary((0, 1)),
-                                 TWOLINE_A, TWOLINE_B, radius=radius)
+    chain, fun = brute_force_minimum(twolines_arr, Itinerary((0, 1)),
+                                     TWOLINE_A, TWOLINE_B, radius=radius)
     assert fun == pytest.approx(result.value, abs=1e-8)
-    assert np.allclose(Chain.from_stacked(twolines_arr, Itinerary((0, 1)), x).points,
-                       result.chain.points, atol=1e-6)
+    assert np.allclose(chain, result.chain.points, atol=1e-6)
 
 
 def test_envelope_gradients_mirror(mirror_arr):
     result = minimize(mirror_arr, Itinerary((0,)), [0.0, 1.0], [2.0, 1.0])
-    vA, vB = envelope_gradients(result, [0.0, 1.0], [2.0, 1.0])
+    vA, vB = envelope_gradients(result)
     s = 1 / math.sqrt(2)
     assert np.allclose(vA, [s, -s], atol=1e-10)
     assert np.allclose(vB, [s, s], atol=1e-10)
@@ -172,7 +172,7 @@ def test_envelope_gradients_mirror(mirror_arr):
 def test_envelope_gradients_total_collision(origin_arr):
     A, B = np.array([3.0, 0.0]), np.array([0.0, 4.0])
     result = minimize(origin_arr, Itinerary((0,)), A, B)
-    vA, vB = envelope_gradients(result, A, B)
+    vA, vB = envelope_gradients(result)
     assert np.allclose(vA, -A / np.linalg.norm(A), atol=1e-14)
     assert np.allclose(vB, B / np.linalg.norm(B), atol=1e-14)
 
@@ -181,7 +181,7 @@ def test_envelope_matches_value_function_differences(twolines_arr):
     it = Itinerary((0, 1))
     A, B = TWOLINE_A, TWOLINE_B
     result = minimize(twolines_arr, it, A, B)
-    vA, vB = envelope_gradients(result, A, B)
+    vA, vB = envelope_gradients(result)
     h = 1e-6
     opts = SolverOptions(grad_tol=1e-13)
     gradA = np.zeros(2)
@@ -690,6 +690,13 @@ def test_four_body_partial_collapses_are_certified_early(r, monkeypatch):
     assert abs(fast.value - full.value) <= 1e-13 * full.value
 
 
+def _chord(arr, itinerary, A, B):
+    """Equally spaced points of the chord from A to B, projected onto the
+    itinerary's subspaces."""
+    s = np.arange(1, len(itinerary) + 1) / (len(itinerary) + 1)
+    return Chain.from_points(arr, itinerary, (1 - s)[:, None] * A + s[:, None] * B)
+
+
 @pytest.mark.parametrize("r", [3, 7, 11])
 def test_four_body_partial_collapses_certify_independently_of_the_start(r):
     """The k = 8 ghosts of nbody rounds 3, 7 and 11 at seed 0, from the chord
@@ -697,16 +704,15 @@ def test_four_body_partial_collapses_certify_independently_of_the_start(r):
     start certifies at the same stage, with the same value, which needs the
     reduced polish to hold a free vertex between two collapsed runs in place
     on its flat segment."""
-    from linbilliards.solver import initial_chain_chord
     arr = _four_body_table()
     rng = np.random.default_rng([0, r, 0])
     it = Itinerary(_repeat_free(rng, len(arr.subspaces), 8))
     A, B = rng.standard_normal(arr.dim), rng.standard_normal(arr.dim)
-    chord = initial_chain_chord(arr, it, A, B).stacked()
+    chord = _chord(arr, it, A, B).coords
     draws = np.random.default_rng(r)
     stages, values = set(), set()
     for eps in np.logspace(-11, -2, 14):
-        start = Chain.from_stacked(arr, it, chord + eps * draws.standard_normal(chord.size))
+        start = Chain.from_coords(arr, it, chord + eps * draws.standard_normal(chord.shape))
         result = minimize(arr, it, A, B, SolverOptions(initial_chain=start))
         assert result.classification is Classification.GHOST
         stages.add(result.iterations)
@@ -742,7 +748,6 @@ def _random_planes(seed, n=3):
 def test_ghosts_reproduce_under_rounding_changes_of_the_start(table, request):
     """A ghost whose collapsed vertices are free along an intersection line
     comes out the same, to rounding, from a start chain moved by 1e-13."""
-    from linbilliards.solver import initial_chain_chord
     arr = request.getfixturevalue(table) if isinstance(table, str) else _random_planes(table)
     rng = np.random.default_rng(17)
     ghosts = 0
@@ -753,7 +758,7 @@ def test_ghosts_reproduce_under_rounding_changes_of_the_start(table, request):
             continue
         ghosts += 1
         scale = float(np.linalg.norm(B - A))
-        start = initial_chain_chord(arr, it, A, B).points
+        start = _chord(arr, it, A, B).points
         nudged = start + 1e-13 * scale * rng.standard_normal(start.shape)
         again = minimize(arr, it, A, B,
                          SolverOptions(initial_chain=Chain.from_points(arr, it, nudged)))
