@@ -27,7 +27,6 @@ from .solver import (
     SolverOptions,
     envelope_gradients,
     minimize,
-    multistart_minimize,
 )
 from .trajectory import (
     BilliardTrajectory,
@@ -117,7 +116,6 @@ __all__ = [
     "load_arrangement",
     "minimize",
     "minimize_thickened",
-    "multistart_minimize",
     "preconditioned_P",
     "r_family",
     "reduce_line",

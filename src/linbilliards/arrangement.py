@@ -284,26 +284,6 @@ class Arrangement:
         meets = np.where(parallel, w2 <= tol * tol, gap2 >= 0.0)
         return np.where(meets, t_star - half, math.inf), np.where(meets, t_star + half, -math.inf)
 
-    def segment_collisions(self, p, q, tol: float = MEMBERSHIP_TOL):
-        """Proximity events of the segment p->q with the arrangement.
-
-        For each subspace whose tol-tube the segment enters, reports one
-        (subspace index, t) pair with t the midpoint of the within-tolerance
-        parameter range clamped to [0, 1]; for a transversal crossing this is
-        the crossing parameter itself.  Sorted by t, ties by index.
-        """
-        p = _as_vector(p, self.dim)
-        q = _as_vector(q, self.dim)
-        d = q - p
-        if np.linalg.norm(d) == 0.0:
-            raise InputError("segment endpoints coincide")
-        lo, hi = self.tube_intervals(p, d, tol)
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
-        hits = np.flatnonzero(lo <= hi)
-        t = 0.5 * (lo[hits] + hi[hits])
-        order = np.argsort(t, kind="stable")
-        return [(int(i), float(ti)) for i, ti in zip(hits[order], t[order])]
-
     def rays_hit_beyond_start(self, starts, directions, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         """For rays (r, dim) of starts and directions, whether each meets some
         subspace tube beyond its initial point, tested against every subspace

@@ -41,7 +41,7 @@ from .scattering import (
     patch_to_csv,
     sample_relation,
 )
-from .solver import Classification, SolverOptions, minimize, multistart_minimize
+from .solver import Classification, SolverOptions, minimize
 from .symmetry import conservation_report, generators_from_json, report_to_csv
 from .thickened import (
     ThickenedTable,
@@ -98,6 +98,14 @@ def _finite(x: float | None) -> float | None:
     return x if x is not None and math.isfinite(x) else None
 
 
+def _check_counts(args, *names) -> None:
+    """Raise InputError unless each named count option is at least 1."""
+    for name in names:
+        n = getattr(args, name)
+        if n < 1:
+            raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {n}")
+
+
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(max_iters=args.max_iters, grad_tol=args.grad_tol,
                          coincidence_tol=args.coincidence_tol)
@@ -128,19 +136,12 @@ def cmd_solve(args) -> int:
         # NaN for a ghost, inf for an empty chain space: null in JSON
         "grad_norm": _finite(result.grad_norm),
         "hessian_min_eig": _finite(result.hessian_min_eig),
+        # None where no multipliers prove the result
+        "lower_bound": result.lower_bound,
         "iterations": result.iterations,
         "chain": result.chain.points.tolist(),
         "message": result.message,
     }
-    if args.multistart > 0:
-        report = multistart_minimize(arr, itinerary, A, B,
-                                     n_starts=args.multistart,
-                                     seed=args.seed, opts=opts)
-        payload["multistart"] = {
-            "n": args.multistart,
-            "chain_spread": report.chain_spread,
-            "value_spread": report.value_spread,
-        }
     _write_json(out / "result.json", payload)
     if result.trajectory is not None:
         (out / "trajectory.json").write_text(
@@ -155,8 +156,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    if args.levels < 1:
-        raise InputError(f"--levels must be at least 1, got {args.levels}")
+    _check_counts(args, "levels", "jobs")
     arr = load_arrangement(args.arrangement)
     itinerary = (Itinerary.from_labels(arr, args.itinerary.split(","))
                  if args.itinerary else None)
@@ -262,6 +262,7 @@ def cmd_thicken(args) -> int:
 
 
 def cmd_origami(args) -> int:
+    _check_counts(args, "max_len", "budget", "jobs")
     arr, itinerary = _load_problem(args)
     out = _out_dir(args)
     opts = _solver_options(args)
@@ -294,9 +295,7 @@ def cmd_origami(args) -> int:
 
 
 def cmd_threebody(args) -> int:
-    for flag, n in (("--n-phi", args.n_phi), ("--n-psi", args.n_psi)):
-        if n < 1:
-            raise InputError(f"{flag} must be at least 1, got {n}")
+    _check_counts(args, "n_phi", "n_psi")
     out = _out_dir(args)
     phi = np.linspace(0.0, 2.0 * math.pi, args.n_phi, endpoint=False)
     psi = np.linspace(0.0, 2.0 * math.pi, args.n_psi, endpoint=False)
@@ -321,6 +320,7 @@ def cmd_threebody(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_counts(args, "max_len")
     arr = load_arrangement(args.arrangement)
     out = _out_dir(args)
     bound = itinerary_bound(arr)
@@ -383,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-file", default=None,
                         help="also write the run log to this file")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SolverOptions()
 
     def common(p, needs_itinerary=True):
         p.add_argument("--arrangement", required=True)
@@ -390,16 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--itinerary", required=True,
                            help="comma-separated subspace names")
         p.add_argument("--out", required=True)
-        p.add_argument("--max-iters", type=int, default=400)
-        p.add_argument("--grad-tol", type=float, default=1e-10)
-        p.add_argument("--coincidence-tol", type=float, default=1e-9)
+        p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+        p.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
+        p.add_argument("--coincidence-tol", type=float, default=defaults.coincidence_tol)
 
     p = sub.add_parser("solve", help="solve one itinerary between two anchors")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.add_argument("--multistart", type=int, default=0)
     p.add_argument("--generators", default=None,
                    help="JSON file of rotation generators for the conservation report")
     p.set_defaults(func=cmd_solve)

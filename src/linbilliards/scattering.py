@@ -71,10 +71,6 @@ class AnchorGrid:
         if not (self.half >= 0 and 0 < self.spacing < math.inf):
             raise InputError("grid needs half >= 0 and a finite, positive spacing")
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (2 * self.half + 1,) * self.axes.shape[0]
-
     def indices(self):
         rng = range(-self.half, self.half + 1)
         return itertools.product(*([rng] * self.axes.shape[0]))

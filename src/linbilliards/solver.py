@@ -60,8 +60,12 @@ solved chain of a neighbouring anchor pair -- the solver polishes it by exact
 Newton past grad_tol and, if no gap sinks to the merge threshold on the way,
 classifies it directly (iterations == 0).  A smooth critical point of the
 convex path length is its global minimizer, so this classifies as a cold
-solve would.  Any other start, including the random chains of multistart,
-fails the gate and runs the continuation from the given chain unchanged.
+solve would.  Any other start fails the gate and runs the continuation from
+the given chain unchanged.
+
+The same weak duality proves every VALID and certified GHOST result: from
+its multipliers (its unit edges, or the certificate's) _dual_bound gives
+MinimizeResult.lower_bound, on first read only, which meets the value.
 
 What depends on the itinerary alone is kept in solve plans: small LRU
 caches keyed on the content of the itinerary's stacked bases, which hold
@@ -85,14 +89,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, intersection_basis
-from .action import (Chain, HessianModel, _edge_lengths, _edge_terms, _point_list, _stacked,
-                     _to_coords, action)
+from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms,
+                     _point_list, _stacked, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _chain_is_generic
 
@@ -129,7 +133,7 @@ GHOST_MESSAGE = "consecutive vertices collapse; minimizer leaves the trajectory 
 class SolverOptions:
     max_iters: int = 400
     grad_tol: float = 1e-10          # on |grad|, which has no unit
-    coincidence_tol: float = 1e-9    # gap below this * scale is a ghost point
+    coincidence_tol: float = COINCIDENCE_TOL  # gap below this * scale is a ghost point
     edge_tol: float = 1e-9           # edge direction within this of a subspace
     initial_chain: Chain | None = None
 
@@ -142,7 +146,8 @@ class MinimizeResult:
     which the Newton core stopped, read as a ``HessianModel``; the model of
     a VALID result is kept as ``model``, and ``hessian_min_eig``, the
     smallest eigenvalue of its normal-form operator, is computed from it on
-    first read.
+    first read; so is ``lower_bound``, from the ``multipliers`` (stacked
+    bases, anchors and edge multipliers) of a VALID or certified GHOST result.
     """
 
     chain: Chain
@@ -156,6 +161,7 @@ class MinimizeResult:
                              # start was polished directly)
     message: str = ""
     model: HessianModel | None = field(default=None, repr=False, compare=False)
+    multipliers: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_valid(self) -> bool:
@@ -173,6 +179,11 @@ class MinimizeResult:
         except NonSmoothPoint:
             # |a_i| can round to 1 for an edge just outside edge_tol
             return None
+
+    @cached_property
+    def lower_bound(self) -> float | None:
+        """_dual_bound of the multipliers on first read; None without them."""
+        return None if self.multipliers is None else _dual_bound(*self.multipliers)
 
 
 def _collapsing_runs(gaps: np.ndarray, detect: float) -> list[tuple[int, int]]:
@@ -328,6 +339,17 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _chain_laplacian(bases: np.ndarray) -> np.ndarray:
+    """The Hessian of 1/2 sum_e |d_e|^2 over stacked bases (k, m, dim),
+    reduced by _stacked: diagonal blocks 2I, off-diagonal blocks -B_i
+    B_{i+1}^T.  It is M M^T for the vertex equations M u = (B_i (u_{i-1} -
+    u_i))_i of edge vectors u, and SPD (the edges determine the chain)."""
+    k, _, dim = bases.shape
+    eye = np.eye(dim)
+    return _stacked(bases, np.zeros((k, dim)), np.broadcast_to(2.0 * eye, (k, dim, dim)),
+                    np.broadcast_to(-eye, (k - 1, dim, dim)))[1]
+
+
 # Solve plans: what a solve needs that depends only on its itinerary's
 # stacked bases (and, for a certificate, on its run set) is kept in small LRU
 # caches keyed on the content of the bases, (shape, bytes): a hit returns
@@ -337,20 +359,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=PLANS)
 def _spring_columns(shape, data) -> np.ndarray:
     """The (k m, 2m) columns of the inverse chain Laplacian at the first and
-    last vertex blocks, over the stacked bases held in data.  The Laplacian
-    is the Hessian of 1/2 sum_e |d_e|^2 (ambient diagonal blocks 2I,
-    off-diagonal blocks -I) reduced by _stacked; the edges determine the
-    chain, so it is SPD for every itinerary.  At k = 1 both column blocks
-    are the one block."""
-    bases = np.frombuffer(data).reshape(shape)
-    k, m, dim = shape
-    eye = np.eye(dim)
-    _, H = _stacked(bases, np.zeros((k, dim)), np.broadcast_to(2.0 * eye, (k, dim, dim)),
-                    np.broadcast_to(-eye, (k - 1, dim, dim)))
+    last vertex blocks, over the stacked bases held in data.  At k = 1 both
+    column blocks are the one block."""
+    k, m, _ = shape
     ends = np.zeros((k * m, 2 * m))
     ends[:m, :m] = np.eye(m)
     ends[-m:, m:] = np.eye(m)
-    return _frozen(np.linalg.solve(H, ends))
+    return _frozen(np.linalg.solve(_chain_laplacian(np.frombuffer(data).reshape(shape)), ends))
 
 
 def _spring_coords(problem) -> np.ndarray:
@@ -551,18 +566,14 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
         return points if lengths.min() > floor else None
     reduced = _ReducedProblem(plan.reduced, problem.A, problem.B)
     y = reduced.coords_of(points[plan.keep])
-    if reduced.pad.size < y.size:
-        mu2 *= 1e-4
-        y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
-                               partial(reduced.value, mu2=mu2), _add_step,
-                               1e-9, STEP_TOL, max_iters=40)
-        polished = _warm_polish(reduced, y, CERT_RESIDUAL, floor, 40)
-        if polished is None:
-            return None
-        y = polished[0]
-    elif reduced.edge_pass(y, 0.0)[1].min() <= floor:
+    mu2 *= 1e-4
+    y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
+                           partial(reduced.value, mu2=mu2), _add_step,
+                           1e-9, STEP_TOL, max_iters=40)
+    polished = _warm_polish(reduced, y, CERT_RESIDUAL, floor, 40)
+    if polished is None:
         return None
-    return reduced.points_of(y)[np.cumsum(plan.keep) - 1]
+    return reduced.points_of(polished[0])[np.cumsum(plan.keep) - 1]
 
 
 def _lowest_multipliers(p, start, kernel, bound):
@@ -631,10 +642,10 @@ def _lowest_multipliers(p, start, kernel, bound):
 
 
 def _multipliers_certify(problem, points, runs, start):
-    """The length of points if edge multipliers u_e prove them a global
-    minimum, None otherwise: u_e = d_e / |d_e| on every open edge, |u_e| <=
-    1 - CERT_MARGIN on the collapsed edges inside the runs, and B_i (u_{i-1}
-    - u_i) = 0 at every vertex to rounding level.
+    """(length, u) of points if edge multipliers u (k+1, dim) prove them a
+    global minimum, None otherwise: u_e = d_e / |d_e| on every open edge,
+    |u_e| <= 1 - CERT_MARGIN on the collapsed edges inside the runs, and B_i
+    (u_{i-1} - u_i) = 0 at every vertex to rounding level.
 
     The collapsed u_e solve M u = -fixed, M the run plan's vertex equations
     and fixed the open edges' residual in them; p = -pinv fixed is the
@@ -659,12 +670,12 @@ def _multipliers_certify(problem, points, runs, start):
         return None
     u[cols] = w
     residual = np.linalg.norm(_to_coords(problem.bases, u[:-1] - u[1:]), axis=1)
-    return float(lengths.sum()) if residual.max() <= CERT_RESIDUAL else None
+    return (float(lengths.sum()), u) if residual.max() <= CERT_RESIDUAL else None
 
 
 def _certified(problem, x, mu2, floor, limit):
-    """(length, points) of a chain certified as the global minimum by edge
-    multipliers, or None.
+    """(length, points, u) of a chain certified as the global minimum by
+    edge multipliers u, or None.
 
     Runs are joined by the interior gaps of x up to a threshold: first the
     largest gap within limit, then each larger gap in turn (collapsed edges
@@ -684,16 +695,16 @@ def _certified(problem, x, mu2, floor, limit):
         try:
             points = _reduced_minimum(problem, chain, runs, floor, mu2)
             if points is not None:
-                length = _multipliers_certify(problem, points, runs, start)
-                if length is not None:
-                    return length, points
+                proof = _multipliers_certify(problem, points, runs, start)
+                if proof is not None:
+                    return proof[0], points, proof[1]
         except np.linalg.LinAlgError:
             pass
     return None
 
 
 def _certify_ghost(problem, x, mu2, floor):
-    """(length, points) of the ghost certified exactly after the smoothing
+    """(length, points, u) of the ghost certified exactly after the smoothing
     stage mu2 whose minimizer is x, or None.
 
     The seam of the continuation: the runs are tried from the largest gap
@@ -708,8 +719,10 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     """Find the global minimizer of the path length over the chain space.
 
     Uniqueness of the minimum is a theorem for anchors off the collision
-    locus; this routine verifies nothing global by itself (see multistart) but
-    converges to the minimum by smoothed-Newton continuation from any start.
+    locus; the routine converges to the minimum by smoothed-Newton
+    continuation from any start, and a VALID or certified GHOST result
+    proves itself: its lower_bound bounds the length of every chain from
+    below and meets its value up to rounding.
     Without opts.initial_chain it starts from the spring chain, the minimizer
     of the sum of squared edge lengths; a certified ghost is returned as
     GHOST at once, since its collapsed runs give it a zero-length edge.
@@ -723,8 +736,9 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     four-body ghosts of this kind that the tests draw, starts moved by up
     to 1e-2 all certify at one stage with one value.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    # copies: a result's multipliers keep the anchors for its lower bound
+    A = np.array(A, dtype=float)
+    B = np.array(B, dtype=float)
     if A.shape != (arr.dim,) or B.shape != (arr.dim,):
         raise InputError("anchors must match the arrangement dimension")
     _check_size(np.array([A, B]), arr.dim, "anchors")
@@ -799,9 +813,10 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         # every run of a certified chain is one point, so the chain has a
         # zero-length edge and leaves the trajectory space: no HessianModel
         # is needed to classify it
-        value, points = certified
+        value, points, u = certified
         return MinimizeResult(Chain.from_points(arr, itinerary, points), value, math.nan,
-                              Classification.GHOST, None, iterations, GHOST_MESSAGE)
+                              Classification.GHOST, None, iterations, GHOST_MESSAGE,
+                              multipliers=(problem.bases, A, B, u))
     chain = _iterate_chain(problem, x)
     return _classify(arr, itinerary, A, chain, B, opts, action(A, chain.points, B),
                      iterations, problem.exact_pass(x))
@@ -851,8 +866,8 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
     scale = float(np.linalg.norm(B - A))
     points = chain.points
 
-    def done(cls, grad_norm, traj=None, model=None, msg=""):
-        return MinimizeResult(chain, value, grad_norm, cls, traj, iterations, msg, model)
+    def done(cls, grad_norm, msg=""):
+        return MinimizeResult(chain, value, grad_norm, cls, None, iterations, msg)
 
     try:
         model = HessianModel(arr, itinerary, A, chain, B, opts.coincidence_tol, edge_pass)
@@ -877,7 +892,25 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
 
     traj = BilliardTrajectory(A, B, points, itinerary,
                               edge_pass=(model.unit_edges, model.edge_lengths))
-    return done(Classification.VALID, grad_norm, traj=traj, model=model)
+    return MinimizeResult(chain, value, grad_norm, Classification.VALID, traj, iterations, "",
+                          model, (model.bases, A, B, model.unit_edges))
+
+
+def _dual_bound(bases, A, B, u) -> float:
+    """<u_k, B> - <u_0, A> <= sum_e |d_e| for every chain over the stacked
+    bases (k, m, dim), by weak duality, once the edge multipliers u (k+1,
+    dim) meet the vertex equations M u = (B_i (u_{i-1} - u_i))_i and every
+    |u_e| <= 1.  The least-norm correction u - M^T L^{-1} M u (L = M M^T,
+    the chain Laplacian) makes u exact on M, and u / max(1, max_e |u_e|)
+    puts it in the balls; M u is a VALID result's gradient, or a ghost's
+    certificate residual, so u moves by rounding only."""
+    y = np.linalg.solve(_chain_laplacian(bases),
+                        _to_coords(bases, u[:-1] - u[1:]).reshape(-1))
+    # (M^T y)_e = B_e^T y_e - B_{e-1}^T y_{e-1}, with y_{-1} = y_k = 0
+    u = u - np.diff(_to_points(bases, y.reshape(bases.shape[:2])), axis=0,
+                    prepend=0.0, append=0.0)
+    u = u / max(1.0, float(np.sqrt((u * u).sum(axis=1)).max()))
+    return float(u[-1] @ B - u[0] @ A)
 
 
 def envelope_gradients(result: MinimizeResult):
@@ -891,54 +924,3 @@ def envelope_gradients(result: MinimizeResult):
         raise PreconditionError("envelope directions require a valid billiard result")
     edges = result.trajectory.edge_velocities
     return edges[0], edges[-1]
-
-
-@dataclass(frozen=True)
-class MultistartReport:
-    results: list
-    chain_spread: float      # max vertex distance between any two runs
-    value_spread: float
-
-    @property
-    def classifications(self):
-        return [r.classification for r in self.results]
-
-
-def random_chain(arr: Arrangement, itinerary: Itinerary, radius: float,
-                 rng: np.random.Generator) -> Chain:
-    """Chain with each coordinate block uniform in a ball of the given radius."""
-    coords = []
-    for idx in itinerary:
-        m = arr.subspaces[idx].subdim
-        if m == 0:
-            coords.append(np.zeros(0))
-            continue
-        direction = rng.standard_normal(m)
-        norm = np.linalg.norm(direction)
-        direction = direction / norm if norm > 0 else np.zeros(m)
-        coords.append(direction * radius * rng.uniform() ** (1.0 / m))
-    return Chain.from_coords(arr, itinerary, coords)
-
-
-def multistart_minimize(arr: Arrangement, itinerary: Itinerary, A, B,
-                        n_starts: int = 100, seed: int = 0,
-                        opts: SolverOptions = SolverOptions()) -> MultistartReport:
-    """Run the solver from many random chains and report the spread.
-
-    Uniqueness of the global minimum predicts all runs agree; the spread is
-    the empirical check.
-    """
-    rng = np.random.default_rng(seed)
-    radius = 10.0 * float(np.linalg.norm(np.asarray(B, float) - np.asarray(A, float)))
-    results = []
-    for _ in range(n_starts):
-        start = random_chain(arr, itinerary, radius, rng)
-        results.append(minimize(arr, itinerary, A, B, replace(opts, initial_chain=start)))
-    spread = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            d = np.max(np.linalg.norm(results[i].chain.points - results[j].chain.points,
-                                      axis=1)) if results[i].chain.k else 0.0
-            spread = max(spread, float(d))
-    values = [r.value for r in results]
-    return MultistartReport(results, spread, float(max(values) - min(values)))

@@ -152,9 +152,53 @@ def fd_jacobian(fun, x0, h):
     return np.stack(cols, axis=-1)
 
 
+def random_chain(arr, itinerary, radius, rng):
+    """Chain with each coordinate block uniform in a ball of the given radius."""
+    coords = []
+    for idx in itinerary:
+        m = arr.subspaces[idx].subdim
+        if m == 0:
+            coords.append(np.zeros(0))
+            continue
+        direction = rng.standard_normal(m)
+        norm = np.linalg.norm(direction)
+        direction = direction / norm if norm > 0 else np.zeros(m)
+        coords.append(direction * radius * rng.uniform() ** (1.0 / m))
+    return Chain.from_coords(arr, itinerary, coords)
+
+
+def random_start_solves(arr, itinerary, A, B, n_starts, seed=0):
+    """Solves from n_starts random chains in the ball of radius 10 |B - A|:
+    (results, chain_spread, value_spread), the largest vertex distance and
+    the largest value difference between any two of them.  Uniqueness of
+    the global minimum predicts that they all agree."""
+    from linbilliards.solver import SolverOptions, minimize
+    rng = np.random.default_rng(seed)
+    radius = 10.0 * float(np.linalg.norm(np.asarray(B, float) - np.asarray(A, float)))
+    results = [minimize(arr, itinerary, A, B,
+                        SolverOptions(initial_chain=random_chain(arr, itinerary, radius, rng)))
+               for _ in range(n_starts)]
+    points = np.array([r.chain.points for r in results])
+    chain_spread = np.linalg.norm(points[:, None] - points[None], axis=-1).max(initial=0.0)
+    values = [r.value for r in results]
+    return results, float(chain_spread), float(max(values) - min(values))
+
+
+def assert_lower_bound(result):
+    """A VALID or GHOST result proves itself: its lower bound is at most
+    rounding above its value, and below it by at most 1e-9 of the value for
+    a VALID result and 1e-12 for a GHOST.  Any other result has none."""
+    from linbilliards.solver import Classification
+    bound, value = result.lower_bound, result.value
+    if result.classification not in (Classification.VALID, Classification.GHOST):
+        assert bound is None
+        return
+    assert bound <= value * (1.0 + 1e-14)
+    assert value - bound <= (1e-9 if result.is_valid else 1e-12) * value
+
+
 def random_smooth_chain(arr, itinerary, A, B, rng, radius=3.0, min_gap=1e-2):
     """Random chain whose consecutive points stay apart (smooth region)."""
-    from linbilliards.solver import random_chain
     while True:
         chain = random_chain(arr, itinerary, radius, rng)
         pts = np.vstack([np.asarray(A)[None, :], chain.points,

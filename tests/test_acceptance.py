@@ -28,7 +28,7 @@ from linbilliards.origami import (
     unfold,
 )
 from linbilliards.scattering import AnchorGrid, lagrangian_residual, sample_relation
-from linbilliards.solver import SolverOptions, minimize, multistart_minimize
+from linbilliards.solver import SolverOptions, minimize
 from linbilliards.symmetry import conservation_report
 from linbilliards.thickened import (
     ThickenedTable,
@@ -39,7 +39,8 @@ from linbilliards.thickened import (
 )
 from linbilliards.trajectory import reflection_residual
 
-from conftest import TWOLINE_A, TWOLINE_B, fd_gradient, fd_hessian, random_smooth_chain
+from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, fd_gradient, fd_hessian,
+                      random_smooth_chain, random_start_solves)
 from test_solver import brute_force_minimum
 
 TIGHT = SolverOptions(grad_tol=1e-13)
@@ -187,9 +188,12 @@ def test_criterion_4_uniqueness(mirror, origin, twolines):
         fixtures.append((arr_i, it_i, A_i, B_i))
     spreads = []
     for arr_i, it_i, A_i, B_i in fixtures:
-        report = multistart_minimize(arr_i, it_i, A_i, B_i, n_starts=100, seed=3)
-        assert report.chain_spread < 1e-7
-        spreads.append(report.chain_spread)
+        results, chain_spread, _ = random_start_solves(arr_i, it_i, A_i, B_i,
+                                                       n_starts=100, seed=3)
+        assert chain_spread < 1e-7
+        spreads.append(chain_spread)
+        for r in results:
+            assert_lower_bound(r)
     # brute force on the small instances (k <= 2, subspace dimension <= 2)
     for arr_i, it_i, A_i, B_i in (mirror, twolines):
         result = minimize(arr_i, it_i, A_i, B_i, TIGHT)

@@ -55,6 +55,7 @@ def test_solve_mirror(tmp_path, mirror_json):
     payload = json.loads((out / "result.json").read_text())
     assert payload["classification"] == "ValidBilliard"
     assert payload["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-10)
+    assert 0.0 <= payload["value"] - payload["lower_bound"] <= 1e-9 * payload["value"]
     # trajectory JSON round-trips and passes all invariants
     arr = load_arrangement(mirror_json)
     traj = trajectory_from_json((out / "trajectory.json").read_text(), arr)
@@ -195,7 +196,8 @@ def test_thicken_simulates_each_honest_radius_once(tmp_path, mirror_json, monkey
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("solve", "--jobs"), ("thicken", "--seed"), ("thicken", "--jobs")])
+    ("solve", "--jobs"), ("solve", "--multistart"), ("solve", "--seed"),
+    ("thicken", "--seed"), ("thicken", "--jobs")])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, mirror_json,
                                                         command, flag):
     code = main([command, "--arrangement", str(mirror_json), "--itinerary", "L1",
@@ -342,6 +344,21 @@ def test_threebody_counts_below_one_are_usage_errors(tmp_path, counts):
     code = main(["threebody", "--n-phi", counts[0], "--n-psi", counts[1],
                  "--out", str(out)])
     assert code == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, count", [
+    ("enumerate", "--max-len", "0"), ("enumerate", "--max-len", "-1"),
+    ("origami", "--max-len", "0"), ("origami", "--budget", "0"),
+    ("origami", "--jobs", "0"), ("scatter", "--jobs", "0"), ("scatter", "--jobs", "-2")])
+def test_counts_below_one_are_usage_errors(tmp_path, twolines_json, command, flag, count):
+    """A count below 1 is refused before the output directory is made, rather
+    than giving an empty or header-only artifact or a serial run."""
+    out = tmp_path / "x"
+    argv = [command, "--arrangement", str(twolines_json), flag, count, "--out", str(out)]
+    if command != "enumerate":
+        argv += ["--itinerary", "L1,L2", "--A=2,1", "--B=-1,-3"]
+    assert main(argv) == 64
     assert not out.exists()
 
 
@@ -493,6 +510,8 @@ def test_ghost_result_json_is_strict_json(tmp_path, twolines_json):
     assert payload["classification"] == "Ghost"
     assert payload["grad_norm"] is None
     assert payload["hessian_min_eig"] is None
+    # the certificate's multipliers prove the ghost
+    assert 0.0 <= payload["value"] - payload["lower_bound"] <= 1e-12 * payload["value"]
 
 
 def test_empty_chain_space_result_json_is_strict_json(tmp_path, origin_json):
@@ -504,6 +523,7 @@ def test_empty_chain_space_result_json_is_strict_json(tmp_path, origin_json):
     payload = _strict_json((out / "result.json").read_text())
     assert payload["hessian_min_eig"] is None
     assert payload["grad_norm"] == 0.0
+    assert payload["lower_bound"] == payload["value"] == 7.0
 
 
 def test_origami_jobs_do_not_change_outputs(tmp_path, twolines_json):

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.errors import PACKAGE_ERRORS, MaxIterations
-from linbilliards.solver import Classification, minimize, multistart_minimize
+from linbilliards.solver import Classification, minimize
 from linbilliards.trajectory import validate_trajectory
 
-from conftest import fourbody, planes3d
+from conftest import assert_lower_bound, fourbody, planes3d, random_start_solves
 
 FIXTURES = ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr", "planes4d_arr",
             "planes3d_arr"]
@@ -171,9 +171,10 @@ def test_solves_agree_at_every_anchor_scale(case):
     """Scaling both anchors by lam = 10^j, j = -6 ... 8, on the random codim
     tables, planes3d and the four-body table keeps the classification; value
     / lam agrees to 1e-12 (relative) and a valid chain / lam to 1e-10 |B - A|,
-    and every valid result passes validate_trajectory.  The gradient of the
-    length has no unit, so a stop test on it that grew with the value would
-    accept worse chains at larger scales."""
+    every valid result passes validate_trajectory, and every lower bound
+    meets its value (assert_lower_bound).  The gradient of the length has no
+    unit, so a stop test on it that grew with the value would accept worse
+    chains at larger scales."""
     arr, itin, A, B, _ = case
     base = _outcome(arr, itin, A, B)
     scale = float(np.linalg.norm(B - A))
@@ -186,6 +187,7 @@ def test_solves_agree_at_every_anchor_scale(case):
         assert not isinstance(scaled, type)
         assert scaled.classification is base.classification
         assert abs(scaled.value / lam - base.value) <= 1e-12 * base.value
+        assert_lower_bound(scaled)
         if base.is_valid:
             assert np.abs(scaled.chain.points / lam - base.chain.points).max(initial=0.0) \
                 <= 1e-10 * scale
@@ -216,20 +218,23 @@ def test_orthogonal_frame_on_random_tables(case, seed):
 def test_multistart_spread_on_random_tables(case):
     """Four random starts on the random codim tables, planes3d and the
     four-body table reach one minimum: a valid one within 1e-7 max(1, |B - A|)
-    in the chain and 1e-10 in the value.  Ghost chains need not be unique, so
-    only their values are compared."""
+    in the chain and 1e-10 in the value, and each proves itself
+    (assert_lower_bound).  Ghost chains need not be unique, so only their
+    values are compared."""
     arr, itin, A, B, _ = case
     try:
-        report = multistart_minimize(arr, itin, A, B, n_starts=4)
+        results, chain_spread, value_spread = random_start_solves(arr, itin, A, B, n_starts=4)
     except PACKAGE_ERRORS as exc:
         assert _outcome(arr, itin, A, B) is type(exc)
         return
-    classes = set(report.classifications)
+    classes = {r.classification for r in results}
     assert len(classes) == 1
-    value = max(r.value for r in report.results)
-    assert report.value_spread <= 1e-10 * value
+    value = max(r.value for r in results)
+    assert value_spread <= 1e-10 * value
+    for r in results:
+        assert_lower_bound(r)
     if classes == {Classification.VALID}:
-        assert report.chain_spread <= 1e-7 * max(1.0, float(np.linalg.norm(B - A)))
+        assert chain_spread <= 1e-7 * max(1.0, float(np.linalg.norm(B - A)))
 
 
 def _degenerate_cases(twolines):

@@ -15,11 +15,10 @@ from linbilliards.solver import (
     SolverOptions,
     envelope_gradients,
     minimize,
-    multistart_minimize,
 )
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
-from conftest import TWOLINE_A, TWOLINE_B
+from conftest import TWOLINE_A, TWOLINE_B, assert_lower_bound, random_chain, random_start_solves
 
 
 def brute_force_minimum(arr, itinerary, A, B, radius, n_grid=21):
@@ -129,19 +128,23 @@ def test_non_generic_ray_classification(twolines_arr):
 
 
 def test_multistart_uniqueness(twolines_arr):
-    report = multistart_minimize(twolines_arr, Itinerary((0, 1)),
-                                 TWOLINE_A, TWOLINE_B, n_starts=100, seed=2)
-    assert report.chain_spread < 1e-7
-    assert report.value_spread < 1e-9
-    assert all(c is Classification.VALID for c in report.classifications)
+    results, chain_spread, value_spread = random_start_solves(
+        twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, n_starts=100, seed=2)
+    assert chain_spread < 1e-7
+    assert value_spread < 1e-9
+    assert all(r.classification is Classification.VALID for r in results)
+    for r in results:
+        assert_lower_bound(r)
 
 
 def test_multistart_pinned_chain(origin_arr):
-    report = multistart_minimize(origin_arr, Itinerary((0,)),
-                                 np.array([3.0, 0.0]), np.array([0.0, 4.0]),
-                                 n_starts=10, seed=0)
-    assert report.chain_spread == 0.0
-    assert report.value_spread == 0.0
+    results, chain_spread, value_spread = random_start_solves(
+        origin_arr, Itinerary((0,)), np.array([3.0, 0.0]), np.array([0.0, 4.0]),
+        n_starts=10, seed=0)
+    assert chain_spread == 0.0
+    assert value_spread == 0.0
+    # the chain is the origin: the bound is the length |A| + |B| itself
+    assert all(r.lower_bound == r.value == 7.0 for r in results)
 
 
 def test_brute_force_agreement_mirror(mirror_arr):
@@ -198,7 +201,6 @@ def test_envelope_matches_value_function_differences(twolines_arr):
 
 
 def test_initial_chain_override(twolines_arr):
-    from linbilliards.solver import random_chain
     rng = np.random.default_rng(4)
     start = random_chain(twolines_arr, Itinerary((0, 1)), 20.0, rng)
     opts = SolverOptions(initial_chain=start)
@@ -252,7 +254,6 @@ def test_certified_chains_are_never_longer_than_other_chains(fixture, request,
     any stage or in the final merge test, is no longer than the chain of the
     full continuation or 20 random chains, up to rounding."""
     import linbilliards.solver as solver_module
-    from linbilliards.solver import random_chain
     arr = request.getfixturevalue(fixture)
     rng = np.random.default_rng(11)
     certified = []
@@ -643,8 +644,8 @@ def test_pinned_run_sets_skip_the_reduced_problem(twolines_arr, monkeypatch):
     """When every kept vertex is pinned (each run meets only at the origin
     and no vertex is free), the certificate tests the snapped chain's
     reduced edges and builds no reduced problem: the total collapse of
-    L1, L2, L1, L2 certifies that way, bit for bit as through the reduced
-    problem."""
+    L1, L2, L1, L2 certifies that way, at the length of the chain of origins
+    and with its lower bound."""
     it, A, B = Itinerary((0, 1, 0, 1)), np.array([1.0, 0.2]), np.array([1.0, -0.3])
     built = []
     real = solver._ReducedProblem
@@ -655,10 +656,8 @@ def test_pinned_run_sets_skip_the_reduced_problem(twolines_arr, monkeypatch):
     plan = solver._run_plan(*solver._StackedProblem(twolines_arr.bases_of(it), A, B).key,
                             ((0, 4),))
     assert plan.pinned
-    monkeypatch.setattr(plan, "pinned", False)
-    reduced = minimize(twolines_arr, it, A, B)
-    assert built
-    assert _result_bytes(reduced) == _result_bytes(fast)
+    assert fast.value == action(A, np.zeros((4, 2)), B)
+    assert_lower_bound(fast)
 
 
 def _repeat_free(rng, n_labels, k):
@@ -858,17 +857,16 @@ def test_warm_start_from_neighbour_matches_cold_solve(fixture, request):
 
 @pytest.mark.parametrize("itinerary", [(0, 1), (0, 1, 0)])
 def test_multistart_random_starts_fail_the_warm_gate(itinerary, twolines_arr):
-    report = multistart_minimize(twolines_arr, Itinerary(itinerary), TWOLINE_A,
-                                 TWOLINE_B, n_starts=100)
-    assert len(report.results) == 100
-    assert all(r.iterations > 0 for r in report.results)
+    results, _, _ = random_start_solves(twolines_arr, Itinerary(itinerary), TWOLINE_A,
+                                        TWOLINE_B, n_starts=100)
+    assert len(results) == 100
+    assert all(r.iterations > 0 for r in results)
 
 
 def test_failed_warm_gate_runs_the_continuation_unchanged(twolines_arr, monkeypatch):
     """A start outside Newton's basin gives bit for bit what the continuation
     alone gives from the same chain."""
     import linbilliards.solver as solver_module
-    from linbilliards.solver import random_chain
     it = Itinerary((0, 1))
     rng = np.random.default_rng(8)
     starts = [random_chain(twolines_arr, it, 10.0, rng) for _ in range(10)]
@@ -1340,17 +1338,18 @@ def _measuring_certified(problem, x, mu2, floor, limit):
         runs = solver._collapsing_runs(gaps, interior[j])
         try:
             points = solver._reduced_minimum(problem, pts[1:-1].copy(), runs, floor, mu2)
-            if points is not None and \
-                    solver._multipliers_certify(problem, points, runs, start) is not None:
-                return action(problem.A, points, problem.B), points
+            proof = None if points is None else \
+                solver._multipliers_certify(problem, points, runs, start)
+            if proof is not None:
+                return action(problem.A, points, problem.B), points, proof[1]
         except np.linalg.LinAlgError:
             pass
     return None
 
 
-def _search_and_nbody_solves(twolines_arr, monkeypatch):
+def _search_and_nbody_solves(twolines_arr, monkeypatch, seed=0):
     """(arr, itinerary, A, B, result) of every solve of the unfiltered search
-    at seed 0 and of nbody rounds 0-3 at seed 0."""
+    at the seed and of nbody rounds 0-3 at the seed."""
     from linbilliards import origami
     solves = []
     real = origami.minimize
@@ -1362,10 +1361,10 @@ def _search_and_nbody_solves(twolines_arr, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(origami, "minimize", recording)
-        origami.search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
+        origami.search_realizable(twolines_arr, 5, 100, seed=seed, use_angle_filter=False)
     arr = _four_body_table()
     for r in range(4):
-        rng = np.random.default_rng([0, r, 0])
+        rng = np.random.default_rng([seed, r, 0])
         for k in (8, 16, 32):
             it = Itinerary(_repeat_free(rng, len(arr.subspaces), k))
             A, B = rng.standard_normal(arr.dim), rng.standard_normal(arr.dim)
@@ -1378,8 +1377,11 @@ def test_certified_ghosts_are_measured_once(twolines_arr, monkeypatch):
     accepted chain, and minimize returns that chain as GHOST without a
     HessianModel: over the seed-0 search and nbody rounds 0-3 every result
     equals, bit for bit, the one of a certificate that measures again and
-    of classification through the HessianModel."""
+    of classification through the HessianModel, and proves itself
+    (assert_lower_bound)."""
     fast = _search_and_nbody_solves(twolines_arr, monkeypatch)
+    for *_, result in fast:
+        assert_lower_bound(result)
     monkeypatch.setattr(solver, "_certified", _measuring_certified)
     measured = _search_and_nbody_solves(twolines_arr, monkeypatch)
     assert len(fast) == len(measured) > 400
@@ -1393,6 +1395,106 @@ def test_certified_ghosts_are_measured_once(twolines_arr, monkeypatch):
             assert _result_bytes(classified) == _result_bytes(result)
             assert classified.trajectory is result.trajectory is None
     assert ghosts > 400
+
+
+@pytest.mark.parametrize("seed", [123, 1729])
+def test_lower_bounds_meet_their_values(seed, twolines_arr, monkeypatch):
+    """Every solve of the unfiltered search and of nbody rounds 0-3 at the
+    seed (seed 0 is test_certified_ghosts_are_measured_once's), and of a
+    scatter patch, proves itself: every VALID and GHOST result has a lower
+    bound within rounding above its value and within 1e-9 (VALID) or 1e-12
+    (GHOST) of it below."""
+    from linbilliards import scattering
+    from linbilliards.scattering import AnchorGrid, sample_relation
+    solves = _search_and_nbody_solves(twolines_arr, monkeypatch, seed)
+    results = [result for *_, result in solves]
+    assert {r.classification for r in results} >= {Classification.VALID, Classification.GHOST}
+    real = scattering.minimize
+    monkeypatch.setattr(scattering, "minimize",
+                        lambda *args: results.append(real(*args)) or results[-1])
+    rng = np.random.default_rng(seed)
+    axes = [np.linalg.qr(rng.standard_normal((2, 2)))[0].T for _ in range(2)]
+    patch = sample_relation(twolines_arr, Itinerary((0, 1)),
+                            AnchorGrid(TWOLINE_A, axes[0], 2, 1e-3),
+                            AnchorGrid(TWOLINE_B, axes[1], 2, 1e-3))
+    assert patch.valid_fraction() == 1.0
+    assert len(results) == len(solves) + 625
+    for result in results:
+        assert_lower_bound(result)
+
+
+def test_a_ghost_on_the_border_of_the_valid_anchors_has_no_lower_bound(twolines_arr):
+    """At A = (1, 1), B = (-1, 1) the minimizer of L1, L2 collapses onto the
+    origin with a collapsed-edge multiplier of norm exactly 1, which the
+    certificate's margin refuses: an uncertified GHOST, with no lower bound.
+    Moved off that border, the anchors give a certified ghost and a valid
+    billiard, and both prove themselves."""
+    it = Itinerary((0, 1))
+    border = minimize(twolines_arr, it, np.array([1.0, 1.0]), np.array([-1.0, 1.0]))
+    assert border.classification is Classification.GHOST
+    assert border.lower_bound is None
+    ghost = minimize(twolines_arr, it, np.array([1.0, 1.01]), np.array([-1.0, 1.0]))
+    valid = minimize(twolines_arr, it, np.array([1.0, 0.99]), np.array([-1.0, 1.0]))
+    assert ghost.classification is Classification.GHOST and valid.is_valid
+    assert_lower_bound(ghost)
+    assert_lower_bound(valid)
+
+
+@pytest.mark.parametrize("fixture", ["twolines_arr", "planes3d_arr", "fourbody_arr"])
+def test_dual_bound_holds_for_any_multipliers(fixture, request):
+    """Weak duality: from any edge multipliers, however far from the vertex
+    equations or the unit balls, _dual_bound is no more than the length of
+    the minimizer or of any other chain of the itinerary.  Half the draws
+    aim the end multipliers along -A and B, where the bound without its
+    correction onto the vertex equations would be |A| + |B|."""
+    arr = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        it, A, B = _random_case(arr, rng, 1, 6)
+        scale = float(np.linalg.norm(B - A))
+        lengths = [minimize(arr, it, A, B).value]
+        lengths += [action(A, random_chain(arr, it, 3.0 * scale, rng).points, B)
+                    for _ in range(20)]
+        bases = arr.bases_of(it)
+        for j in range(6):
+            u = 3.0 * rng.standard_normal((len(it) + 1, arr.dim))
+            if j % 2:
+                u[0], u[-1] = -A / np.linalg.norm(A), B / np.linalg.norm(B)
+                u[1:-1] *= 0.1
+            bound = solver._dual_bound(bases, A, B, u)
+            assert bound <= min(lengths) * (1.0 + 1e-14)
+
+
+def test_lower_bound_is_computed_on_first_read(twolines_arr, monkeypatch):
+    """No solve computes a lower bound that nobody reads: with _dual_bound
+    made to raise, the seed-0 unfiltered search and a scatter patch run as
+    before, and only a read of lower_bound raises."""
+    from linbilliards.origami import search_realizable
+    from linbilliards.scattering import AnchorGrid, sample_relation
+
+    def refuse(*args):
+        raise AssertionError("lower bound computed")
+
+    monkeypatch.setattr(solver, "_dual_bound", refuse)
+    rows = search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
+    assert [row.status for row in rows[:6]] == ["realized"] * 6
+    it = Itinerary((0, 1))
+    patch = sample_relation(twolines_arr, it, AnchorGrid(TWOLINE_A, np.eye(2), 2, 1e-3),
+                            AnchorGrid(TWOLINE_B, np.eye(2), 2, 1e-3))
+    assert patch.valid_fraction() == 1.0
+    result = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
+    with pytest.raises(AssertionError, match="lower bound computed"):
+        result.lower_bound
+
+
+def test_lower_bound_reads_the_anchors_of_its_solve(twolines_arr):
+    """A caller that moves its anchor arrays in place after the solve does
+    not move the bound that is computed later, on first read."""
+    A, B = TWOLINE_A.copy(), TWOLINE_B.copy()
+    result = minimize(twolines_arr, Itinerary((0, 1)), A, B)
+    A += 1.0
+    B *= 2.0
+    assert_lower_bound(result)
 
 
 def test_solves_with_cold_and_warm_solve_plans_agree(planes3d_arr, fourbody_arr):
