@@ -107,8 +107,7 @@ def _check_counts(args, *names) -> None:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(max_iters=args.max_iters, grad_tol=args.grad_tol,
-                         coincidence_tol=args.coincidence_tol)
+    return SolverOptions(grad_tol=args.grad_tol, coincidence_tol=args.coincidence_tol)
 
 
 def _load_problem(args):
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--itinerary", required=True,
                            help="comma-separated subspace names")
         p.add_argument("--out", required=True)
-        p.add_argument("--max-iters", type=int, default=defaults.max_iters)
         p.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
         p.add_argument("--coincidence-tol", type=float, default=defaults.coincidence_tol)
 

@@ -31,17 +31,17 @@ u_e = d_e / |d_e| on every open edge, |u_e| <= 1 on every collapsed edge
 and B_i (u_{i-1} - u_i) = 0 at every vertex, the conservation of momentum
 at a collision in the subdifferential sense (Burago, Ferleger and
 Kononenko).  After each stage with an interior gap within CERT_WINDOW * mu,
-the opening stage at mu = scale included, and once more after the last
-stage, the certificate joins the vertices of the shortest gaps into runs,
-makes each run one point on the intersection of its subspaces (a stratum of
-the collision locus), solves that reduced chain by exact Newton, and looks
-for collapsed-edge multipliers inside the balls |u_e| <= 1 - CERT_MARGIN
-that meet the vertex equations to rounding level.  A chain that passes is
-returned; no tolerance on the length enters.  One SVD of a run set's vertex
-equations gives both their least-norm solution and the kernel along which
-the multipliers move; a Farkas test on that least-norm solution ends most
-multiplier searches that must fail before any Newton step, so a failed
-attempt is cheap.
+the opening stage at mu = scale included, the certificate joins the
+vertices of the shortest gaps into runs, makes each run one point on the
+intersection of its subspaces (a stratum of the collision locus), solves
+that reduced chain by exact Newton, and looks for collapsed-edge
+multipliers inside the balls |u_e| <= 1 that meet the vertex equations, both
+to the rounding level CERT_RESIDUAL.  A chain that passes is returned; no
+tolerance on the length enters, and no other exit proves a ghost.  One SVD
+of a run set's vertex equations gives both their least-norm solution and
+the kernel along which the multipliers move; a Farkas test on that
+least-norm solution ends most multiplier searches that must fail before any
+Newton step, so a failed attempt is cheap.
 
 A free vertex of the reduced chain between two collapsed runs sits on a
 segment along which the exact length is flat.  The reduced exact Hessian
@@ -117,13 +117,14 @@ STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
 MERGE_DETECT = 1e-4    # gap below this * scale marks a collapsing run
 OPEN_TOL = 1e-4        # the opening stage (mu = scale) stops at |grad| <= this
 CERT_WINDOW = 10.0     # certify a stage once an interior gap is within this * mu
-CERT_MARGIN = 1e-9     # certified collapsed-edge multipliers: |u_e| <= 1 - this
 CERT_TRIES = 4         # thresholds tried per certificate
 CERT_RESIDUAL = 1e-12  # stationarity residual accepted as rounding
 MULTIPLIER_STEPS = 30  # Newton steps of the collapsed-multiplier search
 INSIDE = 0.25          # a start row on or outside its ball is scaled to this * bound
 WARM_GATE = 1e-2       # warm start: first exact Newton step / shortest edge
 WARM_AIM = 1e-4        # warm polish targets this * grad_tol, accepts grad_tol
+POLISH_ITERS = 400     # Newton steps of the exact polish, cold or warm
+EDGE_TOL = 1e-9        # edge direction within this of a subspace lies inside it
 LIFT = 1e-8            # reduced exact Hessian: eigenvalues up to this * max are lifted
 PLANS = 4              # entries of each solve-plan cache (itineraries, run sets)
 GHOST_MESSAGE = "consecutive vertices collapse; minimizer leaves the trajectory space"
@@ -131,10 +132,8 @@ GHOST_MESSAGE = "consecutive vertices collapse; minimizer leaves the trajectory 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_iters: int = 400
     grad_tol: float = 1e-10          # on |grad|, which has no unit
     coincidence_tol: float = COINCIDENCE_TOL  # gap below this * scale is a ghost point
-    edge_tol: float = 1e-9           # edge direction within this of a subspace
     initial_chain: Chain | None = None
 
 
@@ -148,6 +147,8 @@ class MinimizeResult:
     smallest eigenvalue of its normal-form operator, is computed from it on
     first read; so is ``lower_bound``, from the ``multipliers`` (stacked
     bases, anchors and edge multipliers) of a VALID or certified GHOST result.
+    A GHOST without a certificate, a chain that ended within coincidence_tol
+    * scale of a collapse, has no multipliers and no lower bound.
     """
 
     chain: Chain
@@ -177,7 +178,7 @@ class MinimizeResult:
         try:
             return self.model.min_eigenvalue()
         except NonSmoothPoint:
-            # |a_i| can round to 1 for an edge just outside edge_tol
+            # |a_i| can round to 1 for an edge just outside EDGE_TOL
             return None
 
     @cached_property
@@ -521,7 +522,8 @@ def _warm_polish(problem, x, tol, detect, max_iters):
     if not shortest > detect:
         return None
     start = problem.derivatives(x, 0.0)
-    step = _solve_spd(start[2], start[1])
+    # at zero gradient no step is a descent step, and the zero step is taken
+    step = _solve_spd(start[2], start[1]) if start[1].any() else np.zeros_like(x)
     if step is None or math.sqrt(step @ step) > WARM_GATE * shortest:
         return None
     x, value, grad_norm, _ = _damped_newton(
@@ -590,13 +592,13 @@ def _lowest_multipliers(p, start, kernel, bound):
     |v_e| < r = sqrt(bound) on every edge would keep below r sum_e |p_e|.
     Otherwise infeasible-start Newton on the barrier -sum_e log(bound -
     |v_e|^2) over the affine set (Boyd & Vandenberghe, sec. 10.3) runs from
-    start, whose rows on or outside their ball are first scaled into it.  A
-    point is p + K z + y, K the kernel and y the residual off the affine
-    set: each Newton step removes y and moves z by the solve of the d x d
-    reduced system, and is halved only while a norm would reach the bound (y
-    then shrinks by the untaken fraction).  The first full step lands on the
-    affine set inside every ball, which ends the search; a step below
-    STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
+    start, whose rows on (to 2 CERT_RESIDUAL) or outside their ball are first
+    scaled into it.  A point is p + K z + y, K the kernel and y the residual
+    off the affine set: each Newton step removes y and moves z by the solve
+    of the d x d reduced system, and is halved only while a norm would reach
+    the bound (y then shrinks by the untaken fraction).  The first full step
+    lands on the affine set inside every ball, which ends the search; a step
+    below STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
     """
     C, dim = p.shape
     K = kernel.reshape(C * dim, -1)
@@ -609,7 +611,8 @@ def _lowest_multipliers(p, start, kernel, bound):
     if kernel.shape[2] == 0 or p @ p > (1.0 + 1e-12) * reach:
         return None
     norms2 = (start * start).sum(axis=1)
-    outside = norms2 >= bound
+    # from a row that close to the surface the barrier's steps stay too short
+    outside = norms2 >= (math.sqrt(bound) - 2.0 * CERT_RESIDUAL) ** 2
     v = start.copy()
     v[outside] *= np.sqrt(INSIDE * bound / norms2[outside])[:, None]
     z = K.T @ (v.reshape(-1) - p)
@@ -644,8 +647,9 @@ def _lowest_multipliers(p, start, kernel, bound):
 def _multipliers_certify(problem, points, runs, start):
     """(length, u) of points if edge multipliers u (k+1, dim) prove them a
     global minimum, None otherwise: u_e = d_e / |d_e| on every open edge,
-    |u_e| <= 1 - CERT_MARGIN on the collapsed edges inside the runs, and B_i
-    (u_{i-1} - u_i) = 0 at every vertex to rounding level.
+    |u_e| <= 1 on the collapsed edges inside the runs (the balls of weak
+    duality, into which _dual_bound scales u) and B_i (u_{i-1} - u_i) = 0 at
+    every vertex, both up to the rounding CERT_RESIDUAL.
 
     The collapsed u_e solve M u = -fixed, M the run plan's vertex equations
     and fixed the open edges' residual in them; p = -pinv fixed is the
@@ -665,7 +669,7 @@ def _multipliers_certify(problem, points, runs, start):
     fixed = _to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
     cols, pinv, kernel = plan.equations
     w = _lowest_multipliers(-(pinv @ fixed).reshape(-1, problem.dim), start[cols], kernel,
-                            (1.0 - CERT_MARGIN) ** 2)
+                            (1.0 + CERT_RESIDUAL) ** 2)
     if w is None:
         return None
     u[cols] = w
@@ -673,22 +677,25 @@ def _multipliers_certify(problem, points, runs, start):
     return (float(lengths.sum()), u) if residual.max() <= CERT_RESIDUAL else None
 
 
-def _certified(problem, x, mu2, floor, limit):
-    """(length, points, u) of a chain certified as the global minimum by
-    edge multipliers u, or None.
+def _certify_ghost(problem, x, mu2, floor):
+    """(length, points, u) of the ghost certified exactly by edge
+    multipliers u after the smoothing stage mu2 whose minimizer is x, or
+    None: the seam of the continuation, which returns an accepted chain as
+    the global minimum and skips the remaining stages.
 
     Runs are joined by the interior gaps of x up to a threshold: first the
-    largest gap within limit, then each larger gap in turn (collapsed edges
-    whose multiplier is near unit norm stay open longest), then each smaller
-    one.  The edges are those of the stage's exact pass at x, and the length
-    that of the certificate's own pass at the accepted chain.
+    largest gap within CERT_WINDOW * mu, then each larger gap in turn
+    (collapsed edges whose multiplier is near unit norm stay open longest),
+    then each smaller one.  The edges are those of the stage's exact pass at
+    x, and the length that of the certificate's own pass at the accepted
+    chain.
     """
     edges, gaps = problem.edge_pass(x, 0.0)
-    start = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
     interior = np.unique(gaps[1:-1])
-    first = np.searchsorted(interior, limit, side="right") - 1
+    first = np.searchsorted(interior, CERT_WINDOW * math.sqrt(mu2), side="right") - 1
     if first < 0:
         return None
+    start = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
     chain = problem.points_of(x)
     for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:CERT_TRIES]:
         runs = _collapsing_runs(gaps, interior[j])
@@ -701,17 +708,6 @@ def _certified(problem, x, mu2, floor, limit):
         except np.linalg.LinAlgError:
             pass
     return None
-
-
-def _certify_ghost(problem, x, mu2, floor):
-    """(length, points, u) of the ghost certified exactly after the smoothing
-    stage mu2 whose minimizer is x, or None.
-
-    The seam of the continuation: the runs are tried from the largest gap
-    within CERT_WINDOW * mu, and an accepted chain is the global minimum up
-    to rounding, so minimize returns it and skips the remaining stages.
-    """
-    return _certified(problem, x, mu2, floor, CERT_WINDOW * math.sqrt(mu2))
 
 
 def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
@@ -770,7 +766,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         x = problem.coords_of(opts.initial_chain.points)
         # a caller's chain in Newton's basin (a solved neighbour) is polished
         # at mu = 0 directly; any other falls through to the continuation
-        warm = _warm_polish(problem, x, opts.grad_tol, detect, opts.max_iters)
+        warm = _warm_polish(problem, x, opts.grad_tol, detect, POLISH_ITERS)
         if warm is not None:
             x, value = warm
             return _classify(arr, itinerary, A, _iterate_chain(problem, x), B, opts,
@@ -779,10 +775,10 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     # continuation in the smoothing parameter; warm-started Newton each stage,
     # opened loosely at mu = scale.  Once every gap dwarfs mu the smoothing
     # is irrelevant and the exact polish takes over.  Ghost candidates keep
-    # gaps ~ mu; each of their stages tries the multiplier certificate, and
-    # stops the continuation as soon as it holds.
+    # gaps ~ mu; every stage tries the multiplier certificate, which returns
+    # at once without an interior gap within CERT_WINDOW * mu, and stops the
+    # continuation as soon as it holds.
     iterations = 0
-    certified = None
     for mu, tol in _stages(scale):
         mu2 = mu * mu
         x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
@@ -792,31 +788,24 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         gaps = problem.edge_pass(x, 0.0)[1]
         if gaps.min() > 1e4 * mu:
             break
-        if gaps[1:-1].min(initial=math.inf) <= CERT_WINDOW * mu:
-            certified = _certify_ghost(problem, x, mu2, coincidence)
-            if certified is not None:
-                break
+        certified = _certify_ghost(problem, x, mu2, coincidence)
+        if certified is not None:
+            # every run of a certified chain is one point, so the chain has a
+            # zero-length edge and leaves the trajectory space: no
+            # HessianModel is needed to classify it
+            value, points, u = certified
+            return MinimizeResult(Chain.from_points(arr, itinerary, points), value,
+                                  math.nan, Classification.GHOST, None, iterations,
+                                  GHOST_MESSAGE, multipliers=(problem.bases, A, B, u))
 
-    if certified is None:
-        if gaps.min() > coincidence:
-            x, value, grad_norm, reason = _damped_newton(
-                x, partial(problem.derivatives, mu2=0.0),
-                partial(problem.value, mu2=0.0), _add_step,
-                opts.grad_tol, STEP_TOL, max_iters=opts.max_iters)
-            if grad_norm > opts.grad_tol:
-                raise MaxIterations(
-                    f"exact polish stalled ({reason}) with |grad| = {grad_norm:.3e}")
-        # collapsed runs get the same certificate: a chain it accepts is the
-        # minimum and has coincident runs
-        certified = _certified(problem, x, mu2, coincidence, detect)
-    if certified is not None:
-        # every run of a certified chain is one point, so the chain has a
-        # zero-length edge and leaves the trajectory space: no HessianModel
-        # is needed to classify it
-        value, points, u = certified
-        return MinimizeResult(Chain.from_points(arr, itinerary, points), value, math.nan,
-                              Classification.GHOST, None, iterations, GHOST_MESSAGE,
-                              multipliers=(problem.bases, A, B, u))
+    if gaps.min() > coincidence:
+        x, value, grad_norm, reason = _damped_newton(
+            x, partial(problem.derivatives, mu2=0.0),
+            partial(problem.value, mu2=0.0), _add_step,
+            opts.grad_tol, STEP_TOL, max_iters=POLISH_ITERS)
+        if grad_norm > opts.grad_tol:
+            raise MaxIterations(
+                f"exact polish stalled ({reason}) with |grad| = {grad_norm:.3e}")
     chain = _iterate_chain(problem, x)
     return _classify(arr, itinerary, A, chain, B, opts, action(A, chain.points, B),
                      iterations, problem.exact_pass(x))
@@ -878,7 +867,7 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
     # an edge lies inside its vertex's subspace when it equals its projection
     units = model.unit_edges
     inside = np.minimum(np.linalg.norm(units[:-1] - model.a_in, axis=1),
-                        np.linalg.norm(units[1:] - model.a_out, axis=1)) <= opts.edge_tol
+                        np.linalg.norm(units[1:] - model.a_out, axis=1)) <= EDGE_TOL
     if inside.any():
         j = int(np.argmax(inside))
         return done(Classification.EDGE_IN_SUBSPACE, grad_norm,

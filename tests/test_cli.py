@@ -197,7 +197,7 @@ def test_thicken_simulates_each_honest_radius_once(tmp_path, mirror_json, monkey
 
 @pytest.mark.parametrize("command, flag", [
     ("solve", "--jobs"), ("solve", "--multistart"), ("solve", "--seed"),
-    ("thicken", "--seed"), ("thicken", "--jobs")])
+    ("thicken", "--seed"), ("thicken", "--jobs"), ("solve", "--max-iters")])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, mirror_json,
                                                         command, flag):
     code = main([command, "--arrangement", str(mirror_json), "--itinerary", "L1",
