@@ -24,7 +24,6 @@ from .errors import (
 from .solver import (
     Classification,
     MinimizeResult,
-    SolverOptions,
     envelope_gradients,
     minimize,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "RelationPatch",
     "RelationSample",
     "RotationGenerator",
-    "SolverOptions",
     "Subspace",
     "ThickenedTable",
     "action",

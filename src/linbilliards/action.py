@@ -122,19 +122,18 @@ def _stacked(bases: np.ndarray, grad, diag, off):
     return grad, H.reshape(k * m, k * m)
 
 
-def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
-             coincidence_tol: float = COINCIDENCE_TOL) -> np.ndarray:
+def gradient(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B) -> np.ndarray:
     """Intrinsic gradient (k, m) of the path length at the chain.
 
     Row i is B_i (n(q_i, q_{i-1}) - n(q_{i+1}, q_i)); all rows vanish
     exactly when the tangential-momentum law holds at every vertex.
     """
-    model = hessian(arr, itinerary, A, chain, B, coincidence_tol)
+    model = hessian(arr, itinerary, A, chain, B)
     return model.gradient.reshape(model.bases.shape[:2])
 
 
-def gradient_stacked(arr, itinerary, A, chain, B, **kw) -> np.ndarray:
-    return gradient(arr, itinerary, A, chain, B, **kw).reshape(-1)
+def gradient_stacked(arr, itinerary, A, chain, B) -> np.ndarray:
+    return gradient(arr, itinerary, A, chain, B).reshape(-1)
 
 
 class HessianModel:
@@ -158,7 +157,7 @@ class HessianModel:
     """
 
     def __init__(self, arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
-                 coincidence_tol: float = COINCIDENCE_TOL, edge_pass=None):
+                 edge_pass=None):
         self.chain = chain
         self.bases = arr.bases_of(itinerary)   # (k, m, dim)
         if edge_pass is None:
@@ -167,7 +166,7 @@ class HessianModel:
             lengths = edge_pass[0]
         scale = max(float(np.linalg.norm(np.asarray(B, dtype=float)
                                          - np.asarray(A, dtype=float))), 1e-30)
-        if np.any(lengths <= coincidence_tol * scale):
+        if np.any(lengths <= COINCIDENCE_TOL * scale):
             raise NonSmoothPoint("consecutive path points coincide")
         if edge_pass is None:
             _, units, grad, diag, off = _edge_terms(edges, lengths)
@@ -272,12 +271,11 @@ class HessianModel:
         return float(np.max(np.abs(H - H.T))) if H.size else 0.0
 
 
-def hessian(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
-            coincidence_tol: float = COINCIDENCE_TOL) -> HessianModel:
+def hessian(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B) -> HessianModel:
     """Exact Hessian of the path length at a smooth chain."""
     A = _as_vector(A, arr.dim, "anchor A")
     B = _as_vector(B, arr.dim, "anchor B")
-    return HessianModel(arr, itinerary, A, chain, B, coincidence_tol)
+    return HessianModel(arr, itinerary, A, chain, B)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .scattering import (
     patch_to_csv,
     sample_relation,
 )
-from .solver import Classification, SolverOptions, minimize
+from .solver import Classification, minimize
 from .symmetry import conservation_report, generators_from_json, report_to_csv
 from .thickened import (
     ThickenedTable,
@@ -106,10 +106,6 @@ def _check_counts(args, *names) -> None:
             raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {n}")
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(grad_tol=args.grad_tol, coincidence_tol=args.coincidence_tol)
-
-
 def _load_problem(args):
     arr = load_arrangement(args.arrangement)
     itinerary = Itinerary.from_labels(arr, args.itinerary.split(","))
@@ -126,9 +122,8 @@ def cmd_solve(args) -> int:
     arr, itinerary = _load_problem(args)
     A = _parse_vector(args.A)
     B = _parse_vector(args.B)
-    opts = _solver_options(args)
     out = _out_dir(args)
-    result = minimize(arr, itinerary, A, B, opts)
+    result = minimize(arr, itinerary, A, B)
     payload = {
         "classification": str(result.classification),
         "value": result.value,
@@ -162,7 +157,6 @@ def cmd_scatter(args) -> int:
     A = _parse_vector(args.A)
     B = _parse_vector(args.B)
     out = _out_dir(args)
-    opts = _solver_options(args)
     rng = np.random.default_rng(args.seed)
     # generic rotation of the grid axes avoids symmetry-degenerate stencils
     axes_A = np.linalg.qr(rng.standard_normal((arr.dim, arr.dim)))[0].T
@@ -174,8 +168,7 @@ def cmd_scatter(args) -> int:
     for level, spacing in enumerate(base_spacing * 0.5 ** np.arange(args.levels)):
         grid_A = AnchorGrid(A, axes_A, args.half, float(spacing))
         grid_B = AnchorGrid(B, axes_B, args.half, float(spacing))
-        patch_l = sample_relation(arr, itinerary, grid_A, grid_B, opts,
-                                  jobs=args.jobs)
+        patch_l = sample_relation(arr, itinerary, grid_A, grid_B, jobs=args.jobs)
         residuals[float(spacing)] = lagrangian_residual(patch_l)
         if patch is None:
             patch = patch_l
@@ -218,7 +211,6 @@ def cmd_thicken(args) -> int:
             setattr(args, name, default)
     arr, itinerary = _load_problem(args)
     out = _out_dir(args)
-    opts = _solver_options(args)
     if simulating:
         parts = args.simulate.split(";")
         if len(parts) != 2:
@@ -244,7 +236,7 @@ def cmd_thicken(args) -> int:
     A = _parse_vector(args.A)
     B = _parse_vector(args.B)
     r_list = _parse_vector(args.r_list, "radius list").tolist()
-    entries = r_family(arr, itinerary, A, B, r_list, opts)
+    entries = r_family(arr, itinerary, A, B, r_list)
     with open(out / "rfamily.csv", "w") as fh:
         fh.write("r,deviation,honest,itinerary_match,value,error\n")
         for e in entries:
@@ -264,11 +256,9 @@ def cmd_origami(args) -> int:
     _check_counts(args, "max_len", "budget", "jobs")
     arr, itinerary = _load_problem(args)
     out = _out_dir(args)
-    opts = _solver_options(args)
     payload = {"itinerary_bound": itinerary_bound(arr)}
     if args.A and args.B:
-        result = minimize(arr, itinerary, _parse_vector(args.A),
-                          _parse_vector(args.B), opts)
+        result = minimize(arr, itinerary, _parse_vector(args.A), _parse_vector(args.B))
         if result.is_valid:
             u = unfold(result.trajectory)
             developed = develop_planar(result.trajectory)
@@ -283,7 +273,7 @@ def cmd_origami(args) -> int:
         else:
             payload["unfolding"] = {"classification": str(result.classification)}
     rows = search_realizable(arr, args.max_len, args.budget, seed=args.seed,
-                             opts=opts, jobs=args.jobs)
+                             jobs=args.jobs)
     search_to_csv(rows, out / "realizability.csv")
     realized = [len(r.labels) for r in rows if r.status == "realized"]
     payload["max_realized_length"] = max(realized) if realized else 0
@@ -382,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-file", default=None,
                         help="also write the run log to this file")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = SolverOptions()
 
     def common(p, needs_itinerary=True):
         p.add_argument("--arrangement", required=True)
@@ -390,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--itinerary", required=True,
                            help="comma-separated subspace names")
         p.add_argument("--out", required=True)
-        p.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
-        p.add_argument("--coincidence-tol", type=float, default=defaults.coincidence_tol)
 
     p = sub.add_parser("solve", help="solve one itinerary between two anchors")
     common(p)

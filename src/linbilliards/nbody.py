@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
-from .errors import PACKAGE_ERRORS, InputError, PreconditionError
-from .solver import SolverOptions, minimize
+from .errors import InputError, PreconditionError
+from .solver import minimize
 from .symmetry import RotationGenerator
 from .trajectory import BilliardTrajectory, max_reflection_residual
 
@@ -240,8 +240,7 @@ class SliceValidation:
 
 
 def cross_validate_slice(s: ScatterSlice, sample_budget: int = 100,
-                         seed: int = 0,
-                         opts: SolverOptions = SolverOptions()) -> SliceValidation:
+                         seed: int = 0) -> SliceValidation:
     """Realize sampled slice points as explicit embedded trajectories and
     check them against the generic solver.
 
@@ -250,7 +249,9 @@ def cross_validate_slice(s: ScatterSlice, sample_budget: int = 100,
     anchor, the 1-3 collision one time unit later (positions are our
     construction; the slice prescribes only velocities).  The reflection
     residuals vanish by construction; the solver must recover the same chain
-    from the anchors alone, which is the uniqueness cross-check.
+    from the anchors alone, which is the uniqueness cross-check.  A refused
+    or non-valid solve is a solver miss; a solver failure (MaxIterations)
+    propagates.
     """
     sys = NBodySystem(3, 2, MASSES_THIRD, reduce_cm=True)
     arr = build_arrangement(sys)
@@ -281,8 +282,8 @@ def cross_validate_slice(s: ScatterSlice, sample_budget: int = 100,
         traj = BilliardTrajectory(A, B, chain, itin)
         worst_residual = max(worst_residual, max_reflection_residual(arr, traj))
         try:
-            result = minimize(arr, itin, A, B, opts)
-        except PACKAGE_ERRORS:
+            result = minimize(arr, itin, A, B)
+        except (InputError, PreconditionError):
             misses += 1
             continue
         if not result.is_valid:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import Arrangement, Itinerary, angle_between, principal_angle
-from .errors import PACKAGE_ERRORS, InputError, PreconditionError
-from .solver import SolverOptions, minimize
+from .errors import InputError, PreconditionError
+from .solver import minimize
 from .trajectory import BilliardTrajectory
 
 
@@ -178,7 +178,7 @@ _SAMPLE_RADII = [(1.0, 1.0), (1.0, 10.0), (10.0, 1.0), (10.0, 10.0)]
 
 
 def _search_one(task) -> SearchRow:
-    arr, combo, sample_budget, seed, opts, use_angle_filter = task
+    arr, combo, sample_budget, seed, use_angle_filter = task
     labels = tuple(arr.subspaces[i].name for i in combo)
     if use_angle_filter and not angle_prefilter_passes(arr, combo):
         return SearchRow(labels, "not-found",
@@ -192,8 +192,8 @@ def _search_one(task) -> SearchRow:
         B = _sample_anchor(rng, arr.dim, rB)
         used = s + 1
         try:
-            result = minimize(arr, itinerary, A, B, opts)
-        except PACKAGE_ERRORS:
+            result = minimize(arr, itinerary, A, B)
+        except (InputError, PreconditionError):
             continue
         if result.is_valid:
             return SearchRow(labels, "realized", witness_A=A, witness_B=B,
@@ -203,8 +203,7 @@ def _search_one(task) -> SearchRow:
 
 
 def search_realizable(arr: Arrangement, max_len: int, sample_budget: int,
-                      seed: int = 0, opts: SolverOptions = SolverOptions(),
-                      use_angle_filter: bool = True,
+                      seed: int = 0, use_angle_filter: bool = True,
                       jobs: int = 1) -> list[SearchRow]:
     """Try to realize every repeat-free itinerary up to max_len.
 
@@ -214,7 +213,8 @@ def search_realizable(arr: Arrangement, max_len: int, sample_budget: int,
     the radius is immaterial; direction coverage is what matters.
     "realized" comes with a witness; "not-found" is inconclusive by design.  Itineraries are independent and
     fan out over a process pool when jobs > 1; the row order (and content,
-    seeds being per-itinerary) never depends on the worker count.
+    seeds being per-itinerary) never depends on the worker count.  A solver
+    failure (MaxIterations) propagates rather than count as a miss.
     """
     # with a single subspace the only repeat-free itinerary has length 1, so
     # the pairwise-angle bound is not needed (nor defined)
@@ -222,7 +222,7 @@ def search_realizable(arr: Arrangement, max_len: int, sample_budget: int,
     if max_len > bound + 1:
         raise PreconditionError(
             f"max_len {max_len} exceeds the itinerary bound {bound} plus one")
-    tasks = [(arr, combo, sample_budget, seed, opts, use_angle_filter)
+    tasks = [(arr, combo, sample_budget, seed, use_angle_filter)
              for combo in enumerate_itineraries(arr, max_len)]
     if jobs > 1:
         import concurrent.futures

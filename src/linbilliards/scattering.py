@@ -18,14 +18,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .action import Chain, _to_points
 from .arrangement import Arrangement, Itinerary
-from .errors import PACKAGE_ERRORS, InputError, PreconditionError
-from .solver import MinimizeResult, SolverOptions, minimize
+from .errors import InputError, PreconditionError
+from .solver import MinimizeResult, minimize
 from .trajectory import OrientedLine, boundary_lines
 
 
@@ -161,28 +161,28 @@ def _predicted_chain(result: MinimizeResult, A0, B0, A1, B1) -> Chain:
     return Chain(coords, _to_points(model.bases, coords))
 
 
-def _solve_cell(arr, itinerary, A, B, opts, start):
-    """One cell's result from the start chain (None: from opts as given),
-    or None where the solver raises a package error."""
+def _solve_cell(arr, itinerary, A, B, start):
+    """One cell's result from the start chain (None: a cold solve), or None
+    where the cell's input is refused (InputError, PreconditionError); a
+    solver failure propagates."""
     try:
-        return minimize(arr, itinerary, A, B,
-                        opts if start is None else replace(opts, initial_chain=start))
-    except PACKAGE_ERRORS:
+        return minimize(arr, itinerary, A, B, initial_chain=start)
+    except (InputError, PreconditionError):
         return None
 
 
 def _solve_row(task):
     """Samples of the cells (A, B) for B in Bs, in order.  task is (arr,
-    itinerary, A, Bs, opts, start): the first cell starts from the chain
-    start (None: from opts as given), each cell after a valid one from the
-    tangent prediction made at that valid cell, and each cell after an
-    absent one from opts as given."""
-    arr, itinerary, A, Bs, opts, start = task
+    itinerary, A, Bs, start): the first cell starts from the chain start
+    (None: a cold solve), each cell after a valid one from the tangent
+    prediction made at that valid cell, and each cell after an absent one
+    cold."""
+    arr, itinerary, A, Bs, start = task
     if itinerary is None:
         return [free_motion_sample(arr, A, B) for B in Bs]
     samples = []
     for n, B in enumerate(Bs):
-        result = _solve_cell(arr, itinerary, A, B, opts, start)
+        result = _solve_cell(arr, itinerary, A, B, start)
         valid = result is not None and result.is_valid
         samples.append(RelationSample.from_result(result, A, B) if valid else None)
         start = (_predicted_chain(result, A, B, A, Bs[n + 1])
@@ -192,7 +192,6 @@ def _solve_row(task):
 
 def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
                     grid_A: AnchorGrid, grid_B: AnchorGrid,
-                    opts: SolverOptions = SolverOptions(),
                     jobs: int = 1) -> RelationPatch:
     """Solve the billiard problem on every (A, B) grid cell.
 
@@ -201,13 +200,13 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
     every cell after a valid one starts from the chain that the relation's
     tangent at that cell predicts (``_predicted_chain``), which the solver
     polishes directly at the grid spacings used here (see
-    ``solver.minimize``); a cell after an absent one is solved from ``opts``
-    as given.  The first cell of the first row, the base, is solved from
-    ``opts`` as given, here, before any fan-out; every other row's first
-    cell starts from the base's prediction at its A (B unchanged).  Rows
-    are independent after that; with jobs > 1 they fan out over a process
-    pool and are merged back by grid index, so the result does not depend
-    on the worker count.
+    ``solver.minimize``); a cell after an absent one is solved cold.  The
+    first cell of the first row, the base, is solved cold, here, before any
+    fan-out; every other row's first cell starts from the base's prediction
+    at its A (B unchanged).  Rows are independent after that; with jobs > 1
+    they fan out over a process pool and are merged back by grid index, so
+    the result does not depend on the worker count.  A cell whose input the
+    solver refuses is absent; a solver failure (MaxIterations) propagates.
     """
     b_indices = list(grid_B.indices())
     Bs = [grid_B.point(ib) for ib in b_indices]
@@ -215,7 +214,7 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
     As = [grid_A.point(ia) for ia in a_indices]
     row_Bs, starts, head = [Bs] * len(As), [None] * len(As), []
     if itinerary is not None:
-        base = _solve_cell(arr, itinerary, As[0], Bs[0], opts, None)
+        base = _solve_cell(arr, itinerary, As[0], Bs[0], None)
         valid = base is not None and base.is_valid
         head = [RelationSample.from_result(base, As[0], Bs[0]) if valid else None]
         # the first row goes on at its second cell
@@ -223,7 +222,7 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
         if valid:
             starts = [_predicted_chain(base, As[0], Bs[0], A, row[0]) if row else None
                       for A, row in zip(As, row_Bs)]
-    tasks = [(arr, itinerary, A, row, opts, start)
+    tasks = [(arr, itinerary, A, row, start)
              for A, row, start in zip(As, row_Bs, starts)]
     if jobs > 1:
         import concurrent.futures

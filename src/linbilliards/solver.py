@@ -57,7 +57,7 @@ A smooth start needs no continuation at all.  When the caller's initial
 chain already lies in Newton's quadratic basin -- its first exact (mu = 0)
 Newton step is at most WARM_GATE of the chain's shortest edge, as for the
 solved chain of a neighbouring anchor pair -- the solver polishes it by exact
-Newton past grad_tol and, if no gap sinks to the merge threshold on the way,
+Newton past GRAD_TOL and, if no gap sinks to the merge threshold on the way,
 classifies it directly (iterations == 0).  A smooth critical point of the
 convex path length is its global minimizer, so this classifies as a cold
 solve would.  Any other start fails the gate and runs the continuation from
@@ -111,6 +111,7 @@ class Classification(enum.Enum):
         return self.value
 
 
+GRAD_TOL = 1e-10       # a smooth solve stops at |grad| <= this; |grad| has no unit
 STEP_TOL = 1e-12       # stagnation threshold on the step norm
 ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking
 STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
@@ -120,21 +121,14 @@ CERT_WINDOW = 10.0     # certify a stage once an interior gap is within this * m
 CERT_TRIES = 4         # thresholds tried per certificate
 CERT_RESIDUAL = 1e-12  # stationarity residual accepted as rounding
 MULTIPLIER_STEPS = 30  # Newton steps of the collapsed-multiplier search
-INSIDE = 0.25          # a start row on or outside its ball is scaled to this * bound
+INSIDE = 0.25          # a start row with |v|^2 above this * bound is scaled to it
 WARM_GATE = 1e-2       # warm start: first exact Newton step / shortest edge
-WARM_AIM = 1e-4        # warm polish targets this * grad_tol, accepts grad_tol
+WARM_AIM = 1e-4        # warm polish targets this * GRAD_TOL, accepts GRAD_TOL
 POLISH_ITERS = 400     # Newton steps of the exact polish, cold or warm
 EDGE_TOL = 1e-9        # edge direction within this of a subspace lies inside it
 LIFT = 1e-8            # reduced exact Hessian: eigenvalues up to this * max are lifted
 PLANS = 4              # entries of each solve-plan cache (itineraries, run sets)
 GHOST_MESSAGE = "consecutive vertices collapse; minimizer leaves the trajectory space"
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    grad_tol: float = 1e-10          # on |grad|, which has no unit
-    coincidence_tol: float = COINCIDENCE_TOL  # gap below this * scale is a ghost point
-    initial_chain: Chain | None = None
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,7 @@ class MinimizeResult:
     smallest eigenvalue of its normal-form operator, is computed from it on
     first read; so is ``lower_bound``, from the ``multipliers`` (stacked
     bases, anchors and edge multipliers) of a VALID or certified GHOST result.
-    A GHOST without a certificate, a chain that ended within coincidence_tol
+    A GHOST without a certificate, a chain that ended within COINCIDENCE_TOL
     * scale of a collapse, has no multipliers and no lower bound.
     """
 
@@ -592,8 +586,8 @@ def _lowest_multipliers(p, start, kernel, bound):
     |v_e| < r = sqrt(bound) on every edge would keep below r sum_e |p_e|.
     Otherwise infeasible-start Newton on the barrier -sum_e log(bound -
     |v_e|^2) over the affine set (Boyd & Vandenberghe, sec. 10.3) runs from
-    start, whose rows on (to 2 CERT_RESIDUAL) or outside their ball are first
-    scaled into it.  A point is p + K z + y, K the kernel and y the residual
+    start, whose rows with |v_e|^2 above INSIDE * bound are first scaled to
+    it.  A point is p + K z + y, K the kernel and y the residual
     off the affine set: each Newton step removes y and moves z by the solve
     of the d x d reduced system, and is halved only while a norm would reach
     the bound (y then shrinks by the untaken fraction).  The first full step
@@ -611,8 +605,8 @@ def _lowest_multipliers(p, start, kernel, bound):
     if kernel.shape[2] == 0 or p @ p > (1.0 + 1e-12) * reach:
         return None
     norms2 = (start * start).sum(axis=1)
-    # from a row that close to the surface the barrier's steps stay too short
-    outside = norms2 >= (math.sqrt(bound) - 2.0 * CERT_RESIDUAL) ** 2
+    # from a row near the surface the barrier's steps stay too short
+    outside = norms2 > INSIDE * bound
     v = start.copy()
     v[outside] *= np.sqrt(INSIDE * bound / norms2[outside])[:, None]
     z = K.T @ (v.reshape(-1) - p)
@@ -711,7 +705,7 @@ def _certify_ghost(problem, x, mu2, floor):
 
 
 def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
-             opts: SolverOptions = SolverOptions()) -> MinimizeResult:
+             initial_chain: Chain | None = None) -> MinimizeResult:
     """Find the global minimizer of the path length over the chain space.
 
     Uniqueness of the minimum is a theorem for anchors off the collision
@@ -719,7 +713,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     continuation from any start, and a VALID or certified GHOST result
     proves itself: its lower_bound bounds the length of every chain from
     below and meets its value up to rounding.
-    Without opts.initial_chain it starts from the spring chain, the minimizer
+    Without initial_chain it starts from the spring chain, the minimizer
     of the sum of squared edge lengths; a certified ghost is returned as
     GHOST at once, since its collapsed runs give it a zero-length edge.
 
@@ -747,29 +741,28 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         raise PreconditionError("anchors must lie off the collision locus")
     scale = max(scale, near_A, near_B)
 
-    if opts.initial_chain is not None:
-        _check_start(arr, itinerary, opts.initial_chain)
-    coincidence = opts.coincidence_tol * scale
+    if initial_chain is not None:
+        _check_start(arr, itinerary, initial_chain)
+    coincidence = COINCIDENCE_TOL * scale
 
     if arr.bases.shape[1] == 0:
         # chain is pinned (all subspaces zero-dimensional); nothing to minimize
         chain = Chain.from_coords(arr, itinerary, np.zeros((len(itinerary), 0)))
-        return _classify(arr, itinerary, A, chain, B, opts,
-                         action(A, chain.points, B), 0)
+        return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0)
 
     problem = _StackedProblem(arr.bases_of(itinerary), A, B)
     detect = MERGE_DETECT * scale
-    if opts.initial_chain is None:
+    if initial_chain is None:
         # the minimizer of the smoothed length's limit as mu grows
         x = _spring_coords(problem)
     else:
-        x = problem.coords_of(opts.initial_chain.points)
+        x = problem.coords_of(initial_chain.points)
         # a caller's chain in Newton's basin (a solved neighbour) is polished
         # at mu = 0 directly; any other falls through to the continuation
-        warm = _warm_polish(problem, x, opts.grad_tol, detect, POLISH_ITERS)
+        warm = _warm_polish(problem, x, GRAD_TOL, detect, POLISH_ITERS)
         if warm is not None:
             x, value = warm
-            return _classify(arr, itinerary, A, _iterate_chain(problem, x), B, opts,
+            return _classify(arr, itinerary, A, _iterate_chain(problem, x), B,
                              value, 0, problem.exact_pass(x))
 
     # continuation in the smoothing parameter; warm-started Newton each stage,
@@ -802,12 +795,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         x, value, grad_norm, reason = _damped_newton(
             x, partial(problem.derivatives, mu2=0.0),
             partial(problem.value, mu2=0.0), _add_step,
-            opts.grad_tol, STEP_TOL, max_iters=POLISH_ITERS)
-        if grad_norm > opts.grad_tol:
+            GRAD_TOL, STEP_TOL, max_iters=POLISH_ITERS)
+        if grad_norm > GRAD_TOL:
             raise MaxIterations(
                 f"exact polish stalled ({reason}) with |grad| = {grad_norm:.3e}")
     chain = _iterate_chain(problem, x)
-    return _classify(arr, itinerary, A, chain, B, opts, action(A, chain.points, B),
+    return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B),
                      iterations, problem.exact_pass(x))
 
 
@@ -840,8 +833,8 @@ def _iterate_chain(problem: _StackedProblem, x: np.ndarray) -> Chain:
     return Chain(x.reshape(problem.k, problem.m), problem.points_of(x))
 
 
-def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
-              value: float, iterations: int, edge_pass=None) -> MinimizeResult:
+def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
+              edge_pass=None) -> MinimizeResult:
     """Classify the solved chain from one HessianModel, the exact kernel pass
     at the chain: its coincidence test is the ghost test, and its unit edges,
     tangential projections a_in / a_out and gradient give the rest.  A VALID
@@ -859,7 +852,7 @@ def _classify(arr, itinerary, A, chain, B, opts: SolverOptions,
         return MinimizeResult(chain, value, grad_norm, cls, None, iterations, msg)
 
     try:
-        model = HessianModel(arr, itinerary, A, chain, B, opts.coincidence_tol, edge_pass)
+        model = HessianModel(arr, itinerary, A, chain, B, edge_pass)
     except NonSmoothPoint:
         return done(Classification.GHOST, math.nan, msg=GHOST_MESSAGE)
 

@@ -20,9 +20,10 @@ import numpy as np
 
 from .arrangement import Arrangement, Itinerary, _as_vector, _line_tube, _perp, _row_dot
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
-from .action import _edge_terms, _stacked, action
-from .solver import (SolverOptions, _check_size, _damped_newton, _spring_coords, _stages,
-                     _StackedProblem, minimize)
+from . import solver
+from .action import COINCIDENCE_TOL, _edge_terms, _stacked, action
+from .solver import (_check_size, _damped_newton, _spring_coords, _stages, _StackedProblem,
+                     minimize)
 from .trajectory import TRANSVERSE_TOL, BilliardTrajectory, is_transverse
 
 CORNER_TOL = 1e-9
@@ -196,8 +197,8 @@ class ThickenedMinimizeResult:
     message: str = ""
 
 
-def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
-                       opts: SolverOptions = SolverOptions()) -> ThickenedMinimizeResult:
+def minimize_thickened(table: ThickenedTable, itinerary: Itinerary,
+                       A, B) -> ThickenedMinimizeResult:
     """Minimize the path length with each vertex confined to its solid cylinder.
 
     An interior-point continuation (Boyd & Vandenberghe, sec. 11.3): each of
@@ -207,7 +208,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
     / s is about 2 mu / rho, so the force is small at a free vertex and the
     slack at a pressed one.  Once they differ by SPLIT at every vertex and no
     interior gap is within SPLIT mu, the pressed vertices are polished on
-    their walls at mu = 0; a polish within grad_tol and with no wall force
+    their walls at mu = 0; a polish within GRAD_TOL and with no wall force
     below -1e-10 is the minimizer: honest when every vertex is on its wall
     and the direction jumps there, a ghost otherwise.  Unpolished after the
     last stage, a chain with a collapsed interior edge is a corner ghost
@@ -237,25 +238,26 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary, A, B,
         gap = problem.edge_pass(points, 0.0)[1][1:-1].min(initial=math.inf)
         split = np.all(np.maximum(slack, force) >= SPLIT * np.minimum(slack, force))
         if split and gap > SPLIT * mu:
-            result = _polished(table, itinerary, A, B, points, force > slack, opts)
+            result = _polished(table, itinerary, A, B, points, force > slack)
             if result is not None:
                 return result
-    if gap > opts.coincidence_tol * scale:
+    if gap > COINCIDENCE_TOL * scale:
         raise MaxIterations("thickened continuation ended without a polished minimizer")
     return ThickenedMinimizeResult(points, action(A, points, B), False, (force > slack).tolist(),
                                    math.nan, [0.0] * len(points), "ghost: collapsed at a corner")
 
 
-def _polished(table, itinerary, A, B, points, pressed, opts):
+def _polished(table, itinerary, A, B, points, pressed):
     """The chain polished from points at mu = 0 with the pressed vertices on
-    their walls; None unless it meets grad_tol with every wall force >= -1e-10."""
+    their walls; None unless it meets solver.GRAD_TOL (floored at 1e-12)
+    with every wall force >= -1e-10."""
     problem = _WallProblem(table, itinerary, A, B, pressed)
     points, value, kkt, _ = _damped_newton(
         problem.retract(points, np.zeros(points.size), 0.0), problem.lifted, problem.value,
-        problem.retract, max(opts.grad_tol, 1e-13), 0.0, max_iters=60)
+        problem.retract, max(solver.GRAD_TOL, 1e-13), 0.0, max_iters=60)
     grad = _edge_terms(*problem.edge_pass(points, 0.0))[2]
     forces = np.where(pressed, -_row_dot(grad, problem.normals(points)), 0.0)
-    if not (kkt <= max(opts.grad_tol, 1e-12) and forces.min() >= -1e-10):
+    if not (kkt <= max(solver.GRAD_TOL, 1e-12) and forces.min() >= -1e-10):
         return None
     # the ambient gradient n_in - n_out at a vertex is its direction jump
     honest = bool(pressed.all() and (forces > 0).all()
@@ -425,15 +427,14 @@ class RFamilyEntry:
     replay: ThickenedPath | None = None
 
 
-def r_family(arr: Arrangement, itinerary: Itinerary, A, B, r_list,
-             opts: SolverOptions = SolverOptions()) -> list[RFamilyEntry]:
+def r_family(arr: Arrangement, itinerary: Itinerary, A, B, r_list) -> list[RFamilyEntry]:
     """Thickened minimizers for a shrinking family of radii, compared against
     the transverse point billiard they converge to.
 
     The point problem must solve to a valid transverse trajectory; per-radius
     failures are recorded, not raised.
     """
-    point_result = minimize(arr, itinerary, A, B, opts)
+    point_result = minimize(arr, itinerary, A, B)
     if not point_result.is_valid:
         raise PreconditionError(
             f"point billiard solve is {point_result.classification}, not valid")
@@ -445,7 +446,7 @@ def r_family(arr: Arrangement, itinerary: Itinerary, A, B, r_list,
     for r in r_list:
         table = ThickenedTable(arr, float(r))
         try:
-            result = minimize_thickened(table, itinerary, A, B, opts)
+            result = minimize_thickened(table, itinerary, A, B)
             deviation = float(np.max(np.linalg.norm(result.points - reference, axis=1)))
             replay = replay_honest(table, result, A, len(itinerary)) if result.honest else None
             match = replay is not None and replay.itinerary_labels == labels

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import math
 import os
 
@@ -10,9 +11,26 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-from linbilliards import nbody
+from linbilliards import nbody, solver
 from linbilliards.arrangement import Arrangement, Subspace
 from linbilliards.action import Chain, action, gradient
+
+
+@contextlib.contextmanager
+def grad_tol(value):
+    """solver.GRAD_TOL set to value inside the block, in this process only:
+    a worker of a jobs > 1 pool would not see it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "GRAD_TOL", value)
+        yield
+
+
+@pytest.fixture
+def tight():
+    """The whole test solves with solver.GRAD_TOL = 1e-13, for checks that
+    need a polish past the library's 1e-10."""
+    with grad_tol(1e-13):
+        yield
 
 
 @pytest.fixture
@@ -172,11 +190,11 @@ def random_start_solves(arr, itinerary, A, B, n_starts, seed=0):
     (results, chain_spread, value_spread), the largest vertex distance and
     the largest value difference between any two of them.  Uniqueness of
     the global minimum predicts that they all agree."""
-    from linbilliards.solver import SolverOptions, minimize
+    from linbilliards.solver import minimize
     rng = np.random.default_rng(seed)
     radius = 10.0 * float(np.linalg.norm(np.asarray(B, float) - np.asarray(A, float)))
     results = [minimize(arr, itinerary, A, B,
-                        SolverOptions(initial_chain=random_chain(arr, itinerary, radius, rng)))
+                        initial_chain=random_chain(arr, itinerary, radius, rng))
                for _ in range(n_starts)]
     points = np.array([r.chain.points for r in results])
     chain_spread = np.linalg.norm(points[:, None] - points[None], axis=-1).max(initial=0.0)

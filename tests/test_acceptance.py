@@ -28,7 +28,7 @@ from linbilliards.origami import (
     unfold,
 )
 from linbilliards.scattering import AnchorGrid, lagrangian_residual, sample_relation
-from linbilliards.solver import SolverOptions, minimize
+from linbilliards.solver import minimize
 from linbilliards.symmetry import conservation_report
 from linbilliards.thickened import (
     ThickenedTable,
@@ -40,10 +40,8 @@ from linbilliards.thickened import (
 from linbilliards.trajectory import reflection_residual
 
 from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, fd_gradient, fd_hessian,
-                      random_smooth_chain, random_start_solves)
+                      grad_tol, random_smooth_chain, random_start_solves)
 from test_solver import brute_force_minimum
-
-TIGHT = SolverOptions(grad_tol=1e-13)
 
 
 def _report(criterion, text):
@@ -109,13 +107,15 @@ def _solution_arrangements():
 
 
 def _valid_fixture(arr, itinerary, seed, scale=3.0):
-    """Deterministically scan anchors until the solver returns a valid billiard."""
+    """Deterministically scan anchors until the solver returns a valid
+    billiard, solved with solver.GRAD_TOL = 1e-13."""
     rng = np.random.default_rng(seed)
     for _ in range(500):
         A = rng.normal(size=arr.dim) * scale
         B = rng.normal(size=arr.dim) * scale
         try:
-            result = minimize(arr, itinerary, A, B, TIGHT)
+            with grad_tol(1e-13):
+                result = minimize(arr, itinerary, A, B)
         except Exception:
             continue
         if result.is_valid:
@@ -164,9 +164,10 @@ def test_criterion_2_derivative_oracles():
     _report(2, f"{n_checked} random chains, grad err {worst_g:.2e}, hess err {worst_h:.2e}")
 
 
+@pytest.mark.usefixtures("tight")
 def test_criterion_3_hessian_structure(twolines):
     arr, it, A, B = twolines
-    solutions = [(arr, it, A, B, minimize(arr, it, A, B, TIGHT))]
+    solutions = [(arr, it, A, B, minimize(arr, it, A, B))]
     for seed, (arr_i, it_i) in enumerate(_solution_arrangements()):
         A_i, B_i, result = _valid_fixture(arr_i, it_i, seed=100 + seed)
         solutions.append((arr_i, it_i, A_i, B_i, result))
@@ -196,7 +197,8 @@ def test_criterion_4_uniqueness(mirror, origin, twolines):
             assert_lower_bound(r)
     # brute force on the small instances (k <= 2, subspace dimension <= 2)
     for arr_i, it_i, A_i, B_i in (mirror, twolines):
-        result = minimize(arr_i, it_i, A_i, B_i, TIGHT)
+        with grad_tol(1e-13):
+            result = minimize(arr_i, it_i, A_i, B_i)
         radius = 2.0 * float(np.linalg.norm(np.asarray(A_i) - np.asarray(B_i)))
         pts, fun = brute_force_minimum(arr_i, it_i, A_i, B_i, radius=radius)
         assert abs(fun - result.value) < 1e-6
@@ -205,11 +207,12 @@ def test_criterion_4_uniqueness(mirror, origin, twolines):
                "grid+refine agrees to 1e-6")
 
 
+@pytest.mark.usefixtures("tight")
 def test_criterion_5_conservation(twolines):
     worst_momentum = 0.0
     worst_linear = 0.0
     arr, it, A, B = twolines
-    results = [(arr, it, minimize(arr, it, A, B, TIGHT))]
+    results = [(arr, it, minimize(arr, it, A, B))]
     for seed, (arr_i, it_i) in enumerate(_solution_arrangements()):
         A_i, B_i, result = _valid_fixture(arr_i, it_i, seed=300 + seed)
         results.append((arr_i, it_i, result))
@@ -235,7 +238,7 @@ def test_criterion_5_conservation(twolines):
         A_i = rng.normal(size=4) * 2
         B_i = rng.normal(size=4) * 2
         try:
-            result = minimize(arr_n, it_n, A_i, B_i, TIGHT)
+            result = minimize(arr_n, it_n, A_i, B_i)
         except Exception:
             continue
         if not result.is_valid:
@@ -253,12 +256,13 @@ def _rot2(theta):
     return np.array([[c, -s], [s, c]])
 
 
+@pytest.mark.usefixtures("tight")
 def test_criterion_6_lagrangian_residual(mirror, origin):
     worst = {}
     for name, (arr, it, A, B) in (("mirror", mirror), ("total-collision", origin)):
         grid_A = AnchorGrid(A + [0.1, 0.07], _rot2(0.37), 2, 1e-3)
         grid_B = AnchorGrid(B + [0.05, -0.1], _rot2(-0.59), 2, 1e-3)
-        patch = sample_relation(arr, it, grid_A, grid_B, TIGHT)
+        patch = sample_relation(arr, it, grid_A, grid_B)
         res = lagrangian_residual(patch)
         assert res < 1e-6
         worst[name] = res
@@ -267,7 +271,7 @@ def test_criterion_6_lagrangian_residual(mirror, origin):
         for h in (2e-2, 1e-2, 5e-3):
             ga = AnchorGrid(A + [0.1, 0.07], _rot2(0.37), 1, h)
             gb = AnchorGrid(B + [0.05, -0.1], _rot2(-0.59), 1, h)
-            residuals[h] = lagrangian_residual(sample_relation(arr, it, ga, gb, TIGHT))
+            residuals[h] = lagrangian_residual(sample_relation(arr, it, ga, gb))
         hs = sorted(residuals, reverse=True)
         slope = np.polyfit(np.log(hs), np.log([residuals[h] for h in hs]), 1)[0]
         assert abs(slope - 2.0) < 0.3
@@ -284,7 +288,8 @@ def test_criterion_7_origami(twolines):
         A_i = rng.normal(size=2) * 3
         B_i = rng.normal(size=2) * 3
         try:
-            result = minimize(arr, it, A_i, B_i, TIGHT)
+            with grad_tol(1e-13):
+                result = minimize(arr, it, A_i, B_i)
         except Exception:
             continue
         if not result.is_valid:
@@ -311,11 +316,12 @@ def test_criterion_7_origami(twolines):
                f"search realizes max length {max(realized)} <= 4")
 
 
+@pytest.mark.usefixtures("tight")
 def test_criterion_8_thickened_convergence(mirror, twolines):
     rs = [1e-1, 1e-2, 1e-3, 1e-4]
     slopes = {}
     for name, (arr, it, A, B) in (("mirror", mirror), ("twolines", twolines)):
-        entries = r_family(arr, it, A, B, rs, TIGHT)
+        entries = r_family(arr, it, A, B, rs)
         assert all(e.result is not None for e in entries)
         small = [e for e in entries if e.r <= 1e-2]
         assert all(e.result.honest and e.itinerary_match for e in small)
@@ -325,7 +331,7 @@ def test_criterion_8_thickened_convergence(mirror, twolines):
         assert abs(slope - 1.0) < 0.2
         slopes[name] = slope
 
-        point = minimize(arr, it, A, B, TIGHT)
+        point = minimize(arr, it, A, B)
         table = ThickenedTable(arr, 1e-3)
         _, lengths = curve_shorten(table, it, A, point.chain.points, B)
         assert len(lengths) == len(it) + 1
@@ -334,12 +340,13 @@ def test_criterion_8_thickened_convergence(mirror, twolines):
                "curve shortening strictly monotone")
 
 
+@pytest.mark.usefixtures("tight")
 def test_criterion_9_replay_agreement(mirror, twolines):
     worst = 0.0
     for arr, it, A, B in (mirror, twolines):
         for r in (1e-1, 1e-2, 1e-3):
             table = ThickenedTable(arr, r)
-            result = minimize_thickened(table, it, A, B, TIGHT)
+            result = minimize_thickened(table, it, A, B)
             if not result.honest:
                 continue
             path = replay_honest(table, result, A, len(it))

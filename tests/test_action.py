@@ -9,7 +9,7 @@ from linbilliards.action import Chain, action, gradient, hessian, preconditioned
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.errors import NonSmoothPoint
 
-from conftest import fd_gradient, fd_hessian, random_smooth_chain
+from conftest import fd_gradient, fd_hessian, grad_tol, random_smooth_chain
 
 
 def test_action_total_collision(origin_arr):
@@ -137,8 +137,9 @@ def test_hessian_symmetric(planes4d_arr):
 
 
 def _solved_model(arr, itinerary, A, B):
-    from linbilliards.solver import SolverOptions, minimize
-    result = minimize(arr, itinerary, A, B, SolverOptions(grad_tol=1e-14))
+    from linbilliards.solver import minimize
+    with grad_tol(1e-14):
+        result = minimize(arr, itinerary, A, B)
     assert result.is_valid
     return hessian(arr, itinerary, A, result.chain, B), result
 

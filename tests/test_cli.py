@@ -197,12 +197,16 @@ def test_thicken_simulates_each_honest_radius_once(tmp_path, mirror_json, monkey
 
 @pytest.mark.parametrize("command, flag", [
     ("solve", "--jobs"), ("solve", "--multistart"), ("solve", "--seed"),
-    ("thicken", "--seed"), ("thicken", "--jobs"), ("solve", "--max-iters")])
-def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, mirror_json,
+    ("thicken", "--seed"), ("thicken", "--jobs"), ("solve", "--max-iters"),
+    ("solve", "--grad-tol"), ("scatter", "--coincidence-tol"), ("thicken", "--grad-tol"),
+    ("origami", "--coincidence-tol")])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, mirror_json, capsys,
                                                         command, flag):
     code = main([command, "--arrangement", str(mirror_json), "--itinerary", "L1",
                  "--A", "0,1", "--B", "2,1", flag, "2", "--out", str(tmp_path / "x")])
     assert code == 64
+    # refused by the parser, not by a later usage error of the run
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def test_thicken_simulate_mode(tmp_path, mirror_json):
@@ -259,7 +263,7 @@ def test_thicken_modes_apply_their_documented_defaults(tmp_path, mirror_json,
     from linbilliards import thickened
     seen = {}
 
-    def family(arr, itinerary, A, B, r_list, opts):
+    def family(arr, itinerary, A, B, r_list):
         seen["r_list"] = r_list
         return []
 

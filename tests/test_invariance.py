@@ -281,7 +281,7 @@ def test_degenerate_inputs_keep_the_reflection_law(lam, twolines_arr):
 def test_anchor_next_to_its_first_mirror_keeps_the_reflection_law(twolines_arr):
     """An anchor 3e-8 off the line its path reflects from first: the short
     first edge's direction is known only to about 1e-8, and the exact polish
-    stops above grad_tol.  The solve raises MaxIterations rather than report
+    stops above GRAD_TOL.  The solve raises MaxIterations rather than report
     a VALID result with a momentum residual above 1e-9; a VALID result
     would have to pass validate_trajectory."""
     try:

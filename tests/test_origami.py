@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
-from linbilliards.errors import PreconditionError
+from linbilliards.errors import MaxIterations, PreconditionError
 from linbilliards.origami import (
     angle_prefilter_passes,
     collinearity_residual,
@@ -16,12 +16,10 @@ from linbilliards.origami import (
     search_to_csv,
     unfold,
 )
-from linbilliards.solver import SolverOptions, minimize
+from linbilliards.solver import minimize
 from linbilliards.trajectory import BilliardTrajectory
 
 from conftest import TWOLINE_A, TWOLINE_B
-
-TIGHT = SolverOptions(grad_tol=1e-13)
 
 
 def lines_at(theta):
@@ -38,8 +36,9 @@ def test_unfold_single_mirror(mirror_arr):
     assert u.total == pytest.approx(math.pi, abs=1e-12)
 
 
+@pytest.mark.usefixtures("tight")
 def test_unfold_two_lines_angle_sum(twolines_arr):
-    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, TIGHT)
+    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     u = unfold(result.trajectory)
     assert u.total == pytest.approx(math.pi, abs=1e-10)
     assert u.beta < math.pi
@@ -69,13 +68,15 @@ def test_law_of_sines_k1(mirror_arr):
     assert law_of_sines_residual(result.trajectory) < 1e-12
 
 
+@pytest.mark.usefixtures("tight")
 def test_law_of_sines_two_lines(twolines_arr):
-    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, TIGHT)
+    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     assert law_of_sines_residual(result.trajectory) < 1e-9
 
 
+@pytest.mark.usefixtures("tight")
 def test_law_of_sines_perturbed_chain(twolines_arr):
-    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, TIGHT)
+    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     pts = result.chain.points.copy()
     pts[0, 0] *= 1.2
     bad = BilliardTrajectory(np.asarray(TWOLINE_A), np.asarray(TWOLINE_B),
@@ -83,8 +84,9 @@ def test_law_of_sines_perturbed_chain(twolines_arr):
     assert law_of_sines_residual(bad) > 1e-3
 
 
+@pytest.mark.usefixtures("tight")
 def test_development_collinear(twolines_arr):
-    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, TIGHT)
+    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     developed = develop_planar(result.trajectory)
     assert collinearity_residual(developed) < 1e-9
     # radii are preserved by the development
@@ -92,6 +94,7 @@ def test_development_collinear(twolines_arr):
         np.linalg.norm(TWOLINE_A), abs=1e-12)
 
 
+@pytest.mark.usefixtures("tight")
 def test_development_collinear_in_3d(lines3d_arr):
     rng = np.random.default_rng(5)
     itin = Itinerary((0, 1))
@@ -99,7 +102,7 @@ def test_development_collinear_in_3d(lines3d_arr):
         A = rng.normal(size=3) * 2
         B = rng.normal(size=3) * 2
         try:
-            result = minimize(lines3d_arr, itin, A, B, TIGHT)
+            result = minimize(lines3d_arr, itin, A, B)
         except Exception:
             continue
         if result.is_valid:
@@ -111,6 +114,7 @@ def test_development_collinear_in_3d(lines3d_arr):
     pytest.fail("no valid 3d fixture found")
 
 
+@pytest.mark.usefixtures("tight")
 def test_generalized_angle_sum_codim2(planes4d_arr):
     # equal-codimension arrangement that is not lines: the ray-based angles
     # still develop to a straight line
@@ -121,7 +125,7 @@ def test_generalized_angle_sum_codim2(planes4d_arr):
         A = rng.normal(size=4) * 2
         B = rng.normal(size=4) * 2
         try:
-            result = minimize(planes4d_arr, itin, A, B, TIGHT)
+            result = minimize(planes4d_arr, itin, A, B)
         except Exception:
             continue
         if not result.is_valid:
@@ -180,6 +184,19 @@ def test_search_deterministic(twolines_arr):
         assert a.samples_used == b.samples_used
         if a.witness_A is not None:
             assert np.allclose(a.witness_A, b.witness_A)
+
+
+def test_a_solver_failure_is_not_a_miss(twolines_arr, monkeypatch):
+    """MaxIterations propagates out of the search rather than count as a
+    sample that realized nothing."""
+    import linbilliards.origami as origami_module
+
+    def failing(arr, itinerary, A, B, initial_chain=None):
+        raise MaxIterations("exact polish stalled")
+
+    monkeypatch.setattr(origami_module, "minimize", failing)
+    with pytest.raises(MaxIterations):
+        search_realizable(twolines_arr, 2, 60, seed=7)
 
 
 def test_search_csv(tmp_path, twolines_arr):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linbilliards.arrangement import Itinerary
-from linbilliards.errors import PACKAGE_ERRORS, InputError, PreconditionError
+from linbilliards.errors import InputError, MaxIterations, PreconditionError
 from linbilliards.scattering import (
     AnchorGrid,
     RelationSample,
@@ -19,7 +19,7 @@ from linbilliards.scattering import (
     sample_relation,
     scale_action,
 )
-from linbilliards.solver import SolverOptions, minimize
+from linbilliards.solver import minimize
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
 from conftest import TWOLINE_A, TWOLINE_B, fourbody, planes3d
@@ -28,9 +28,6 @@ from conftest import TWOLINE_A, TWOLINE_B, fourbody, planes3d
 def rot2(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-TIGHT = SolverOptions(grad_tol=1e-13)
 
 
 def test_reduce_examples():
@@ -44,20 +41,22 @@ def test_reduce_examples():
         reduce_line([0.0, 1.0], [2.0, 0.0])
 
 
+@pytest.mark.usefixtures("tight")
 def test_total_collision_patch_zero_sections(origin_arr):
     grid_A = AnchorGrid(np.array([3.0, 0.0]), np.eye(2), 1, 1e-2)
     grid_B = AnchorGrid(np.array([0.0, 4.0]), np.eye(2), 1, 1e-2)
-    patch = sample_relation(origin_arr, Itinerary((0,)), grid_A, grid_B, TIGHT)
+    patch = sample_relation(origin_arr, Itinerary((0,)), grid_A, grid_B)
     assert patch.valid_fraction() == 1.0
     for s in patch.samples.values():
         assert np.linalg.norm(s.ell_minus.Q) < 1e-10
         assert np.linalg.norm(s.ell_plus.Q) < 1e-10
 
 
+@pytest.mark.usefixtures("tight")
 def test_mirror_patch_dense(mirror_arr):
     grid_A = AnchorGrid(np.array([0.0, 1.0]), np.eye(2), 1, 1e-3)
     grid_B = AnchorGrid(np.array([2.0, 1.0]), np.eye(2), 1, 1e-3)
-    patch = sample_relation(mirror_arr, Itinerary((0,)), grid_A, grid_B, TIGHT)
+    patch = sample_relation(mirror_arr, Itinerary((0,)), grid_A, grid_B)
     assert patch.valid_fraction() == 1.0
 
 
@@ -80,29 +79,32 @@ def test_unrealizable_selection_gives_empty_patch(twolines_arr):
         legendrian_theta_residual(patch)
 
 
+@pytest.mark.usefixtures("tight")
 def test_lagrangian_residual_mirror_small(mirror_arr):
     grid_A = AnchorGrid(np.array([0.3, 1.1]), rot2(0.37), 2, 1e-3)
     grid_B = AnchorGrid(np.array([2.1, 0.9]), rot2(-0.59), 2, 1e-3)
-    patch = sample_relation(mirror_arr, Itinerary((0,)), grid_A, grid_B, TIGHT)
+    patch = sample_relation(mirror_arr, Itinerary((0,)), grid_A, grid_B)
     assert lagrangian_residual(patch) < 1e-6
 
 
+@pytest.mark.usefixtures("tight")
 def test_lagrangian_residual_second_order(mirror_arr):
     residuals = {}
     for h in (2e-2, 1e-2, 5e-3):
         grid_A = AnchorGrid(np.array([0.3, 1.1]), rot2(0.37), 1, h)
         grid_B = AnchorGrid(np.array([2.1, 0.9]), rot2(-0.59), 1, h)
-        patch = sample_relation(mirror_arr, Itinerary((0,)), grid_A, grid_B, TIGHT)
+        patch = sample_relation(mirror_arr, Itinerary((0,)), grid_A, grid_B)
         residuals[h] = lagrangian_residual(patch)
     hs = sorted(residuals, reverse=True)
     slope = np.polyfit(np.log(hs), np.log([residuals[h] for h in hs]), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.3)
 
 
+@pytest.mark.usefixtures("tight")
 def test_lagrangian_residual_total_collision(origin_arr):
     grid_A = AnchorGrid(np.array([3.0, 0.2]), rot2(0.2), 1, 1e-3)
     grid_B = AnchorGrid(np.array([0.1, 4.0]), rot2(0.9), 1, 1e-3)
-    patch = sample_relation(origin_arr, Itinerary((0,)), grid_A, grid_B, TIGHT)
+    patch = sample_relation(origin_arr, Itinerary((0,)), grid_A, grid_B)
     assert lagrangian_residual(patch) < 1e-6
 
 
@@ -127,11 +129,12 @@ def test_free_motion_rejects_lines_through_locus(mirror_arr):
     assert free_motion_sample(mirror_arr, [0.0, 1.0], [2.0, 1.0]) is not None
 
 
+@pytest.mark.usefixtures("tight")
 def test_legendrian_residual_two_lines(twolines_arr):
     itin = Itinerary((0, 1))
     grid_A = AnchorGrid(TWOLINE_A, rot2(0.21), 2, 5e-4)
     grid_B = AnchorGrid(TWOLINE_B, rot2(-0.43), 2, 5e-4)
-    patch = sample_relation(twolines_arr, itin, grid_A, grid_B, TIGHT)
+    patch = sample_relation(twolines_arr, itin, grid_A, grid_B)
     assert patch.valid_fraction() > 0.9
     assert legendrian_theta_residual(patch) < 1e-5
 
@@ -159,13 +162,14 @@ def test_scale_action_mirror(mirror_arr):
         scale_action(sample, 0.0)
 
 
+@pytest.mark.usefixtures("tight")
 def test_scale_action_resolve_cross_check(twolines_arr):
     itin = Itinerary((0, 1))
-    result = minimize(twolines_arr, itin, TWOLINE_A, TWOLINE_B, TIGHT)
+    result = minimize(twolines_arr, itin, TWOLINE_A, TWOLINE_B)
     sample = RelationSample.from_result(result, TWOLINE_A, TWOLINE_B)
     for lam in (0.5, 2.0, 7.0):
         scaled = scale_action(sample, lam)
-        re_solved = minimize(twolines_arr, itin, scaled.A, scaled.B, TIGHT)
+        re_solved = minimize(twolines_arr, itin, scaled.A, scaled.B)
         assert re_solved.is_valid
         tol = 1e-9 * max(1.0, lam * float(np.linalg.norm(TWOLINE_A - TWOLINE_B)))
         assert np.max(np.abs(re_solved.chain.points - scaled.chain_points)) < tol
@@ -181,14 +185,15 @@ def test_scaling_limit_shrinks_chain(twolines_arr):
     assert norms[-1] < 1e-2
 
 
+@pytest.mark.usefixtures("tight")
 def test_graph_property_ray_representatives(twolines_arr):
     # anchors sliding along their rays yield the same chain
     itin = Itinerary((0, 1))
-    result = minimize(twolines_arr, itin, TWOLINE_A, TWOLINE_B, TIGHT)
+    result = minimize(twolines_arr, itin, TWOLINE_A, TWOLINE_B)
     sample = RelationSample.from_result(result, TWOLINE_A, TWOLINE_B)
     A2 = sample.A + 0.3 * sample.vA
     B2 = sample.B + 0.4 * sample.vB
-    again = minimize(twolines_arr, itin, A2, B2, TIGHT)
+    again = minimize(twolines_arr, itin, A2, B2)
     assert again.is_valid
     assert np.max(np.abs(again.chain.points - result.chain.points)) < 1e-9
     s2 = RelationSample.from_result(again, A2, B2)
@@ -227,7 +232,7 @@ def _cold_cells(arr, itinerary, grid_A, grid_B):
             A, B = grid_A.point(ia), grid_B.point(ib)
             try:
                 result = minimize(arr, itinerary, A, B)
-            except PACKAGE_ERRORS:
+            except (InputError, PreconditionError):
                 result = None
             cells[(ia, ib)] = (RelationSample.from_result(result, A, B)
                                if result is not None and result.is_valid else None)
@@ -274,10 +279,10 @@ def test_row_walk_matches_cold_cells(twolines_arr, name, monkeypatch):
     calls = []
     real = scattering_module.minimize
 
-    def recording(arr, itinerary, A, B, opts):
-        calls.append((A, B, opts.initial_chain, None))
-        result = real(arr, itinerary, A, B, opts)
-        calls[-1] = (A, B, opts.initial_chain, result)
+    def recording(arr, itinerary, A, B, initial_chain=None):
+        calls.append((A, B, initial_chain, None))
+        result = real(arr, itinerary, A, B, initial_chain)
+        calls[-1] = (A, B, initial_chain, result)
         return result
 
     monkeypatch.setattr(scattering_module, "minimize", recording)
@@ -333,6 +338,27 @@ def test_row_walk_does_not_depend_on_jobs(twolines_arr):
             assert s1.value == s2.value
 
 
+@pytest.mark.parametrize("fail_at", [0, 1, 7])
+def test_a_solver_failure_is_not_an_absent_cell(twolines_arr, monkeypatch, fail_at):
+    """MaxIterations in any cell, the cold base or a warm one, propagates out
+    of sample_relation; only a refused input makes a cell absent."""
+    import linbilliards.scattering as scattering_module
+    real = scattering_module.minimize
+    calls = []
+
+    def failing(arr, itinerary, A, B, initial_chain=None):
+        calls.append(A)
+        if len(calls) > fail_at:
+            raise MaxIterations("exact polish stalled")
+        return real(arr, itinerary, A, B, initial_chain)
+
+    monkeypatch.setattr(scattering_module, "minimize", failing)
+    grid_A, grid_B = ROW_WALK_GRIDS["interior"]
+    with pytest.raises(MaxIterations):
+        sample_relation(twolines_arr, Itinerary((0, 1)), grid_A, grid_B)
+    assert len(calls) == fail_at + 1
+
+
 # valid solves on which the tangent predictor is checked: the two lines (k = 2
 # and k = 1, where both anchor terms land on the one block), planes3d and the
 # four-body table
@@ -348,14 +374,17 @@ PREDICTOR_CASES = {
 
 
 def _predictor_case(name, twolines_arr):
+    """The case's table, itinerary, anchors and base solve; its callers run
+    under the tight fixture."""
     table, itinerary, A, B = PREDICTOR_CASES[name]
     arr = {"twolines": twolines_arr, "planes3d": planes3d(), "four_body": fourbody()}[table]
-    base = minimize(arr, Itinerary(itinerary), A, B, TIGHT)
+    base = minimize(arr, Itinerary(itinerary), A, B)
     assert base.is_valid
     return arr, Itinerary(itinerary), A, B, base
 
 
 @pytest.mark.parametrize("name", PREDICTOR_CASES)
+@pytest.mark.usefixtures("tight")
 def test_predicted_chain_is_second_order(twolines_arr, name):
     """The tangent prediction misses the solved chain by O(h^2) along a
     direction of anchor pairs (the unpredicted chain by O(h)), and the
@@ -366,7 +395,7 @@ def test_predicted_chain_is_second_order(twolines_arr, name):
     dA, dB = rng.normal(size=arr.dim), rng.normal(size=arr.dim)
     predicted, unpredicted, central = [], [], []
     for h in (4e-3, 2e-3, 1e-3, 5e-4):
-        plus, minus = (minimize(arr, itin, A + s * h * dA, B + s * h * dB, TIGHT)
+        plus, minus = (minimize(arr, itin, A + s * h * dA, B + s * h * dB)
                        for s in (1.0, -1.0))
         chain = _predicted_chain(base, A, B, A + h * dA, B + h * dB)
         predicted.append(np.abs(chain.points - plus.chain.points).max())
@@ -379,6 +408,7 @@ def test_predicted_chain_is_second_order(twolines_arr, name):
             assert 0.9 * 2**order < coarse / fine < 1.1 * 2**order, (errors, order)
 
 
+@pytest.mark.usefixtures("tight")
 def test_predicted_chain_falls_back_to_the_solved_chain(twolines_arr):
     """A singular Hessian (LinAlgError) or a prediction that overflows gives
     the result's own chain."""
@@ -400,9 +430,9 @@ def test_patch_pass_budget(twolines_arr, kernel_passes, monkeypatch):
     real = scattering_module.minimize
     cold = []
 
-    def counting(arr, itinerary, A, B, opts):
-        cold.append(opts.initial_chain is None)
-        return real(arr, itinerary, A, B, opts)
+    def counting(arr, itinerary, A, B, initial_chain=None):
+        cold.append(initial_chain is None)
+        return real(arr, itinerary, A, B, initial_chain)
 
     monkeypatch.setattr(scattering_module, "minimize", counting)
     spacing = 1e-4 * float(np.linalg.norm(TWOLINE_B - TWOLINE_A))

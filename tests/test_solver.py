@@ -7,18 +7,19 @@ import scipy.linalg
 import scipy.optimize
 
 from linbilliards import solver
-from linbilliards.action import Chain, HessianModel, _to_points, action, gradient, hessian
+from linbilliards.action import (COINCIDENCE_TOL, Chain, HessianModel, _to_points, action,
+                                 gradient, hessian)
 from linbilliards.arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace
 from linbilliards.errors import InputError, NonSmoothPoint, PreconditionError
 from linbilliards.solver import (
     Classification,
-    SolverOptions,
     envelope_gradients,
     minimize,
 )
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
-from conftest import TWOLINE_A, TWOLINE_B, assert_lower_bound, random_chain, random_start_solves
+from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, grad_tol, random_chain,
+                      random_start_solves)
 
 
 def brute_force_minimum(arr, itinerary, A, B, radius, n_grid=21):
@@ -187,16 +188,16 @@ def test_envelope_matches_value_function_differences(twolines_arr):
     result = minimize(twolines_arr, it, A, B)
     vA, vB = envelope_gradients(result)
     h = 1e-6
-    opts = SolverOptions(grad_tol=1e-13)
     gradA = np.zeros(2)
     gradB = np.zeros(2)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        gradA[i] = (minimize(twolines_arr, it, A + e, B, opts).value
-                    - minimize(twolines_arr, it, A - e, B, opts).value) / (2 * h)
-        gradB[i] = (minimize(twolines_arr, it, A, B + e, opts).value
-                    - minimize(twolines_arr, it, A, B - e, opts).value) / (2 * h)
+    with grad_tol(1e-13):
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = h
+            gradA[i] = (minimize(twolines_arr, it, A + e, B).value
+                        - minimize(twolines_arr, it, A - e, B).value) / (2 * h)
+            gradB[i] = (minimize(twolines_arr, it, A, B + e).value
+                        - minimize(twolines_arr, it, A, B - e).value) / (2 * h)
     assert np.linalg.norm(gradA + vA) < 1e-6
     assert np.linalg.norm(gradB - vB) < 1e-6
 
@@ -204,8 +205,7 @@ def test_envelope_matches_value_function_differences(twolines_arr):
 def test_initial_chain_override(twolines_arr):
     rng = np.random.default_rng(4)
     start = random_chain(twolines_arr, Itinerary((0, 1)), 20.0, rng)
-    opts = SolverOptions(initial_chain=start)
-    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, opts)
+    result = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B, initial_chain=start)
     reference = minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     assert np.allclose(result.chain.points, reference.chain.points, atol=1e-8)
 
@@ -221,11 +221,10 @@ def test_bad_initial_chain_is_an_input_error(itinerary, coords, twolines_arr):
     scatter row turns the refusal into an absent cell."""
     from linbilliards.scattering import _solve_row
     start = Chain.from_coords(twolines_arr, Itinerary((0, 1)), coords)
-    opts = SolverOptions(initial_chain=start)
     with pytest.raises(InputError, match="initial chain"):
-        minimize(twolines_arr, Itinerary(itinerary), TWOLINE_A, TWOLINE_B, opts)
+        minimize(twolines_arr, Itinerary(itinerary), TWOLINE_A, TWOLINE_B, initial_chain=start)
     assert _solve_row((twolines_arr, Itinerary(itinerary), TWOLINE_A, [TWOLINE_B],
-                       SolverOptions(), start)) == [None]
+                       start)) == [None]
 
 
 # -- ghost certificate by weak duality ----------------------------------------
@@ -638,11 +637,12 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
 
 
 def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
-    """A start row on or outside its ball is scaled into it, and the search
-    still finds a point of the affine set inside every ball: here the line
-    through v0 (norms 0.22 and 0.32) along the plan's kernel, whose
+    """A start row with |v|^2 above INSIDE * bound is scaled to it, and the
+    search still finds a point of the affine set inside every ball: here
+    the line through v0 (norms 0.22 and 0.32) along the plan's kernel, whose
     least-norm point is p, from starts whose projections onto the line
-    miss the balls."""
+    miss the balls, one of them with rows just inside their balls (norm
+    1 - 1e-7, as a smoothed direction on a merged open edge can be)."""
     it = Itinerary((0, 1, 0))
     problem = solver._StackedProblem(twolines_arr.bases_of(it), np.array([10.0, 1.0]),
                                      np.array([10.0, -1.0]))
@@ -651,7 +651,8 @@ def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
     v0 = np.array([[0.1, 0.2], [-0.1, 0.3]])
     p = v0 - _projected_start(np.zeros_like(v0), v0, kernel)
     bound = (1.0 + solver.CERT_RESIDUAL) ** 2
-    for start in (np.array([[3.0, 0.0], [0.0, -5.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
+    for start in (np.array([[3.0, 0.0], [0.0, -5.0]]), np.array([[0.0, 1.0], [0.0, 1.0]]),
+                  np.array([[0.0, 1.0 - 1e-7], [0.0, 1.0 - 1e-7]])):
         w = _projected_start(p, start, kernel)
         assert (w * w).sum(axis=1).max() >= bound
         got = solver._lowest_multipliers(p, start, kernel, bound)
@@ -732,7 +733,7 @@ def test_four_body_partial_collapses_certify_independently_of_the_start(r):
     stages, values = set(), set()
     for eps in np.logspace(-11, -2, 14):
         start = Chain.from_coords(arr, it, chord + eps * draws.standard_normal(chord.shape))
-        result = minimize(arr, it, A, B, SolverOptions(initial_chain=start))
+        result = minimize(arr, it, A, B, initial_chain=start)
         assert result.classification is Classification.GHOST
         stages.add(result.iterations)
         values.add(result.value)
@@ -780,7 +781,7 @@ def test_ghosts_reproduce_under_rounding_changes_of_the_start(table, request):
         start = _chord(arr, it, A, B).points
         nudged = start + 1e-13 * scale * rng.standard_normal(start.shape)
         again = minimize(arr, it, A, B,
-                         SolverOptions(initial_chain=Chain.from_points(arr, it, nudged)))
+                         initial_chain=Chain.from_points(arr, it, nudged))
         assert again.classification is Classification.GHOST
         assert abs(again.value - cold.value) <= 4e-15 * cold.value
         assert np.abs(again.chain.points - cold.chain.points).max() \
@@ -821,7 +822,7 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
 def test_polish_floor_is_checked_against_the_value(grad_norm, raises, twolines_arr,
                                                    monkeypatch):
     """A polish that stops on the rounding floor is accepted only when |grad|
-    is within grad_tol (1e-10), as at max_iters: a solve never reports that
+    is within GRAD_TOL (1e-10), as at max_iters: a solve never reports that
     it converged when it only stopped moving."""
     import linbilliards.solver as solver_module
     from linbilliards.errors import MaxIterations
@@ -862,7 +863,7 @@ def test_warm_start_from_neighbour_matches_cold_solve(fixture, request):
         shift = rng.standard_normal((2, arr.dim))
         shift *= 1e-4 * scale / np.linalg.norm(shift, axis=1)[:, None]
         A2, B2 = A + shift[0], B + shift[1]
-        warm = minimize(arr, it, A2, B2, SolverOptions(initial_chain=base.chain))
+        warm = minimize(arr, it, A2, B2, initial_chain=base.chain)
         cold = minimize(arr, it, A2, B2)
         assert warm.classification is Classification.VALID
         assert cold.classification is warm.classification
@@ -891,11 +892,11 @@ def test_failed_warm_gate_runs_the_continuation_unchanged(twolines_arr, monkeypa
     rng = np.random.default_rng(8)
     starts = [random_chain(twolines_arr, it, 10.0, rng) for _ in range(10)]
     gated = [minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B,
-                      SolverOptions(initial_chain=c)) for c in starts]
+                      initial_chain=c) for c in starts]
     monkeypatch.setattr(solver_module, "_warm_polish", lambda *args: None)
     for start, result in zip(starts, gated):
         reference = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B,
-                             SolverOptions(initial_chain=start))
+                             initial_chain=start)
         assert result.iterations == reference.iterations > 0
         assert result.classification is reference.classification
         assert result.value == reference.value
@@ -909,7 +910,7 @@ def test_a_start_at_zero_gradient_passes_the_warm_gate(mirror_arr):
     it, A, B = Itinerary((0,)), np.array([0.0, 1.0]), np.array([2.0, 1.0])
     cold = minimize(mirror_arr, it, A, B)
     assert not np.any(gradient(mirror_arr, it, A, cold.chain, B))
-    again = minimize(mirror_arr, it, A, B, SolverOptions(initial_chain=cold.chain))
+    again = minimize(mirror_arr, it, A, B, initial_chain=cold.chain)
     assert again.iterations == 0 and again.is_valid
     assert again.value == cold.value
     assert again.chain.points.tobytes() == cold.chain.points.tobytes()
@@ -1102,7 +1103,7 @@ def test_value_first_core_matches_the_reference_core(twolines_arr, monkeypatch):
     it = Itinerary((0, 1))
     base = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
     warm = minimize(twolines_arr, it, TWOLINE_A + 1e-4, TWOLINE_B,
-                    SolverOptions(initial_chain=base.chain))
+                    initial_chain=base.chain)
     assert warm.iterations == 0
     assert any(start is not None for _, start, _ in seen)
     assert any(retract is not solver._add_step for retract, _, _ in seen)
@@ -1141,18 +1142,18 @@ def test_derivatives_after_value_reuse_its_edge_pass(mu2, monkeypatch):
     assert len(measured) == 3
 
 
-def _classify_by_model(arr, itinerary, A, chain, B, opts):
+def _classify_by_model(arr, itinerary, A, chain, B):
     """(classification, message, grad_norm, min eigenvalue) of a chain as
     built from the Hessian model, is_generic and the generalized symmetric
     eigenproblem H x = λ G x."""
     scale = float(np.linalg.norm(B - A))
     pts = np.vstack([A, chain.points, B])
     if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1)
-              <= opts.coincidence_tol * max(scale, 1e-30)):
+              <= COINCIDENCE_TOL * max(scale, 1e-30)):
         return (Classification.GHOST,
                 "consecutive vertices collapse; minimizer leaves the trajectory space",
                 math.nan, None)
-    model = hessian(arr, itinerary, A, chain, B, coincidence_tol=opts.coincidence_tol)
+    model = hessian(arr, itinerary, A, chain, B)
     grad_norm = float(np.linalg.norm(model.gradient))
     units = model.unit_edges
     inside = np.minimum(np.linalg.norm(units[:-1] - model.a_in, axis=1),
@@ -1218,12 +1219,11 @@ def _classify_cases(arr, rng):
 def test_classify_matches_hessian_model_and_is_generic(fixture, request):
     arr = request.getfixturevalue(fixture)
     rng = np.random.default_rng(zlib.crc32(fixture.encode()))
-    opts = SolverOptions()
     seen = set()
     for itinerary, A, coords, B, forced in _classify_cases(arr, rng):
         chain = Chain.from_coords(arr, itinerary, coords)
-        cls, msg, grad_norm, eig = _classify_by_model(arr, itinerary, A, chain, B, opts)
-        result = solver._classify(arr, itinerary, A, chain, B, opts, 1.0, 0)
+        cls, msg, grad_norm, eig = _classify_by_model(arr, itinerary, A, chain, B)
+        result = solver._classify(arr, itinerary, A, chain, B, 1.0, 0)
         assert (result.classification, result.message) == (cls, msg)
         assert forced in (None, cls)
         seen.add(cls)
@@ -1259,12 +1259,11 @@ def test_results_are_classified_from_the_final_exact_pass(table, request, monkey
     measuring path gives at the round-tripped chain."""
     arr = request.getfixturevalue(table) if isinstance(table, str) else _random_planes(table)
     rng = np.random.default_rng(zlib.crc32(str(table).encode()))
-    opts = SolverOptions()
     fed = []
     real = solver._classify
 
     def watched(*args):
-        fed.append(len(args) > 8 and args[8] is not None)
+        fed.append(len(args) > 7 and args[7] is not None)
         return real(*args)
 
     monkeypatch.setattr(solver, "_classify", watched)
@@ -1279,11 +1278,11 @@ def test_results_are_classified_from_the_final_exact_pass(table, request, monkey
             shift *= 1e-4 * scale / np.linalg.norm(shift, axis=1)[:, None]
             A2, B2 = A + shift[0], B + shift[1]
             solves.append((A2, B2, minimize(arr, it, A2, B2,
-                                            SolverOptions(initial_chain=solves[0][2].chain))))
+                                            initial_chain=solves[0][2].chain)))
         for a, b, result in solves:
             chain = result.chain
             assert chain.points.tobytes() == _to_points(arr.bases_of(it), chain.coords).tobytes()
-            parent = real(arr, it, a, Chain.from_points(arr, it, chain.points), b, opts,
+            parent = real(arr, it, a, Chain.from_points(arr, it, chain.points), b,
                           result.value, result.iterations)
             assert result.classification is parent.classification
             assert result.message == parent.message
@@ -1387,8 +1386,8 @@ def _search_and_nbody_solves(twolines_arr, monkeypatch, seed=0):
     solves = []
     real = origami.minimize
 
-    def recording(arr, it, A, B, opts):
-        result = real(arr, it, A, B, opts)
+    def recording(arr, it, A, B, initial_chain=None):
+        result = real(arr, it, A, B, initial_chain)
         solves.append((arr, it, A, B, result))
         return result
 
@@ -1423,8 +1422,8 @@ def test_certified_ghosts_are_measured_once(twolines_arr, monkeypatch):
         assert _result_bytes(result) == _result_bytes(other[4])
         if result.classification is Classification.GHOST:
             ghosts += 1
-            classified = solver._classify(arr, it, A, result.chain, B, SolverOptions(),
-                                          result.value, result.iterations)
+            classified = solver._classify(arr, it, A, result.chain, B, result.value,
+                                          result.iterations)
             assert _result_bytes(classified) == _result_bytes(result)
             assert classified.trajectory is result.trajectory is None
     assert ghosts > 400
@@ -1444,7 +1443,7 @@ def test_lower_bounds_meet_their_values(seed, twolines_arr, monkeypatch):
     assert {r.classification for r in results} >= {Classification.VALID, Classification.GHOST}
     real = scattering.minimize
     monkeypatch.setattr(scattering, "minimize",
-                        lambda *args: results.append(real(*args)) or results[-1])
+                        lambda *args, **kw: results.append(real(*args, **kw)) or results[-1])
     rng = np.random.default_rng(seed)
     axes = [np.linalg.qr(rng.standard_normal((2, 2)))[0].T for _ in range(2)]
     patch = sample_relation(twolines_arr, Itinerary((0, 1)),

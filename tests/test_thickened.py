@@ -18,7 +18,8 @@ from linbilliards.thickened import (
     replay_honest,
     simulate,
 )
-from linbilliards.solver import SolverOptions, minimize
+from linbilliards.action import COINCIDENCE_TOL
+from linbilliards.solver import GRAD_TOL, minimize
 
 from conftest import TWOLINE_A, TWOLINE_B
 
@@ -355,7 +356,7 @@ def _thickened_case(arr, rng):
 
 
 def _check_minimizer(table, itin, A, B, result):
-    """result is polished (kkt within grad_tol, no wall pulling its vertex)
+    """result is polished (kkt within GRAD_TOL, no wall pulling its vertex)
     or a corner ghost (a collapsed interior edge), with every vertex in its
     solid cylinder to 1e-9 rho."""
     arr = table.arrangement
@@ -366,9 +367,9 @@ def _check_minimizer(table, itin, A, B, result):
     if math.isnan(result.kkt_residual):
         gaps = np.linalg.norm(np.diff(np.vstack([A, result.points, B]), axis=0), axis=1)
         assert not result.honest
-        assert gaps[1:-1].min() <= SolverOptions().coincidence_tol * scale
+        assert gaps[1:-1].min() <= COINCIDENCE_TOL * scale
     else:
-        assert result.kkt_residual <= SolverOptions().grad_tol
+        assert result.kkt_residual <= GRAD_TOL
         assert min(result.multipliers) >= -1e-10
 
 
