@@ -120,6 +120,12 @@ def _out_dir(args) -> Path:
 
 def cmd_solve(args) -> int:
     arr, itinerary = _load_problem(args)
+    gens = []
+    if args.generators:
+        # a bad generator file is refused before anything is solved or written
+        gens = generators_from_json(json.loads(Path(args.generators).read_text()))
+        for gen in gens:
+            gen.validate(arr)
     A = _parse_vector(args.A)
     B = _parse_vector(args.B)
     out = _out_dir(args)
@@ -140,9 +146,6 @@ def cmd_solve(args) -> int:
     if result.trajectory is not None:
         (out / "trajectory.json").write_text(
             trajectory_to_json(result.trajectory, arr) + "\n")
-        gens = []
-        if args.generators:
-            gens = generators_from_json(json.loads(Path(args.generators).read_text()))
         report = conservation_report(arr, result.trajectory, gens)
         report_to_csv(report, gens, out / "conservation.csv")
     logger.info("solve: %s, length %.12g", result.classification, result.value)

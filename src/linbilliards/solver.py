@@ -43,16 +43,6 @@ the kernel along which the multipliers move; a Farkas test on that
 least-norm solution ends most multiplier searches that must fail before any
 Newton step, so a failed attempt is cheap.
 
-A free vertex of the reduced chain between two collapsed runs sits on a
-segment along which the exact length is flat.  The reduced exact Hessian
-therefore has every eigenvalue up to LIFT times its largest raised to the
-largest (_ReducedProblem): the polish then no longer slides that vertex to
-an end of its segment on rounding noise (where a gap below the coincidence
-floor failed the certificate); on the four-body partial collapses the tests
-draw, the stage that certifies no longer depends on rounding in the start.
-The lift changes only the steps of the reduced polish; _multipliers_certify
-still checks every chain it accepts.
-
 A smooth start needs no continuation at all.  When the caller's initial
 chain already lies in Newton's quadratic basin -- its first exact (mu = 0)
 Newton step is at most WARM_GATE of the chain's shortest edge, as for the
@@ -76,10 +66,12 @@ SVD into their pseudo-inverse and kernel), so a hit returns exactly what
 recomputing would.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
-Armijo backtracking, jittered Cholesky solve), which the certificate's
-reduced polish and the thickened barrier stages and wall polish reuse with
-their own coordinates and retractions.  The certificate's search for collapsed-edge
-multipliers minimizes no value, and is a short Newton loop of its own.
+Armijo backtracking, jittered Cholesky solve) on one problem class,
+_StackedProblem, which the certificate's reduced polish also builds over a
+run plan's reduced bases; the thickened barrier stages and wall polish reuse
+the core with their own coordinates and retractions.  The certificate's
+search for collapsed-edge multipliers minimizes no value, and is a short
+Newton loop of its own.
 
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
 mirrors the exclusions that define membership in the trajectory space.
@@ -126,7 +118,6 @@ WARM_GATE = 1e-2       # warm start: first exact Newton step / shortest edge
 WARM_AIM = 1e-4        # warm polish targets this * GRAD_TOL, accepts GRAD_TOL
 POLISH_ITERS = 400     # Newton steps of the exact polish, cold or warm
 EDGE_TOL = 1e-9        # edge direction within this of a subspace lies inside it
-LIFT = 1e-8            # reduced exact Hessian: eigenvalues up to this * max are lifted
 PLANS = 4              # entries of each solve-plan cache (itineraries, run sets)
 GHOST_MESSAGE = "consecutive vertices collapse; minimizer leaves the trajectory space"
 
@@ -271,29 +262,6 @@ class _StackedProblem:
         if last is None or last[0] is not x or last[1] != 0.0:
             return None
         return last[2:]
-
-
-class _ReducedProblem(_StackedProblem):
-    """The reduced chain of a certificate, whose exact (mu = 0) Hessian has
-    every eigenvalue up to LIFT times its largest (rounding-level curvature,
-    and the padded coordinates) raised to the largest.
-
-    A free vertex between two collapsed runs leaves the exact length flat
-    along the segment between them; Newton's step along that direction is
-    rounding noise over a rounding-level curvature, and would slide the
-    vertex to an end of the segment.  Lifted, the step stays put there.
-    """
-
-    def derivatives(self, x: np.ndarray, mu2: float):
-        value, g, H = super().derivatives(x, mu2)
-        if mu2 == 0.0:
-            # the unit diagonal of the padded coordinates is no curvature, so
-            # it does not set the scale; they are lifted with the flat ones
-            H[self.pad, self.pad] = 0.0
-            lam, V = np.linalg.eigh(H)
-            flat = lam <= LIFT * lam[-1]
-            H = H + (V[:, flat] * (lam[-1] - lam[flat])) @ V[:, flat].T
-        return value, g, H
 
 
 def _spd_solve(M: np.ndarray, b: np.ndarray):
@@ -560,7 +528,7 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
         # snapped chain is the only one, and only its edges are left to test
         _, lengths = _edge_lengths(_point_list(problem.A, points[plan.keep], problem.B))
         return points if lengths.min() > floor else None
-    reduced = _ReducedProblem(plan.reduced, problem.A, problem.B)
+    reduced = _StackedProblem(plan.reduced, problem.A, problem.B)
     y = reduced.coords_of(points[plan.keep])
     mu2 *= 1e-4
     y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
@@ -721,10 +689,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     not be: when a free vertex sits between two collapsed runs inside its own
     subspace, it slides along the segment between them at constant length,
     and the returned chain is one point of that minimizing segment, which
-    may depend on the start.  The certificate's reduced polish holds that
-    vertex in place rather than sliding it on rounding noise: on the
-    four-body ghosts of this kind that the tests draw, starts moved by up
-    to 1e-2 all certify at one stage with one value.
+    may depend on the start.
     """
     # copies: a result's multipliers keep the anchors for its lower bound
     A = np.array(A, dtype=float)

@@ -33,6 +33,8 @@ class RotationGenerator:
         object.__setattr__(self, "xi", xi)
         if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
             raise InputError("generator must be a square matrix")
+        if not np.isfinite(xi).all():
+            raise InputError("generator must be finite")
 
     def skew_defect(self) -> float:
         return float(np.max(np.abs(self.xi + self.xi.T)))
@@ -46,6 +48,8 @@ class RotationGenerator:
         return worst
 
     def validate(self, arr: Arrangement) -> None:
+        if self.xi.shape != (arr.dim, arr.dim):
+            raise PreconditionError(f"generator {self.name!r} is not {arr.dim} x {arr.dim}")
         if self.skew_defect() > SKEW_TOL:
             raise PreconditionError(f"generator {self.name!r} is not skew-symmetric")
         if self.preservation_defect(arr) > PRESERVE_TOL:
@@ -132,12 +136,16 @@ def report_to_csv(report: ConservationReport, gens: list[RotationGenerator],
 
 
 def generators_from_json(data) -> list[RotationGenerator]:
-    """Generators from a JSON list of {"name": ..., "xi": [[...], ...]}."""
+    """Generators from a JSON list of {"name": ..., "xi": [[...], ...]};
+    InputError on anything but a list of objects with a numeric xi."""
+    if not isinstance(data, list):
+        raise InputError("generator JSON must be a list of objects")
     out = []
     for entry in data:
+        # entry["xi"] is a KeyError or TypeError on anything but an object with an xi
         try:
-            out.append(RotationGenerator(str(entry.get("name", f"g{len(out)}")),
-                                         np.asarray(entry["xi"], dtype=float)))
-        except (KeyError, TypeError) as exc:
+            xi = np.asarray(entry["xi"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed generator JSON: {exc}") from exc
+        out.append(RotationGenerator(str(entry.get("name", f"g{len(out)}")), xi))
     return out

@@ -63,6 +63,49 @@ def test_solve_mirror(tmp_path, mirror_json):
     assert (out / "conservation.csv").exists()
 
 
+ROTATION_Z = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+def test_solve_generators_add_an_angular_momentum_column(tmp_path):
+    """The rotation about the line Z = span(e3) in R^3 preserves it, so
+    conservation.csv gains its column J[rz], conserved at the collision."""
+    table, gens = tmp_path / "zline.json", tmp_path / "rz.json"
+    table.write_text(json.dumps({
+        "dim": 3, "subspaces": [{"name": "Z", "basis": [[0.0, 0.0, 1.0]], "sigma": 1.0}]}))
+    gens.write_text(json.dumps([{"name": "rz", "xi": ROTATION_Z}]))
+    out = tmp_path / "run"
+    code = main(["solve", "--arrangement", str(table), "--itinerary", "Z",
+                 "--A=1,0,1", "--B=0,1,-1", "--generators", str(gens), "--out", str(out)])
+    assert code == 0
+    lines = (out / "conservation.csv").read_text().splitlines()
+    assert lines[0] == "edge,p_0,p_1,p_2,J[rz]"
+    assert lines[-1].startswith("max_angular_jump,")
+    assert abs(float(lines[-1].split(",")[1])) <= 1e-12
+
+
+@pytest.mark.parametrize("content", [
+    '{"name": "r", "xi": [[0.0, 1.0], [-1.0, 0.0]]}',  # an object, not a list
+    '["r"]',                                            # a list of strings
+    '[{"name": "r", "xi": "abc"}]',                     # xi is not numeric
+    '[{"name": "r", "xi": [[NaN, 0.0], [0.0, 0.0]]}]',  # xi is not finite
+    json.dumps([{"name": "rz", "xi": ROTATION_Z}]),     # 3 x 3 on the plane
+    '[{"name": "r", "xi": [[0.0, 1.0], [-1.0, 0.0]]}]',  # turns the mirror
+    None,                                               # no such file
+], ids=["object", "strings", "text-xi", "nan-xi", "3x3", "turns-mirror", "missing"])
+def test_solve_refuses_a_bad_generator_file_before_writing(tmp_path, mirror_json, content):
+    """A generator file that is malformed, does not fit the table or does not
+    preserve its subspaces is a usage error found before the solve, so no
+    output directory is made."""
+    gens = tmp_path / "gens.json"
+    if content is not None:
+        gens.write_text(content)
+    out = tmp_path / "run"
+    code = main(["solve", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--A", "0,1", "--B", "2,1", "--generators", str(gens), "--out", str(out)])
+    assert code == 64
+    assert not out.exists()
+
+
 def test_solve_total_collision(tmp_path, origin_json):
     out = tmp_path / "run"
     code = main(["solve", "--arrangement", str(origin_json), "--itinerary", "O",
@@ -158,6 +201,20 @@ def test_thicken_command_monotone(tmp_path, mirror_json):
     devs = [float(r.split(",")[1]) for r in rows]
     assert devs == sorted(devs, reverse=True)
     assert all(r.split(",")[3] == "true" for r in rows)
+
+
+def test_thicken_records_a_refused_radius(tmp_path, mirror_json):
+    """At r = 2 the anchors lie inside the mirror's cylinder: the radius is
+    a row with its error, and only the honest radius has an event log."""
+    out = tmp_path / "th"
+    code = main(["thicken", "--arrangement", str(mirror_json),
+                 "--itinerary", "L1", "--A", "0,1", "--B", "2,1",
+                 "--r-list", "2,1e-2", "--out", str(out)])
+    assert code == 0
+    rows = (out / "rfamily.csv").read_text().splitlines()
+    assert rows[1] == "2,nan,,false,,anchor A must lie in the table interior"
+    assert rows[2].startswith("0.01,")
+    assert sorted(p.name for p in out.glob("events_r*.csv")) == ["events_r1e-02.csv"]
 
 
 @pytest.mark.parametrize("anchor", ["--A", "--B"])

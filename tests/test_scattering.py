@@ -223,6 +223,19 @@ def test_patch_csv(tmp_path, mirror_arr):
     assert lines[0].startswith("status,A_0")
 
 
+def test_patch_csv_writes_an_absent_row(tmp_path, mirror_arr):
+    """An absent cell is a row of its status and anchors, with every
+    direction, foot point and length field empty."""
+    grid_A = AnchorGrid(np.array([0.0, 1.0]), np.eye(2), 0, 1e-2)
+    grid_B = AnchorGrid(np.array([2.0, 1.0]), np.eye(2), 0, 1e-2)
+    patch = sample_relation(mirror_arr, Itinerary((0,)), grid_A, grid_B)
+    patch.samples[((0, 0), (0, 0))] = None
+    out = tmp_path / "patch.csv"
+    patch_to_csv(patch, out)
+    lines = out.read_text().splitlines()
+    assert lines[1] == "absent,0,1,2,1" + "," * (4 * 2 + 1)
+
+
 
 def _cold_cells(arr, itinerary, grid_A, grid_B):
     """Reference patch: every cell solved on its own from the chord start."""

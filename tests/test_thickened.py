@@ -88,6 +88,18 @@ def test_simulate_single_bounce(mirror_table):
     assert e.v_after[1] == pytest.approx(-e.v_before[1], abs=1e-14)
 
 
+def test_simulate_stops_at_the_time_horizon(mirror_table):
+    """The first hit is at t = 0.9 sqrt(2); a horizon of 0.5 ends the path
+    on the ray, before any event."""
+    p, v = np.array([0.0, 1.0]), np.array([1.0, -1.0]) / math.sqrt(2)
+    path = simulate(mirror_table, p, v, t_max=0.5)
+    assert path.status == "t_max"
+    assert path.end_time == 0.5
+    assert np.array_equal(path.end_point, p + 0.5 * v)
+    assert np.array_equal(path.end_velocity, v)
+    assert path.events == []
+
+
 @pytest.mark.parametrize("p, v", [([0.0, 1.0], [math.nan, 1.0]),
                                   ([math.inf, 1.0], [1.0, 0.0])])
 def test_simulate_rejects_a_non_finite_start(mirror_table, p, v):
@@ -281,6 +293,17 @@ def test_r_family_mirror_slope(mirror_arr):
     assert all(b < a for a, b in zip(devs, devs[1:]))
     slope = np.polyfit(np.log(rs), np.log(devs), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.2)
+
+
+def test_r_family_records_a_refused_radius(mirror_arr):
+    """A radius whose cylinder holds an anchor is an entry with its error,
+    and the radii after it are still solved."""
+    refused, kept = r_family(mirror_arr, Itinerary((0,)), A_MIRROR, B_MIRROR, [2.0, 1e-2])
+    assert refused.result is None and refused.replay is None
+    assert math.isnan(refused.deviation)
+    assert refused.itinerary_match is False
+    assert refused.error == "anchor A must lie in the table interior"
+    assert kept.result is not None and kept.result.honest and kept.itinerary_match
 
 
 def _path_bits(path):

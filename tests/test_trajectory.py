@@ -50,6 +50,18 @@ def test_corrupted_vertex_breaks_law():
     assert any("momentum" in p for p in validate_trajectory(arr, traj))
 
 
+@pytest.mark.parametrize("A, vertex, problem", [
+    ([0.0, 1.0], [1.0, 0.5], "vertex 1 off L1 by 5.000e-01"),
+    # from an anchor on the mirror, the first edge runs along it
+    ([0.0, 0.0], [1.0, 0.0], "edge at vertex 1 lies inside L1"),
+])
+def test_validate_reports_a_corrupted_mirror_trajectory(A, vertex, problem):
+    arr, _ = mirror_traj()
+    traj = BilliardTrajectory(np.array(A), np.array([2.0, 1.0]), np.array([vertex]),
+                              Itinerary((0,)))
+    assert problem in validate_trajectory(arr, traj)
+
+
 def test_residual_index_range():
     arr, traj = mirror_traj()
     with pytest.raises(InputError):
