@@ -47,7 +47,6 @@ from .scattering import (
 )
 from .thickened import (
     ThickenedTable,
-    curve_shorten,
     first_hit,
     minimize_thickened,
     r_family,
@@ -99,7 +98,6 @@ __all__ = [
     "build_arrangement",
     "conservation_report",
     "cross_validate_slice",
-    "curve_shorten",
     "envelope_gradients",
     "first_hit",
     "gradient",

@@ -48,7 +48,7 @@ def _project(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Projections B^T(B x) of x (..., dim) onto the subspaces with
     orthonormal bases (..., m, dim); leading axes broadcast, so
     x[..., None, :] against (n, m, dim) gives every subspace."""
-    return (np.swapaxes(bases, -1, -2) @ (bases @ x[..., :, None]))[..., 0]
+    return (bases.swapaxes(-1, -2) @ (bases @ x[..., :, None]))[..., 0]
 
 
 def _perp(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -65,11 +65,16 @@ def _line_tube(bases: np.ndarray, radii, p: np.ndarray, d: np.ndarray):
     is formed before its norm: b^2 - ac would cancel when rho << |p|.
     """
     w = _perp(bases, p[..., None, :])
-    u = _perp(bases, d[..., None, :])
+    return (*_tube_approach(radii * radii, w, _perp(bases, d[..., None, :])), _row_dot(w, w))
+
+
+def _tube_approach(rho2, w, u):
+    """The rest of _line_tube from the perpendicular parts w = P⊥p and u =
+    P⊥d (..., n, dim) and the squared radii rho2: (a, t_star, gap2)."""
     a = _row_dot(u, u)
     t_star = -_row_dot(w, u) / np.where(a == 0.0, 1.0, a)
     res = w + t_star[..., None] * u
-    return a, t_star, radii * radii - _row_dot(res, res), _row_dot(w, w)
+    return a, t_star, rho2 - _row_dot(res, res)
 
 
 def orthonormalize(vectors: np.ndarray, dim: int) -> np.ndarray:
@@ -132,20 +137,19 @@ class Subspace:
         return self.dim - self.basis.shape[0]
 
     def project(self, x) -> np.ndarray:
-        """Orthogonal projection onto the subspace, applied as B^T(Bx)."""
-        x = _as_vector(x, self.dim)
-        if self.subdim == 0:
-            return np.zeros(self.dim)
-        return self.basis.T @ (self.basis @ x)
+        """Orthogonal projection onto the subspace, applied as B^T(Bx) (zeros
+        for the subspace {0}, whose basis has no rows)."""
+        return self.basis.T @ (self.basis @ _as_vector(x, self.dim))
 
     def perp(self, x) -> np.ndarray:
         """Component of x orthogonal to the subspace."""
         x = _as_vector(x, self.dim)
-        return x - self.project(x)
+        return x - self.basis.T @ (self.basis @ x)
 
     def distance_to(self, x) -> float:
         """Euclidean distance from x to the subspace; zero iff x lies on it."""
-        return float(np.linalg.norm(self.perp(x)))
+        w = self.perp(x)
+        return math.sqrt(w @ w)
 
     def tube_interval(self, p, d, tol: float):
         """Parameter interval {t : dist(p + t*d, L) <= tol} along a full line.

@@ -3,10 +3,14 @@
 Thickening replaces each collision subspace by a solid cylinder of radius
 sigma_L * r.  The dynamics on the complement is ordinary specular billiards
 off the cylinder walls (away from corners, which are refused rather than
-modelled).  The variational side constrains the chain vertices to the solid
-cylinders: a log-barrier continuation on the point solver's stages and
-Newton core, then a Newton polish on the walls of the pressed vertices, with
-minimizers classified as honest reflections, ghosts or corner ghosts.
+modelled).  The simulator projects onto the subspace complements twice an
+event: the direction, and the hit point, whose projections serve its corner
+test and then the next ray; the time horizon is tested before the corner
+test, so a corner past it ends no path.  The variational side constrains
+the chain vertices to the solid cylinders: a log-barrier continuation on
+the point solver's stages and Newton core, then a Newton polish on the
+walls of the pressed vertices, with minimizers classified as honest
+reflections, ghosts or corner ghosts.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ from functools import partial
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, _as_vector, _line_tube, _perp, _row_dot
+from .arrangement import Arrangement, Itinerary, _as_vector, _perp, _row_dot, _tube_approach
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
 from . import solver
 from .action import COINCIDENCE_TOL, _edge_terms, _stacked, action
 from .solver import (_check_size, _damped_newton, _spring_coords, _stages, _StackedProblem,
                      minimize)
-from .trajectory import TRANSVERSE_TOL, BilliardTrajectory, is_transverse
+from .trajectory import TRANSVERSE_TOL, is_transverse
 
 CORNER_TOL = 1e-9
 GRAZING_DISC = 1e-14
@@ -34,17 +38,25 @@ SPLIT = 100.0  # slack and barrier force this far apart mark a vertex pressed or
 @dataclass(frozen=True)
 class ThickenedTable:
     """The complement of solid cylinders around the subspaces, with radii
-    sigma_L * r stacked once as one (n,) array."""
+    sigma_L * r stacked once as one (n,) array, next to the event thresholds
+    on them: rho^2, the strictly-inside bound rho - 1e-9 max(1, rho) and the
+    corner bound rho + CORNER_TOL."""
 
     arrangement: Arrangement
     r: float
     radii: np.ndarray = field(init=False, repr=False, compare=False)
+    rho2: np.ndarray = field(init=False, repr=False, compare=False)
+    inside_below: np.ndarray = field(init=False, repr=False, compare=False)
+    corner_below: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r > 0):
             raise InputError("thickening radius must be positive and finite")
-        sigmas = np.array([s.sigma for s in self.arrangement.subspaces])
-        object.__setattr__(self, "radii", sigmas * self.r)
+        radii = np.array([s.sigma for s in self.arrangement.subspaces]) * self.r
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "rho2", radii * radii)
+        object.__setattr__(self, "inside_below", radii - 1e-9 * np.maximum(1.0, radii))
+        object.__setattr__(self, "corner_below", radii + CORNER_TOL)
 
     def distance_to_wall(self, x) -> float:
         """Signed clearance: min over cylinders of dist(x, L) - rho_L."""
@@ -79,26 +91,22 @@ class ThickenedPath:
         return [e.label for e in self.events]
 
 
-def first_hit(table: ThickenedTable, p, v):
-    """Earliest entering intersection of the ray p + t v with a cylinder wall.
+def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float = math.inf):
+    """The entering hit of the ray p + t v from the start's perpendicular parts
+    w = P⊥p (n, dim) and their norms (n,), projecting only v.
 
-    Returns (t, subspace index, hit point, outward normal) or None when the
-    ray escapes.  Grazing rays (discriminant below 1e-14) do not count as
-    hits; a hit point inside another cylinder's corner margin raises
-    CornerCollision, since the dynamics there is deliberately undefined.
+    Returns None when the ray escapes; else (t, i, x, w_x, norm_x) with the
+    hit point x and its parts P⊥x and norms, which the next ray from x takes
+    as its w.  A hit with t_now + t > t_max returns x, w_x and norm_x as None
+    before the corner test, so a corner past the horizon is no event.
     """
     arr = table.arrangement
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if p.shape != (arr.dim,) or v.shape != (arr.dim,):
-        raise InputError("point/velocity dimension mismatch")
-    radii = table.radii
-    a, t_star, gap2, w2 = _line_tube(arr.bases, radii, p, v)
-    inside = np.sqrt(w2) < radii - 1e-9 * np.maximum(1.0, radii)
+    inside = norm < table.inside_below
     if inside.any():
         raise PreconditionError(f"start point lies strictly inside cylinder around "
                                 f"{arr.subspaces[int(np.argmax(inside))].name}")
-    t_eps = 1e-12 * max(1.0, float(np.linalg.norm(p)))
+    a, t_star, gap2 = _tube_approach(table.rho2, w, _perp(arr.bases, v[None, :]))
+    t_eps = 1e-12 * max(1.0, math.sqrt(p @ p))
     # a <= 1e-30: constant clearance along the ray
     enters = (a > 1e-30) & (gap2 * a >= GRAZING_DISC)
     t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / np.where(enters, a, 1.0))
@@ -107,15 +115,41 @@ def first_hit(table: ThickenedTable, p, v):
     if t_enter[i] == math.inf:
         return None
     t = float(t_enter[i])
+    if t_now + t > t_max:
+        return t, i, None, None, None
     x = p + t * v
-    perp = _perp(arr.bases, x)
-    dist = np.sqrt(_row_dot(perp, perp))
-    corner = dist < radii + CORNER_TOL
+    w_x = _perp(arr.bases, x[None, :])
+    norm_x = np.sqrt(_row_dot(w_x, w_x))
+    corner = norm_x < table.corner_below
     corner[i] = False
     if corner.any():
         raise CornerCollision(f"hit on {arr.subspaces[i].name} lies in the corner margin "
                               f"of {arr.subspaces[int(np.argmax(corner))].name}")
-    return t, i, x, perp[i] / dist[i]
+    return t, i, x, w_x, norm_x
+
+
+def first_hit(table: ThickenedTable, p, v):
+    """Earliest entering intersection of the ray p + t v with a cylinder wall.
+
+    Returns (t, subspace index, hit point, outward normal) or None when the
+    ray escapes.  Grazing rays (discriminant below 1e-14) do not count as
+    hits; a hit point inside another cylinder's corner margin raises
+    CornerCollision, since the dynamics there is deliberately undefined.
+    This is one event of simulate with no time horizon; simulate carries
+    the hit point's projections into its next ray instead of projecting
+    that point again, as stepping first_hit from each hit would.
+    """
+    arr = table.arrangement
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if p.shape != (arr.dim,) or v.shape != (arr.dim,):
+        raise InputError("point/velocity dimension mismatch")
+    w = _perp(arr.bases, p[None, :])
+    hit = _hit(table, p, v, w, np.sqrt(_row_dot(w, w)))
+    if hit is None:
+        return None
+    t, i, x, w_x, norm_x = hit
+    return t, i, x, w_x[i] / norm_x[i]
 
 
 def simulate(table: ThickenedTable, p, v, max_events: int = 100,
@@ -123,8 +157,14 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
     """Event-driven specular billiard on the thickened table.
 
     Terminates on escape, the time horizon, or the event budget; a corner hit
-    raises CornerCollision carrying the partial path.
+    within the horizon raises CornerCollision carrying the partial path (the
+    horizon is tested first, so a corner past it ends the path at t_max).
+    The start is projected onto the subspace complements once, for the
+    inside test and the first ray; each hit point's projections, made for
+    its corner test, are the next ray's, so an event projects twice (v and
+    the hit point).
     """
+    arr = table.arrangement
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     # written so that a NaN fails each test
@@ -132,13 +172,17 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
         raise InputError("simulation start must be finite")
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
         raise InputError("simulation velocity must be finite and unit")
-    if not table.in_table(p):
+    w = _perp(arr.bases, _as_vector(p, arr.dim)[None, :])
+    norm = np.sqrt(_row_dot(w, w))
+    if not float(np.min(norm - table.radii)) >= -1e-9:   # in_table(p), from the first ray's w
         raise PreconditionError("start point lies inside a cylinder")
+    if v.shape != (arr.dim,):
+        raise InputError("point/velocity dimension mismatch")
     path = ThickenedPath(p.copy(), v.copy())
     t_now = 0.0
     for _ in range(max_events):
         try:
-            hit = first_hit(table, p, v)
+            hit = _hit(table, p, v, w, norm, t_now, t_max)
         except CornerCollision as exc:
             path.end_time = t_now
             path.end_point, path.end_velocity = p.copy(), v.copy()
@@ -148,16 +192,17 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
         if hit is None:
             path.status = "escaped"
             break
-        t, i, x, nu = hit
-        if t_now + t > t_max:
+        t, i, x, w, norm = hit
+        if x is None:
             path.status = "t_max"
             p = p + (t_max - t_now) * v
             t_now = t_max
             break
         t_now += t
+        nu = w[i] / norm[i]
         v_after = v - 2.0 * float(np.dot(v, nu)) * nu
-        path.events.append(Event(t_now, table.arrangement.subspaces[i].name,
-                                 x.copy(), v.copy(), v_after.copy()))
+        path.events.append(Event(t_now, arr.subspaces[i].name, x.copy(), v.copy(),
+                                 v_after.copy()))
         p, v = x, v_after
     else:
         path.status = "max_events"
@@ -354,64 +399,6 @@ class _WallProblem(_StackedProblem):
             return cand
         on_wall = cand - self.slack(cand)[0] + self.radii[:, None] * self.normals(cand)
         return np.where(self.active[:, None], on_wall, cand)
-
-
-def curve_shorten(table: ThickenedTable, itinerary: Itinerary, A, chain_points, B):
-    """Slide each vertex of a transverse chain outward onto its cylinder wall,
-    strictly shortening the path at every replacement.
-
-    Works in the plane of the vertex triangle: both incident edges exit the
-    cylinder (their far endpoints must lie outside it), and the replacement
-    point is taken on the wall along the bisecting chord, inside the triangle.
-    Vertex j must lie on the subspace itinerary[j], and consecutive points
-    must differ (InputError otherwise).  Returns (new chain, list of path
-    lengths after each replacement).
-    """
-    arr = table.arrangement
-    itinerary.validate_against(arr)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    chain_points = np.asarray(chain_points, dtype=float)
-    if chain_points.shape != (len(itinerary), arr.dim):
-        raise InputError("one chain point per itinerary entry required")
-    radii = table.radii
-    traj = BilliardTrajectory(A, B, chain_points, itinerary)
-    if not is_transverse(traj):
-        raise PreconditionError("internal vertex; chain must be transverse")
-
-    current = traj.points.copy()
-    lengths = [traj.length]
-    for j, idx in enumerate(itinerary):
-        sub = arr.subspaces[idx]
-        rho = radii[idx]
-        q = current[j + 1]
-        if sub.distance_to(q) > 1e-9 * max(1.0, float(np.linalg.norm(q))):
-            raise PreconditionError(f"vertex {j + 1} lies off {sub.name}")
-        prev_pt, next_pt = current[j], current[j + 2]
-        for neighbor in (prev_pt, next_pt):
-            if sub.distance_to(neighbor) <= rho:
-                raise PreconditionError(
-                    "thickening too large: a neighbor vertex lies inside the cylinder")
-        exits = []
-        for target in (prev_pt, next_pt):
-            leg = target - q
-            perp_speed = float(np.linalg.norm(sub.perp(leg)))
-            exits.append(q + (rho / perp_speed) * leg)
-        mid = 0.5 * (exits[0] + exits[1])
-        direction = mid - q
-        perp_dir = float(np.linalg.norm(sub.perp(direction)))
-        if perp_dir <= 1e-15:
-            raise PreconditionError("degenerate triangle in the shortening step")
-        replacement = q + (rho / perp_dir) * direction
-        before = (np.linalg.norm(prev_pt - q) + np.linalg.norm(q - next_pt))
-        after = (np.linalg.norm(prev_pt - replacement)
-                 + np.linalg.norm(replacement - next_pt))
-        if not after < before:
-            raise PreconditionError(
-                "thickening too large: replacement does not shorten the path")
-        current[j + 1] = replacement
-        lengths.append(action(A, current[1:-1], B))
-    return current[1:-1], lengths
 
 
 @dataclass(frozen=True)

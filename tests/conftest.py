@@ -14,6 +14,8 @@ import pytest
 from linbilliards import nbody, solver
 from linbilliards.arrangement import Arrangement, Subspace
 from linbilliards.action import Chain, action, gradient
+from linbilliards.errors import InputError, PreconditionError
+from linbilliards.trajectory import BilliardTrajectory, is_transverse
 
 
 @contextlib.contextmanager
@@ -223,3 +225,61 @@ def random_smooth_chain(arr, itinerary, A, B, rng, radius=3.0, min_gap=1e-2):
                          np.asarray(B)[None, :]])
         if np.min(np.linalg.norm(np.diff(pts, axis=0), axis=1)) > min_gap:
             return chain
+
+
+def curve_shorten(table, itinerary, A, chain_points, B):
+    """Slide each vertex of a transverse chain outward onto its cylinder wall,
+    strictly shortening the path at every replacement.
+
+    Works in the plane of the vertex triangle: both incident edges exit the
+    cylinder (their far endpoints must lie outside it), and the replacement
+    point is taken on the wall along the bisecting chord, inside the triangle.
+    Vertex j must lie on the subspace itinerary[j], and consecutive points
+    must differ (InputError otherwise).  Returns (new chain, list of path
+    lengths after each replacement).
+    """
+    arr = table.arrangement
+    itinerary.validate_against(arr)
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    chain_points = np.asarray(chain_points, dtype=float)
+    if chain_points.shape != (len(itinerary), arr.dim):
+        raise InputError("one chain point per itinerary entry required")
+    radii = table.radii
+    traj = BilliardTrajectory(A, B, chain_points, itinerary)
+    if not is_transverse(traj):
+        raise PreconditionError("internal vertex; chain must be transverse")
+
+    current = traj.points.copy()
+    lengths = [traj.length]
+    for j, idx in enumerate(itinerary):
+        sub = arr.subspaces[idx]
+        rho = radii[idx]
+        q = current[j + 1]
+        if sub.distance_to(q) > 1e-9 * max(1.0, float(np.linalg.norm(q))):
+            raise PreconditionError(f"vertex {j + 1} lies off {sub.name}")
+        prev_pt, next_pt = current[j], current[j + 2]
+        for neighbor in (prev_pt, next_pt):
+            if sub.distance_to(neighbor) <= rho:
+                raise PreconditionError(
+                    "thickening too large: a neighbor vertex lies inside the cylinder")
+        exits = []
+        for target in (prev_pt, next_pt):
+            leg = target - q
+            perp_speed = float(np.linalg.norm(sub.perp(leg)))
+            exits.append(q + (rho / perp_speed) * leg)
+        mid = 0.5 * (exits[0] + exits[1])
+        direction = mid - q
+        perp_dir = float(np.linalg.norm(sub.perp(direction)))
+        if perp_dir <= 1e-15:
+            raise PreconditionError("degenerate triangle in the shortening step")
+        replacement = q + (rho / perp_dir) * direction
+        before = (np.linalg.norm(prev_pt - q) + np.linalg.norm(q - next_pt))
+        after = (np.linalg.norm(prev_pt - replacement)
+                 + np.linalg.norm(replacement - next_pt))
+        if not after < before:
+            raise PreconditionError(
+                "thickening too large: replacement does not shorten the path")
+        current[j + 1] = replacement
+        lengths.append(action(A, current[1:-1], B))
+    return current[1:-1], lengths

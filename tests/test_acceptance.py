@@ -32,15 +32,14 @@ from linbilliards.solver import minimize
 from linbilliards.symmetry import conservation_report
 from linbilliards.thickened import (
     ThickenedTable,
-    curve_shorten,
     minimize_thickened,
     r_family,
     replay_honest,
 )
 from linbilliards.trajectory import reflection_residual
 
-from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, fd_gradient, fd_hessian,
-                      grad_tol, random_smooth_chain, random_start_solves)
+from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, curve_shorten, fd_gradient,
+                      fd_hessian, grad_tol, random_smooth_chain, random_start_solves)
 from test_solver import brute_force_minimum
 
 

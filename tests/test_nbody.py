@@ -163,3 +163,32 @@ def test_slice_rejects_velocities_with_momentum(monkeypatch):
     monkeypatch.setattr(nbody, "V_MINUS", V_MINUS + 0.1)
     with pytest.raises(PreconditionError):
         three_body_slice([0.3], [0.7])
+
+
+def _project_before(sub, x):
+    return np.zeros(sub.dim) if sub.subdim == 0 else sub.basis.T @ (sub.basis @ x)
+
+
+@pytest.mark.parametrize("name", ["threebody", "fourbody", "origin", "lines3d", "planes4d"])
+def test_table_building_primitives_match_their_earlier_formulas(name, request):
+    """Subspace.project, perp and distance_to and _complex_to_config, which
+    building the N-body tables calls most, give the bits of the formulas
+    they replaced: a zero array for the subspace {0}, x minus the
+    projection, np.linalg.norm of the perpendicular part, and a Python list
+    of (real, imag) rows."""
+    arr = build_arrangement(NBodySystem(3, 2, (1.0, 2.0, 5.0), reduce_cm=True)) \
+        if name == "threebody" else request.getfixturevalue(f"{name}_arr")
+    rng = np.random.default_rng(len(name))
+    for sub in arr.subspaces:
+        for x in rng.normal(size=(20, arr.dim)) * rng.uniform(1e-3, 10.0, size=(20, 1)):
+            project, perp = _project_before(sub, x), x - _project_before(sub, x)
+            distance = float(np.linalg.norm(perp))
+            assert sub.project(list(x)).tobytes() == project.tobytes()
+            assert sub.perp(list(x)).tobytes() == perp.tobytes()
+            got = sub.distance_to(list(x))
+            assert type(got) is float and got.hex() == distance.hex()
+    for values in (V_MINUS, three_body_slice([0.3, 2.0], [1.1]).v_plus[1, 0],
+                   rng.normal(size=3) + 1j * rng.normal(size=3)):
+        before = np.array([[z.real, z.imag] for z in values])
+        after = nbody._complex_to_config(values)
+        assert after.shape == before.shape == (3, 2) and after.tobytes() == before.tobytes()

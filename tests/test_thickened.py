@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from linbilliards.errors import CornerCollision, InputError, PreconditionError
 from linbilliards.thickened import (
     CORNER_TOL,
     GRAZING_DISC,
+    Event,
+    ThickenedPath,
     ThickenedTable,
-    curve_shorten,
     events_to_csv,
     first_hit,
     minimize_thickened,
@@ -21,7 +23,7 @@ from linbilliards.thickened import (
 from linbilliards.action import COINCIDENCE_TOL
 from linbilliards.solver import GRAD_TOL, minimize
 
-from conftest import TWOLINE_A, TWOLINE_B
+from conftest import TWOLINE_A, TWOLINE_B, curve_shorten
 
 A_MIRROR = np.array([0.0, 1.0])
 B_MIRROR = np.array([2.0, 1.0])
@@ -571,6 +573,155 @@ def test_first_hit_matches_the_loop_on_forced_cases(mirror_arr, twolines_arr, li
         ThickenedTable(twolines_arr, 0.05), 2.0 * bis, -bis)[0] == "CornerCollision"
     assert _assert_first_hit_matches_loop(
         ThickenedTable(mirror_arr, 0.1), [0.0, 0.05], [1.0, 0.0])[0] == "PreconditionError"
+
+
+def _simulate_by_first_hit(table, p, v, max_events=50, t_max=math.inf):
+    """simulate as a loop over the public first_hit from each reflected state
+    (x, v - 2<v, nu> nu), each event projecting its start afresh: the
+    reference that simulate, which carries each hit point's projections into
+    the next ray, must reproduce bit for bit.  first_hit has no horizon, so
+    this reference is only asked for horizons before a corner."""
+    p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
+    if not table.in_table(p):
+        raise PreconditionError("start point lies inside a cylinder")
+    path = ThickenedPath(p.copy(), v.copy())
+    t_now = 0.0
+    for _ in range(max_events):
+        try:
+            hit = first_hit(table, p, v)
+        except CornerCollision as exc:
+            path.end_time, path.status = t_now, "corner"
+            path.end_point, path.end_velocity = p.copy(), v.copy()
+            exc.path = path
+            raise
+        if hit is None:
+            path.status = "escaped"
+            break
+        t, i, x, nu = hit
+        if t_now + t > t_max:
+            path.status, p, t_now = "t_max", p + (t_max - t_now) * v, t_max
+            break
+        t_now += t
+        v_after = v - 2.0 * float(np.dot(v, nu)) * nu
+        path.events.append(Event(t_now, table.arrangement.subspaces[i].name, x, v, v_after))
+        p, v = x, v_after
+    else:
+        path.status = "max_events"
+    path.end_time = t_now
+    path.end_point, path.end_velocity = p.copy(), v.copy()
+    return path
+
+
+def _path_bytes(path):
+    return ([(e.time.hex(), e.label, e.point.tobytes(), e.v_before.tobytes(),
+              e.v_after.tobytes()) for e in path.events],
+            path.end_time.hex(), path.end_point.tobytes(), path.end_velocity.tobytes(),
+            path.status)
+
+
+def _simulation(fn, table, p, v, **kwargs):
+    """A path as bytes; a CornerCollision as its message and partial path."""
+    try:
+        return _path_bytes(fn(table, p, v, **kwargs)), None
+    except CornerCollision as exc:
+        return _path_bytes(exc.path), str(exc)
+    except PreconditionError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("name", ["threebody", "fourbody", "twolines", "lines3d", "planes4d"])
+def test_simulate_matches_stepping_first_hit(name, request):
+    """simulate's carried projections change no bit: every event, end state,
+    status and corner message is that of first_hit stepped from each
+    reflected state, on the rays of the per-subspace first_hit test, each
+    also cut by an event budget and by a horizon between two of its events."""
+    arr = _three_body_arr() if name == "threebody" else request.getfixturevalue(f"{name}_arr")
+    rng = np.random.default_rng(sum(map(ord, name)))
+    ends = collections.Counter()
+    for r in (1e-1, 1e-2, 1e-3, 1e-4):
+        table = ThickenedTable(arr, r)
+        for n in range(60):
+            p = rng.normal(size=arr.dim) * 3.0
+            sub = arr.subspaces[int(rng.integers(len(arr.subspaces)))]
+            if n % 3 == 0:
+                v = rng.normal(size=arr.dim)
+            elif n % 3 == 1:
+                offset = sub.perp(rng.normal(size=arr.dim))
+                v = sub.project(rng.normal(size=arr.dim)) - p \
+                    + rng.uniform(0.0, 1.5) * sub.sigma * r * offset / np.linalg.norm(offset)
+            else:
+                v = rng.normal(size=arr.dim) * 1e-3 * r - p
+            v /= np.linalg.norm(v)
+            full = _simulation(simulate, table, p, v, max_events=50)
+            assert full == _simulation(_simulate_by_first_hit, table, p, v)
+            if full[0] is None:
+                continue
+            ends[full[0][-1]] += 1
+            events = full[0][0]
+            cuts = [{"t_max": 0.5 * float.fromhex(events[0][0])}] if events else []
+            if len(events) >= 2:
+                k = int(rng.integers(1, len(events)))
+                times = [float.fromhex(events[j][0]) for j in (k - 1, k)]
+                cuts += [{"max_events": len(events) - 1}, {"t_max": 0.5 * sum(times)}]
+            for cut in cuts:
+                got = _simulation(simulate, table, p, v, **cut)
+                assert got == _simulation(_simulate_by_first_hit, table, p, v, **cut)
+                ends[got[0][-1]] += 1
+    assert {"escaped", "max_events", "t_max"} <= set(ends)
+
+
+def _cross(*extra):
+    """The diagonal cross D1 = span(1, 1), D2 = span(1, -1) at r = 0.1, whose
+    walls meet on the axes, at distance 0.1 sqrt(2) from the origin."""
+    c = 1.0 / math.sqrt(2.0)
+    return ThickenedTable(Arrangement(2, (Subspace("D1", np.array([[c, c]]), 2),
+                                          Subspace("D2", np.array([[c, -c]]), 2), *extra)), 0.1)
+
+
+def test_a_corner_past_the_time_horizon_is_no_event():
+    """The ray from (-3, 0) along e1 first meets both walls of the cross at
+    once, at t = 2.86, in a corner: within the horizon that is a
+    CornerCollision, past it the path ends at t_max on the ray."""
+    table = _cross()
+    p, v = np.array([-3.0, 0.0]), np.array([1.0, 0.0])
+    with pytest.raises(CornerCollision, match="hit on D1 lies in the corner margin of D2"):
+        first_hit(table, p, v)
+    for t_max in (math.inf, 3.0):
+        with pytest.raises(CornerCollision) as info:
+            simulate(table, p, v, t_max=t_max)
+        path = info.value.path
+        assert (path.status, path.end_time, path.events) == ("corner", 0.0, [])
+    path = simulate(table, p, v, t_max=0.5)
+    assert (path.status, path.end_time, path.events) == ("t_max", 0.5, [])
+    assert np.array_equal(path.end_point, p + 0.5 * v)
+    assert np.array_equal(path.end_velocity, v)
+
+
+def test_a_corner_after_an_event_matches_stepping_first_hit():
+    """A thin line L3 at 10 degrees inside the cross's left wedge reflects the
+    ray at t = 1 straight into the wedge's vertex (-0.1 sqrt(2), 0), where
+    both walls of the cross meet: the CornerCollision's partial path, and the
+    paths cut before the corner by the event budget or a horizon, are those
+    of first_hit stepped from the reflected state."""
+    th = math.radians(10.0)
+    axis, normal = np.array([math.cos(th), math.sin(th)]), np.array([-math.sin(th), math.cos(th)])
+    table = _cross(Subspace("L3", axis[None, :], 2, sigma=0.1))
+    hit = -2.0 * axis + 0.01 * normal        # on the upper wall of L3
+    out = np.array([-0.1 * math.sqrt(2.0), 0.0]) - hit
+    out /= np.linalg.norm(out)
+    v = out - 2.0 * np.dot(out, normal) * normal
+    p = hit - v
+    full = _simulation(simulate, table, p, v)
+    assert full == _simulation(_simulate_by_first_hit, table, p, v)
+    assert [e[1] for e in full[0][0]] == ["L3"] and full[0][-1] == "corner"
+    assert full[1] == "hit on D2 lies in the corner margin of D1"
+    for cut in ({"max_events": 1}, {"t_max": 0.5}):
+        got = _simulation(simulate, table, p, v, **cut)
+        assert got == _simulation(_simulate_by_first_hit, table, p, v, **cut)
+        assert got[1] is None and got[0][-1] == next(iter(cut))
+    # the corner lies at t = 2.86; a horizon before it keeps the one event
+    path = simulate(table, p, v, t_max=2.5)
+    assert path.status == "t_max" and path.itinerary_labels == ["L3"]
 
 
 @pytest.mark.parametrize("name", ["threebody", "fourbody", "origin", "lines3d", "planes4d"])
