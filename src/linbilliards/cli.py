@@ -212,6 +212,8 @@ def cmd_thicken(args) -> int:
     for name, default in (SIMULATE_DEFAULTS if simulating else FAMILY_DEFAULTS).items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+    if simulating:
+        _check_counts(args, "max_events")
     arr, itinerary = _load_problem(args)
     out = _out_dir(args)
     if simulating:

@@ -37,11 +37,11 @@ intersection of its subspaces (a stratum of the collision locus), solves
 that reduced chain by exact Newton, and looks for collapsed-edge
 multipliers inside the balls |u_e| <= 1 that meet the vertex equations, both
 to the rounding level CERT_RESIDUAL.  A chain that passes is returned; no
-tolerance on the length enters, and no other exit proves a ghost.  One SVD
-of a run set's vertex equations gives both their least-norm solution and
-the kernel along which the multipliers move; a Farkas test on that
-least-norm solution ends most multiplier searches that must fail before any
-Newton step, so a failed attempt is cheap.
+tolerance on the length enters, and no other exit proves a ghost.  The
+runs' meets span the null space of the vertex equations' transpose, so one
+SPD solve gives their pseudo-inverse, with no SVD or rank cut; a Farkas
+test on their least-norm solution ends most multiplier searches that must
+fail before any Newton step, so a failed attempt is cheap.
 
 A smooth start needs no continuation at all.  When the caller's initial
 chain already lies in Newton's quadratic basin -- its first exact (mu = 0)
@@ -61,9 +61,9 @@ What depends on the itinerary alone is kept in solve plans: small LRU
 caches keyed on the content of the itinerary's stacked bases, which hold
 read-only arrays (the columns of the inverse chain Laplacian at the first
 and last vertex blocks, and for each run set the certificate's
-intersection bases, reduced bases and vertex equations factored by one
-SVD into their pseudo-inverse and kernel), so a hit returns exactly what
-recomputing would.
+intersection bases, reduced bases, vertex equations, the projector onto
+their transpose's null space and their pseudo-inverse), so a hit returns
+exactly what recomputing would.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve) on one problem class,
@@ -347,10 +347,10 @@ class _RunPlan:
     chain's bases (reduced, each run's meet padded by zero rows) and the
     collapsed edges (shut, (k+1,)); pinned when no kept vertex has a free
     coordinate.  The vertex equations of the collapsed edges' multipliers
-    are factored on first use, once, by one SVD (equations)."""
+    are built on first use, once, with their pseudo-inverse (equations)."""
 
     def __init__(self, bases, runs):
-        self.bases = bases
+        self.bases, self.runs = bases, runs
         self.meets = tuple(_frozen(intersection_basis(bases[a:b])) for a, b in runs)
         keep = np.ones(len(bases), dtype=bool)
         shut = np.zeros(len(bases) + 1, dtype=bool)
@@ -365,13 +365,14 @@ class _RunPlan:
 
     @cached_property
     def equations(self):
-        """(cols, pinv, kernel): the collapsed edges cols, the pseudo-inverse
-        (C dim, k m) of their coefficients M in the vertex equations (edge e
-        enters vertex e and leaves vertex e - 1), and an orthonormal basis
-        (C, dim, d) of the null space of M.  One SVD M = U diag(s) V, cut at
-        rank, gives both: pinv = V_r^T diag(1 / s) U_r^T and the kernel the
-        rows of V past rank.  V is complete; only a wide M needs the full
-        SVD for it (a tall M's thin V is square already)."""
+        """(M, null, pinv): the coefficients M (k m, C dim) of the collapsed
+        edges in the vertex equations (edge e enters vertex e and leaves
+        vertex e - 1), the projector null onto the null space of M^T, and
+        M's pseudo-inverse.  M^T y = 0 asks B_i^T y_i to be one w in a run's
+        meet, y_i = B_i w: null holds per run (a, b) and unit w of its meet
+        the column B_i w / sqrt(b - a) on the run's vertices, and the
+        identity outside the runs.  So M M^T + null is SPD, and pinv = M^T
+        (M M^T + null)^{-1}."""
         k, m, dim = self.bases.shape
         cols = np.flatnonzero(self.shut)
         M = np.zeros((k, m, len(cols), dim))
@@ -379,10 +380,11 @@ class _RunPlan:
         M[cols, :, j, :] = self.bases[cols]
         M[cols - 1, :, j, :] = -self.bases[cols - 1]
         M = M.reshape(k * m, -1)
-        U, s, V = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        pinv = (V[:rank].T / s[:rank]) @ U[:, :rank].T
-        return tuple(map(_frozen, (cols, pinv, V[rank:].T.reshape(len(cols), dim, -1))))
+        null = np.eye(k * m)
+        for (a, b), meet in zip(self.runs, self.meets):
+            y = (self.bases[a:b] @ meet.T).reshape((b - a) * m, -1)
+            null[a * m:b * m, a * m:b * m] = y @ y.T / (b - a)
+        return tuple(map(_frozen, (M, null, np.linalg.solve(M @ M.T + null, M).T)))
 
 
 @lru_cache(maxsize=PLANS)
@@ -540,61 +542,64 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     return reduced.points_of(polished[0])[np.cumsum(plan.keep) - 1]
 
 
-def _lowest_multipliers(p, start, kernel, bound):
-    """Point of the affine set p + span(kernel) of a run plan's vertex
-    equations whose squared norms |v_e|^2 are all below bound, or None if
-    none is found; p (C, dim) is the set's least-norm point, kernel (C, dim,
-    d) an orthonormal basis of its directions, and start (C, dim) the
-    stage's smoothed directions on the collapsed edges.
+def _lowest_multipliers(plan, fixed, start, bound):
+    """Point v of the least-squares solutions of M v = -fixed, M a run
+    plan's vertex equations, with every |v_e|^2 below bound, or None if none
+    is found; start (C, dim), the stage's smoothed directions on the
+    collapsed edges, is projected onto that affine set first.
 
-    The projection of start onto the set, p + K K^T start, is tried first.
     Then a Farkas test (theorem of alternatives; Boyd & Vandenberghe, sec.
-    5.8) ends most searches that must fail before any Newton step: p lies in
-    the row space, so <p, v> = |p|^2 at every point v of the set, which
-    |v_e| < r = sqrt(bound) on every edge would keep below r sum_e |p_e|.
-    Otherwise infeasible-start Newton on the barrier -sum_e log(bound -
-    |v_e|^2) over the affine set (Boyd & Vandenberghe, sec. 10.3) runs from
-    start, whose rows with |v_e|^2 above INSIDE * bound are first scaled to
-    it.  A point is p + K z + y, K the kernel and y the residual
-    off the affine set: each Newton step removes y and moves z by the solve
-    of the d x d reduced system, and is halved only while a norm would reach
-    the bound (y then shrinks by the untaken fraction).  The first full step
-    lands on the affine set inside every ball, which ends the search; a step
+    5.8) ends most searches that must fail before any Newton step: the
+    least-norm point p = -pinv fixed lies in the row space, so <p, v> =
+    |p|^2 at every point v of the set, which |v_e| < r = sqrt(bound) would
+    keep below r sum_e |p_e|.  Otherwise infeasible-start Newton on the
+    barrier -sum_e log(bound - |v_e|^2) over the set (Boyd & Vandenberghe,
+    sec. 10.3) runs from start, rows with |v_e|^2 above INSIDE * bound
+    scaled to it.  A step is the KKT step -D^-1 (g + M^T lam), D and g the
+    barrier's Hessian and gradient and (M D^-1 M^T + null) lam = M (v -
+    D^-1 g - p), halved only while a norm would reach the bound (the
+    residual M (v - p) shrinks by the untaken fraction).  The first full
+    step lands on the set inside every ball, which ends the search; a step
     below STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
     """
-    C, dim = p.shape
-    K = kernel.reshape(C * dim, -1)
-    w = p + (K @ (K.T @ start.reshape(-1))).reshape(C, dim)
+    M, null, pinv = plan.equations
+    C, dim = start.shape
+    p = -(pinv @ fixed)
+
+    def onto(x):
+        return (p + x.reshape(-1) - pinv @ (M @ x.reshape(-1))).reshape(C, dim)
+
+    w = onto(start)
     if (w * w).sum(axis=1).max() < bound:
         return w
     # the Farkas exit, with a margin of 1e-12 for rounding
-    reach = math.sqrt(bound) * np.linalg.norm(p, axis=1).sum()
-    p = p.reshape(-1)
-    if kernel.shape[2] == 0 or p @ p > (1.0 + 1e-12) * reach:
+    reach = math.sqrt(bound) * np.linalg.norm(p.reshape(C, dim), axis=1).sum()
+    if p @ p > (1.0 + 1e-12) * reach:
         return None
     norms2 = (start * start).sum(axis=1)
     # from a row near the surface the barrier's steps stay too short
     outside = norms2 > INSIDE * bound
     v = start.copy()
     v[outside] *= np.sqrt(INSIDE * bound / norms2[outside])[:, None]
-    z = K.T @ (v.reshape(-1) - p)
-    y = v.reshape(-1) - p - K @ z
+    edges = M.reshape(len(M), C, dim)
     for _ in range(MULTIPLIER_STEPS):
-        # barrier terms 1 / (bound - |v_e|^2); per edge, the Hessian block is
-        # 2 inv I + 4 inv^2 v v^T and the gradient 2 inv v
-        inv = 1.0 / (bound - (v * v).sum(axis=1))
-        each = np.repeat(inv, dim)
-        J = (kernel * v[:, :, None]).sum(axis=1)
-        JI = J.T * (inv * inv)
-        H = 2.0 * (K.T * each) @ K + 4.0 * JI @ J
-        # the Newton step is -y + K dz, where K^T H K dz = -K^T (g - H y)
-        vy = (v * y.reshape(C, dim)).sum(axis=1)
-        dz = _spd_solve(H, 4.0 * JI @ vy - 2.0 * K.T @ (each * (v.reshape(-1) - y)))
-        if dz is None:
+        # per edge, a = (bound - |v|^2) / 2: the Hessian block (I + v v^T / a) / a
+        # has the inverse a (I - v v^T / (a + |v|^2)) (Sherman-Morrison), which
+        # maps the gradient v / a to D_inv_g, and M D^-1 = a M - (M v) D_inv_g^T
+        norms2 = (v * v).sum(axis=1)
+        a = 0.5 * (bound - norms2)
+        D_inv_g = (a / (a + norms2))[:, None] * v
+        MD = a[:, None] * edges - np.einsum("rcd,cd->rc", edges, v)[:, :, None] * D_inv_g
+        lam = _spd_solve(MD.reshape(len(M), -1) @ M.T + null,
+                         M @ ((v - D_inv_g).reshape(-1) - p))
+        if lam is None:
             return None
+        # the solve loses accuracy as a norm nears the bound; the full step
+        # stays on the affine set through the pseudo-inverse alone
+        step = onto(v - D_inv_g - np.einsum("rcd,r->cd", MD, lam)) - v
         t = 1.0
         while True:
-            trial = (p + K @ (z + t * dz) + (1.0 - t) * y).reshape(C, dim)
+            trial = v + t * step
             if (trial * trial).sum(axis=1).max() < bound:
                 break
             t *= 0.5
@@ -602,7 +607,7 @@ def _lowest_multipliers(p, start, kernel, bound):
                 return None
         if t == 1.0:
             return trial
-        v, z, y = trial, z + t * dz, (1.0 - t) * y
+        v = trial
     return None
 
 
@@ -614,27 +619,21 @@ def _multipliers_certify(problem, points, runs, start):
     every vertex, both up to the rounding CERT_RESIDUAL.
 
     The collapsed u_e solve M u = -fixed, M the run plan's vertex equations
-    and fixed the open edges' residual in them; p = -pinv fixed is the
-    least-norm solution.  _lowest_multipliers tries the stage's smoothed
-    directions start projected onto that affine set, and where a norm of
-    the projection exceeds the bound searches the set by infeasible-start
-    Newton from the directions themselves, which lie inside the balls up to
-    rounding.  Every point it returns is checked here against
-    CERT_RESIDUAL.
+    and fixed the open edges' residual in them, inside the balls: the search
+    of _lowest_multipliers, from the stage's smoothed directions start.
+    Every point it returns is checked here against CERT_RESIDUAL.
     """
     plan = _run_plan(*problem.key, tuple(runs))
     edges, lengths = _edge_lengths(_point_list(problem.A, points, problem.B))
-    open_ = ~plan.shut
+    shut = plan.shut
     u = np.zeros_like(edges)
-    u[open_] = edges[open_] / lengths[open_][:, None]
+    u[~shut] = edges[~shut] / lengths[~shut][:, None]
     # residual of the vertex equations without the collapsed edges
     fixed = _to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
-    cols, pinv, kernel = plan.equations
-    w = _lowest_multipliers(-(pinv @ fixed).reshape(-1, problem.dim), start[cols], kernel,
-                            (1.0 + CERT_RESIDUAL) ** 2)
+    w = _lowest_multipliers(plan, fixed, start[shut], (1.0 + CERT_RESIDUAL) ** 2)
     if w is None:
         return None
-    u[cols] = w
+    u[shut] = w
     residual = np.linalg.norm(_to_coords(problem.bases, u[:-1] - u[1:]), axis=1)
     return (float(lengths.sum()), u) if residual.max() <= CERT_RESIDUAL else None
 

@@ -63,9 +63,6 @@ class ThickenedTable:
         w = _perp(self.arrangement.bases, _as_vector(x, self.arrangement.dim))
         return float(np.min(np.sqrt(_row_dot(w, w)) - self.radii))
 
-    def in_table(self, x, tol: float = 1e-9) -> bool:
-        return self.distance_to_wall(x) >= -tol
-
 
 @dataclass(frozen=True)
 class Event:
@@ -159,22 +156,28 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
     Terminates on escape, the time horizon, or the event budget; a corner hit
     within the horizon raises CornerCollision carrying the partial path (the
     horizon is tested first, so a corner past it ends the path at t_max).
+    A p that is not a point of the table's space, a negative or NaN t_max
+    and a negative max_events raise InputError.
     The start is projected onto the subspace complements once, for the
     inside test and the first ray; each hit point's projections, made for
     its corner test, are the next ray's, so an event projects twice (v and
     the hit point).
     """
     arr = table.arrangement
-    p = np.asarray(p, dtype=float)
+    p = _as_vector(p, arr.dim)
     v = np.asarray(v, dtype=float)
     # written so that a NaN fails each test
+    if not t_max >= 0.0:
+        raise InputError(f"simulation horizon must be at least 0, got {t_max}")
+    if max_events < 0:
+        raise InputError(f"simulation event budget must be at least 0, got {max_events}")
     if not math.isfinite(p @ p):
         raise InputError("simulation start must be finite")
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
         raise InputError("simulation velocity must be finite and unit")
-    w = _perp(arr.bases, _as_vector(p, arr.dim)[None, :])
+    w = _perp(arr.bases, p[None, :])
     norm = np.sqrt(_row_dot(w, w))
-    if not float(np.min(norm - table.radii)) >= -1e-9:   # in_table(p), from the first ray's w
+    if not float(np.min(norm - table.radii)) >= -1e-9:   # p clears every wall, from the first ray's w
         raise PreconditionError("start point lies inside a cylinder")
     if v.shape != (arr.dim,):
         raise InputError("point/velocity dimension mismatch")

@@ -47,10 +47,6 @@ class OrientedLine:
         Q = Q - np.dot(Q, direction) * direction
         return cls(direction, Q)
 
-    def close_to(self, other: "OrientedLine", tol: float = 1e-9) -> bool:
-        return (np.linalg.norm(self.v - other.v) <= tol
-                and np.linalg.norm(self.Q - other.Q) <= tol)
-
 
 @dataclass(frozen=True)
 class BilliardTrajectory:
@@ -107,13 +103,6 @@ class BilliardTrajectory:
             "itinerary": self.itinerary.labels(arr) if self.itinerary else [],
             "length": self.length,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, arr: Arrangement) -> "BilliardTrajectory":
-        labels = data.get("itinerary", [])
-        itin = Itinerary.from_labels(arr, labels) if labels else None
-        return cls(np.asarray(data["A"], float), np.asarray(data["B"], float),
-                   np.asarray(data["chain"], float), itin)
 
 
 def reflection_residual(arr: Arrangement, traj: BilliardTrajectory, i: int) -> float:
@@ -209,7 +198,3 @@ def validate_trajectory(arr: Arrangement, traj: BilliardTrajectory) -> list[str]
 
 def trajectory_to_json(traj: BilliardTrajectory, arr: Arrangement) -> str:
     return json.dumps(traj.to_json_dict(arr), indent=2, sort_keys=True, allow_nan=False)
-
-
-def trajectory_from_json(text: str, arr: Arrangement) -> BilliardTrajectory:
-    return BilliardTrajectory.from_json_dict(json.loads(text), arr)

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import json
 import math
 import os
 
@@ -12,7 +13,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from linbilliards import nbody, solver
-from linbilliards.arrangement import Arrangement, Subspace
+from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.action import Chain, action, gradient
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.trajectory import BilliardTrajectory, is_transverse
@@ -202,6 +203,21 @@ def random_start_solves(arr, itinerary, A, B, n_starts, seed=0):
     chain_spread = np.linalg.norm(points[:, None] - points[None], axis=-1).max(initial=0.0)
     values = [r.value for r in results]
     return results, float(chain_spread), float(max(values) - min(values))
+
+
+def lines_close(line, other, tol=1e-9):
+    """Two oriented lines agree: directions and foot points within tol."""
+    return (np.linalg.norm(line.v - other.v) <= tol
+            and np.linalg.norm(line.Q - other.Q) <= tol)
+
+
+def trajectory_from_json(text, arr):
+    """The BilliardTrajectory that trajectory_to_json wrote as text."""
+    data = json.loads(text)
+    labels = data.get("itinerary", [])
+    return BilliardTrajectory(np.asarray(data["A"], float), np.asarray(data["B"], float),
+                              np.asarray(data["chain"], float),
+                              Itinerary.from_labels(arr, labels) if labels else None)
 
 
 def assert_lower_bound(result):

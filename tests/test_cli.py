@@ -12,7 +12,9 @@ from linbilliards.cli import EXIT_CORNER, main
 from linbilliards.errors import (PACKAGE_ERRORS, CornerCollision, InputError, MaxIterations,
                                  NonSmoothPoint, PreconditionError)
 from linbilliards.arrangement import load_arrangement
-from linbilliards.trajectory import trajectory_from_json, validate_trajectory
+from linbilliards.trajectory import validate_trajectory
+
+from conftest import trajectory_from_json
 
 
 @pytest.fixture
@@ -313,6 +315,31 @@ def test_thicken_refuses_the_options_of_the_other_mode(tmp_path, mirror_json, ar
                  *argv, "--out", str(out)])
     assert code == 64
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_thicken_simulate_without_an_event_budget_is_a_usage_error(tmp_path, mirror_json,
+                                                                   count):
+    """--max-events below 1 is a count below 1: refused before the output
+    directory is made, rather than writing an empty events.csv."""
+    out = tmp_path / "sim"
+    code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--simulate", "0,1;1,-1", "--r", "0.1", "--max-events", count,
+                 "--out", str(out)])
+    assert code == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["-1", "nan"])
+def test_thicken_simulate_refuses_a_negative_horizon(tmp_path, mirror_json, t_max):
+    """A --t-max below 0 ran the path backward, and NaN acted as no horizon:
+    both are usage errors, and no events.csv is written."""
+    out = tmp_path / "sim"
+    code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
+                 "--simulate", "0,1;1,-1", "--r", "0.1", f"--t-max={t_max}",
+                 "--out", str(out)])
+    assert code == 64
+    assert not (out / "events.csv").exists()
 
 
 def test_thicken_modes_apply_their_documented_defaults(tmp_path, mirror_json,

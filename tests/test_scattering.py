@@ -22,7 +22,7 @@ from linbilliards.scattering import (
 from linbilliards.solver import minimize
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
-from conftest import TWOLINE_A, TWOLINE_B, fourbody, planes3d
+from conftest import TWOLINE_A, TWOLINE_B, fourbody, lines_close, planes3d
 
 
 def rot2(theta):
@@ -34,7 +34,7 @@ def test_reduce_examples():
     line = reduce_line([0.0, 1.0], [1.0, 0.0])
     assert np.allclose(line.Q, [0.0, 1.0], atol=1e-14)
     same = reduce_line([5.0, 1.0], [1.0, 0.0])
-    assert same.close_to(line, tol=1e-12)
+    assert lines_close(same, line, tol=1e-12)
     zero = reduce_line([3.0, 0.0], [-1.0, 0.0])
     assert np.allclose(zero.Q, [0.0, 0.0], atol=1e-14)
     with pytest.raises(InputError):
@@ -197,8 +197,8 @@ def test_graph_property_ray_representatives(twolines_arr):
     assert again.is_valid
     assert np.max(np.abs(again.chain.points - result.chain.points)) < 1e-9
     s2 = RelationSample.from_result(again, A2, B2)
-    assert s2.ell_minus.close_to(sample.ell_minus, tol=1e-9)
-    assert s2.ell_plus.close_to(sample.ell_plus, tol=1e-9)
+    assert lines_close(s2.ell_minus, sample.ell_minus, tol=1e-9)
+    assert lines_close(s2.ell_plus, sample.ell_plus, tol=1e-9)
 
 
 def test_sampled_directions_unit(twolines_arr):

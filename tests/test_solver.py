@@ -1,4 +1,5 @@
 import math
+import sys
 import zlib
 
 import numpy as np
@@ -336,8 +337,9 @@ def test_certified_ghosts_match_full_continuation(fixture, request, monkeypatch)
 def _counting_spd_solves(monkeypatch):
     """Counter of solver._spd_solve calls made while _lowest_multipliers
     runs, one entry per search: ("found" | "none" | "projected", solves,
-    kernel dimension).  A point found without a solve is the projection of
-    the start: the search's own points all follow a Newton step."""
+    kernel dimension, from scipy).  A point found without a solve is the
+    projection of the start: the search's own points all follow a Newton
+    step."""
     searches, inside = [], []
     real_spd, real_search = solver._spd_solve, solver._lowest_multipliers
 
@@ -346,14 +348,14 @@ def _counting_spd_solves(monkeypatch):
             inside[-1] += 1
         return real_spd(M, b)
 
-    def search(p, start, kernel, bound):
+    def search(plan, fixed, start, bound):
         inside.append(0)
         try:
-            got = real_search(p, start, kernel, bound)
+            got = real_search(plan, fixed, start, bound)
         finally:
             solves = inside.pop()
         outcome = "none" if got is None else "found" if solves else "projected"
-        searches.append((outcome, solves, kernel.shape[2]))
+        searches.append((outcome, solves, _kernel(plan).shape[2]))
         return got
 
     monkeypatch.setattr(solver, "_spd_solve", spd)
@@ -540,6 +542,21 @@ def _reference_lowest_multipliers(p, start, kernel, bound):
     return None
 
 
+def _kernel(plan):
+    """An orthonormal basis (C, dim, d) of the null space of the plan's
+    vertex equations, from scipy: the directions of the affine set that the
+    collapsed multipliers search."""
+    return scipy.linalg.null_space(_vertex_matrix(plan)).reshape(
+        int(plan.shut.sum()), plan.bases.shape[2], -1)
+
+
+def _least_norm(plan, fixed):
+    """The least-norm least-squares solution (C, dim) of M v = -fixed, M the
+    plan's vertex equations, from scipy's pseudo-inverse."""
+    return -(scipy.linalg.pinv(_vertex_matrix(plan)) @ fixed).reshape(
+        -1, plan.bases.shape[2])
+
+
 def _vertex_matrix(plan):
     """The coefficients M (k m, C dim) of the collapsed edges' multipliers in
     the vertex equations B_i (u_{i-1} - u_i) = 0 of a run plan, built column
@@ -568,18 +585,11 @@ def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
     CERT_RESIDUAL with every norm below the bound.  The Farkas exit ends some
     of the failing searches before any Newton step."""
     searches = _counting_spd_solves(monkeypatch)
-    real, real_plan = solver._lowest_multipliers, solver._run_plan
-    plans = [None]
+    real = solver._lowest_multipliers
 
-    def recorded_plan(*key):
-        plans[-1] = real_plan(*key)
-        return plans[-1]
-
-    def compared(p, start, kernel, bound):
-        # the plan of the certificate that calls the search
-        plan = plans[-1]
-        assert plan.equations[2] is kernel
-        got = real(p, start, kernel, bound)
+    def compared(plan, fixed, start, bound):
+        got = real(plan, fixed, start, bound)
+        p, kernel = _least_norm(plan, fixed), _kernel(plan)
         expected = _reference_lowest_multipliers(p, start, kernel, bound)
         assert (got is None) == (expected is None)
         if got is not None:
@@ -589,7 +599,6 @@ def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
                 <= solver.CERT_RESIDUAL
         return got
 
-    monkeypatch.setattr(solver, "_run_plan", recorded_plan)
     monkeypatch.setattr(solver, "_lowest_multipliers", compared)
     _search_and_nbody_solves(twolines_arr, monkeypatch)
     searched = [outcome == "found" for outcome, _, _ in searches if outcome != "projected"]
@@ -616,7 +625,8 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     A, B = np.array([10.0, 1.0]), np.array([10.0, -1.0])
     problem = _StackedProblem(twolines_arr.bases_of(it), A, B)
     plan = solver._run_plan(*problem.key, ((0, 3),))
-    cols, pinv, kernel = plan.equations
+    pinv = plan.equations[2]
+    kernel = _kernel(plan)
     u = np.zeros((4, 2))
     u[0], u[-1] = -A / np.linalg.norm(A), B / np.linalg.norm(B)
     fixed = solver._to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
@@ -629,7 +639,7 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     start = np.array([[-0.9, 0.0], [0.9, 0.0]])
     # the Farkas exit ends the search before any Newton step
     searches = _counting_spd_solves(monkeypatch)
-    assert solver._lowest_multipliers(p, start, kernel, bound) is None
+    assert solver._lowest_multipliers(plan, fixed, start, bound) is None
     assert searches == [("none", 0, 1)]
     assert _reference_lowest_multipliers(p, start, kernel, bound) is None
     assert solver._multipliers_certify(problem, np.zeros((3, 2)), [(0, 3)],
@@ -647,15 +657,16 @@ def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
     problem = solver._StackedProblem(twolines_arr.bases_of(it), np.array([10.0, 1.0]),
                                      np.array([10.0, -1.0]))
     plan = solver._run_plan(*problem.key, ((0, 3),))
-    kernel = plan.equations[2]
+    kernel = _kernel(plan)
     v0 = np.array([[0.1, 0.2], [-0.1, 0.3]])
+    fixed = -_vertex_matrix(plan) @ v0.reshape(-1)
     p = v0 - _projected_start(np.zeros_like(v0), v0, kernel)
     bound = (1.0 + solver.CERT_RESIDUAL) ** 2
     for start in (np.array([[3.0, 0.0], [0.0, -5.0]]), np.array([[0.0, 1.0], [0.0, 1.0]]),
                   np.array([[0.0, 1.0 - 1e-7], [0.0, 1.0 - 1e-7]])):
         w = _projected_start(p, start, kernel)
         assert (w * w).sum(axis=1).max() >= bound
-        got = solver._lowest_multipliers(p, start, kernel, bound)
+        got = solver._lowest_multipliers(plan, fixed, start, bound)
         assert got is not None
         assert (got * got).sum(axis=1).max() < bound
         assert _vertex_residual(plan, got, w) <= solver.CERT_RESIDUAL
@@ -1563,9 +1574,9 @@ def test_solve_plan_arrays_are_read_only(planes3d_arr):
     problem = solver._StackedProblem(planes3d_arr.bases_of(Itinerary((0, 1, 2, 0))),
                                      np.array([1.0, 2.0, 3.0]), np.array([-2.0, 1.0, -1.0]))
     plan = solver._run_plan(*problem.key, ((0, 2), (2, 4)))
+    M, null, pinv = plan.equations
     arrays = [solver._spring_columns(*problem.key), *plan.meets, plan.keep, plan.shut,
-              plan.reduced, plan.bases, *plan.equations]
-    assert len(plan.equations) == 3
+              plan.reduced, plan.bases, M, null, pinv]
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         plan.reduced[0] = 0.0
@@ -1581,11 +1592,13 @@ def test_solve_plan_arrays_are_read_only(planes3d_arr):
     ("fourbody_arr", None, ((0, 16),)),                 # total collapse at k = 16
 ])
 def test_vertex_equations_match_the_reference_factorization(table, itinerary, runs, request):
-    """The run plan's one SVD of the vertex equations M gives what scipy
-    gives: the pseudo-inverse at the same rank, and an orthonormal kernel
-    with M K = 0 spanning scipy's null space to 1e-12.  Its least-norm
+    """The run plan's vertex equations M, their left null projector and
+    pseudo-inverse, built from the runs' meets without an SVD, give what
+    scipy gives: the pseudo-inverse to 1e-12, and the projector onto the
+    null space of M^T to 1e-12.  The projector's trace counts the solution
+    set's dimension, that of scipy's null space of M.  The least-norm
     multipliers p = -pinv fixed equal, to rounding, the re-projection w - K
-    K^T w of any solution w of M w = -fixed."""
+    K^T w of any solution w of M w = -fixed, K scipy's kernel."""
     arr = request.getfixturevalue(table)
     rng = np.random.default_rng(11)
     if itinerary is None:
@@ -1593,18 +1606,17 @@ def test_vertex_equations_match_the_reference_factorization(table, itinerary, ru
     problem = solver._StackedProblem(arr.bases_of(Itinerary(itinerary)),
                                      rng.standard_normal(arr.dim), rng.standard_normal(arr.dim))
     plan = solver._run_plan(*problem.key, runs)
-    cols, pinv, kernel = plan.equations
-    M = _vertex_matrix(plan)
-    C, dim, d = kernel.shape
-    assert len(cols) == C and M.shape == (problem.k * problem.m, C * dim)
-    reference, rank = scipy.linalg.pinv(M, return_rank=True)
-    null = scipy.linalg.null_space(M)
-    assert rank == C * dim - d and null.shape[1] == d
+    M, null, pinv = plan.equations
+    C, dim = int(plan.shut.sum()), problem.dim
+    assert M.shape == (problem.k * problem.m, C * dim)
+    assert np.array_equal(M, _vertex_matrix(plan))
+    reference = scipy.linalg.pinv(M)
     assert np.abs(pinv - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
-    K = kernel.reshape(C * dim, d)
-    assert np.abs(K.T @ K - np.eye(d)).max(initial=0.0) <= 1e-12
-    assert np.abs(M @ K).max(initial=0.0) <= 1e-12
-    assert np.abs(K @ K.T - null @ null.T).max() <= 1e-12
+    left = scipy.linalg.null_space(M.T)
+    assert np.abs(null - left @ left.T).max() <= 1e-12
+    K = scipy.linalg.null_space(M)
+    d = K.shape[1]
+    assert C * dim - (len(M) - round(float(np.trace(null)))) == d
     w = rng.standard_normal(C * dim)
     fixed = -M @ w
     p = -pinv @ fixed
@@ -1613,15 +1625,34 @@ def test_vertex_equations_match_the_reference_factorization(table, itinerary, ru
 
 def test_certificate_factors_without_qr(twolines_arr, monkeypatch):
     """The seed-0 unfiltered search builds its run plans from cold and
-    calls no QR: the SVD of the vertex equations gives the kernel too."""
-    from linbilliards.origami import search_realizable
-    calls = []
-    real = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    calls no QR, and its solves call no SVD but those of intersection_basis
+    (dim columns): the vertex equations are factored from the runs' meets."""
+    from linbilliards import origami
+    calls, svds, solving = [], [], []
+    real_qr, real_svd, real_minimize = np.linalg.qr, np.linalg.svd, origami.minimize
+
+    def svd(a, *args, **kw):
+        if solving:
+            svds.append((sys._getframe(1).f_code.co_name, np.shape(a)))
+        return real_svd(a, *args, **kw)
+
+    def minimize(*args):
+        solving.append(True)
+        try:
+            return real_minimize(*args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(args) or real_qr(*args, **kw))
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(origami, "minimize", minimize)
     _clear_solve_plans()
-    search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
+    origami.search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
     assert solver._run_plan.cache_info().misses > 0
     assert not calls
+    assert svds
+    assert all(caller == "intersection_basis" and shape[1] == twolines_arr.dim
+               for caller, shape in svds)
 
 
 @pytest.mark.parametrize("table", ["twolines_arr", "planes3d_arr", "fourbody_arr"])

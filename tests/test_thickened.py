@@ -109,6 +109,29 @@ def test_simulate_rejects_a_non_finite_start(mirror_table, p, v):
         simulate(mirror_table, p, v)
 
 
+@pytest.mark.parametrize("p, kwargs", [
+    ([0.0, 1.0], {"t_max": -1.0}), ([0.0, 1.0], {"t_max": math.nan}),
+    ([0.0, 1.0], {"max_events": -3}), ([[0.0, 1.0], [0.0, 1.0]], {}), (1.0, {})])
+def test_simulate_refuses_a_negative_horizon_budget_or_a_misshapen_start(mirror_table,
+                                                                        p, kwargs):
+    """A horizon below 0 or NaN (which ran the path backward, or acted as no
+    horizon), a negative event budget and a start that is not a point of
+    the plane are refused before anything is simulated."""
+    v = np.array([1.0, -1.0]) / math.sqrt(2)
+    with pytest.raises(InputError):
+        simulate(mirror_table, p, v, **kwargs)
+
+
+def test_simulate_with_no_event_budget_stays_at_the_start(mirror_table):
+    """max_events = 0 and t_max = 0 are the smallest budget and horizon: the
+    path ends where it starts, with no event."""
+    p, v = np.array([0.0, 1.0]), np.array([1.0, -1.0]) / math.sqrt(2)
+    for kwargs, status in (({"max_events": 0}, "max_events"), ({"t_max": 0.0}, "t_max")):
+        path = simulate(mirror_table, p, v, **kwargs)
+        assert (path.status, path.end_time, path.events) == (status, 0.0, [])
+        assert np.array_equal(path.end_point, p)
+
+
 def test_simulate_two_lines_bounce_bound(twolines_arr):
     # small thickening of two lines at pi/3: at most 4 bounces
     table = ThickenedTable(twolines_arr, 1e-3)
@@ -116,7 +139,7 @@ def test_simulate_two_lines_bounce_bound(twolines_arr):
     worst = 0
     for _ in range(200):
         p = rng.normal(size=2) * 3
-        if not table.in_table(p, tol=-1e-6):
+        if not table.distance_to_wall(p) >= 1e-6:
             continue
         v = rng.normal(size=2)
         v /= np.linalg.norm(v)
@@ -582,7 +605,7 @@ def _simulate_by_first_hit(table, p, v, max_events=50, t_max=math.inf):
     the next ray, must reproduce bit for bit.  first_hit has no horizon, so
     this reference is only asked for horizons before a corner."""
     p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
-    if not table.in_table(p):
+    if not table.distance_to_wall(p) >= -1e-9:
         raise PreconditionError("start point lies inside a cylinder")
     path = ThickenedPath(p.copy(), v.copy())
     t_now = 0.0

@@ -13,10 +13,11 @@ from linbilliards.trajectory import (
     is_transverse,
     max_reflection_residual,
     reflection_residual,
-    trajectory_from_json,
     trajectory_to_json,
     validate_trajectory,
 )
+
+from conftest import lines_close, trajectory_from_json
 
 
 def mirror_traj():
@@ -146,8 +147,8 @@ def test_boundary_lines_representative_invariance():
         shifted = BilliardTrajectory(traj.A + s * v_in, traj.B,
                                      traj.chain, traj.itinerary)
         lm2, lp2 = boundary_lines(shifted)
-        assert lm2.close_to(lm, tol=1e-12)
-        assert lp2.close_to(lp, tol=1e-12)
+        assert lines_close(lm2, lm, tol=1e-12)
+        assert lines_close(lp2, lp, tol=1e-12)
 
 
 def test_oriented_line_invariants():
