@@ -113,6 +113,8 @@ def _load_problem(args):
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, made on first use.  Every command computes first
+    and calls this only to write, so a refused input leaves no directory."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -126,10 +128,8 @@ def cmd_solve(args) -> int:
         gens = generators_from_json(json.loads(Path(args.generators).read_text()))
         for gen in gens:
             gen.validate(arr)
-    A = _parse_vector(args.A)
-    B = _parse_vector(args.B)
+    result = minimize(arr, itinerary, _parse_vector(args.A), _parse_vector(args.B))
     out = _out_dir(args)
-    result = minimize(arr, itinerary, A, B)
     payload = {
         "classification": str(result.classification),
         "value": result.value,
@@ -159,7 +159,6 @@ def cmd_scatter(args) -> int:
                  if args.itinerary else None)
     A = _parse_vector(args.A)
     B = _parse_vector(args.B)
-    out = _out_dir(args)
     rng = np.random.default_rng(args.seed)
     # generic rotation of the grid axes avoids symmetry-degenerate stencils
     axes_A = np.linalg.qr(rng.standard_normal((arr.dim, arr.dim)))[0].T
@@ -175,6 +174,7 @@ def cmd_scatter(args) -> int:
         residuals[float(spacing)] = lagrangian_residual(patch_l)
         if patch is None:
             patch = patch_l
+    out = _out_dir(args)
     patch_to_csv(patch, out / "patch.csv")
     payload = {"lagrangian_residuals": {f"{h:.9g}": v for h, v in residuals.items()},
                "valid_fraction": patch.valid_fraction()}
@@ -215,7 +215,6 @@ def cmd_thicken(args) -> int:
     if simulating:
         _check_counts(args, "max_events")
     arr, itinerary = _load_problem(args)
-    out = _out_dir(args)
     if simulating:
         parts = args.simulate.split(";")
         if len(parts) != 2:
@@ -229,11 +228,11 @@ def cmd_thicken(args) -> int:
             path = simulate(table, p, v, max_events=args.max_events, t_max=args.t_max)
         except CornerCollision as exc:
             # the dynamics is undefined in a corner; keep the events before it
-            events_to_csv(exc.path, out / "events.csv")
+            events_to_csv(exc.path, _out_dir(args) / "events.csv")
             logger.error("simulate: corner collision after %d events at t = %.17g: %s",
                          len(exc.path.events), exc.path.end_time, exc)
             return EXIT_CORNER
-        events_to_csv(path, out / "events.csv")
+        events_to_csv(path, _out_dir(args) / "events.csv")
         logger.info("simulate: %d events, status %s", len(path.events), path.status)
         return EXIT_OK
     if args.A is None or args.B is None:
@@ -242,6 +241,7 @@ def cmd_thicken(args) -> int:
     B = _parse_vector(args.B)
     r_list = _parse_vector(args.r_list, "radius list").tolist()
     entries = r_family(arr, itinerary, A, B, r_list)
+    out = _out_dir(args)
     with open(out / "rfamily.csv", "w") as fh:
         fh.write("r,deviation,honest,itinerary_match,value,error\n")
         for e in entries:
@@ -260,7 +260,6 @@ def cmd_thicken(args) -> int:
 def cmd_origami(args) -> int:
     _check_counts(args, "max_len", "budget", "jobs")
     arr, itinerary = _load_problem(args)
-    out = _out_dir(args)
     payload = {"itinerary_bound": itinerary_bound(arr)}
     if args.A and args.B:
         result = minimize(arr, itinerary, _parse_vector(args.A), _parse_vector(args.B))
@@ -279,6 +278,7 @@ def cmd_origami(args) -> int:
             payload["unfolding"] = {"classification": str(result.classification)}
     rows = search_realizable(arr, args.max_len, args.budget, seed=args.seed,
                              jobs=args.jobs)
+    out = _out_dir(args)
     search_to_csv(rows, out / "realizability.csv")
     realized = [len(r.labels) for r in rows if r.status == "realized"]
     payload["max_realized_length"] = max(realized) if realized else 0
@@ -290,10 +290,10 @@ def cmd_origami(args) -> int:
 
 def cmd_threebody(args) -> int:
     _check_counts(args, "n_phi", "n_psi")
-    out = _out_dir(args)
     phi = np.linspace(0.0, 2.0 * math.pi, args.n_phi, endpoint=False)
     psi = np.linspace(0.0, 2.0 * math.pi, args.n_psi, endpoint=False)
     s = three_body_slice(phi, psi)
+    out = _out_dir(args)
     slice_to_csv(s, out / "slice.csv")
     logger.info("threebody: pair-exchange speed |w| = sqrt(3)/2 = %.12g from "
                 "|v1 - v2|/2 with the equally spaced unit-energy incoming "

@@ -5,8 +5,8 @@ minimum for anchors off the collision locus, but it is non-smooth exactly
 where consecutive vertices collide, and minimizers may sit there (ghosts).
 The solver therefore minimizes the smoothed length sum(sqrt(r^2 + mu^2)) by
 damped Newton and drives mu to zero; a minimizer whose gaps collapse along the
-continuation is a ghost.  Smooth minimizers get a final exact-Newton polish
-on the true length.
+continuation is a ghost.  Smooth minimizers end in an exact-Newton polish on
+the true length.
 
 A cold solve starts from the spring chain.  As mu grows the smoothed length
 tends to sum(mu + r^2 / 2 mu), whose minimizer is the minimizer of sum
@@ -18,7 +18,12 @@ every gap and the smoothed length is close to that limit, so the spring
 chain is already near the stage's minimizer (from the chord, Newton spent
 three or four passes reaching it); a start at mu = 1e-2 scale backtracks
 through about three value passes for every derivative pass instead.  The
-later stages run mu = 1e-2 ... 1e-14 scale to tolerance 1e-9.
+later stages run mu = 1e-2 ... 1e-14 scale to tolerance 1e-9.  A stage with
+an interior gap within CERT_WINDOW * mu tries the ghost certificate below;
+any other tries the exact polish (_exact_polish), the one place where a
+smooth solve decides that it has converged.  The first to hold ends the
+solve; a continuation that ends with no polished chain and every gap above
+the coincidence floor COINCIDENCE_TOL * scale raises MaxIterations.
 
 The gradient of the length is a sum of differences of unit vectors, so it
 has no unit: every stop test compares |grad| with its tolerance alone, and a
@@ -43,15 +48,14 @@ SPD solve gives their pseudo-inverse, with no SVD or rank cut; a Farkas
 test on their least-norm solution ends most multiplier searches that must
 fail before any Newton step, so a failed attempt is cheap.
 
-A smooth start needs no continuation at all.  When the caller's initial
-chain already lies in Newton's quadratic basin -- its first exact (mu = 0)
-Newton step is at most WARM_GATE of the chain's shortest edge, as for the
-solved chain of a neighbouring anchor pair -- the solver polishes it by exact
-Newton past GRAD_TOL and, if no gap sinks to the merge threshold on the way,
-classifies it directly (iterations == 0).  A smooth critical point of the
-convex path length is its global minimizer, so this classifies as a cold
-solve would.  Any other start fails the gate and runs the continuation from
-the given chain unchanged.
+A smooth start needs no continuation at all.  A caller's initial chain
+goes through the same polish, at the same floor, before any stage.  In
+Newton's quadratic basin -- its first exact (mu = 0) Newton step at most
+WARM_GATE of its shortest edge, as for the solved chain of a neighbouring
+anchor pair -- it is polished past GRAD_TOL and classified directly
+(iterations == 0), as a cold solve would be: a smooth critical point of the
+convex length is its global minimizer.  Any other start fails the gate and
+runs the continuation from the given chain unchanged.
 
 The same weak duality proves every VALID and certified GHOST result: from
 its multipliers (its unit edges, or the certificate's) _dual_bound gives
@@ -107,15 +111,14 @@ GRAD_TOL = 1e-10       # a smooth solve stops at |grad| <= this; |grad| has no u
 STEP_TOL = 1e-12       # stagnation threshold on the step norm
 ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking
 STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
-MERGE_DETECT = 1e-4    # gap below this * scale marks a collapsing run
 OPEN_TOL = 1e-4        # the opening stage (mu = scale) stops at |grad| <= this
 CERT_WINDOW = 10.0     # certify a stage once an interior gap is within this * mu
 CERT_TRIES = 4         # thresholds tried per certificate
 CERT_RESIDUAL = 1e-12  # stationarity residual accepted as rounding
 MULTIPLIER_STEPS = 30  # Newton steps of the collapsed-multiplier search
 INSIDE = 0.25          # a start row with |v|^2 above this * bound is scaled to it
-WARM_GATE = 1e-2       # warm start: first exact Newton step / shortest edge
-WARM_AIM = 1e-4        # warm polish targets this * GRAD_TOL, accepts GRAD_TOL
+WARM_GATE = 1e-2       # exact polish: first exact Newton step / shortest edge
+WARM_AIM = 1e-4        # exact polish targets this * tol, accepts tol
 POLISH_ITERS = 400     # Newton steps of the exact polish, cold or warm
 EDGE_TOL = 1e-9        # edge direction within this of a subspace lies inside it
 PLANS = 4              # entries of each solve-plan cache (itineraries, run sets)
@@ -142,9 +145,9 @@ class MinimizeResult:
     classification: Classification
     trajectory: BilliardTrajectory | None
     iterations: int          # smoothing stages run, the opening stage at mu =
-                             # scale included (4 for a cold valid two-line
-                             # solve, fewer for certified ghosts; 0 when a warm
-                             # start was polished directly)
+                             # scale included (2 for the tests' cold TWOLINE
+                             # solve, 1 for the README mirror; 0 when a
+                             # caller's start was polished directly)
     message: str = ""
     model: HessianModel | None = field(default=None, repr=False, compare=False)
     multipliers: tuple | None = field(default=None, repr=False, compare=False)
@@ -471,19 +474,19 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
     return x, value, grad_norm, "max_iters"
 
 
-def _warm_polish(problem, x, tol, detect, max_iters):
-    """(coordinates, length) of the exact-Newton polish of a warm start x, or
-    None if x is not one.
+def _exact_polish(problem, x, tol, floor, max_iters):
+    """(coordinates, length) of the exact (mu = 0) Newton polish of x, or
+    None: the one convergence test of a smooth solve, cold, warm or reduced.
 
-    x is warm when every gap exceeds detect and its first exact (mu = 0)
+    x is in Newton's basin when every gap exceeds floor and its first exact
     Newton step is at most WARM_GATE of the shortest gap.  The polish aims
-    at WARM_AIM * tol, typically one quadratic step past tol: a warm chain's
-    error depends on where its neighbour sat, so left at tol it would be
-    noise that finite differences over a patch divide by the spacing.  It is
-    accepted once the gradient meets tol, with every gap still above detect.
+    at WARM_AIM * tol, typically one quadratic step past tol, so that a
+    result's error does not depend on where its start sat (finite
+    differences over a patch divide it by the spacing).  It is accepted once
+    the gradient meets tol, with every gap still above floor.
     """
     shortest = problem.edge_pass(x, 0.0)[1].min()
-    if not shortest > detect:
+    if not shortest > floor:
         return None
     start = problem.derivatives(x, 0.0)
     # at zero gradient no step is a descent step, and the zero step is taken
@@ -493,7 +496,7 @@ def _warm_polish(problem, x, tol, detect, max_iters):
     x, value, grad_norm, _ = _damped_newton(
         x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
         _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start, first_step=step)
-    if grad_norm > tol or problem.edge_pass(x, 0.0)[1].min() <= detect:
+    if grad_norm > tol or problem.edge_pass(x, 0.0)[1].min() <= floor:
         return None
     return x, value
 
@@ -518,7 +521,7 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     intersection basis padded by zero rows to the common m.  Its free
     vertices are solved at the next stage's smoothing, which carries them
     past the kinks of the exact length, then polished by exact Newton if
-    that is then in its quadratic basin (_warm_polish); a run set missing a
+    that is then in its quadratic basin (_exact_polish); a run set missing a
     collapsed edge fails that gate.  A pinned run set (plan.pinned) has no
     free coordinate to solve: its snapped chain is tested against floor on
     the reduced edges alone.
@@ -536,7 +539,7 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
                            partial(reduced.value, mu2=mu2), _add_step,
                            1e-9, STEP_TOL, max_iters=40)
-    polished = _warm_polish(reduced, y, CERT_RESIDUAL, floor, 40)
+    polished = _exact_polish(reduced, y, CERT_RESIDUAL, floor, 40)
     if polished is None:
         return None
     return reduced.points_of(polished[0])[np.cumsum(plan.keep) - 1]
@@ -642,10 +645,11 @@ def _certify_ghost(problem, x, mu2, floor):
     """(length, points, u) of the ghost certified exactly by edge
     multipliers u after the smoothing stage mu2 whose minimizer is x, or
     None: the seam of the continuation, which returns an accepted chain as
-    the global minimum and skips the remaining stages.
+    the global minimum and skips the remaining stages.  x must have an
+    interior gap within CERT_WINDOW * mu, the test minimize makes.
 
     Runs are joined by the interior gaps of x up to a threshold: first the
-    largest gap within CERT_WINDOW * mu, then each larger gap in turn
+    largest gap within that window, then each larger gap in turn
     (collapsed edges whose multiplier is near unit norm stay open longest),
     then each smaller one.  The edges are those of the stage's exact pass at
     x, and the length that of the certificate's own pass at the accepted
@@ -654,8 +658,6 @@ def _certify_ghost(problem, x, mu2, floor):
     edges, gaps = problem.edge_pass(x, 0.0)
     interior = np.unique(gaps[1:-1])
     first = np.searchsorted(interior, CERT_WINDOW * math.sqrt(mu2), side="right") - 1
-    if first < 0:
-        return None
     start = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
     chain = problem.points_of(x)
     for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:CERT_TRIES]:
@@ -715,7 +717,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0)
 
     problem = _StackedProblem(arr.bases_of(itinerary), A, B)
-    detect = MERGE_DETECT * scale
+    polished = None
     if initial_chain is None:
         # the minimizer of the smoothed length's limit as mu grows
         x = _spring_coords(problem)
@@ -723,28 +725,26 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         x = problem.coords_of(initial_chain.points)
         # a caller's chain in Newton's basin (a solved neighbour) is polished
         # at mu = 0 directly; any other falls through to the continuation
-        warm = _warm_polish(problem, x, GRAD_TOL, detect, POLISH_ITERS)
-        if warm is not None:
-            x, value = warm
-            return _classify(arr, itinerary, A, _iterate_chain(problem, x), B,
-                             value, 0, problem.exact_pass(x))
+        polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS)
 
     # continuation in the smoothing parameter; warm-started Newton each stage,
-    # opened loosely at mu = scale.  Once every gap dwarfs mu the smoothing
-    # is irrelevant and the exact polish takes over.  Ghost candidates keep
-    # gaps ~ mu; every stage tries the multiplier certificate, which returns
-    # at once without an interior gap within CERT_WINDOW * mu, and stops the
-    # continuation as soon as it holds.
+    # opened loosely at mu = scale.  A stage with an interior gap within
+    # CERT_WINDOW * mu is a ghost candidate and tries the multiplier
+    # certificate; any other tries the exact polish.  The first that holds
+    # ends the continuation.
     iterations = 0
     for mu, tol in _stages(scale):
+        if polished is not None:
+            break
         mu2 = mu * mu
         x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
                                partial(problem.value, mu2=mu2), _add_step,
                                tol, STEP_TOL, max_iters=40)
         iterations += 1
         gaps = problem.edge_pass(x, 0.0)[1]
-        if gaps.min() > 1e4 * mu:
-            break
+        if not (gaps[1:-1] <= CERT_WINDOW * math.sqrt(mu2)).any():
+            polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS)
+            continue
         certified = _certify_ghost(problem, x, mu2, coincidence)
         if certified is not None:
             # every run of a certified chain is one point, so the chain has a
@@ -755,16 +755,14 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                                   math.nan, Classification.GHOST, None, iterations,
                                   GHOST_MESSAGE, multipliers=(problem.bases, A, B, u))
 
-    if gaps.min() > coincidence:
-        x, value, grad_norm, reason = _damped_newton(
-            x, partial(problem.derivatives, mu2=0.0),
-            partial(problem.value, mu2=0.0), _add_step,
-            GRAD_TOL, STEP_TOL, max_iters=POLISH_ITERS)
-        if grad_norm > GRAD_TOL:
-            raise MaxIterations(
-                f"exact polish stalled ({reason}) with |grad| = {grad_norm:.3e}")
-    chain = _iterate_chain(problem, x)
-    return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B),
+    if polished is not None:
+        x, value = polished
+    elif gaps.min() > coincidence:
+        raise MaxIterations("continuation ended without a polished minimizer")
+    else:
+        # within the coincidence floor of a collapse, uncertified
+        value = action(A, problem.points_of(x), B)
+    return _classify(arr, itinerary, A, _iterate_chain(problem, x), B, value,
                      iterations, problem.exact_pass(x))
 
 

@@ -153,7 +153,7 @@ def test_non_finite_anchor_is_a_usage_error(tmp_path, mirror_json, command):
     code = main([command, "--arrangement", str(mirror_json), "--itinerary", "L1",
                  "--A", "nan,1", "--B", "2,1", "--out", str(out)])
     assert code == 64
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_scatter_command(tmp_path, mirror_json):
@@ -190,7 +190,7 @@ def test_scatter_rejects_a_non_finite_spacing(tmp_path, mirror_json, spacing, mo
     code = main(["scatter", "--arrangement", str(mirror_json), "--itinerary", "L1",
                  "--A", "0,1", "--B", "2,1", f"--spacing={spacing}", "--out", str(out)])
     assert code == 64
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_thicken_command_monotone(tmp_path, mirror_json):
@@ -228,7 +228,7 @@ def test_thicken_without_an_anchor_is_a_usage_error(tmp_path, mirror_json, ancho
     code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
                  *[x for item in anchors.items() for x in item], "--out", str(out)])
     assert code == 64
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_thicken_simulates_each_honest_radius_once(tmp_path, mirror_json, monkeypatch):
@@ -287,7 +287,7 @@ def test_thicken_rejects_a_non_finite_radius(tmp_path, mirror_json, argv):
     code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
                  *argv, "--out", str(out)])
     assert code == 64
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("r_list", ["x", "", "1e-1,,1e-2"])
@@ -296,7 +296,7 @@ def test_thicken_rejects_an_unparsable_radius_list(tmp_path, mirror_json, r_list
     code = main(["thicken", "--arrangement", str(mirror_json), "--itinerary", "L1",
                  "--A", "0,1", "--B", "2,1", "--r-list", r_list, "--out", str(out)])
     assert code == 64
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -395,6 +395,22 @@ def test_thicken_rejects_a_non_finite_or_zero_start(tmp_path, mirror_json, simul
                  "--simulate", simulate, "--r", "0.1", "--out", str(out)])
     assert code == 64
     assert not (out / "events.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thicken", "--itinerary", "L1", "--simulate", "0,1;1,-1", "--r", "0.1", "--t-max", "-1"],
+    ["thicken", "--itinerary", "L1", "--simulate", "0,1;1,-1", "--r", "-0.1"],
+    ["thicken", "--itinerary", "L1", "--simulate", "0,1;0,0", "--r", "0.1"],
+    ["scatter", "--itinerary", "L1", "--A", "0,1", "--B", "2,1", "--spacing", "nan"],
+    ["scatter", "--itinerary", "L1", "--A", "0,1", "--B", "2,1", "--half", "-1"],
+], ids=["t-max", "radius", "direction", "spacing", "half"])
+def test_a_refused_input_leaves_no_output_directory(tmp_path, mirror_json, argv):
+    """Every command computes before it makes --out: an input refused by
+    the simulation or the grid exits 64 and leaves no directory behind."""
+    out = tmp_path / "out"
+    code = main([argv[0], "--arrangement", str(mirror_json), *argv[1:], "--out", str(out)])
+    assert code == 64
+    assert not out.exists()
 
 
 def test_origami_command(tmp_path, twolines_json):

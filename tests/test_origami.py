@@ -44,6 +44,17 @@ def test_unfold_two_lines_angle_sum(twolines_arr):
     assert u.beta < math.pi
 
 
+def test_readme_origami_example_meets_the_unfolding_identities(twolines_arr):
+    """The README's origami example on two lines, solved at the library's
+    own GRAD_TOL, meets the angle sum, the planar development's
+    collinearity and the law of sines to rounding (1e-14)."""
+    result = minimize(twolines_arr, Itinerary((0, 1)), [2.0, 1.0], [-1.0, -3.0])
+    assert result.is_valid
+    assert abs(unfold(result.trajectory).total - math.pi) <= 1e-14
+    assert collinearity_residual(develop_planar(result.trajectory)) <= 1e-14
+    assert law_of_sines_residual(result.trajectory) <= 1e-14
+
+
 def test_unfold_rejects_origin_vertex():
     traj = BilliardTrajectory(np.array([3.0, 0.0]), np.array([0.0, 4.0]),
                               np.array([[0.0, 0.0]]), Itinerary((0,)))
@@ -192,7 +203,7 @@ def test_a_solver_failure_is_not_a_miss(twolines_arr, monkeypatch):
     import linbilliards.origami as origami_module
 
     def failing(arr, itinerary, A, B, initial_chain=None):
-        raise MaxIterations("exact polish stalled")
+        raise MaxIterations("continuation ended without a polished minimizer")
 
     monkeypatch.setattr(origami_module, "minimize", failing)
     with pytest.raises(MaxIterations):

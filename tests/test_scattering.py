@@ -362,7 +362,7 @@ def test_a_solver_failure_is_not_an_absent_cell(twolines_arr, monkeypatch, fail_
     def failing(arr, itinerary, A, B, initial_chain=None):
         calls.append(A)
         if len(calls) > fail_at:
-            raise MaxIterations("exact polish stalled")
+            raise MaxIterations("continuation ended without a polished minimizer")
         return real(arr, itinerary, A, B, initial_chain)
 
     monkeypatch.setattr(scattering_module, "minimize", failing)

@@ -291,26 +291,26 @@ def test_certified_ghosts_match_full_continuation(fixture, request, monkeypatch)
     """A ghost certified early is, bit for bit, the ghost that the
     certificate gives when it is allowed only after the last stage.  There
     some ghosts keep gaps of 12-22 mu, outside CERT_WINDOW * mu, so the
-    reference widens the window to MERGE_DETECT * scale."""
+    reference widens the window to 1e-4 * scale at the last stage.  minimize
+    makes the window test, so the widened CERT_WINDOW holds for the whole
+    reference solve: every earlier stage is a ghost candidate, whose
+    certificate is refused, and so none tries the exact polish."""
     import linbilliards.solver as solver_module
     arr = request.getfixturevalue(fixture)
     rng = np.random.default_rng(5)
     cases = [_random_case(arr, rng, 2, 6) for _ in range(40)]
     early = [minimize(arr, it, A, B) for it, A, B in cases]
     real_stages, real_certify = solver_module._stages, solver_module._certify_ghost
-    end = []  # the last stage's mu^2 and the widened window
+    last = []  # the last stage's mu^2
 
     def stages(scale):
         found = real_stages(scale)
-        end[:] = [found[-1][0] * found[-1][0], solver_module.MERGE_DETECT * scale]
+        last[:] = [found[-1][0] * found[-1][0]]
+        monkeypatch.setattr(solver_module, "CERT_WINDOW", 1e-4 * scale / math.sqrt(last[0]))
         return found
 
     def after_the_last_stage(problem, x, mu2, floor):
-        if mu2 != end[0]:
-            return None
-        with monkeypatch.context() as m:
-            m.setattr(solver_module, "CERT_WINDOW", end[1] / math.sqrt(mu2))
-            return real_certify(problem, x, mu2, floor)
+        return real_certify(problem, x, mu2, floor) if mu2 == last[0] else None
 
     monkeypatch.setattr(solver_module, "_stages", stages)
     monkeypatch.setattr(solver_module, "_certify_ghost", after_the_last_stage)
@@ -677,12 +677,14 @@ def test_pinned_run_sets_skip_the_reduced_problem(twolines_arr, monkeypatch):
     and no vertex is free), the certificate tests the snapped chain's
     reduced edges and builds no reduced problem: the total collapse of
     L1, L2, L1, L2 certifies that way, at the length of the chain of origins
-    and with its lower bound.  In a cold solve _warm_polish has one caller,
-    the reduced polish of a run set that is not pinned, so it never runs."""
+    and with its lower bound.  In a cold solve _exact_polish runs after a
+    stage without a ghost candidate and in the reduced polish of a run set
+    that is not pinned; this solve certifies at a candidate stage, so it
+    never runs."""
     it, A, B = Itinerary((0, 1, 0, 1)), np.array([1.0, 0.2]), np.array([1.0, -0.3])
     polished = []
-    real = solver._warm_polish
-    monkeypatch.setattr(solver, "_warm_polish",
+    real = solver._exact_polish
+    monkeypatch.setattr(solver, "_exact_polish",
                         lambda *args: polished.append(args) or real(*args))
     fast = minimize(twolines_arr, it, A, B)
     assert fast.classification is Classification.GHOST and not fast.chain.points.any()
@@ -835,21 +837,22 @@ def test_polish_floor_is_checked_against_the_value(grad_norm, raises, twolines_a
                                                    monkeypatch):
     """A polish that stops on the rounding floor is accepted only when |grad|
     is within GRAD_TOL (1e-10), as at max_iters: a solve never reports that
-    it converged when it only stopped moving."""
+    it converged when it only stopped moving.  With every stage's polish
+    refused, the continuation ends without a polished minimizer."""
     import linbilliards.solver as solver_module
     from linbilliards.errors import MaxIterations
     real = solver_module._damped_newton
 
-    def floored(x, derivatives, value_of, retract, tol, step_tol, max_iters):
+    def floored(x, derivatives, value_of, retract, tol, step_tol, max_iters, **kw):
         x, value, norm, reason = real(x, derivatives, value_of, retract, tol,
-                                      step_tol, max_iters)
+                                      step_tol, max_iters, **kw)
         if max_iters == solver.POLISH_ITERS:  # the exact polish
             return x, value, grad_norm, "floor"
         return x, value, norm, reason
 
     monkeypatch.setattr(solver_module, "_damped_newton", floored)
     if raises:
-        with pytest.raises(MaxIterations, match="floor"):
+        with pytest.raises(MaxIterations, match="without a polished minimizer"):
             minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B)
     else:
         assert minimize(twolines_arr, Itinerary((0, 1)), TWOLINE_A, TWOLINE_B).is_valid
@@ -898,15 +901,20 @@ def test_multistart_random_starts_fail_the_warm_gate(itinerary, twolines_arr):
 
 def test_failed_warm_gate_runs_the_continuation_unchanged(twolines_arr, monkeypatch):
     """A start outside Newton's basin gives bit for bit what the continuation
-    alone gives from the same chain."""
+    alone gives from the same chain: the reference refuses the start's
+    polish, the first _exact_polish call of a solve, and no other."""
     import linbilliards.solver as solver_module
     it = Itinerary((0, 1))
     rng = np.random.default_rng(8)
     starts = [random_chain(twolines_arr, it, 10.0, rng) for _ in range(10)]
     gated = [minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B,
                       initial_chain=c) for c in starts]
-    monkeypatch.setattr(solver_module, "_warm_polish", lambda *args: None)
+    real, calls = solver_module._exact_polish, []
+    monkeypatch.setattr(solver_module, "_exact_polish",
+                        lambda *args: None if calls.append(args) or len(calls) == 1
+                        else real(*args))
     for start, result in zip(starts, gated):
+        del calls[:]
         reference = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B,
                              initial_chain=start)
         assert result.iterations == reference.iterations > 0
@@ -1465,6 +1473,24 @@ def test_lower_bounds_meet_their_values(seed, twolines_arr, monkeypatch):
     assert len(results) == len(solves) + 625
     for result in results:
         assert_lower_bound(result)
+
+
+@pytest.mark.parametrize("fixture", ["twolines_arr", "lines3d_arr", "planes4d_arr"])
+def test_cold_valid_results_meet_their_lower_bounds_to_rounding(fixture, request):
+    """A cold VALID solve ends in the one exact polish, which aims at
+    WARM_AIM * GRAD_TOL as a warm one does: its lower bound meets its value
+    within 1e-13 (relative), where a polish that stopped at GRAD_TOL left
+    gaps up to 1.3e-11."""
+    arr = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(7)
+    valid = 0
+    for _ in range(100):
+        it, A, B = _random_case(arr, rng, 2, 6)
+        result = minimize(arr, it, A, B)
+        if result.is_valid:
+            valid += 1
+            assert result.value - result.lower_bound <= 1e-13 * result.value
+    assert valid >= 5
 
 
 @pytest.mark.parametrize("offset, outcome", [
