@@ -24,7 +24,6 @@ from .errors import (
 from .solver import (
     Classification,
     MinimizeResult,
-    envelope_gradients,
     minimize,
 )
 from .trajectory import (
@@ -43,7 +42,6 @@ from .scattering import (
     legendrian_theta_residual,
     reduce_line,
     sample_relation,
-    scale_action,
 )
 from .thickened import (
     ThickenedTable,
@@ -98,7 +96,6 @@ __all__ = [
     "build_arrangement",
     "conservation_report",
     "cross_validate_slice",
-    "envelope_gradients",
     "first_hit",
     "gradient",
     "hessian",
@@ -118,7 +115,6 @@ __all__ = [
     "reflection_residual",
     "sample_relation",
     "save_arrangement",
-    "scale_action",
     "search_realizable",
     "simulate",
     "three_body_slice",

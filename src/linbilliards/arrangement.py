@@ -264,9 +264,13 @@ class Arrangement:
 
     def distance_to_locus(self, x) -> float:
         """Distance to the union of all collision subspaces."""
-        x = _as_vector(x, self.dim)
-        w = _perp(self.bases, x[None, :])
-        return math.sqrt(float(_row_dot(w, w).min()))
+        return float(self.locus_distances(_as_vector(x, self.dim)))
+
+    def locus_distances(self, points: np.ndarray) -> np.ndarray:
+        """distance_to_locus of each of the points (..., dim), (...), from
+        one stacked projection onto every subspace."""
+        w = _perp(self.bases, points[..., None, :])
+        return np.sqrt(_row_dot(w, w).min(axis=-1))
 
     def on_locus(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance_to_locus(x) <= tol

@@ -324,19 +324,6 @@ def legendrian_theta_residual(patch: RelationPatch) -> float:
     return worst
 
 
-def scale_action(sample: RelationSample, lam: float) -> RelationSample:
-    """Scale a sample by lam > 0: positions and foot points scale, directions
-    do not; the scaled data is re-validated, not assumed."""
-    if lam <= 0:
-        raise InputError("scale factor must be positive")
-    scaled = RelationSample(
-        lam * sample.A, lam * sample.B, sample.vA, sample.vB,
-        OrientedLine(sample.ell_minus.v, lam * sample.ell_minus.Q),
-        OrientedLine(sample.ell_plus.v, lam * sample.ell_plus.Q),
-        lam * sample.chain_points, lam * sample.value)
-    return scaled
-
-
 def patch_to_csv(patch: RelationPatch, path) -> None:
     """One row per cell: anchors, status, directions, foot points, length."""
     dim = patch.arr.dim

@@ -23,7 +23,14 @@ an interior gap within CERT_WINDOW * mu tries the ghost certificate below;
 any other tries the exact polish (_exact_polish), the one place where a
 smooth solve decides that it has converged.  The first to hold ends the
 solve; a continuation that ends with no polished chain and every gap above
-the coincidence floor COINCIDENCE_TOL * scale raises MaxIterations.
+the coincidence floor COINCIDENCE_TOL * scale raises MaxIterations.  The
+certificate does not need the opening stage's minimizer: a cold solve
+whose spring chain passes the same window at mu = scale tries it there,
+before the opening stage's Newton and in place of the attempt after it.  A
+ghost proved there returns with iterations == 0 and no Newton pass of the
+full chain; a failed attempt leaves the spring chain as it was, and the
+opening stage then runs with no certificate attempt after it (a minimizer
+outside the window still tries the exact polish).
 
 The gradient of the length is a sum of differences of unit vectors, so it
 has no unit: every stop test compares |grad| with its tolerance alone, and a
@@ -35,13 +42,14 @@ if 0 lies in the subdifferential: there are edge multipliers u_e with
 u_e = d_e / |d_e| on every open edge, |u_e| <= 1 on every collapsed edge
 and B_i (u_{i-1} - u_i) = 0 at every vertex, the conservation of momentum
 at a collision in the subdifferential sense (Burago, Ferleger and
-Kononenko).  After each stage with an interior gap within CERT_WINDOW * mu,
-the opening stage at mu = scale included, the certificate joins the
-vertices of the shortest gaps into runs, makes each run one point on the
-intersection of its subspaces (a stratum of the collision locus), solves
-that reduced chain by exact Newton, and looks for collapsed-edge
-multipliers inside the balls |u_e| <= 1 that meet the vertex equations, both
-to the rounding level CERT_RESIDUAL.  A chain that passes is returned; no
+Kononenko).  At a chain with an interior gap within CERT_WINDOW * mu (a
+stage's minimizer, or a cold solve's spring chain at mu = scale in place of
+the opening stage's), the certificate joins the vertices of the shortest
+gaps into runs, makes each run one point on the intersection of its
+subspaces (a stratum of the collision locus), solves that reduced chain by
+exact Newton, and looks for collapsed-edge multipliers inside the balls
+|u_e| <= 1 that meet the vertex equations, both to the rounding level
+CERT_RESIDUAL.  A chain that passes is returned; no
 tolerance on the length enters, and no other exit proves a ghost.  The
 runs' meets span the null space of the vertex equations' transpose, so one
 SPD solve gives their pseudo-inverse, with no SVD or rank cut; a Farkas
@@ -147,7 +155,8 @@ class MinimizeResult:
     iterations: int          # smoothing stages run, the opening stage at mu =
                              # scale included (2 for the tests' cold TWOLINE
                              # solve, 1 for the README mirror; 0 when a
-                             # caller's start was polished directly)
+                             # caller's start was polished directly or a
+                             # cold ghost was certified at the spring chain)
     message: str = ""
     model: HessianModel | None = field(default=None, repr=False, compare=False)
     multipliers: tuple | None = field(default=None, repr=False, compare=False)
@@ -641,12 +650,19 @@ def _multipliers_certify(problem, points, runs, start):
     return (float(lengths.sum()), u) if residual.max() <= CERT_RESIDUAL else None
 
 
+def _ghost_candidate(gaps, mu2) -> bool:
+    """Whether a chain with these edge lengths (k+1,) has an interior gap
+    within CERT_WINDOW * mu: the test after which a stage tries the ghost
+    certificate, and which _certify_ghost asks of its chain."""
+    return bool((gaps[1:-1] <= CERT_WINDOW * math.sqrt(mu2)).any())
+
+
 def _certify_ghost(problem, x, mu2, floor):
     """(length, points, u) of the ghost certified exactly by edge
-    multipliers u after the smoothing stage mu2 whose minimizer is x, or
-    None: the seam of the continuation, which returns an accepted chain as
-    the global minimum and skips the remaining stages.  x must have an
-    interior gap within CERT_WINDOW * mu, the test minimize makes.
+    multipliers u at x, the minimizer of the smoothing stage mu2 or, for a
+    cold solve's opening stage, its start (the spring chain), or None: the
+    seam of the continuation, which returns an accepted chain as the global
+    minimum and skips the remaining stages.  x must pass _ghost_candidate.
 
     Runs are joined by the interior gaps of x up to a threshold: first the
     largest gap within that window, then each larger gap in turn
@@ -697,12 +713,13 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     B = np.array(B, dtype=float)
     if A.shape != (arr.dim,) or B.shape != (arr.dim,):
         raise InputError("anchors must match the arrangement dimension")
-    _check_size(np.array([A, B]), arr.dim, "anchors")
+    anchors = np.array([A, B])
+    _check_size(anchors, arr.dim, "anchors")
     itinerary.validate_against(arr)
     scale = float(np.linalg.norm(B - A))
     # the anchors' locus test here is the one genericity asks for, at the
     # same tolerance, so classification does not repeat it
-    near_A, near_B = arr.distance_to_locus(A), arr.distance_to_locus(B)
+    near_A, near_B = arr.locus_distances(anchors).tolist()
     if min(near_A, near_B) <= MEMBERSHIP_TOL * max(1.0, scale):
         raise PreconditionError("anchors must lie off the collision locus")
     scale = max(scale, near_A, near_B)
@@ -717,10 +734,18 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0)
 
     problem = _StackedProblem(arr.bases_of(itinerary), A, B)
-    polished = None
+    stages = _stages(scale)
+    polished = certified = None
+    spring_tried = False   # the opening stage's certificate, tried at its start
     if initial_chain is None:
-        # the minimizer of the smoothed length's limit as mu grows
+        # the minimizer of the smoothed length's limit as mu grows.  The
+        # certificate's proof does not depend on mu, so the opening stage
+        # tries it here, at its start, in place of its minimizer
         x = _spring_coords(problem)
+        mu2 = stages[0][0] * stages[0][0]
+        spring_tried = _ghost_candidate(problem.edge_pass(x, 0.0)[1], mu2)
+        if spring_tried:
+            certified = _certify_ghost(problem, x, mu2, coincidence)
     else:
         x = problem.coords_of(initial_chain.points)
         # a caller's chain in Newton's basin (a solved neighbour) is polished
@@ -730,11 +755,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     # continuation in the smoothing parameter; warm-started Newton each stage,
     # opened loosely at mu = scale.  A stage with an interior gap within
     # CERT_WINDOW * mu is a ghost candidate and tries the multiplier
-    # certificate; any other tries the exact polish.  The first that holds
-    # ends the continuation.
+    # certificate, unless it was tried at the spring chain for this stage;
+    # any other tries the exact polish.  The first that holds ends the
+    # continuation.
     iterations = 0
-    for mu, tol in _stages(scale):
-        if polished is not None:
+    for mu, tol in stages:
+        if polished is not None or certified is not None:
             break
         mu2 = mu * mu
         x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
@@ -742,19 +768,19 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                                tol, STEP_TOL, max_iters=40)
         iterations += 1
         gaps = problem.edge_pass(x, 0.0)[1]
-        if not (gaps[1:-1] <= CERT_WINDOW * math.sqrt(mu2)).any():
+        if not _ghost_candidate(gaps, mu2):
             polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS)
-            continue
-        certified = _certify_ghost(problem, x, mu2, coincidence)
-        if certified is not None:
-            # every run of a certified chain is one point, so the chain has a
-            # zero-length edge and leaves the trajectory space: no
-            # HessianModel is needed to classify it
-            value, points, u = certified
-            return MinimizeResult(Chain.from_points(arr, itinerary, points), value,
-                                  math.nan, Classification.GHOST, None, iterations,
-                                  GHOST_MESSAGE, multipliers=(problem.bases, A, B, u))
+        elif iterations > 1 or not spring_tried:
+            certified = _certify_ghost(problem, x, mu2, coincidence)
 
+    if certified is not None:
+        # every run of a certified chain is one point, so the chain has a
+        # zero-length edge and leaves the trajectory space: no HessianModel
+        # is needed to classify it
+        value, points, u = certified
+        return MinimizeResult(Chain.from_points(arr, itinerary, points), value,
+                              math.nan, Classification.GHOST, None, iterations,
+                              GHOST_MESSAGE, multipliers=(problem.bases, A, B, u))
     if polished is not None:
         x, value = polished
     elif gaps.min() > coincidence:
@@ -856,15 +882,3 @@ def _dual_bound(bases, A, B, u) -> float:
     u = u / max(1.0, float(np.sqrt((u * u).sum(axis=1)).max()))
     return float(u[-1] @ B - u[0] @ A)
 
-
-def envelope_gradients(result: MinimizeResult):
-    """Incoming/outgoing directions as endpoint gradients of the optimal value.
-
-    vA equals minus the anchor-A gradient of the path length at the solved
-    chain, and vB the anchor-B gradient: the trajectory's first and last unit
-    edge directions.
-    """
-    if not result.is_valid:
-        raise PreconditionError("envelope directions require a valid billiard result")
-    edges = result.trajectory.edge_velocities
-    return edges[0], edges[-1]

@@ -16,7 +16,8 @@ from linbilliards import nbody, solver
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.action import Chain, action, gradient
 from linbilliards.errors import InputError, PreconditionError
-from linbilliards.trajectory import BilliardTrajectory, is_transverse
+from linbilliards.scattering import RelationSample
+from linbilliards.trajectory import BilliardTrajectory, OrientedLine, is_transverse
 
 
 @contextlib.contextmanager
@@ -218,6 +219,31 @@ def trajectory_from_json(text, arr):
     return BilliardTrajectory(np.asarray(data["A"], float), np.asarray(data["B"], float),
                               np.asarray(data["chain"], float),
                               Itinerary.from_labels(arr, labels) if labels else None)
+
+
+def envelope_gradients(result):
+    """Incoming/outgoing directions as endpoint gradients of the optimal value.
+
+    vA equals minus the anchor-A gradient of the path length at the solved
+    chain, and vB the anchor-B gradient: the trajectory's first and last unit
+    edge directions.
+    """
+    if not result.is_valid:
+        raise PreconditionError("envelope directions require a valid billiard result")
+    edges = result.trajectory.edge_velocities
+    return edges[0], edges[-1]
+
+
+def scale_action(sample, lam):
+    """Scale a RelationSample by lam > 0: positions and foot points scale,
+    directions do not; the scaled data is re-validated, not assumed."""
+    if lam <= 0:
+        raise InputError("scale factor must be positive")
+    return RelationSample(
+        lam * sample.A, lam * sample.B, sample.vA, sample.vB,
+        OrientedLine(sample.ell_minus.v, lam * sample.ell_minus.Q),
+        OrientedLine(sample.ell_plus.v, lam * sample.ell_plus.Q),
+        lam * sample.chain_points, lam * sample.value)
 
 
 def assert_lower_bound(result):

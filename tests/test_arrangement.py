@@ -225,6 +225,23 @@ def _random_arrangement(rng, dim, m, n):
             continue
 
 
+@pytest.mark.parametrize("table", ["twolines_arr", "lines3d_arr", "planes4d_arr",
+                                   "planes3d_arr", "fourbody_arr"])
+def test_locus_distances_match_distance_to_locus(table, request):
+    """minimize measures both anchors in one stacked projection: each
+    distance is, bit for bit, the one distance_to_locus gives alone, also
+    for an anchor 1e-9 off a subspace."""
+    arr = request.getfixturevalue(table)
+    rng = np.random.default_rng(3)
+    for scale in (1e-6, 1.0, 1e8):
+        for _ in range(20):
+            anchors = scale * rng.normal(size=(2, arr.dim))
+            sub = arr.subspaces[int(rng.integers(len(arr.subspaces)))]
+            anchors[1] = sub.project(anchors[1]) + 1e-9 * scale * rng.normal(size=arr.dim)
+            assert arr.locus_distances(anchors).tolist() == [
+                arr.distance_to_locus(x) for x in anchors]
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
 def test_batched_locus_and_ray_queries_match_per_subspace_loops(dim):
     rng = np.random.default_rng(dim)

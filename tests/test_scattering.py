@@ -17,12 +17,11 @@ from linbilliards.scattering import (
     patch_to_csv,
     reduce_line,
     sample_relation,
-    scale_action,
 )
 from linbilliards.solver import minimize
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
-from conftest import TWOLINE_A, TWOLINE_B, fourbody, lines_close, planes3d
+from conftest import TWOLINE_A, TWOLINE_B, fourbody, lines_close, planes3d, scale_action
 
 
 def rot2(theta):

@@ -12,15 +12,11 @@ from linbilliards.action import (COINCIDENCE_TOL, Chain, HessianModel, _to_point
                                  gradient, hessian)
 from linbilliards.arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace
 from linbilliards.errors import InputError, NonSmoothPoint, PreconditionError
-from linbilliards.solver import (
-    Classification,
-    envelope_gradients,
-    minimize,
-)
+from linbilliards.solver import Classification, minimize
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
-from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, grad_tol, random_chain,
-                      random_start_solves)
+from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, envelope_gradients, grad_tol,
+                      random_chain, random_start_solves)
 
 
 def brute_force_minimum(arr, itinerary, A, B, radius, n_grid=21):
@@ -757,9 +753,11 @@ def test_four_body_partial_collapses_certify_independently_of_the_start(r):
 
 def test_unfiltered_search_kernel_passes(twolines_arr, kernel_passes):
     """The unfiltered realizability search of the realize benchmark at seed
-    0 (lengths 1-5, 100 samples each) stays within its kernel passes: 1,508
-    derivative and 957 value passes when the opening stage certifies under
-    CERT_WINDOW like every later stage; 2,302 and 2,249 under the old 0.1 mu
+    0 (lengths 1-5, 100 samples each) stays within its kernel passes: 539
+    derivative and 450 value passes when a cold solve tries the certificate
+    at the spring chain, before the opening stage's Newton; 1,508 and 957
+    when the opening stage certifies its minimizer under CERT_WINDOW like
+    every later stage; 2,302 and 2,249 under the old 0.1 mu
     opening window with the scale-free stop test, 2,160 and 2,104 before it;
     2,790 and 2,813 from the chord (all with the opening stage at mu =
     scale), 6,050 and 14,895 when every ghost backtracked from mu = 1e-2
@@ -767,8 +765,8 @@ def test_unfiltered_search_kernel_passes(twolines_arr, kernel_passes):
     from linbilliards.origami import search_realizable
     rows = search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
     assert [row.status for row in rows[:6]] == ["realized"] * 6
-    assert kernel_passes["derivatives"] <= 1650
-    assert kernel_passes["value"] <= 1050
+    assert kernel_passes["derivatives"] <= 600
+    assert kernel_passes["value"] <= 500
 
 
 def _random_planes(seed, n=3):
@@ -1500,11 +1498,12 @@ def test_ghosts_on_the_border_of_the_valid_anchors(offset, outcome, twolines_arr
     """At A = (1, 1), B = (-1, 1) the minimizer of L1, L2 collapses onto the
     origin with a collapsed-edge multiplier of norm exactly 1, inside the
     balls |u_e| <= 1 of weak duality: the certificate takes it at the
-    opening stage, as it takes the ghosts just off the border, and they
-    prove themselves.  Just off it on the valid side, at offset -1e-10,
-    the continuation ends within coincidence of a collapse that no
-    certificate proves: a GHOST from the classification's fallback, with no
-    lower bound.  Further off, the anchors give a valid billiard."""
+    spring chain, before any stage (iterations == 0), as it takes the
+    ghosts just off the border, and they prove themselves.  Just off it on
+    the valid side, at offset -1e-10, the continuation ends within
+    coincidence of a collapse that no certificate proves: a GHOST from the
+    classification's fallback, with no lower bound.  Further off, the
+    anchors give a valid billiard."""
     it = Itinerary((0, 1))
     result = minimize(twolines_arr, it, np.array([1.0, 1.0 + offset]), np.array([-1.0, 1.0]))
     if outcome == "valid":
@@ -1517,7 +1516,48 @@ def test_ghosts_on_the_border_of_the_valid_anchors(offset, outcome, twolines_arr
         assert result.lower_bound is not None
         assert_lower_bound(result)
     if outcome == "certified":
-        assert result.iterations == 1
+        assert result.iterations == 0
+
+
+@pytest.mark.parametrize("table, itinerary, A, B", [
+    ("twolines_arr", (0, 1, 0, 1), (2.0, 1.0), (-1.0, -3.0)),
+    ("lines3d_arr", (0, 1, 0), (1.0, 2.0, 3.0), (-2.0, 1.0, 0.5)),
+])
+def test_cold_ghosts_certify_at_the_spring_chain(table, itinerary, A, B, request,
+                                                 kernel_passes):
+    """The certificate's proof does not depend on mu, so a cold solve tries
+    it at the spring chain, before the opening stage's Newton.  On two lines
+    that meet only at the origin the collapsed run is pinned there, so such
+    a ghost is proved without a single kernel pass."""
+    arr = request.getfixturevalue(table)
+    result = minimize(arr, Itinerary(itinerary), np.array(A), np.array(B))
+    assert result.classification is Classification.GHOST
+    assert result.iterations == 0
+    assert kernel_passes["derivatives"] == kernel_passes["value"] == 0
+    assert_lower_bound(result)
+
+
+def test_the_spring_chain_attempt_replaces_the_opening_one(twolines_arr, monkeypatch):
+    """The cold TWOLINE solve's opening minimizer has a gap within
+    CERT_WINDOW * mu; its certificate is tried once, at the spring chain,
+    and not again after the opening stage.  A failed attempt leaves the
+    chain untouched: the solve gives the same bytes with every attempt
+    refused."""
+    real, starts = solver._certify_ghost, []
+
+    def counted(problem, x, *args):
+        starts.append(np.array_equal(x, solver._spring_coords(problem)))
+        return real(problem, x, *args)
+
+    it = Itinerary((0, 1))
+    monkeypatch.setattr(solver, "_certify_ghost", counted)
+    result = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
+    assert result.is_valid and result.iterations == 2
+    assert starts == [True]
+    monkeypatch.setattr(solver, "_certify_ghost", lambda *args: None)
+    refused = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
+    assert refused.chain.points.tobytes() == result.chain.points.tobytes()
+    assert (refused.value, refused.iterations) == (result.value, result.iterations)
 
 
 @pytest.mark.parametrize("fixture", ["twolines_arr", "planes3d_arr", "fourbody_arr"])
