@@ -21,7 +21,6 @@ import numpy as np
 from .arrangement import Arrangement, Itinerary, Subspace, orthonormalize
 from .errors import InputError, PreconditionError
 from .solver import minimize
-from .symmetry import RotationGenerator
 from .trajectory import BilliardTrajectory, max_reflection_residual
 
 
@@ -75,38 +74,12 @@ class NBodySystem:
             return self._frame @ flat
         return flat
 
-    def unembed(self, x) -> np.ndarray:
-        """Configuration (N, d) from working coordinates."""
-        x = np.asarray(x, dtype=float)
-        flat = self._frame.T @ x if self.reduce_cm else x
-        return flat.reshape(self.N, self.d) / self._sqrt_m[:, None]
-
-    def mass_norm(self, config) -> float:
-        config = np.asarray(config, dtype=float).reshape(self.N, self.d)
-        return math.sqrt(float(np.sum(np.asarray(self.masses)[:, None] * config ** 2)))
-
-    def total_momentum(self, velocities) -> np.ndarray:
-        velocities = np.asarray(velocities, dtype=float).reshape(self.N, self.d)
-        return np.sum(np.asarray(self.masses)[:, None] * velocities, axis=0)
-
     def pair_sigma(self, a: int, b: int) -> float:
         ma, mb = self.masses[a], self.masses[b]
         return math.sqrt((ma + mb) / (ma * mb))
 
     def pair_name(self, a: int, b: int) -> str:
         return f"D{a + 1}{b + 1}"
-
-    def rotation_generator(self, i: int = 0, j: int = 1) -> RotationGenerator:
-        """Diagonal so(d) generator rotating the (i, j) plane of every body."""
-        if not (0 <= i < self.d and 0 <= j < self.d and i != j):
-            raise InputError("rotation plane indices out of range")
-        block = np.zeros((self.d, self.d))
-        block[i, j] = 1.0
-        block[j, i] = -1.0
-        xi = np.kron(np.eye(self.N), block)
-        if self.reduce_cm:
-            xi = self._frame @ xi @ self._frame.T
-        return RotationGenerator(f"rot{i}{j}", xi)
 
 
 def build_arrangement(sys: NBodySystem) -> Arrangement:

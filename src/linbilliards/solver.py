@@ -54,7 +54,11 @@ tolerance on the length enters, and no other exit proves a ghost.  The
 runs' meets span the null space of the vertex equations' transpose, so one
 SPD solve gives their pseudo-inverse, with no SVD or rank cut; a Farkas
 test on their least-norm solution ends most multiplier searches that must
-fail before any Newton step, so a failed attempt is cheap.
+fail before any Newton step, so a failed attempt is cheap.  Each attempt
+does each piece of work once: its thresholds and runs are chosen on the
+gaps as Python floats, its run plan is looked up once for the reduced
+chain and the multipliers, and the accepted chain's edges are measured
+once, for the floor test, the multipliers and the length.
 
 A smooth start needs no continuation at all.  A caller's initial chain
 goes through the same polish, at the same floor, before any stage.  In
@@ -74,8 +78,8 @@ caches keyed on the content of the itinerary's stacked bases, which hold
 read-only arrays (the columns of the inverse chain Laplacian at the first
 and last vertex blocks, and for each run set the certificate's
 intersection bases, reduced bases, vertex equations, the projector onto
-their transpose's null space and their pseudo-inverse), so a hit returns
-exactly what recomputing would.
+their transpose's null space and their pseudo-inverse, one lookup per
+certificate attempt), so a hit returns exactly what recomputing would.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve) on one problem class,
@@ -91,6 +95,7 @@ mirrors the exclusions that define membership in the trajectory space.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -100,7 +105,7 @@ import numpy as np
 
 from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, intersection_basis
 from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms,
-                     _point_list, _stacked, _to_coords, _to_points, action)
+                     _stacked, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _chain_is_generic
 
@@ -184,13 +189,17 @@ class MinimizeResult:
         return None if self.multipliers is None else _dual_bound(*self.multipliers)
 
 
-def _collapsing_runs(gaps: np.ndarray, detect: float) -> list[tuple[int, int]]:
+def _collapsing_runs(gaps, detect: float) -> list[tuple[int, int]]:
     """Maximal runs [start, stop) of chain vertices (0-based) joined by
-    interior edges no longer than detect; empty if there are none."""
-    # interior edge j joins vertices j and j + 1; pad so every run has both ends
-    short = np.concatenate(([0], gaps[1:-1] <= detect, [0])).astype(np.int8)
-    ends = np.flatnonzero(np.diff(short))
-    return [(int(a), int(b) + 1) for a, b in zip(ends[::2], ends[1::2])]
+    interior edges no longer than detect; empty if there are none.  One
+    scan of the edge lengths gaps (k+1,), a list or an array."""
+    runs = []
+    for j, gap in enumerate(gaps[1:-1]):
+        # interior edge j joins vertices j and j + 1, extending a run that ends at j
+        if gap <= detect:
+            start = runs.pop()[0] if runs and runs[-1][1] == j + 1 else j
+            runs.append((start, j + 2))
+    return runs
 
 
 class _StackedProblem:
@@ -203,7 +212,8 @@ class _StackedProblem:
 
     The edges of a point are measured once: value and edge_pass keep the
     edge pass of the last point they measured, and derivatives and the gap
-    tests at that same point (the same array, at the same mu^2) read it.
+    tests at that same point (the same array, at the same mu^2) read it;
+    _pts holds that pass's point list (A, the points of x, B).
     derivatives also keeps its own pass, which exact_pass hands to the
     classification of the point the Newton core stopped at.
     """
@@ -510,21 +520,25 @@ def _exact_polish(problem, x, tol, floor, max_iters):
     return x, value
 
 
-def _snapped(points: np.ndarray, runs, meets):
-    """Points with the vertices of each run replaced by the projection of
-    their mean onto the intersection of the run's subspaces (the origin when
-    they meet only there); meets holds the runs' intersection bases, a run
-    plan's meets."""
-    points = points.copy()
+def _snapped(pts: np.ndarray, runs, meets):
+    """A copy of the point list pts (A, q_1, ..., q_k, B) with the vertices
+    of each run (of the chain's 0-based vertices, so rows start + 1 to stop)
+    replaced by the projection of their mean onto the intersection of the
+    run's subspaces (the origin when they meet only there); meets holds the
+    runs' intersection bases, a run plan's meets."""
+    pts = pts.copy()
     for (start, stop), meet in zip(runs, meets):
-        points[start:stop] = meet.T @ (meet @ points[start:stop].mean(axis=0))
-    return points
+        mean = pts[start + 1:stop + 1].sum(axis=0) / (stop - start)   # as ndarray.mean
+        pts[start + 1:stop + 1] = meet.T @ (meet @ mean)
+    return pts
 
 
-def _reduced_minimum(problem, points, runs, floor, mu2):
-    """Points of the exact (mu = 0) minimum over chains whose runs are each
-    one point on the intersection of the run's subspaces, from the snap of
-    points; None if it is not found with every reduced edge above floor.
+def _reduced_minimum(problem, plan, pts, floor, mu2):
+    """(points, edges, lengths) of the exact (mu = 0) minimum over chains
+    whose runs, a run plan's, are each one point on the intersection of the
+    run's subspaces, from the snap of the point list pts: its points and the
+    edges of its point list, measured once; None if it is not found with
+    every open edge above floor.
 
     The reduced chain keeps the first vertex of each run, with the run's
     intersection basis padded by zero rows to the common m.  Its free
@@ -532,26 +546,26 @@ def _reduced_minimum(problem, points, runs, floor, mu2):
     past the kinks of the exact length, then polished by exact Newton if
     that is then in its quadratic basin (_exact_polish); a run set missing a
     collapsed edge fails that gate.  A pinned run set (plan.pinned) has no
-    free coordinate to solve: its snapped chain is tested against floor on
-    the reduced edges alone.
+    free coordinate to solve: its snapped chain is the only one, and only
+    its open edges are left to test.
     """
-    plan = _run_plan(*problem.key, tuple(runs))
-    points = _snapped(points, runs, plan.meets)
-    if plan.pinned:
-        # every run meets only at the origin and no vertex is free: the
-        # snapped chain is the only one, and only its edges are left to test
-        _, lengths = _edge_lengths(_point_list(problem.A, points[plan.keep], problem.B))
-        return points if lengths.min() > floor else None
-    reduced = _StackedProblem(plan.reduced, problem.A, problem.B)
-    y = reduced.coords_of(points[plan.keep])
-    mu2 *= 1e-4
-    y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
-                           partial(reduced.value, mu2=mu2), _add_step,
-                           1e-9, STEP_TOL, max_iters=40)
-    polished = _exact_polish(reduced, y, CERT_RESIDUAL, floor, 40)
-    if polished is None:
+    pts = _snapped(pts, plan.runs, plan.meets)
+    if not plan.pinned:
+        reduced = _StackedProblem(plan.reduced, problem.A, problem.B)
+        y = reduced.coords_of(pts[1:-1][plan.keep])
+        mu2 *= 1e-4
+        y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
+                               partial(reduced.value, mu2=mu2), _add_step,
+                               1e-9, STEP_TOL, max_iters=40)
+        polished = _exact_polish(reduced, y, CERT_RESIDUAL, floor, 40)
+        if polished is None:
+            return None
+        pts[1:-1] = reduced.points_of(polished[0])[np.cumsum(plan.keep) - 1]
+    edges, lengths = _edge_lengths(pts)
+    # the collapsed edges are exact zeros; the open ones are the reduced edges
+    if not lengths[~plan.shut].min() > floor:
         return None
-    return reduced.points_of(polished[0])[np.cumsum(plan.keep) - 1]
+    return pts[1:-1], edges, lengths
 
 
 def _lowest_multipliers(plan, fixed, start, bound):
@@ -623,31 +637,34 @@ def _lowest_multipliers(plan, fixed, start, bound):
     return None
 
 
-def _multipliers_certify(problem, points, runs, start):
-    """(length, u) of points if edge multipliers u (k+1, dim) prove them a
-    global minimum, None otherwise: u_e = d_e / |d_e| on every open edge,
-    |u_e| <= 1 on the collapsed edges inside the runs (the balls of weak
-    duality, into which _dual_bound scales u) and B_i (u_{i-1} - u_i) = 0 at
-    every vertex, both up to the rounding CERT_RESIDUAL.
+def _multipliers_certify(problem, plan, edges, lengths, start):
+    """(length, u) of the chain with these edge vectors and lengths (k+1,)
+    if edge multipliers u (k+1, dim) prove it a global minimum, None
+    otherwise: u_e = d_e / |d_e| on every open edge, |u_e| <= 1 on the
+    collapsed edges inside the run plan's runs (the balls of weak duality,
+    into which _dual_bound scales u) and B_i (u_{i-1} - u_i) = 0 at every
+    vertex, both up to the rounding CERT_RESIDUAL.
 
     The collapsed u_e solve M u = -fixed, M the run plan's vertex equations
     and fixed the open edges' residual in them, inside the balls: the search
     of _lowest_multipliers, from the stage's smoothed directions start.
-    Every point it returns is checked here against CERT_RESIDUAL.
+    Every point it returns is checked here against CERT_RESIDUAL.  The
+    length sums all k+1 edges, the collapsed zeros included.
     """
-    plan = _run_plan(*problem.key, tuple(runs))
-    edges, lengths = _edge_lengths(_point_list(problem.A, points, problem.B))
     shut = plan.shut
-    u = np.zeros_like(edges)
-    u[~shut] = edges[~shut] / lengths[~shut][:, None]
+    u = np.zeros(edges.shape)
+    np.divide(edges, lengths[:, None], out=u, where=~shut[:, None])
     # residual of the vertex equations without the collapsed edges
     fixed = _to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
     w = _lowest_multipliers(plan, fixed, start[shut], (1.0 + CERT_RESIDUAL) ** 2)
     if w is None:
         return None
     u[shut] = w
-    residual = np.linalg.norm(_to_coords(problem.bases, u[:-1] - u[1:]), axis=1)
-    return (float(lengths.sum()), u) if residual.max() <= CERT_RESIDUAL else None
+    residual = _to_coords(problem.bases, u[:-1] - u[1:])
+    # the largest row norm, the square root of the largest squared one
+    if not math.sqrt((residual * residual).sum(axis=1).max()) <= CERT_RESIDUAL:
+        return None
+    return float(lengths.sum()), u
 
 
 def _ghost_candidate(gaps, mu2) -> bool:
@@ -672,18 +689,18 @@ def _certify_ghost(problem, x, mu2, floor):
     chain.
     """
     edges, gaps = problem.edge_pass(x, 0.0)
-    interior = np.unique(gaps[1:-1])
-    first = np.searchsorted(interior, CERT_WINDOW * math.sqrt(mu2), side="right") - 1
+    gaps = gaps.tolist()
+    interior = sorted(set(gaps[1:-1]))
+    first = bisect.bisect_right(interior, CERT_WINDOW * math.sqrt(mu2)) - 1
     start = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
-    chain = problem.points_of(x)
     for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:CERT_TRIES]:
-        runs = _collapsing_runs(gaps, interior[j])
         try:
-            points = _reduced_minimum(problem, chain, runs, floor, mu2)
-            if points is not None:
-                proof = _multipliers_certify(problem, points, runs, start)
+            plan = _run_plan(*problem.key, tuple(_collapsing_runs(gaps, interior[j])))
+            found = _reduced_minimum(problem, plan, problem._pts, floor, mu2)
+            if found is not None:
+                proof = _multipliers_certify(problem, plan, *found[1:], start)
                 if proof is not None:
-                    return proof[0], points, proof[1]
+                    return proof[0], found[0], proof[1]
         except np.linalg.LinAlgError:
             pass
     return None
@@ -716,7 +733,8 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     anchors = np.array([A, B])
     _check_size(anchors, arr.dim, "anchors")
     itinerary.validate_against(arr)
-    scale = float(np.linalg.norm(B - A))
+    chord = B - A
+    scale = math.sqrt(chord.dot(chord))   # |B - A| as np.linalg.norm rounds it
     # the anchors' locus test here is the one genericity asks for, at the
     # same tolerance, so classification does not repeat it
     near_A, near_B = arr.locus_distances(anchors).tolist()
@@ -778,7 +796,8 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         # zero-length edge and leaves the trajectory space: no HessianModel
         # is needed to classify it
         value, points, u = certified
-        return MinimizeResult(Chain.from_points(arr, itinerary, points), value,
+        coords = _to_coords(problem.bases, points)
+        return MinimizeResult(Chain(coords, _to_points(problem.bases, coords)), value,
                               math.nan, Classification.GHOST, None, iterations,
                               GHOST_MESSAGE, multipliers=(problem.bases, A, B, u))
     if polished is not None:

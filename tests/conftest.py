@@ -17,6 +17,7 @@ from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.action import Chain, action, gradient
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.scattering import RelationSample
+from linbilliards.symmetry import RotationGenerator
 from linbilliards.trajectory import BilliardTrajectory, OrientedLine, is_transverse
 
 
@@ -108,6 +109,39 @@ def planes3d():
         Subspace.from_spanning("P2", [[1.0, 0.0, 0.0], [0.0, 0.3, 1.0]], 3),
         Subspace.from_spanning("P3", [[0.2, 1.0, 0.5], [0.0, 0.6, -1.0]], 3),
     ))
+
+
+def unembed(system, x):
+    """Configuration (N, d) of an nbody.NBodySystem from working coordinates."""
+    x = np.asarray(x, dtype=float)
+    flat = system._frame.T @ x if system.reduce_cm else x
+    return flat.reshape(system.N, system.d) / system._sqrt_m[:, None]
+
+
+def mass_norm(system, config):
+    """The mass-metric norm of an (N, d) configuration or velocity."""
+    config = np.asarray(config, dtype=float).reshape(system.N, system.d)
+    return math.sqrt(float(np.sum(np.asarray(system.masses)[:, None] * config ** 2)))
+
+
+def total_momentum(system, velocities):
+    """The total momentum (d,) of the bodies' (N, d) velocities."""
+    velocities = np.asarray(velocities, dtype=float).reshape(system.N, system.d)
+    return np.sum(np.asarray(system.masses)[:, None] * velocities, axis=0)
+
+
+def rotation_generator(system, i=0, j=1):
+    """Diagonal so(d) generator rotating the (i, j) plane of every body, in
+    the system's working coordinates."""
+    if not (0 <= i < system.d and 0 <= j < system.d and i != j):
+        raise InputError("rotation plane indices out of range")
+    block = np.zeros((system.d, system.d))
+    block[i, j] = 1.0
+    block[j, i] = -1.0
+    xi = np.kron(np.eye(system.N), block)
+    if system.reduce_cm:
+        xi = system._frame @ xi @ system._frame.T
+    return RotationGenerator(f"rot{i}{j}", xi)
 
 
 def fourbody():

@@ -39,7 +39,8 @@ from linbilliards.thickened import (
 from linbilliards.trajectory import reflection_residual
 
 from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, curve_shorten, fd_gradient,
-                      fd_hessian, grad_tol, random_smooth_chain, random_start_solves)
+                      fd_hessian, grad_tol, random_smooth_chain, random_start_solves,
+                      rotation_generator)
 from test_solver import brute_force_minimum
 
 
@@ -228,7 +229,7 @@ def test_criterion_5_conservation(twolines):
     # angular momentum on N-body trajectories with the diagonal rotation
     sys = NBodySystem(3, 2, MASSES_THIRD, reduce_cm=True)
     arr_n = build_arrangement(sys)
-    gen = sys.rotation_generator()
+    gen = rotation_generator(sys)
     it_n = Itinerary.from_labels(arr_n, ["D12", "D13"])
     worst_J = 0.0
     checked = 0

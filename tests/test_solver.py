@@ -1,5 +1,6 @@
 import math
 import sys
+import types
 import zlib
 
 import numpy as np
@@ -8,8 +9,8 @@ import scipy.linalg
 import scipy.optimize
 
 from linbilliards import solver
-from linbilliards.action import (COINCIDENCE_TOL, Chain, HessianModel, _to_points, action,
-                                 gradient, hessian)
+from linbilliards.action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths,
+                                 _point_list, _to_points, action, gradient, hessian)
 from linbilliards.arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace
 from linbilliards.errors import InputError, NonSmoothPoint, PreconditionError
 from linbilliards.solver import Classification, minimize
@@ -229,6 +230,14 @@ def test_bad_initial_chain_is_an_input_error(itinerary, coords, twolines_arr):
 FIXTURES = ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr", "planes4d_arr"]
 
 
+def _certifies(problem, points, runs, start):
+    """solver._multipliers_certify of the chain points under the run plan
+    of runs, from the edges of its own point list."""
+    plan = solver._run_plan(*problem.key, tuple(runs))
+    edges, lengths = _edge_lengths(_point_list(problem.A, points, problem.B))
+    return solver._multipliers_certify(problem, plan, edges, lengths, start)
+
+
 def _random_case(arr, rng, min_len, max_len):
     """Repeat-free itinerary and anchors on spheres of radius 1 or 10."""
     n = len(arr.subspaces)
@@ -385,7 +394,7 @@ def test_snapped_ghosts_match_full_continuation(table, request, monkeypatch):
     certificate and the full continuation snap at different mu, so their
     representatives may differ; both must be certified minima."""
     import linbilliards.solver as solver_module
-    from linbilliards.solver import _StackedProblem, _collapsing_runs, _multipliers_certify
+    from linbilliards.solver import _StackedProblem, _collapsing_runs
     arr = _four_body_table() if table == "four_body" else request.getfixturevalue(table)
     rng = np.random.default_rng(5)
     cases = [_random_case(arr, rng, 2, 6) for _ in range(40 if table == "planes3d_arr" else 12)]
@@ -402,9 +411,8 @@ def test_snapped_ghosts_match_full_continuation(table, request, monkeypatch):
                                           axis=0), axis=1)
             runs = _collapsing_runs(gaps, 1e-12 * max(1.0, scale))
             assert runs
-            assert _multipliers_certify(_StackedProblem(arr.bases_of(it), A, B),
-                                        result.chain.points, runs,
-                                        np.zeros((len(it) + 1, arr.dim)))
+            assert _certifies(_StackedProblem(arr.bases_of(it), A, B),
+                              result.chain.points, runs, np.zeros((len(it) + 1, arr.dim)))
         return result
 
     early = [solve(*case) for case in cases]
@@ -448,7 +456,7 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
     but breaks stationarity.  Collapsing a valid two-line solve onto the
     origin meets stationarity only with a multiplier of norm above one."""
     from linbilliards.arrangement import intersection_basis
-    from linbilliards.solver import _StackedProblem, _collapsing_runs, _multipliers_certify
+    from linbilliards.solver import _StackedProblem, _collapsing_runs
     rng = np.random.default_rng(5)
     for _ in range(40):
         it, A, B = _random_case(planes3d_arr, rng, 2, 4)
@@ -467,16 +475,15 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
         pytest.fail("no ghost collapsed onto a line")
     problem = _StackedProblem(planes3d_arr.bases_of(it), A, B)
     unknown = np.zeros((len(it) + 1, 3))
-    assert _multipliers_certify(problem, pts, runs, unknown)
+    assert _certifies(problem, pts, runs, unknown)
     slid = pts.copy()
     slid[start:stop] += 1e-6 * scale * meet[0]
-    assert not _multipliers_certify(problem, slid, runs, unknown)
+    assert not _certifies(problem, slid, runs, unknown)
 
     it = Itinerary((0, 1))
     assert minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B).is_valid
     problem = _StackedProblem(twolines_arr.bases_of(it), TWOLINE_A, TWOLINE_B)
-    assert not _multipliers_certify(problem, np.zeros((2, 2)), [(0, 2)],
-                                    np.zeros((3, 2)))
+    assert not _certifies(problem, np.zeros((2, 2)), [(0, 2)], np.zeros((3, 2)))
 
 
 def _projected_start(p, start, kernel):
@@ -638,8 +645,7 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     assert solver._lowest_multipliers(plan, fixed, start, bound) is None
     assert searches == [("none", 0, 1)]
     assert _reference_lowest_multipliers(p, start, kernel, bound) is None
-    assert solver._multipliers_certify(problem, np.zeros((3, 2)), [(0, 3)],
-                                       np.zeros((4, 2))) is None
+    assert _certifies(problem, np.zeros((3, 2)), [(0, 3)], np.zeros((4, 2))) is None
 
 
 def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
@@ -816,7 +822,8 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
                        for i in it])
     problem = _StackedProblem(planes3d_arr.bases_of(it), A, B)
     runs = [(0, 2), (2, 4)]
-    snapped = _snapped(points, runs, solver._run_plan(*problem.key, tuple(runs)).meets)
+    snapped = _snapped(_point_list(A, points, B), runs,
+                       solver._run_plan(*problem.key, tuple(runs)).meets)[1:-1]
     # P1 and P2 meet in the x-axis; P3 and P1 in a line through the origin
     assert np.array_equal(snapped[0], snapped[1])
     assert np.array_equal(snapped[2], snapped[3])
@@ -825,9 +832,104 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
         assert planes3d_arr.subspaces[i].distance_to(q) <= 1e-15
     assert np.linalg.norm(snapped[2]) > 0
     # three planes with no common line meet only at the origin
-    origin = _snapped(points, [(0, 3)], solver._run_plan(*problem.key, ((0, 3),)).meets)
+    origin = _snapped(_point_list(A, points, B), [(0, 3)],
+                      solver._run_plan(*problem.key, ((0, 3),)).meets)[1:-1]
     assert not origin[:3].any()
     assert np.array_equal(origin[3], points[3])
+
+
+def _reference_runs(gaps, detect):
+    """The runs of _collapsing_runs as NumPy finds them: the ends of the
+    padded 0/1 sequence of short interior edges."""
+    short = np.concatenate(([0], gaps[1:-1] <= detect, [0])).astype(np.int8)
+    ends = np.flatnonzero(np.diff(short))
+    return [(int(a), int(b) + 1) for a, b in zip(ends[::2], ends[1::2])]
+
+
+def _reference_thresholds(gaps, mu2):
+    """The thresholds of _certify_ghost, in the order it tries them, as
+    np.unique and np.searchsorted give them; none without a gap in the
+    certificate's window."""
+    interior = np.unique(gaps[1:-1])
+    first = np.searchsorted(interior, solver.CERT_WINDOW * math.sqrt(mu2), side="right") - 1
+    if first < 0:
+        return []
+    order = [*range(first, len(interior)), *range(first - 1, -1, -1)][:solver.CERT_TRIES]
+    return [float(interior[j]) for j in order]
+
+
+def _threshold_recorder(monkeypatch):
+    """A function of (gaps, mu2) that gives the thresholds _certify_ghost
+    tries, in order, on a chain with these edge lengths: with
+    _collapsing_runs recorded, and every attempt refused by a run plan that
+    raises."""
+    tried = []
+    real = solver._collapsing_runs
+
+    def runs(gap_list, detect):
+        tried.append(detect)
+        return real(gap_list, detect)
+
+    def refused(*args):
+        raise np.linalg.LinAlgError
+
+    monkeypatch.setattr(solver, "_collapsing_runs", runs)
+    monkeypatch.setattr(solver, "_run_plan", refused)
+
+    def thresholds(gaps, mu2):
+        del tried[:]
+        problem = types.SimpleNamespace(
+            key=("shape", b""), _pts=None,
+            edge_pass=lambda x, mu2: (np.ones((len(gaps), 2)), gaps))
+        assert solver._certify_ghost(problem, None, mu2, 0.0) is None
+        return tried[:]
+    return thresholds
+
+
+def _gap_vectors(rng):
+    """About 1,000 edge-length vectors (k+1,), k = 1 ... 40: continuous draws,
+    draws from a few levels with exact ties and zeros, and short edges
+    forced at the first and the last interior edge."""
+    for k in range(1, 41):
+        for draw in range(25):
+            if draw % 3 == 0:
+                gaps = rng.exponential(size=k + 1)
+            else:
+                gaps = rng.integers(0, 4, size=k + 1) * 0.25
+            if draw % 5 == 0 and k > 1:
+                gaps[1] = gaps[-2] = 0.0
+            yield gaps
+
+
+def test_certificate_bookkeeping_matches_the_numpy_reference(monkeypatch):
+    """_collapsing_runs scans a list, and _certify_ghost orders its
+    thresholds with a sorted set and bisect: on about 1,000 gap vectors they
+    give the runs, and the thresholds in the order tried, that the NumPy
+    reference gives, with detect equal to a gap, the certificate window
+    equal to a gap and duplicate gaps that meet the CERT_TRIES cut."""
+    rng = np.random.default_rng(17)
+    vectors = list(_gap_vectors(rng))
+    assert len(vectors) == 1000
+    # duplicates meet the cut: eight interior gaps, four distinct values
+    vectors.append(np.array([9.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0]))
+    touching = 0
+    for gaps in vectors:
+        for detect in (*gaps[1:-1].tolist(), 0.0, 0.5, -1.0, math.inf):
+            expected = _reference_runs(gaps, detect)
+            assert solver._collapsing_runs(gaps.tolist(), detect) == expected
+            assert solver._collapsing_runs(gaps, detect) == expected
+            touching += bool(expected) and expected[0][0] == 0 \
+                and expected[-1][1] == len(gaps) - 1
+    tried = _threshold_recorder(monkeypatch)
+    thresholds = 0
+    for gaps in vectors:
+        for window in gaps[1:-1].tolist():
+            # the certificate's window CERT_WINDOW * mu equal to a gap
+            mu2 = (window / solver.CERT_WINDOW) ** 2
+            if solver.CERT_WINDOW * math.sqrt(mu2) == window:
+                assert tried(gaps, mu2) == _reference_thresholds(gaps, mu2)
+                thresholds += 1
+    assert tried(vectors[-1], 1e-2) == [1.0, 2.0, 3.0, 4.0]
 
 
 @pytest.mark.parametrize("grad_norm, raises", [(1.0, True), (1e-7, True), (1e-11, False)])
@@ -1380,18 +1482,14 @@ def _measuring_certified(problem, x, mu2, floor):
     edges, soft = solver._edge_lengths(pts, mu2)
     start = edges / soft[:, None]
     gaps = np.linalg.norm(edges, axis=1)
-    interior = np.unique(gaps[1:-1])
-    first = np.searchsorted(interior, solver.CERT_WINDOW * math.sqrt(mu2), side="right") - 1
-    if first < 0:
-        return None
-    for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:solver.CERT_TRIES]:
-        runs = solver._collapsing_runs(gaps, interior[j])
+    for threshold in _reference_thresholds(gaps, mu2):
+        runs = _reference_runs(gaps, threshold)
         try:
-            points = solver._reduced_minimum(problem, pts[1:-1].copy(), runs, floor, mu2)
-            proof = None if points is None else \
-                solver._multipliers_certify(problem, points, runs, start)
+            plan = solver._run_plan(*problem.key, tuple(runs))
+            found = solver._reduced_minimum(problem, plan, pts.copy(), floor, mu2)
+            proof = None if found is None else _certifies(problem, found[0], runs, start)
             if proof is not None:
-                return action(problem.A, points, problem.B), points, proof[1]
+                return action(problem.A, found[0], problem.B), found[0], proof[1]
         except np.linalg.LinAlgError:
             pass
     return None
@@ -1534,6 +1632,37 @@ def test_cold_ghosts_certify_at_the_spring_chain(table, itinerary, A, B, request
     assert result.classification is Classification.GHOST
     assert result.iterations == 0
     assert kernel_passes["derivatives"] == kernel_passes["value"] == 0
+    assert_lower_bound(result)
+
+
+@pytest.mark.parametrize("table, itinerary, A, B", [
+    ("twolines_arr", (0, 1, 0, 1), (2.0, 1.0), (-1.0, -3.0)),
+    ("lines3d_arr", (0, 1, 0), (1.0, 2.0, 3.0), (-2.0, 1.0, 0.5)),
+    # the meetline ghost of the CI runtime job
+    ("planes3d_arr", (0, 1), (-2.0, -2.0, -2.0), (-2.0, -1.0, 2.0)),
+])
+def test_the_ghost_exit_chain_is_that_of_its_points(table, itinerary, A, B, request,
+                                                    monkeypatch):
+    """minimize builds a certified ghost's chain over the problem's stacked
+    bases: its coordinates and points are, bit for bit, those of
+    Chain.from_points at the points the certificate accepted."""
+    arr = request.getfixturevalue(table)
+    real, accepted = solver._certify_ghost, []
+
+    def capture(*args):
+        found = real(*args)
+        if found is not None:
+            accepted.append(np.array(found[1]))
+        return found
+
+    monkeypatch.setattr(solver, "_certify_ghost", capture)
+    it = Itinerary(itinerary)
+    result = minimize(arr, it, np.array(A), np.array(B))
+    assert result.classification is Classification.GHOST and len(accepted) == 1
+    expected = Chain.from_points(arr, it, accepted[0])
+    for got, want in ((result.chain.coords, expected.coords),
+                      (result.chain.points, expected.points)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert_lower_bound(result)
 
 
