@@ -54,7 +54,6 @@ from .symmetry import (
     RotationGenerator,
     angular_momentum,
     conservation_report,
-    linear_momentum,
     translation_core,
 )
 from .origami import (
@@ -105,7 +104,6 @@ __all__ = [
     "lagrangian_residual",
     "law_of_sines_residual",
     "legendrian_theta_residual",
-    "linear_momentum",
     "load_arrangement",
     "minimize",
     "minimize_thickened",

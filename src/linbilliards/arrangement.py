@@ -151,32 +151,6 @@ class Subspace:
         w = self.perp(x)
         return math.sqrt(w @ w)
 
-    def tube_interval(self, p, d, tol: float):
-        """Parameter interval {t : dist(p + t*d, L) <= tol} along a full line.
-
-        Returns (t_lo, t_hi), possibly infinite for directions inside the
-        subspace, or None when the line stays farther than tol everywhere.
-        The scalar, one-subspace reference for Arrangement.tube_intervals,
-        which the package's line-tube queries use.
-        """
-        p = _as_vector(p, self.dim)
-        d = _as_vector(d, self.dim, "direction")
-        w = self.perp(p)
-        u = self.perp(d)
-        a = float(np.dot(u, u))
-        scale = max(float(np.dot(d, d)), 1.0)
-        if a <= 1e-30 * scale:
-            # perpendicular distance is constant along the line
-            return (-math.inf, math.inf) if np.dot(w, w) <= tol * tol else None
-        t_star = -float(np.dot(w, u)) / a
-        dmin2 = float(np.dot(w + t_star * u, w + t_star * u))
-        gap2 = tol * tol - dmin2
-        if gap2 < 0.0:
-            return None
-        half = math.sqrt(gap2 / a)
-        return (t_star - half, t_star + half)
-
-
 def angle_between(u, v) -> float:
     """Angle in [0, pi] between two nonzero vectors, arccos clamped (with a
     warning when the cosine is off the unit range by more than rounding)."""
@@ -276,8 +250,9 @@ class Arrangement:
         return self.distance_to_locus(x) <= tol
 
     def tube_intervals(self, starts, directions, tol: float):
-        """Subspace.tube_interval of lines p + t d, p and d (..., dim), against
-        every subspace at once: (lo, hi), each (..., n).  A direction parallel
+        """Parameter intervals {t : dist(p + t d, L) <= tol} of lines p + t d,
+        p and d (..., dim), along the full line, against every subspace L at
+        once: (lo, hi), each (..., n).  A direction parallel
         to L (|P⊥d|^2 <= 1e-30 max(|d|^2, 1)) gives (-inf, inf) inside the
         tube; a line farther than tol everywhere the empty (inf, -inf).
         """

@@ -22,8 +22,10 @@ later stages run mu = 1e-2 ... 1e-14 scale to tolerance 1e-9.  A stage with
 an interior gap within CERT_WINDOW * mu tries the ghost certificate below;
 any other tries the exact polish (_exact_polish), the one place where a
 smooth solve decides that it has converged.  The first to hold ends the
-solve; a continuation that ends with no polished chain and every gap above
-the coincidence floor COINCIDENCE_TOL * scale raises MaxIterations.  The
+solve.  A continuation that ends with no polished chain and every gap above
+the coincidence floor COINCIDENCE_TOL * scale polishes its last chain once
+more without the WARM_GATE test, which only saves work (the accept test
+proves the result), and raises MaxIterations if that fails too.  The
 certificate does not need the opening stage's minimizer: a cold solve
 whose spring chain passes the same window at mu = scale tries it there,
 before the opening stage's Newton and in place of the attempt after it.  A
@@ -73,19 +75,12 @@ The same weak duality proves every VALID and certified GHOST result: from
 its multipliers (its unit edges, or the certificate's) _dual_bound gives
 MinimizeResult.lower_bound, on first read only, which meets the value.
 
-What depends on the itinerary alone is kept in solve plans: small LRU
-caches keyed on the content of the itinerary's stacked bases, which hold
-read-only arrays (the columns of the inverse chain Laplacian at the first
-and last vertex blocks, and for each run set the certificate's
-intersection bases, reduced bases, vertex equations, the projector onto
-their transpose's null space and their pseudo-inverse, one lookup per
-certificate attempt), so a hit returns exactly what recomputing would.
-
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve) on one problem class,
-_StackedProblem, which the certificate's reduced polish also builds over a
-run plan's reduced bases; the thickened barrier stages and wall polish reuse
-the core with their own coordinates and retractions.  The certificate's
+_StackedProblem over an itinerary's solve plan (_ItineraryPlan), which the
+certificate's reduced polish also builds over a run plan's reduced plan;
+the thickened barrier stages and wall polish reuse the core with their own
+coordinates and retractions.  The certificate's
 search for collapsed-edge multipliers minimizes no value, and is a short
 Newton loop of its own.
 
@@ -134,7 +129,7 @@ WARM_GATE = 1e-2       # exact polish: first exact Newton step / shortest edge
 WARM_AIM = 1e-4        # exact polish targets this * tol, accepts tol
 POLISH_ITERS = 400     # Newton steps of the exact polish, cold or warm
 EDGE_TOL = 1e-9        # edge direction within this of a subspace lies inside it
-PLANS = 4              # entries of each solve-plan cache (itineraries, run sets)
+PLANS = 4              # entries of each solve-plan LRU: plans, and a plan's run plans
 GHOST_MESSAGE = "consecutive vertices collapse; minimizer leaves the trajectory space"
 
 
@@ -218,13 +213,9 @@ class _StackedProblem:
     classification of the point the Newton core stopped at.
     """
 
-    def __init__(self, bases, A, B):
-        self.bases = bases
-        self.bases_t = bases.transpose(0, 2, 1)
-        self.k, self.m, self.dim = self.bases.shape
-        # coordinates of zero basis rows, which pad a run's intersection in
-        # a reduced chain; a unit diagonal there keeps Newton definite
-        self.pad = np.flatnonzero(~bases.any(axis=2))
+    def __init__(self, plan, A, B):
+        self.plan, self.bases, self.bases_t = plan, plan.bases, plan.bases_t
+        self.k, self.m, self.dim = plan.bases.shape
         self.A = A
         self.B = B
         # A, q_1..q_k, B; the chain rows are overwritten on every call
@@ -233,12 +224,6 @@ class _StackedProblem:
         self._pts[-1] = B
         self._measured = None   # (x, mu2, edges, soft lengths) last measured
         self._derived = None    # (x, mu2, soft lengths, units, g, H) last derived
-
-    @cached_property
-    def key(self):
-        """Content key of the bases, (shape, bytes), under which the solve
-        plan caches keep what depends on the itinerary alone."""
-        return self.bases.shape, self.bases.tobytes()
 
     def points_of(self, x: np.ndarray) -> np.ndarray:
         return (self.bases_t @ x.reshape(self.k, self.m)[:, :, None])[:, :, 0]
@@ -270,7 +255,7 @@ class _StackedProblem:
         edges, soft = self.edge_pass(x, mu2)
         value, units, grad, diag, off = _edge_terms(edges, soft)
         g, H = _stacked(self.bases, grad, diag, off)
-        H[self.pad, self.pad] = 1.0
+        H[self.plan.pad, self.plan.pad] = 1.0
         self._derived = (x, mu2, soft, units, g, H)
         return value, g, H
 
@@ -335,41 +320,72 @@ def _chain_laplacian(bases: np.ndarray) -> np.ndarray:
                     np.broadcast_to(-eye, (k - 1, dim, dim)))[1]
 
 
-# Solve plans: what a solve needs that depends only on its itinerary's
-# stacked bases (and, for a certificate, on its run set) is kept in small LRU
-# caches keyed on the content of the bases, (shape, bytes): a hit returns
-# exactly what recomputing would, arrangements with equal bases share
-# entries, and no entry can go stale.
+class _ItineraryPlan:
+    """A solve plan: what a solve needs that depends on its itinerary's
+    stacked bases (k, m, dim) alone, all read-only: the bases and their
+    transposes; pad, the coordinates of zero basis rows, which pad a run's
+    meet in a reduced chain (a unit diagonal there keeps Newton definite);
+    and, built on first use, the spring columns and an LRU of the PLANS
+    run plans last used (run_plans).
+
+    _plan_of keeps one plan per itinerary content in an LRU of PLANS, keyed
+    on the bases' (shape, bytes): a hit returns exactly what recomputing
+    would, and no entry can go stale.  So at most PLANS^2 run plans are
+    live, not PLANS for all itineraries together: one itinerary's run sets
+    recur across the anchors of a search row, and stay together.  At k =
+    128 on the four-body table a run plan holds about 19 MB once its
+    equations are built.  Reduced plans and the thickened wall polish
+    build plans outside the LRU.
+    """
+
+    def __init__(self, bases):
+        self.bases = _frozen(bases)
+        self.bases_t = bases.transpose(0, 2, 1)
+        self.k, self.m = bases.shape[:2]
+        self.pad = _frozen(np.flatnonzero(~bases.any(axis=2)))
+
+    @cached_property
+    def spring_columns(self) -> np.ndarray:
+        """The (k m, 2m) columns of the inverse chain Laplacian at the first
+        and last vertex blocks.  At k = 1 both column blocks are the one
+        block."""
+        k, m = self.k, self.m
+        ends = np.zeros((k * m, 2 * m))
+        ends[:m, :m] = np.eye(m)
+        ends[-m:, m:] = np.eye(m)
+        return _frozen(np.linalg.solve(_chain_laplacian(self.bases), ends))
+
+    def spring_coords(self, A, B) -> np.ndarray:
+        """Stacked coordinates of the spring chain from A to B, the minimizer
+        of sum_e |d_e|^2 (the smoothed length's limit as mu grows): the
+        spring columns applied to B_1 A at the first vertex, B_k B at the last."""
+        return self.spring_columns @ np.concatenate((self.bases[0] @ A, self.bases[-1] @ B))
+
+    @cached_property
+    def run_plans(self):
+        """The _RunPlan of a run set (a tuple of runs), from an LRU of PLANS."""
+        return lru_cache(maxsize=PLANS)(partial(_RunPlan, self.bases))
+
 
 @lru_cache(maxsize=PLANS)
-def _spring_columns(shape, data) -> np.ndarray:
-    """The (k m, 2m) columns of the inverse chain Laplacian at the first and
-    last vertex blocks, over the stacked bases held in data.  At k = 1 both
-    column blocks are the one block."""
-    k, m, _ = shape
-    ends = np.zeros((k * m, 2 * m))
-    ends[:m, :m] = np.eye(m)
-    ends[-m:, m:] = np.eye(m)
-    return _frozen(np.linalg.solve(_chain_laplacian(np.frombuffer(data).reshape(shape)), ends))
+def _cached_plan(shape, data) -> _ItineraryPlan:
+    return _ItineraryPlan(np.frombuffer(data).reshape(shape))
 
 
-def _spring_coords(problem) -> np.ndarray:
-    """Stacked coordinates of the spring chain, the minimizer of sum_e
-    |d_e|^2, to which the smoothed length's minimizers tend as mu grows:
-    the cached end columns of the inverse chain Laplacian applied to the
-    right-hand side, B_1 A at the first vertex and B_k B at the last."""
-    return _spring_columns(*problem.key) @ np.concatenate(
-        (problem.bases[0] @ problem.A, problem.bases[-1] @ problem.B))
+def _plan_of(bases) -> _ItineraryPlan:
+    """The solve plan of these stacked bases, from the LRU of plans."""
+    return _cached_plan(bases.shape, bases.tobytes())
 
 
 class _RunPlan:
     """The certificate's structure for one run set of an itinerary, all of
     it read-only: the intersection basis of each run (meets), the vertices
     the reduced chain keeps (keep, the first of each run), the reduced
-    chain's bases (reduced, each run's meet padded by zero rows) and the
-    collapsed edges (shut, (k+1,)); pinned when no kept vertex has a free
-    coordinate.  The vertex equations of the collapsed edges' multipliers
-    are built on first use, once, with their pseudo-inverse (equations)."""
+    chain's plan (reduced, over bases that are each run's meet padded by
+    zero rows) and the collapsed edges (shut, (k+1,)); pinned when no kept
+    vertex has a free coordinate.  The vertex equations of the collapsed
+    edges' multipliers are built on first use, once, with their
+    pseudo-inverse (equations)."""
 
     def __init__(self, bases, runs):
         self.bases, self.runs = bases, runs
@@ -382,8 +398,9 @@ class _RunPlan:
             shut[start + 1:stop] = True
             reduced[start] = 0.0
             reduced[start, :len(meet)] = meet
-        self.keep, self.shut, self.reduced = map(_frozen, (keep, shut, reduced[keep]))
-        self.pinned = not self.reduced.any()
+        self.keep, self.shut = _frozen(keep), _frozen(shut)
+        self.reduced = _ItineraryPlan(reduced[keep])
+        self.pinned = not self.reduced.bases.any()
 
     @cached_property
     def equations(self):
@@ -407,11 +424,6 @@ class _RunPlan:
             y = (self.bases[a:b] @ meet.T).reshape((b - a) * m, -1)
             null[a * m:b * m, a * m:b * m] = y @ y.T / (b - a)
         return tuple(map(_frozen, (M, null, np.linalg.solve(M @ M.T + null, M).T)))
-
-
-@lru_cache(maxsize=PLANS)
-def _run_plan(shape, data, runs) -> _RunPlan:
-    return _RunPlan(np.frombuffer(data).reshape(shape), runs)
 
 
 def _add_step(x, step, t):
@@ -493,16 +505,17 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
     return x, value, grad_norm, "max_iters"
 
 
-def _exact_polish(problem, x, tol, floor, max_iters):
+def _exact_polish(problem, x, tol, floor, max_iters, gate=WARM_GATE):
     """(coordinates, length) of the exact (mu = 0) Newton polish of x, or
     None: the one convergence test of a smooth solve, cold, warm or reduced.
 
     x is in Newton's basin when every gap exceeds floor and its first exact
-    Newton step is at most WARM_GATE of the shortest gap.  The polish aims
-    at WARM_AIM * tol, typically one quadratic step past tol, so that a
-    result's error does not depend on where its start sat (finite
-    differences over a patch divide it by the spacing).  It is accepted once
-    the gradient meets tol, with every gap still above floor.
+    Newton step is at most gate of the shortest gap; the gate only saves
+    work.  The polish aims at WARM_AIM * tol, typically one quadratic step
+    past tol, so that a result's error does not depend on where its start
+    sat (finite differences over a patch divide it by the spacing).  It is
+    accepted once the gradient meets tol, with every gap still above
+    floor.
     """
     shortest = problem.edge_pass(x, 0.0)[1].min()
     if not shortest > floor:
@@ -510,7 +523,7 @@ def _exact_polish(problem, x, tol, floor, max_iters):
     start = problem.derivatives(x, 0.0)
     # at zero gradient no step is a descent step, and the zero step is taken
     step = _solve_spd(start[2], start[1]) if start[1].any() else np.zeros_like(x)
-    if step is None or math.sqrt(step @ step) > WARM_GATE * shortest:
+    if step is None or math.sqrt(step @ step) > gate * shortest:
         return None
     x, value, grad_norm, _ = _damped_newton(
         x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
@@ -695,7 +708,7 @@ def _certify_ghost(problem, x, mu2, floor):
     start = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
     for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:CERT_TRIES]:
         try:
-            plan = _run_plan(*problem.key, tuple(_collapsing_runs(gaps, interior[j])))
+            plan = problem.plan.run_plans(tuple(_collapsing_runs(gaps, interior[j])))
             found = _reduced_minimum(problem, plan, problem._pts, floor, mu2)
             if found is not None:
                 proof = _multipliers_certify(problem, plan, *found[1:], start)
@@ -751,7 +764,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         chain = Chain.from_coords(arr, itinerary, np.zeros((len(itinerary), 0)))
         return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0)
 
-    problem = _StackedProblem(arr.bases_of(itinerary), A, B)
+    problem = _StackedProblem(_plan_of(arr.bases_of(itinerary)), A, B)
     stages = _stages(scale)
     polished = certified = None
     spring_tried = False   # the opening stage's certificate, tried at its start
@@ -759,7 +772,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         # the minimizer of the smoothed length's limit as mu grows.  The
         # certificate's proof does not depend on mu, so the opening stage
         # tries it here, at its start, in place of its minimizer
-        x = _spring_coords(problem)
+        x = problem.plan.spring_coords(A, B)
         mu2 = stages[0][0] * stages[0][0]
         spring_tried = _ghost_candidate(problem.edge_pass(x, 0.0)[1], mu2)
         if spring_tried:
@@ -800,6 +813,9 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         return MinimizeResult(Chain(coords, _to_points(problem.bases, coords)), value,
                               math.nan, Classification.GHOST, None, iterations,
                               GHOST_MESSAGE, multipliers=(problem.bases, A, B, u))
+    if polished is None and gaps.min() > coincidence:
+        # no gate let the last chain through; the accept test alone proves it
+        polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS, math.inf)
     if polished is not None:
         x, value = polished
     elif gaps.min() > coincidence:

@@ -62,12 +62,6 @@ def translation_core(arr: Arrangement) -> Subspace:
     return Subspace("L_tr", orthonormalize(intersection_basis(arr.bases), arr.dim), arr.dim)
 
 
-def linear_momentum(arr: Arrangement, v) -> np.ndarray:
-    """Component of a velocity along the translation core; conserved at every
-    collision because the core sits inside each reflecting subspace."""
-    return translation_core(arr).project(v)
-
-
 def angular_momentum(gen: RotationGenerator, x, v) -> float:
     """J = <xi(v), x>, the generator's component of the angular momentum.
 

@@ -25,9 +25,9 @@ import numpy as np
 from .arrangement import Arrangement, Itinerary, _as_vector, _perp, _row_dot, _tube_approach
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
 from . import solver
-from .action import COINCIDENCE_TOL, _edge_terms, _stacked, action
-from .solver import (_check_size, _damped_newton, _spring_coords, _stages, _StackedProblem,
-                     minimize)
+from .action import COINCIDENCE_TOL, _edge_terms, _stacked, _to_points, action
+from .solver import (_check_size, _damped_newton, _ItineraryPlan, _plan_of, _stages,
+                     _StackedProblem, minimize)
 from .trajectory import TRANSVERSE_TOL, is_transverse
 
 CORNER_TOL = 1e-9
@@ -273,8 +273,8 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary,
         if table.distance_to_wall(x) <= 1e-12:
             raise PreconditionError(f"anchor {name} must lie in the table interior")
     scale = max(float(np.linalg.norm(B - A)), table.r)
-    spring = _StackedProblem(arr.bases_of(itinerary), A, B)
-    points = spring.points_of(_spring_coords(spring))
+    plan = _plan_of(arr.bases_of(itinerary))
+    points = _to_points(plan.bases, plan.spring_coords(A, B).reshape(plan.k, plan.m))
     problem = _WallProblem(table, itinerary, A, B, np.zeros(len(itinerary), dtype=bool))
     for mu, tol in _stages(scale):
         # no small-step stop: STEP_TOL is absolute, and the barrier's steps shrink with mu
@@ -317,18 +317,19 @@ def _polished(table, itinerary, A, B, points, pressed):
 
 class _WallProblem(_StackedProblem):
     """Path length in ambient (k, dim) coordinates, a _StackedProblem over
-    identity bases (so the Newton core measures a point's edges once), with
-    the active vertices on their walls and, at mu > 0, the barrier -mu sum
-    log(rho^2 - |P⊥ q|^2) over the free ones.  An active vertex's blocks are
-    reduced through its wall's tangent projector P = I - omega omega^T by
-    ``action._stacked``, plus omega omega^T (a unit diagonal that keeps Newton
-    definite and its step tangent) and the perp-sphere curvature (force /
-    rho)(I - B^T B - omega omega^T).  The gradient P g has no unit."""
+    an uncached plan of identity bases (so the Newton core measures a
+    point's edges once), with the active vertices on their walls and, at
+    mu > 0, the barrier -mu sum log(rho^2 - |P⊥ q|^2) over the free ones.
+    An active vertex's blocks are reduced through its wall's tangent
+    projector P = I - omega omega^T by ``action._stacked``, plus omega
+    omega^T (a unit diagonal that keeps Newton definite and its step
+    tangent) and the perp-sphere curvature (force / rho)(I - B^T B - omega
+    omega^T).  The gradient P g has no unit."""
 
     def __init__(self, table, itinerary, A, B, active):
         walls = table.arrangement.bases_of(itinerary)
         k, _, dim = walls.shape
-        super().__init__(np.broadcast_to(np.eye(dim), (k, dim, dim)), A, B)
+        super().__init__(_ItineraryPlan(np.broadcast_to(np.eye(dim), (k, dim, dim))), A, B)
         self.walls = walls
         self.radii = table.radii[list(itinerary)]
         self.active = np.asarray(active)

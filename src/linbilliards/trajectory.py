@@ -175,26 +175,5 @@ def boundary_lines(traj: BilliardTrajectory):
     return ell_minus, ell_plus
 
 
-def validate_trajectory(arr: Arrangement, traj: BilliardTrajectory) -> list[str]:
-    """All violated trajectory invariants, as human-readable strings."""
-    problems = []
-    if traj.itinerary is None:
-        return ["trajectory carries no itinerary"]
-    scale = max(1.0, float(np.linalg.norm(traj.A - traj.B)))
-    edges = traj.edge_velocities
-    for j, idx in enumerate(traj.itinerary):
-        sub = arr.subspaces[idx]
-        d = sub.distance_to(traj.chain[j])
-        if d > MEMBERSHIP_TOL * scale:
-            problems.append(f"vertex {j + 1} off {sub.name} by {d:.3e}")
-        for edge in (edges[j], edges[j + 1]):
-            if np.linalg.norm(sub.perp(edge)) <= MEMBERSHIP_TOL:
-                problems.append(f"edge at vertex {j + 1} lies inside {sub.name}")
-        mom = reflection_residual(arr, traj, j + 1)
-        if mom > 1e-9:
-            problems.append(f"momentum residual {mom:.3e} at vertex {j + 1}")
-    return problems
-
-
 def trajectory_to_json(traj: BilliardTrajectory, arr: Arrangement) -> str:
     return json.dumps(traj.to_json_dict(arr), indent=2, sort_keys=True, allow_nan=False)

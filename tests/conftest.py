@@ -13,12 +13,14 @@ import numpy as np  # noqa: E402
 import pytest
 
 from linbilliards import nbody, solver
-from linbilliards.arrangement import Arrangement, Itinerary, Subspace
+from linbilliards.arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace,
+                                      _as_vector)
 from linbilliards.action import Chain, action, gradient
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.scattering import RelationSample
-from linbilliards.symmetry import RotationGenerator
-from linbilliards.trajectory import BilliardTrajectory, OrientedLine, is_transverse
+from linbilliards.symmetry import RotationGenerator, translation_core
+from linbilliards.trajectory import (BilliardTrajectory, OrientedLine, is_transverse,
+                                    reflection_residual)
 
 
 @contextlib.contextmanager
@@ -143,6 +145,58 @@ def rotation_generator(system, i=0, j=1):
         xi = system._frame @ xi @ system._frame.T
     return RotationGenerator(f"rot{i}{j}", xi)
 
+
+def linear_momentum(arr, v) -> np.ndarray:
+    """Component of a velocity along the translation core; conserved at every
+    collision because the core sits inside each reflecting subspace."""
+    return translation_core(arr).project(v)
+
+
+def tube_interval(sub, p, d, tol: float):
+    """Parameter interval {t : dist(p + t*d, L) <= tol} along a full line,
+    L the subspace sub.
+
+    Returns (t_lo, t_hi), possibly infinite for directions inside the
+    subspace, or None when the line stays farther than tol everywhere.
+    The scalar, one-subspace reference for Arrangement.tube_intervals.
+    """
+    p = _as_vector(p, sub.dim)
+    d = _as_vector(d, sub.dim, "direction")
+    w = sub.perp(p)
+    u = sub.perp(d)
+    a = float(np.dot(u, u))
+    scale = max(float(np.dot(d, d)), 1.0)
+    if a <= 1e-30 * scale:
+        # perpendicular distance is constant along the line
+        return (-math.inf, math.inf) if np.dot(w, w) <= tol * tol else None
+    t_star = -float(np.dot(w, u)) / a
+    dmin2 = float(np.dot(w + t_star * u, w + t_star * u))
+    gap2 = tol * tol - dmin2
+    if gap2 < 0.0:
+        return None
+    half = math.sqrt(gap2 / a)
+    return (t_star - half, t_star + half)
+
+
+def validate_trajectory(arr, traj) -> list[str]:
+    """All violated trajectory invariants, as human-readable strings."""
+    problems = []
+    if traj.itinerary is None:
+        return ["trajectory carries no itinerary"]
+    scale = max(1.0, float(np.linalg.norm(traj.A - traj.B)))
+    edges = traj.edge_velocities
+    for j, idx in enumerate(traj.itinerary):
+        sub = arr.subspaces[idx]
+        d = sub.distance_to(traj.chain[j])
+        if d > MEMBERSHIP_TOL * scale:
+            problems.append(f"vertex {j + 1} off {sub.name} by {d:.3e}")
+        for edge in (edges[j], edges[j + 1]):
+            if np.linalg.norm(sub.perp(edge)) <= MEMBERSHIP_TOL:
+                problems.append(f"edge at vertex {j + 1} lies inside {sub.name}")
+        mom = reflection_residual(arr, traj, j + 1)
+        if mom > 1e-9:
+            problems.append(f"momentum residual {mom:.3e} at vertex {j + 1}")
+    return problems
 
 def fourbody():
     """Pair collisions of four unit masses in 3-D with the centre of mass

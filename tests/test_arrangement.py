@@ -18,6 +18,8 @@ from linbilliards.arrangement import (
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.scattering import free_motion_sample
 
+from conftest import tube_interval
+
 
 def test_project_x_axis():
     L = Subspace.from_spanning("L", [[1.0, 0.0]], 2)
@@ -208,7 +210,7 @@ def _ray_hits_by_loop(arr, start, direction, tol):
     """Ray test by one tube interval per subspace: the ray meets a tube
     beyond its start when the interval begins at t > 0 or never ends."""
     for sub in arr.subspaces:
-        interval = sub.tube_interval(start, direction, tol)
+        interval = tube_interval(sub, start, direction, tol)
         if interval is not None and interval[1] >= 0.0 and (
                 interval[0] > 0.0 or math.isinf(interval[1])):
             return True
@@ -346,7 +348,7 @@ def test_batched_queries_on_zero_dimensional_subspaces(origin_arr):
 
 
 def _free_line_by_loop(arr, A, B, tol):
-    return all(sub.tube_interval(A, B - A, tol) is None for sub in arr.subspaces)
+    return all(tube_interval(sub, A, B - A, tol) is None for sub in arr.subspaces)
 
 
 def _assert_free_line_matches_loop(arr, p, q, tol):

@@ -12,9 +12,8 @@ from linbilliards.cli import EXIT_CORNER, main
 from linbilliards.errors import (PACKAGE_ERRORS, CornerCollision, InputError, MaxIterations,
                                  NonSmoothPoint, PreconditionError)
 from linbilliards.arrangement import load_arrangement
-from linbilliards.trajectory import validate_trajectory
 
-from conftest import trajectory_from_json
+from conftest import trajectory_from_json, validate_trajectory
 
 
 @pytest.fixture
@@ -638,8 +637,7 @@ def test_origami_jobs_do_not_change_outputs(tmp_path, twolines_json):
     outs = []
     for name, jobs in (("pool", 2), ("serial", 1), ("warm", 1)):
         if name != "warm":
-            solver._spring_columns.cache_clear()
-            solver._run_plan.cache_clear()
+            solver._cached_plan.cache_clear()
         out = tmp_path / name
         code = main(["origami", "--arrangement", str(twolines_json), "--itinerary", "L1,L2",
                      "--max-len", "5", "--budget", "40", "--seed", "3",

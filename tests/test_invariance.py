@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.errors import PACKAGE_ERRORS, MaxIterations
 from linbilliards.solver import Classification, minimize
-from linbilliards.trajectory import validate_trajectory
 
-from conftest import assert_lower_bound, fourbody, planes3d, random_start_solves
+from conftest import (assert_lower_bound, fourbody, planes3d, random_start_solves,
+                      validate_trajectory)
 
 FIXTURES = ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr", "planes4d_arr",
             "planes3d_arr"]

@@ -233,7 +233,7 @@ FIXTURES = ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr", "planes4d
 def _certifies(problem, points, runs, start):
     """solver._multipliers_certify of the chain points under the run plan
     of runs, from the edges of its own point list."""
-    plan = solver._run_plan(*problem.key, tuple(runs))
+    plan = problem.plan.run_plans(tuple(runs))
     edges, lengths = _edge_lengths(_point_list(problem.A, points, problem.B))
     return solver._multipliers_certify(problem, plan, edges, lengths, start)
 
@@ -411,7 +411,7 @@ def test_snapped_ghosts_match_full_continuation(table, request, monkeypatch):
                                           axis=0), axis=1)
             runs = _collapsing_runs(gaps, 1e-12 * max(1.0, scale))
             assert runs
-            assert _certifies(_StackedProblem(arr.bases_of(it), A, B),
+            assert _certifies(_StackedProblem(solver._plan_of(arr.bases_of(it)), A, B),
                               result.chain.points, runs, np.zeros((len(it) + 1, arr.dim)))
         return result
 
@@ -473,7 +473,7 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
             break
     else:
         pytest.fail("no ghost collapsed onto a line")
-    problem = _StackedProblem(planes3d_arr.bases_of(it), A, B)
+    problem = _StackedProblem(solver._plan_of(planes3d_arr.bases_of(it)), A, B)
     unknown = np.zeros((len(it) + 1, 3))
     assert _certifies(problem, pts, runs, unknown)
     slid = pts.copy()
@@ -482,7 +482,8 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
 
     it = Itinerary((0, 1))
     assert minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B).is_valid
-    problem = _StackedProblem(twolines_arr.bases_of(it), TWOLINE_A, TWOLINE_B)
+    problem = _StackedProblem(solver._plan_of(twolines_arr.bases_of(it)), TWOLINE_A,
+                              TWOLINE_B)
     assert not _certifies(problem, np.zeros((2, 2)), [(0, 2)], np.zeros((3, 2)))
 
 
@@ -626,8 +627,8 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     from linbilliards.solver import _StackedProblem
     it = Itinerary((0, 1, 0))
     A, B = np.array([10.0, 1.0]), np.array([10.0, -1.0])
-    problem = _StackedProblem(twolines_arr.bases_of(it), A, B)
-    plan = solver._run_plan(*problem.key, ((0, 3),))
+    problem = _StackedProblem(solver._plan_of(twolines_arr.bases_of(it)), A, B)
+    plan = problem.plan.run_plans(((0, 3),))
     pinv = plan.equations[2]
     kernel = _kernel(plan)
     u = np.zeros((4, 2))
@@ -656,9 +657,9 @@ def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
     miss the balls, one of them with rows just inside their balls (norm
     1 - 1e-7, as a smoothed direction on a merged open edge can be)."""
     it = Itinerary((0, 1, 0))
-    problem = solver._StackedProblem(twolines_arr.bases_of(it), np.array([10.0, 1.0]),
-                                     np.array([10.0, -1.0]))
-    plan = solver._run_plan(*problem.key, ((0, 3),))
+    problem = solver._StackedProblem(solver._plan_of(twolines_arr.bases_of(it)),
+                                     np.array([10.0, 1.0]), np.array([10.0, -1.0]))
+    plan = problem.plan.run_plans(((0, 3),))
     kernel = _kernel(plan)
     v0 = np.array([[0.1, 0.2], [-0.1, 0.3]])
     fixed = -_vertex_matrix(plan) @ v0.reshape(-1)
@@ -691,8 +692,7 @@ def test_pinned_run_sets_skip_the_reduced_problem(twolines_arr, monkeypatch):
     fast = minimize(twolines_arr, it, A, B)
     assert fast.classification is Classification.GHOST and not fast.chain.points.any()
     assert not polished
-    plan = solver._run_plan(*solver._StackedProblem(twolines_arr.bases_of(it), A, B).key,
-                            ((0, 4),))
+    plan = solver._plan_of(twolines_arr.bases_of(it)).run_plans(((0, 4),))
     assert plan.pinned
     assert fast.value == action(A, np.zeros((4, 2)), B)
     assert_lower_bound(fast)
@@ -820,10 +820,10 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
     rng = np.random.default_rng(7)
     points = np.array([planes3d_arr.subspaces[i].project(rng.standard_normal(3))
                        for i in it])
-    problem = _StackedProblem(planes3d_arr.bases_of(it), A, B)
+    problem = _StackedProblem(solver._plan_of(planes3d_arr.bases_of(it)), A, B)
     runs = [(0, 2), (2, 4)]
     snapped = _snapped(_point_list(A, points, B), runs,
-                       solver._run_plan(*problem.key, tuple(runs)).meets)[1:-1]
+                       problem.plan.run_plans(tuple(runs)).meets)[1:-1]
     # P1 and P2 meet in the x-axis; P3 and P1 in a line through the origin
     assert np.array_equal(snapped[0], snapped[1])
     assert np.array_equal(snapped[2], snapped[3])
@@ -833,7 +833,7 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
     assert np.linalg.norm(snapped[2]) > 0
     # three planes with no common line meet only at the origin
     origin = _snapped(_point_list(A, points, B), [(0, 3)],
-                      solver._run_plan(*problem.key, ((0, 3),)).meets)[1:-1]
+                      problem.plan.run_plans(((0, 3),)).meets)[1:-1]
     assert not origin[:3].any()
     assert np.array_equal(origin[3], points[3])
 
@@ -874,12 +874,11 @@ def _threshold_recorder(monkeypatch):
         raise np.linalg.LinAlgError
 
     monkeypatch.setattr(solver, "_collapsing_runs", runs)
-    monkeypatch.setattr(solver, "_run_plan", refused)
 
     def thresholds(gaps, mu2):
         del tried[:]
         problem = types.SimpleNamespace(
-            key=("shape", b""), _pts=None,
+            plan=types.SimpleNamespace(run_plans=refused), _pts=None,
             edge_pass=lambda x, mu2: (np.ones((len(gaps), 2)), gaps))
         assert solver._certify_ghost(problem, None, mu2, 0.0) is None
         return tried[:]
@@ -1238,7 +1237,7 @@ def test_derivatives_after_value_reuse_its_edge_pass(mu2, monkeypatch):
     arr = _four_body_table()
     rng = np.random.default_rng(9)
     it, A, B = _random_case(arr, rng, 6, 6)
-    problem = _StackedProblem(arr.bases_of(it), A, B)
+    problem = _StackedProblem(solver._plan_of(arr.bases_of(it)), A, B)
     x = rng.standard_normal(problem.k * problem.m)
     value = problem.value(x, mu2)
     measured = []
@@ -1464,8 +1463,7 @@ def test_degenerate_vertex_norm_reads_no_eigenvalue(twolines_arr, monkeypatch):
 
 
 def _clear_solve_plans():
-    solver._spring_columns.cache_clear()
-    solver._run_plan.cache_clear()
+    solver._cached_plan.cache_clear()
 
 
 def _result_bytes(result):
@@ -1485,7 +1483,7 @@ def _measuring_certified(problem, x, mu2, floor):
     for threshold in _reference_thresholds(gaps, mu2):
         runs = _reference_runs(gaps, threshold)
         try:
-            plan = solver._run_plan(*problem.key, tuple(runs))
+            plan = problem.plan.run_plans(tuple(runs))
             found = solver._reduced_minimum(problem, plan, pts.copy(), floor, mu2)
             proof = None if found is None else _certifies(problem, found[0], runs, start)
             if proof is not None:
@@ -1617,6 +1615,20 @@ def test_ghosts_on_the_border_of_the_valid_anchors(offset, outcome, twolines_arr
         assert result.iterations == 0
 
 
+@pytest.mark.parametrize("e", [4, 5, 6, 7, 8])
+def test_valid_anchors_near_the_ghost_border_are_polished(e, twolines_arr):
+    """From A = (1, 1 - t 10^-e) to B = (-1, 1), for 90 values of t in
+    [1, 9.9], the minimizer of L1, L2 is a valid billiard whose interior
+    edge is short, but far above the coincidence floor.  No stage's polish
+    passes WARM_GATE on some of them; the ungated polish of the last chain
+    still proves each one, and none raises MaxIterations."""
+    it, B = Itinerary((0, 1)), np.array([-1.0, 1.0])
+    for t in np.linspace(1.0, 9.9, 90):
+        result = minimize(twolines_arr, it, np.array([1.0, 1.0 - t * 10.0 ** -e]), B)
+        assert result.is_valid
+        assert_lower_bound(result)
+
+
 @pytest.mark.parametrize("table, itinerary, A, B", [
     ("twolines_arr", (0, 1, 0, 1), (2.0, 1.0), (-1.0, -3.0)),
     ("lines3d_arr", (0, 1, 0), (1.0, 2.0, 3.0), (-2.0, 1.0, 0.5)),
@@ -1675,7 +1687,7 @@ def test_the_spring_chain_attempt_replaces_the_opening_one(twolines_arr, monkeyp
     real, starts = solver._certify_ghost, []
 
     def counted(problem, x, *args):
-        starts.append(np.array_equal(x, solver._spring_coords(problem)))
+        starts.append(np.array_equal(x, problem.plan.spring_coords(problem.A, problem.B)))
         return real(problem, x, *args)
 
     it = Itinerary((0, 1))
@@ -1750,7 +1762,7 @@ def test_solves_with_cold_and_warm_solve_plans_agree(planes3d_arr, fourbody_arr)
     """The solve plans are transparent: a solve after the caches are cleared
     equals, byte for byte, the same solve with the caches warm."""
     rng = np.random.default_rng(29)
-    classes = set()
+    classes, run_plan_hits = set(), 0
     for arr, lengths in ((planes3d_arr, (2, 6)), (fourbody_arr, (4, 12))):
         for _ in range(12):
             it, A, B = _random_case(arr, rng, *lengths)
@@ -1759,23 +1771,62 @@ def test_solves_with_cold_and_warm_solve_plans_agree(planes3d_arr, fourbody_arr)
             warm = minimize(arr, it, A, B)
             assert _result_bytes(cold) == _result_bytes(warm)
             classes.add(cold.classification)
+            run_plan_hits += solver._plan_of(arr.bases_of(it)).run_plans.cache_info().hits
     assert Classification.GHOST in classes and len(classes) >= 2
-    assert solver._spring_columns.cache_info().hits > 0
-    assert solver._run_plan.cache_info().hits > 0
+    assert solver._cached_plan.cache_info().hits > 0
+    assert run_plan_hits > 0
 
 
 def test_solve_plan_arrays_are_read_only(planes3d_arr):
-    """Every array a solve plan keeps is shared between solves, and is read-only."""
-    problem = solver._StackedProblem(planes3d_arr.bases_of(Itinerary((0, 1, 2, 0))),
-                                     np.array([1.0, 2.0, 3.0]), np.array([-2.0, 1.0, -1.0]))
-    plan = solver._run_plan(*problem.key, ((0, 2), (2, 4)))
+    """Every array a solve plan keeps is shared between solves, and is
+    read-only: the plan's bases, their transposes, pad and spring columns,
+    and its run plans with their reduced plans."""
+    bases = planes3d_arr.bases_of(Itinerary((0, 1, 2, 0)))
+    itinerary_plan = solver._plan_of(bases)
+    plan = itinerary_plan.run_plans(((0, 2), (2, 4)))
     M, null, pinv = plan.equations
-    arrays = [solver._spring_columns(*problem.key), *plan.meets, plan.keep, plan.shut,
-              plan.reduced, plan.bases, M, null, pinv]
+    reduced = plan.reduced
+    arrays = [itinerary_plan.bases, itinerary_plan.bases_t, itinerary_plan.pad,
+              itinerary_plan.spring_columns, *plan.meets, plan.keep, plan.shut,
+              reduced.bases, reduced.bases_t, reduced.pad, plan.bases, M, null, pinv]
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        plan.reduced[0] = 0.0
-    assert solver._run_plan(*problem.key, ((0, 2), (2, 4))) is plan
+        plan.reduced.bases[0] = 0.0
+    with pytest.raises(ValueError):
+        itinerary_plan.bases_t[0] = 0.0
+    # both runs meet in a line: one padded coordinate at each kept vertex
+    assert reduced.pad.tolist() == [1, 3]
+    assert solver._plan_of(bases.copy()) is itinerary_plan
+    assert itinerary_plan.run_plans(((0, 2), (2, 4))) is plan
+
+
+def test_point_and_thickened_solves_share_one_plan(mirror_arr):
+    """minimize and minimize_thickened on one itinerary take their spring
+    start from one plan: a miss on the first solve, hits after it."""
+    from linbilliards.thickened import ThickenedTable, minimize_thickened
+    it, A, B = Itinerary((0,)), np.array([0.0, 1.0]), np.array([2.0, 1.0])
+    _clear_solve_plans()
+    assert minimize(mirror_arr, it, A, B).is_valid
+    assert solver._cached_plan.cache_info()[:2] == (0, 1)
+    minimize_thickened(ThickenedTable(mirror_arr, 0.1), it, A, B)
+    assert solver._cached_plan.cache_info()[:2] == (1, 1)
+    assert minimize(mirror_arr, it, B, A).is_valid
+    assert solver._cached_plan.cache_info()[:2] == (2, 1)
+
+
+def test_live_run_plans_stay_within_the_bound(twolines_arr):
+    """At most PLANS^2 run plans are live: PLANS plans in the LRU, with
+    PLANS run plans each, however many itineraries and run sets pass."""
+    import gc
+    _clear_solve_plans()
+    for k in range(5, 5 + 2 * solver.PLANS):
+        plan = solver._plan_of(twolines_arr.bases_of(Itinerary((0, 1) * k)))
+        for start in range(2 * solver.PLANS):
+            plan.run_plans(((start, start + 2),))
+    del plan
+    gc.collect()
+    live = sum(isinstance(o, solver._RunPlan) for o in gc.get_objects())
+    assert live == solver.PLANS ** 2
 
 
 @pytest.mark.parametrize("table, itinerary, runs", [
@@ -1798,9 +1849,9 @@ def test_vertex_equations_match_the_reference_factorization(table, itinerary, ru
     rng = np.random.default_rng(11)
     if itinerary is None:
         itinerary = _repeat_free(rng, len(arr.subspaces), 16)
-    problem = solver._StackedProblem(arr.bases_of(Itinerary(itinerary)),
+    problem = solver._StackedProblem(solver._plan_of(arr.bases_of(Itinerary(itinerary))),
                                      rng.standard_normal(arr.dim), rng.standard_normal(arr.dim))
-    plan = solver._run_plan(*problem.key, runs)
+    plan = problem.plan.run_plans(runs)
     M, null, pinv = plan.equations
     C, dim = int(plan.shut.sum()), problem.dim
     assert M.shape == (problem.k * problem.m, C * dim)
@@ -1843,7 +1894,7 @@ def test_certificate_factors_without_qr(twolines_arr, monkeypatch):
     monkeypatch.setattr(origami, "minimize", minimize)
     _clear_solve_plans()
     origami.search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
-    assert solver._run_plan.cache_info().misses > 0
+    assert solver._cached_plan.cache_info().misses > 0
     assert not calls
     assert svds
     assert all(caller == "intersection_basis" and shape[1] == twolines_arr.dim
@@ -1869,5 +1920,5 @@ def test_spring_start_solves_the_normal_equations(table, request):
         f = np.zeros((k + 1, dim))
         f[0], f[-1] = -A, B
         dense = np.linalg.solve(E.T @ E, -E.T @ f.reshape(-1))
-        spring = solver._spring_coords(solver._StackedProblem(bases, A, B))
+        spring = solver._plan_of(bases).spring_coords(A, B)
         assert np.abs(spring - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())

@@ -13,13 +13,13 @@ from linbilliards.symmetry import (
     angular_momentum,
     conservation_report,
     generators_from_json,
-    linear_momentum,
     report_to_csv,
     translation_core,
 )
 from linbilliards.trajectory import BilliardTrajectory
 
-from conftest import TWOLINE_A, TWOLINE_B, rotation_generator, total_momentum
+from conftest import (TWOLINE_A, TWOLINE_B, linear_momentum, rotation_generator,
+                      total_momentum)
 
 ROT2 = RotationGenerator("rot", np.array([[0.0, 1.0], [-1.0, 0.0]]))
 

@@ -14,10 +14,9 @@ from linbilliards.trajectory import (
     max_reflection_residual,
     reflection_residual,
     trajectory_to_json,
-    validate_trajectory,
 )
 
-from conftest import lines_close, trajectory_from_json
+from conftest import lines_close, trajectory_from_json, validate_trajectory
 
 
 def mirror_traj():
