@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, _as_vector
+from .arrangement import Arrangement, Itinerary, _as_vector, _project
 from .errors import InputError, NonSmoothPoint
 
 # consecutive points closer than this (times the problem scale) make the
@@ -91,7 +92,8 @@ def action(A, chain_points, B) -> float:
 def _edge_lengths(pts: np.ndarray, mu2: float = 0.0):
     """Edge vectors of the point list and their soft lengths sqrt(r^2 + mu2)."""
     edges = pts[1:] - pts[:-1]
-    return edges, np.sqrt((edges * edges).sum(axis=1) + mu2)
+    r2 = (edges * edges).sum(axis=1)   # >= +0, so r2 + 0.0 is r2
+    return edges, np.sqrt(r2 + mu2 if mu2 else r2)
 
 
 def _edge_terms(edges: np.ndarray, f: np.ndarray):
@@ -105,13 +107,14 @@ def _edge_terms(edges: np.ndarray, f: np.ndarray):
     return float(f.sum()), n, n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
 
 
-def _stacked(bases: np.ndarray, grad, diag, off):
+def _stacked(bases: np.ndarray, grad, diag, off, bases_t=None):
     """Ambient kernel derivatives reduced to stacked chain coordinates over
     bases (k, m, dim): the gradient (k*m,) and the dense Hessian (k*m, k*m).
     The rows of each basis may be any linear map of a vertex's variation,
-    such as the wall polish's tangent projectors (k, dim, dim)."""
+    such as the wall polish's tangent projectors (k, dim, dim); bases_t, if
+    given, is bases.transpose(0, 2, 1)."""
     k, m, _ = bases.shape
-    bases_t = bases.transpose(0, 2, 1)
+    bases_t = bases.transpose(0, 2, 1) if bases_t is None else bases_t
     H = np.zeros((k, m, k, m))
     idx = np.arange(k)
     H[idx, :, idx, :] = bases @ diag @ bases_t
@@ -152,21 +155,22 @@ class HessianModel:
     already as ``edge_pass``: the edge lengths (k+1,), unit edges (k+1, dim),
     stacked gradient (k*m,) and Hessian (k*m, k*m) of ``_edge_terms`` and
     ``_stacked`` at exactly these points, as the solver's Newton core
-    computes them.  Either way the coincidence test and the structured pieces
-    below are built here from the same arrays.
+    computes them, and may pass the stacked ``bases`` and ``chord`` |B - A|
+    it holds too.  Either way the coincidence test and, on first read, the
+    structured pieces below are built here from the same arrays.
     """
 
     def __init__(self, arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
-                 edge_pass=None):
+                 edge_pass=None, bases=None, chord=None):
         self.chain = chain
-        self.bases = arr.bases_of(itinerary)   # (k, m, dim)
+        self.bases = arr.bases_of(itinerary) if bases is None else bases   # (k, m, dim)
         if edge_pass is None:
             edges, lengths = _edge_lengths(_point_list(A, chain.points, B))
         else:
             lengths = edge_pass[0]
-        scale = max(float(np.linalg.norm(np.asarray(B, dtype=float)
-                                         - np.asarray(A, dtype=float))), 1e-30)
-        if np.any(lengths <= COINCIDENCE_TOL * scale):
+        if chord is None:
+            chord = float(np.linalg.norm(np.asarray(B, dtype=float) - np.asarray(A, dtype=float)))
+        if (lengths <= COINCIDENCE_TOL * max(chord, 1e-30)).any():
             raise NonSmoothPoint("consecutive path points coincide")
         if edge_pass is None:
             _, units, grad, diag, off = _edge_terms(edges, lengths)
@@ -175,11 +179,11 @@ class HessianModel:
         self.unit_edges = units            # (k+1, dim)
         self.edge_lengths = lengths        # (k+1,)
 
-        # β_i = 1/r_{i-1,i} + 1/r_{i,i+1}
-        self.betas = 1.0 / lengths[:-1] + 1.0 / lengths[1:]
-        # tangential components a_i of the incoming/outgoing edge directions
-        self.a_in = _to_points(self.bases, _to_coords(self.bases, units[:-1]))
-        self.a_out = _to_points(self.bases, _to_coords(self.bases, units[1:]))
+    # on first read: β_i = 1/r_{i-1,i} + 1/r_{i,i+1}, and the tangential
+    # components a_i of the incoming/outgoing edge directions
+    betas = cached_property(lambda self: 1.0 / self.edge_lengths[:-1] + 1.0 / self.edge_lengths[1:])
+    a_in = cached_property(lambda self: _project(self.bases, self.unit_edges[:-1]))
+    a_out = cached_property(lambda self: _project(self.bases, self.unit_edges[1:]))
 
     # -- structured critical-point form ------------------------------------
 

@@ -64,8 +64,8 @@ def _line_tube(bases: np.ndarray, radii, p: np.ndarray, d: np.ndarray):
     with gap2 >= 0 is in the tube for t_star -+ sqrt(gap2 / a).  The residual
     is formed before its norm: b^2 - ac would cancel when rho << |p|.
     """
-    w = _perp(bases, p[..., None, :])
-    return (*_tube_approach(radii * radii, w, _perp(bases, d[..., None, :])), _row_dot(w, w))
+    w, u = _perp(bases, np.stack((p, d))[..., None, :])
+    return (*_tube_approach(radii * radii, w, u), _row_dot(w, w))
 
 
 def _tube_approach(rho2, w, u):
@@ -75,6 +75,17 @@ def _tube_approach(rho2, w, u):
     t_star = -_row_dot(w, u) / np.where(a == 0.0, 1.0, a)
     res = w + t_star[..., None] * u
     return a, t_star, rho2 - _row_dot(res, res)
+
+
+def _rays_hit(perps, directions, tol: float) -> np.ndarray:
+    """Arrangement.rays_hit_beyond_start from the perpendicular parts perps
+    (2, r, n, dim) of the rays' starts and directions (r, dim)."""
+    w, u = perps
+    a, t_star, gap2 = _tube_approach(tol * tol, w, u)
+    parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
+    half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
+    beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
+    return np.where(parallel, _row_dot(w, w) <= tol * tol, beyond).any(axis=1)
 
 
 def orthonormalize(vectors: np.ndarray, dim: int) -> np.ndarray:
@@ -277,18 +288,15 @@ class Arrangement:
         t = 0 is the allowed initial collision; a ray meets a tube beyond its
         start when the interval begins at t > 0, or when the ray runs
         parallel to the subspace inside the tube forever.  The test reads
-        _line_tube directly, with tube_intervals' parallel rule: t* - half >
-        0 is t* > half in IEEE arithmetic, and an end t* + half that
-        overflows to inf still counts as a hit, so every decision is that of
-        the intervals.
+        _line_tube's arithmetic directly (_rays_hit), with tube_intervals'
+        parallel rule: t* - half > 0 is t* > half in IEEE arithmetic, and an
+        end t* + half that overflows to inf still counts as a hit, so every
+        decision is that of the intervals.
         """
         starts = np.asarray(starts, dtype=float).reshape(-1, self.dim)
         directions = np.asarray(directions, dtype=float).reshape(starts.shape)
-        a, t_star, gap2, w2 = _line_tube(self.bases, tol, starts, directions)
-        parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
-        half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
-        beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
-        return np.where(parallel, w2 <= tol * tol, beyond).any(axis=1)
+        perps = _perp(self.bases, np.stack((starts, directions))[:, :, None, :])
+        return _rays_hit(perps, directions, tol)
 
     def min_angle(self) -> float:
         """Smallest principal angle over all subspace pairs, in (0, pi/2].

@@ -25,7 +25,7 @@ import numpy as np
 from .action import Chain, _to_points
 from .arrangement import Arrangement, Itinerary
 from .errors import InputError, PreconditionError
-from .solver import MinimizeResult, minimize
+from .solver import MinimizeResult, _check_size, minimize
 from .trajectory import OrientedLine, boundary_lines
 
 
@@ -70,6 +70,8 @@ class AnchorGrid:
         # written so that a NaN spacing fails it
         if not (self.half >= 0 and 0 < self.spacing < math.inf):
             raise InputError("grid needs half >= 0 and a finite, positive spacing")
+        if not (np.isfinite(self.base).all() and np.isfinite(self.axes).all()):
+            raise InputError("grid needs a finite base and finite axes")
 
     def indices(self):
         rng = range(-self.half, self.half + 1)
@@ -114,10 +116,12 @@ def free_motion_sample(arr: Arrangement, A, B,
     """Identity-relation sample: straight motion from A through B.
 
     Returns None when the full line through A and B meets the arrangement
-    (the itinerary would then not be empty).
+    (the itinerary would then not be empty).  Anchors that minimize would
+    refuse (_check_size: non-finite, or too large) raise InputError.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
+    _check_size(np.stack((A, B)), arr.dim, "anchors")
     d = B - A
     norm = np.linalg.norm(d)
     if norm == 0.0:

@@ -85,7 +85,11 @@ search for collapsed-edge multipliers minimizes no value, and is a short
 Newton loop of its own.
 
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
-mirrors the exclusions that define membership in the trajectory space.
+mirrors the exclusions that define membership in the trajectory space.  A
+smooth result is classified from its polish's own arrays (the exact pass
+and gradient norm where the Newton core stopped, the plan's bases, the point
+list, the chord |B - A|), with one stacked projection for the edge-in-subspace
+test and one for genericity.
 """
 
 from __future__ import annotations
@@ -93,14 +97,15 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, intersection_basis
+from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, _perp, intersection_basis
 from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms,
-                     _stacked, _to_coords, _to_points, action)
+                     _point_list, _stacked, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _chain_is_generic
 
@@ -232,7 +237,7 @@ class _StackedProblem:
         return _to_coords(self.bases, points).reshape(-1)
 
     def _point_list(self, x: np.ndarray) -> np.ndarray:
-        self._pts[1:-1] = self.points_of(x)
+        np.matmul(self.bases_t, x.reshape(self.k, self.m)[:, :, None], out=self._pts[1:-1, :, None])
         return self._pts
 
     def edge_pass(self, x: np.ndarray, mu2: float):
@@ -254,8 +259,9 @@ class _StackedProblem:
     def derivatives(self, x: np.ndarray, mu2: float):
         edges, soft = self.edge_pass(x, mu2)
         value, units, grad, diag, off = _edge_terms(edges, soft)
-        g, H = _stacked(self.bases, grad, diag, off)
-        H[self.plan.pad, self.plan.pad] = 1.0
+        g, H = _stacked(self.bases, grad, diag, off, self.bases_t)
+        if len(self.plan.pad):
+            H[self.plan.pad, self.plan.pad] = 1.0
         self._derived = (x, mu2, soft, units, g, H)
         return value, g, H
 
@@ -506,8 +512,9 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
 
 
 def _exact_polish(problem, x, tol, floor, max_iters, gate=WARM_GATE):
-    """(coordinates, length) of the exact (mu = 0) Newton polish of x, or
-    None: the one convergence test of a smooth solve, cold, warm or reduced.
+    """(coordinates, length, gradient norm) of the exact (mu = 0) Newton
+    polish of x, or None: the one convergence test of a smooth solve, cold,
+    warm or reduced.
 
     x is in Newton's basin when every gap exceeds floor and its first exact
     Newton step is at most gate of the shortest gap; the gate only saves
@@ -530,7 +537,7 @@ def _exact_polish(problem, x, tol, floor, max_iters, gate=WARM_GATE):
         _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start, first_step=step)
     if grad_norm > tol or problem.edge_pass(x, 0.0)[1].min() <= floor:
         return None
-    return x, value
+    return x, value, grad_norm
 
 
 def _snapped(pts: np.ndarray, runs, meets):
@@ -746,14 +753,14 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     anchors = np.array([A, B])
     _check_size(anchors, arr.dim, "anchors")
     itinerary.validate_against(arr)
-    chord = B - A
-    scale = math.sqrt(chord.dot(chord))   # |B - A| as np.linalg.norm rounds it
+    delta = B - A
+    chord = math.sqrt(delta.dot(delta))   # |B - A| as np.linalg.norm rounds it
     # the anchors' locus test here is the one genericity asks for, at the
     # same tolerance, so classification does not repeat it
     near_A, near_B = arr.locus_distances(anchors).tolist()
-    if min(near_A, near_B) <= MEMBERSHIP_TOL * max(1.0, scale):
+    if min(near_A, near_B) <= MEMBERSHIP_TOL * max(1.0, chord):
         raise PreconditionError("anchors must lie off the collision locus")
-    scale = max(scale, near_A, near_B)
+    scale = max(chord, near_A, near_B)
 
     if initial_chain is not None:
         _check_start(arr, itinerary, initial_chain)
@@ -765,10 +772,10 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0)
 
     problem = _StackedProblem(_plan_of(arr.bases_of(itinerary)), A, B)
-    stages = _stages(scale)
     polished = certified = None
     spring_tried = False   # the opening stage's certificate, tried at its start
     if initial_chain is None:
+        stages = _stages(scale)
         # the minimizer of the smoothed length's limit as mu grows.  The
         # certificate's proof does not depend on mu, so the opening stage
         # tries it here, at its start, in place of its minimizer
@@ -782,6 +789,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         # a caller's chain in Newton's basin (a solved neighbour) is polished
         # at mu = 0 directly; any other falls through to the continuation
         polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS)
+        stages = [] if polished is not None else _stages(scale)
 
     # continuation in the smoothing parameter; warm-started Newton each stage,
     # opened loosely at mu = scale.  A stage with an interior gap within
@@ -817,14 +825,15 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         # no gate let the last chain through; the accept test alone proves it
         polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS, math.inf)
     if polished is not None:
-        x, value = polished
+        x, value, grad_norm = polished
     elif gaps.min() > coincidence:
         raise MaxIterations("continuation ended without a polished minimizer")
     else:
         # within the coincidence floor of a collapse, uncertified
-        value = action(A, problem.points_of(x), B)
-    return _classify(arr, itinerary, A, _iterate_chain(problem, x), B, value,
-                     iterations, problem.exact_pass(x))
+        value, grad_norm = action(A, problem.points_of(x), B), None
+    chain = _iterate_chain(problem, x)
+    return _classify(arr, itinerary, A, chain, B, value, iterations,
+                     (problem.exact_pass(x), grad_norm, problem.bases, problem._pts, chord))
 
 
 def _check_size(points: np.ndarray, dim: int, what: str) -> None:
@@ -832,7 +841,7 @@ def _check_size(points: np.ndarray, dim: int, what: str) -> None:
     enough that squared distances between points of that size stay finite
     in dimension dim.  The Newton core would otherwise fail in its Cholesky
     solve or by overflow."""
-    limit = math.sqrt(np.finfo(float).max / (4.0 * dim))
+    limit = math.sqrt(sys.float_info.max / (4.0 * dim))
     # NaN fails the comparison too
     if not float(np.abs(points).max(initial=0.0)) <= limit:
         raise InputError(f"{what} must be finite, with coordinates of "
@@ -852,51 +861,57 @@ def _check_start(arr: Arrangement, itinerary: Itinerary, chain: Chain) -> None:
 
 def _iterate_chain(problem: _StackedProblem, x: np.ndarray) -> Chain:
     """The chain of the Newton core's iterate x itself, with no coordinate
-    round trip, so that its exact pass describes the returned chain."""
-    return Chain(x.reshape(problem.k, problem.m), problem.points_of(x))
+    round trip, so that its exact pass describes the returned chain; its
+    points are copied from the point list measured at x."""
+    problem.edge_pass(x, 0.0)
+    return Chain(x.reshape(problem.k, problem.m), problem._pts[1:-1].copy())
 
 
 def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
-              edge_pass=None) -> MinimizeResult:
+              polish=None) -> MinimizeResult:
     """Classify the solved chain from one HessianModel, the exact kernel pass
-    at the chain: its coincidence test is the ghost test, and its unit edges,
-    tangential projections a_in / a_out and gradient give the rest.  A VALID
-    chain's trajectory is built from the same unit edges and lengths, and
-    its normal-form eigenvalue is left to MinimizeResult.hessian_min_eig,
-    which computes it when read.  edge_pass is the exact (mu = 0) pass at
-    which the Newton core stopped, when it stopped at this chain; without
-    it (a "floor" stop, a certified ghost) the chain is measured.  The
-    anchors' locus test of genericity is minimize's precondition and is not
-    repeated."""
-    scale = float(np.linalg.norm(B - A))
-    points = chain.points
+    at the chain: its coincidence test is the ghost test, and its unit edges
+    (|u_{i-1} - P_i u_{i-1}| and |u_i - P_i u_i| in one stacked projection)
+    and gradient give the rest.  A VALID chain's trajectory is built from
+    the same point list, unit edges and lengths, and its normal-form
+    eigenvalue is left to MinimizeResult.hessian_min_eig, which computes it
+    when read.  polish, from minimize, is what its exact polish holds at the
+    chain: (edge_pass, grad_norm, bases, pts, chord), the exact (mu = 0)
+    pass and gradient norm at which the Newton core stopped (None where it
+    did not stop here), the plan's stacked bases, the point list (A, chain,
+    B) and |B - A|; whatever it lacks is measured.  The anchors' locus test
+    of genericity is minimize's precondition and is not repeated."""
+    if polish is None:
+        polish = (None, None, arr.bases_of(itinerary), _point_list(A, chain.points, B),
+                  float(np.linalg.norm(B - A)))
+    edge_pass, grad_norm, bases, pts, chord = polish
 
     def done(cls, grad_norm, msg=""):
         return MinimizeResult(chain, value, grad_norm, cls, None, iterations, msg)
 
     try:
-        model = HessianModel(arr, itinerary, A, chain, B, edge_pass)
+        model = HessianModel(arr, itinerary, A, chain, B, edge_pass, bases, chord)
     except NonSmoothPoint:
         return done(Classification.GHOST, math.nan, msg=GHOST_MESSAGE)
 
-    grad_norm = float(np.linalg.norm(model.gradient))
+    if grad_norm is None:
+        grad_norm = float(np.linalg.norm(model.gradient))
     # an edge lies inside its vertex's subspace when it equals its projection
     units = model.unit_edges
-    inside = np.minimum(np.linalg.norm(units[:-1] - model.a_in, axis=1),
-                        np.linalg.norm(units[1:] - model.a_out, axis=1)) <= EDGE_TOL
+    off = np.linalg.norm(_perp(bases, np.array((units[:-1], units[1:]))), axis=-1)
+    inside = np.minimum(off[0], off[1]) <= EDGE_TOL
     if inside.any():
         j = int(np.argmax(inside))
         return done(Classification.EDGE_IN_SUBSPACE, grad_norm,
                     msg=f"an edge at vertex {j + 1} lies inside "
                         f"{arr.subspaces[itinerary[j]].name}")
 
-    if not _chain_is_generic(arr, model.bases, A, points, B,
-                             MEMBERSHIP_TOL * max(1.0, scale)):
+    if not _chain_is_generic(arr, bases, pts, MEMBERSHIP_TOL * max(1.0, chord)):
         return done(Classification.NON_GENERIC_RAY, grad_norm,
                     msg="configuration violates genericity (adjacent membership or ray recrossing)")
 
-    traj = BilliardTrajectory(A, B, points, itinerary,
-                              edge_pass=(model.unit_edges, model.edge_lengths))
+    traj = BilliardTrajectory(A, B, chain.points, itinerary,
+                              edge_pass=(pts, model.unit_edges, model.edge_lengths))
     return MinimizeResult(chain, value, grad_norm, Classification.VALID, traj, iterations, "",
                           model, (model.bases, A, B, model.unit_edges))
 

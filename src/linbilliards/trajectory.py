@@ -9,7 +9,8 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .action import _edge_lengths, _point_list
-from .arrangement import Arrangement, Itinerary, MEMBERSHIP_TOL, _as_vector, _perp, _row_dot
+from .arrangement import (Arrangement, Itinerary, MEMBERSHIP_TOL, _as_vector, _perp, _rays_hit,
+                          _row_dot)
 from .errors import InputError
 
 # |v_+ - v_-| below this means the vertex is internal (no direction change).
@@ -28,10 +29,11 @@ class OrientedLine:
         Q = np.asarray(self.Q, dtype=float)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "Q", Q)
-        if abs(math.sqrt(v @ v) - 1.0) > 1e-12:
+        # written so that NaN fails the tests, and an infinite |Q| the second
+        if not abs(math.sqrt(v @ v) - 1.0) <= 1e-12:
             raise InputError("oriented line direction must be unit")
-        if abs(float(np.dot(Q, v))) > 1e-12 * max(1.0, math.sqrt(Q @ Q)):
-            raise InputError("foot point must be orthogonal to the direction")
+        if not abs(float(np.dot(Q, v))) <= 1e-12 * max(1.0, math.sqrt(Q @ Q)) < math.inf:
+            raise InputError("foot point must be finite and orthogonal to the direction")
 
     @classmethod
     def through(cls, point, direction) -> "OrientedLine":
@@ -39,8 +41,10 @@ class OrientedLine:
         point = np.asarray(point, dtype=float)
         direction = np.asarray(direction, dtype=float)
         norm = math.sqrt(direction @ direction)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise InputError("direction must be a unit vector")
+        if not np.isfinite(point).all():
+            raise InputError("point must be finite")
         direction = direction / norm
         Q = point - np.dot(point, direction) * direction
         # clean the residual component along v so the invariant holds exactly
@@ -59,7 +63,8 @@ class BilliardTrajectory:
     q_0 = A, ..., q_{k+1} = B, ``edge_velocities`` the unit edge directions
     n_{i,i+1} (k+1, dim) and ``length`` the total length.  A caller that
     holds that pass already, such as the solver's classification, passes its
-    unit edges and lengths as ``edge_pass`` and nothing is measured again.
+    point list, unit edges and lengths as ``edge_pass`` and nothing is
+    measured again.
     """
 
     A: np.ndarray
@@ -80,13 +85,13 @@ class BilliardTrajectory:
         object.__setattr__(self, "chain", chain)
         if self.itinerary is not None and len(self.itinerary) != len(chain):
             raise InputError("chain length does not match itinerary length")
-        pts = _point_list(A, chain, B)
         if edge_pass is None:
+            pts = _point_list(A, chain, B)
             edges, lengths = _edge_lengths(pts)
             if np.any(lengths == 0.0):
                 raise InputError("consecutive trajectory points coincide")
-            edge_pass = edges / lengths[:, None], lengths
-        units, lengths = edge_pass
+            edge_pass = pts, edges / lengths[:, None], lengths
+        pts, units, lengths = edge_pass
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "edge_velocities", units)
         object.__setattr__(self, "length", float(lengths.sum()))
@@ -148,20 +153,23 @@ def is_generic(arr: Arrangement, A, chain, B, itinerary: Itinerary,
     chain = np.asarray(chain, dtype=float).reshape(len(itinerary), arr.dim)
     if arr.on_locus(A, tol) or arr.on_locus(B, tol):
         return False
-    return _chain_is_generic(arr, arr.bases_of(itinerary), A, chain, B, tol)
+    return _chain_is_generic(arr, arr.bases_of(itinerary), _point_list(A, chain, B), tol)
 
 
-def _chain_is_generic(arr: Arrangement, bases: np.ndarray, A, chain, B, tol: float) -> bool:
-    """is_generic past the anchors' locus test, for a chain (k, dim) over the
-    itinerary's stacked bases (k, m, dim): one batched membership test of
-    every vertex against its neighbours' subspaces, and one batched tube test
-    of both boundary rays against every subspace."""
-    off = _perp(np.concatenate((bases[1:], bases[:-1])),
-                np.concatenate((chain[:-1], chain[1:])))
-    if np.any(np.sqrt(_row_dot(off, off)) <= tol):
+def _chain_is_generic(arr: Arrangement, bases: np.ndarray, pts: np.ndarray, tol: float) -> bool:
+    """is_generic past the anchors' locus test, for the point list pts (A,
+    q_1, ..., q_k, B) over the itinerary's stacked bases (k, m, dim), in one
+    stacked projection: q_i against L_{i+1} and q_{i+1} against L_i, and the
+    starts q_1, q_k and directions A - q_1, B - q_k of both boundary rays
+    against every subspace, for rays_hit_beyond_start's tube test."""
+    k, n = len(bases), len(arr.bases)
+    rays = np.array((pts[1], pts[-2], pts[0] - pts[1], pts[-1] - pts[-2]))
+    perp = _perp(np.concatenate((bases[1:], bases[:-1], *[arr.bases] * 4)),
+                 np.concatenate((pts[1:-2], pts[2:-1], rays.repeat(n, axis=0))))
+    off = perp[:2 * k - 2]
+    if (np.sqrt(_row_dot(off, off)) <= tol).any():
         return False
-    rays = arr.rays_hit_beyond_start(chain[[0, -1]], np.stack((A - chain[0], B - chain[-1])), tol)
-    return not rays.any()
+    return not _rays_hit(perp[2 * k - 2:].reshape(2, 2, n, -1), rays[2:], tol).any()
 
 
 def boundary_lines(traj: BilliardTrajectory):

@@ -14,7 +14,7 @@ import pytest
 
 from linbilliards import nbody, solver
 from linbilliards.arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace,
-                                      _as_vector)
+                                      _as_vector, _perp, _row_dot)
 from linbilliards.action import Chain, action, gradient
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.scattering import RelationSample
@@ -176,6 +176,30 @@ def tube_interval(sub, p, d, tol: float):
         return None
     half = math.sqrt(gap2 / a)
     return (t_star - half, t_star + half)
+
+
+def chain_is_generic_reference(arr, bases, A, chain, B, tol: float) -> bool:
+    """trajectory._chain_is_generic as it was formulated before its one
+    stacked projection, the reference for it: one _perp of each vertex
+    against its neighbours' subspaces, then rays_hit_beyond_start's test of
+    the rays from q_1 along A - q_1 and from q_k along B - q_k, with their
+    starts and directions projected separately and _line_tube's arithmetic
+    written out."""
+    off = _perp(np.concatenate((bases[1:], bases[:-1])),
+                np.concatenate((chain[:-1], chain[1:])))
+    if np.any(np.sqrt(_row_dot(off, off)) <= tol):
+        return False
+    starts, directions = chain[[0, -1]], np.stack((A - chain[0], B - chain[-1]))
+    w = _perp(arr.bases, starts[:, None, :])
+    u = _perp(arr.bases, directions[:, None, :])
+    a = _row_dot(u, u)
+    t_star = -_row_dot(w, u) / np.where(a == 0.0, 1.0, a)
+    res = w + t_star[..., None] * u
+    gap2 = tol * tol - _row_dot(res, res)
+    parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
+    half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
+    beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
+    return not np.where(parallel, _row_dot(w, w) <= tol * tol, beyond).any()
 
 
 def validate_trajectory(arr, traj) -> list[str]:

@@ -402,10 +402,14 @@ def test_thicken_rejects_a_non_finite_or_zero_start(tmp_path, mirror_json, simul
     ["thicken", "--itinerary", "L1", "--simulate", "0,1;0,0", "--r", "0.1"],
     ["scatter", "--itinerary", "L1", "--A", "0,1", "--B", "2,1", "--spacing", "nan"],
     ["scatter", "--itinerary", "L1", "--A", "0,1", "--B", "2,1", "--half", "-1"],
-], ids=["t-max", "radius", "direction", "spacing", "half"])
+    ["scatter", "--A=nan,1", "--B=2,1", "--half", "2", "--spacing", "1e-3"],
+    ["scatter", "--itinerary", "L1", "--A=nan,1", "--B=2,1", "--half", "2", "--spacing", "1e-3"],
+], ids=["t-max", "radius", "direction", "spacing", "half", "nan-free-motion", "nan-anchor"])
 def test_a_refused_input_leaves_no_output_directory(tmp_path, mirror_json, argv):
     """Every command computes before it makes --out: an input refused by
-    the simulation or the grid exits 64 and leaves no directory behind."""
+    the simulation or the grid exits 64 and leaves no directory behind.  A
+    non-finite anchor is refused by the grid, with or without an itinerary
+    (free motion would otherwise report a valid patch of NaNs)."""
     out = tmp_path / "out"
     code = main([argv[0], "--arrangement", str(mirror_json), *argv[1:], "--out", str(out)])
     assert code == 64

@@ -65,6 +65,23 @@ def test_anchor_grid_needs_a_finite_positive_spacing(spacing):
         AnchorGrid(np.array([0.0, 1.0]), np.eye(2), 1, spacing)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_anchor_grid_needs_a_finite_base_and_axes(bad):
+    with pytest.raises(InputError):
+        AnchorGrid(np.array([bad, 1.0]), np.eye(2), 1, 1e-3)
+    with pytest.raises(InputError):
+        AnchorGrid(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, bad]]), 1, 1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_free_motion_refuses_non_finite_anchors(mirror_arr, bad):
+    """A non-finite anchor is refused as minimize refuses it, not sampled as
+    a valid line of NaNs (NaN fails every tube test)."""
+    for A, B in (([bad, 1.0], [2.0, 1.0]), ([0.0, 1.0], [2.0, bad])):
+        with pytest.raises(InputError):
+            free_motion_sample(mirror_arr, A, B)
+
+
 def test_unrealizable_selection_gives_empty_patch(twolines_arr):
     # a four-collision itinerary over lines at pi/3 has interior angle sum pi
     itin = Itinerary((0, 1, 0, 1))

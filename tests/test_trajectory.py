@@ -1,13 +1,17 @@
+import collections
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from linbilliards.arrangement import Arrangement, Itinerary, Subspace
+from linbilliards.action import _to_points
+from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _line_tube
 from linbilliards.errors import InputError
 from linbilliards.trajectory import (
     BilliardTrajectory,
     OrientedLine,
+    _chain_is_generic,
     boundary_lines,
     is_generic,
     is_transverse,
@@ -16,7 +20,8 @@ from linbilliards.trajectory import (
     trajectory_to_json,
 )
 
-from conftest import lines_close, trajectory_from_json, validate_trajectory
+from conftest import (chain_is_generic_reference, lines_close, trajectory_from_json,
+                      validate_trajectory)
 
 
 def mirror_traj():
@@ -119,6 +124,77 @@ def test_generic_rejects_anchor_on_locus(mirror_arr):
                           np.array([2.0, 1.0]), Itinerary((0,)))
 
 
+def _generic_both_ways(arr, bases, A, chain, B, tol) -> bool:
+    """_chain_is_generic on the point list, asserted equal to the reference."""
+    got = _chain_is_generic(arr, bases, np.vstack([A, chain, B]), tol)
+    assert got == chain_is_generic_reference(arr, bases, A, chain, B, tol)
+    return got
+
+
+@pytest.mark.parametrize("fixture", ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr",
+                                     "planes4d_arr", "planes3d_arr", "fourbody_arr"])
+def test_stacked_genericity_matches_the_reference(fixture, request):
+    """The one stacked projection decides as the separate membership and
+    ray projections did, on 1,000 random chains of lengths 1 to 5: free
+    draws, boundary rays parallel to a subspace (A - q_1 inside one) and
+    vertices at the origin (on every neighbour's subspace), at tolerances
+    from 1e-9 to 3."""
+    arr = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(zlib.crc32(fixture.encode()))
+    n, m = arr.bases.shape[:2]
+    seen = collections.Counter()
+    for _ in range(1000):
+        labels = [int(rng.integers(n))]
+        while n > 1 and len(labels) < int(rng.integers(1, 6)):
+            labels.append(int((labels[-1] + rng.integers(1, n)) % n))
+        bases = arr.bases_of(Itinerary(tuple(labels)))
+        chain = _to_points(bases, rng.normal(size=(len(labels), m)) * 2.0)
+        A, B = rng.normal(size=(2, arr.dim)) * 2.0
+        draw = int(rng.integers(3))
+        if draw == 1 and m > 0:
+            A = chain[0] + arr.bases[int(rng.integers(n))].T @ rng.normal(size=m)
+        elif draw == 2:
+            chain[int(rng.integers(len(labels)))] = 0.0
+        tol = 10.0 ** rng.uniform(-9.0, 0.5)
+        seen[_generic_both_ways(arr, bases, A, chain, B, tol)] += 1
+    # a ray from the origin leaves the subspace {0} at its start for good
+    assert seen[True] > 0 and (seen[False] > 0) == (m > 0)
+
+
+def test_stacked_genericity_on_constructed_rays():
+    """Rays parallel to a subspace inside and outside its tube, a ray
+    tangent to a tube (gap^2 exactly 0), rays that start inside a tube, and
+    a vertex on its neighbour's subspace; k = 1 has no membership pair."""
+    arr = Arrangement(3, (Subspace("X", np.array([[1.0, 0.0, 0.0]]), 3),
+                          Subspace("Y", np.array([[0.0, 1.0, 0.0]]), 3)))
+    on_y = arr.bases_of(Itinerary((1,)))
+    # from (0, 3, 0) along x: in X's tube of radius 4 for good, outside radius 2
+    q = np.array([[0.0, 3.0, 0.0]])
+    A, B = q[0] + [2.0, 0.0, 0.0], q[0] + [0.0, 0.0, 5.0]
+    assert not _generic_both_ways(arr, on_y, A, q, B, 4.0)
+    assert _generic_both_ways(arr, on_y, A, q, B, 2.0)
+    # from (0, 0.25, 0), inside X's tube of radius 0.5, leaving it either way
+    q = np.array([[0.0, 0.25, 0.0]])
+    for step in ([0.0, 1.0, 1.0], [0.0, -1.0, -1.0]):
+        assert _generic_both_ways(arr, on_y, q[0] + step, q, q[0] + [0.0, 0.0, 4.0], 0.5)
+    # q_1 = 0 lies on Y as well
+    chain = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    assert not _generic_both_ways(arr, arr.bases_of(Itinerary((0, 1))),
+                                  np.array([-1.0, 2.0, 1.0]), chain,
+                                  np.array([1.0, 3.0, 1.0]), 1e-9)
+    # tangent: from (0, 3, 0.5) on W along -y the ray passes X at distance
+    # 0.5, at t = 3
+    arr = Arrangement(3, (Subspace("X", np.array([[1.0, 0.0, 0.0]]), 3),
+                          Subspace.from_spanning("W", [[0.0, 6.0, 1.0]], 3)))
+    on_w = arr.bases_of(Itinerary((1,)))
+    q = np.array([[0.0, 3.0, 0.5]])
+    A, B = q[0] - [0.0, 1.0, 0.0], q[0] + [1.0, 1.0, 1.0]
+    a, t_star, gap2, _ = _line_tube(arr.bases[:1], 0.5, q[0], A - q[0])
+    assert (a[0], t_star[0], gap2[0]) == (1.0, 3.0, 0.0)
+    assert not _generic_both_ways(arr, on_w, A, q, B, 0.5)
+    assert _generic_both_ways(arr, on_w, A, q, B, 0.4375)
+
+
 def test_boundary_lines_total_collision():
     traj = BilliardTrajectory(np.array([3.0, 0.0]), np.array([0.0, 4.0]),
                               np.array([[0.0, 0.0]]), Itinerary((0,)))
@@ -157,6 +233,20 @@ def test_oriented_line_invariants():
         OrientedLine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
     line = OrientedLine.through(np.array([5.0, 1.0]), np.array([1.0, 0.0]))
     assert np.allclose(line.Q, [0.0, 1.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_oriented_line_refuses_non_finite_input(bad):
+    """Every test is written so that NaN fails it, and an infinite foot
+    point, whose tolerance 1e-12 |Q| would be infinite, fails too."""
+    with pytest.raises(InputError):
+        OrientedLine(np.array([bad, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(InputError):
+        OrientedLine(np.array([0.6, 0.8]), np.array([bad, 1.0]))
+    with pytest.raises(InputError):
+        OrientedLine.through(np.array([0.0, 1.0]), np.array([bad, 0.0]))
+    with pytest.raises(InputError):
+        OrientedLine.through(np.array([bad, 1.0]), np.array([1.0, 0.0]))
 
 
 def test_coincident_points_rejected():
