@@ -8,9 +8,9 @@ One private kernel holds the per-edge math for a smoothing mu^2 >= 0: an edge
 of soft length f = sqrt(r^2 + mu^2) and direction n contributes the quadratic
 form |η - <η, n> n|^2 / f in the difference η of its endpoint variations, so
 the ambient Hessian is block-tridiagonal with weights (I - n n^T) / f.  The
-solver and the Hessian model reduce it to stacked chain coordinates with
-``_stacked``, and the thickened wall polish reduces it with the same
-``_stacked`` through the tangent projectors of its cylinder walls.
+solver, the Hessian model and (through its walls' tangent projectors) the
+thickened wall polish reduce it to stacked chain coordinates with
+``_stacked``, which writes H at one block layout per (k, m).
 ``HessianModel`` is one exact (mu = 0) pass of it at a chain:
 the edge lengths, the coincidence test, the edge terms and their reduction to
 stacked coordinates; ``gradient``, ``hessian`` and the solver's classification
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,8 +103,31 @@ def _edge_terms(edges: np.ndarray, f: np.ndarray):
     -W_{j+1} coupling vertices j, j+1 (k-1, dim, dim), W_e = (I - n_e n_e^T)
     / f_e."""
     n = edges / f[:, None]
-    W = (np.eye(edges.shape[1]) - n[:, :, None] * n[:, None, :]) / f[:, None, None]
+    W = (_identity(edges.shape[1]) - n[:, :, None] * n[:, None, :]) / f[:, None, None]
     return float(f.sum()), n, n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: a cache or a solve plan shares it."""
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=8)
+def _identity(dim: int) -> np.ndarray:
+    return _frozen(np.eye(dim))
+
+
+@lru_cache(maxsize=16)
+def _block_layout(k: int, m: int):
+    """Flat positions in a (k*m, k*m) matrix of the entries [a, b] of its k
+    diagonal (m, m) blocks (k, m, m), and of the entries [a, b] of its k-1
+    super-diagonal blocks and [b, a] of its k-1 sub-diagonal ones (2, k-1,
+    m, m), so that one (k-1, m, m) array written there fills both."""
+    i, a, b = np.ogrid[:k, :m, :m]
+    diag = (i * m + a) * (k * m) + i * m + b
+    sub = ((i[:-1] + 1) * m + b) * (k * m) + i[:-1] * m + a
+    return _frozen(diag), _frozen(np.stack((diag[:-1] + m, sub)))
 
 
 def _stacked(bases: np.ndarray, grad, diag, off, bases_t=None):
@@ -112,15 +135,13 @@ def _stacked(bases: np.ndarray, grad, diag, off, bases_t=None):
     bases (k, m, dim): the gradient (k*m,) and the dense Hessian (k*m, k*m).
     The rows of each basis may be any linear map of a vertex's variation,
     such as the wall polish's tangent projectors (k, dim, dim); bases_t, if
-    given, is bases.transpose(0, 2, 1)."""
+    given, is bases.transpose(0, 2, 1).  H is written at _block_layout(k, m)."""
     k, m, _ = bases.shape
     bases_t = bases.transpose(0, 2, 1) if bases_t is None else bases_t
-    H = np.zeros((k, m, k, m))
-    idx = np.arange(k)
-    H[idx, :, idx, :] = bases @ diag @ bases_t
-    cross = bases[:-1] @ off @ bases_t[1:]
-    H[idx[:-1], :, idx[1:], :] = cross
-    H[idx[1:], :, idx[:-1], :] = cross.transpose(0, 2, 1)
+    diag_at, off_at = _block_layout(k, m)
+    H = np.zeros(k * m * k * m)
+    H[diag_at] = bases @ diag @ bases_t
+    H[off_at] = bases[:-1] @ off @ bases_t[1:]
     grad = (bases @ grad[:, :, None]).reshape(k * m)
     return grad, H.reshape(k * m, k * m)
 

@@ -37,11 +37,11 @@ def _as_vector(x, dim: int, what: str = "point") -> np.ndarray:
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Inner products of matching rows of u and v (..., dim) -> (...).
 
-    A stacked matmul of (1, dim) rows by (dim, 1) columns, which rounds as
-    one BLAS dot per row does (np.dot and the norm of a 1-D array), unlike a
-    pairwise-summed reduction over the last axis.
+    One np.vecdot call, which rounds as one BLAS dot per row does (np.dot,
+    a stacked matmul of (1, dim) rows by (dim, 1) columns and the norm of a
+    1-D array), unlike a pairwise-summed reduction over the last axis.
     """
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return np.vecdot(u, v)
 
 
 def _project(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -70,20 +70,22 @@ def _line_tube(bases: np.ndarray, radii, p: np.ndarray, d: np.ndarray):
 
 def _tube_approach(rho2, w, u):
     """The rest of _line_tube from the perpendicular parts w = P⊥p and u =
-    P⊥d (..., n, dim) and the squared radii rho2: (a, t_star, gap2)."""
+    P⊥d (..., n, dim) and the squared radii rho2: (a, t_star, gap2), t_star
+    over a + (a == 0.0), which is 1.0 at a = 0 and a elsewhere."""
     a = _row_dot(u, u)
-    t_star = -_row_dot(w, u) / np.where(a == 0.0, 1.0, a)
+    t_star = -_row_dot(w, u) / (a + (a == 0.0))
     res = w + t_star[..., None] * u
     return a, t_star, rho2 - _row_dot(res, res)
 
 
 def _rays_hit(perps, directions, tol: float) -> np.ndarray:
     """Arrangement.rays_hit_beyond_start from the perpendicular parts perps
-    (2, r, n, dim) of the rays' starts and directions (r, dim)."""
+    (2, r, n, dim) of the rays' starts and directions (r, dim).  A parallel
+    pair divides by a + 1 rather than a, and its half is not read."""
     w, u = perps
     a, t_star, gap2 = _tube_approach(tol * tol, w, u)
     parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
-    half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
+    half = np.sqrt(np.maximum(gap2, 0.0) / (a + parallel))
     beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
     return np.where(parallel, _row_dot(w, w) <= tol * tol, beyond).any(axis=1)
 
@@ -273,8 +275,7 @@ class Arrangement:
             raise InputError(f"lines need starts and directions of one shape (..., {self.dim})")
         a, t_star, gap2, w2 = _line_tube(self.bases, tol, starts, directions)
         parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[..., None]
-        half = np.where(parallel, math.inf,
-                        np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a)))
+        half = np.where(parallel, math.inf, np.sqrt(np.maximum(gap2, 0.0) / (a + parallel)))
         meets = np.where(parallel, w2 <= tol * tol, gap2 >= 0.0)
         return np.where(meets, t_star - half, math.inf), np.where(meets, t_star + half, -math.inf)
 

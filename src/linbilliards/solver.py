@@ -104,7 +104,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, _perp, intersection_basis
-from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms,
+from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms, _frozen,
                      _point_list, _stacked, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _chain_is_generic
@@ -307,12 +307,6 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
             return step
         jitter = jitter * 100.0 if jitter else 1e-14 * max(float(np.trace(H)) / n, 1.0)
     return None
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """The array, made read-only: a solve plan shares it between solves."""
-    array.flags.writeable = False
-    return array
 
 
 def _chain_laplacian(bases: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .arrangement import Arrangement, Itinerary, _as_vector, _perp, _row_dot, _tube_approach
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
 from . import solver
-from .action import COINCIDENCE_TOL, _edge_terms, _stacked, _to_points, action
+from .action import COINCIDENCE_TOL, _edge_terms, _identity, _stacked, _to_points, action
 from .solver import (_check_size, _damped_newton, _ItineraryPlan, _plan_of, _stages,
                      _StackedProblem, minimize)
 from .trajectory import TRANSVERSE_TOL, is_transverse
@@ -39,13 +39,15 @@ SPLIT = 100.0  # slack and barrier force this far apart mark a vertex pressed or
 class ThickenedTable:
     """The complement of solid cylinders around the subspaces, with radii
     sigma_L * r stacked once as one (n,) array, next to the event thresholds
-    on them: rho^2, the strictly-inside bound rho - 1e-9 max(1, rho) and the
-    corner bound rho + CORNER_TOL."""
+    on them: rho^2, the grazing bound GRAZING_DISC rho^2, the strictly-inside
+    bound rho - 1e-9 rho (both scale with the cylinder) and the corner bound
+    rho + CORNER_TOL."""
 
     arrangement: Arrangement
     r: float
     radii: np.ndarray = field(init=False, repr=False, compare=False)
     rho2: np.ndarray = field(init=False, repr=False, compare=False)
+    grazing_below: np.ndarray = field(init=False, repr=False, compare=False)
     inside_below: np.ndarray = field(init=False, repr=False, compare=False)
     corner_below: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -55,7 +57,8 @@ class ThickenedTable:
         radii = np.array([s.sigma for s in self.arrangement.subspaces]) * self.r
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "rho2", radii * radii)
-        object.__setattr__(self, "inside_below", radii - 1e-9 * np.maximum(1.0, radii))
+        object.__setattr__(self, "grazing_below", GRAZING_DISC * self.rho2)
+        object.__setattr__(self, "inside_below", radii - 1e-9 * radii)
         object.__setattr__(self, "corner_below", radii + CORNER_TOL)
 
     def distance_to_wall(self, x) -> float:
@@ -90,7 +93,9 @@ class ThickenedPath:
 
 def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float = math.inf):
     """The entering hit of the ray p + t v from the start's perpendicular parts
-    w = P⊥p (n, dim) and their norms (n,), projecting only v.
+    w = P⊥p (n, dim) and their norms (n,), projecting only v.  The callers
+    refuse a start inside a cylinder; a hit point carried into the next ray
+    is on its wall up to rounding and clears the others by the corner test.
 
     Returns None when the ray escapes; else (t, i, x, w_x, norm_x) with the
     hit point x and its parts P⊥x and norms, which the next ray from x takes
@@ -98,24 +103,21 @@ def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float 
     before the corner test, so a corner past the horizon is no event.
     """
     arr = table.arrangement
-    inside = norm < table.inside_below
-    if inside.any():
-        raise PreconditionError(f"start point lies strictly inside cylinder around "
-                                f"{arr.subspaces[int(np.argmax(inside))].name}")
-    a, t_star, gap2 = _tube_approach(table.rho2, w, _perp(arr.bases, v[None, :]))
+    a, t_star, gap2 = _tube_approach(table.rho2, w, _perp(arr.bases, v))
     t_eps = 1e-12 * max(1.0, math.sqrt(p @ p))
     # a <= 1e-30: constant clearance along the ray
-    enters = (a > 1e-30) & (gap2 * a >= GRAZING_DISC)
-    t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / np.where(enters, a, 1.0))
+    enters = (a > 1e-30) & (gap2 * a >= table.grazing_below)
+    # a + ~enters is a where the ray enters; elsewhere t_enter is not read
+    t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / (a + ~enters))
     t_enter = np.where(enters & (t_enter > t_eps), t_enter, math.inf)
-    i = int(np.argmin(t_enter))  # the lowest index on ties
-    if t_enter[i] == math.inf:
-        return None
+    i = int(t_enter.argmin())  # the lowest index on ties
     t = float(t_enter[i])
+    if t == math.inf:
+        return None
     if t_now + t > t_max:
         return t, i, None, None, None
     x = p + t * v
-    w_x = _perp(arr.bases, x[None, :])
+    w_x = _perp(arr.bases, x)
     norm_x = np.sqrt(_row_dot(w_x, w_x))
     corner = norm_x < table.corner_below
     corner[i] = False
@@ -129,8 +131,10 @@ def first_hit(table: ThickenedTable, p, v):
     """Earliest entering intersection of the ray p + t v with a cylinder wall.
 
     Returns (t, subspace index, hit point, outward normal) or None when the
-    ray escapes.  Grazing rays (discriminant below 1e-14) do not count as
-    hits; a hit point inside another cylinder's corner margin raises
+    ray escapes.  Grazing rays (discriminant below 1e-14 rho^2) do not count
+    as hits, and a start closer than rho - 1e-9 rho to an axis raises
+    PreconditionError: a table and ray scaled together keep their hits.  A
+    hit point inside another cylinder's corner margin raises
     CornerCollision, since the dynamics there is deliberately undefined.
     This is one event of simulate with no time horizon; simulate carries
     the hit point's projections into its next ray instead of projecting
@@ -141,8 +145,13 @@ def first_hit(table: ThickenedTable, p, v):
     v = np.asarray(v, dtype=float)
     if p.shape != (arr.dim,) or v.shape != (arr.dim,):
         raise InputError("point/velocity dimension mismatch")
-    w = _perp(arr.bases, p[None, :])
-    hit = _hit(table, p, v, w, np.sqrt(_row_dot(w, w)))
+    w = _perp(arr.bases, p)
+    norm = np.sqrt(_row_dot(w, w))
+    inside = norm < table.inside_below
+    if inside.any():
+        raise PreconditionError(f"start point lies strictly inside cylinder around "
+                                f"{arr.subspaces[int(np.argmax(inside))].name}")
+    hit = _hit(table, p, v, w, norm)
     if hit is None:
         return None
     t, i, x, w_x, norm_x = hit
@@ -156,16 +165,17 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
     Terminates on escape, the time horizon, or the event budget; a corner hit
     within the horizon raises CornerCollision carrying the partial path (the
     horizon is tested first, so a corner past it ends the path at t_max).
-    A p that is not a point of the table's space, a negative or NaN t_max
-    and a negative max_events raise InputError.
+    A p that is not a point of the table's space, a v that is not a unit
+    vector of it, a negative or NaN t_max and a negative max_events raise
+    InputError; hits and the start test are first_hit's.
     The start is projected onto the subspace complements once, for the
     inside test and the first ray; each hit point's projections, made for
     its corner test, are the next ray's, so an event projects twice (v and
-    the hit point).
+    the hit point).  An event's v_after is read-only: the next's v_before.
     """
     arr = table.arrangement
     p = _as_vector(p, arr.dim)
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=float)   # the first event's v_before, owned by it alone
     # written so that a NaN fails each test
     if not t_max >= 0.0:
         raise InputError(f"simulation horizon must be at least 0, got {t_max}")
@@ -173,14 +183,14 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
         raise InputError(f"simulation event budget must be at least 0, got {max_events}")
     if not math.isfinite(p @ p):
         raise InputError("simulation start must be finite")
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
-        raise InputError("simulation velocity must be finite and unit")
-    w = _perp(arr.bases, p[None, :])
-    norm = np.sqrt(_row_dot(w, w))
-    if not float(np.min(norm - table.radii)) >= -1e-9:   # p clears every wall, from the first ray's w
-        raise PreconditionError("start point lies inside a cylinder")
     if v.shape != (arr.dim,):
         raise InputError("point/velocity dimension mismatch")
+    if not abs(math.sqrt(v @ v) - 1.0) <= 1e-9:
+        raise InputError("simulation velocity must be finite and unit")
+    w = _perp(arr.bases, p)
+    norm = np.sqrt(_row_dot(w, w))
+    if (norm < table.inside_below).any():   # p clears every wall, from the first ray's w
+        raise PreconditionError("start point lies inside a cylinder")
     path = ThickenedPath(p.copy(), v.copy())
     t_now = 0.0
     for _ in range(max_events):
@@ -203,9 +213,9 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
             break
         t_now += t
         nu = w[i] / norm[i]
-        v_after = v - 2.0 * float(np.dot(v, nu)) * nu
-        path.events.append(Event(t_now, arr.subspaces[i].name, x.copy(), v.copy(),
-                                 v_after.copy()))
+        v_after = v - 2.0 * float(v @ nu) * nu
+        v_after.flags.writeable = False   # also the next event's v_before
+        path.events.append(Event(t_now, arr.subspaces[i].name, x, v, v_after))
         p, v = x, v_after
     else:
         path.status = "max_events"
@@ -364,7 +374,7 @@ class _WallProblem(_StackedProblem):
         # the reduction over the identity bases
         normals = self.normals(pts)
         normal = normals[:, :, None] * normals[:, None, :]
-        g, H = _stacked(np.eye(self.dim) - normal, grad, diag, off)
+        g, H = _stacked(_identity(self.dim) - normal, grad, diag, off)
         # a writable view of the diagonal blocks (k, dim, dim)
         blocks = np.einsum("ijik->ijk", H.reshape(self.k, self.dim, self.k, self.dim))
         if self.active.any():

@@ -202,6 +202,76 @@ def chain_is_generic_reference(arr, bases, A, chain, B, tol: float) -> bool:
     return not np.where(parallel, _row_dot(w, w) <= tol * tol, beyond).any()
 
 
+# The kernels' forms before they were cut to fewer NumPy calls, kept as the
+# references the library's forms must reproduce bit for bit.
+
+def row_dot_reference(u, v):
+    """arrangement._row_dot as a stacked matmul of (1, dim) rows by (dim, 1)
+    columns."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def tube_approach_reference(rho2, w, u):
+    """arrangement._tube_approach with the division guarded by np.where."""
+    a = row_dot_reference(u, u)
+    t_star = -row_dot_reference(w, u) / np.where(a == 0.0, 1.0, a)
+    res = w + t_star[..., None] * u
+    return a, t_star, rho2 - row_dot_reference(res, res)
+
+
+def rays_hit_reference(perps, directions, tol):
+    """arrangement._rays_hit with the parallel pairs' division guarded by
+    np.where."""
+    w, u = perps
+    a, t_star, gap2 = tube_approach_reference(tol * tol, w, u)
+    parallel = a <= 1e-30 * np.maximum(row_dot_reference(directions, directions), 1.0)[:, None]
+    half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
+    beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
+    return np.where(parallel, row_dot_reference(w, w) <= tol * tol, beyond).any(axis=1)
+
+
+def hit_reference(table, p, v, w, norm, t_now=0.0, t_max=math.inf):
+    """thickened._hit with the division guarded by np.where, np.argmin and
+    rows projected as (1, dim) arrays, on the table's own thresholds."""
+    from linbilliards.errors import CornerCollision
+    arr = table.arrangement
+    a, t_star, gap2 = tube_approach_reference(table.rho2, w, _perp(arr.bases, v[None, :]))
+    t_eps = 1e-12 * max(1.0, math.sqrt(p @ p))
+    enters = (a > 1e-30) & (gap2 * a >= table.grazing_below)
+    t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / np.where(enters, a, 1.0))
+    t_enter = np.where(enters & (t_enter > t_eps), t_enter, math.inf)
+    i = int(np.argmin(t_enter))
+    if t_enter[i] == math.inf:
+        return None
+    t = float(t_enter[i])
+    if t_now + t > t_max:
+        return t, i, None, None, None
+    x = p + t * v
+    w_x = _perp(arr.bases, x[None, :])
+    norm_x = np.sqrt(row_dot_reference(w_x, w_x))
+    corner = norm_x < table.corner_below
+    corner[i] = False
+    if corner.any():
+        raise CornerCollision(f"hit on {arr.subspaces[i].name} lies in the corner margin "
+                              f"of {arr.subspaces[int(np.argmax(corner))].name}")
+    return t, i, x, w_x, norm_x
+
+
+def stacked_reference(bases, grad, diag, off, bases_t=None):
+    """action._stacked writing the Hessian's blocks by three fancy-index
+    assignments into a (k, m, k, m) array."""
+    k, m, _ = bases.shape
+    bases_t = bases.transpose(0, 2, 1) if bases_t is None else bases_t
+    H = np.zeros((k, m, k, m))
+    idx = np.arange(k)
+    H[idx, :, idx, :] = bases @ diag @ bases_t
+    cross = bases[:-1] @ off @ bases_t[1:]
+    H[idx[:-1], :, idx[1:], :] = cross
+    H[idx[1:], :, idx[:-1], :] = cross.transpose(0, 2, 1)
+    grad = (bases @ grad[:, :, None]).reshape(k * m)
+    return grad, H.reshape(k * m, k * m)
+
+
 def validate_trajectory(arr, traj) -> list[str]:
     """All violated trajectory invariants, as human-readable strings."""
     problems = []

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from linbilliards.action import Chain, action, gradient, hessian, preconditioned_P
+from linbilliards.action import (Chain, _edge_lengths, _edge_terms, _stacked, action, gradient,
+                                 hessian, preconditioned_P)
 from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.errors import NonSmoothPoint
 
-from conftest import fd_gradient, fd_hessian, grad_tol, random_smooth_chain
+from conftest import fd_gradient, fd_hessian, grad_tol, random_smooth_chain, stacked_reference
 
 
 def test_action_total_collision(origin_arr):
@@ -246,3 +247,31 @@ def test_spectral_radius_random_solutions(planes4d_arr):
         if found >= 10:
             break
     assert found >= 5
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 9])
+def test_stacked_matches_the_fancy_index_form(dim):
+    """_stacked writes its blocks at the flat positions of one layout per
+    (k, m): the same gradient and Hessian bits as three fancy-index block
+    assignments, over chain bases of every m (0 included), over the wall
+    polish's tangent projectors, from the kernel's own edge terms and with a
+    given, non-contiguous bases_t."""
+    rng = np.random.default_rng(300 + dim)
+    for k in range(1, 7):
+        for m in list(range(dim)) + [dim]:
+            bases = rng.normal(size=(k, m, dim))
+            if m == dim:
+                # tangent projectors I - n n^T of unit normals n
+                n = rng.normal(size=(k, dim))
+                n /= np.linalg.norm(n, axis=1)[:, None]
+                bases = np.eye(dim) - n[:, :, None] * n[:, None, :]
+            pts = rng.normal(size=(k + 2, dim)) * 10.0 ** rng.uniform(-3, 3)
+            _, _, grad, diag, off = _edge_terms(*_edge_lengths(pts, rng.uniform() ** 4))
+            for bases_t in (None, np.ascontiguousarray(bases.transpose(0, 2, 1))):
+                got = _stacked(bases, grad, diag, off, bases_t)
+                want = stacked_reference(bases, grad, diag, off, bases_t)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            sliced = rng.normal(size=(2 * k, m, dim))[::2]
+            got = _stacked(sliced, grad, diag, off, sliced.transpose(0, 2, 1))
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got, stacked_reference(sliced, grad, diag, off)))

@@ -9,6 +9,10 @@ from linbilliards.arrangement import (
     Arrangement,
     Itinerary,
     Subspace,
+    _perp,
+    _rays_hit,
+    _row_dot,
+    _tube_approach,
     angle_between,
     intersection_dim,
     load_arrangement,
@@ -18,7 +22,8 @@ from linbilliards.arrangement import (
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.scattering import free_motion_sample
 
-from conftest import tube_interval
+from conftest import (rays_hit_reference, row_dot_reference, tube_approach_reference,
+                      tube_interval)
 
 
 def test_project_x_axis():
@@ -397,3 +402,50 @@ def test_segment_queries_on_parallel_lines_and_the_zero_subspace(mirror_arr, ori
         origin_arr, np.array([-1.0, 2e-3]), np.array([3.0, 2e-3]), tol)
     with pytest.raises(InputError):
         free_motion_sample(mirror_arr, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 9])
+def test_row_dot_matches_the_matmul_form(dim):
+    """_row_dot, one np.vecdot, gives the stacked matmul's bits on stacked
+    rows of magnitudes 1e-5 to 1e5, also on strided and reversed slices and
+    Fortran-ordered copies."""
+    rng = np.random.default_rng(dim)
+    for shape in [(), (1,), (5,), (3, 4), (2, 3, 2)]:
+        for _ in range(10):
+            u = rng.normal(size=shape + (dim,)) * 10.0 ** rng.uniform(-5, 5, size=shape + (dim,))
+            wide = rng.normal(size=shape + (2 * dim,)) * 10.0 ** rng.uniform(-5, 5)
+            for x, y in ((u, u), (u, wide[..., ::2]), (wide[..., 1::2], np.asfortranarray(u)),
+                         (u[..., ::-1], wide[..., :dim])):
+                assert np.array_equal(_row_dot(x, y), row_dot_reference(x, y))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 9])
+def test_tube_approach_and_ray_decisions_match_the_where_forms(dim):
+    """_tube_approach and _rays_hit guard their divisions by adding a mask
+    instead of np.where: the same bits and the same decisions, on rays
+    parallel to a subspace (exactly and to rounding), starting inside a
+    tube and aimed at one."""
+    rng = np.random.default_rng(200 + dim)
+    kinds = collections.Counter()
+    for m in range(dim):
+        for _ in range(10):
+            arr = _random_arrangement(rng, dim, m, int(rng.integers(1, 5)) if m else 1)
+            sub = arr.subspaces[0]
+            tol = 10.0 ** rng.uniform(-9, -1)
+            starts = rng.normal(size=(6, dim)) * 3.0
+            directions = rng.normal(size=(6, dim))
+            if m:
+                directions[0] = sub.basis[0]
+                directions[1] = sub.project(directions[1])
+            starts[2] = sub.project(starts[2]) + 0.3 * tol * sub.perp(rng.normal(size=dim))
+            directions[3] = sub.project(rng.normal(size=dim)) - starts[3]
+            perps = _perp(arr.bases, np.stack((starts, directions))[:, :, None, :])
+            rho2 = 10.0 ** rng.uniform(-18, 0, size=len(arr.subspaces))
+            for got, want in zip(_tube_approach(rho2, *perps),
+                                 tube_approach_reference(rho2, *perps)):
+                assert np.array_equal(got, want)
+            got = _rays_hit(perps, directions, tol)
+            assert np.array_equal(got, rays_hit_reference(perps, directions, tol))
+            kinds.update(("hit" if e else "miss") for e in got)
+            kinds["parallel"] += int((_row_dot(perps[1], perps[1]) == 0.0).sum())
+    assert kinds["hit"] > 0 and kinds["miss"] > 0 and kinds["parallel"] > 0

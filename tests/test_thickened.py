@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from linbilliards import nbody
-from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _line_tube
+from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _line_tube, _perp, _row_dot
 from linbilliards.errors import CornerCollision, InputError, PreconditionError
 from linbilliards.thickened import (
     CORNER_TOL,
@@ -13,6 +13,7 @@ from linbilliards.thickened import (
     Event,
     ThickenedPath,
     ThickenedTable,
+    _hit,
     events_to_csv,
     first_hit,
     minimize_thickened,
@@ -23,7 +24,7 @@ from linbilliards.thickened import (
 from linbilliards.action import COINCIDENCE_TOL
 from linbilliards.solver import GRAD_TOL, minimize
 
-from conftest import TWOLINE_A, TWOLINE_B, curve_shorten
+from conftest import TWOLINE_A, TWOLINE_B, curve_shorten, hit_reference
 
 A_MIRROR = np.array([0.0, 1.0])
 B_MIRROR = np.array([2.0, 1.0])
@@ -464,7 +465,7 @@ def _first_hit_by_loop(table, p, v):
     v = np.asarray(v, dtype=float)
     radii = [s.sigma * table.r for s in arr.subspaces]
     for sub, rho in zip(arr.subspaces, radii):
-        if sub.distance_to(p) < rho - 1e-9 * max(1.0, rho):
+        if sub.distance_to(p) < rho - 1e-9 * rho:
             raise PreconditionError(
                 f"start point lies strictly inside cylinder around {sub.name}")
     t_eps = 1e-12 * max(1.0, float(np.linalg.norm(p)))
@@ -478,7 +479,7 @@ def _first_hit_by_loop(table, p, v):
         t_star = -float(np.dot(w, u)) / a
         res = w + t_star * u
         gap2 = rho * rho - float(np.dot(res, res))
-        if gap2 * a < GRAZING_DISC:
+        if gap2 * a < GRAZING_DISC * (rho * rho):
             continue
         t_enter = t_star - math.sqrt(gap2 / a)
         if t_enter <= t_eps:
@@ -567,14 +568,15 @@ def test_first_hit_matches_the_loop_on_forced_cases(mirror_arr, twolines_arr, li
     assert _assert_first_hit_matches_loop(table3, [0.0, 0.0, 1.0], along) is None
 
     # grazing: the ray passes the line M1 at depth gap2 with a = 1, on both
-    # sides of the discriminant cut-off
+    # sides of the discriminant cut-off GRAZING_DISC rho^2
     p = np.array([0.5, 0.0, -1.0])
     v = np.array([0.0, 0.0, 1.0])
+    cut = GRAZING_DISC * 0.1 * 0.1
     outcomes = []
-    for disc in (0.5 * GRAZING_DISC, 2.0 * GRAZING_DISC):
+    for disc in (0.5 * cut, 2.0 * cut):
         p[1] = math.sqrt(0.1 * 0.1 - disc)
         a, _, gap2, _ = _line_tube(lines3d_arr.bases[:1], 0.1, p, v)
-        assert (gap2[0] * a[0] < GRAZING_DISC) == (disc < GRAZING_DISC)
+        assert (gap2[0] * a[0] < cut) == (disc < cut)
         outcomes.append(_assert_first_hit_matches_loop(table3, p, v))
     assert outcomes[0] is None and outcomes[1][3] == 0
 
@@ -605,8 +607,9 @@ def _simulate_by_first_hit(table, p, v, max_events=50, t_max=math.inf):
     the next ray, must reproduce bit for bit.  first_hit has no horizon, so
     this reference is only asked for horizons before a corner."""
     p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
-    if not table.distance_to_wall(p) >= -1e-9:
-        raise PreconditionError("start point lies inside a cylinder")
+    for sub, rho in zip(table.arrangement.subspaces, table.radii):
+        if sub.distance_to(p) < rho - 1e-9 * rho:
+            raise PreconditionError("start point lies inside a cylinder")
     path = ThickenedPath(p.copy(), v.copy())
     t_now = 0.0
     for _ in range(max_events):
@@ -774,3 +777,95 @@ def test_curve_shorten_rejects_coincident_points(mirror_table):
     with pytest.raises(InputError, match="consecutive trajectory points coincide"):
         curve_shorten(mirror_table, Itinerary((0,)), np.array([0.0, 1.0]),
                       np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
+
+
+def _hit_outcome(fn, table, p, v, w, norm, t_now, t_max):
+    """A _hit result with its arrays as bytes, or the class and message it raised."""
+    try:
+        hit = fn(table, p, v, w, norm, t_now, t_max)
+    except CornerCollision as exc:
+        return type(exc).__name__, str(exc)
+    if hit is None:
+        return None
+    t, i, *arrays = hit
+    return (type(t), np.float64(t).tobytes(), i,
+            *(None if a is None else a.tobytes() for a in arrays))
+
+
+@pytest.mark.parametrize("name", ["threebody", "fourbody"])
+def test_hit_matches_the_where_form_on_the_nbody_tables(name, fourbody_arr):
+    """_hit guards its division by adding a mask instead of np.where, takes
+    argmin as a method and projects 1-D rows: along whole paths on the
+    N-body tables at the CLI's four radii, every event, horizon cut, corner
+    and escape is the np.where form's, bit for bit."""
+    arr = _three_body_arr() if name == "threebody" else fourbody_arr
+    rng = np.random.default_rng(sum(map(ord, name)) + 7)
+    kinds = collections.Counter()
+    for r in (1e-1, 1e-2, 1e-3, 1e-4):
+        table = ThickenedTable(arr, r)
+        for n in range(40):
+            p = rng.normal(size=arr.dim) * 3.0
+            sub = arr.subspaces[int(rng.integers(len(arr.subspaces)))]
+            offset = sub.perp(rng.normal(size=arr.dim))
+            target = sub.project(rng.normal(size=arr.dim)) \
+                + rng.uniform(0.0, 1.5) * sub.sigma * r * offset / np.linalg.norm(offset)
+            v = (target - p) if n % 2 else rng.normal(size=arr.dim)
+            v /= np.linalg.norm(v)
+            w = _perp(arr.bases, p)
+            norm = np.sqrt(_row_dot(w, w))
+            if (norm < table.inside_below).any():
+                continue
+            t_now, t_max = 0.0, (rng.uniform(0.0, 12.0) if n % 4 == 1 else math.inf)
+            for _ in range(20):
+                got = _hit_outcome(_hit, table, p, v, w, norm, t_now, t_max)
+                assert got == _hit_outcome(hit_reference, table, p, v, w, norm, t_now, t_max)
+                kind = ("end" if got is None else "corner" if got[0] is not float
+                        else "horizon" if got[3] is None else "event")
+                kinds[kind] += 1
+                if kind != "event":
+                    break
+                t, i, x, w, norm = _hit(table, p, v, w, norm, t_now, t_max)
+                nu = w[i] / norm[i]
+                p, v, t_now = x, v - 2.0 * float(v @ nu) * nu, t_now + t
+    assert kinds["event"] > 0 and kinds["end"] > 0 and kinds["horizon"] > 0
+
+
+@pytest.mark.parametrize("r", [10.0 ** -e for e in range(2, 11)])
+def test_events_scale_with_the_table(mirror_arr, r):
+    """The grazing and inside tests are relative to the cylinder: on the
+    mirror table thickened to lam r, rays from lam p meet the same walls at
+    lam times the lam = 1 times, a head-on ray included, and a start on
+    the axis is refused, for every r down to 1e-10."""
+    rays = [([0.0, 1.0], [0.0, -1.0]), ([0.0, 1.0], [1.0, -1.0]),
+            ([3.0, -2.0], [-0.6, 0.8]), ([-1.0, 0.5], [1.0, -0.25])]
+    for p, v in rays:
+        v = np.asarray(v) / np.linalg.norm(v)
+        paths = {lam: simulate(ThickenedTable(mirror_arr, lam * r), lam * np.asarray(p), v)
+                 for lam in (1e-6, 1.0, 1e6)}
+        assert paths[1.0].itinerary_labels == ["L1"]
+        for lam, path in paths.items():
+            assert path.itinerary_labels == paths[1.0].itinerary_labels
+            for e, ref in zip(path.events, paths[1.0].events):
+                assert e.time == pytest.approx(lam * ref.time, rel=1e-12, abs=0.0)
+    for lam in (1e-6, 1.0, 1e6):
+        table = ThickenedTable(mirror_arr, lam * r)
+        with pytest.raises(PreconditionError):
+            simulate(table, [5.0 * lam, 0.0], [0.0, -1.0])
+        with pytest.raises(PreconditionError):
+            first_hit(table, [5.0 * lam, 0.0], [0.0, -1.0])
+
+
+def test_events_share_no_writable_array(twolines_arr):
+    """Each event holds its own hit point; a v_after is read-only, and is
+    the next event's v_before; no array of a path is the caller's."""
+    p, v = np.array([4.0, 1.0]), np.array([-1.0, -0.1]) / math.hypot(1.0, 0.1)
+    path = simulate(ThickenedTable(twolines_arr, 0.1), p, v)
+    assert path.itinerary_labels == ["L2", "L1", "L2"]
+    arrays = [path.start_point, path.start_velocity, path.end_point, path.end_velocity]
+    arrays += [a for e in path.events for a in (e.point, e.v_before, e.v_after)]
+    for j, a in enumerate(arrays):
+        assert not np.shares_memory(a, p) and not np.shares_memory(a, v)
+        for b in arrays[j + 1:]:
+            assert not np.shares_memory(a, b) or not (a.flags.writeable or b.flags.writeable)
+    assert not any(e.v_after.flags.writeable for e in path.events)
+    assert all(e.v_before is prev.v_after for prev, e in zip(path.events, path.events[1:]))
