@@ -169,12 +169,8 @@ def enumerate_itineraries(arr: Arrangement, max_len: int):
                 yield combo
 
 
-def _sample_anchor(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v) * radius
-
-
-_SAMPLE_RADII = [(1.0, 1.0), (1.0, 10.0), (10.0, 1.0), (10.0, 10.0)]
+# (|A|, |B|) of each sample, stratified over the four combinations, as columns
+_SAMPLE_RADII = np.array([(1.0, 1.0), (1.0, 10.0), (10.0, 1.0), (10.0, 10.0)])[:, :, None]
 
 
 def _search_one(task) -> SearchRow:
@@ -187,9 +183,10 @@ def _search_one(task) -> SearchRow:
     itinerary = Itinerary(combo)
     used = 0
     for s in range(sample_budget):
-        rA, rB = _SAMPLE_RADII[s % 4]
-        A = _sample_anchor(rng, arr.dim, rA)
-        B = _sample_anchor(rng, arr.dim, rB)
+        # both anchors from one draw, each row normalized and scaled to its
+        # sphere: the same numbers as one draw and one norm per anchor
+        v = rng.standard_normal((2, arr.dim))
+        A, B = v / np.sqrt(np.vecdot(v, v))[:, None] * _SAMPLE_RADII[s % 4]
         used = s + 1
         try:
             result = minimize(arr, itinerary, A, B)

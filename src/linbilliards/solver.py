@@ -54,9 +54,15 @@ exact Newton, and looks for collapsed-edge multipliers inside the balls
 CERT_RESIDUAL.  A chain that passes is returned; no
 tolerance on the length enters, and no other exit proves a ghost.  The
 runs' meets span the null space of the vertex equations' transpose, so one
-SPD solve gives their pseudo-inverse, with no SVD or rank cut; a Farkas
-test on their least-norm solution ends most multiplier searches that must
-fail before any Newton step, so a failed attempt is cheap.  Each attempt
+SPD solve gives their pseudo-inverse, with no SVD or rank cut.  The search
+starts from the chain's edge directions smoothed at mu / CERT_WINDOW, whose
+projection onto the vertex equations lies inside the balls for most ghosts
+certified at the spring chain, so most proofs take no Newton step (at
+the spring chain mu is the anchors' scale, and the directions smoothed at
+mu itself, shorter, left about a third of them to the barrier); a Farkas test
+on the least-norm solution ends most searches that must fail before any
+Newton step, so a failed attempt is cheap.  A pinned run set (every vertex
+at the origin) is snapped in one assignment.  Each attempt
 does each piece of work once: its thresholds and runs are chosen on the
 gaps as Python floats, its run plan is looked up once for the reduced
 chain and the multipliers, and the accepted chain's edges are measured
@@ -382,10 +388,10 @@ class _RunPlan:
     it read-only: the intersection basis of each run (meets), the vertices
     the reduced chain keeps (keep, the first of each run), the reduced
     chain's plan (reduced, over bases that are each run's meet padded by
-    zero rows) and the collapsed edges (shut, (k+1,)); pinned when no kept
-    vertex has a free coordinate.  The vertex equations of the collapsed
-    edges' multipliers are built on first use, once, with their
-    pseudo-inverse (equations)."""
+    zero rows), the collapsed edges (shut, (k+1,)) and the others (open);
+    pinned when no kept vertex has a free coordinate.  The vertex equations
+    of the collapsed edges' multipliers are built on first use, once, with
+    their pseudo-inverse (equations)."""
 
     def __init__(self, bases, runs):
         self.bases, self.runs = bases, runs
@@ -398,7 +404,7 @@ class _RunPlan:
             shut[start + 1:stop] = True
             reduced[start] = 0.0
             reduced[start, :len(meet)] = meet
-        self.keep, self.shut = _frozen(keep), _frozen(shut)
+        self.keep, self.shut, self.open = _frozen(keep), _frozen(shut), _frozen(~shut)
         self.reduced = _ItineraryPlan(reduced[keep])
         self.pinned = not self.reduced.bases.any()
 
@@ -560,11 +566,15 @@ def _reduced_minimum(problem, plan, pts, floor, mu2):
     past the kinks of the exact length, then polished by exact Newton if
     that is then in its quadratic basin (_exact_polish); a run set missing a
     collapsed edge fails that gate.  A pinned run set (plan.pinned) has no
-    free coordinate to solve: its snapped chain is the only one, and only
-    its open edges are left to test.
+    free coordinate to solve: its snapped chain, every vertex at the origin
+    (_snapped's to the byte when every vertex is in a run), is the only
+    one, and only its open edges are left to test.
     """
-    pts = _snapped(pts, plan.runs, plan.meets)
-    if not plan.pinned:
+    if plan.pinned:
+        pts = pts.copy()
+        pts[1:-1] = 0.0
+    else:
+        pts = _snapped(pts, plan.runs, plan.meets)
         reduced = _StackedProblem(plan.reduced, problem.A, problem.B)
         y = reduced.coords_of(pts[1:-1][plan.keep])
         mu2 *= 1e-4
@@ -577,16 +587,49 @@ def _reduced_minimum(problem, plan, pts, floor, mu2):
         pts[1:-1] = reduced.points_of(polished[0])[np.cumsum(plan.keep) - 1]
     edges, lengths = _edge_lengths(pts)
     # the collapsed edges are exact zeros; the open ones are the reduced edges
-    if not lengths[~plan.shut].min() > floor:
+    if not lengths[plan.open].min() > floor:
         return None
     return pts[1:-1], edges, lengths
+
+
+def _onto(equations, p, x):
+    """x (C, dim) moved onto the least-squares solutions p + ker M of a run
+    plan's vertex equations (M, null, pinv): p + x - pinv M x."""
+    M, _, pinv = equations
+    flat = x.reshape(-1)
+    return (p + flat - pinv @ (M @ flat)).reshape(x.shape)
+
+
+def _barrier_step(equations, p, v, bound):
+    """(step, MD) of _lowest_multipliers' barrier at v (C, dim): the KKT
+    step and M D^-1 (k m, C dim) that gives it, or None where the solve
+    finds its matrix not positive definite.
+
+    Per edge, a = (bound - |v|^2) / 2: the Hessian block (I + v v^T / a) / a
+    has the inverse a (I - v v^T / (a + |v|^2)) (Sherman-Morrison), which
+    maps the gradient v / a to D_inv_g, and M D^-1 = a M - (M v) D_inv_g^T,
+    with M v per edge one np.vecdot of M's column blocks with v.
+    """
+    M, null, _ = equations
+    C, dim = v.shape
+    edges = M.reshape(len(M), C, dim)
+    norms2 = (v * v).sum(axis=1)
+    a = 0.5 * (bound - norms2)
+    D_inv_g = (a / (a + norms2))[:, None] * v
+    MD = (a[:, None] * edges - np.vecdot(edges, v)[:, :, None] * D_inv_g).reshape(len(M), -1)
+    lam = _spd_solve(MD @ M.T + null, M @ ((v - D_inv_g).reshape(-1) - p))
+    if lam is None:
+        return None
+    # the solve loses accuracy as a norm nears the bound; the full step
+    # stays on the affine set through the pseudo-inverse alone
+    return _onto(equations, p, v - D_inv_g - (lam @ MD).reshape(C, dim)) - v, MD
 
 
 def _lowest_multipliers(plan, fixed, start, bound):
     """Point v of the least-squares solutions of M v = -fixed, M a run
     plan's vertex equations, with every |v_e|^2 below bound, or None if none
-    is found; start (C, dim), the stage's smoothed directions on the
-    collapsed edges, is projected onto that affine set first.
+    is found; start (C, dim), the stage's directions on the collapsed edges
+    smoothed at mu / CERT_WINDOW, is projected onto that affine set first.
 
     Then a Farkas test (theorem of alternatives; Boyd & Vandenberghe, sec.
     5.8) ends most searches that must fail before any Newton step: the
@@ -595,25 +638,20 @@ def _lowest_multipliers(plan, fixed, start, bound):
     keep below r sum_e |p_e|.  Otherwise infeasible-start Newton on the
     barrier -sum_e log(bound - |v_e|^2) over the set (Boyd & Vandenberghe,
     sec. 10.3) runs from start, rows with |v_e|^2 above INSIDE * bound
-    scaled to it.  A step is the KKT step -D^-1 (g + M^T lam), D and g the
-    barrier's Hessian and gradient and (M D^-1 M^T + null) lam = M (v -
-    D^-1 g - p), halved only while a norm would reach the bound (the
-    residual M (v - p) shrinks by the untaken fraction).  The first full
-    step lands on the set inside every ball, which ends the search; a step
-    below STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
+    scaled to it.  A step (_barrier_step) is the KKT step -D^-1 (g + M^T
+    lam), D and g the barrier's Hessian and gradient and (M D^-1 M^T +
+    null) lam = M (v - D^-1 g - p), halved only while a norm would reach
+    the bound (the residual M (v - p) shrinks by the untaken fraction).
+    The first full step lands on the set inside every ball, which ends the
+    search; a step below STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
     """
-    M, null, pinv = plan.equations
-    C, dim = start.shape
-    p = -(pinv @ fixed)
-
-    def onto(x):
-        return (p + x.reshape(-1) - pinv @ (M @ x.reshape(-1))).reshape(C, dim)
-
-    w = onto(start)
+    equations = plan.equations
+    p = -(equations[2] @ fixed)
+    w = _onto(equations, p, start)
     if (w * w).sum(axis=1).max() < bound:
         return w
     # the Farkas exit, with a margin of 1e-12 for rounding
-    reach = math.sqrt(bound) * np.linalg.norm(p.reshape(C, dim), axis=1).sum()
+    reach = math.sqrt(bound) * np.linalg.norm(p.reshape(start.shape), axis=1).sum()
     if p @ p > (1.0 + 1e-12) * reach:
         return None
     norms2 = (start * start).sum(axis=1)
@@ -621,22 +659,11 @@ def _lowest_multipliers(plan, fixed, start, bound):
     outside = norms2 > INSIDE * bound
     v = start.copy()
     v[outside] *= np.sqrt(INSIDE * bound / norms2[outside])[:, None]
-    edges = M.reshape(len(M), C, dim)
     for _ in range(MULTIPLIER_STEPS):
-        # per edge, a = (bound - |v|^2) / 2: the Hessian block (I + v v^T / a) / a
-        # has the inverse a (I - v v^T / (a + |v|^2)) (Sherman-Morrison), which
-        # maps the gradient v / a to D_inv_g, and M D^-1 = a M - (M v) D_inv_g^T
-        norms2 = (v * v).sum(axis=1)
-        a = 0.5 * (bound - norms2)
-        D_inv_g = (a / (a + norms2))[:, None] * v
-        MD = a[:, None] * edges - np.einsum("rcd,cd->rc", edges, v)[:, :, None] * D_inv_g
-        lam = _spd_solve(MD.reshape(len(M), -1) @ M.T + null,
-                         M @ ((v - D_inv_g).reshape(-1) - p))
-        if lam is None:
+        found = _barrier_step(equations, p, v, bound)
+        if found is None:
             return None
-        # the solve loses accuracy as a norm nears the bound; the full step
-        # stays on the affine set through the pseudo-inverse alone
-        step = onto(v - D_inv_g - np.einsum("rcd,r->cd", MD, lam)) - v
+        step = found[0]
         t = 1.0
         while True:
             trial = v + t * step
@@ -667,7 +694,7 @@ def _multipliers_certify(problem, plan, edges, lengths, start):
     """
     shut = plan.shut
     u = np.zeros(edges.shape)
-    np.divide(edges, lengths[:, None], out=u, where=~shut[:, None])
+    np.divide(edges, lengths[:, None], out=u, where=plan.open[:, None])
     # residual of the vertex equations without the collapsed edges
     fixed = _to_coords(problem.bases, u[:-1] - u[1:]).reshape(-1)
     w = _lowest_multipliers(plan, fixed, start[shut], (1.0 + CERT_RESIDUAL) ** 2)
@@ -700,13 +727,14 @@ def _certify_ghost(problem, x, mu2, floor):
     (collapsed edges whose multiplier is near unit norm stay open longest),
     then each smaller one.  The edges are those of the stage's exact pass at
     x, and the length that of the certificate's own pass at the accepted
-    chain.
+    chain.  The multiplier search starts from those edges' directions
+    smoothed at mu / CERT_WINDOW, sharper than the stage's own.
     """
     edges, gaps = problem.edge_pass(x, 0.0)
     gaps = gaps.tolist()
     interior = sorted(set(gaps[1:-1]))
     first = bisect.bisect_right(interior, CERT_WINDOW * math.sqrt(mu2)) - 1
-    start = edges / np.sqrt((edges * edges).sum(axis=1) + mu2)[:, None]
+    start = edges / np.sqrt((edges * edges).sum(axis=1) + mu2 / CERT_WINDOW**2)[:, None]
     for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:CERT_TRIES]:
         try:
             plan = problem.plan.run_plans(tuple(_collapsing_runs(gaps, interior[j])))

@@ -19,7 +19,7 @@ from linbilliards.origami import (
 from linbilliards.solver import minimize
 from linbilliards.trajectory import BilliardTrajectory
 
-from conftest import TWOLINE_A, TWOLINE_B
+from conftest import TWOLINE_A, TWOLINE_B, sample_anchor_reference
 
 
 def lines_at(theta):
@@ -195,6 +195,31 @@ def test_search_deterministic(twolines_arr):
         assert a.samples_used == b.samples_used
         if a.witness_A is not None:
             assert np.allclose(a.witness_A, b.witness_A)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 9])
+def test_search_anchors_match_one_draw_per_anchor(dim, monkeypatch):
+    """The search draws both anchors of a sample at once and normalizes them
+    together; over 200 seeds they are, byte for byte, the anchors of one
+    draw and one np.linalg.norm each (sample_anchor_reference) on the
+    spheres of the four radius pairs in turn."""
+    import types
+    import linbilliards.origami as origami_module
+    arr = Arrangement(dim, (Subspace.from_spanning("L1", np.eye(dim)[:1], dim),
+                            Subspace.from_spanning("L2", np.eye(dim)[1:2], dim)))
+    drawn = []
+    missed = types.SimpleNamespace(is_valid=False)
+    monkeypatch.setattr(origami_module, "minimize",
+                        lambda arr, itinerary, A, B: drawn.append((A, B)) or missed)
+    combo, radii = (0, 1), [(1.0, 1.0), (1.0, 10.0), (10.0, 1.0), (10.0, 10.0)]
+    for seed in range(200):
+        del drawn[:]
+        origami_module._search_one((arr, combo, 8, seed, False))
+        rng = np.random.default_rng((seed, len(combo)) + combo)
+        assert len(drawn) == 8
+        for (A, B), (rA, rB) in zip(drawn, radii * 2):
+            assert A.tobytes() == sample_anchor_reference(rng, dim, rA).tobytes()
+            assert B.tobytes() == sample_anchor_reference(rng, dim, rB).tobytes()
 
 
 def test_a_solver_failure_is_not_a_miss(twolines_arr, monkeypatch):

@@ -17,8 +17,9 @@ from linbilliards.errors import InputError, NonSmoothPoint, PreconditionError
 from linbilliards.solver import Classification, minimize
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
-from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, chain_is_generic_reference,
-                      envelope_gradients, grad_tol, random_chain, random_start_solves)
+from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, barrier_step_reference,
+                      chain_is_generic_reference, envelope_gradients, grad_tol, random_chain,
+                      random_start_solves)
 
 
 def brute_force_minimum(arr, itinerary, A, B, radius, n_grid=21):
@@ -607,8 +608,8 @@ def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
     monkeypatch.setattr(solver, "_lowest_multipliers", compared)
     _search_and_nbody_solves(twolines_arr, monkeypatch)
     searched = [outcome == "found" for outcome, _, _ in searches if outcome != "projected"]
-    # the projection alone fails in a share of the calls, and the search
-    # then both finds points and proves that none exists
+    # the projection alone fails in a share of the calls (71 of 445), and the
+    # search then both finds points and proves that none exists
     assert len(searched) > 50
     assert sum(searched) > 0 and not all(searched)
     # the Farkas exit: a failure without a Newton step where the kernel is
@@ -697,6 +698,116 @@ def test_pinned_run_sets_skip_the_reduced_problem(twolines_arr, monkeypatch):
     assert plan.pinned
     assert fast.value == action(A, np.zeros((4, 2)), B)
     assert_lower_bound(fast)
+
+
+def test_spring_chain_collapse_ends_at_the_projection(twolines_arr, monkeypatch):
+    """The total collapse of L1, L2, L1, L2 from A = (-3, -3) to B = (-2, -2)
+    is certified at the spring chain by the projection of the search's
+    start, with no Newton step of the barrier (the start smoothed at mu
+    itself took one), at the length |A| + |B| = 5 sqrt(2) of the chain of
+    origins and with its lower bound."""
+    it, A, B = Itinerary((0, 1, 0, 1)), np.array([-3.0, -3.0]), np.array([-2.0, -2.0])
+    searches = _counting_spd_solves(monkeypatch)
+    result = minimize(twolines_arr, it, A, B)
+    assert [(outcome, solves) for outcome, solves, _ in searches] == [("projected", 0)]
+    assert result.classification is Classification.GHOST and result.iterations == 0
+    assert not result.chain.points.any()
+    assert result.value == pytest.approx(5.0 * math.sqrt(2.0), rel=1e-15)
+    assert abs(result.value - result.lower_bound) <= 1e-12 * result.value
+    assert_lower_bound(result)
+
+
+def test_multiplier_searches_mostly_end_at_the_projection(twolines_arr, monkeypatch):
+    """Work budget of the certificate's start, the stage's directions
+    smoothed at mu / CERT_WINDOW: over the seed-0 search and nbody rounds
+    0-3, at most 80 of the 445 multiplier searches take a Newton step (67
+    measured; 132 from the directions smoothed at mu itself)."""
+    searches = _counting_spd_solves(monkeypatch)
+    _search_and_nbody_solves(twolines_arr, monkeypatch)
+    assert len(searches) > 400
+    assert sum(solves > 0 for _, solves, _ in searches) <= 80
+
+
+def test_barrier_steps_match_the_einsum_form(twolines_arr, monkeypatch):
+    """Every barrier step of the seed-0 search and nbody rounds 0-3 (M v per
+    edge by np.vecdot, M D^-1 applied to lam as one matrix product) forms
+    M D^-1 as the einsum form, barrier_step_reference, does, to 1e-13
+    relative.  Where the KKT matrix M D^-1 M^T + null has a condition
+    number below 1e4 (most steps) both find it definite and give the same
+    step to 1e-13 relative; a nearly singular one (condition numbers reach
+    1e17 here) amplifies the rounding of either form into its step alike."""
+    steps, conditioned = [], []
+    real = solver._barrier_step
+
+    def compared(equations, p, v, bound):
+        got = real(equations, p, v, bound)
+        step, MD = barrier_step_reference(equations, p, v, bound)
+        M, null, _ = equations
+        if got is not None:
+            assert got[1].shape == MD.shape
+            assert np.abs(got[1] - MD).max() <= 1e-13 * np.abs(MD).max()
+        if np.linalg.cond(MD @ M.T + null) < 1e4:
+            assert (got is None) == (step is None)
+            if step is not None:
+                assert np.abs(got[0] - step).max() <= 1e-13 * np.abs(step).max()
+            conditioned.append(step)
+        steps.append(got)
+        return got
+
+    monkeypatch.setattr(solver, "_barrier_step", compared)
+    _search_and_nbody_solves(twolines_arr, monkeypatch)
+    assert len(conditioned) > 200 and len(steps) > len(conditioned)
+
+
+def _pinned_snap_matches(reduced_minimum, problem, plan, pts):
+    """Whether the pinned run plan's snap of the point list pts in
+    reduced_minimum, solver._reduced_minimum (every vertex set to the
+    origin), gives, byte for byte, the points of _snapped and the edges and
+    lengths of its point list."""
+    assert plan.pinned
+    points, edges, lengths = reduced_minimum(problem, plan, pts, -math.inf, 0.0)
+    snapped = solver._snapped(pts, plan.runs, plan.meets)
+    snapped_edges, snapped_lengths = _edge_lengths(snapped)
+    return (points.tobytes() == snapped[1:-1].tobytes()
+            and edges.tobytes() == snapped_edges.tobytes()
+            and lengths.tobytes() == snapped_lengths.tobytes())
+
+
+def test_pinned_snap_matches_snapped(twolines_arr, planes3d_arr, monkeypatch):
+    """A pinned run set is snapped by one assignment of the origin to every
+    vertex: on every pinned run plan of the seed-0 search and nbody rounds
+    0-3, and on a four-body total collapse, that is byte for byte the snap
+    of _snapped.  An unpinned run set, the ghost of P1, P2 on planes3d
+    whose run meets in a line, still goes through _snapped."""
+    pinned = []
+    real = solver._reduced_minimum
+
+    def compared(problem, plan, pts, floor, mu2):
+        if plan.pinned:
+            assert _pinned_snap_matches(real, problem, plan, pts)
+            pinned.append(plan)
+        return real(problem, plan, pts, floor, mu2)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_reduced_minimum", compared)
+        _search_and_nbody_solves(twolines_arr, monkeypatch)
+    assert len(pinned) > 100
+
+    arr = _four_body_table()
+    rng = np.random.default_rng(3)
+    it, A, B = _random_case(arr, rng, 8, 8)
+    problem = solver._StackedProblem(solver._plan_of(arr.bases_of(it)), A, B)
+    plan = problem.plan.run_plans(((0, 8),))
+    pts = problem._point_list(rng.standard_normal(problem.k * problem.m))
+    assert _pinned_snap_matches(real, problem, plan, pts.copy())
+
+    snaps = []
+    real_snapped = solver._snapped
+    monkeypatch.setattr(solver, "_snapped", lambda *args: snaps.append(args) or real_snapped(*args))
+    result = minimize(planes3d_arr, Itinerary((0, 1)), np.array([-2.0, -2.0, -2.0]),
+                      np.array([-2.0, -1.0, 2.0]))
+    assert result.classification is Classification.GHOST
+    assert snaps and all(len(meet) == 1 for _, _, meets in snaps for meet in meets)
 
 
 def _repeat_free(rng, n_labels, k):
@@ -1527,9 +1638,10 @@ def _result_bytes(result):
 
 def _measuring_certified(problem, x, mu2, floor):
     """The certificate as it was before it read the stage's pass: it measures
-    the edges of x again and the accepted chain's length by action."""
+    the edges of x again, with the directions smoothed at mu / CERT_WINDOW
+    as the search's start, and the accepted chain's length by action."""
     pts = problem._point_list(x)
-    edges, soft = solver._edge_lengths(pts, mu2)
+    edges, soft = solver._edge_lengths(pts, mu2 / solver.CERT_WINDOW**2)
     start = edges / soft[:, None]
     gaps = np.linalg.norm(edges, axis=1)
     for threshold in _reference_thresholds(gaps, mu2):
