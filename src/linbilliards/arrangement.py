@@ -117,13 +117,16 @@ class Subspace:
 
     ``sigma`` is the per-subspace thickening scale factor used by the
     deterministic thickened dynamics; the default 1 means the cylinder radius
-    equals the thickening parameter.
+    equals the thickening parameter.  ``complement`` is the read-only
+    projector I - B^T B onto the orthogonal complement (the identity for the
+    subspace {0}), built once, so a perpendicular part is one matvec.
     """
 
     name: str
     basis: np.ndarray  # (m, dim), orthonormal rows; m == 0 encodes {0}
     dim: int
     sigma: float = 1.0
+    complement: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float).reshape(-1, self.dim)
@@ -135,6 +138,9 @@ class Subspace:
         gram = basis @ basis.T
         if gram.size and np.max(np.abs(gram - np.eye(len(basis)))) > _ORTHO_TOL:
             raise InputError(f"subspace {self.name!r}: basis rows not orthonormal")
+        complement = np.eye(self.dim) - basis.T @ basis
+        complement.flags.writeable = False
+        object.__setattr__(self, "complement", complement)
 
     @classmethod
     def from_spanning(cls, name: str, vectors, dim: int, sigma: float = 1.0) -> "Subspace":
@@ -155,9 +161,8 @@ class Subspace:
         return self.basis.T @ (self.basis @ _as_vector(x, self.dim))
 
     def perp(self, x) -> np.ndarray:
-        """Component of x orthogonal to the subspace."""
-        x = _as_vector(x, self.dim)
-        return x - self.basis.T @ (self.basis @ x)
+        """Component of x orthogonal to the subspace, as complement @ x."""
+        return self.complement @ _as_vector(x, self.dim)
 
     def distance_to(self, x) -> float:
         """Euclidean distance from x to the subspace; zero iff x lies on it."""
@@ -212,11 +217,16 @@ class Arrangement:
 
     Every subspace thus has the same dimension m, and ``bases`` stacks their
     orthonormal bases once, at construction, as one (n, m, dim) array.
+    ``complements`` stacks the subspaces' complement projectors as one
+    read-only (n dim, dim) array, whose row blocks are each subspace's own
+    ``complement``: perp_parts takes every perpendicular part of a point
+    from one matvec, with the bits of Subspace.perp.
     """
 
     dim: int
     subspaces: tuple[Subspace, ...]
     bases: np.ndarray = field(init=False, repr=False, compare=False)
+    complements: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subspaces", tuple(self.subspaces))
@@ -238,10 +248,19 @@ class Arrangement:
                 if a.subdim == b.subdim and intersection_dim(a, b) == a.subdim:
                     raise InputError(f"subspaces {a.name!r} and {b.name!r} coincide")
         object.__setattr__(self, "bases", np.array([s.basis for s in self.subspaces]))
+        complements = np.concatenate([s.complement for s in self.subspaces])
+        complements.flags.writeable = False
+        object.__setattr__(self, "complements", complements)
 
     def bases_of(self, itinerary) -> np.ndarray:
         """The bases B_i of the itinerary's subspaces, stacked as (k, m, dim)."""
         return self.bases[list(itinerary)]
+
+    def perp_parts(self, x: np.ndarray) -> np.ndarray:
+        """The parts P⊥x (n, dim) of one point x (dim,) orthogonal to every
+        subspace, from one matvec.  Each row is that subspace's perp(x) bit
+        for bit; a batched product over many points would not be."""
+        return (self.complements @ x).reshape(-1, self.dim)
 
     def index_of(self, name: str) -> int:
         for i, s in enumerate(self.subspaces):

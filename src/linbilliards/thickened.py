@@ -3,14 +3,16 @@
 Thickening replaces each collision subspace by a solid cylinder of radius
 sigma_L * r.  The dynamics on the complement is ordinary specular billiards
 off the cylinder walls (away from corners, which are refused rather than
-modelled).  The simulator projects onto the subspace complements twice an
-event: the direction, and the hit point, whose projections serve its corner
-test and then the next ray; the time horizon is tested before the corner
-test, so a corner past it ends no path.  The variational side constrains
-the chain vertices to the solid cylinders: a log-barrier continuation on
-the point solver's stages and Newton core, then a Newton polish on the
-walls of the pressed vertices, with minimizers classified as honest
-reflections, ghosts or corner ghosts.
+modelled).  The simulator takes two perpendicular parts an event, each one
+matvec with the arrangement's stacked complement projectors: the
+direction's, and the hit point's, which serve its corner test and then the
+next ray; the time horizon is tested before the corner test, so a corner
+past it ends no path.  Every threshold is relative to the cylinder or to
+|p|, so a table and its rays scaled together keep their events.  The
+variational side constrains the chain vertices to the solid cylinders: a
+log-barrier continuation on the point solver's stages and Newton core, then
+a Newton polish on the walls of the pressed vertices, with minimizers
+classified as honest reflections, ghosts or corner ghosts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, _as_vector, _perp, _row_dot, _tube_approach
+from .arrangement import Arrangement, Itinerary, _as_vector, _row_dot, _tube_approach
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
 from . import solver
 from .action import COINCIDENCE_TOL, _edge_terms, _identity, _stacked, _to_points, action
@@ -30,7 +32,8 @@ from .solver import (_check_size, _damped_newton, _ItineraryPlan, _plan_of, _sta
                      _StackedProblem, minimize)
 from .trajectory import TRANSVERSE_TOL, is_transverse
 
-CORNER_TOL = 1e-9
+CORNER_TOL = 1e-9        # corner margin, relative to the other cylinder's radius
+CORNER_ROUNDING = 1e-14  # plus this times |p| + t, the hit point's rounding (about 45 eps)
 GRAZING_DISC = 1e-14
 SPLIT = 100.0  # slack and barrier force this far apart mark a vertex pressed or free
 
@@ -40,8 +43,8 @@ class ThickenedTable:
     """The complement of solid cylinders around the subspaces, with radii
     sigma_L * r stacked once as one (n,) array, next to the event thresholds
     on them: rho^2, the grazing bound GRAZING_DISC rho^2, the strictly-inside
-    bound rho - 1e-9 rho (both scale with the cylinder) and the corner bound
-    rho + CORNER_TOL."""
+    bound rho - 1e-9 rho and the corner bound rho + CORNER_TOL rho, all of
+    which scale with the cylinder (a hit adds its rounding to the last)."""
 
     arrangement: Arrangement
     r: float
@@ -59,11 +62,11 @@ class ThickenedTable:
         object.__setattr__(self, "rho2", radii * radii)
         object.__setattr__(self, "grazing_below", GRAZING_DISC * self.rho2)
         object.__setattr__(self, "inside_below", radii - 1e-9 * radii)
-        object.__setattr__(self, "corner_below", radii + CORNER_TOL)
+        object.__setattr__(self, "corner_below", radii + CORNER_TOL * radii)
 
     def distance_to_wall(self, x) -> float:
         """Signed clearance: min over cylinders of dist(x, L) - rho_L."""
-        w = _perp(self.arrangement.bases, _as_vector(x, self.arrangement.dim))
+        w = self.arrangement.perp_parts(_as_vector(x, self.arrangement.dim))
         return float(np.min(np.sqrt(_row_dot(w, w)) - self.radii))
 
 
@@ -93,9 +96,13 @@ class ThickenedPath:
 
 def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float = math.inf):
     """The entering hit of the ray p + t v from the start's perpendicular parts
-    w = P⊥p (n, dim) and their norms (n,), projecting only v.  The callers
-    refuse a start inside a cylinder; a hit point carried into the next ray
-    is on its wall up to rounding and clears the others by the corner test.
+    w = P⊥p (n, dim) and their norms (n,), projecting only v (one matvec,
+    Arrangement.perp_parts).  The callers refuse a start inside a cylinder;
+    a hit point carried into the next ray is on its wall up to rounding and
+    clears the others by the corner test.  An entry no later than 1e-12 |p|
+    is the start's own wall, left up to rounding; a hit point closer than
+    rho (1 + CORNER_TOL) + CORNER_ROUNDING (|p| + t) to another axis is a
+    corner, for a unit v.
 
     Returns None when the ray escapes; else (t, i, x, w_x, norm_x) with the
     hit point x and its parts P⊥x and norms, which the next ray from x takes
@@ -103,8 +110,9 @@ def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float 
     before the corner test, so a corner past the horizon is no event.
     """
     arr = table.arrangement
-    a, t_star, gap2 = _tube_approach(table.rho2, w, _perp(arr.bases, v))
-    t_eps = 1e-12 * max(1.0, math.sqrt(p @ p))
+    a, t_star, gap2 = _tube_approach(table.rho2, w, arr.perp_parts(v))
+    size = math.sqrt(p @ p)   # > 0: every subspace meets the origin, which no start clears
+    t_eps = 1e-12 * size
     # a <= 1e-30: constant clearance along the ray
     enters = (a > 1e-30) & (gap2 * a >= table.grazing_below)
     # a + ~enters is a where the ray enters; elsewhere t_enter is not read
@@ -117,9 +125,10 @@ def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float 
     if t_now + t > t_max:
         return t, i, None, None, None
     x = p + t * v
-    w_x = _perp(arr.bases, x)
+    w_x = arr.perp_parts(x)
     norm_x = np.sqrt(_row_dot(w_x, w_x))
-    corner = norm_x < table.corner_below
+    # the other walls' clearances, beyond x's rounding of order eps (|p| + t)
+    corner = norm_x < table.corner_below + CORNER_ROUNDING * (size + t)
     corner[i] = False
     if corner.any():
         raise CornerCollision(f"hit on {arr.subspaces[i].name} lies in the corner margin "
@@ -134,8 +143,9 @@ def first_hit(table: ThickenedTable, p, v):
     ray escapes.  Grazing rays (discriminant below 1e-14 rho^2) do not count
     as hits, and a start closer than rho - 1e-9 rho to an axis raises
     PreconditionError: a table and ray scaled together keep their hits.  A
-    hit point inside another cylinder's corner margin raises
-    CornerCollision, since the dynamics there is deliberately undefined.
+    hit point inside another cylinder's corner margin (CORNER_TOL rho plus
+    the point's rounding) raises CornerCollision, since the dynamics there
+    is deliberately undefined.
     This is one event of simulate with no time horizon; simulate carries
     the hit point's projections into its next ray instead of projecting
     that point again, as stepping first_hit from each hit would.
@@ -145,7 +155,7 @@ def first_hit(table: ThickenedTable, p, v):
     v = np.asarray(v, dtype=float)
     if p.shape != (arr.dim,) or v.shape != (arr.dim,):
         raise InputError("point/velocity dimension mismatch")
-    w = _perp(arr.bases, p)
+    w = arr.perp_parts(p)
     norm = np.sqrt(_row_dot(w, w))
     inside = norm < table.inside_below
     if inside.any():
@@ -168,10 +178,12 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
     A p that is not a point of the table's space, a v that is not a unit
     vector of it, a negative or NaN t_max and a negative max_events raise
     InputError; hits and the start test are first_hit's.
-    The start is projected onto the subspace complements once, for the
-    inside test and the first ray; each hit point's projections, made for
-    its corner test, are the next ray's, so an event projects twice (v and
-    the hit point).  An event's v_after is read-only: the next's v_before.
+    The start's perpendicular parts are taken once, by one matvec with the
+    stacked complement projectors, for the inside test and the first ray;
+    each hit point's, taken for its corner test, are the next ray's, so an
+    event takes two matvecs (v and the hit point).  Its normal is, bit for
+    bit, the hit wall's Subspace.perp of the point, normalized.  An event's
+    v_after is read-only: the next's v_before.
     """
     arr = table.arrangement
     p = _as_vector(p, arr.dim)
@@ -187,7 +199,7 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
         raise InputError("point/velocity dimension mismatch")
     if not abs(math.sqrt(v @ v) - 1.0) <= 1e-9:
         raise InputError("simulation velocity must be finite and unit")
-    w = _perp(arr.bases, p)
+    w = arr.perp_parts(p)
     norm = np.sqrt(_row_dot(w, w))
     if (norm < table.inside_below).any():   # p clears every wall, from the first ray's w
         raise PreconditionError("start point lies inside a cylinder")
@@ -337,14 +349,13 @@ class _WallProblem(_StackedProblem):
     omega^T).  The gradient P g has no unit."""
 
     def __init__(self, table, itinerary, A, B, active):
-        walls = table.arrangement.bases_of(itinerary)
-        k, _, dim = walls.shape
-        super().__init__(_ItineraryPlan(np.broadcast_to(np.eye(dim), (k, dim, dim))), A, B)
-        self.walls = walls
+        arr, k = table.arrangement, len(itinerary)
+        super().__init__(_ItineraryPlan(np.broadcast_to(np.eye(arr.dim), (k, arr.dim, arr.dim))),
+                         A, B)
         self.radii = table.radii[list(itinerary)]
         self.active = np.asarray(active)
-        # I - B^T B: the projector onto each vertex's subspace complement
-        self.perps = np.eye(dim) - walls.transpose(0, 2, 1) @ walls
+        # I - B^T B: each vertex's stored complement projector (k, dim, dim)
+        self.perps = arr.complements.reshape(-1, arr.dim, arr.dim)[list(itinerary)]
         self._slacks = (None,)  # (pts, w, s) last measured
 
     def points_of(self, pts):
@@ -354,7 +365,7 @@ class _WallProblem(_StackedProblem):
         """Offsets w = P⊥ q (k, dim) and slacks rho^2 - |w|^2 (k,) at pts,
         measured unless pts is the point measured last."""
         if self._slacks[0] is not pts:
-            w = _perp(self.walls, pts)
+            w = (self.perps @ pts[:, :, None])[..., 0]
             self._slacks = (pts, w, self.radii ** 2 - _row_dot(w, w))
         return self._slacks[1:]
 

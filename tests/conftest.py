@@ -231,12 +231,15 @@ def rays_hit_reference(perps, directions, tol):
 
 
 def hit_reference(table, p, v, w, norm, t_now=0.0, t_max=math.inf):
-    """thickened._hit with the division guarded by np.where, np.argmin and
-    rows projected as (1, dim) arrays, on the table's own thresholds."""
+    """thickened._hit with the division guarded by np.where and np.argmin,
+    on the table's own thresholds and perpendicular parts
+    (Arrangement.perp_parts)."""
     from linbilliards.errors import CornerCollision
+    from linbilliards.thickened import CORNER_ROUNDING
     arr = table.arrangement
-    a, t_star, gap2 = tube_approach_reference(table.rho2, w, _perp(arr.bases, v[None, :]))
-    t_eps = 1e-12 * max(1.0, math.sqrt(p @ p))
+    a, t_star, gap2 = tube_approach_reference(table.rho2, w, arr.perp_parts(v))
+    size = math.sqrt(p @ p)
+    t_eps = 1e-12 * size
     enters = (a > 1e-30) & (gap2 * a >= table.grazing_below)
     t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / np.where(enters, a, 1.0))
     t_enter = np.where(enters & (t_enter > t_eps), t_enter, math.inf)
@@ -247,9 +250,9 @@ def hit_reference(table, p, v, w, norm, t_now=0.0, t_max=math.inf):
     if t_now + t > t_max:
         return t, i, None, None, None
     x = p + t * v
-    w_x = _perp(arr.bases, x[None, :])
+    w_x = arr.perp_parts(x)
     norm_x = np.sqrt(row_dot_reference(w_x, w_x))
-    corner = norm_x < table.corner_below
+    corner = norm_x < table.corner_below + CORNER_ROUNDING * (size + t)
     corner[i] = False
     if corner.any():
         raise CornerCollision(f"hit on {arr.subspaces[i].name} lies in the corner margin "
@@ -333,6 +336,13 @@ def planes3d_arr():
 @pytest.fixture
 def fourbody_arr():
     return fourbody()
+
+
+@pytest.fixture
+def threebody_arr():
+    """The paper's planar equal-mass three-body table with the centre of
+    mass removed: three 2-dimensional subspaces in dimension 4."""
+    return nbody.build_arrangement(nbody.NBodySystem(3, 2, nbody.MASSES_THIRD, reduce_cm=True))
 
 
 # A two-line valid fixture found by scan and frozen; the solved trajectory is

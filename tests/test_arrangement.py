@@ -249,6 +249,34 @@ def test_locus_distances_match_distance_to_locus(table, request):
                 arr.distance_to_locus(x) for x in anchors]
 
 
+@pytest.mark.parametrize("table", ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr",
+                                   "planes4d_arr", "threebody_arr", "fourbody_arr"])
+def test_complements_are_stored_read_only_and_perp_parts_match_perp(table, request):
+    """Each subspace stores I - B^T B (the identity for {0}) read-only, and
+    Arrangement.complements stacks those arrays byte for byte as its
+    read-only row blocks; perp_parts of a point is, row for row and bit for
+    bit, every subspace's perp of it, which the event simulator and the
+    benchmark's specular gate both rely on."""
+    arr = request.getfixturevalue(table)
+    dim = arr.dim
+    assert arr.complements.shape == (len(arr.subspaces) * dim, dim)
+    for j, sub in enumerate(arr.subspaces):
+        assert sub.complement.tobytes() == (np.eye(dim) - sub.basis.T @ sub.basis).tobytes()
+        assert arr.complements[j * dim:(j + 1) * dim].tobytes() == sub.complement.tobytes()
+        if sub.subdim == 0:
+            assert np.array_equal(sub.complement, np.eye(dim))
+    for a in (arr.complements, *(sub.complement for sub in arr.subspaces)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    rng = np.random.default_rng(len(table))
+    for x in rng.normal(size=(2000, dim)) * 10.0 ** rng.uniform(-6, 6, size=(2000, 1)):
+        parts = arr.perp_parts(x)
+        assert parts.shape == (len(arr.subspaces), dim)
+        for part, sub in zip(parts, arr.subspaces):
+            assert part.tobytes() == sub.perp(x).tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
 def test_batched_locus_and_ray_queries_match_per_subspace_loops(dim):
     rng = np.random.default_rng(dim)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from linbilliards import nbody
-from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _line_tube, _perp, _row_dot
+from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _line_tube, _row_dot
 from linbilliards.errors import CornerCollision, InputError, PreconditionError
 from linbilliards.thickened import (
+    CORNER_ROUNDING,
     CORNER_TOL,
     GRAZING_DISC,
     Event,
@@ -468,7 +469,8 @@ def _first_hit_by_loop(table, p, v):
         if sub.distance_to(p) < rho - 1e-9 * rho:
             raise PreconditionError(
                 f"start point lies strictly inside cylinder around {sub.name}")
-    t_eps = 1e-12 * max(1.0, float(np.linalg.norm(p)))
+    size = float(np.linalg.norm(p))
+    t_eps = 1e-12 * size
     best = None
     for i, (sub, rho) in enumerate(zip(arr.subspaces, radii)):
         w = sub.perp(p)
@@ -494,7 +496,8 @@ def _first_hit_by_loop(table, p, v):
     perp = sub.perp(x)
     nu = perp / np.linalg.norm(perp)
     for j, (other, rho_j) in enumerate(zip(arr.subspaces, radii)):
-        if j != i and other.distance_to(x) < rho_j + CORNER_TOL:
+        margin = CORNER_TOL * rho_j + CORNER_ROUNDING * (size + t)
+        if j != i and other.distance_to(x) < rho_j + margin:
             raise CornerCollision(
                 f"hit on {sub.name} lies in the corner margin of {other.name}")
     return t, i, x, nu
@@ -518,14 +521,9 @@ def _assert_first_hit_matches_loop(table, p, v):
     return expected
 
 
-def _three_body_arr():
-    return nbody.build_arrangement(
-        nbody.NBodySystem(3, 2, nbody.MASSES_THIRD, reduce_cm=True))
-
-
 @pytest.mark.parametrize("name", ["threebody", "fourbody", "twolines", "lines3d", "planes4d"])
 def test_first_hit_matches_the_per_subspace_loop(name, request):
-    arr = _three_body_arr() if name == "threebody" else request.getfixturevalue(f"{name}_arr")
+    arr = request.getfixturevalue(f"{name}_arr")
     rng = np.random.default_rng(sum(map(ord, name)))
     kinds = set()
     for r in (1e-1, 1e-2, 1e-3, 1e-4):
@@ -661,7 +659,7 @@ def test_simulate_matches_stepping_first_hit(name, request):
     status and corner message is that of first_hit stepped from each
     reflected state, on the rays of the per-subspace first_hit test, each
     also cut by an event budget and by a horizon between two of its events."""
-    arr = _three_body_arr() if name == "threebody" else request.getfixturevalue(f"{name}_arr")
+    arr = request.getfixturevalue(f"{name}_arr")
     rng = np.random.default_rng(sum(map(ord, name)))
     ends = collections.Counter()
     for r in (1e-1, 1e-2, 1e-3, 1e-4):
@@ -793,12 +791,12 @@ def _hit_outcome(fn, table, p, v, w, norm, t_now, t_max):
 
 
 @pytest.mark.parametrize("name", ["threebody", "fourbody"])
-def test_hit_matches_the_where_form_on_the_nbody_tables(name, fourbody_arr):
-    """_hit guards its division by adding a mask instead of np.where, takes
-    argmin as a method and projects 1-D rows: along whole paths on the
-    N-body tables at the CLI's four radii, every event, horizon cut, corner
-    and escape is the np.where form's, bit for bit."""
-    arr = _three_body_arr() if name == "threebody" else fourbody_arr
+def test_hit_matches_the_where_form_on_the_nbody_tables(name, request):
+    """_hit guards its division by adding a mask instead of np.where and
+    takes argmin as a method: along whole paths on the N-body tables at the
+    CLI's four radii, every event, horizon cut, corner and escape is the
+    np.where form's, bit for bit."""
+    arr = request.getfixturevalue(f"{name}_arr")
     rng = np.random.default_rng(sum(map(ord, name)) + 7)
     kinds = collections.Counter()
     for r in (1e-1, 1e-2, 1e-3, 1e-4):
@@ -811,7 +809,7 @@ def test_hit_matches_the_where_form_on_the_nbody_tables(name, fourbody_arr):
                 + rng.uniform(0.0, 1.5) * sub.sigma * r * offset / np.linalg.norm(offset)
             v = (target - p) if n % 2 else rng.normal(size=arr.dim)
             v /= np.linalg.norm(v)
-            w = _perp(arr.bases, p)
+            w = arr.perp_parts(p)
             norm = np.sqrt(_row_dot(w, w))
             if (norm < table.inside_below).any():
                 continue
@@ -853,6 +851,101 @@ def test_events_scale_with_the_table(mirror_arr, r):
             simulate(table, [5.0 * lam, 0.0], [0.0, -1.0])
         with pytest.raises(PreconditionError):
             first_hit(table, [5.0 * lam, 0.0], [0.0, -1.0])
+
+
+def _scaled_runs(arr, r, p, v):
+    """simulate on the table thickened to lam r from lam p at lam = 1e-12,
+    1e-9, ..., 1e12: {lam: (labels, status, times / lam)}, or the class of
+    the error raised."""
+    runs = {}
+    for lam in (10.0 ** e for e in range(-12, 13, 3)):
+        try:
+            path = simulate(ThickenedTable(arr, lam * r), lam * np.asarray(p), v, max_events=20)
+        except (CornerCollision, PreconditionError) as exc:
+            runs[lam] = type(exc).__name__
+        else:
+            runs[lam] = (path.itinerary_labels, path.status, [e.time / lam for e in path.events])
+    return runs
+
+
+def _aimed_ray(rng, arr, r, depth):
+    """A seeded start 3 N(0, I) and unit direction at a point depth sigma r
+    off a random subspace, inside its cylinder for depth < 1."""
+    p = rng.normal(size=arr.dim) * 3.0
+    sub = arr.subspaces[int(rng.integers(len(arr.subspaces)))]
+    offset = sub.perp(rng.normal(size=arr.dim))
+    target = sub.project(rng.normal(size=arr.dim)) \
+        + depth * sub.sigma * r * offset / np.linalg.norm(offset)
+    return p, (target - p) / np.linalg.norm(target - p)
+
+
+def _assert_runs_agree(runs):
+    ref = runs[1.0]
+    for lam, run in runs.items():
+        assert type(run) is type(ref) and run[:2] == ref[:2], lam
+        if isinstance(ref, tuple):
+            assert run[2] == pytest.approx(ref[2], rel=1e-12, abs=0.0), lam
+    return ref
+
+
+def test_corner_margin_commutes_with_scaling(twolines_arr):
+    """The corner margin is relative to the cylinder, plus the hit point's
+    rounding in |p| + t, and the re-entry guard t_eps is relative to |p|:
+    the three-bounce ray on two lines meets L2, L1, L2 at lam times the
+    lam = 1 times for every lam from 1e-12 to 1e12, and rays into a corner
+    (the bisector, the exact tie on the cross) raise at every lam."""
+    v = np.array([-1.0, -0.1]) / math.hypot(1.0, 0.1)
+    assert _assert_runs_agree(_scaled_runs(twolines_arr, 0.1, [4.0, 1.0], v))[:2] == (
+        ["L2", "L1", "L2"], "escaped")
+    bis = np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
+    assert _assert_runs_agree(_scaled_runs(twolines_arr, 0.05, 2.0 * bis, -bis)) \
+        == "CornerCollision"
+    c = 1.0 / math.sqrt(2.0)
+    cross = Arrangement(2, (Subspace("D1", np.array([[c, c]]), 2),
+                            Subspace("D2", np.array([[c, -c]]), 2)))
+    assert _assert_runs_agree(_scaled_runs(cross, 0.1, [5.0, 0.0], np.array([-1.0, 0.0]))) \
+        == "CornerCollision"
+
+
+def test_events_on_the_three_body_table_commute_with_scaling(threebody_arr):
+    """Seeded rays aimed into the cylinders of the three-body table at the
+    CLI's four radii: at every lam from 1e-12 to 1e12 the same walls are
+    met, at lam times the lam = 1 times (to 1e-12 relative)."""
+    arr = threebody_arr
+    rng = np.random.default_rng(3)
+    events = 0
+    for r in (1e-1, 1e-2, 1e-3, 1e-4):
+        for _ in range(10):
+            p, v = _aimed_ray(rng, arr, r, rng.uniform(0.0, 1.5))
+            ref = _assert_runs_agree(_scaled_runs(arr, r, p, v))
+            events += len(ref[0]) if isinstance(ref, tuple) else 0
+    assert events >= 30
+
+
+@pytest.mark.parametrize("name", ["threebody", "fourbody"])
+def test_reflections_are_the_mirror_about_subspace_perp_bit_for_bit(name, request):
+    """The benchmark's specular gate mirrors v_before about
+    Subspace.perp(point) normalized and compares at 1e-12, below the
+    normal's own rounding at r = 1e-4 (about 2e-12 against exact
+    arithmetic on the four-body table); it holds because the simulator's
+    normal is those bits.  Over seeded rays at the CLI's four radii every
+    event's v_after is that mirror, bit for bit."""
+    arr = request.getfixturevalue(f"{name}_arr")
+    rng = np.random.default_rng(sum(map(ord, name)))
+    events = 0
+    for r in (1e-1, 1e-2, 1e-3, 1e-4):
+        table = ThickenedTable(arr, r)
+        for _ in range(15):
+            p, v = _aimed_ray(rng, arr, r, 0.5)
+            if table.distance_to_wall(p) <= 0.0:
+                continue
+            for e in simulate(table, p, v, max_events=50).events:
+                nu = arr.subspaces[arr.index_of(e.label)].perp(e.point)
+                nu = nu / np.linalg.norm(nu)
+                mirror = e.v_before - 2.0 * float(np.dot(e.v_before, nu)) * nu
+                assert e.v_after.tobytes() == mirror.tobytes()
+                events += 1
+    assert events >= 60
 
 
 def test_events_share_no_writable_array(twolines_arr):
