@@ -119,7 +119,8 @@ class Subspace:
     deterministic thickened dynamics; the default 1 means the cylinder radius
     equals the thickening parameter.  ``complement`` is the read-only
     projector I - B^T B onto the orthogonal complement (the identity for the
-    subspace {0}), built once, so a perpendicular part is one matvec.
+    subspace {0}), built once, so a perpendicular part is one row dot per
+    projector row (``_row_dot``).
     """
 
     name: str
@@ -161,8 +162,9 @@ class Subspace:
         return self.basis.T @ (self.basis @ _as_vector(x, self.dim))
 
     def perp(self, x) -> np.ndarray:
-        """Component of x orthogonal to the subspace, as complement @ x."""
-        return self.complement @ _as_vector(x, self.dim)
+        """Component of x orthogonal to the subspace: each entry one BLAS dot
+        of a complement row with x, so Arrangement.perp_parts has its bits."""
+        return _row_dot(self.complement, _as_vector(x, self.dim))
 
     def distance_to(self, x) -> float:
         """Euclidean distance from x to the subspace; zero iff x lies on it."""
@@ -220,7 +222,7 @@ class Arrangement:
     ``complements`` stacks the subspaces' complement projectors as one
     read-only (n dim, dim) array, whose row blocks are each subspace's own
     ``complement``: perp_parts takes every perpendicular part of a point
-    from one matvec, with the bits of Subspace.perp.
+    from one ``_row_dot`` call, with the bits of Subspace.perp.
     """
 
     dim: int
@@ -258,9 +260,11 @@ class Arrangement:
 
     def perp_parts(self, x: np.ndarray) -> np.ndarray:
         """The parts P⊥x (n, dim) of one point x (dim,) orthogonal to every
-        subspace, from one matvec.  Each row is that subspace's perp(x) bit
-        for bit; a batched product over many points would not be."""
-        return (self.complements @ x).reshape(-1, self.dim)
+        subspace, from one _row_dot call.  Each entry is one BLAS dot of a
+        projector row with x, as in Subspace.perp, so each row is that
+        subspace's perp(x) bit for bit whatever the BLAS; a matvec would
+        round by the BLAS kernel's row blocking."""
+        return _row_dot(self.complements, x).reshape(-1, self.dim)
 
     def index_of(self, name: str) -> int:
         for i, s in enumerate(self.subspaces):

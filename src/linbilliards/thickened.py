@@ -4,11 +4,13 @@ Thickening replaces each collision subspace by a solid cylinder of radius
 sigma_L * r.  The dynamics on the complement is ordinary specular billiards
 off the cylinder walls (away from corners, which are refused rather than
 modelled).  The simulator takes two perpendicular parts an event, each one
-matvec with the arrangement's stacked complement projectors: the
+row-dot call with the arrangement's stacked complement projectors: the
 direction's, and the hit point's, which serve its corner test and then the
 next ray; the time horizon is tested before the corner test, so a corner
 past it ends no path.  Every threshold is relative to the cylinder or to
-|p|, so a table and its rays scaled together keep their events.  The
+|p|, so a table and its rays scaled together keep their events; a hit
+point clear of the corner margin is clear of every other wall by more
+than the next ray's re-entry guard, so no ray enters a cylinder unseen.  The
 variational side constrains the chain vertices to the solid cylinders: a
 log-barrier continuation on the point solver's stages and Newton core, then
 a Newton polish on the walls of the pressed vertices, with minimizers
@@ -32,8 +34,11 @@ from .solver import (_check_size, _damped_newton, _ItineraryPlan, _plan_of, _sta
                      _StackedProblem, minimize)
 from .trajectory import TRANSVERSE_TOL, is_transverse
 
+REENTRY_TOL = 1e-12      # an entry within this times |p| of a ray's start is the wall it leaves
 CORNER_TOL = 1e-9        # corner margin, relative to the other cylinder's radius
-CORNER_ROUNDING = 1e-14  # plus this times |p| + t, the hit point's rounding (about 45 eps)
+# plus this times |p| + t >= |x|: a hit point clearing the margin clears every
+# other wall by more than the next ray's guard REENTRY_TOL |x|
+CORNER_ROUNDING = REENTRY_TOL
 GRAZING_DISC = 1e-14
 SPLIT = 100.0  # slack and barrier force this far apart mark a vertex pressed or free
 
@@ -96,13 +101,15 @@ class ThickenedPath:
 
 def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float = math.inf):
     """The entering hit of the ray p + t v from the start's perpendicular parts
-    w = P⊥p (n, dim) and their norms (n,), projecting only v (one matvec,
-    Arrangement.perp_parts).  The callers refuse a start inside a cylinder;
-    a hit point carried into the next ray is on its wall up to rounding and
-    clears the others by the corner test.  An entry no later than 1e-12 |p|
-    is the start's own wall, left up to rounding; a hit point closer than
-    rho (1 + CORNER_TOL) + CORNER_ROUNDING (|p| + t) to another axis is a
-    corner, for a unit v.
+    w = P⊥p (n, dim) and their norms (n,), projecting only v (one row-dot
+    call, Arrangement.perp_parts).  The callers refuse a start inside a
+    cylinder; a hit point carried into the next ray is on its wall up to
+    rounding and clears the others by the corner test.  An entry no later
+    than REENTRY_TOL |p| is the start's own wall, left up to rounding; a
+    hit point closer than rho (1 + CORNER_TOL) + CORNER_ROUNDING (|p| + t)
+    to another axis is a corner, for a unit v.  As CORNER_ROUNDING (|p| + t)
+    >= REENTRY_TOL |x|, any other wall the next ray from x enters, it enters
+    beyond that ray's guard, so it is an event or a corner, never skipped.
 
     Returns None when the ray escapes; else (t, i, x, w_x, norm_x) with the
     hit point x and its parts P⊥x and norms, which the next ray from x takes
@@ -112,7 +119,7 @@ def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float 
     arr = table.arrangement
     a, t_star, gap2 = _tube_approach(table.rho2, w, arr.perp_parts(v))
     size = math.sqrt(p @ p)   # > 0: every subspace meets the origin, which no start clears
-    t_eps = 1e-12 * size
+    t_eps = REENTRY_TOL * size
     # a <= 1e-30: constant clearance along the ray
     enters = (a > 1e-30) & (gap2 * a >= table.grazing_below)
     # a + ~enters is a where the ray enters; elsewhere t_enter is not read
@@ -144,8 +151,8 @@ def first_hit(table: ThickenedTable, p, v):
     as hits, and a start closer than rho - 1e-9 rho to an axis raises
     PreconditionError: a table and ray scaled together keep their hits.  A
     hit point inside another cylinder's corner margin (CORNER_TOL rho plus
-    the point's rounding) raises CornerCollision, since the dynamics there
-    is deliberately undefined.
+    CORNER_ROUNDING (|p| + t)) raises CornerCollision, since the dynamics
+    there is deliberately undefined.
     This is one event of simulate with no time horizon; simulate carries
     the hit point's projections into its next ray instead of projecting
     that point again, as stepping first_hit from each hit would.
@@ -178,12 +185,12 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
     A p that is not a point of the table's space, a v that is not a unit
     vector of it, a negative or NaN t_max and a negative max_events raise
     InputError; hits and the start test are first_hit's.
-    The start's perpendicular parts are taken once, by one matvec with the
-    stacked complement projectors, for the inside test and the first ray;
-    each hit point's, taken for its corner test, are the next ray's, so an
-    event takes two matvecs (v and the hit point).  Its normal is, bit for
-    bit, the hit wall's Subspace.perp of the point, normalized.  An event's
-    v_after is read-only: the next's v_before.
+    The start's perpendicular parts are taken once, by one row-dot call
+    with the stacked complement projectors, for the inside test and the
+    first ray; each hit point's, taken for its corner test, are the next
+    ray's, so an event takes two such calls (v and the hit point).  Its
+    normal is, bit for bit, the hit wall's Subspace.perp of the point,
+    normalized.  An event's v_after is read-only: the next's v_before.
     """
     arr = table.arrangement
     p = _as_vector(p, arr.dim)
@@ -363,9 +370,10 @@ class _WallProblem(_StackedProblem):
 
     def slack(self, pts):
         """Offsets w = P⊥ q (k, dim) and slacks rho^2 - |w|^2 (k,) at pts,
-        measured unless pts is the point measured last."""
+        measured unless pts is the point measured last; each w is its
+        wall's Subspace.perp(q), bit for bit (one row dot per entry)."""
         if self._slacks[0] is not pts:
-            w = (self.perps @ pts[:, :, None])[..., 0]
+            w = _row_dot(self.perps, pts[:, None, :])
             self._slacks = (pts, w, self.radii ** 2 - _row_dot(w, w))
         return self._slacks[1:]
 

@@ -235,11 +235,11 @@ def hit_reference(table, p, v, w, norm, t_now=0.0, t_max=math.inf):
     on the table's own thresholds and perpendicular parts
     (Arrangement.perp_parts)."""
     from linbilliards.errors import CornerCollision
-    from linbilliards.thickened import CORNER_ROUNDING
+    from linbilliards.thickened import CORNER_ROUNDING, REENTRY_TOL
     arr = table.arrangement
     a, t_star, gap2 = tube_approach_reference(table.rho2, w, arr.perp_parts(v))
     size = math.sqrt(p @ p)
-    t_eps = 1e-12 * size
+    t_eps = REENTRY_TOL * size
     enters = (a > 1e-30) & (gap2 * a >= table.grazing_below)
     t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / np.where(enters, a, 1.0))
     t_enter = np.where(enters & (t_enter > t_eps), t_enter, math.inf)

@@ -11,9 +11,11 @@ from linbilliards.thickened import (
     CORNER_ROUNDING,
     CORNER_TOL,
     GRAZING_DISC,
+    REENTRY_TOL,
     Event,
     ThickenedPath,
     ThickenedTable,
+    _WallProblem,
     _hit,
     events_to_csv,
     first_hit,
@@ -470,7 +472,7 @@ def _first_hit_by_loop(table, p, v):
             raise PreconditionError(
                 f"start point lies strictly inside cylinder around {sub.name}")
     size = float(np.linalg.norm(p))
-    t_eps = 1e-12 * size
+    t_eps = REENTRY_TOL * size
     best = None
     for i, (sub, rho) in enumerate(zip(arr.subspaces, radii)):
         w = sub.perp(p)
@@ -748,6 +750,34 @@ def test_a_corner_after_an_event_matches_stepping_first_hit():
     assert path.status == "t_max" and path.itinerary_labels == ["L3"]
 
 
+@pytest.mark.parametrize("delta", [1e-13, 1e-12, 3e-12, 1e-11, 1e-10])
+@pytest.mark.parametrize("height", [6.0, 1e3])
+def test_a_hit_just_off_another_wall_is_a_corner_or_an_event(delta, height):
+    """Two planes through the z axis at 60 degrees, thickened to r = 1e-4:
+    a ray meets P1's wall at height z, delta off P2's cylinder, and is
+    reflected into it.  The next ray drops every entry within REENTRY_TOL
+    |x| of x, so a hit that cleared the corner test by less than that
+    would cross P2's cylinder unseen; the hit must instead be a corner or
+    be followed by the hit on P2 (itself a corner when it lies within the
+    margin of P1's wall)."""
+    c, s = 0.5, math.sqrt(3.0) / 2.0
+    arr = Arrangement(3, (Subspace.from_spanning("P1", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], 3),
+                          Subspace.from_spanning("P2", [[c, s, 0.0], [0.0, 0.0, 1.0]], 3)))
+    rho = 1e-4
+    # on P1's wall y = rho, at distance rho + delta from P2 (normal (-s, c, 0))
+    hit = np.array([(3.0 * rho + 2.0 * delta) / math.sqrt(3.0), rho, height])
+    back = np.array([1.0, 0.1, 0.0]) / math.hypot(1.0, 0.1)
+    table = ThickenedTable(arr, rho)
+    try:
+        path = simulate(table, hit + back, -back)
+    except CornerCollision as exc:
+        labels = exc.path.itinerary_labels
+        assert labels == [] or (labels == ["P1"] and str(exc).startswith("hit on P2"))
+    else:
+        assert path.itinerary_labels[:2] == ["P1", "P2"]
+        assert _segment_clearances(arr, table, path).min() >= -1e-13 * height
+
+
 @pytest.mark.parametrize("name", ["threebody", "fourbody", "origin", "lines3d", "planes4d"])
 def test_distance_to_wall_is_the_per_subspace_minimum(name, request):
     # unequal masses give the three-body cylinders unequal radii
@@ -945,6 +975,69 @@ def test_reflections_are_the_mirror_about_subspace_perp_bit_for_bit(name, reques
                 mirror = e.v_before - 2.0 * float(np.dot(e.v_before, nu)) * nu
                 assert e.v_after.tobytes() == mirror.tobytes()
                 events += 1
+    assert events >= 60
+
+
+@pytest.mark.parametrize("name", ["threebody", "fourbody", "planes4d"])
+def test_wall_offsets_are_subspace_perp_bit_for_bit(name, request):
+    """The wall polish measures each vertex's offset P⊥ q with the
+    itinerary's stored complement projectors, by the row dots of
+    Subspace.perp, so its wall normals are the simulator's bits."""
+    arr = request.getfixturevalue(f"{name}_arr")
+    rng = np.random.default_rng(len(name))
+    itin = Itinerary((0, 1, 0, 1))
+    table = ThickenedTable(arr, 1e-2)
+    problem = _WallProblem(table, itin, np.zeros(arr.dim), np.zeros(arr.dim),
+                           np.zeros(4, dtype=bool))
+    for _ in range(20):
+        pts = rng.normal(size=(4, arr.dim)) * 10.0 ** rng.uniform(-3, 3)
+        w, s = problem.slack(pts)
+        for idx, q, got, slack in zip(itin, pts, w, s):
+            assert got.tobytes() == arr.subspaces[idx].perp(q).tobytes()
+            assert slack == table.rho2[idx] - float(np.dot(got, got))
+
+
+def _segment_clearances(arr, table, path):
+    """The least distance to each axis (n,) over every straight piece of
+    the path, less that cylinder's radius; the last piece runs to its end
+    point, or on forever after an escape."""
+    starts = [path.start_point] + [e.point for e in path.events]
+    velocities = [path.start_velocity] + [e.v_after for e in path.events]
+    ends = [e.point for e in path.events] + [None if path.status == "escaped" else path.end_point]
+    least = np.full(len(arr.subspaces), math.inf)
+    for p, v, q in zip(starts, velocities, ends):
+        length = math.inf if q is None else float(np.linalg.norm(q - p))
+        for j, sub in enumerate(arr.subspaces):
+            w, u = sub.perp(p), sub.perp(v)
+            a = float(np.dot(u, u))
+            t = 0.0 if a == 0.0 else min(max(-float(np.dot(w, u)) / a, 0.0), length)
+            least[j] = min(least[j], float(np.linalg.norm(w + t * u)) - table.radii[j])
+    return least
+
+
+@pytest.mark.parametrize("name", ["threebody", "fourbody"])
+def test_paths_stay_outside_every_cylinder(name, request):
+    """No piece of a simulated path enters a solid cylinder: over seeded
+    rays aimed at the N-body tables' cylinders at the CLI's four radii,
+    every piece keeps within rounding of a wall or beyond it, so the
+    re-entry guard never skips a wall that a reflected ray enters."""
+    arr = request.getfixturevalue(f"{name}_arr")
+    rng = np.random.default_rng(7 + len(name))
+    events = 0
+    for r in (1e-1, 1e-2, 1e-3, 1e-4):
+        table = ThickenedTable(arr, r)
+        for _ in range(15):
+            p, v = _aimed_ray(rng, arr, r, 0.5)
+            if table.distance_to_wall(p) <= 0.0:
+                continue
+            try:
+                path = simulate(table, p, v, max_events=50)
+            except CornerCollision as exc:
+                path = exc.path
+            scale = max(float(np.linalg.norm(e.point)) for e in [path, *path.events]
+                        if isinstance(e, Event)) if path.events else 1.0
+            assert _segment_clearances(arr, table, path).min() >= -1e-13 * max(scale, 1.0)
+            events += len(path.events)
     assert events >= 60
 
 
