@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, _as_vector, _project
+from .arrangement import Arrangement, Itinerary, _as_vector, _frozen
 from .errors import InputError, NonSmoothPoint
 
 # consecutive points closer than this (times the problem scale) make the
@@ -105,12 +105,6 @@ def _edge_terms(edges: np.ndarray, f: np.ndarray):
     n = edges / f[:, None]
     W = (_identity(edges.shape[1]) - n[:, :, None] * n[:, None, :]) / f[:, None, None]
     return float(f.sum()), n, n[:-1] - n[1:], W[:-1] + W[1:], -W[1:-1]
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """The array, made read-only: a cache or a solve plan shares it."""
-    array.flags.writeable = False
-    return array
 
 
 @lru_cache(maxsize=8)
@@ -201,10 +195,12 @@ class HessianModel:
         self.edge_lengths = lengths        # (k+1,)
 
     # on first read: β_i = 1/r_{i-1,i} + 1/r_{i,i+1}, and the tangential
-    # components a_i of the incoming/outgoing edge directions
+    # components a_i = B_i^T (B_i n) of the incoming/outgoing edge directions
     betas = cached_property(lambda self: 1.0 / self.edge_lengths[:-1] + 1.0 / self.edge_lengths[1:])
-    a_in = cached_property(lambda self: _project(self.bases, self.unit_edges[:-1]))
-    a_out = cached_property(lambda self: _project(self.bases, self.unit_edges[1:]))
+    a_in = cached_property(
+        lambda self: _to_points(self.bases, _to_coords(self.bases, self.unit_edges[:-1])))
+    a_out = cached_property(
+        lambda self: _to_points(self.bases, _to_coords(self.bases, self.unit_edges[1:])))
 
     # -- structured critical-point form ------------------------------------
 

@@ -3,7 +3,9 @@
 All geometry primitives the rest of the package consumes live here:
 orthogonal projection onto a subspace, point-to-subspace distance,
 segment/ray proximity queries, and principal angles between subspaces.
-Subspaces are linear (through the origin) and carried as orthonormal bases.
+Subspaces are linear (through the origin), carried as orthonormal bases B
+(chain coordinates) and as complement projectors I - B^T B, the one form
+every perpendicular part is taken from (``_perp``, one BLAS dot per entry).
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ def _as_vector(x, dim: int, what: str = "point") -> np.ndarray:
     return v
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: an arrangement, cache or solve plan shares it."""
+    array.flags.writeable = False
+    return array
+
+
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Inner products of matching rows of u and v (..., dim) -> (...).
 
@@ -44,27 +52,25 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(u, v)
 
 
-def _project(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Projections B^T(B x) of x (..., dim) onto the subspaces with
-    orthonormal bases (..., m, dim); leading axes broadcast, so
-    x[..., None, :] against (n, m, dim) gives every subspace."""
-    return (bases.swapaxes(-1, -2) @ (bases @ x[..., :, None]))[..., 0]
+def _perp(complements: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Components P⊥x of x (..., dim) orthogonal to the subspaces with
+    complement projectors (..., dim, dim), each entry one BLAS dot of a
+    projector row with x, so each is Subspace.perp(x) bit for bit; leading
+    axes broadcast, so x[..., None, :] against (n, dim, dim) gives every
+    subspace."""
+    return _row_dot(complements, x[..., None, :])
 
 
-def _perp(bases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Components x - B^T(B x) of x orthogonal to the subspaces, as in _project."""
-    return x - _project(bases, x)
-
-
-def _line_tube(bases: np.ndarray, radii, p: np.ndarray, d: np.ndarray):
+def _line_tube(complements: np.ndarray, radii, p: np.ndarray, d: np.ndarray):
     """Closest approach of lines p + t d (..., dim) to the tubes of radii
-    rho (n,) around the subspaces with bases (n, m, dim): (a, t_star, gap2,
-    w2), each (..., n), with a = |P⊥d|^2 raw, t_star = -<P⊥p, P⊥d> / a (0 at
-    a = 0), gap2 = rho^2 - |P⊥(p + t_star d)|^2 and w2 = |P⊥p|^2.  A line
-    with gap2 >= 0 is in the tube for t_star -+ sqrt(gap2 / a).  The residual
-    is formed before its norm: b^2 - ac would cancel when rho << |p|.
+    rho (n,) around the subspaces with complement projectors (n, dim, dim):
+    (a, t_star, gap2, w2), each (..., n), with a = |P⊥d|^2 raw, t_star =
+    -<P⊥p, P⊥d> / a (0 at a = 0), gap2 = rho^2 - |P⊥(p + t_star d)|^2 and
+    w2 = |P⊥p|^2.  A line with gap2 >= 0 is in the tube for t_star -+
+    sqrt(gap2 / a).  The residual is formed before its norm: b^2 - ac would
+    cancel when rho << |p|.
     """
-    w, u = _perp(bases, np.stack((p, d))[..., None, :])
+    w, u = _perp(complements, np.stack((p, d))[..., None, :])
     return (*_tube_approach(radii * radii, w, u), _row_dot(w, w))
 
 
@@ -79,9 +85,13 @@ def _tube_approach(rho2, w, u):
 
 
 def _rays_hit(perps, directions, tol: float) -> np.ndarray:
-    """Arrangement.rays_hit_beyond_start from the perpendicular parts perps
-    (2, r, n, dim) of the rays' starts and directions (r, dim).  A parallel
-    pair divides by a + 1 rather than a, and its half is not read."""
+    """Whether each of r rays meets some subspace tube of radius tol beyond
+    its start (an interval of Arrangement.tube_intervals that begins at
+    t > 0, or a parallel ray inside the tube), from the perpendicular parts
+    perps (2, r, n, dim) of the rays' starts and directions (r, dim).  As
+    t* - half > 0 is t* > half in IEEE arithmetic, and an end t* + half that
+    overflows to inf still counts, every decision is the intervals'.  A
+    parallel pair divides by a + 1 rather than a, and its half is not read."""
     w, u = perps
     a, t_star, gap2 = _tube_approach(tol * tol, w, u)
     parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
@@ -117,10 +127,11 @@ class Subspace:
 
     ``sigma`` is the per-subspace thickening scale factor used by the
     deterministic thickened dynamics; the default 1 means the cylinder radius
-    equals the thickening parameter.  ``complement`` is the read-only
-    projector I - B^T B onto the orthogonal complement (the identity for the
-    subspace {0}), built once, so a perpendicular part is one row dot per
-    projector row (``_row_dot``).
+    equals the thickening parameter.  ``complement`` is the projector
+    I - B^T B onto the orthogonal complement (the identity for {0}), built
+    once, so a perpendicular part is one row dot per projector row
+    (``_row_dot``).  ``basis`` and ``complement`` are read-only, also in an
+    unpickled copy, which is rebuilt through the constructor.
     """
 
     name: str
@@ -130,7 +141,7 @@ class Subspace:
     complement: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float).reshape(-1, self.dim)
+        basis = _frozen(np.asarray(self.basis, dtype=float).reshape(-1, self.dim))
         object.__setattr__(self, "basis", basis)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InputError(f"subspace {self.name!r}: sigma must be positive and finite")
@@ -139,9 +150,10 @@ class Subspace:
         gram = basis @ basis.T
         if gram.size and np.max(np.abs(gram - np.eye(len(basis)))) > _ORTHO_TOL:
             raise InputError(f"subspace {self.name!r}: basis rows not orthonormal")
-        complement = np.eye(self.dim) - basis.T @ basis
-        complement.flags.writeable = False
-        object.__setattr__(self, "complement", complement)
+        object.__setattr__(self, "complement", _frozen(np.eye(self.dim) - basis.T @ basis))
+
+    def __reduce__(self):
+        return type(self), (self.name, self.basis, self.dim, self.sigma)
 
     @classmethod
     def from_spanning(cls, name: str, vectors, dim: int, sigma: float = 1.0) -> "Subspace":
@@ -163,7 +175,7 @@ class Subspace:
 
     def perp(self, x) -> np.ndarray:
         """Component of x orthogonal to the subspace: each entry one BLAS dot
-        of a complement row with x, so Arrangement.perp_parts has its bits."""
+        of a complement row with x, so every stacked part (_perp) has its bits."""
         return _row_dot(self.complement, _as_vector(x, self.dim))
 
     def distance_to(self, x) -> float:
@@ -217,12 +229,12 @@ def intersection_basis(bases: np.ndarray) -> np.ndarray:
 class Arrangement:
     """A finite collection of collision subspaces of a common codimension.
 
-    Every subspace thus has the same dimension m, and ``bases`` stacks their
-    orthonormal bases once, at construction, as one (n, m, dim) array.
-    ``complements`` stacks the subspaces' complement projectors as one
-    read-only (n dim, dim) array, whose row blocks are each subspace's own
-    ``complement``: perp_parts takes every perpendicular part of a point
-    from one ``_row_dot`` call, with the bits of Subspace.perp.
+    Every subspace thus has the same dimension m.  Stacked once, read-only:
+    ``bases`` (n, m, dim), for chain coordinates and points, and
+    ``complements`` (n, dim, dim), each subspace's ``complement``, from which
+    every perpendicular part (perp_parts, the locus distances, the line-tube
+    queries) is taken by ``_perp`` with the bits of Subspace.perp.  An
+    unpickled copy is rebuilt through the constructor.
     """
 
     dim: int
@@ -249,10 +261,12 @@ class Arrangement:
             for b in self.subspaces[i + 1:]:
                 if a.subdim == b.subdim and intersection_dim(a, b) == a.subdim:
                     raise InputError(f"subspaces {a.name!r} and {b.name!r} coincide")
-        object.__setattr__(self, "bases", np.array([s.basis for s in self.subspaces]))
-        complements = np.concatenate([s.complement for s in self.subspaces])
-        complements.flags.writeable = False
-        object.__setattr__(self, "complements", complements)
+        object.__setattr__(self, "bases", _frozen(np.array([s.basis for s in self.subspaces])))
+        object.__setattr__(self, "complements",
+                           _frozen(np.array([s.complement for s in self.subspaces])))
+
+    def __reduce__(self):
+        return type(self), (self.dim, self.subspaces)
 
     def bases_of(self, itinerary) -> np.ndarray:
         """The bases B_i of the itinerary's subspaces, stacked as (k, m, dim)."""
@@ -260,11 +274,9 @@ class Arrangement:
 
     def perp_parts(self, x: np.ndarray) -> np.ndarray:
         """The parts P⊥x (n, dim) of one point x (dim,) orthogonal to every
-        subspace, from one _row_dot call.  Each entry is one BLAS dot of a
-        projector row with x, as in Subspace.perp, so each row is that
-        subspace's perp(x) bit for bit whatever the BLAS; a matvec would
-        round by the BLAS kernel's row blocking."""
-        return _row_dot(self.complements, x).reshape(-1, self.dim)
+        subspace, from one _row_dot call, each row that subspace's perp(x)
+        bit for bit (a matvec would round by the BLAS kernel's blocking)."""
+        return _row_dot(self.complements, x)
 
     def index_of(self, name: str) -> int:
         for i, s in enumerate(self.subspaces):
@@ -279,7 +291,7 @@ class Arrangement:
     def locus_distances(self, points: np.ndarray) -> np.ndarray:
         """distance_to_locus of each of the points (..., dim), (...), from
         one stacked projection onto every subspace."""
-        w = _perp(self.bases, points[..., None, :])
+        w = _perp(self.complements, points[..., None, :])
         return np.sqrt(_row_dot(w, w).min(axis=-1))
 
     def on_locus(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -296,31 +308,11 @@ class Arrangement:
         directions = np.asarray(directions, dtype=float)
         if starts.shape[-1:] != (self.dim,) or directions.shape != starts.shape:
             raise InputError(f"lines need starts and directions of one shape (..., {self.dim})")
-        a, t_star, gap2, w2 = _line_tube(self.bases, tol, starts, directions)
+        a, t_star, gap2, w2 = _line_tube(self.complements, tol, starts, directions)
         parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[..., None]
         half = np.where(parallel, math.inf, np.sqrt(np.maximum(gap2, 0.0) / (a + parallel)))
         meets = np.where(parallel, w2 <= tol * tol, gap2 >= 0.0)
         return np.where(meets, t_star - half, math.inf), np.where(meets, t_star + half, -math.inf)
-
-    def rays_hit_beyond_start(self, starts, directions, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        """For rays (r, dim) of starts and directions, whether each meets some
-        subspace tube beyond its initial point, tested against every subspace
-        at once; (r,) booleans.
-
-        Along a line the distance to a subspace is convex, so each tube is
-        one parameter interval (see tube_intervals).  An interval containing
-        t = 0 is the allowed initial collision; a ray meets a tube beyond its
-        start when the interval begins at t > 0, or when the ray runs
-        parallel to the subspace inside the tube forever.  The test reads
-        _line_tube's arithmetic directly (_rays_hit), with tube_intervals'
-        parallel rule: t* - half > 0 is t* > half in IEEE arithmetic, and an
-        end t* + half that overflows to inf still counts as a hit, so every
-        decision is that of the intervals.
-        """
-        starts = np.asarray(starts, dtype=float).reshape(-1, self.dim)
-        directions = np.asarray(directions, dtype=float).reshape(starts.shape)
-        perps = _perp(self.bases, np.stack((starts, directions))[:, :, None, :])
-        return _rays_hit(perps, directions, tol)
 
     def min_angle(self) -> float:
         """Smallest principal angle over all subspace pairs, in (0, pi/2].

@@ -109,8 +109,9 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, _perp, intersection_basis
-from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms, _frozen,
+from .arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, _frozen, _perp,
+                          intersection_basis)
+from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms,
                      _point_list, _stacked, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _chain_is_generic
@@ -893,7 +894,7 @@ def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
               polish=None) -> MinimizeResult:
     """Classify the solved chain from one HessianModel, the exact kernel pass
     at the chain: its coincidence test is the ghost test, and its unit edges
-    (|u_{i-1} - P_i u_{i-1}| and |u_i - P_i u_i| in one stacked projection)
+    (|P⊥_i u_{i-1}| and |P⊥_i u_i| in one stacked projection)
     and gradient give the rest.  A VALID chain's trajectory is built from
     the same point list, unit edges and lengths, and its normal-form
     eigenvalue is left to MinimizeResult.hessian_min_eig, which computes it
@@ -918,9 +919,9 @@ def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
 
     if grad_norm is None:
         grad_norm = float(np.linalg.norm(model.gradient))
-    # an edge lies inside its vertex's subspace when it equals its projection
-    units = model.unit_edges
-    off = np.linalg.norm(_perp(bases, np.array((units[:-1], units[1:]))), axis=-1)
+    # an edge lies inside its vertex's subspace when its perpendicular part vanishes
+    units, complements = model.unit_edges, arr.complements[list(itinerary)]
+    off = np.linalg.norm(_perp(complements, np.array((units[:-1], units[1:]))), axis=-1)
     inside = np.minimum(off[0], off[1]) <= EDGE_TOL
     if inside.any():
         j = int(np.argmax(inside))
@@ -928,7 +929,7 @@ def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
                     msg=f"an edge at vertex {j + 1} lies inside "
                         f"{arr.subspaces[itinerary[j]].name}")
 
-    if not _chain_is_generic(arr, bases, pts, MEMBERSHIP_TOL * max(1.0, chord)):
+    if not _chain_is_generic(arr, complements, pts, MEMBERSHIP_TOL * max(1.0, chord)):
         return done(Classification.NON_GENERIC_RAY, grad_norm,
                     msg="configuration violates genericity (adjacent membership or ray recrossing)")
 

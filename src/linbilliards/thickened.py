@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, _as_vector, _row_dot, _tube_approach
+from .arrangement import Arrangement, Itinerary, _as_vector, _perp, _row_dot, _tube_approach
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
 from . import solver
 from .action import COINCIDENCE_TOL, _edge_terms, _identity, _stacked, _to_points, action
@@ -362,7 +362,7 @@ class _WallProblem(_StackedProblem):
         self.radii = table.radii[list(itinerary)]
         self.active = np.asarray(active)
         # I - B^T B: each vertex's stored complement projector (k, dim, dim)
-        self.perps = arr.complements.reshape(-1, arr.dim, arr.dim)[list(itinerary)]
+        self.perps = arr.complements[list(itinerary)]
         self._slacks = (None,)  # (pts, w, s) last measured
 
     def points_of(self, pts):
@@ -373,7 +373,7 @@ class _WallProblem(_StackedProblem):
         measured unless pts is the point measured last; each w is its
         wall's Subspace.perp(q), bit for bit (one row dot per entry)."""
         if self._slacks[0] is not pts:
-            w = _row_dot(self.perps, pts[:, None, :])
+            w = _perp(self.perps, pts)
             self._slacks = (pts, w, self.radii ** 2 - _row_dot(w, w))
         return self._slacks[1:]
 

@@ -153,18 +153,19 @@ def is_generic(arr: Arrangement, A, chain, B, itinerary: Itinerary,
     chain = np.asarray(chain, dtype=float).reshape(len(itinerary), arr.dim)
     if arr.on_locus(A, tol) or arr.on_locus(B, tol):
         return False
-    return _chain_is_generic(arr, arr.bases_of(itinerary), _point_list(A, chain, B), tol)
+    return _chain_is_generic(arr, arr.complements[list(itinerary)], _point_list(A, chain, B), tol)
 
 
-def _chain_is_generic(arr: Arrangement, bases: np.ndarray, pts: np.ndarray, tol: float) -> bool:
+def _chain_is_generic(arr: Arrangement, complements: np.ndarray, pts: np.ndarray,
+                      tol: float) -> bool:
     """is_generic past the anchors' locus test, for the point list pts (A,
-    q_1, ..., q_k, B) over the itinerary's stacked bases (k, m, dim), in one
-    stacked projection: q_i against L_{i+1} and q_{i+1} against L_i, and the
-    starts q_1, q_k and directions A - q_1, B - q_k of both boundary rays
-    against every subspace, for rays_hit_beyond_start's tube test."""
-    k, n = len(bases), len(arr.bases)
+    q_1, ..., q_k, B) over the itinerary's complement projectors (k, dim,
+    dim), in one stacked projection: q_i against L_{i+1} and q_{i+1} against
+    L_i, and the starts q_1, q_k and directions A - q_1, B - q_k of both
+    boundary rays against every subspace, for _rays_hit's tube test."""
+    k, n = len(complements), len(arr.complements)
     rays = np.array((pts[1], pts[-2], pts[0] - pts[1], pts[-1] - pts[-2]))
-    perp = _perp(np.concatenate((bases[1:], bases[:-1], *[arr.bases] * 4)),
+    perp = _perp(np.concatenate((complements[1:], complements[:-1], *[arr.complements] * 4)),
                  np.concatenate((pts[1:-2], pts[2:-1], rays.repeat(n, axis=0))))
     off = perp[:2 * k - 2]
     if (np.sqrt(_row_dot(off, off)) <= tol).any():

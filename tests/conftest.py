@@ -14,7 +14,7 @@ import pytest
 
 from linbilliards import nbody, solver
 from linbilliards.arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace,
-                                      _as_vector, _perp, _row_dot)
+                                      _as_vector, _perp, _rays_hit, _row_dot)
 from linbilliards.action import Chain, action, gradient
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.scattering import RelationSample
@@ -178,20 +178,38 @@ def tube_interval(sub, p, d, tol: float):
     return (t_star - half, t_star + half)
 
 
+def perp_by_basis(bases, x):
+    """Components x - B^T(B x) of x (..., dim) orthogonal to the subspaces
+    with orthonormal bases (..., m, dim), leading axes broadcast: the basis
+    form, which rounds apart from the library's complement projectors."""
+    return x - (bases.swapaxes(-1, -2) @ (bases @ x[..., :, None]))[..., 0]
+
+
+def rays_hit_beyond_start(arr, starts, directions, tol: float):
+    """For rays (r, dim) of starts and directions, whether each meets some
+    subspace tube beyond its initial point, against every subspace at once;
+    (r,) booleans: arrangement._rays_hit on the rays' stacked perpendicular
+    parts, the reference of the ray tests."""
+    starts = np.asarray(starts, dtype=float).reshape(-1, arr.dim)
+    directions = np.asarray(directions, dtype=float).reshape(starts.shape)
+    perps = _perp(arr.complements, np.stack((starts, directions))[:, :, None, :])
+    return _rays_hit(perps, directions, tol)
+
+
 def chain_is_generic_reference(arr, bases, A, chain, B, tol: float) -> bool:
     """trajectory._chain_is_generic as it was formulated before its one
-    stacked projection, the reference for it: one _perp of each vertex
-    against its neighbours' subspaces, then rays_hit_beyond_start's test of
-    the rays from q_1 along A - q_1 and from q_k along B - q_k, with their
-    starts and directions projected separately and _line_tube's arithmetic
-    written out."""
-    off = _perp(np.concatenate((bases[1:], bases[:-1])),
-                np.concatenate((chain[:-1], chain[1:])))
+    stacked projection, in the basis form, the reference for it: the
+    perpendicular part of each vertex against its neighbours' subspaces,
+    then the ray test of the rays from q_1 along A - q_1 and from q_k along
+    B - q_k, with their starts and directions projected separately and
+    _line_tube's arithmetic written out."""
+    off = perp_by_basis(np.concatenate((bases[1:], bases[:-1])),
+                        np.concatenate((chain[:-1], chain[1:])))
     if np.any(np.sqrt(_row_dot(off, off)) <= tol):
         return False
     starts, directions = chain[[0, -1]], np.stack((A - chain[0], B - chain[-1]))
-    w = _perp(arr.bases, starts[:, None, :])
-    u = _perp(arr.bases, directions[:, None, :])
+    w = perp_by_basis(arr.bases, starts[:, None, :])
+    u = perp_by_basis(arr.bases, directions[:, None, :])
     a = _row_dot(u, u)
     t_star = -_row_dot(w, u) / np.where(a == 0.0, 1.0, a)
     res = w + t_star[..., None] * u

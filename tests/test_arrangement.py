@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from linbilliards.arrangement import (
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.scattering import free_motion_sample
 
-from conftest import (rays_hit_reference, row_dot_reference, tube_approach_reference,
-                      tube_interval)
+from conftest import (rays_hit_beyond_start, rays_hit_reference, row_dot_reference,
+                      tube_approach_reference, tube_interval)
 
 
 def test_project_x_axis():
@@ -237,7 +238,8 @@ def _random_arrangement(rng, dim, m, n):
 def test_locus_distances_match_distance_to_locus(table, request):
     """minimize measures both anchors in one stacked projection: each
     distance is, bit for bit, the one distance_to_locus gives alone, also
-    for an anchor 1e-9 off a subspace."""
+    for an anchor 1e-9 off a subspace, and so is each of (3, 4) stacked
+    points."""
     arr = request.getfixturevalue(table)
     rng = np.random.default_rng(3)
     for scale in (1e-6, 1.0, 1e8):
@@ -247,6 +249,10 @@ def test_locus_distances_match_distance_to_locus(table, request):
             anchors[1] = sub.project(anchors[1]) + 1e-9 * scale * rng.normal(size=arr.dim)
             assert arr.locus_distances(anchors).tolist() == [
                 arr.distance_to_locus(x) for x in anchors]
+        points = scale * rng.normal(size=(3, 4, arr.dim))
+        points[0, 0] = arr.subspaces[0].project(points[0, 0])
+        assert arr.locus_distances(points).tolist() == [
+            [arr.distance_to_locus(x) for x in row] for row in points]
 
 
 @pytest.mark.parametrize("table", ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr",
@@ -254,27 +260,51 @@ def test_locus_distances_match_distance_to_locus(table, request):
 def test_complements_are_stored_read_only_and_perp_parts_match_perp(table, request):
     """Each subspace stores I - B^T B (the identity for {0}) read-only, and
     Arrangement.complements stacks those arrays byte for byte as its
-    read-only row blocks; perp_parts of a point is, row for row and bit for
-    bit, every subspace's perp of it, which the event simulator and the
-    benchmark's specular gate both rely on."""
+    read-only (n, dim, dim) blocks, as bases stacks the bases; perp_parts of
+    a point is, row for row and bit for bit, every subspace's perp of it,
+    which the event simulator and the benchmark's specular gate both rely
+    on."""
     arr = request.getfixturevalue(table)
     dim = arr.dim
-    assert arr.complements.shape == (len(arr.subspaces) * dim, dim)
+    assert arr.complements.shape == (len(arr.subspaces), dim, dim)
     for j, sub in enumerate(arr.subspaces):
         assert sub.complement.tobytes() == (np.eye(dim) - sub.basis.T @ sub.basis).tobytes()
-        assert arr.complements[j * dim:(j + 1) * dim].tobytes() == sub.complement.tobytes()
+        assert arr.complements[j].tobytes() == sub.complement.tobytes()
+        assert arr.bases[j].tobytes() == sub.basis.tobytes()
         if sub.subdim == 0:
             assert np.array_equal(sub.complement, np.eye(dim))
-    for a in (arr.complements, *(sub.complement for sub in arr.subspaces)):
+    stored = (arr.bases, arr.complements, *(a for sub in arr.subspaces
+                                             for a in (sub.basis, sub.complement)))
+    for a in stored:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+            a[(0,) * a.ndim] = 1.0
     rng = np.random.default_rng(len(table))
     for x in rng.normal(size=(2000, dim)) * 10.0 ** rng.uniform(-6, 6, size=(2000, 1)):
         parts = arr.perp_parts(x)
         assert parts.shape == (len(arr.subspaces), dim)
         for part, sub in zip(parts, arr.subspaces):
             assert part.tobytes() == sub.perp(x).tobytes()
+
+
+@pytest.mark.parametrize("table", ["mirror_arr", "fourbody_arr"])
+def test_unpickled_arrangements_keep_their_arrays_read_only(table, request):
+    """An arrangement sent to a worker process comes back with read-only
+    stored arrays of the same bytes (it is rebuilt through the
+    constructor), and its subspaces likewise."""
+    arr = request.getfixturevalue(table)
+    copy = pickle.loads(pickle.dumps(arr))
+    assert [(s.name, s.sigma) for s in copy.subspaces] == [
+        (s.name, s.sigma) for s in arr.subspaces]
+    pairs = [(copy.bases, arr.bases), (copy.complements, arr.complements)]
+    for got, sub in zip(copy.subspaces, arr.subspaces):
+        pairs += [(got.basis, sub.basis), (got.complement, sub.complement)]
+    lone = pickle.loads(pickle.dumps(arr.subspaces[-1]))
+    pairs += [(lone.basis, arr.subspaces[-1].basis),
+              (lone.complement, arr.subspaces[-1].complement)]
+    for got, want in pairs:
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
@@ -286,8 +316,7 @@ def test_batched_locus_and_ray_queries_match_per_subspace_loops(dim):
             # the zero subspace is the only one of dimension 0
             arr = _random_arrangement(rng, dim, m, int(rng.integers(1, 5)) if m else 1)
             x = rng.normal(size=dim) * rng.uniform(0.1, 10.0)
-            assert arr.distance_to_locus(x) == pytest.approx(
-                min(s.distance_to(x) for s in arr.subspaces), rel=1e-14, abs=0.0)
+            assert arr.distance_to_locus(x) == min(s.distance_to(x) for s in arr.subspaces)
             starts = rng.normal(size=(6, dim)) * 3.0
             directions = rng.normal(size=(6, dim))
             # one ray aimed through a point close to a subspace, one along it
@@ -297,7 +326,7 @@ def test_batched_locus_and_ray_queries_match_per_subspace_loops(dim):
             tol = 10.0 ** rng.uniform(-9, -1)
             expected = [_ray_hits_by_loop(arr, p, d, tol) for p, d in zip(starts, directions)]
             hits += sum(expected)
-            assert arr.rays_hit_beyond_start(starts, directions, tol).tolist() == expected
+            assert rays_hit_beyond_start(arr, starts, directions, tol).tolist() == expected
     assert hits > 0
 
 
@@ -342,7 +371,7 @@ def test_ray_decisions_match_tube_intervals(dim):
             starts[4] = starts[5] = sub.project(starts[4]) + 0.3 * tol * normal
             directions[5] = -directions[4]
             expected = _rays_hit_by_intervals(arr, starts, directions, tol)
-            assert np.array_equal(arr.rays_hit_beyond_start(starts, directions, tol), expected)
+            assert np.array_equal(rays_hit_beyond_start(arr, starts, directions, tol), expected)
             kinds.update(("hit" if e else "miss") for e in expected)
     assert kinds["hit"] > 0 and kinds["miss"] > 0
 
@@ -354,7 +383,7 @@ def test_rays_parallel_to_a_subspace_inside_and_outside_its_tube(mirror_arr):
     expected = [True, False, True, False]
     assert [_ray_hits_by_loop(mirror_arr, p, d, tol)
             for p, d in zip(starts, directions)] == expected
-    assert mirror_arr.rays_hit_beyond_start(starts, directions, tol).tolist() == expected
+    assert rays_hit_beyond_start(mirror_arr, starts, directions, tol).tolist() == expected
 
 
 def test_rays_starting_inside_a_tube(twolines_arr):
@@ -366,7 +395,7 @@ def test_rays_starting_inside_a_tube(twolines_arr):
     expected = [False, True, False]
     assert [_ray_hits_by_loop(twolines_arr, p, d, tol)
             for p, d in zip(starts, directions)] == expected
-    assert twolines_arr.rays_hit_beyond_start(starts, directions, tol).tolist() == expected
+    assert rays_hit_beyond_start(twolines_arr, starts, directions, tol).tolist() == expected
 
 
 def test_batched_queries_on_zero_dimensional_subspaces(origin_arr):
@@ -377,7 +406,7 @@ def test_batched_queries_on_zero_dimensional_subspaces(origin_arr):
     expected = [True, False, False, False]
     assert [_ray_hits_by_loop(origin_arr, p, d, 1e-9)
             for p, d in zip(starts, directions)] == expected
-    assert origin_arr.rays_hit_beyond_start(starts, directions, 1e-9).tolist() == expected
+    assert rays_hit_beyond_start(origin_arr, starts, directions, 1e-9).tolist() == expected
 
 
 def _free_line_by_loop(arr, A, B, tol):
@@ -452,22 +481,27 @@ def test_tube_approach_and_ray_decisions_match_the_where_forms(dim):
     """_tube_approach and _rays_hit guard their divisions by adding a mask
     instead of np.where: the same bits and the same decisions, on rays
     parallel to a subspace (exactly and to rounding), starting inside a
-    tube and aimed at one."""
+    tube and aimed at one.  The exact case runs along an axis-aligned
+    subspace, whose projector is exact: along a tilted one, the part
+    perpendicular to it is rounding, not 0."""
     rng = np.random.default_rng(200 + dim)
     kinds = collections.Counter()
     for m in range(dim):
         for _ in range(10):
             arr = _random_arrangement(rng, dim, m, int(rng.integers(1, 5)) if m else 1)
+            if m:
+                axes = Subspace("E", np.eye(dim)[:m], dim)
+                arr = Arrangement(dim, arr.subspaces + (axes,))
             sub = arr.subspaces[0]
             tol = 10.0 ** rng.uniform(-9, -1)
             starts = rng.normal(size=(6, dim)) * 3.0
             directions = rng.normal(size=(6, dim))
             if m:
-                directions[0] = sub.basis[0]
+                directions[0] = axes.basis[0]
                 directions[1] = sub.project(directions[1])
             starts[2] = sub.project(starts[2]) + 0.3 * tol * sub.perp(rng.normal(size=dim))
             directions[3] = sub.project(rng.normal(size=dim)) - starts[3]
-            perps = _perp(arr.bases, np.stack((starts, directions))[:, :, None, :])
+            perps = _perp(arr.complements, np.stack((starts, directions))[:, :, None, :])
             rho2 = 10.0 ** rng.uniform(-18, 0, size=len(arr.subspaces))
             for got, want in zip(_tube_approach(rho2, *perps),
                                  tube_approach_reference(rho2, *perps)):

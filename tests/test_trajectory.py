@@ -124,10 +124,11 @@ def test_generic_rejects_anchor_on_locus(mirror_arr):
                           np.array([2.0, 1.0]), Itinerary((0,)))
 
 
-def _generic_both_ways(arr, bases, A, chain, B, tol) -> bool:
-    """_chain_is_generic on the point list, asserted equal to the reference."""
-    got = _chain_is_generic(arr, bases, np.vstack([A, chain, B]), tol)
-    assert got == chain_is_generic_reference(arr, bases, A, chain, B, tol)
+def _generic_both_ways(arr, labels, A, chain, B, tol) -> bool:
+    """_chain_is_generic on the point list, asserted equal to the reference
+    (the basis form)."""
+    got = _chain_is_generic(arr, arr.complements[labels], np.vstack([A, chain, B]), tol)
+    assert got == chain_is_generic_reference(arr, arr.bases[labels], A, chain, B, tol)
     return got
 
 
@@ -147,8 +148,7 @@ def test_stacked_genericity_matches_the_reference(fixture, request):
         labels = [int(rng.integers(n))]
         while n > 1 and len(labels) < int(rng.integers(1, 6)):
             labels.append(int((labels[-1] + rng.integers(1, n)) % n))
-        bases = arr.bases_of(Itinerary(tuple(labels)))
-        chain = _to_points(bases, rng.normal(size=(len(labels), m)) * 2.0)
+        chain = _to_points(arr.bases[labels], rng.normal(size=(len(labels), m)) * 2.0)
         A, B = rng.normal(size=(2, arr.dim)) * 2.0
         draw = int(rng.integers(3))
         if draw == 1 and m > 0:
@@ -156,7 +156,7 @@ def test_stacked_genericity_matches_the_reference(fixture, request):
         elif draw == 2:
             chain[int(rng.integers(len(labels)))] = 0.0
         tol = 10.0 ** rng.uniform(-9.0, 0.5)
-        seen[_generic_both_ways(arr, bases, A, chain, B, tol)] += 1
+        seen[_generic_both_ways(arr, labels, A, chain, B, tol)] += 1
     # a ray from the origin leaves the subspace {0} at its start for good
     assert seen[True] > 0 and (seen[False] > 0) == (m > 0)
 
@@ -167,7 +167,7 @@ def test_stacked_genericity_on_constructed_rays():
     a vertex on its neighbour's subspace; k = 1 has no membership pair."""
     arr = Arrangement(3, (Subspace("X", np.array([[1.0, 0.0, 0.0]]), 3),
                           Subspace("Y", np.array([[0.0, 1.0, 0.0]]), 3)))
-    on_y = arr.bases_of(Itinerary((1,)))
+    on_y = [1]
     # from (0, 3, 0) along x: in X's tube of radius 4 for good, outside radius 2
     q = np.array([[0.0, 3.0, 0.0]])
     A, B = q[0] + [2.0, 0.0, 0.0], q[0] + [0.0, 0.0, 5.0]
@@ -179,17 +179,17 @@ def test_stacked_genericity_on_constructed_rays():
         assert _generic_both_ways(arr, on_y, q[0] + step, q, q[0] + [0.0, 0.0, 4.0], 0.5)
     # q_1 = 0 lies on Y as well
     chain = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    assert not _generic_both_ways(arr, arr.bases_of(Itinerary((0, 1))),
+    assert not _generic_both_ways(arr, [0, 1],
                                   np.array([-1.0, 2.0, 1.0]), chain,
                                   np.array([1.0, 3.0, 1.0]), 1e-9)
     # tangent: from (0, 3, 0.5) on W along -y the ray passes X at distance
     # 0.5, at t = 3
     arr = Arrangement(3, (Subspace("X", np.array([[1.0, 0.0, 0.0]]), 3),
                           Subspace.from_spanning("W", [[0.0, 6.0, 1.0]], 3)))
-    on_w = arr.bases_of(Itinerary((1,)))
+    on_w = [1]
     q = np.array([[0.0, 3.0, 0.5]])
     A, B = q[0] - [0.0, 1.0, 0.0], q[0] + [1.0, 1.0, 1.0]
-    a, t_star, gap2, _ = _line_tube(arr.bases[:1], 0.5, q[0], A - q[0])
+    a, t_star, gap2, _ = _line_tube(arr.complements[:1], 0.5, q[0], A - q[0])
     assert (a[0], t_star[0], gap2[0]) == (1.0, 3.0, 0.0)
     assert not _generic_both_ways(arr, on_w, A, q, B, 0.5)
     assert _generic_both_ways(arr, on_w, A, q, B, 0.4375)
