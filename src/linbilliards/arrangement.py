@@ -42,13 +42,20 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Inner products of matching rows of u and v (..., dim) -> (...).
+def _complement(basis: np.ndarray) -> np.ndarray:
+    """The read-only projector I - B^T B (dim, dim) of a basis B (m, dim)."""
+    return _frozen(np.eye(basis.shape[1]) - basis.T @ basis)
 
-    One np.vecdot call, which rounds as one BLAS dot per row does (np.dot,
-    a stacked matmul of (1, dim) rows by (dim, 1) columns and the norm of a
-    1-D array), unlike a pairwise-summed reduction over the last axis.
-    """
+
+# 0-d operands of the ray rule: a Python float is converted on every ufunc call
+_ZERO, _ONE, _PARALLEL = (_frozen(np.array(c)) for c in (0.0, 1.0, 1e-30))
+
+
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows of u and v (..., dim) -> (...): one
+    np.vecdot call, which rounds as one BLAS dot per row does (np.dot, a
+    stacked matmul of (1, dim) rows by (dim, 1) columns and the norm of a 1-D
+    array), unlike a pairwise-summed reduction over the last axis."""
     return np.vecdot(u, v)
 
 
@@ -61,23 +68,12 @@ def _perp(complements: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _row_dot(complements, x[..., None, :])
 
 
-def _line_tube(complements: np.ndarray, radii, p: np.ndarray, d: np.ndarray):
-    """Closest approach of lines p + t d (..., dim) to the tubes of radii
-    rho (n,) around the subspaces with complement projectors (n, dim, dim):
-    (a, t_star, gap2, w2), each (..., n), with a = |P⊥d|^2 raw, t_star =
-    -<P⊥p, P⊥d> / a (0 at a = 0), gap2 = rho^2 - |P⊥(p + t_star d)|^2 and
-    w2 = |P⊥p|^2.  A line with gap2 >= 0 is in the tube for t_star -+
-    sqrt(gap2 / a).  The residual is formed before its norm: b^2 - ac would
-    cancel when rho << |p|.
-    """
-    w, u = _perp(complements, np.stack((p, d))[..., None, :])
-    return (*_tube_approach(radii * radii, w, u), _row_dot(w, w))
-
-
 def _tube_approach(rho2, w, u):
-    """The rest of _line_tube from the perpendicular parts w = P⊥p and u =
-    P⊥d (..., n, dim) and the squared radii rho2: (a, t_star, gap2), t_star
-    over a + (a == 0.0), which is 1.0 at a = 0 and a elsewhere."""
+    """Closest approach of lines p + t d to tubes of squared radii rho2, from
+    the parts w = P⊥p, u = P⊥d (..., n, dim): (a, t_star, gap2), each (...,
+    n), a = |u|^2, t_star = -<w, u> / (a + (a == 0.0)), gap2 = rho2 - |w +
+    t_star u|^2, the residual formed before its norm (b^2 - ac would cancel
+    when rho << |p|); gap2 >= 0 puts t_star -+ sqrt(gap2 / a) in the tube."""
     a = _row_dot(u, u)
     t_star = -_row_dot(w, u) / (a + (a == 0.0))
     res = w + t_star[..., None] * u
@@ -85,19 +81,24 @@ def _tube_approach(rho2, w, u):
 
 
 def _rays_hit(perps, directions, tol: float) -> np.ndarray:
-    """Whether each of r rays meets some subspace tube of radius tol beyond
-    its start (an interval of Arrangement.tube_intervals that begins at
-    t > 0, or a parallel ray inside the tube), from the perpendicular parts
-    perps (2, r, n, dim) of the rays' starts and directions (r, dim).  As
-    t* - half > 0 is t* > half in IEEE arithmetic, and an end t* + half that
-    overflows to inf still counts, every decision is the intervals'.  A
-    parallel pair divides by a + 1 rather than a, and its half is not read."""
-    w, u = perps
-    a, t_star, gap2 = _tube_approach(tol * tol, w, u)
-    parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
-    half = np.sqrt(np.maximum(gap2, 0.0) / (a + parallel))
-    beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
-    return np.where(parallel, _row_dot(w, w) <= tol * tol, beyond).any(axis=1)
+    """Whether each of r rays meets each subspace's tube of radius tol beyond
+    its start, (r, n), from the perpendicular parts perps (2, r, n, dim) of
+    the rays' starts and directions (r, dim): a tube_intervals interval that
+    begins at t > 0, or a parallel ray inside the tube, decided as the
+    intervals are.  One divisor, max(a, limit), serves t* and the half width
+    (a parallel pair's are not read); t* - half > 0 is t* > half in IEEE
+    arithmetic.  An end t* + half never overflows to inf: off the parallel
+    limit |u| > 1e-15 max(|d|, 1), |t*| <= |w| / |u| and half <= tol / |u|,
+    finite wherever |w|^2, <w, u> and tol^2 are (else np.vecdot warned)."""
+    w, u, tol2 = perps[0], perps[1], np.array(tol * tol)
+    dots = _row_dot(perps[:, None], perps)   # <w, w>, <w, u>; <u, w>, <u, u>
+    a, limit = dots[1, 1], _PARALLEL * np.maximum(_row_dot(directions, directions), _ONE)[:, None]
+    d = np.maximum(a, limit)
+    t = dots[0, 1] / d                       # -t*, so w + t* u is w - t u
+    res = w - t[..., None] * u
+    gap2 = tol2 - _row_dot(res, res)
+    half = np.sqrt(np.maximum(gap2, _ZERO) / d)
+    return np.where(a <= limit, dots[0, 0] <= tol2, (gap2 >= _ZERO) & (t < -half))
 
 
 def orthonormalize(vectors: np.ndarray, dim: int) -> np.ndarray:
@@ -150,7 +151,7 @@ class Subspace:
         gram = basis @ basis.T
         if gram.size and np.max(np.abs(gram - np.eye(len(basis)))) > _ORTHO_TOL:
             raise InputError(f"subspace {self.name!r}: basis rows not orthonormal")
-        object.__setattr__(self, "complement", _frozen(np.eye(self.dim) - basis.T @ basis))
+        object.__setattr__(self, "complement", _complement(basis))
 
     def __reduce__(self):
         return type(self), (self.name, self.basis, self.dim, self.sigma)
@@ -308,10 +309,11 @@ class Arrangement:
         directions = np.asarray(directions, dtype=float)
         if starts.shape[-1:] != (self.dim,) or directions.shape != starts.shape:
             raise InputError(f"lines need starts and directions of one shape (..., {self.dim})")
-        a, t_star, gap2, w2 = _line_tube(self.complements, tol, starts, directions)
-        parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[..., None]
+        w, u = _perp(self.complements, np.stack((starts, directions))[..., None, :])
+        a, t_star, gap2 = _tube_approach(tol * tol, w, u)
+        parallel = a <= _PARALLEL * np.maximum(_row_dot(directions, directions), _ONE)[..., None]
         half = np.where(parallel, math.inf, np.sqrt(np.maximum(gap2, 0.0) / (a + parallel)))
-        meets = np.where(parallel, w2 <= tol * tol, gap2 >= 0.0)
+        meets = np.where(parallel, _row_dot(w, w) <= tol * tol, gap2 >= 0.0)
         return np.where(meets, t_star - half, math.inf), np.where(meets, t_star + half, -math.inf)
 
     def min_angle(self) -> float:

@@ -92,10 +92,8 @@ Newton loop of its own.
 
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
 mirrors the exclusions that define membership in the trajectory space.  A
-smooth result is classified from its polish's own arrays (the exact pass
-and gradient norm where the Newton core stopped, the plan's bases, the point
-list, the chord |B - A|), with one stacked projection for the edge-in-subspace
-test and one for genericity.
+smooth result is classified from its polish's own arrays and solve plan, by
+one stacked projection of its edge and membership rows and one of its rays.
 """
 
 from __future__ import annotations
@@ -109,12 +107,12 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, _frozen, _perp,
-                          intersection_basis)
+from .arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, _complement, _frozen, _perp,
+                          _row_dot, intersection_basis)
 from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms,
                      _point_list, _stacked, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
-from .trajectory import BilliardTrajectory, _chain_is_generic
+from .trajectory import BilliardTrajectory, _generic
 
 
 class Classification(enum.Enum):
@@ -332,8 +330,8 @@ class _ItineraryPlan:
     stacked bases (k, m, dim) alone, all read-only: the bases and their
     transposes; pad, the coordinates of zero basis rows, which pad a run's
     meet in a reduced chain (a unit diagonal there keeps Newton definite);
-    and, built on first use, the spring columns and an LRU of the PLANS
-    run plans last used (run_plans).
+    and, built on first use, the spring columns, the projector stack and an
+    LRU of the PLANS run plans last used (run_plans).
 
     _plan_of keeps one plan per itinerary content in an LRU of PLANS, keyed
     on the bases' (shape, bytes): a hit returns exactly what recomputing
@@ -367,6 +365,14 @@ class _ItineraryPlan:
         of sum_e |d_e|^2 (the smoothed length's limit as mu grows): the
         spring columns applied to B_1 A at the first vertex, B_k B at the last."""
         return self.spring_columns @ np.concatenate((self.bases[0] @ A, self.bases[-1] @ B))
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """_classify's projector stack (4k - 2, dim, dim), each the vertex's
+        Subspace.complement byte for byte: P_1..P_k for the incoming and the
+        outgoing unit edges, P_2..P_k for q_1..q_{k-1}, P_1..P_{k-1} for q_2..q_k."""
+        p = np.array([_complement(basis) for basis in self.bases])
+        return _frozen(np.concatenate((p, p, p[1:], p[:-1])))
 
     @cached_property
     def run_plans(self):
@@ -856,7 +862,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         value, grad_norm = action(A, problem.points_of(x), B), None
     chain = _iterate_chain(problem, x)
     return _classify(arr, itinerary, A, chain, B, value, iterations,
-                     (problem.exact_pass(x), grad_norm, problem.bases, problem._pts, chord))
+                     (problem.exact_pass(x), grad_norm, problem.plan, problem._pts, chord))
 
 
 def _check_size(points: np.ndarray, dim: int, what: str) -> None:
@@ -892,44 +898,42 @@ def _iterate_chain(problem: _StackedProblem, x: np.ndarray) -> Chain:
 
 def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
               polish=None) -> MinimizeResult:
-    """Classify the solved chain from one HessianModel, the exact kernel pass
-    at the chain: its coincidence test is the ghost test, and its unit edges
-    (|P⊥_i u_{i-1}| and |P⊥_i u_i| in one stacked projection)
-    and gradient give the rest.  A VALID chain's trajectory is built from
-    the same point list, unit edges and lengths, and its normal-form
-    eigenvalue is left to MinimizeResult.hessian_min_eig, which computes it
-    when read.  polish, from minimize, is what its exact polish holds at the
-    chain: (edge_pass, grad_norm, bases, pts, chord), the exact (mu = 0)
-    pass and gradient norm at which the Newton core stopped (None where it
-    did not stop here), the plan's stacked bases, the point list (A, chain,
-    B) and |B - A|; whatever it lacks is measured.  The anchors' locus test
-    of genericity is minimize's precondition and is not repeated."""
+    """Classify the solved chain from one HessianModel, the exact pass at
+    the chain: its coincidence test is the ghost test; one projection on
+    plan.projectors and one _row_dot give |P⊥_i u_{i-1}|, |P⊥_i u_i| (the
+    edge-in-subspace test) and the membership distances _generic reads; a
+    VALID trajectory reuses the point list, unit edges and lengths.  polish,
+    from minimize: (edge_pass, grad_norm, plan, pts, chord), the exact pass
+    and gradient norm where the Newton core stopped (None elsewhere), the
+    solve plan, the point list (A, chain, B) and |B - A|; what it lacks is
+    measured.  The anchors' locus test is minimize's precondition."""
     if polish is None:
-        polish = (None, None, arr.bases_of(itinerary), _point_list(A, chain.points, B),
-                  float(np.linalg.norm(B - A)))
-    edge_pass, grad_norm, bases, pts, chord = polish
+        polish = (None, None, _plan_of(arr.bases_of(itinerary)),
+                  _point_list(A, chain.points, B), float(np.linalg.norm(B - A)))
+    edge_pass, grad_norm, plan, pts, chord = polish
 
     def done(cls, grad_norm, msg=""):
         return MinimizeResult(chain, value, grad_norm, cls, None, iterations, msg)
 
     try:
-        model = HessianModel(arr, itinerary, A, chain, B, edge_pass, bases, chord)
+        model = HessianModel(arr, itinerary, A, chain, B, edge_pass, plan.bases, chord)
     except NonSmoothPoint:
         return done(Classification.GHOST, math.nan, msg=GHOST_MESSAGE)
 
     if grad_norm is None:
         grad_norm = float(np.linalg.norm(model.gradient))
+    units, k = model.unit_edges, plan.k
+    w = _perp(plan.projectors, np.concatenate((units[:-1], units[1:], pts[1:-2], pts[2:-1])))
+    off = np.sqrt(_row_dot(w, w))
     # an edge lies inside its vertex's subspace when its perpendicular part vanishes
-    units, complements = model.unit_edges, arr.complements[list(itinerary)]
-    off = np.linalg.norm(_perp(complements, np.array((units[:-1], units[1:]))), axis=-1)
-    inside = np.minimum(off[0], off[1]) <= EDGE_TOL
+    inside = np.minimum(off[:k], off[k:2 * k]) <= EDGE_TOL
     if inside.any():
         j = int(np.argmax(inside))
         return done(Classification.EDGE_IN_SUBSPACE, grad_norm,
                     msg=f"an edge at vertex {j + 1} lies inside "
                         f"{arr.subspaces[itinerary[j]].name}")
 
-    if not _chain_is_generic(arr, complements, pts, MEMBERSHIP_TOL * max(1.0, chord)):
+    if not _generic(arr, off[2 * k:], pts, MEMBERSHIP_TOL * max(1.0, chord)):
         return done(Classification.NON_GENERIC_RAY, grad_norm,
                     msg="configuration violates genericity (adjacent membership or ray recrossing)")
 

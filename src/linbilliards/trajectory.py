@@ -141,36 +141,29 @@ def is_transverse(traj: BilliardTrajectory) -> bool:
 
 def is_generic(arr: Arrangement, A, chain, B, itinerary: Itinerary,
                tol: float = MEMBERSHIP_TOL) -> bool:
-    """Genericity of the configuration (A, chain, B) for the given itinerary.
-
-    Checks vertex membership away from the adjacent subspaces, anchors off the
-    collision locus, and that the boundary rays (from q_1 through A and from
-    q_k through B, extended to infinity) meet no subspace beyond their initial
-    points.
-    """
+    """Genericity of the configuration (A, chain, B) for the given itinerary:
+    both anchors off the collision locus (one locus_distances call), every
+    vertex off its neighbours' subspaces, and neither boundary ray (from q_1
+    through A, from q_k through B) meets a subspace beyond its start."""
     A = _as_vector(A, arr.dim, "anchor A")
     B = _as_vector(B, arr.dim, "anchor B")
     chain = np.asarray(chain, dtype=float).reshape(len(itinerary), arr.dim)
-    if arr.on_locus(A, tol) or arr.on_locus(B, tol):
+    if (arr.locus_distances(np.array((A, B))) <= tol).any():
         return False
-    return _chain_is_generic(arr, arr.complements[list(itinerary)], _point_list(A, chain, B), tol)
+    pts, comp = _point_list(A, chain, B), arr.complements[list(itinerary)]
+    w = _perp(np.concatenate((comp[1:], comp[:-1])), np.concatenate((pts[1:-2], pts[2:-1])))
+    return _generic(arr, np.sqrt(_row_dot(w, w)), pts, tol)
 
 
-def _chain_is_generic(arr: Arrangement, complements: np.ndarray, pts: np.ndarray,
-                      tol: float) -> bool:
-    """is_generic past the anchors' locus test, for the point list pts (A,
-    q_1, ..., q_k, B) over the itinerary's complement projectors (k, dim,
-    dim), in one stacked projection: q_i against L_{i+1} and q_{i+1} against
-    L_i, and the starts q_1, q_k and directions A - q_1, B - q_k of both
-    boundary rays against every subspace, for _rays_hit's tube test."""
-    k, n = len(complements), len(arr.complements)
+def _generic(arr: Arrangement, near: np.ndarray, pts: np.ndarray, tol: float) -> bool:
+    """is_generic past its anchor test, shared with the solver's classifier:
+    pts is (A, q_1, ..., q_k, B), near (2k - 2,) the distances of q_1..q_{k-1}
+    to L_2..L_k and q_2..q_k to L_1..L_{k-1}; one broadcast _perp projects
+    both boundary rays' starts and directions onto every subspace."""
+    if (near <= tol).any():
+        return False
     rays = np.array((pts[1], pts[-2], pts[0] - pts[1], pts[-1] - pts[-2]))
-    perp = _perp(np.concatenate((complements[1:], complements[:-1], *[arr.complements] * 4)),
-                 np.concatenate((pts[1:-2], pts[2:-1], rays.repeat(n, axis=0))))
-    off = perp[:2 * k - 2]
-    if (np.sqrt(_row_dot(off, off)) <= tol).any():
-        return False
-    return not _rays_hit(perp[2 * k - 2:].reshape(2, 2, n, -1), rays[2:], tol).any()
+    return not _rays_hit(_perp(arr.complements, rays.reshape(2, 2, 1, -1)), rays[2:], tol).any()
 
 
 def boundary_lines(traj: BilliardTrajectory):

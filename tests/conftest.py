@@ -14,7 +14,7 @@ import pytest
 
 from linbilliards import nbody, solver
 from linbilliards.arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace,
-                                      _as_vector, _perp, _rays_hit, _row_dot)
+                                      _as_vector, _perp, _rays_hit, _row_dot, _tube_approach)
 from linbilliards.action import Chain, action, gradient
 from linbilliards.errors import InputError, PreconditionError
 from linbilliards.scattering import RelationSample
@@ -185,24 +185,32 @@ def perp_by_basis(bases, x):
     return x - (bases.swapaxes(-1, -2) @ (bases @ x[..., :, None]))[..., 0]
 
 
+def line_tube(complements, radius, p, d):
+    """(a, t_star, gap2) of arrangement._tube_approach for the line p + t d
+    (dim,) against the subspaces with complement projectors (n, dim, dim),
+    as Arrangement.tube_intervals projects it."""
+    return _tube_approach(radius * radius, *_perp(complements, np.stack((p, d))[:, None, :]))
+
+
 def rays_hit_beyond_start(arr, starts, directions, tol: float):
     """For rays (r, dim) of starts and directions, whether each meets some
     subspace tube beyond its initial point, against every subspace at once;
-    (r,) booleans: arrangement._rays_hit on the rays' stacked perpendicular
-    parts, the reference of the ray tests."""
+    (r,) booleans: arrangement._rays_hit's per-pair mask on the rays' stacked
+    perpendicular parts, reduced over the subspaces, the reference of the
+    ray tests."""
     starts = np.asarray(starts, dtype=float).reshape(-1, arr.dim)
     directions = np.asarray(directions, dtype=float).reshape(starts.shape)
     perps = _perp(arr.complements, np.stack((starts, directions))[:, :, None, :])
-    return _rays_hit(perps, directions, tol)
+    return _rays_hit(perps, directions, tol).any(axis=1)
 
 
 def chain_is_generic_reference(arr, bases, A, chain, B, tol: float) -> bool:
-    """trajectory._chain_is_generic as it was formulated before its one
-    stacked projection, in the basis form, the reference for it: the
+    """trajectory._generic, is_generic past its anchor test, in the basis
+    form with separate projections, the reference for it: the
     perpendicular part of each vertex against its neighbours' subspaces,
     then the ray test of the rays from q_1 along A - q_1 and from q_k along
     B - q_k, with their starts and directions projected separately and
-    _line_tube's arithmetic written out."""
+    _tube_approach's arithmetic written out."""
     off = perp_by_basis(np.concatenate((bases[1:], bases[:-1])),
                         np.concatenate((chain[:-1], chain[1:])))
     if np.any(np.sqrt(_row_dot(off, off)) <= tol):
@@ -238,14 +246,15 @@ def tube_approach_reference(rho2, w, u):
 
 
 def rays_hit_reference(perps, directions, tol):
-    """arrangement._rays_hit with the parallel pairs' division guarded by
-    np.where."""
+    """arrangement._rays_hit's per-pair mask (r, n) with the parallel pairs'
+    division guarded by np.where, the divisor a + (a == 0) of t*, and the
+    overflow term t* + half == inf that _rays_hit drops."""
     w, u = perps
     a, t_star, gap2 = tube_approach_reference(tol * tol, w, u)
     parallel = a <= 1e-30 * np.maximum(row_dot_reference(directions, directions), 1.0)[:, None]
     half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
     beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
-    return np.where(parallel, row_dot_reference(w, w) <= tol * tol, beyond).any(axis=1)
+    return np.where(parallel, row_dot_reference(w, w) <= tol * tol, beyond)
 
 
 def hit_reference(table, p, v, w, norm, t_now=0.0, t_max=math.inf):

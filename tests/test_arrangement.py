@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -338,7 +339,7 @@ def _rays_hit_by_intervals(arr, starts, directions, tol):
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_ray_decisions_match_tube_intervals(dim):
-    """rays_hit_beyond_start decides from _line_tube directly; on rays
+    """rays_hit_beyond_start decides from the tube arithmetic directly; on rays
     parallel to a subspace (inside and outside its tube), tangent to a tube
     and starting inside one, every decision is that of tube_intervals."""
     rng = np.random.default_rng(100 + dim)
@@ -376,6 +377,34 @@ def test_ray_decisions_match_tube_intervals(dim):
     assert kinds["hit"] > 0 and kinds["miss"] > 0
 
 
+def test_ray_decisions_far_out_near_the_parallel_limit():
+    """Starts about 1e150 from both axes, with |P⊥d|^2 just above the
+    parallel limit 1e-30 max(|d|^2, 1) against the x axis: t* is near 1e165,
+    but t* + half stays finite (the bound in _rays_hit's docstring), so
+    _rays_hit raises no warning and decides, ahead of the start and behind
+    it, as tube_intervals and the reference with the overflow term do."""
+    arr = Arrangement(2, (Subspace("X", np.array([[1.0, 0.0]]), 2),
+                          Subspace("Y", np.array([[0.0, 1.0]]), 2)))
+    rng = np.random.default_rng(150)
+    kinds = collections.Counter()
+    for _ in range(50):
+        starts = np.abs(rng.normal(size=(4, 2))) * 10.0 ** rng.uniform(149.5, 150.5, size=(4, 1))
+        slope = 1e-15 * (1.0 + 10.0 ** rng.uniform(-15, -6, size=4))
+        directions = np.stack((np.ones(4), -slope), axis=1) * [[1.0], [-1.0], [1.0], [-1.0]]
+        # above 1e135 the x axis's tube holds the closest approach, rounding and all
+        tol = 10.0 ** (rng.uniform(-9, 0) if rng.integers(2) else rng.uniform(135, 137))
+        perps = _perp(arr.complements, np.stack((starts, directions))[:, :, None, :])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _rays_hit(perps, directions, tol)
+            assert (_row_dot(perps[1], perps[1])[:, 0] > 1e-30).all()
+            assert np.array_equal(got, rays_hit_reference(perps, directions, tol))
+            assert np.array_equal(got.any(axis=1),
+                                  _rays_hit_by_intervals(arr, starts, directions, tol))
+        kinds.update(("hit" if e else "miss") for e in got[:, 0])
+    assert kinds["hit"] > 0 and kinds["miss"] > 0
+
+
 def test_rays_parallel_to_a_subspace_inside_and_outside_its_tube(mirror_arr):
     tol = 1e-3
     starts = np.array([[0.0, 5e-4], [0.0, 2e-3], [0.0, -5e-4], [0.0, 2e-3]])
@@ -383,6 +412,20 @@ def test_rays_parallel_to_a_subspace_inside_and_outside_its_tube(mirror_arr):
     expected = [True, False, True, False]
     assert [_ray_hits_by_loop(mirror_arr, p, d, tol)
             for p, d in zip(starts, directions)] == expected
+    assert rays_hit_beyond_start(mirror_arr, starts, directions, tol).tolist() == expected
+
+
+def test_rays_starting_on_a_tube_boundary(mirror_arr):
+    """A ray from the boundary of L1's tube whose interval begins exactly at
+    t = 0 (t* = half, straight in or slanted) meets no tube beyond its
+    start; one from a quarter further out does, as tube_intervals says."""
+    tol = 0.5
+    starts = np.array([[0.0, 0.5], [0.0, 0.5], [0.0, 0.75]])
+    directions = np.array([[0.0, -1.0], [1.0, -1.0], [0.0, -1.0]])
+    lo, _ = mirror_arr.tube_intervals(starts, directions, tol)
+    assert lo[:, 0].tolist() == [0.0, 0.0, 0.25]
+    expected = [False, False, True]
+    assert _rays_hit_by_intervals(mirror_arr, starts, directions, tol).tolist() == expected
     assert rays_hit_beyond_start(mirror_arr, starts, directions, tol).tolist() == expected
 
 
@@ -508,6 +551,6 @@ def test_tube_approach_and_ray_decisions_match_the_where_forms(dim):
                 assert np.array_equal(got, want)
             got = _rays_hit(perps, directions, tol)
             assert np.array_equal(got, rays_hit_reference(perps, directions, tol))
-            kinds.update(("hit" if e else "miss") for e in got)
+            kinds.update(("hit" if e else "miss") for e in got.ravel())
             kinds["parallel"] += int((_row_dot(perps[1], perps[1]) == 0.0).sum())
     assert kinds["hit"] > 0 and kinds["miss"] > 0 and kinds["parallel"] > 0

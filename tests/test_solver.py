@@ -1,5 +1,6 @@
 import collections
 import math
+import pickle
 import sys
 import types
 import zlib
@@ -1154,9 +1155,10 @@ def test_a_warm_cell_measures_nothing_twice(twolines_arr, kernel_passes, monkeyp
     minimize looks the itinerary's bases up once (the model reads the
     plan's), builds no point list outside its problem (classification and
     the trajectory read the problem's), makes at most three projections
-    (the anchors' locus distances, the edge-in-subspace test and the one
-    genericity pass) and the fewest kernel passes: the start's and the
-    Newton step's derivatives and the step's value."""
+    (the anchors' locus distances, classification's one stacked pass of
+    edge and membership rows, and the boundary rays') and the fewest kernel
+    passes: the start's and the Newton step's derivatives and the step's
+    value."""
     from linbilliards import scattering
     from linbilliards.arrangement import _perp
     it = Itinerary((0, 1))
@@ -1943,15 +1945,16 @@ def test_solves_with_cold_and_warm_solve_plans_agree(planes3d_arr, fourbody_arr)
 
 def test_solve_plan_arrays_are_read_only(planes3d_arr):
     """Every array a solve plan keeps is shared between solves, and is
-    read-only: the plan's bases, their transposes, pad and spring columns,
-    and its run plans with their reduced plans."""
+    read-only: the plan's bases, their transposes, pad, spring columns and
+    projector stack, and its run plans with their reduced plans."""
     bases = planes3d_arr.bases_of(Itinerary((0, 1, 2, 0)))
     itinerary_plan = solver._plan_of(bases)
     plan = itinerary_plan.run_plans(((0, 2), (2, 4)))
     M, null, pinv = plan.equations
     reduced = plan.reduced
     arrays = [itinerary_plan.bases, itinerary_plan.bases_t, itinerary_plan.pad,
-              itinerary_plan.spring_columns, *plan.meets, plan.keep, plan.shut,
+              itinerary_plan.spring_columns, itinerary_plan.projectors, *plan.meets,
+              plan.keep, plan.shut,
               reduced.bases, reduced.bases_t, reduced.pad, plan.bases, M, null, pinv]
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
@@ -1962,6 +1965,34 @@ def test_solve_plan_arrays_are_read_only(planes3d_arr):
     assert reduced.pad.tolist() == [1, 3]
     assert solver._plan_of(bases.copy()) is itinerary_plan
     assert itinerary_plan.run_plans(((0, 2), (2, 4))) is plan
+
+
+@pytest.mark.parametrize("table", ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr",
+                                   "planes4d_arr", "planes3d_arr", "fourbody_arr"])
+def test_plan_projectors_are_the_itinerary_complements(table, request):
+    """A plan's projector stack (4k - 2, dim, dim), the one _classify
+    projects against, is read-only and byte for byte the arrangement's
+    complements of its itinerary as _classify reads them: P_1..P_k twice,
+    P_2..P_k, P_1..P_{k-1}.  The same holds for a plan built afresh, outside
+    the LRU, from a pickled and loaded arrangement, as a --jobs worker
+    receives it."""
+    arr = request.getfixturevalue(table)
+    rng = np.random.default_rng(len(table))
+    n, dim = len(arr.subspaces), arr.dim
+    for source in (arr, pickle.loads(pickle.dumps(arr))):
+        for k in range(1, 6 if n > 1 else 2):
+            labels = [int(rng.integers(n))]
+            while len(labels) < k:
+                labels.append(int((labels[-1] + rng.integers(1, n)) % n))
+            bases = source.bases_of(Itinerary(labels))
+            fresh = solver._cached_plan.__wrapped__(bases.shape, bases.tobytes())
+            for plan in (solver._plan_of(bases), fresh):
+                stack, c = plan.projectors, source.complements[labels]
+                assert stack.shape == (4 * k - 2, dim, dim)
+                assert stack.tobytes() == np.concatenate((c, c, c[1:], c[:-1])).tobytes()
+                assert not stack.flags.writeable
+                with pytest.raises(ValueError):
+                    stack[0, 0, 0] = 1.0
 
 
 def test_point_and_thickened_solves_share_one_plan(mirror_arr):

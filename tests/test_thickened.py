@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from linbilliards import nbody
-from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _line_tube, _row_dot
+from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _row_dot
 from linbilliards.errors import CornerCollision, InputError, PreconditionError
 from linbilliards.thickened import (
     CORNER_ROUNDING,
@@ -27,7 +27,7 @@ from linbilliards.thickened import (
 from linbilliards.action import COINCIDENCE_TOL
 from linbilliards.solver import GRAD_TOL, minimize
 
-from conftest import TWOLINE_A, TWOLINE_B, curve_shorten, hit_reference
+from conftest import TWOLINE_A, TWOLINE_B, curve_shorten, hit_reference, line_tube
 
 A_MIRROR = np.array([0.0, 1.0])
 B_MIRROR = np.array([2.0, 1.0])
@@ -575,7 +575,7 @@ def test_first_hit_matches_the_loop_on_forced_cases(mirror_arr, twolines_arr, li
     outcomes = []
     for disc in (0.5 * cut, 2.0 * cut):
         p[1] = math.sqrt(0.1 * 0.1 - disc)
-        a, _, gap2, _ = _line_tube(lines3d_arr.complements[:1], 0.1, p, v)
+        a, _, gap2 = line_tube(lines3d_arr.complements[:1], 0.1, p, v)
         assert (gap2[0] * a[0] < cut) == (disc < cut)
         outcomes.append(_assert_first_hit_matches_loop(table3, p, v))
     assert outcomes[0] is None and outcomes[1][3] == 0
@@ -586,8 +586,8 @@ def test_first_hit_matches_the_loop_on_forced_cases(mirror_arr, twolines_arr, li
     cross = Arrangement(2, (Subspace("D1", np.array([[c, c]]), 2),
                             Subspace("D2", np.array([[c, -c]]), 2)))
     tie = ThickenedTable(cross, 0.1)
-    a, t_star, gap2, _ = _line_tube(cross.complements, 0.1, np.array([5.0, 0.0]),
-                                    np.array([-1.0, 0.0]))
+    a, t_star, gap2 = line_tube(cross.complements, 0.1, np.array([5.0, 0.0]),
+                                np.array([-1.0, 0.0]))
     assert a[0] == a[1] and t_star[0] == t_star[1] and gap2[0] == gap2[1]
     assert _assert_first_hit_matches_loop(tie, [5.0, 0.0], [-1.0, 0.0]) == (
         "CornerCollision", "hit on D1 lies in the corner margin of D2")

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from linbilliards.action import _to_points
-from linbilliards.arrangement import Arrangement, Itinerary, Subspace, _line_tube
+from linbilliards.arrangement import Arrangement, Itinerary, Subspace
 from linbilliards.errors import InputError
 from linbilliards.trajectory import (
     BilliardTrajectory,
     OrientedLine,
-    _chain_is_generic,
+    _generic,
     boundary_lines,
     is_generic,
     is_transverse,
@@ -20,7 +20,7 @@ from linbilliards.trajectory import (
     trajectory_to_json,
 )
 
-from conftest import (chain_is_generic_reference, lines_close, trajectory_from_json,
+from conftest import (chain_is_generic_reference, line_tube, lines_close, trajectory_from_json,
                       validate_trajectory)
 
 
@@ -124,11 +124,37 @@ def test_generic_rejects_anchor_on_locus(mirror_arr):
                           np.array([2.0, 1.0]), Itinerary((0,)))
 
 
+def test_is_generic_tests_both_anchors_in_one_locus_query(twolines_arr, monkeypatch):
+    """is_generic's anchor test is one locus_distances call on both anchors
+    (no on_locus call), on a generic configuration and on one whose second
+    anchor lies on L1."""
+    calls = collections.Counter()
+    for name in ("locus_distances", "on_locus"):
+        real = getattr(Arrangement, name)
+
+        def counted(self, *args, _real=real, _name=name, **kwargs):
+            calls[_name, np.shape(args[0])] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Arrangement, name, counted)
+    chain = np.array([[-5.0 / 3.0, 0.0]])
+    A = np.array([-3.0, 1.0])
+    assert is_generic(twolines_arr, A, chain, chain[0] + [-1.0, -0.1], Itinerary((0,)))
+    assert not is_generic(twolines_arr, A, chain, np.array([4.0, 0.0]), Itinerary((0,)))
+    assert calls == {("locus_distances", (2, 2)): 2}
+
+
 def _generic_both_ways(arr, labels, A, chain, B, tol) -> bool:
-    """_chain_is_generic on the point list, asserted equal to the reference
-    (the basis form)."""
-    got = _chain_is_generic(arr, arr.complements[labels], np.vstack([A, chain, B]), tol)
+    """_generic, the helper is_generic shares with the solver's
+    classification, on the point list and each vertex's distances to its
+    neighbours' subspaces, asserted equal to the reference (the basis form)
+    and returned; is_generic asserted equal to it past the anchor test."""
+    near = [arr.subspaces[labels[i + 1]].distance_to(chain[i]) for i in range(len(labels) - 1)]
+    near += [arr.subspaces[labels[i]].distance_to(chain[i + 1]) for i in range(len(labels) - 1)]
+    got = _generic(arr, np.array(near), np.vstack([A, chain, B]), tol)
     assert got == chain_is_generic_reference(arr, arr.bases[labels], A, chain, B, tol)
+    off_locus = min(arr.distance_to_locus(A), arr.distance_to_locus(B)) > tol
+    assert is_generic(arr, A, chain, B, Itinerary(tuple(labels)), tol) == (off_locus and got)
     return got
 
 
@@ -189,7 +215,7 @@ def test_stacked_genericity_on_constructed_rays():
     on_w = [1]
     q = np.array([[0.0, 3.0, 0.5]])
     A, B = q[0] - [0.0, 1.0, 0.0], q[0] + [1.0, 1.0, 1.0]
-    a, t_star, gap2, _ = _line_tube(arr.complements[:1], 0.5, q[0], A - q[0])
+    a, t_star, gap2 = line_tube(arr.complements[:1], 0.5, q[0], A - q[0])
     assert (a[0], t_star[0], gap2[0]) == (1.0, 3.0, 0.0)
     assert not _generic_both_ways(arr, on_w, A, q, B, 0.5)
     assert _generic_both_ways(arr, on_w, A, q, B, 0.4375)
