@@ -136,7 +136,7 @@ def cmd_solve(args) -> int:
         # NaN for a ghost, inf for an empty chain space: null in JSON
         "grad_norm": _finite(result.grad_norm),
         "hessian_min_eig": _finite(result.hessian_min_eig),
-        # None where no multipliers prove the result
+        # None only for a collapse that no certificate proves
         "lower_bound": result.lower_bound,
         "iterations": result.iterations,
         "chain": result.chain.points.tolist(),

@@ -77,9 +77,9 @@ anchor pair -- it is polished past GRAD_TOL and classified directly
 convex length is its global minimizer.  Any other start fails the gate and
 runs the continuation from the given chain unchanged.
 
-The same weak duality proves every VALID and certified GHOST result: from
-its multipliers (its unit edges, or the certificate's) _dual_bound gives
-MinimizeResult.lower_bound, on first read only, which meets the value.
+The same weak duality bounds every smooth and certified GHOST result: from
+its multipliers and their vertex residual rows _dual_bound gives, in closed
+form and on first read only, MinimizeResult.lower_bound, never above the value.
 
 Every stage runs the one damped-Newton core here (full-step local phase,
 Armijo backtracking, jittered Cholesky solve) on one problem class,
@@ -151,10 +151,10 @@ class MinimizeResult:
     which the Newton core stopped, read as a ``HessianModel``; the model of
     a VALID result is kept as ``model``, and ``hessian_min_eig``, the
     smallest eigenvalue of its normal-form operator, is computed from it on
-    first read; so is ``lower_bound``, from the ``multipliers`` (stacked
-    bases, anchors and edge multipliers) of a VALID or certified GHOST result.
-    A GHOST without a certificate, a chain that ended within COINCIDENCE_TOL
-    * scale of a collapse, has no multipliers and no lower bound.
+    first read; so is ``lower_bound``, from the ``multipliers`` (anchors,
+    edge multipliers and their vertex residual rows) of a smooth or certified
+    GHOST result.  A GHOST without a certificate, a chain that ended within
+    COINCIDENCE_TOL * scale of a collapse, has no multipliers and no bound.
     """
 
     chain: Chain
@@ -190,8 +190,8 @@ class MinimizeResult:
 
     @cached_property
     def lower_bound(self) -> float | None:
-        """_dual_bound of the multipliers on first read; None without them."""
-        return None if self.multipliers is None else _dual_bound(*self.multipliers)
+        """_dual_bound of the multipliers and value, on first read, or None."""
+        return None if self.multipliers is None else _dual_bound(*self.multipliers, self.value)
 
 
 def _collapsing_runs(gaps, detect: float) -> list[tuple[int, int]]:
@@ -317,8 +317,7 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
 def _chain_laplacian(bases: np.ndarray) -> np.ndarray:
     """The Hessian of 1/2 sum_e |d_e|^2 over stacked bases (k, m, dim),
     reduced by _stacked: diagonal blocks 2I, off-diagonal blocks -B_i
-    B_{i+1}^T.  It is M M^T for the vertex equations M u = (B_i (u_{i-1} -
-    u_i))_i of edge vectors u, and SPD (the edges determine the chain)."""
+    B_{i+1}^T; SPD, since the edges determine the chain."""
     k, _, dim = bases.shape
     eye = np.eye(dim)
     return _stacked(bases, np.zeros((k, dim)), np.broadcast_to(2.0 * eye, (k, dim, dim)),
@@ -686,12 +685,12 @@ def _lowest_multipliers(plan, fixed, start, bound):
 
 
 def _multipliers_certify(problem, plan, edges, lengths, start):
-    """(length, u) of the chain with these edge vectors and lengths (k+1,)
-    if edge multipliers u (k+1, dim) prove it a global minimum, None
+    """(length, u, residual) of the chain with these edge vectors and lengths
+    (k+1,) if edge multipliers u (k+1, dim) prove it a global minimum, None
     otherwise: u_e = d_e / |d_e| on every open edge, |u_e| <= 1 on the
-    collapsed edges inside the run plan's runs (the balls of weak duality,
-    into which _dual_bound scales u) and B_i (u_{i-1} - u_i) = 0 at every
-    vertex, both up to the rounding CERT_RESIDUAL.
+    collapsed edges inside the run plan's runs (the balls of weak duality)
+    and the residual rows B_i (u_{i-1} - u_i) (k, m) vanish at every vertex,
+    both up to the rounding CERT_RESIDUAL; _dual_bound reads u and the rows.
 
     The collapsed u_e solve M u = -fixed, M the run plan's vertex equations
     and fixed the open edges' residual in them, inside the balls: the search
@@ -712,7 +711,7 @@ def _multipliers_certify(problem, plan, edges, lengths, start):
     # the largest row norm, the square root of the largest squared one
     if not math.sqrt((residual * residual).sum(axis=1).max()) <= CERT_RESIDUAL:
         return None
-    return float(lengths.sum()), u
+    return float(lengths.sum()), u, residual
 
 
 def _ghost_candidate(gaps, mu2) -> bool:
@@ -723,7 +722,7 @@ def _ghost_candidate(gaps, mu2) -> bool:
 
 
 def _certify_ghost(problem, x, mu2, floor):
-    """(length, points, u) of the ghost certified exactly by edge
+    """(length, points, u, residual) of the ghost certified exactly by edge
     multipliers u at x, the minimizer of the smoothing stage mu2 or, for a
     cold solve's opening stage, its start (the spring chain), or None: the
     seam of the continuation, which returns an accepted chain as the global
@@ -749,7 +748,7 @@ def _certify_ghost(problem, x, mu2, floor):
             if found is not None:
                 proof = _multipliers_certify(problem, plan, *found[1:], start)
                 if proof is not None:
-                    return proof[0], found[0], proof[1]
+                    return proof[0], found[0], *proof[1:]
         except np.linalg.LinAlgError:
             pass
     return None
@@ -762,8 +761,8 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     Uniqueness of the minimum is a theorem for anchors off the collision
     locus; the routine converges to the minimum by smoothed-Newton
     continuation from any start, and a VALID or certified GHOST result
-    proves itself: its lower_bound bounds the length of every chain from
-    below and meets its value up to rounding.
+    proves itself: its lower_bound, at most its value, bounds the length of
+    every chain from below and meets its value up to rounding.
     Without initial_chain it starts from the spring chain, the minimizer
     of the sum of squared edge lengths; a certified ghost is returned as
     GHOST at once, since its collapsed runs give it a zero-length edge.
@@ -845,11 +844,11 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         # every run of a certified chain is one point, so the chain has a
         # zero-length edge and leaves the trajectory space: no HessianModel
         # is needed to classify it
-        value, points, u = certified
+        value, points, u, residual = certified
         coords = _to_coords(problem.bases, points)
         return MinimizeResult(Chain(coords, _to_points(problem.bases, coords)), value,
                               math.nan, Classification.GHOST, None, iterations,
-                              GHOST_MESSAGE, multipliers=(problem.bases, A, B, u))
+                              GHOST_MESSAGE, multipliers=(A, B, u, residual))
     if polished is None and gaps.min() > coincidence:
         # no gate let the last chain through; the accept test alone proves it
         polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS, math.inf)
@@ -911,51 +910,52 @@ def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
         polish = (None, None, _plan_of(arr.bases_of(itinerary)),
                   _point_list(A, chain.points, B), float(np.linalg.norm(B - A)))
     edge_pass, grad_norm, plan, pts, chord = polish
-
-    def done(cls, grad_norm, msg=""):
-        return MinimizeResult(chain, value, grad_norm, cls, None, iterations, msg)
-
     try:
         model = HessianModel(arr, itinerary, A, chain, B, edge_pass, plan.bases, chord)
     except NonSmoothPoint:
-        return done(Classification.GHOST, math.nan, msg=GHOST_MESSAGE)
-
+        return MinimizeResult(chain, value, math.nan, Classification.GHOST, None, iterations,
+                              GHOST_MESSAGE)
     if grad_norm is None:
         grad_norm = float(np.linalg.norm(model.gradient))
     units, k = model.unit_edges, plan.k
+    done = partial(MinimizeResult, chain, value, grad_norm, iterations=iterations,
+                   multipliers=(A, B, units, model.gradient.reshape(k, plan.m)))
     w = _perp(plan.projectors, np.concatenate((units[:-1], units[1:], pts[1:-2], pts[2:-1])))
     off = np.sqrt(_row_dot(w, w))
     # an edge lies inside its vertex's subspace when its perpendicular part vanishes
     inside = np.minimum(off[:k], off[k:2 * k]) <= EDGE_TOL
     if inside.any():
         j = int(np.argmax(inside))
-        return done(Classification.EDGE_IN_SUBSPACE, grad_norm,
-                    msg=f"an edge at vertex {j + 1} lies inside "
-                        f"{arr.subspaces[itinerary[j]].name}")
+        return done(Classification.EDGE_IN_SUBSPACE, None,
+                    message=f"an edge at vertex {j + 1} lies inside "
+                            f"{arr.subspaces[itinerary[j]].name}")
 
     if not _generic(arr, off[2 * k:], pts, MEMBERSHIP_TOL * max(1.0, chord)):
-        return done(Classification.NON_GENERIC_RAY, grad_norm,
-                    msg="configuration violates genericity (adjacent membership or ray recrossing)")
+        return done(Classification.NON_GENERIC_RAY, None, message="configuration violates "
+                    "genericity (adjacent membership or ray recrossing)")
 
     traj = BilliardTrajectory(A, B, chain.points, itinerary,
                               edge_pass=(pts, model.unit_edges, model.edge_lengths))
-    return MinimizeResult(chain, value, grad_norm, Classification.VALID, traj, iterations, "",
-                          model, (model.bases, A, B, model.unit_edges))
+    return done(Classification.VALID, traj, model=model)
 
 
-def _dual_bound(bases, A, B, u) -> float:
-    """<u_k, B> - <u_0, A> <= sum_e |d_e| for every chain over the stacked
-    bases (k, m, dim), by weak duality, once the edge multipliers u (k+1,
-    dim) meet the vertex equations M u = (B_i (u_{i-1} - u_i))_i and every
-    |u_e| <= 1.  The least-norm correction u - M^T L^{-1} M u (L = M M^T,
-    the chain Laplacian) makes u exact on M, and u / max(1, max_e |u_e|)
-    puts it in the balls; M u is a VALID result's gradient, or a ghost's
-    certificate residual, so u moves by rounding only."""
-    y = np.linalg.solve(_chain_laplacian(bases),
-                        _to_coords(bases, u[:-1] - u[1:]).reshape(-1))
-    # (M^T y)_e = B_e^T y_e - B_{e-1}^T y_{e-1}, with y_{-1} = y_k = 0
-    u = u - np.diff(_to_points(bases, y.reshape(bases.shape[:2])), axis=0,
-                    prepend=0.0, append=0.0)
-    u = u / max(1.0, float(np.sqrt((u * u).sum(axis=1)).max()))
-    return float(u[-1] @ B - u[0] @ A)
+def _dual_bound(A, B, u, residual, value) -> float:
+    """Weak-duality lower bound on the length of every chain from A to B, from
+    any edge multipliers u (k+1, dim), their vertex residual rows r_i = B_i
+    (u_{i-1} - u_i) (k, m) and a value V at least the minimum length.
 
+    For a chain q_i = B_i^T c_i, sum_e <u_e, d_e> = <u_k, B> - <u_0, A> +
+    sum_i <r_i, c_i> is at most s = max(1, max_e |u_e|) times its length, and
+    a minimizer has |c_i| = |q_i| <= |A| + V: the minimum is at least
+    (<u_k, B> - <u_0, A> - R) / s, R = (|A| + V) sum_i |r_i|.  Taking the
+    data and the chain as exact, the pieces here and the value's own sum
+    round by at most 5 gamma_n (|A| + |B| + V + R) in all, gamma_n = n u /
+    (1 - n u) for the unit roundoff u and n = k + dim + 2 (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 3.1); 4 gamma_n at u = eps
+    = 2u is subtracted, so the bound is at most the value."""
+    n = (len(u) + len(A) + 1) * np.finfo(float).eps
+    size_A = math.sqrt(A @ A)
+    R = (size_A + value) * float(np.sqrt(_row_dot(residual, residual)).sum())
+    s = max(1.0, math.sqrt(float(_row_dot(u, u).max())))
+    allowance = 4.0 * n / (1.0 - n) * (size_A + math.sqrt(B @ B) + value + R)
+    return (float(u[-1] @ B - u[0] @ A) - R) / s - allowance

@@ -493,16 +493,23 @@ def scale_action(sample, lam):
 
 
 def assert_lower_bound(result):
-    """A VALID or GHOST result proves itself: its lower bound is at most
-    rounding above its value, and below it by at most 1e-9 of the value for
-    a VALID result and 1e-12 for a GHOST.  Any other result has none."""
+    """A smooth (VALID, EDGE_IN_SUBSPACE or NON_GENERIC_RAY) or certified
+    GHOST result bounds itself: its lower bound is at most its value in
+    floating point, and below it by at most 1e-12 of the value for a GHOST
+    and 1e-9 for a smooth result."""
     from linbilliards.solver import Classification
     bound, value = result.lower_bound, result.value
-    if result.classification not in (Classification.VALID, Classification.GHOST):
-        assert bound is None
-        return
-    assert bound <= value * (1.0 + 1e-14)
-    assert value - bound <= (1e-9 if result.is_valid else 1e-12) * value
+    assert bound <= value
+    ghost = result.classification is Classification.GHOST
+    assert value - bound <= (1e-12 if ghost else 1e-9) * value
+
+
+def rounding_allowance(k, dim, A, B, value):
+    """What _dual_bound subtracts from a bound whose residual rows vanish:
+    4 gamma_n (|A| + |B| + value), gamma_n = n eps / (1 - n eps) for n = k +
+    dim + 2."""
+    n = (k + dim + 2) * np.finfo(float).eps
+    return 4.0 * n / (1.0 - n) * (np.linalg.norm(A) + np.linalg.norm(B) + value)
 
 
 def random_smooth_chain(arr, itinerary, A, B, rng, radius=3.0, min_gap=1e-2):
