@@ -28,11 +28,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, _as_vector, _frozen
+from .arrangement import Arrangement, Itinerary, _frozen
 from .errors import InputError, NonSmoothPoint
 
-# consecutive points closer than this (times the problem scale) make the
-# path length non-smooth; derivative code refuses to evaluate there
+# consecutive points closer than this times the solve's scale (anchor_scale)
+# make the path length non-smooth; derivative code refuses to evaluate there
 COINCIDENCE_TOL = 1e-9
 
 
@@ -170,22 +170,22 @@ class HessianModel:
     already as ``edge_pass``: the edge lengths (k+1,), unit edges (k+1, dim),
     stacked gradient (k*m,) and Hessian (k*m, k*m) of ``_edge_terms`` and
     ``_stacked`` at exactly these points, as the solver's Newton core
-    computes them, and may pass the stacked ``bases`` and ``chord`` |B - A|
-    it holds too.  Either way the coincidence test and, on first read, the
-    structured pieces below are built here from the same arrays.
+    computes them, and may pass the stacked ``bases`` and the solve's
+    ``scale`` (Arrangement.anchor_scale) it holds too.  Either way the
+    coincidence test (an edge within COINCIDENCE_TOL * scale) and, on first
+    read, the structured pieces below are built here from the same arrays.
     """
 
     def __init__(self, arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B,
-                 edge_pass=None, bases=None, chord=None):
+                 edge_pass=None, bases=None, scale=None):
         self.chain = chain
         self.bases = arr.bases_of(itinerary) if bases is None else bases   # (k, m, dim)
+        scale = arr.anchor_scale(A, B)[0] if scale is None else scale
         if edge_pass is None:
             edges, lengths = _edge_lengths(_point_list(A, chain.points, B))
         else:
             lengths = edge_pass[0]
-        if chord is None:
-            chord = float(np.linalg.norm(np.asarray(B, dtype=float) - np.asarray(A, dtype=float)))
-        if (lengths <= COINCIDENCE_TOL * max(chord, 1e-30)).any():
+        if (lengths <= COINCIDENCE_TOL * scale).any():
             raise NonSmoothPoint("consecutive path points coincide")
         if edge_pass is None:
             _, units, grad, diag, off = _edge_terms(edges, lengths)
@@ -294,8 +294,6 @@ class HessianModel:
 
 def hessian(arr: Arrangement, itinerary: Itinerary, A, chain: Chain, B) -> HessianModel:
     """Exact Hessian of the path length at a smooth chain."""
-    A = _as_vector(A, arr.dim, "anchor A")
-    B = _as_vector(B, arr.dim, "anchor B")
     return HessianModel(arr, itinerary, A, chain, B)
 
 

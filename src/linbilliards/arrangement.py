@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
 
-# Absolute membership tolerance on unit-scale data; callers pass an explicit
-# tol wherever the geometry is scale dependent.
+# Membership tolerance, relative to the scale of a solve (Arrangement.anchor_scale):
+# a point within MEMBERSHIP_TOL * scale of a subspace lies on it.
 MEMBERSHIP_TOL = 1e-9
 
 _ORTHO_TOL = 1e-12
@@ -34,6 +35,18 @@ def _as_vector(x, dim: int, what: str = "point") -> np.ndarray:
     if v.shape != (dim,):
         raise InputError(f"{what} has shape {v.shape}, expected ({dim},)")
     return v
+
+
+def _check_size(points: np.ndarray, dim: int, what: str) -> None:
+    """Raise InputError unless the points are finite, with coordinates small
+    enough that squared distances between points of that size stay finite
+    in dimension dim.  The Newton core would otherwise fail in its Cholesky
+    solve or by overflow."""
+    limit = math.sqrt(sys.float_info.max / (4.0 * dim))
+    # NaN fails the comparison too
+    if not float(np.abs(points).max(initial=0.0)) <= limit:
+        raise InputError(f"{what} must be finite, with coordinates of "
+                         f"magnitude at most {limit:.3g}")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -295,8 +308,17 @@ class Arrangement:
         w = _perp(self.complements, points[..., None, :])
         return np.sqrt(_row_dot(w, w).min(axis=-1))
 
-    def on_locus(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.distance_to_locus(x) <= tol
+    def anchor_scale(self, A, B) -> tuple[float, bool]:
+        """(scale, off_locus) of a solve from A to B (points that pass
+        _check_size): scale = max(|B - A|, d(A, L), d(B, L)) for the collision
+        locus L, and whether both anchors clear L by more than MEMBERSHIP_TOL
+        * scale.  Every tolerance of a point solve is a constant times scale."""
+        anchors = np.array([_as_vector(x, self.dim, "anchor") for x in (A, B)])
+        _check_size(anchors, self.dim, "anchors")
+        delta = anchors[1] - anchors[0]
+        near = self.locus_distances(anchors).tolist()
+        scale = max(math.sqrt(delta.dot(delta)), *near)   # |B - A| as np.linalg.norm rounds it
+        return scale, min(near) > MEMBERSHIP_TOL * scale
 
     def tube_intervals(self, starts, directions, tol: float):
         """Parameter intervals {t : dist(p + t d, L) <= tol} of lines p + t d,

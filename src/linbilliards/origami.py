@@ -206,8 +206,8 @@ def search_realizable(arr: Arrangement, max_len: int, sample_budget: int,
 
     Anchors are sampled on spheres of radius 1 and 10, stratified over the
     four radius combinations.  The solver's stop tests have no scale and its
-    locus tests are relative at scales above 1, so by the scaling symmetry
-    the radius is immaterial; direction coverage is what matters.
+    other tolerances are relative to the anchors' scale, so by the scaling
+    symmetry the radius is immaterial; direction coverage is what matters.
     "realized" comes with a witness; "not-found" is inconclusive by design.  Itineraries are independent and
     fan out over a process pool when jobs > 1; the row order (and content,
     seeds being per-itinerary) never depends on the worker count.  A solver

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Chain, _to_points
-from .arrangement import Arrangement, Itinerary
+from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary
 from .errors import InputError, PreconditionError
-from .solver import MinimizeResult, _check_size, minimize
+from .solver import MinimizeResult, minimize
 from .trajectory import OrientedLine, boundary_lines
 
 
@@ -111,17 +111,16 @@ class RelationPatch:
         return good / total if total else 0.0
 
 
-def free_motion_sample(arr: Arrangement, A, B,
-                       tol: float = 1e-9) -> RelationSample | None:
+def free_motion_sample(arr: Arrangement, A, B) -> RelationSample | None:
     """Identity-relation sample: straight motion from A through B.
 
     Returns None when the full line through A and B meets the arrangement
-    (the itinerary would then not be empty).  Anchors that minimize would
-    refuse (_check_size: non-finite, or too large) raise InputError.
+    (the itinerary would then not be empty) within MEMBERSHIP_TOL times the
+    scale of Arrangement.anchor_scale, which refuses what minimize refuses.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    _check_size(np.stack((A, B)), arr.dim, "anchors")
+    tol = MEMBERSHIP_TOL * arr.anchor_scale(A, B)[0]
     d = B - A
     norm = np.linalg.norm(d)
     if norm == 0.0:

@@ -35,8 +35,9 @@ opening stage then runs with no certificate attempt after it (a minimizer
 outside the window still tries the exact polish).
 
 The gradient of the length is a sum of differences of unit vectors, so it
-has no unit: every stop test compares |grad| with its tolerance alone, and a
-solve stops at the same point of a table whatever the scale of its anchors.
+has no unit: every stop test compares |grad| with its tolerance alone.  Every
+other tolerance is a constant times the one scale of Arrangement.anchor_scale,
+so a solve decides alike whatever the scale of its anchors.
 
 A ghost is certified exactly, independently of mu, and need not run every
 stage.  The length is convex, so a chain is its global minimum if and only
@@ -101,14 +102,13 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, _complement, _frozen, _perp,
-                          _row_dot, intersection_basis)
+from .arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, _check_size, _complement,
+                          _frozen, _perp, _row_dot, intersection_basis)
 from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms,
                      _point_list, _stacked, _to_coords, _to_points, action)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
@@ -126,7 +126,7 @@ class Classification(enum.Enum):
 
 
 GRAD_TOL = 1e-10       # a smooth solve stops at |grad| <= this; |grad| has no unit
-STEP_TOL = 1e-12       # stagnation threshold on the step norm
+STEP_TOL = 1e-12       # stagnation threshold on the step norm, times the solve's scale
 ARMIJO = 1e-4          # sufficient-decrease constant of the backtracking
 STEP_FLOOR = 1e-12     # smallest backtracking step fraction tried
 OPEN_TOL = 1e-4        # the opening stage (mu = scale) stops at |grad| <= this
@@ -213,7 +213,8 @@ class _StackedProblem:
     Each edge contributes the soft norm of its vector; at mu = 0 this is the
     exact path length (with its exact derivatives at smooth points).  Smooth
     and convex for mu > 0 regardless of vertex coincidences, which is what
-    the continuation relies on.
+    the continuation relies on.  scale, the solve's (anchor_scale), is
+    inherited by a reduced problem.
 
     The edges of a point are measured once: value and edge_pass keep the
     edge pass of the last point they measured, and derivatives and the gap
@@ -223,15 +224,13 @@ class _StackedProblem:
     classification of the point the Newton core stopped at.
     """
 
-    def __init__(self, plan, A, B):
+    def __init__(self, plan, A, B, scale):
         self.plan, self.bases, self.bases_t = plan, plan.bases, plan.bases_t
         self.k, self.m, self.dim = plan.bases.shape
-        self.A = A
-        self.B = B
+        self.A, self.B, self.scale = A, B, scale
         # A, q_1..q_k, B; the chain rows are overwritten on every call
         self._pts = np.empty((self.k + 2, self.dim))
-        self._pts[0] = A
-        self._pts[-1] = B
+        self._pts[0], self._pts[-1] = A, B
         self._measured = None   # (x, mu2, edges, soft lengths) last measured
         self._derived = None    # (x, mu2, soft lengths, units, g, H) last derived
 
@@ -479,14 +478,14 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
             return x, value, grad_norm, "no_descent"
         # local phase: the full Newton step contracts the gradient near the
         # minimum, where value differences are already below rounding.  A
-        # value above that rounding bound fails Armijo at t = 1 as well (the
-        # slope is negative), so the full step is valued first and
-        # differentiated only below it
+        # value above that rounding bound, 1e-12 |value|, fails Armijo at t =
+        # 1 as well (the slope is negative), so the full step is valued first
+        # and differentiated only below it
         full = retract(x, step, 1.0)
         kept = None
         if full is not None:
             fval = value_of(full)
-            if fval <= value + 1e-12 * max(1.0, value):
+            if fval <= value + 1e-12 * abs(value):
                 kept = derivatives(full)
                 full_norm = math.sqrt(kept[1] @ kept[1])
                 if full_norm <= 0.5 * grad_norm:
@@ -517,19 +516,20 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
     return x, value, grad_norm, "max_iters"
 
 
-def _exact_polish(problem, x, tol, floor, max_iters, gate=WARM_GATE):
+def _exact_polish(problem, x, tol, max_iters, gate=WARM_GATE):
     """(coordinates, length, gradient norm) of the exact (mu = 0) Newton
     polish of x, or None: the one convergence test of a smooth solve, cold,
     warm or reduced.
 
-    x is in Newton's basin when every gap exceeds floor and its first exact
-    Newton step is at most gate of the shortest gap; the gate only saves
-    work.  The polish aims at WARM_AIM * tol, typically one quadratic step
-    past tol, so that a result's error does not depend on where its start
-    sat (finite differences over a patch divide it by the spacing).  It is
-    accepted once the gradient meets tol, with every gap still above
-    floor.
+    x is in Newton's basin when every gap exceeds the floor COINCIDENCE_TOL
+    * problem.scale and its first exact Newton step is at most gate of the
+    shortest gap; the gate only saves work.  The polish aims at WARM_AIM *
+    tol, typically one quadratic step past tol, so that a result's error
+    does not depend on where its start sat (finite differences over a patch
+    divide it by the spacing).  It is accepted once the gradient meets tol,
+    with every gap still above the floor.
     """
+    floor, step_tol = COINCIDENCE_TOL * problem.scale, STEP_TOL * problem.scale
     shortest = problem.edge_pass(x, 0.0)[1].min()
     if not shortest > floor:
         return None
@@ -540,7 +540,7 @@ def _exact_polish(problem, x, tol, floor, max_iters, gate=WARM_GATE):
         return None
     x, value, grad_norm, _ = _damped_newton(
         x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
-        _add_step, WARM_AIM * tol, STEP_TOL, max_iters, start=start, first_step=step)
+        _add_step, WARM_AIM * tol, step_tol, max_iters, start=start, first_step=step)
     if grad_norm > tol or problem.edge_pass(x, 0.0)[1].min() <= floor:
         return None
     return x, value, grad_norm
@@ -559,12 +559,12 @@ def _snapped(pts: np.ndarray, runs, meets):
     return pts
 
 
-def _reduced_minimum(problem, plan, pts, floor, mu2):
+def _reduced_minimum(problem, plan, pts, mu2):
     """(points, edges, lengths) of the exact (mu = 0) minimum over chains
     whose runs, a run plan's, are each one point on the intersection of the
     run's subspaces, from the snap of the point list pts: its points and the
     edges of its point list, measured once; None if it is not found with
-    every open edge above floor.
+    every open edge above the floor COINCIDENCE_TOL * problem.scale.
 
     The reduced chain keeps the first vertex of each run, with the run's
     intersection basis padded by zero rows to the common m.  Its free
@@ -581,19 +581,19 @@ def _reduced_minimum(problem, plan, pts, floor, mu2):
         pts[1:-1] = 0.0
     else:
         pts = _snapped(pts, plan.runs, plan.meets)
-        reduced = _StackedProblem(plan.reduced, problem.A, problem.B)
+        reduced = _StackedProblem(plan.reduced, problem.A, problem.B, problem.scale)
         y = reduced.coords_of(pts[1:-1][plan.keep])
         mu2 *= 1e-4
         y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
                                partial(reduced.value, mu2=mu2), _add_step,
-                               1e-9, STEP_TOL, max_iters=40)
-        polished = _exact_polish(reduced, y, CERT_RESIDUAL, floor, 40)
+                               1e-9, STEP_TOL * problem.scale, max_iters=40)
+        polished = _exact_polish(reduced, y, CERT_RESIDUAL, 40)
         if polished is None:
             return None
         pts[1:-1] = reduced.points_of(polished[0])[np.cumsum(plan.keep) - 1]
     edges, lengths = _edge_lengths(pts)
     # the collapsed edges are exact zeros; the open ones are the reduced edges
-    if not lengths[plan.open].min() > floor:
+    if not lengths[plan.open].min() > COINCIDENCE_TOL * problem.scale:
         return None
     return pts[1:-1], edges, lengths
 
@@ -721,7 +721,7 @@ def _ghost_candidate(gaps, mu2) -> bool:
     return bool((gaps[1:-1] <= CERT_WINDOW * math.sqrt(mu2)).any())
 
 
-def _certify_ghost(problem, x, mu2, floor):
+def _certify_ghost(problem, x, mu2):
     """(length, points, u, residual) of the ghost certified exactly by edge
     multipliers u at x, the minimizer of the smoothing stage mu2 or, for a
     cold solve's opening stage, its start (the spring chain), or None: the
@@ -744,7 +744,7 @@ def _certify_ghost(problem, x, mu2, floor):
     for j in [*range(first, len(interior)), *range(first - 1, -1, -1)][:CERT_TRIES]:
         try:
             plan = problem.plan.run_plans(tuple(_collapsing_runs(gaps, interior[j])))
-            found = _reduced_minimum(problem, plan, problem._pts, floor, mu2)
+            found = _reduced_minimum(problem, plan, problem._pts, mu2)
             if found is not None:
                 proof = _multipliers_certify(problem, plan, *found[1:], start)
                 if proof is not None:
@@ -776,19 +776,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
     # copies: a result's multipliers keep the anchors for its lower bound
     A = np.array(A, dtype=float)
     B = np.array(B, dtype=float)
-    if A.shape != (arr.dim,) or B.shape != (arr.dim,):
-        raise InputError("anchors must match the arrangement dimension")
-    anchors = np.array([A, B])
-    _check_size(anchors, arr.dim, "anchors")
-    itinerary.validate_against(arr)
-    delta = B - A
-    chord = math.sqrt(delta.dot(delta))   # |B - A| as np.linalg.norm rounds it
     # the anchors' locus test here is the one genericity asks for, at the
     # same tolerance, so classification does not repeat it
-    near_A, near_B = arr.locus_distances(anchors).tolist()
-    if min(near_A, near_B) <= MEMBERSHIP_TOL * max(1.0, chord):
+    scale, off_locus = arr.anchor_scale(A, B)
+    itinerary.validate_against(arr)
+    if not off_locus:
         raise PreconditionError("anchors must lie off the collision locus")
-    scale = max(chord, near_A, near_B)
 
     if initial_chain is not None:
         _check_start(arr, itinerary, initial_chain)
@@ -799,7 +792,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         chain = Chain.from_coords(arr, itinerary, np.zeros((len(itinerary), 0)))
         return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0)
 
-    problem = _StackedProblem(_plan_of(arr.bases_of(itinerary)), A, B)
+    problem = _StackedProblem(_plan_of(arr.bases_of(itinerary)), A, B, scale)
     polished = certified = None
     spring_tried = False   # the opening stage's certificate, tried at its start
     if initial_chain is None:
@@ -811,12 +804,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         mu2 = stages[0][0] * stages[0][0]
         spring_tried = _ghost_candidate(problem.edge_pass(x, 0.0)[1], mu2)
         if spring_tried:
-            certified = _certify_ghost(problem, x, mu2, coincidence)
+            certified = _certify_ghost(problem, x, mu2)
     else:
         x = problem.coords_of(initial_chain.points)
         # a caller's chain in Newton's basin (a solved neighbour) is polished
         # at mu = 0 directly; any other falls through to the continuation
-        polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS)
+        polished = _exact_polish(problem, x, GRAD_TOL, POLISH_ITERS)
         stages = [] if polished is not None else _stages(scale)
 
     # continuation in the smoothing parameter; warm-started Newton each stage,
@@ -832,13 +825,13 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         mu2 = mu * mu
         x, *_ = _damped_newton(x, partial(problem.derivatives, mu2=mu2),
                                partial(problem.value, mu2=mu2), _add_step,
-                               tol, STEP_TOL, max_iters=40)
+                               tol, STEP_TOL * scale, max_iters=40)
         iterations += 1
         gaps = problem.edge_pass(x, 0.0)[1]
         if not _ghost_candidate(gaps, mu2):
-            polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS)
+            polished = _exact_polish(problem, x, GRAD_TOL, POLISH_ITERS)
         elif iterations > 1 or not spring_tried:
-            certified = _certify_ghost(problem, x, mu2, coincidence)
+            certified = _certify_ghost(problem, x, mu2)
 
     if certified is not None:
         # every run of a certified chain is one point, so the chain has a
@@ -851,7 +844,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
                               GHOST_MESSAGE, multipliers=(A, B, u, residual))
     if polished is None and gaps.min() > coincidence:
         # no gate let the last chain through; the accept test alone proves it
-        polished = _exact_polish(problem, x, GRAD_TOL, coincidence, POLISH_ITERS, math.inf)
+        polished = _exact_polish(problem, x, GRAD_TOL, POLISH_ITERS, math.inf)
     if polished is not None:
         x, value, grad_norm = polished
     elif gaps.min() > coincidence:
@@ -861,19 +854,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         value, grad_norm = action(A, problem.points_of(x), B), None
     chain = _iterate_chain(problem, x)
     return _classify(arr, itinerary, A, chain, B, value, iterations,
-                     (problem.exact_pass(x), grad_norm, problem.plan, problem._pts, chord))
-
-
-def _check_size(points: np.ndarray, dim: int, what: str) -> None:
-    """Raise InputError unless the points are finite, with coordinates small
-    enough that squared distances between points of that size stay finite
-    in dimension dim.  The Newton core would otherwise fail in its Cholesky
-    solve or by overflow."""
-    limit = math.sqrt(sys.float_info.max / (4.0 * dim))
-    # NaN fails the comparison too
-    if not float(np.abs(points).max(initial=0.0)) <= limit:
-        raise InputError(f"{what} must be finite, with coordinates of "
-                         f"magnitude at most {limit:.3g}")
+                     (problem.exact_pass(x), grad_norm, problem.plan, problem._pts, scale))
 
 
 def _check_start(arr: Arrangement, itinerary: Itinerary, chain: Chain) -> None:
@@ -902,16 +883,16 @@ def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
     plan.projectors and one _row_dot give |P⊥_i u_{i-1}|, |P⊥_i u_i| (the
     edge-in-subspace test) and the membership distances _generic reads; a
     VALID trajectory reuses the point list, unit edges and lengths.  polish,
-    from minimize: (edge_pass, grad_norm, plan, pts, chord), the exact pass
+    from minimize: (edge_pass, grad_norm, plan, pts, scale), the exact pass
     and gradient norm where the Newton core stopped (None elsewhere), the
-    solve plan, the point list (A, chain, B) and |B - A|; what it lacks is
-    measured.  The anchors' locus test is minimize's precondition."""
+    solve plan, the point list (A, chain, B) and anchor_scale's scale; what
+    it lacks is measured.  The anchors' locus test is minimize's precondition."""
     if polish is None:
         polish = (None, None, _plan_of(arr.bases_of(itinerary)),
-                  _point_list(A, chain.points, B), float(np.linalg.norm(B - A)))
-    edge_pass, grad_norm, plan, pts, chord = polish
+                  _point_list(A, chain.points, B), arr.anchor_scale(A, B)[0])
+    edge_pass, grad_norm, plan, pts, scale = polish
     try:
-        model = HessianModel(arr, itinerary, A, chain, B, edge_pass, plan.bases, chord)
+        model = HessianModel(arr, itinerary, A, chain, B, edge_pass, plan.bases, scale)
     except NonSmoothPoint:
         return MinimizeResult(chain, value, math.nan, Classification.GHOST, None, iterations,
                               GHOST_MESSAGE)
@@ -930,7 +911,7 @@ def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
                     message=f"an edge at vertex {j + 1} lies inside "
                             f"{arr.subspaces[itinerary[j]].name}")
 
-    if not _generic(arr, off[2 * k:], pts, MEMBERSHIP_TOL * max(1.0, chord)):
+    if not _generic(arr, off[2 * k:], pts, MEMBERSHIP_TOL * scale):
         return done(Classification.NON_GENERIC_RAY, None, message="configuration violates "
                     "genericity (adjacent membership or ray recrossing)")
 

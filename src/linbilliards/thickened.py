@@ -26,12 +26,12 @@ from functools import partial
 
 import numpy as np
 
-from .arrangement import Arrangement, Itinerary, _as_vector, _perp, _row_dot, _tube_approach
+from .arrangement import (Arrangement, Itinerary, _as_vector, _check_size, _perp, _row_dot,
+                          _tube_approach)
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
 from . import solver
 from .action import COINCIDENCE_TOL, _edge_terms, _identity, _stacked, _to_points, action
-from .solver import (_check_size, _damped_newton, _ItineraryPlan, _plan_of, _stages,
-                     _StackedProblem, minimize)
+from .solver import _damped_newton, _ItineraryPlan, _plan_of, _stages, _StackedProblem, minimize
 from .trajectory import TRANSVERSE_TOL, is_transverse
 
 REENTRY_TOL = 1e-12      # an entry within this times |p| of a ray's start is the wall it leaves
@@ -143,32 +143,44 @@ def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float 
     return t, i, x, w_x, norm_x
 
 
-def first_hit(table: ThickenedTable, p, v):
-    """Earliest entering intersection of the ray p + t v with a cylinder wall.
-
-    Returns (t, subspace index, hit point, outward normal) or None when the
-    ray escapes.  Grazing rays (discriminant below 1e-14 rho^2) do not count
-    as hits, and a start closer than rho - 1e-9 rho to an axis raises
-    PreconditionError: a table and ray scaled together keep their hits.  A
-    hit point inside another cylinder's corner margin (CORNER_TOL rho plus
-    CORNER_ROUNDING (|p| + t)) raises CornerCollision, since the dynamics
-    there is deliberately undefined.
-    This is one event of simulate with no time horizon; simulate carries
-    the hit point's projections into its next ray instead of projecting
-    that point again, as stepping first_hit from each hit would.
-    """
+def _start(table: ThickenedTable, p, v):
+    """The start test of first_hit and simulate: (p, v, w, norm), copies of p
+    and v, p's parts w = P⊥p (n, dim) and their norms (n,).  InputError
+    unless p is a finite point and v a unit vector of the table's space,
+    PreconditionError for a p closer than rho - 1e-9 rho to an axis."""
     arr = table.arrangement
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    p = np.array(p, dtype=float)
+    v = np.array(v, dtype=float)
     if p.shape != (arr.dim,) or v.shape != (arr.dim,):
         raise InputError("point/velocity dimension mismatch")
+    # written so that a NaN fails each test
+    if not math.isfinite(p @ p):
+        raise InputError("ray start must be finite")
+    if not abs(math.sqrt(v @ v) - 1.0) <= 1e-9:
+        raise InputError("ray velocity must be finite and unit")
     w = arr.perp_parts(p)
     norm = np.sqrt(_row_dot(w, w))
     inside = norm < table.inside_below
     if inside.any():
         raise PreconditionError(f"start point lies strictly inside cylinder around "
                                 f"{arr.subspaces[int(np.argmax(inside))].name}")
-    hit = _hit(table, p, v, w, norm)
+    return p, v, w, norm
+
+
+def first_hit(table: ThickenedTable, p, v):
+    """Earliest entering intersection of the ray p + t v with a cylinder wall.
+
+    Returns (t, subspace index, hit point, outward normal) or None when the
+    ray escapes.  Grazing rays (discriminant below 1e-14 rho^2) do not count
+    as hits; the start test is simulate's (_start), and a table and ray
+    scaled together keep their hits.  A hit point inside another cylinder's
+    corner margin (CORNER_TOL rho plus CORNER_ROUNDING (|p| + t)) raises
+    CornerCollision, since the dynamics there is deliberately undefined.
+    This is one event of simulate with no time horizon; simulate carries
+    the hit point's projections into its next ray instead of projecting
+    that point again, as stepping first_hit from each hit would.
+    """
+    hit = _hit(table, *_start(table, p, v))
     if hit is None:
         return None
     t, i, x, w_x, norm_x = hit
@@ -182,9 +194,8 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
     Terminates on escape, the time horizon, or the event budget; a corner hit
     within the horizon raises CornerCollision carrying the partial path (the
     horizon is tested first, so a corner past it ends the path at t_max).
-    A p that is not a point of the table's space, a v that is not a unit
-    vector of it, a negative or NaN t_max and a negative max_events raise
-    InputError; hits and the start test are first_hit's.
+    A negative or NaN t_max and a negative max_events raise InputError;
+    hits and the start test (_start) are first_hit's.
     The start's perpendicular parts are taken once, by one row-dot call
     with the stacked complement projectors, for the inside test and the
     first ray; each hit point's, taken for its corner test, are the next
@@ -193,23 +204,11 @@ def simulate(table: ThickenedTable, p, v, max_events: int = 100,
     normalized.  An event's v_after is read-only: the next's v_before.
     """
     arr = table.arrangement
-    p = _as_vector(p, arr.dim)
-    v = np.array(v, dtype=float)   # the first event's v_before, owned by it alone
-    # written so that a NaN fails each test
-    if not t_max >= 0.0:
+    if not t_max >= 0.0:   # written so that a NaN fails it
         raise InputError(f"simulation horizon must be at least 0, got {t_max}")
     if max_events < 0:
         raise InputError(f"simulation event budget must be at least 0, got {max_events}")
-    if not math.isfinite(p @ p):
-        raise InputError("simulation start must be finite")
-    if v.shape != (arr.dim,):
-        raise InputError("point/velocity dimension mismatch")
-    if not abs(math.sqrt(v @ v) - 1.0) <= 1e-9:
-        raise InputError("simulation velocity must be finite and unit")
-    w = arr.perp_parts(p)
-    norm = np.sqrt(_row_dot(w, w))
-    if (norm < table.inside_below).any():   # p clears every wall, from the first ray's w
-        raise PreconditionError("start point lies inside a cylinder")
+    p, v, w, norm = _start(table, p, v)   # v: the first event's v_before, its own copy
     path = ThickenedPath(p.copy(), v.copy())
     t_now = 0.0
     for _ in range(max_events):
@@ -291,7 +290,8 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary,
     last stage, a chain with a collapsed interior edge is a corner ghost
     (vertices meet where cylinders cross) valued at its exact length;
     anything else raises MaxIterations.  A ghost's points need not be
-    reproducible: a free vertex can slide along a straight segment.
+    reproducible: a free vertex can slide along a straight segment.  An
+    anchor not 1e-12 max(|B - A|, r) clear of every wall is refused.
     """
     arr = table.arrangement
     A = np.asarray(A, dtype=float)
@@ -299,14 +299,14 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary,
     itinerary.validate_against(arr)
     for x, name in ((A, "A"), (B, "B")):
         _check_size(x, arr.dim, f"anchor {name}")
-        if table.distance_to_wall(x) <= 1e-12:
+    problem = _WallProblem(table, itinerary, A, B, np.zeros(len(itinerary), dtype=bool))
+    for x, name in ((A, "A"), (B, "B")):
+        if table.distance_to_wall(x) <= 1e-12 * problem.scale:
             raise PreconditionError(f"anchor {name} must lie in the table interior")
-    scale = max(float(np.linalg.norm(B - A)), table.r)
     plan = _plan_of(arr.bases_of(itinerary))
     points = _to_points(plan.bases, plan.spring_coords(A, B).reshape(plan.k, plan.m))
-    problem = _WallProblem(table, itinerary, A, B, np.zeros(len(itinerary), dtype=bool))
-    for mu, tol in _stages(scale):
-        # no small-step stop: STEP_TOL is absolute, and the barrier's steps shrink with mu
+    for mu, tol in _stages(problem.scale):
+        # no small-step stop: the barrier's steps shrink with mu, below STEP_TOL * scale
         points, *_ = _damped_newton(points, partial(problem.derivatives, mu2=mu * mu),
                                     partial(problem.value, mu2=mu * mu), problem.retract,
                                     tol, 0.0, max_iters=40)
@@ -318,7 +318,7 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary,
             result = _polished(table, itinerary, A, B, points, force > slack)
             if result is not None:
                 return result
-    if gap > COINCIDENCE_TOL * scale:
+    if gap > COINCIDENCE_TOL * problem.scale:
         raise MaxIterations("thickened continuation ended without a polished minimizer")
     return ThickenedMinimizeResult(points, action(A, points, B), False, (force > slack).tolist(),
                                    math.nan, [0.0] * len(points), "ghost: collapsed at a corner")
@@ -353,12 +353,12 @@ class _WallProblem(_StackedProblem):
     projector P = I - omega omega^T by ``action._stacked``, plus omega
     omega^T (a unit diagonal that keeps Newton definite and its step
     tangent) and the perp-sphere curvature (force / rho)(I - B^T B - omega
-    omega^T).  The gradient P g has no unit."""
+    omega^T).  The gradient P g has no unit; the scale is max(|B - A|, r)."""
 
     def __init__(self, table, itinerary, A, B, active):
         arr, k = table.arrangement, len(itinerary)
         super().__init__(_ItineraryPlan(np.broadcast_to(np.eye(arr.dim), (k, arr.dim, arr.dim))),
-                         A, B)
+                         A, B, max(float(np.linalg.norm(B - A)), table.r))
         self.radii = table.radii[list(itinerary)]
         self.active = np.asarray(active)
         # I - B^T B: each vertex's stored complement projector (k, dim, dim)

@@ -9,8 +9,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .action import _edge_lengths, _point_list
-from .arrangement import (Arrangement, Itinerary, MEMBERSHIP_TOL, _as_vector, _perp, _rays_hit,
-                          _row_dot)
+from .arrangement import Arrangement, Itinerary, MEMBERSHIP_TOL, _perp, _rays_hit, _row_dot
 from .errors import InputError
 
 # |v_+ - v_-| below this means the vertex is internal (no direction change).
@@ -139,20 +138,19 @@ def is_transverse(traj: BilliardTrajectory) -> bool:
     return bool(np.all(np.sqrt(_row_dot(jumps, jumps)) > TRANSVERSE_TOL))
 
 
-def is_generic(arr: Arrangement, A, chain, B, itinerary: Itinerary,
-               tol: float = MEMBERSHIP_TOL) -> bool:
-    """Genericity of the configuration (A, chain, B) for the given itinerary:
-    both anchors off the collision locus (one locus_distances call), every
-    vertex off its neighbours' subspaces, and neither boundary ray (from q_1
-    through A, from q_k through B) meets a subspace beyond its start."""
-    A = _as_vector(A, arr.dim, "anchor A")
-    B = _as_vector(B, arr.dim, "anchor B")
+def is_generic(arr: Arrangement, A, chain, B, itinerary: Itinerary) -> bool:
+    """Genericity of (A, chain, B) for the itinerary at MEMBERSHIP_TOL times
+    Arrangement.anchor_scale, as the solver classifies: both anchors off the
+    collision locus, every vertex off its neighbours' subspaces, and neither
+    boundary ray (from q_1 through A, from q_k through B) meets a subspace
+    beyond its start."""
+    scale, off_locus = arr.anchor_scale(A, B)
     chain = np.asarray(chain, dtype=float).reshape(len(itinerary), arr.dim)
-    if (arr.locus_distances(np.array((A, B))) <= tol).any():
+    if not off_locus:
         return False
     pts, comp = _point_list(A, chain, B), arr.complements[list(itinerary)]
     w = _perp(np.concatenate((comp[1:], comp[:-1])), np.concatenate((pts[1:-2], pts[2:-1])))
-    return _generic(arr, np.sqrt(_row_dot(w, w)), pts, tol)
+    return _generic(arr, np.sqrt(_row_dot(w, w)), pts, MEMBERSHIP_TOL * scale)
 
 
 def _generic(arr: Arrangement, near: np.ndarray, pts: np.ndarray, tol: float) -> bool:

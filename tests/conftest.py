@@ -178,6 +178,13 @@ def tube_interval(sub, p, d, tol: float):
     return (t_star - half, t_star + half)
 
 
+def stacked_problem(arr, itinerary, A, B):
+    """The solver's _StackedProblem over the itinerary's solve plan, at the
+    scale of a solve from A to B (Arrangement.anchor_scale)."""
+    return solver._StackedProblem(solver._plan_of(arr.bases_of(itinerary)), A, B,
+                                  arr.anchor_scale(A, B)[0])
+
+
 def perp_by_basis(bases, x):
     """Components x - B^T(B x) of x (..., dim) orthogonal to the subspaces
     with orthonormal bases (..., m, dim), leading axes broadcast: the basis

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from linbilliards.arrangement import (
+    MEMBERSHIP_TOL,
     Arrangement,
     Itinerary,
     Subspace,
@@ -457,10 +458,17 @@ def _free_line_by_loop(arr, A, B, tol):
 
 
 def _assert_free_line_matches_loop(arr, p, q, tol):
-    """free_motion_sample refuses the line through p and q exactly where one
-    tube interval per subspace meets it; returns whether the line is free."""
+    """Arrangement.tube_intervals meets the line through p and q at radius
+    tol exactly where one tube interval per subspace meets it, and
+    free_motion_sample refuses the line exactly where the loop meets it at
+    the radius of a point solve, MEMBERSHIP_TOL times max(|q - p|, d(p, L),
+    d(q, L)); returns whether the line is free at tol."""
+    lo, hi = arr.tube_intervals(p, q - p, tol)
     free = _free_line_by_loop(arr, p, q, tol)
-    assert (free_motion_sample(arr, p, q, tol) is None) == (not free)
+    assert bool(np.any(lo <= hi)) == (not free)
+    own = MEMBERSHIP_TOL * max(float(np.linalg.norm(q - p)), arr.distance_to_locus(p),
+                               arr.distance_to_locus(q))
+    assert (free_motion_sample(arr, p, q) is None) == (not _free_line_by_loop(arr, p, q, own))
     return free
 
 

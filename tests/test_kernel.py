@@ -11,7 +11,7 @@ from linbilliards.arrangement import Itinerary
 from linbilliards.solver import _plan_of, _StackedProblem
 from linbilliards.thickened import ThickenedTable, _WallProblem
 
-from conftest import fd_jacobian, random_smooth_chain
+from conftest import fd_jacobian, random_smooth_chain, stacked_problem
 
 FIXTURES = ["twolines_arr", "lines3d_arr", "planes4d_arr", "fourbody_arr"]
 
@@ -23,7 +23,7 @@ def test_smoothed_kernel_matches_finite_differences(request, name, mu2):
     rng = np.random.default_rng(7)
     itin = Itinerary((0, 1, 0))
     A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
-    problem = _StackedProblem(_plan_of(arr.bases_of(itin)), A, B)
+    problem = stacked_problem(arr, itin, A, B)
     x = rng.normal(size=problem.k * problem.m)
     value, grad, H = problem.derivatives(x, mu2)
     edges = np.diff(np.vstack([A, problem.points_of(x), B]), axis=0)
@@ -42,7 +42,7 @@ def test_smoothed_kernel_at_coincident_vertices(request, name):
     arr = request.getfixturevalue(name)
     rng = np.random.default_rng(3)
     A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
-    problem = _StackedProblem(_plan_of(arr.bases_of(Itinerary((0, 1)))), A, B)
+    problem = stacked_problem(arr, Itinerary((0, 1)), A, B)
     x = np.zeros(problem.k * problem.m)
     mu2 = 1e-3
     value, grad, H = problem.derivatives(x, mu2)
@@ -64,7 +64,7 @@ def test_kernel_at_zero_smoothing_is_the_exact_model(request, name):
     A, B = rng.normal(size=arr.dim) * 2, rng.normal(size=arr.dim) * 2
     chain = random_smooth_chain(arr, itin, A, B, rng)
     bases = np.array([arr.subspaces[i].basis for i in itin])
-    problem = _StackedProblem(_plan_of(bases), A, B)
+    problem = _StackedProblem(_plan_of(bases), A, B, arr.anchor_scale(A, B)[0])
     value, grad, H = problem.derivatives(chain.coords.reshape(-1), 0.0)
     assert np.allclose(grad, gradient_stacked(arr, itin, A, chain, B),
                        rtol=1e-12, atol=1e-14)

@@ -1,4 +1,5 @@
 import collections
+import copy
 import math
 import pickle
 import sys
@@ -21,7 +22,7 @@ from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflecti
 
 from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, barrier_step_reference,
                       chain_is_generic_reference, envelope_gradients, grad_tol, random_chain,
-                      random_start_solves, rounding_allowance)
+                      random_start_solves, rounding_allowance, stacked_problem)
 
 
 def brute_force_minimum(arr, itinerary, A, B, radius, n_grid=21):
@@ -260,6 +261,21 @@ def _random_case(arr, rng, min_len, max_len):
     return Itinerary(tuple(seq)), anchors[0], anchors[1]
 
 
+@pytest.mark.parametrize("fixture", ["planes4d_arr", "fourbody_arr"])
+def test_random_draws_classify_alike_at_small_anchor_scales(fixture, request):
+    """100 draws of _random_case at default_rng(7) classify at lam = 1e-6 as
+    at lam = 1, with value / lam within 1e-12 (relative): every tolerance of
+    a solve is a constant times its scale, so no genericity test turns
+    absolute on small anchors and calls a valid billiard NonGenericRay."""
+    arr = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        it, A, B = _random_case(arr, rng, 2, 6)
+        base, small = minimize(arr, it, A, B), minimize(arr, it, 1e-6 * A, 1e-6 * B)
+        assert small.classification is base.classification
+        assert abs(small.value / 1e-6 - base.value) <= 1e-12 * base.value
+
+
 @pytest.mark.parametrize("fixture", FIXTURES + ["planes3d_arr"])
 def test_certified_chains_are_never_longer_than_other_chains(fixture, request,
                                                              monkeypatch):
@@ -321,8 +337,8 @@ def test_certified_ghosts_match_full_continuation(fixture, request, monkeypatch)
         monkeypatch.setattr(solver_module, "CERT_WINDOW", 1e-4 * scale / math.sqrt(last[0]))
         return found
 
-    def after_the_last_stage(problem, x, mu2, floor):
-        return real_certify(problem, x, mu2, floor) if mu2 == last[0] else None
+    def after_the_last_stage(problem, x, mu2):
+        return real_certify(problem, x, mu2) if mu2 == last[0] else None
 
     monkeypatch.setattr(solver_module, "_stages", stages)
     monkeypatch.setattr(solver_module, "_certify_ghost", after_the_last_stage)
@@ -401,7 +417,7 @@ def test_snapped_ghosts_match_full_continuation(table, request, monkeypatch):
     certificate and the full continuation snap at different mu, so their
     representatives may differ; both must be certified minima."""
     import linbilliards.solver as solver_module
-    from linbilliards.solver import _StackedProblem, _collapsing_runs
+    from linbilliards.solver import _collapsing_runs
     arr = _four_body_table() if table == "four_body" else request.getfixturevalue(table)
     rng = np.random.default_rng(5)
     cases = [_random_case(arr, rng, 2, 6) for _ in range(40 if table == "planes3d_arr" else 12)]
@@ -418,8 +434,7 @@ def test_snapped_ghosts_match_full_continuation(table, request, monkeypatch):
                                           axis=0), axis=1)
             runs = _collapsing_runs(gaps, 1e-12 * max(1.0, scale))
             assert runs
-            assert _certifies(_StackedProblem(solver._plan_of(arr.bases_of(it)), A, B),
-                              result.chain.points, runs, np.zeros((len(it) + 1, arr.dim)))
+            assert _certifies(stacked_problem(arr, it, A, B), result.chain.points, runs, np.zeros((len(it) + 1, arr.dim)))
         return result
 
     early = [solve(*case) for case in cases]
@@ -463,7 +478,7 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
     but breaks stationarity.  Collapsing a valid two-line solve onto the
     origin meets stationarity only with a multiplier of norm above one."""
     from linbilliards.arrangement import intersection_basis
-    from linbilliards.solver import _StackedProblem, _collapsing_runs
+    from linbilliards.solver import _collapsing_runs
     rng = np.random.default_rng(5)
     for _ in range(40):
         it, A, B = _random_case(planes3d_arr, rng, 2, 4)
@@ -480,7 +495,7 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
             break
     else:
         pytest.fail("no ghost collapsed onto a line")
-    problem = _StackedProblem(solver._plan_of(planes3d_arr.bases_of(it)), A, B)
+    problem = stacked_problem(planes3d_arr, it, A, B)
     unknown = np.zeros((len(it) + 1, 3))
     assert _certifies(problem, pts, runs, unknown)
     slid = pts.copy()
@@ -489,8 +504,7 @@ def test_certificate_needs_both_stationarity_and_unit_multipliers(planes3d_arr,
 
     it = Itinerary((0, 1))
     assert minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B).is_valid
-    problem = _StackedProblem(solver._plan_of(twolines_arr.bases_of(it)), TWOLINE_A,
-                              TWOLINE_B)
+    problem = stacked_problem(twolines_arr, it, TWOLINE_A, TWOLINE_B)
     assert not _certifies(problem, np.zeros((2, 2)), [(0, 2)], np.zeros((3, 2)))
 
 
@@ -631,10 +645,9 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     equations misses the balls, and the search returns None where the
     barrier proves the same.  The least-norm point of that line proves it
     too (the Farkas exit), so the search takes no Newton step."""
-    from linbilliards.solver import _StackedProblem
     it = Itinerary((0, 1, 0))
     A, B = np.array([10.0, 1.0]), np.array([10.0, -1.0])
-    problem = _StackedProblem(solver._plan_of(twolines_arr.bases_of(it)), A, B)
+    problem = stacked_problem(twolines_arr, it, A, B)
     plan = problem.plan.run_plans(((0, 3),))
     pinv = plan.equations[2]
     kernel = _kernel(plan)
@@ -664,8 +677,7 @@ def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
     miss the balls, one of them with rows just inside their balls (norm
     1 - 1e-7, as a smoothed direction on a merged open edge can be)."""
     it = Itinerary((0, 1, 0))
-    problem = solver._StackedProblem(solver._plan_of(twolines_arr.bases_of(it)),
-                                     np.array([10.0, 1.0]), np.array([10.0, -1.0]))
+    problem = stacked_problem(twolines_arr, it, np.array([10.0, 1.0]), np.array([10.0, -1.0]))
     plan = problem.plan.run_plans(((0, 3),))
     kernel = _kernel(plan)
     v0 = np.array([[0.1, 0.2], [-0.1, 0.3]])
@@ -768,9 +780,12 @@ def _pinned_snap_matches(reduced_minimum, problem, plan, pts):
     """Whether the pinned run plan's snap of the point list pts in
     reduced_minimum, solver._reduced_minimum (every vertex set to the
     origin), gives, byte for byte, the points of _snapped and the edges and
-    lengths of its point list."""
+    lengths of its point list; its floor test, at scale -inf, passes every
+    snap."""
     assert plan.pinned
-    points, edges, lengths = reduced_minimum(problem, plan, pts, -math.inf, 0.0)
+    unfloored = copy.copy(problem)
+    unfloored.scale = -math.inf
+    points, edges, lengths = reduced_minimum(unfloored, plan, pts, 0.0)
     snapped = solver._snapped(pts, plan.runs, plan.meets)
     snapped_edges, snapped_lengths = _edge_lengths(snapped)
     return (points.tobytes() == snapped[1:-1].tobytes()
@@ -787,11 +802,11 @@ def test_pinned_snap_matches_snapped(twolines_arr, planes3d_arr, monkeypatch):
     pinned = []
     real = solver._reduced_minimum
 
-    def compared(problem, plan, pts, floor, mu2):
+    def compared(problem, plan, pts, mu2):
         if plan.pinned:
             assert _pinned_snap_matches(real, problem, plan, pts)
             pinned.append(plan)
-        return real(problem, plan, pts, floor, mu2)
+        return real(problem, plan, pts, mu2)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_reduced_minimum", compared)
@@ -801,7 +816,7 @@ def test_pinned_snap_matches_snapped(twolines_arr, planes3d_arr, monkeypatch):
     arr = _four_body_table()
     rng = np.random.default_rng(3)
     it, A, B = _random_case(arr, rng, 8, 8)
-    problem = solver._StackedProblem(solver._plan_of(arr.bases_of(it)), A, B)
+    problem = stacked_problem(arr, it, A, B)
     plan = problem.plan.run_plans(((0, 8),))
     pts = problem._point_list(rng.standard_normal(problem.k * problem.m))
     assert _pinned_snap_matches(real, problem, plan, pts.copy())
@@ -925,7 +940,7 @@ def test_ghosts_reproduce_under_rounding_changes_of_the_start(table, request):
 
 
 def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
-    from linbilliards.solver import _StackedProblem, _collapsing_runs, _snapped
+    from linbilliards.solver import _collapsing_runs, _snapped
     # short edges at A and B join no two vertices
     gaps = np.array([1e-5, 1e-5, 1e-5, 1.0, 1e-5, 1e-5])
     assert _collapsing_runs(gaps, 1e-4) == [(0, 3), (3, 5)]
@@ -937,7 +952,7 @@ def test_snapped_projects_runs_onto_their_intersection(planes3d_arr):
     rng = np.random.default_rng(7)
     points = np.array([planes3d_arr.subspaces[i].project(rng.standard_normal(3))
                        for i in it])
-    problem = _StackedProblem(solver._plan_of(planes3d_arr.bases_of(it)), A, B)
+    problem = stacked_problem(planes3d_arr, it, A, B)
     runs = [(0, 2), (2, 4)]
     snapped = _snapped(_point_list(A, points, B), runs,
                        problem.plan.run_plans(tuple(runs)).meets)[1:-1]
@@ -997,7 +1012,7 @@ def _threshold_recorder(monkeypatch):
         problem = types.SimpleNamespace(
             plan=types.SimpleNamespace(run_plans=refused), _pts=None,
             edge_pass=lambda x, mu2: (np.ones((len(gaps), 2)), gaps))
-        assert solver._certify_ghost(problem, None, mu2, 0.0) is None
+        assert solver._certify_ghost(problem, None, mu2) is None
         return tried[:]
     return thresholds
 
@@ -1399,11 +1414,10 @@ def test_value_first_core_matches_the_reference_core(twolines_arr, monkeypatch):
 def test_derivatives_after_value_reuse_its_edge_pass(mu2, monkeypatch):
     """derivatives at the point value has just measured reads that edge pass
     and equals a fresh evaluation at a copy of the point bit for bit."""
-    from linbilliards.solver import _StackedProblem
     arr = _four_body_table()
     rng = np.random.default_rng(9)
     it, A, B = _random_case(arr, rng, 6, 6)
-    problem = _StackedProblem(solver._plan_of(arr.bases_of(it)), A, B)
+    problem = stacked_problem(arr, it, A, B)
     x = rng.standard_normal(problem.k * problem.m)
     value = problem.value(x, mu2)
     measured = []
@@ -1432,11 +1446,12 @@ def _classify_by_model(arr, itinerary, A, chain, B):
     built from the Hessian model, is_generic's anchor test with the
     genericity reference of conftest (not the stacked pass that _classify
     shares with is_generic) and the generalized symmetric eigenproblem H x =
-    λ G x."""
-    scale = float(np.linalg.norm(B - A))
+    λ G x.  Every tolerance is a constant times the solve's scale max(|B -
+    A|, d(A, L), d(B, L)), measured here one distance at a time."""
+    near = [arr.distance_to_locus(A), arr.distance_to_locus(B)]
+    scale = max(float(np.linalg.norm(B - A)), *near)
     pts = np.vstack([A, chain.points, B])
-    if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1)
-              <= COINCIDENCE_TOL * max(scale, 1e-30)):
+    if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= COINCIDENCE_TOL * scale):
         return (Classification.GHOST,
                 "consecutive vertices collapse; minimizer leaves the trajectory space",
                 math.nan, None)
@@ -1450,8 +1465,8 @@ def _classify_by_model(arr, itinerary, A, chain, B):
         return (Classification.EDGE_IN_SUBSPACE,
                 f"an edge at vertex {j + 1} lies inside {arr.subspaces[itinerary[j]].name}",
                 grad_norm, None)
-    tol = MEMBERSHIP_TOL * max(1.0, scale)
-    if arr.on_locus(A, tol) or arr.on_locus(B, tol) or not chain_is_generic_reference(
+    tol = MEMBERSHIP_TOL * scale
+    if min(near) <= tol or not chain_is_generic_reference(
             arr, arr.bases_of(itinerary), A, chain.points, B, tol):
         return (Classification.NON_GENERIC_RAY,
                 "configuration violates genericity (adjacent membership or ray recrossing)",
@@ -1642,7 +1657,7 @@ def _result_bytes(result):
             result.chain.points.tobytes())
 
 
-def _measuring_certified(problem, x, mu2, floor):
+def _measuring_certified(problem, x, mu2):
     """The certificate as it was before it read the stage's pass: it measures
     the edges of x again, with the directions smoothed at mu / CERT_WINDOW
     as the search's start, and the accepted chain's length by action."""
@@ -1654,7 +1669,7 @@ def _measuring_certified(problem, x, mu2, floor):
         runs = _reference_runs(gaps, threshold)
         try:
             plan = problem.plan.run_plans(tuple(runs))
-            found = solver._reduced_minimum(problem, plan, pts.copy(), floor, mu2)
+            found = solver._reduced_minimum(problem, plan, pts.copy(), mu2)
             proof = None if found is None else _certifies(problem, found[0], runs, start)
             if proof is not None:
                 return action(problem.A, found[0], problem.B), found[0], *proof[1:]
@@ -2079,8 +2094,8 @@ def test_vertex_equations_match_the_reference_factorization(table, itinerary, ru
     rng = np.random.default_rng(11)
     if itinerary is None:
         itinerary = _repeat_free(rng, len(arr.subspaces), 16)
-    problem = solver._StackedProblem(solver._plan_of(arr.bases_of(Itinerary(itinerary))),
-                                     rng.standard_normal(arr.dim), rng.standard_normal(arr.dim))
+    problem = stacked_problem(arr, Itinerary(itinerary), rng.standard_normal(arr.dim),
+                              rng.standard_normal(arr.dim))
     plan = problem.plan.run_plans(runs)
     M, null, pinv = plan.equations
     C, dim = int(plan.shut.sum()), problem.dim

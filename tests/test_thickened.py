@@ -107,10 +107,18 @@ def test_simulate_stops_at_the_time_horizon(mirror_table):
 
 
 @pytest.mark.parametrize("p, v", [([0.0, 1.0], [math.nan, 1.0]),
-                                  ([math.inf, 1.0], [1.0, 0.0])])
+                                  ([math.inf, 1.0], [1.0, 0.0]),
+                                  ([math.nan, 1.0], [0.0, -1.0]),
+                                  ([math.inf, 1.0], [0.0, -1.0]),
+                                  ([0.0, 1.0], [math.nan, -1.0]),
+                                  ([0.0, 1.0], [1.0, 1.0])])
 def test_simulate_rejects_a_non_finite_start(mirror_table, p, v):
-    with pytest.raises(InputError, match="finite"):
-        simulate(mirror_table, p, v)
+    """simulate and first_hit share one start test: a NaN or infinite start,
+    or a direction that is NaN or not unit, is an InputError from both,
+    never an escape."""
+    for fn in (simulate, first_hit):
+        with pytest.raises(InputError, match="finite"):
+            fn(mirror_table, p, v)
 
 
 @pytest.mark.parametrize("p, kwargs", [
@@ -190,6 +198,23 @@ def test_minimize_thickened_anchor_inside_rejected(mirror_table):
     with pytest.raises(PreconditionError):
         minimize_thickened(mirror_table, Itinerary((0,)),
                            np.array([-1.0, 0.05]), np.array([1.0, 0.5]))
+
+
+def test_minimize_thickened_solves_at_every_scale(mirror_arr):
+    """The anchors' wall test is relative to the solve's scale max(|B - A|,
+    r): the README mirror at r = 0.1 with the table and anchors scaled by
+    lam = 1e-20 ... 1e12 is honest, with value / lam within 2 ulp of lam =
+    1's, and an anchor 1e-3 lam inside its wall is refused at every lam."""
+    base = minimize_thickened(ThickenedTable(mirror_arr, 0.1), Itinerary((0,)),
+                              A_MIRROR, B_MIRROR)
+    for lam in [10.0 ** e for e in range(-20, 13, 4)]:
+        table = ThickenedTable(mirror_arr, 0.1 * lam)
+        result = minimize_thickened(table, Itinerary((0,)), lam * A_MIRROR, lam * B_MIRROR)
+        assert result.honest
+        assert abs(result.value / lam - base.value) <= 2 * math.ulp(base.value)
+        with pytest.raises(PreconditionError, match="anchor A must lie in the table interior"):
+            minimize_thickened(table, Itinerary((0,)), lam * np.array([0.0, 0.099]),
+                               lam * B_MIRROR)
 
 
 @pytest.mark.filterwarnings("error")
@@ -605,11 +630,10 @@ def _simulate_by_first_hit(table, p, v, max_events=50, t_max=math.inf):
     (x, v - 2<v, nu> nu), each event projecting its start afresh: the
     reference that simulate, which carries each hit point's projections into
     the next ray, must reproduce bit for bit.  first_hit has no horizon, so
-    this reference is only asked for horizons before a corner."""
+    this reference is only asked for horizons before a corner; it shares
+    simulate's start test, so the first call refuses what simulate refuses
+    (with an event budget of at least 1)."""
     p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
-    for sub, rho in zip(table.arrangement.subspaces, table.radii):
-        if sub.distance_to(p) < rho - 1e-9 * rho:
-            raise PreconditionError("start point lies inside a cylinder")
     path = ThickenedPath(p.copy(), v.copy())
     t_now = 0.0
     for _ in range(max_events):

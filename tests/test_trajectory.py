@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linbilliards.action import _to_points
-from linbilliards.arrangement import Arrangement, Itinerary, Subspace
+from linbilliards.arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace
 from linbilliards.errors import InputError
 from linbilliards.trajectory import (
     BilliardTrajectory,
@@ -126,17 +126,16 @@ def test_generic_rejects_anchor_on_locus(mirror_arr):
 
 def test_is_generic_tests_both_anchors_in_one_locus_query(twolines_arr, monkeypatch):
     """is_generic's anchor test is one locus_distances call on both anchors
-    (no on_locus call), on a generic configuration and on one whose second
-    anchor lies on L1."""
+    (Arrangement.anchor_scale's), on a generic configuration and on one
+    whose second anchor lies on L1."""
     calls = collections.Counter()
-    for name in ("locus_distances", "on_locus"):
-        real = getattr(Arrangement, name)
+    real = Arrangement.locus_distances
 
-        def counted(self, *args, _real=real, _name=name, **kwargs):
-            calls[_name, np.shape(args[0])] += 1
-            return _real(self, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        calls["locus_distances", np.shape(args[0])] += 1
+        return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(Arrangement, name, counted)
+    monkeypatch.setattr(Arrangement, "locus_distances", counted)
     chain = np.array([[-5.0 / 3.0, 0.0]])
     A = np.array([-3.0, 1.0])
     assert is_generic(twolines_arr, A, chain, chain[0] + [-1.0, -0.1], Itinerary((0,)))
@@ -148,14 +147,22 @@ def _generic_both_ways(arr, labels, A, chain, B, tol) -> bool:
     """_generic, the helper is_generic shares with the solver's
     classification, on the point list and each vertex's distances to its
     neighbours' subspaces, asserted equal to the reference (the basis form)
-    and returned; is_generic asserted equal to it past the anchor test."""
+    at tol and returned; is_generic asserted equal to the two past the
+    anchor test at its own tolerance, MEMBERSHIP_TOL times the solve's scale
+    max(|B - A|, d(A, L), d(B, L))."""
     near = [arr.subspaces[labels[i + 1]].distance_to(chain[i]) for i in range(len(labels) - 1)]
     near += [arr.subspaces[labels[i]].distance_to(chain[i + 1]) for i in range(len(labels) - 1)]
-    got = _generic(arr, np.array(near), np.vstack([A, chain, B]), tol)
-    assert got == chain_is_generic_reference(arr, arr.bases[labels], A, chain, B, tol)
-    off_locus = min(arr.distance_to_locus(A), arr.distance_to_locus(B)) > tol
-    assert is_generic(arr, A, chain, B, Itinerary(tuple(labels)), tol) == (off_locus and got)
-    return got
+
+    def both(tol):
+        got = _generic(arr, np.array(near), np.vstack([A, chain, B]), tol)
+        assert got == chain_is_generic_reference(arr, arr.bases[labels], A, chain, B, tol)
+        return got
+
+    near_A, near_B = arr.distance_to_locus(A), arr.distance_to_locus(B)
+    own = MEMBERSHIP_TOL * max(float(np.linalg.norm(B - A)), near_A, near_B)
+    assert is_generic(arr, A, chain, B, Itinerary(tuple(labels))) == (
+        min(near_A, near_B) > own and both(own))
+    return both(tol)
 
 
 @pytest.mark.parametrize("fixture", ["mirror_arr", "origin_arr", "twolines_arr", "lines3d_arr",
