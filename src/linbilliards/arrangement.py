@@ -2,7 +2,7 @@
 
 All geometry primitives the rest of the package consumes live here:
 orthogonal projection onto a subspace, point-to-subspace distance,
-segment/ray proximity queries, and principal angles between subspaces.
+ray proximity queries, and principal angles between subspaces.
 Subspaces are linear (through the origin), carried as orthonormal bases B
 (chain coordinates) and as complement projectors I - B^T B, the one form
 every perpendicular part is taken from (``_perp``, one BLAS dot per entry).
@@ -61,7 +61,7 @@ def _complement(basis: np.ndarray) -> np.ndarray:
 
 
 # 0-d operands of the ray rule: a Python float is converted on every ufunc call
-_ZERO, _ONE, _PARALLEL = (_frozen(np.array(c)) for c in (0.0, 1.0, 1e-30))
+_ZERO, _PARALLEL = (_frozen(np.array(c)) for c in (0.0, 1e-30))
 
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -96,17 +96,18 @@ def _tube_approach(rho2, w, u):
 def _rays_hit(perps, directions, tol: float) -> np.ndarray:
     """Whether each of r rays meets each subspace's tube of radius tol beyond
     its start, (r, n), from the perpendicular parts perps (2, r, n, dim) of
-    the rays' starts and directions (r, dim): a tube_intervals interval that
-    begins at t > 0, or a parallel ray inside the tube, decided as the
-    intervals are.  One divisor, max(a, limit), serves t* and the half width
-    (a parallel pair's are not read); t* - half > 0 is t* > half in IEEE
-    arithmetic.  An end t* + half never overflows to inf: off the parallel
-    limit |u| > 1e-15 max(|d|, 1), |t*| <= |w| / |u| and half <= tol / |u|,
-    finite wherever |w|^2, <w, u> and tol^2 are (else np.vecdot warned)."""
+    the rays' starts and directions d (r, dim): its interval {t : |w + t u|
+    <= tol} begins at t > 0, or d is parallel to it (|P⊥d|^2 <= 1e-30 |d|^2,
+    at every scale, d = 0 included) and the ray starts inside.  One divisor,
+    max(a, limit), made 1 where 0, serves t* and the half width (a parallel
+    pair's are not read); t* - half > 0 is t* > half in IEEE arithmetic.  Off
+    the parallel limit |t*| <= |w| / |u| < 1e15 |w| / |d| and half <= tol /
+    |u|, so an end t* + half can overflow only where |w| / |d| > 1.8e293."""
     w, u, tol2 = perps[0], perps[1], np.array(tol * tol)
     dots = _row_dot(perps[:, None], perps)   # <w, w>, <w, u>; <u, w>, <u, u>
-    a, limit = dots[1, 1], _PARALLEL * np.maximum(_row_dot(directions, directions), _ONE)[:, None]
+    a, limit = dots[1, 1], _PARALLEL * _row_dot(directions, directions)[:, None]
     d = np.maximum(a, limit)
+    d += d == 0.0
     t = dots[0, 1] / d                       # -t*, so w + t* u is w - t u
     res = w - t[..., None] * u
     gap2 = tol2 - _row_dot(res, res)
@@ -246,8 +247,8 @@ class Arrangement:
     Every subspace thus has the same dimension m.  Stacked once, read-only:
     ``bases`` (n, m, dim), for chain coordinates and points, and
     ``complements`` (n, dim, dim), each subspace's ``complement``, from which
-    every perpendicular part (perp_parts, the locus distances, the line-tube
-    queries) is taken by ``_perp`` with the bits of Subspace.perp.  An
+    every perpendicular part (perp_parts, the locus distances, the ray
+    rule) is taken by ``_perp`` with the bits of Subspace.perp.  An
     unpickled copy is rebuilt through the constructor.
     """
 
@@ -320,24 +321,6 @@ class Arrangement:
         scale = max(math.sqrt(delta.dot(delta)), *near)   # |B - A| as np.linalg.norm rounds it
         return scale, min(near) > MEMBERSHIP_TOL * scale
 
-    def tube_intervals(self, starts, directions, tol: float):
-        """Parameter intervals {t : dist(p + t d, L) <= tol} of lines p + t d,
-        p and d (..., dim), along the full line, against every subspace L at
-        once: (lo, hi), each (..., n).  A direction parallel
-        to L (|P⊥d|^2 <= 1e-30 max(|d|^2, 1)) gives (-inf, inf) inside the
-        tube; a line farther than tol everywhere the empty (inf, -inf).
-        """
-        starts = np.asarray(starts, dtype=float)
-        directions = np.asarray(directions, dtype=float)
-        if starts.shape[-1:] != (self.dim,) or directions.shape != starts.shape:
-            raise InputError(f"lines need starts and directions of one shape (..., {self.dim})")
-        w, u = _perp(self.complements, np.stack((starts, directions))[..., None, :])
-        a, t_star, gap2 = _tube_approach(tol * tol, w, u)
-        parallel = a <= _PARALLEL * np.maximum(_row_dot(directions, directions), _ONE)[..., None]
-        half = np.where(parallel, math.inf, np.sqrt(np.maximum(gap2, 0.0) / (a + parallel)))
-        meets = np.where(parallel, _row_dot(w, w) <= tol * tol, gap2 >= 0.0)
-        return np.where(meets, t_star - half, math.inf), np.where(meets, t_star + half, -math.inf)
-
     def min_angle(self) -> float:
         """Smallest principal angle over all subspace pairs, in (0, pi/2].
 
@@ -394,16 +377,15 @@ def save_arrangement(arr: Arrangement, path) -> None:
 class Itinerary:
     """Ordered list of subspace indices a trajectory must hit.
 
-    Consecutive repeats are forbidden: a vertex cannot be followed by another
-    vertex on the same subspace without an intervening edge off it.
+    The empty itinerary is free motion, one edge from A to B.  Consecutive
+    repeats are forbidden: a vertex cannot be followed by another vertex on
+    the same subspace without an intervening edge off it.
     """
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if len(self.indices) < 1:
-            raise InputError("itinerary must have length >= 1")
         for a, b in zip(self.indices, self.indices[1:]):
             if a == b:
                 raise InputError("itinerary has a repeated consecutive label")

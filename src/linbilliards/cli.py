@@ -155,8 +155,7 @@ def cmd_solve(args) -> int:
 def cmd_scatter(args) -> int:
     _check_counts(args, "levels", "jobs")
     arr = load_arrangement(args.arrangement)
-    itinerary = (Itinerary.from_labels(arr, args.itinerary.split(","))
-                 if args.itinerary else None)
+    itinerary = Itinerary.from_labels(arr, args.itinerary.split(",") if args.itinerary else ())
     A = _parse_vector(args.A)
     B = _parse_vector(args.B)
     rng = np.random.default_rng(args.seed)
@@ -187,7 +186,7 @@ def cmd_scatter(args) -> int:
             # truncation regime: the fitted slope carries no information
             payload["residual_slope_note"] = \
                 "noise-limited; increase --spacing to see the decay order"
-    if itinerary is not None and len(itinerary) > 1:
+    if len(itinerary) > 1:
         payload["legendrian_theta_residual"] = legendrian_theta_residual(patch)
     _write_json(out / "residuals.json", payload)
     _write_patch_plot_script(out)
@@ -398,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--itinerary", default=None,
-                   help="comma-separated names; omit for free motion")
+                   help="comma-separated names; omit for free motion, the empty itinerary")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--half", type=int, default=2)

@@ -213,9 +213,12 @@ def search_realizable(arr: Arrangement, max_len: int, sample_budget: int,
     seeds being per-itinerary) never depends on the worker count.  A solver
     failure (MaxIterations) propagates rather than count as a miss.
     """
-    # with a single subspace the only repeat-free itinerary has length 1, so
-    # the pairwise-angle bound is not needed (nor defined)
-    bound = itinerary_bound(arr) if len(arr.subspaces) >= 2 else 1
+    # one subspace allows length 1 alone; where subspaces meet beyond the
+    # origin the pairwise-angle bound is not defined, and max_len is the caller's
+    try:
+        bound = itinerary_bound(arr) if len(arr.subspaces) >= 2 else 1
+    except PreconditionError:
+        bound = max_len
     if max_len > bound + 1:
         raise PreconditionError(
             f"max_len {max_len} exceeds the itinerary bound {bound} plus one")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Chain, _to_points
-from .arrangement import MEMBERSHIP_TOL, Arrangement, Itinerary
+from .arrangement import Arrangement, Itinerary
 from .errors import InputError, PreconditionError
 from .solver import MinimizeResult, minimize
 from .trajectory import OrientedLine, boundary_lines
@@ -97,7 +97,7 @@ class RelationPatch:
     """
 
     arr: Arrangement
-    itinerary: Itinerary | None
+    itinerary: Itinerary
     grid_A: AnchorGrid
     grid_B: AnchorGrid
     samples: dict
@@ -109,28 +109,6 @@ class RelationPatch:
         total = len(self.samples)
         good = sum(1 for s in self.samples.values() if s is not None)
         return good / total if total else 0.0
-
-
-def free_motion_sample(arr: Arrangement, A, B) -> RelationSample | None:
-    """Identity-relation sample: straight motion from A through B.
-
-    Returns None when the full line through A and B meets the arrangement
-    (the itinerary would then not be empty) within MEMBERSHIP_TOL times the
-    scale of Arrangement.anchor_scale, which refuses what minimize refuses.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    tol = MEMBERSHIP_TOL * arr.anchor_scale(A, B)[0]
-    d = B - A
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        raise InputError("anchors coincide")
-    lo, hi = arr.tube_intervals(A, d, tol)
-    if np.any(lo <= hi):
-        return None
-    v = d / norm
-    line = OrientedLine.through(A, v)
-    return RelationSample(A, B, v, v, line, line, np.zeros((0, arr.dim)), float(norm))
 
 
 def _predicted_chain(result: MinimizeResult, A0, B0, A1, B1) -> Chain:
@@ -181,8 +159,6 @@ def _solve_row(task):
     prediction made at that valid cell, and each cell after an absent one
     cold."""
     arr, itinerary, A, Bs, start = task
-    if itinerary is None:
-        return [free_motion_sample(arr, A, B) for B in Bs]
     samples = []
     for n, B in enumerate(Bs):
         result = _solve_cell(arr, itinerary, A, B, start)
@@ -193,13 +169,13 @@ def _solve_row(task):
     return samples
 
 
-def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
+def sample_relation(arr: Arrangement, itinerary: Itinerary,
                     grid_A: AnchorGrid, grid_B: AnchorGrid,
                     jobs: int = 1) -> RelationPatch:
     """Solve the billiard problem on every (A, B) grid cell.
 
-    ``itinerary=None`` samples free straight motion (the identity relation).
-    Each A-row (one A anchor, every B anchor) is walked in B-grid order, and
+    The empty itinerary samples free motion (the identity relation).  Each
+    A-row (one A anchor, every B anchor) is walked in B-grid order, and
     every cell after a valid one starts from the chain that the relation's
     tangent at that cell predicts (``_predicted_chain``), which the solver
     polishes directly at the grid spacings used here (see
@@ -215,16 +191,15 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary | None,
     Bs = [grid_B.point(ib) for ib in b_indices]
     a_indices = list(grid_A.indices())
     As = [grid_A.point(ia) for ia in a_indices]
-    row_Bs, starts, head = [Bs] * len(As), [None] * len(As), []
-    if itinerary is not None:
-        base = _solve_cell(arr, itinerary, As[0], Bs[0], None)
-        valid = base is not None and base.is_valid
-        head = [RelationSample.from_result(base, As[0], Bs[0]) if valid else None]
-        # the first row goes on at its second cell
-        row_Bs[0] = Bs[1:]
-        if valid:
-            starts = [_predicted_chain(base, As[0], Bs[0], A, row[0]) if row else None
-                      for A, row in zip(As, row_Bs)]
+    row_Bs, starts = [Bs] * len(As), [None] * len(As)
+    base = _solve_cell(arr, itinerary, As[0], Bs[0], None)
+    valid = base is not None and base.is_valid
+    head = [RelationSample.from_result(base, As[0], Bs[0]) if valid else None]
+    # the first row goes on at its second cell
+    row_Bs[0] = Bs[1:]
+    if valid:
+        starts = [_predicted_chain(base, As[0], Bs[0], A, row[0]) if row else None
+                  for A, row in zip(As, row_Bs)]
     tasks = [(arr, itinerary, A, row, start)
              for A, row, start in zip(As, row_Bs, starts)]
     if jobs > 1:
@@ -313,11 +288,12 @@ def legendrian_theta_residual(patch: RelationPatch) -> float:
 
     The scaling orbit is tangent to the relation and Theta contracts it to
     zero, so on a Legendrian quotient every patch tangent annihilates Theta.
-    The underlying statement assumes itineraries of length > 1; a free-motion
-    patch (no itinerary, the identity relation) is evaluated as well.
+    The underlying statement assumes itineraries of length > 1; a patch of
+    the empty itinerary (free motion, the identity relation, on which Theta
+    vanishes identically) is evaluated as well.
     """
-    if patch.itinerary is not None and len(patch.itinerary) <= 1:
-        raise PreconditionError("Legendrian statement needs itinerary length > 1")
+    if len(patch.itinerary) == 1:
+        raise PreconditionError("Legendrian statement needs itinerary length > 1 or 0")
     worst = 0.0
     for node, tangents in _interior_stencils(patch, lambda s: (s.ell_minus.v, s.ell_plus.v)):
         for _, _, dv_minus, dv_plus in tangents:

@@ -344,7 +344,7 @@ class _ItineraryPlan:
     def __init__(self, bases):
         self.bases = _frozen(bases)
         self.bases_t = bases.transpose(0, 2, 1)
-        self.k, self.m = bases.shape[:2]
+        self.k, self.m, self.dim = bases.shape
         self.pad = _frozen(np.flatnonzero(~bases.any(axis=2)))
 
     @cached_property
@@ -369,7 +369,7 @@ class _ItineraryPlan:
         """_classify's projector stack (4k - 2, dim, dim), each the vertex's
         Subspace.complement byte for byte: P_1..P_k for the incoming and the
         outgoing unit edges, P_2..P_k for q_1..q_{k-1}, P_1..P_{k-1} for q_2..q_k."""
-        p = np.array([_complement(basis) for basis in self.bases])
+        p = np.array([_complement(basis) for basis in self.bases]).reshape(-1, self.dim, self.dim)
         return _frozen(np.concatenate((p, p, p[1:], p[:-1])))
 
     @cached_property
@@ -787,12 +787,14 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         _check_start(arr, itinerary, initial_chain)
     coincidence = COINCIDENCE_TOL * scale
 
-    if arr.bases.shape[1] == 0:
-        # chain is pinned (all subspaces zero-dimensional); nothing to minimize
-        chain = Chain.from_coords(arr, itinerary, np.zeros((len(itinerary), 0)))
-        return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0)
+    plan = _plan_of(arr.bases_of(itinerary))
+    if plan.bases.size == 0:
+        # one chain (the empty itinerary, or every subspace {0}): nothing to minimize
+        chain = Chain(np.zeros(plan.bases.shape[:2]), np.zeros((plan.k, arr.dim)))
+        return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0,
+                         (None, None, plan, _point_list(A, chain.points, B), scale))
 
-    problem = _StackedProblem(_plan_of(arr.bases_of(itinerary)), A, B, scale)
+    problem = _StackedProblem(plan, A, B, scale)
     polished = certified = None
     spring_tried = False   # the opening stage's certificate, tried at its start
     if initial_chain is None:

@@ -26,8 +26,8 @@ from functools import partial
 
 import numpy as np
 
-from .arrangement import (Arrangement, Itinerary, _as_vector, _check_size, _perp, _row_dot,
-                          _tube_approach)
+from .arrangement import (_PARALLEL, Arrangement, Itinerary, _as_vector, _check_size, _perp,
+                          _row_dot, _tube_approach)
 from .errors import CornerCollision, InputError, MaxIterations, PreconditionError
 from . import solver
 from .action import COINCIDENCE_TOL, _edge_terms, _identity, _stacked, _to_points, action
@@ -120,8 +120,9 @@ def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float 
     a, t_star, gap2 = _tube_approach(table.rho2, w, arr.perp_parts(v))
     size = math.sqrt(p @ p)   # > 0: every subspace meets the origin, which no start clears
     t_eps = REENTRY_TOL * size
-    # a <= 1e-30: constant clearance along the ray
-    enters = (a > 1e-30) & (gap2 * a >= table.grazing_below)
+    # a <= _PARALLEL, the ray rule's parallel limit for a unit v: constant
+    # clearance along the ray
+    enters = (a > _PARALLEL) & (gap2 * a >= table.grazing_below)
     # a + ~enters is a where the ray enters; elsewhere t_enter is not read
     t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / (a + ~enters))
     t_enter = np.where(enters & (t_enter > t_eps), t_enter, math.inf)
@@ -291,11 +292,14 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary,
     (vertices meet where cylinders cross) valued at its exact length;
     anything else raises MaxIterations.  A ghost's points need not be
     reproducible: a free vertex can slide along a straight segment.  An
-    anchor not 1e-12 max(|B - A|, r) clear of every wall is refused.
+    anchor not 1e-12 max(|B - A|, r) clear of every wall is refused, and so
+    is the empty itinerary (InputError).
     """
     arr = table.arrangement
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
+    if len(itinerary) == 0:
+        raise InputError("free motion has no vertex to confine to a cylinder")
     itinerary.validate_against(arr)
     for x, name in ((A, "A"), (B, "B")):
         _check_size(x, arr.dim, f"anchor {name}")
@@ -326,15 +330,15 @@ def minimize_thickened(table: ThickenedTable, itinerary: Itinerary,
 
 def _polished(table, itinerary, A, B, points, pressed):
     """The chain polished from points at mu = 0 with the pressed vertices on
-    their walls; None unless it meets solver.GRAD_TOL (floored at 1e-12)
-    with every wall force >= -1e-10."""
+    their walls; None unless it meets solver.GRAD_TOL with every wall force
+    >= -1e-10."""
     problem = _WallProblem(table, itinerary, A, B, pressed)
     points, value, kkt, _ = _damped_newton(
         problem.retract(points, np.zeros(points.size), 0.0), problem.lifted, problem.value,
-        problem.retract, max(solver.GRAD_TOL, 1e-13), 0.0, max_iters=60)
+        problem.retract, solver.GRAD_TOL, 0.0, max_iters=60)
     grad = _edge_terms(*problem.edge_pass(points, 0.0))[2]
     forces = np.where(pressed, -_row_dot(grad, problem.normals(points)), 0.0)
-    if not (kkt <= max(solver.GRAD_TOL, 1e-12) and forces.min() >= -1e-10):
+    if not (kkt <= solver.GRAD_TOL and forces.min() >= -1e-10):
         return None
     # the ambient gradient n_in - n_out at a vertex is its direction jump
     honest = bool(pressed.all() and (forces > 0).all()

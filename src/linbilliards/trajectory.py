@@ -56,7 +56,7 @@ class BilliardTrajectory:
     """A finite billiard segment A -> q_1 -> ... -> q_k -> B.
 
     ``chain`` holds the collision vertices (k, dim); consecutive points must
-    differ so edge directions are defined.  k = 0 encodes free straight motion.
+    differ so edge directions are defined.  k = 0 encodes free motion.
     The edges are measured once, on construction, by the path-length kernel's
     own edge pass (``action._edge_lengths``): ``points`` holds every vertex
     q_0 = A, ..., q_{k+1} = B, ``edge_velocities`` the unit edge directions
@@ -69,7 +69,7 @@ class BilliardTrajectory:
     A: np.ndarray
     B: np.ndarray
     chain: np.ndarray
-    itinerary: Itinerary | None
+    itinerary: Itinerary
     points: np.ndarray = field(init=False, repr=False, compare=False)
     edge_velocities: np.ndarray = field(init=False, repr=False, compare=False)
     length: float = field(init=False, repr=False, compare=False)
@@ -82,7 +82,7 @@ class BilliardTrajectory:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "chain", chain)
-        if self.itinerary is not None and len(self.itinerary) != len(chain):
+        if len(self.itinerary) != len(chain):
             raise InputError("chain length does not match itinerary length")
         if edge_pass is None:
             pts = _point_list(A, chain, B)
@@ -104,7 +104,7 @@ class BilliardTrajectory:
             "A": self.A.tolist(),
             "B": self.B.tolist(),
             "chain": self.chain.tolist(),
-            "itinerary": self.itinerary.labels(arr) if self.itinerary else [],
+            "itinerary": self.itinerary.labels(arr),
             "length": self.length,
         }
 
@@ -118,8 +118,6 @@ def reflection_residual(arr: Arrangement, traj: BilliardTrajectory, i: int) -> f
     """
     if not 1 <= i <= traj.k:
         raise InputError(f"vertex index {i} out of range 1..{traj.k}")
-    if traj.itinerary is None:
-        raise InputError("trajectory has no itinerary")
     edges = traj.edge_velocities
     v_minus, v_plus = edges[i - 1], edges[i]
     sub = arr.subspaces[traj.itinerary[i - 1]]

@@ -158,15 +158,15 @@ def tube_interval(sub, p, d, tol: float):
 
     Returns (t_lo, t_hi), possibly infinite for directions inside the
     subspace, or None when the line stays farther than tol everywhere.
-    The scalar, one-subspace reference for Arrangement.tube_intervals.
+    The scalar, one-subspace reference for the ray rule (_rays_hit) and
+    free motion's line test.
     """
     p = _as_vector(p, sub.dim)
     d = _as_vector(d, sub.dim, "direction")
     w = sub.perp(p)
     u = sub.perp(d)
     a = float(np.dot(u, u))
-    scale = max(float(np.dot(d, d)), 1.0)
-    if a <= 1e-30 * scale:
+    if a <= 1e-30 * float(np.dot(d, d)):
         # perpendicular distance is constant along the line
         return (-math.inf, math.inf) if np.dot(w, w) <= tol * tol else None
     t_star = -float(np.dot(w, u)) / a
@@ -195,7 +195,7 @@ def perp_by_basis(bases, x):
 def line_tube(complements, radius, p, d):
     """(a, t_star, gap2) of arrangement._tube_approach for the line p + t d
     (dim,) against the subspaces with complement projectors (n, dim, dim),
-    as Arrangement.tube_intervals projects it."""
+    as Arrangement.perp_parts projects it."""
     return _tube_approach(radius * radius, *_perp(complements, np.stack((p, d))[:, None, :]))
 
 
@@ -229,7 +229,7 @@ def chain_is_generic_reference(arr, bases, A, chain, B, tol: float) -> bool:
     t_star = -_row_dot(w, u) / np.where(a == 0.0, 1.0, a)
     res = w + t_star[..., None] * u
     gap2 = tol * tol - _row_dot(res, res)
-    parallel = a <= 1e-30 * np.maximum(_row_dot(directions, directions), 1.0)[:, None]
+    parallel = a <= 1e-30 * _row_dot(directions, directions)[:, None]
     half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
     beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
     return not np.where(parallel, _row_dot(w, w) <= tol * tol, beyond).any()
@@ -258,7 +258,7 @@ def rays_hit_reference(perps, directions, tol):
     overflow term t* + half == inf that _rays_hit drops."""
     w, u = perps
     a, t_star, gap2 = tube_approach_reference(tol * tol, w, u)
-    parallel = a <= 1e-30 * np.maximum(row_dot_reference(directions, directions), 1.0)[:, None]
+    parallel = a <= 1e-30 * row_dot_reference(directions, directions)[:, None]
     half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
     beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
     return np.where(parallel, row_dot_reference(w, w) <= tol * tol, beyond)
@@ -339,8 +339,6 @@ def sample_anchor_reference(rng, dim, radius):
 def validate_trajectory(arr, traj) -> list[str]:
     """All violated trajectory invariants, as human-readable strings."""
     problems = []
-    if traj.itinerary is None:
-        return ["trajectory carries no itinerary"]
     scale = max(1.0, float(np.linalg.norm(traj.A - traj.B)))
     edges = traj.edge_velocities
     for j, idx in enumerate(traj.itinerary):

@@ -23,7 +23,7 @@ from linbilliards.arrangement import (
     save_arrangement,
 )
 from linbilliards.errors import InputError, PreconditionError
-from linbilliards.scattering import free_motion_sample
+from linbilliards.solver import minimize
 
 from conftest import (rays_hit_beyond_start, rays_hit_reference, row_dot_reference,
                       tube_approach_reference, tube_interval)
@@ -192,8 +192,9 @@ def test_json_loader_orthonormalizes(tmp_path):
 
 
 def test_itinerary_invariants():
-    with pytest.raises(InputError):
-        Itinerary(())
+    # the empty itinerary is free motion
+    empty = Itinerary(())
+    assert len(empty) == 0 and list(empty) == []
     with pytest.raises(InputError):
         Itinerary((0, 0))
     it = Itinerary((0, 1, 0))
@@ -333,16 +334,15 @@ def test_batched_locus_and_ray_queries_match_per_subspace_loops(dim):
 
 
 def _rays_hit_by_intervals(arr, starts, directions, tol):
-    """The ray rule applied to Arrangement.tube_intervals."""
-    lo, hi = arr.tube_intervals(starts, directions, tol)
-    return ((lo <= hi) & ((lo > 0.0) | (hi == math.inf))).any(axis=1)
+    """The ray rule applied to one tube interval per ray and subspace."""
+    return np.array([_ray_hits_by_loop(arr, p, d, tol) for p, d in zip(starts, directions)])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_ray_decisions_match_tube_intervals(dim):
     """rays_hit_beyond_start decides from the tube arithmetic directly; on rays
     parallel to a subspace (inside and outside its tube), tangent to a tube
-    and starting inside one, every decision is that of tube_intervals."""
+    and starting inside one, every decision is that of the tube intervals."""
     rng = np.random.default_rng(100 + dim)
     kinds = collections.Counter()
     for m in range(dim):
@@ -380,10 +380,10 @@ def test_ray_decisions_match_tube_intervals(dim):
 
 def test_ray_decisions_far_out_near_the_parallel_limit():
     """Starts about 1e150 from both axes, with |P⊥d|^2 just above the
-    parallel limit 1e-30 max(|d|^2, 1) against the x axis: t* is near 1e165,
-    but t* + half stays finite (the bound in _rays_hit's docstring), so
-    _rays_hit raises no warning and decides, ahead of the start and behind
-    it, as tube_intervals and the reference with the overflow term do."""
+    parallel limit 1e-30 |d|^2 against the x axis: t* is near 1e165, but t*
+    + half stays finite (the bound in _rays_hit's docstring), so _rays_hit
+    raises no warning and decides, ahead of the start and behind it, as the
+    tube intervals and the reference with the overflow term do."""
     arr = Arrangement(2, (Subspace("X", np.array([[1.0, 0.0]]), 2),
                           Subspace("Y", np.array([[0.0, 1.0]]), 2)))
     rng = np.random.default_rng(150)
@@ -419,12 +419,12 @@ def test_rays_parallel_to_a_subspace_inside_and_outside_its_tube(mirror_arr):
 def test_rays_starting_on_a_tube_boundary(mirror_arr):
     """A ray from the boundary of L1's tube whose interval begins exactly at
     t = 0 (t* = half, straight in or slanted) meets no tube beyond its
-    start; one from a quarter further out does, as tube_intervals says."""
+    start; one from a quarter further out does, as its tube interval says."""
     tol = 0.5
     starts = np.array([[0.0, 0.5], [0.0, 0.5], [0.0, 0.75]])
     directions = np.array([[0.0, -1.0], [1.0, -1.0], [0.0, -1.0]])
-    lo, _ = mirror_arr.tube_intervals(starts, directions, tol)
-    assert lo[:, 0].tolist() == [0.0, 0.0, 0.25]
+    assert [tube_interval(mirror_arr.subspaces[0], p, d, tol)[0]
+            for p, d in zip(starts, directions)] == [0.0, 0.0, 0.25]
     expected = [False, False, True]
     assert _rays_hit_by_intervals(mirror_arr, starts, directions, tol).tolist() == expected
     assert rays_hit_beyond_start(mirror_arr, starts, directions, tol).tolist() == expected
@@ -457,18 +457,19 @@ def _free_line_by_loop(arr, A, B, tol):
     return all(tube_interval(sub, A, B - A, tol) is None for sub in arr.subspaces)
 
 
-def _assert_free_line_matches_loop(arr, p, q, tol):
-    """Arrangement.tube_intervals meets the line through p and q at radius
-    tol exactly where one tube interval per subspace meets it, and
-    free_motion_sample refuses the line exactly where the loop meets it at
-    the radius of a point solve, MEMBERSHIP_TOL times max(|q - p|, d(p, L),
-    d(q, L)); returns whether the line is free at tol."""
-    lo, hi = arr.tube_intervals(p, q - p, tol)
-    free = _free_line_by_loop(arr, p, q, tol)
-    assert bool(np.any(lo <= hi)) == (not free)
+def _assert_free_motion_matches_loop(arr, p, q):
+    """The empty itinerary's solve from p to q is valid exactly where one
+    tube interval per subspace misses the line through p and q at the radius
+    of a point solve, MEMBERSHIP_TOL times max(|q - p|, d(p, L), d(q, L)); an
+    anchor on the locus is refused.  Returns whether the line is free."""
     own = MEMBERSHIP_TOL * max(float(np.linalg.norm(q - p)), arr.distance_to_locus(p),
                                arr.distance_to_locus(q))
-    assert (free_motion_sample(arr, p, q) is None) == (not _free_line_by_loop(arr, p, q, own))
+    free = _free_line_by_loop(arr, p, q, own)
+    try:
+        valid = minimize(arr, Itinerary(()), p, q).is_valid
+    except PreconditionError:
+        valid = False
+    assert valid == free
     return free
 
 
@@ -479,37 +480,36 @@ def test_segment_and_free_line_queries_match_per_subspace_loops(dim):
     for m in range(dim):
         for _ in range(20):
             arr = _random_arrangement(rng, dim, m, int(rng.integers(1, 5)) if m else 1)
-            tol = 10.0 ** rng.uniform(-9, 0)
             for n in range(6):
                 p = rng.normal(size=dim) * 3.0
                 q = rng.normal(size=dim) * 3.0
                 sub = arr.subspaces[int(rng.integers(len(arr.subspaces)))]
                 if n == 1:
-                    # through a point close to a subspace
+                    # through a point close to a subspace, about the solve's
+                    # membership radius away
                     q = p + 2.0 * (sub.project(rng.normal(size=dim))
-                                   + tol * rng.normal(size=dim) - p)
+                                   + 10.0 ** rng.uniform(-12, -6) * rng.normal(size=dim) - p)
                 elif n == 2:
                     # along a subspace, inside or outside its tube
                     q = p + sub.project(q)
                     p = p * 10.0 ** rng.uniform(-12, 0)
-                is_free = _assert_free_line_matches_loop(arr, p, q, tol)
+                is_free = _assert_free_motion_matches_loop(arr, p, q)
                 hits += not is_free
                 free += is_free
     assert hits > 0 and free > 0
 
 
 def test_segment_queries_on_parallel_lines_and_the_zero_subspace(mirror_arr, origin_arr):
-    tol = 1e-3
-    assert not _assert_free_line_matches_loop(
-        mirror_arr, np.array([0.0, 5e-4]), np.array([3.0, 5e-4]), tol)
-    assert _assert_free_line_matches_loop(
-        mirror_arr, np.array([0.0, 2e-3]), np.array([3.0, 2e-3]), tol)
-    assert not _assert_free_line_matches_loop(
-        origin_arr, np.array([-1.0, 1e-4]), np.array([3.0, 1e-4]), tol)
-    assert _assert_free_line_matches_loop(
-        origin_arr, np.array([-1.0, 2e-3]), np.array([3.0, 2e-3]), tol)
+    assert not _assert_free_motion_matches_loop(
+        mirror_arr, np.array([0.0, 2e-9]), np.array([3.0, 2e-9]))
+    assert _assert_free_motion_matches_loop(
+        mirror_arr, np.array([0.0, 5e-9]), np.array([3.0, 5e-9]))
+    assert not _assert_free_motion_matches_loop(
+        origin_arr, np.array([-1.0, 3e-9]), np.array([3.0, 3e-9]))
+    assert _assert_free_motion_matches_loop(
+        origin_arr, np.array([-1.0, 5e-9]), np.array([3.0, 5e-9]))
     with pytest.raises(InputError):
-        free_motion_sample(mirror_arr, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        minimize(mirror_arr, Itinerary(()), [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 9])

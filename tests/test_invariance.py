@@ -168,7 +168,7 @@ def test_scaling_on_random_tables(lam, case):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(_relabelled_cases())
 def test_solves_agree_at_every_anchor_scale(case):
-    """Scaling both anchors by lam = 10^j, j = -12 ... 12, on the random codim
+    """Scaling both anchors by lam = 10^j, j = -20 ... 12, on the random codim
     tables, planes3d and the four-body table keeps the classification; value
     / lam agrees to 1e-12 (relative) and a valid chain / lam to 1e-10 |B - A|,
     every valid result passes validate_trajectory, and every lower bound
@@ -178,7 +178,7 @@ def test_solves_agree_at_every_anchor_scale(case):
     arr, itin, A, B, _ = case
     base = _outcome(arr, itin, A, B)
     scale = float(np.linalg.norm(B - A))
-    for j in range(-12, 13):
+    for j in range(-20, 13):
         lam = 10.0 ** j
         scaled = _outcome(arr, itin, lam * A, lam * B)
         if isinstance(base, type):

@@ -187,6 +187,19 @@ def test_search_budget_cap(twolines_arr):
         search_realizable(twolines_arr, 6, 10, seed=0)
 
 
+@pytest.mark.parametrize("table, count", [("fourbody_arr", 36), ("planes3d_arr", 9)])
+def test_search_on_tables_whose_subspaces_meet(table, count, request):
+    """Where subspaces meet beyond the origin (the four-body table's D12 and
+    D13, the planes of planes3d) the itinerary bound is not defined, and
+    max_len is the caller's: every itinerary up to it gets its row."""
+    arr = request.getfixturevalue(table)
+    with pytest.raises(PreconditionError):
+        itinerary_bound(arr)
+    rows = search_realizable(arr, 2, 5)
+    assert len(rows) == count
+    assert any(r.status == "realized" for r in rows)
+
+
 def test_search_deterministic(twolines_arr):
     rows1 = search_realizable(twolines_arr, 2, 60, seed=7)
     rows2 = search_realizable(twolines_arr, 2, 60, seed=7)

@@ -11,14 +11,13 @@ from linbilliards.scattering import (
     AnchorGrid,
     RelationSample,
     _predicted_chain,
-    free_motion_sample,
     lagrangian_residual,
     legendrian_theta_residual,
     patch_to_csv,
     reduce_line,
     sample_relation,
 )
-from linbilliards.solver import minimize
+from linbilliards.solver import Classification, minimize
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
 from conftest import TWOLINE_A, TWOLINE_B, fourbody, lines_close, planes3d, scale_action
@@ -75,11 +74,11 @@ def test_anchor_grid_needs_a_finite_base_and_axes(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_free_motion_refuses_non_finite_anchors(mirror_arr, bad):
-    """A non-finite anchor is refused as minimize refuses it, not sampled as
-    a valid line of NaNs (NaN fails every tube test)."""
+    """A non-finite anchor of free motion, the empty itinerary, is refused
+    as every solve refuses it, not solved as a valid line of NaNs."""
     for A, B in (([bad, 1.0], [2.0, 1.0]), ([0.0, 1.0], [2.0, bad])):
         with pytest.raises(InputError):
-            free_motion_sample(mirror_arr, A, B)
+            minimize(mirror_arr, Itinerary(()), A, B)
 
 
 def test_unrealizable_selection_gives_empty_patch(twolines_arr):
@@ -127,27 +126,40 @@ def test_lagrangian_residual_total_collision(origin_arr):
 def test_free_motion_identity_relation(origin_arr):
     grid_A = AnchorGrid(np.array([0.0, 1.0]), rot2(0.3), 1, 1e-3)
     grid_B = AnchorGrid(np.array([2.0, 3.0]), rot2(-0.2), 1, 1e-3)
-    patch = sample_relation(origin_arr, None, grid_A, grid_B)
+    patch = sample_relation(origin_arr, Itinerary(()), grid_A, grid_B)
     assert patch.valid_fraction() == 1.0
     assert lagrangian_residual(patch) < 1e-6
     assert legendrian_theta_residual(patch) < 1e-6
     # axis-aligned symmetric stencils make the truncation cancel entirely
-    aligned = sample_relation(origin_arr, None,
+    aligned = sample_relation(origin_arr, Itinerary(()),
                               AnchorGrid(np.array([0.0, 1.0]), np.eye(2), 1, 1e-3),
                               AnchorGrid(np.array([2.0, 3.0]), np.eye(2), 1, 1e-3))
     assert lagrangian_residual(aligned) < 1e-12
 
 
+def test_free_motion_patch_marks_refused_cells_absent(mirror_arr):
+    """In a free-motion patch a cell with A = B (one edge of length zero, a
+    ghost) and a cell with an anchor on the mirror (refused by the solve)
+    are absent; the rest of the grid is sampled."""
+    grid = AnchorGrid(np.array([0.0, 1.0]), np.eye(2), 1, 1.0)
+    patch = sample_relation(mirror_arr, Itinerary(()), grid, grid)
+    assert patch.sample((0, 0), (0, 0)) is None
+    assert patch.sample((0, -1), (1, 0)) is None
+    assert patch.sample((0, 0), (1, 0)) is not None
+
+
 def test_free_motion_rejects_lines_through_locus(mirror_arr):
-    """The line test is relative to the anchors' scale, as a point solve's
-    membership test is, so it holds for the lines scaled by lam = 1e-12 ...
-    1e12."""
-    for lam in (10.0 ** e for e in range(-12, 13, 3)):
-        # the full line through these anchors crosses the mirror
-        assert free_motion_sample(mirror_arr, [0.0, lam], [2.0 * lam, 3.0 * lam]) is None
-        # a parallel line misses it
-        sample = free_motion_sample(mirror_arr, [0.0, lam], [2.0 * lam, lam])
-        assert sample is not None and sample.value == 2.0 * lam
+    """Free motion, the empty itinerary, is NonGenericRay where the full line
+    through its anchors meets the mirror (here behind A) and valid where it
+    misses it.  The ray rule is relative to the anchors' scale, as every
+    membership test of a solve is, so this holds for the lines scaled by lam
+    = 1e-150 ... 1e150."""
+    for lam in (10.0 ** e for e in range(-150, 151, 10)):
+        crossing = minimize(mirror_arr, Itinerary(()), [0.0, lam], [2.0 * lam, 3.0 * lam])
+        assert crossing.classification is Classification.NON_GENERIC_RAY
+        parallel = minimize(mirror_arr, Itinerary(()), [0.0, lam], [2.0 * lam, lam])
+        assert parallel.is_valid and parallel.value == 2.0 * lam
+        assert parallel.trajectory.k == 0 and parallel.iterations == 0
 
 
 @pytest.mark.usefixtures("tight")

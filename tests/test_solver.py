@@ -54,6 +54,39 @@ def test_mirror_closed_form(mirror_arr):
     assert result.hessian_min_eig > 0
 
 
+@pytest.mark.parametrize("lam", [1e-15, 1e-18, 1e-20, 1e-30, 1e-100, 1e-150])
+def test_mirror_valid_at_tiny_scales(mirror_arr, lam):
+    """The ray rule's parallel limit is relative to |d|^2, so the README
+    mirror scaled by lam stays valid however small lam is: its boundary
+    rays, of length about lam, are not taken as parallel to L1."""
+    result = minimize(mirror_arr, Itinerary((0,)), [0.0, lam], [2.0 * lam, lam])
+    assert result.classification is Classification.VALID
+    assert result.value / lam == pytest.approx(2 * math.sqrt(2), rel=1e-12)
+
+
+def test_empty_itinerary_is_free_motion(mirror_arr):
+    """The empty itinerary is free motion through every public entry point:
+    its chain space is one point, so minimize classifies the segment A -> B
+    at once, valid where the line through A and B misses L1 and
+    NonGenericRay where it meets L1 (from (0, 1) to (2, 3), behind A), as
+    is_generic says; its Hessian is empty, and A = B, one edge of length
+    zero, is a ghost."""
+    free = Itinerary(())
+    A, B, crossing = np.array([0.0, 1.0]), np.array([2.0, 1.0]), np.array([2.0, 3.0])
+    result = minimize(mirror_arr, free, A, B)
+    assert result.is_valid and result.value == 2.0 and result.iterations == 0
+    assert result.trajectory.k == 0 and result.chain.points.shape == (0, 2)
+    assert_lower_bound(result)
+    assert result.hessian_min_eig == math.inf
+    assert hessian(mirror_arr, free, A, result.chain, B).min_eigenvalue() == math.inf
+    assert solver._plan_of(mirror_arr.bases_of(free)).projectors.shape == (0, 2, 2)
+    assert is_generic(mirror_arr, A, np.zeros((0, 2)), B, free)
+    result = minimize(mirror_arr, free, A, crossing)
+    assert result.classification is Classification.NON_GENERIC_RAY
+    assert not is_generic(mirror_arr, A, np.zeros((0, 2)), crossing, free)
+    assert minimize(mirror_arr, free, A, A).classification is Classification.GHOST
+
+
 def test_total_collision_example(origin_arr):
     result = minimize(origin_arr, Itinerary((0,)), [3.0, 0.0], [0.0, 4.0])
     assert result.classification is Classification.VALID

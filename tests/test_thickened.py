@@ -194,6 +194,16 @@ def test_minimize_thickened_ghost_chord(mirror_table):
     assert np.allclose(result.points[0], A + t * (B - A), atol=1e-8)
 
 
+def test_thickened_refuses_the_empty_itinerary(mirror_table, mirror_arr):
+    """Free motion has no vertex to confine to a cylinder: both thickened
+    entry points refuse it as input, though the point solve is valid."""
+    assert minimize(mirror_arr, Itinerary(()), A_MIRROR, B_MIRROR).is_valid
+    with pytest.raises(InputError):
+        minimize_thickened(mirror_table, Itinerary(()), A_MIRROR, B_MIRROR)
+    with pytest.raises(InputError):
+        r_family(mirror_arr, Itinerary(()), A_MIRROR, B_MIRROR, [0.1])
+
+
 def test_minimize_thickened_anchor_inside_rejected(mirror_table):
     with pytest.raises(PreconditionError):
         minimize_thickened(mirror_table, Itinerary((0,)),

@@ -307,7 +307,7 @@ def test_json_round_trip(mirror_arr):
 
 def test_max_residual_on_free_motion(mirror_arr):
     traj = BilliardTrajectory(np.array([0.0, 1.0]), np.array([2.0, 3.0]),
-                              np.zeros((0, 2)), None)
+                              np.zeros((0, 2)), Itinerary(()))
     assert max_reflection_residual(mirror_arr, traj) == 0.0
 
 
@@ -319,7 +319,7 @@ def test_stored_edges_match_the_vertex_formulas(dim):
     for k in (0, 1, 2, 5, 17):
         A, B = rng.normal(size=dim), rng.normal(size=dim)
         chain = rng.normal(size=(k, dim)) * 3
-        traj = BilliardTrajectory(A, B, chain, None)
+        traj = BilliardTrajectory(A, B, chain, Itinerary(tuple(i % 2 for i in range(k))))
         points = np.vstack([A[None, :], chain, B[None, :]])
         diffs = np.diff(points, axis=0)
         units = diffs / np.linalg.norm(diffs, axis=1, keepdims=True)
