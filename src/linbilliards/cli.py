@@ -25,10 +25,10 @@ from .errors import (PACKAGE_ERRORS, CornerCollision, InputError, MaxIterations,
                      NonSmoothPoint, PreconditionError)
 from .origami import (
     collinearity_residual,
+    defined_bound,
     develop_planar,
     enumerate_itineraries,
     angle_prefilter_passes,
-    itinerary_bound,
     law_of_sines_residual,
     search_realizable,
     search_to_csv,
@@ -259,7 +259,7 @@ def cmd_thicken(args) -> int:
 def cmd_origami(args) -> int:
     _check_counts(args, "max_len", "budget", "jobs")
     arr, itinerary = _load_problem(args)
-    payload = {"itinerary_bound": itinerary_bound(arr)}
+    payload = {"itinerary_bound": defined_bound(arr)}
     if args.A and args.B:
         result = minimize(arr, itinerary, _parse_vector(args.A), _parse_vector(args.B))
         if result.is_valid:
@@ -282,8 +282,8 @@ def cmd_origami(args) -> int:
     realized = [len(r.labels) for r in rows if r.status == "realized"]
     payload["max_realized_length"] = max(realized) if realized else 0
     _write_json(out / "origami.json", payload)
-    logger.info("origami: bound %d, max realized length %d",
-                payload["itinerary_bound"], payload["max_realized_length"])
+    logger.info("origami: bound %s, max realized length %d",
+                payload["itinerary_bound"] or "none", payload["max_realized_length"])
     return EXIT_OK
 
 
@@ -315,15 +315,14 @@ def cmd_threebody(args) -> int:
 def cmd_enumerate(args) -> int:
     _check_counts(args, "max_len")
     arr = load_arrangement(args.arrangement)
-    out = _out_dir(args)
-    bound = itinerary_bound(arr)
-    with open(out / "itineraries.csv", "w") as fh:
+    bound = defined_bound(arr)
+    with open(_out_dir(args) / "itineraries.csv", "w") as fh:
         fh.write("itinerary,length,angle_filter\n")
         for combo in enumerate_itineraries(arr, args.max_len):
             labels = "|".join(arr.subspaces[i].name for i in combo)
             passes = angle_prefilter_passes(arr, combo)
             fh.write(f"{labels},{len(combo)},{'pass' if passes else 'reject'}\n")
-    logger.info("enumerate: itinerary bound %d", bound)
+    logger.info("enumerate: itinerary bound %s", bound or "none")
     return EXIT_OK
 
 

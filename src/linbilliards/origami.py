@@ -77,6 +77,17 @@ def itinerary_bound(arr: Arrangement) -> int:
     return 1 + math.floor(math.pi / theta_min * (1.0 + 1e-12))
 
 
+def defined_bound(arr: Arrangement) -> int | None:
+    """itinerary_bound, 1 on one subspace (length 1 alone), or None where
+    subspaces meet beyond the origin and the bound is not defined."""
+    if len(arr.subspaces) < 2:
+        return 1
+    try:
+        return itinerary_bound(arr)
+    except PreconditionError:
+        return None
+
+
 def law_of_sines_residual(traj: BilliardTrajectory) -> float:
     """Mismatch of |q_1| sin(theta_0) = |q_k| sin(theta_k), scaled by the
     larger radius; zero on exact solutions."""
@@ -213,13 +224,9 @@ def search_realizable(arr: Arrangement, max_len: int, sample_budget: int,
     seeds being per-itinerary) never depends on the worker count.  A solver
     failure (MaxIterations) propagates rather than count as a miss.
     """
-    # one subspace allows length 1 alone; where subspaces meet beyond the
-    # origin the pairwise-angle bound is not defined, and max_len is the caller's
-    try:
-        bound = itinerary_bound(arr) if len(arr.subspaces) >= 2 else 1
-    except PreconditionError:
-        bound = max_len
-    if max_len > bound + 1:
+    # where the bound is not defined, max_len is the caller's
+    bound = defined_bound(arr)
+    if bound is not None and max_len > bound + 1:
         raise PreconditionError(
             f"max_len {max_len} exceeds the itinerary bound {bound} plus one")
     tasks = [(arr, combo, sample_budget, seed, use_angle_filter)

@@ -56,13 +56,15 @@ CERT_RESIDUAL.  A chain that passes is returned; no
 tolerance on the length enters, and no other exit proves a ghost.  The
 runs' meets span the null space of the vertex equations' transpose, so one
 SPD solve gives their pseudo-inverse, with no SVD or rank cut.  The search
-starts from the chain's edge directions smoothed at mu / CERT_WINDOW, whose
+ends in a proof either way, multipliers in the balls or a Farkas vector
+that rules them out.  It starts from the chain's edge directions smoothed
+at mu / CERT_WINDOW, whose
 projection onto the vertex equations lies inside the balls for most ghosts
 certified at the spring chain, so most proofs take no Newton step (at
 the spring chain mu is the anchors' scale, and the directions smoothed at
-mu itself, shorter, left about a third of them to the barrier); a Farkas test
-on the least-norm solution ends most searches that must fail before any
-Newton step, so a failed attempt is cheap.  A pinned run set (every vertex
+mu itself, shorter, left about a third of them to Newton steps); the Farkas
+test at that projection ends most searches that must fail, so a failed
+attempt is cheap.  A pinned run set (every vertex
 at the origin) is snapped in one assignment.  Each attempt
 does each piece of work once: its thresholds and runs are chosen on the
 gaps as Python floats, its run plan is looked up once for the reduced
@@ -88,8 +90,8 @@ _StackedProblem over an itinerary's solve plan (_ItineraryPlan), which the
 certificate's reduced polish also builds over a run plan's reduced plan;
 the thickened barrier stages and wall polish reuse the core with their own
 coordinates and retractions.  The certificate's
-search for collapsed-edge multipliers minimizes no value, and is a short
-Newton loop of its own.
+search for collapsed-edge multipliers is a short Newton loop of its own,
+on a squared hinge over the solutions of the vertex equations.
 
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
 mirrors the exclusions that define membership in the trajectory space.  A
@@ -133,8 +135,8 @@ OPEN_TOL = 1e-4        # the opening stage (mu = scale) stops at |grad| <= this
 CERT_WINDOW = 10.0     # certify a stage once an interior gap is within this * mu
 CERT_TRIES = 4         # thresholds tried per certificate
 CERT_RESIDUAL = 1e-12  # stationarity residual accepted as rounding
-MULTIPLIER_STEPS = 30  # Newton steps of the collapsed-multiplier search
-INSIDE = 0.25          # a start row with |v|^2 above this * bound is scaled to it
+MULTIPLIER_STEPS = 30  # cap on the Newton steps of the collapsed-multiplier search
+SHIFT = 1e-6           # the multiplier search's Hessian blocks are shifted by this * I
 WARM_GATE = 1e-2       # exact polish: first exact Newton step / shortest edge
 WARM_AIM = 1e-4        # exact polish targets this * tol, accepts tol
 POLISH_ITERS = 400     # Newton steps of the exact polish, cold or warm
@@ -281,23 +283,13 @@ class _StackedProblem:
         return last[2:]
 
 
-def _spd_solve(M: np.ndarray, b: np.ndarray):
-    """Solution of M s = b, or None where Cholesky finds M not positive
-    definite: the factor decides definiteness, and the solve gives s."""
-    try:
-        np.linalg.cholesky(M)
-        return np.linalg.solve(M, b)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _solve_spd(H: np.ndarray, g: np.ndarray):
-    """Newton step -H^{-1} g by Cholesky, adding growing diagonal jitter until
-    it is a descent step; None if five attempts give none.
-
-    The first attempt factors H itself; H + jitter I and the trace that
-    scales the jitter are formed only once one is needed.
-    Raises ValueError on non-finite input.
+    """Newton step -H^{-1} g, adding growing diagonal jitter until it is a
+    descent step; None if five attempts give none.  Cholesky decides
+    definiteness and np.linalg.solve gives the step.  The first jitter is
+    1e-14 times the mean diagonal, so the step does not depend on the scale
+    of H (a trace that is not positive gives None).  Raises ValueError on
+    non-finite input.
     """
     n = H.shape[0]
     if not (np.isfinite(H).all() and np.isfinite(g).all()):
@@ -306,10 +298,15 @@ def _solve_spd(H: np.ndarray, g: np.ndarray):
         return None
     jitter = 0.0
     for _ in range(5):
-        step = _spd_solve(H + jitter * np.eye(n) if jitter else H, -g)
+        shifted = H + jitter * np.eye(n) if jitter else H
+        try:
+            np.linalg.cholesky(shifted)
+            step = np.linalg.solve(shifted, -g)
+        except np.linalg.LinAlgError:
+            step = None
         if step is not None and np.dot(g, step) < 0:
             return step
-        jitter = jitter * 100.0 if jitter else 1e-14 * max(float(np.trace(H)) / n, 1.0)
+        jitter = jitter * 100.0 if jitter else 1e-14 * float(np.trace(H)) / n
     return None
 
 
@@ -606,81 +603,78 @@ def _onto(equations, p, x):
     return (p + flat - pinv @ (M @ flat)).reshape(x.shape)
 
 
-def _barrier_step(equations, p, v, bound):
-    """(step, MD) of _lowest_multipliers' barrier at v (C, dim): the KKT
-    step and M D^-1 (k m, C dim) that gives it, or None where the solve
-    finds its matrix not positive definite.
+def _hinge_step(equations, p, v, hinge):
+    """KKT step of _lowest_multipliers' squared hinge at v (C, dim), with the
+    hinges h (C,): the Newton step of F within the set, put back on it.
 
-    Per edge, a = (bound - |v|^2) / 2: the Hessian block (I + v v^T / a) / a
-    has the inverse a (I - v v^T / (a + |v|^2)) (Sherman-Morrison), which
-    maps the gradient v / a to D_inv_g, and M D^-1 = a M - (M v) D_inv_g^T,
-    with M v per edge one np.vecdot of M's column blocks with v.
+    Per edge, g_e = h_e v_e, and the Hessian block D_e = a I + b v v^T (a =
+    h_e + SHIFT, b = 2 where h_e > 0, else 0) has the inverse (I - b v v^T /
+    (a + b |v|^2)) / a (Sherman-Morrison): D^-1 g = g / (a + b |v|^2), and M
+    D^-1 takes from each column block of M its part along v, that block's
+    np.vecdot with v.  (M D^-1 M^T + null) lam = M (v - D^-1 g - p) gives the
+    step -D^-1 (g + M^T lam), which moves v onto M v = M p.
     """
     M, null, _ = equations
     C, dim = v.shape
     edges = M.reshape(len(M), C, dim)
-    norms2 = (v * v).sum(axis=1)
-    a = 0.5 * (bound - norms2)
-    D_inv_g = (a / (a + norms2))[:, None] * v
-    MD = (a[:, None] * edges - np.vecdot(edges, v)[:, :, None] * D_inv_g).reshape(len(M), -1)
-    lam = _spd_solve(MD @ M.T + null, M @ ((v - D_inv_g).reshape(-1) - p))
-    if lam is None:
-        return None
-    # the solve loses accuracy as a norm nears the bound; the full step
-    # stays on the affine set through the pseudo-inverse alone
-    return _onto(equations, p, v - D_inv_g - (lam @ MD).reshape(C, dim)) - v, MD
+    a, b = hinge + SHIFT, 2.0 * (hinge > 0.0)
+    denom = a + b * (v * v).sum(axis=1)
+    D_inv_g = (hinge / denom)[:, None] * v
+    along = (b / denom)[:, None] * v
+    MD = ((edges - np.vecdot(edges, v)[:, :, None] * along) / a[:, None]).reshape(len(M), -1)
+    lam = np.linalg.solve(MD @ M.T + null, M @ ((v - D_inv_g).reshape(-1) - p))
+    return _onto(equations, p, v - D_inv_g - (lam @ MD).reshape(C, dim)) - v
 
 
 def _lowest_multipliers(plan, fixed, start, bound):
     """Point v of the least-squares solutions of M v = -fixed, M a run
-    plan's vertex equations, with every |v_e|^2 below bound, or None if none
-    is found; start (C, dim), the stage's directions on the collapsed edges
-    smoothed at mu / CERT_WINDOW, is projected onto that affine set first.
+    plan's vertex equations, with every |v_e|^2 below bound, or None where a
+    Farkas vector proves that there is none (or, never seen, after
+    MULTIPLIER_STEPS steps).
 
-    Then a Farkas test (theorem of alternatives; Boyd & Vandenberghe, sec.
-    5.8) ends most searches that must fail before any Newton step: the
-    least-norm point p = -pinv fixed lies in the row space, so <p, v> =
-    |p|^2 at every point v of the set, which |v_e| < r = sqrt(bound) would
-    keep below r sum_e |p_e|.  Otherwise infeasible-start Newton on the
-    barrier -sum_e log(bound - |v_e|^2) over the set (Boyd & Vandenberghe,
-    sec. 10.3) runs from start, rows with |v_e|^2 above INSIDE * bound
-    scaled to it.  A step (_barrier_step) is the KKT step -D^-1 (g + M^T
-    lam), D and g the barrier's Hessian and gradient and (M D^-1 M^T +
-    null) lam = M (v - D^-1 g - p), halved only while a norm would reach
-    the bound (the residual M (v - p) shrinks by the untaken fraction).
-    The first full step lands on the set inside every ball, which ends the
-    search; a step below STEP_FLOOR, or MULTIPLIER_STEPS steps, give None.
+    Newton's method minimizes the squared hinge F(v) = 1/4 sum_e h_e^2, h_e
+    = (|v_e|^2 - aim)_+, over the set, from start (C, dim), the stage's
+    directions on the collapsed edges smoothed at mu / CERT_WINDOW,
+    projected onto it.  An iterate inside every ball is returned; None, if
+    y = pinv M grad F, the gradient's part in the row space of M, is a
+    Farkas vector (Boyd & Vandenberghe, sec. 5.8): <y, v> = <y, p> on the
+    set, p = -pinv fixed, which |v_e| < r = sqrt(bound) would keep below r
+    sum_e |y_e|.  bound, (1 + CERT_RESIDUAL)^2, allows for rounding, so the
+    two tests meet at r.  At a minimizer of F with F > 0, y = grad F, and
+    <y, p> = sum_e h_e |v_e|^2 exceeds r sum_e h_e |v_e| once the hinged
+    rows lie beyond r on average, as when aim nears 1 and the set misses
+    the balls.  Otherwise the KKT step (_hinge_step) is taken with Armijo
+    backtracking on F; aim starts at 0 and moves halfway to 1 after each
+    step that does not cut F to a quarter.
     """
-    equations = plan.equations
-    p = -(equations[2] @ fixed)
-    w = _onto(equations, p, start)
-    if (w * w).sum(axis=1).max() < bound:
-        return w
-    # the Farkas exit, with a margin of 1e-12 for rounding
-    reach = math.sqrt(bound) * np.linalg.norm(p.reshape(start.shape), axis=1).sum()
-    if p @ p > (1.0 + 1e-12) * reach:
-        return None
-    norms2 = (start * start).sum(axis=1)
-    # from a row near the surface the barrier's steps stay too short
-    outside = norms2 > INSIDE * bound
-    v = start.copy()
-    v[outside] *= np.sqrt(INSIDE * bound / norms2[outside])[:, None]
+    equations = M, _, pinv = plan.equations
+    p = -(pinv @ fixed)
+    reach = math.sqrt(bound)
+    v = _onto(equations, p, start)
+    aim = 0.0
     for _ in range(MULTIPLIER_STEPS):
-        found = _barrier_step(equations, p, v, bound)
-        if found is None:
+        norms2 = (v * v).sum(axis=1)
+        if norms2.max() < bound:
+            return v
+        hinge = np.maximum(norms2 - aim, 0.0)
+        grad = (hinge[:, None] * v).reshape(-1)
+        y = (pinv @ (M @ grad)).reshape(v.shape)
+        if y.reshape(-1) @ p > reach * np.sqrt(_row_dot(y, y)).sum():
             return None
-        step = found[0]
-        t = 1.0
-        while True:
+        value = 0.25 * (hinge @ hinge)
+        step = _hinge_step(equations, p, v, hinge)
+        slope = float(grad @ step.reshape(-1))
+        t, cut = 1.0, False
+        while t >= STEP_FLOOR:
             trial = v + t * step
-            if (trial * trial).sum(axis=1).max() < bound:
+            h = np.maximum((trial * trial).sum(axis=1) - aim, 0.0)
+            trial_value = 0.25 * (h @ h)
+            if trial_value <= value + ARMIJO * t * slope:
+                v, cut = trial, trial_value <= 0.25 * value
                 break
             t *= 0.5
-            if t < STEP_FLOOR:
-                return None
-        if t == 1.0:
-            return trial
-        v = trial
+        if not cut:
+            aim += 0.5 * (1.0 - aim)
     return None
 
 
@@ -694,7 +688,8 @@ def _multipliers_certify(problem, plan, edges, lengths, start):
 
     The collapsed u_e solve M u = -fixed, M the run plan's vertex equations
     and fixed the open edges' residual in them, inside the balls: the search
-    of _lowest_multipliers, from the stage's smoothed directions start.
+    of _lowest_multipliers, from the stage's smoothed directions start,
+    which ends with such u or with a Farkas vector that rules them out.
     Every point it returns is checked here against CERT_RESIDUAL.  The
     length sums all k+1 edges, the collapsed zeros included.
     """

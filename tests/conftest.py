@@ -309,26 +309,6 @@ def stacked_reference(bases, grad, diag, off, bases_t=None):
     return grad, H.reshape(k * m, k * m)
 
 
-def barrier_step_reference(equations, p, v, bound):
-    """solver._barrier_step with M v per edge and M D^-1 applied to lam as
-    the np.einsum contractions "rcd,cd->rc" and "rcd,r->cd" of the
-    (k m, C, dim) column blocks: (step, M D^-1 as (k m, C dim)), the step
-    None where the solve finds its matrix not positive definite."""
-    M, null, pinv = equations
-    C, dim = v.shape
-    edges = M.reshape(len(M), C, dim)
-    norms2 = (v * v).sum(axis=1)
-    a = 0.5 * (bound - norms2)
-    D_inv_g = (a / (a + norms2))[:, None] * v
-    MD = a[:, None] * edges - np.einsum("rcd,cd->rc", edges, v)[:, :, None] * D_inv_g
-    lam = solver._spd_solve(MD.reshape(len(M), -1) @ M.T + null,
-                            M @ ((v - D_inv_g).reshape(-1) - p))
-    if lam is None:
-        return None, MD.reshape(len(M), -1)
-    x = (v - D_inv_g - np.einsum("rcd,r->cd", MD, lam)).reshape(-1)
-    return (p + x - pinv @ (M @ x)).reshape(C, dim) - v, MD.reshape(len(M), -1)
-
-
 def sample_anchor_reference(rng, dim, radius):
     """An anchor of origami's realizability search drawn on its own: dim
     standard normals, normalized by np.linalg.norm and scaled to radius."""

@@ -11,9 +11,9 @@ from linbilliards import cli
 from linbilliards.cli import EXIT_CORNER, main
 from linbilliards.errors import (PACKAGE_ERRORS, CornerCollision, InputError, MaxIterations,
                                  NonSmoothPoint, PreconditionError)
-from linbilliards.arrangement import load_arrangement
+from linbilliards.arrangement import load_arrangement, save_arrangement
 
-from conftest import rounding_allowance, trajectory_from_json, validate_trajectory
+from conftest import fourbody, rounding_allowance, trajectory_from_json, validate_trajectory
 
 
 @pytest.fixture
@@ -466,6 +466,38 @@ def test_counts_below_one_are_usage_errors(tmp_path, twolines_json, command, fla
     if command != "enumerate":
         argv += ["--itinerary", "L1,L2", "--A=2,1", "--B=-1,-3"]
     assert main(argv) == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["origami", "--itinerary", "D12", "--max-len", "2", "--budget", "5"],
+    ["enumerate", "--max-len", "2"]])
+def test_origami_and_enumerate_run_where_subspaces_meet(tmp_path, argv):
+    """The pair subspaces of the four-body table meet beyond the origin, so
+    the itinerary bound is not defined there: origami and enumerate exit 0,
+    and origami writes the bound as null."""
+    table = tmp_path / "fourbody.json"
+    save_arrangement(fourbody(), table)
+    out = tmp_path / "out"
+    assert main([argv[0], "--arrangement", str(table), *argv[1:], "--out", str(out)]) == 0
+    if argv[0] == "origami":
+        assert json.loads((out / "origami.json").read_text())["itinerary_bound"] is None
+    else:
+        assert "D12|D13,2,pass" in (out / "itineraries.csv").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["origami", "--itinerary", "L1,L2", "--max-len", "6", "--budget", "5"],
+    ["enumerate", "--max-len", "2"]], ids=["beyond-the-bound", "bad-arrangement"])
+def test_origami_and_enumerate_refusals_leave_no_directory(tmp_path, twolines_json, argv):
+    """A max_len beyond the two-line bound plus one, and an arrangement with a
+    non-numeric basis, exit 64 and leave no --out directory behind."""
+    table = twolines_json
+    if argv[0] == "enumerate":
+        table = tmp_path / "bad.json"
+        table.write_text('{"dim": 2, "subspaces": [{"name": "L1", "basis": [["x", 0.0]]}]}')
+    out = tmp_path / "out"
+    assert main([argv[0], "--arrangement", str(table), *argv[1:], "--out", str(out)]) == 64
     assert not out.exists()
 
 

@@ -20,9 +20,9 @@ from linbilliards.errors import InputError, NonSmoothPoint, PreconditionError
 from linbilliards.solver import Classification, minimize
 from linbilliards.trajectory import BilliardTrajectory, is_generic, max_reflection_residual
 
-from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, barrier_step_reference,
-                      chain_is_generic_reference, envelope_gradients, grad_tol, random_chain,
-                      random_start_solves, rounding_allowance, stacked_problem)
+from conftest import (TWOLINE_A, TWOLINE_B, assert_lower_bound, chain_is_generic_reference,
+                      envelope_gradients, grad_tol, random_chain, random_start_solves,
+                      rounding_allowance, stacked_problem)
 
 
 def brute_force_minimum(arr, itinerary, A, B, radius, n_grid=21):
@@ -395,31 +395,31 @@ def test_certified_ghosts_match_full_continuation(fixture, request, monkeypatch)
                    if r.classification is Classification.GHOST)
 
 
-def _counting_spd_solves(monkeypatch):
-    """Counter of solver._spd_solve calls made while _lowest_multipliers
-    runs, one entry per search: ("found" | "none" | "projected", solves,
-    kernel dimension, from scipy).  A point found without a solve is the
+def _counting_steps(monkeypatch):
+    """Counter of solver._hinge_step calls made while _lowest_multipliers
+    runs, one entry per search: ("found" | "none" | "projected", steps,
+    kernel dimension, from scipy).  A point found without a step is the
     projection of the start: the search's own points all follow a Newton
     step."""
     searches, inside = [], []
-    real_spd, real_search = solver._spd_solve, solver._lowest_multipliers
+    real_step, real_search = solver._hinge_step, solver._lowest_multipliers
 
-    def spd(M, b):
+    def step(*args):
         if inside:
             inside[-1] += 1
-        return real_spd(M, b)
+        return real_step(*args)
 
     def search(plan, fixed, start, bound):
         inside.append(0)
         try:
             got = real_search(plan, fixed, start, bound)
         finally:
-            solves = inside.pop()
-        outcome = "none" if got is None else "found" if solves else "projected"
-        searches.append((outcome, solves, _kernel(plan).shape[2]))
+            steps = inside.pop()
+        outcome = "none" if got is None else "found" if steps else "projected"
+        searches.append((outcome, steps, _kernel(plan).shape[2]))
         return got
 
-    monkeypatch.setattr(solver, "_spd_solve", spd)
+    monkeypatch.setattr(solver, "_hinge_step", step)
     monkeypatch.setattr(solver, "_lowest_multipliers", search)
     return searches
 
@@ -432,11 +432,11 @@ def test_valid_solve_certificate_ends_at_the_farkas_test(twolines_arr, monkeypat
     with monkeypatch.context() as m:
         m.setattr(solver, "_certify_ghost", lambda *args: None)
         reference = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
-    searches = _counting_spd_solves(monkeypatch)
+    searches = _counting_steps(monkeypatch)
     result = minimize(twolines_arr, it, TWOLINE_A, TWOLINE_B)
     assert result.is_valid
     assert _result_bytes(result) == _result_bytes(reference)
-    assert [(outcome, solves) for outcome, solves, _ in searches] == [("none", 0)]
+    assert [(outcome, steps) for outcome, steps, _ in searches] == [("none", 0)]
 
 
 def _four_body_table():
@@ -638,11 +638,12 @@ def _vertex_residual(plan, v, w):
 
 def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
     """Over the seed-0 unfiltered search and nbody rounds 0-3, the
-    infeasible-start Newton search returns a point exactly when the barrier
+    squared-hinge Newton search returns a point exactly when the barrier
     method does, and every point it returns meets the vertex equations to
-    CERT_RESIDUAL with every norm below the bound.  The Farkas exit ends some
-    of the failing searches before any Newton step."""
-    searches = _counting_spd_solves(monkeypatch)
+    CERT_RESIDUAL with every norm below the bound.  No search reaches
+    MULTIPLIER_STEPS, so every None comes from the Farkas exit, some of them
+    before any Newton step."""
+    searches = _counting_steps(monkeypatch)
     real = solver._lowest_multipliers
 
     def compared(plan, fixed, start, bound):
@@ -666,7 +667,8 @@ def test_multiplier_search_agrees_with_the_barrier(twolines_arr, monkeypatch):
     assert sum(searched) > 0 and not all(searched)
     # the Farkas exit: a failure without a Newton step where the kernel is
     # not empty
-    assert any(outcome == "none" and solves == 0 and d > 0 for outcome, solves, d in searches)
+    assert any(outcome == "none" and steps == 0 and d > 0 for outcome, steps, d in searches)
+    assert max(steps for _, steps, _ in searches) < solver.MULTIPLIER_STEPS
 
 
 def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_arr,
@@ -676,8 +678,9 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     1.15, while both must stay below 1 and match the anchors' unit
     directions (norm 0.995) along L1: the affine set of the vertex
     equations misses the balls, and the search returns None where the
-    barrier proves the same.  The least-norm point of that line proves it
-    too (the Farkas exit), so the search takes no Newton step."""
+    barrier proves the same.  The gradient of the squared hinge at the
+    projected start is a Farkas vector, so the search takes no Newton
+    step."""
     it = Itinerary((0, 1, 0))
     A, B = np.array([10.0, 1.0]), np.array([10.0, -1.0])
     problem = stacked_problem(twolines_arr, it, A, B)
@@ -695,17 +698,17 @@ def test_multiplier_search_fails_where_the_affine_set_misses_the_balls(twolines_
     assert (p * p).sum(axis=1).max() >= bound
     start = np.array([[-0.9, 0.0], [0.9, 0.0]])
     # the Farkas exit ends the search before any Newton step
-    searches = _counting_spd_solves(monkeypatch)
+    searches = _counting_steps(monkeypatch)
     assert solver._lowest_multipliers(plan, fixed, start, bound) is None
     assert searches == [("none", 0, 1)]
     assert _reference_lowest_multipliers(p, start, kernel, bound) is None
     assert _certifies(problem, np.zeros((3, 2)), [(0, 3)], np.zeros((4, 2))) is None
 
 
-def test_multiplier_search_scales_a_start_outside_the_balls(twolines_arr):
-    """A start row with |v|^2 above INSIDE * bound is scaled to it, and the
-    search still finds a point of the affine set inside every ball: here
-    the line through v0 (norms 0.22 and 0.32) along the plan's kernel, whose
+def test_multiplier_search_leaves_a_start_outside_the_balls(twolines_arr):
+    """From a start whose projection misses the balls, the search's Newton
+    steps still find a point of the affine set inside every ball: here the
+    line through v0 (norms 0.22 and 0.32) along the plan's kernel, whose
     least-norm point is p, from starts whose projections onto the line
     miss the balls, one of them with rows just inside their balls (norm
     1 - 1e-7, as a smoothed direction on a merged open edge can be)."""
@@ -753,13 +756,13 @@ def test_pinned_run_sets_skip_the_reduced_problem(twolines_arr, monkeypatch):
 def test_spring_chain_collapse_ends_at_the_projection(twolines_arr, monkeypatch):
     """The total collapse of L1, L2, L1, L2 from A = (-3, -3) to B = (-2, -2)
     is certified at the spring chain by the projection of the search's
-    start, with no Newton step of the barrier (the start smoothed at mu
-    itself took one), at the length |A| + |B| = 5 sqrt(2) of the chain of
-    origins and with its lower bound."""
+    start, with no Newton step (the start smoothed at mu itself took one),
+    at the length |A| + |B| = 5 sqrt(2) of the chain of origins and with its
+    lower bound."""
     it, A, B = Itinerary((0, 1, 0, 1)), np.array([-3.0, -3.0]), np.array([-2.0, -2.0])
-    searches = _counting_spd_solves(monkeypatch)
+    searches = _counting_steps(monkeypatch)
     result = minimize(twolines_arr, it, A, B)
-    assert [(outcome, solves) for outcome, solves, _ in searches] == [("projected", 0)]
+    assert [(outcome, steps) for outcome, steps, _ in searches] == [("projected", 0)]
     assert result.classification is Classification.GHOST and result.iterations == 0
     assert not result.chain.points.any()
     assert result.value == pytest.approx(5.0 * math.sqrt(2.0), rel=1e-15)
@@ -772,41 +775,47 @@ def test_multiplier_searches_mostly_end_at_the_projection(twolines_arr, monkeypa
     smoothed at mu / CERT_WINDOW: over the seed-0 search and nbody rounds
     0-3, at most 80 of the 445 multiplier searches take a Newton step (67
     measured; 132 from the directions smoothed at mu itself)."""
-    searches = _counting_spd_solves(monkeypatch)
+    searches = _counting_steps(monkeypatch)
     _search_and_nbody_solves(twolines_arr, monkeypatch)
     assert len(searches) > 400
-    assert sum(solves > 0 for _, solves, _ in searches) <= 80
+    assert sum(steps > 0 for _, steps, _ in searches) <= 80
 
 
-def test_barrier_steps_match_the_einsum_form(twolines_arr, monkeypatch):
-    """Every barrier step of the seed-0 search and nbody rounds 0-3 (M v per
-    edge by np.vecdot, M D^-1 applied to lam as one matrix product) forms
-    M D^-1 as the einsum form, barrier_step_reference, does, to 1e-13
-    relative.  Where the KKT matrix M D^-1 M^T + null has a condition
-    number below 1e4 (most steps) both find it definite and give the same
-    step to 1e-13 relative; a nearly singular one (condition numbers reach
-    1e17 here) amplifies the rounding of either form into its step alike."""
-    steps, conditioned = [], []
-    real = solver._barrier_step
+def test_multiplier_search_proves_a_point_outside_a_ball_infeasible(monkeypatch):
+    """Equations M = I with no kernel (null = 0) make the affine set the one
+    point p = ((1.01, 0), (0, 0.5)), outside the first ball.  The least-norm
+    test <p, p> > r sum_e |p_e| does not hold there (1.27 against 1.51), and
+    a barrier search ended without a proof; the squared hinge's gradient is
+    a Farkas vector within 2 steps."""
+    plan = types.SimpleNamespace(equations=(np.eye(4), np.zeros((4, 4)), np.eye(4)))
+    p = np.array([[1.01, 0.0], [0.0, 0.5]])
+    bound = (1.0 + solver.CERT_RESIDUAL) ** 2
+    assert p.reshape(-1) @ p.reshape(-1) <= math.sqrt(bound) * np.linalg.norm(p, axis=1).sum()
+    steps = []
+    real = solver._hinge_step
+    monkeypatch.setattr(solver, "_hinge_step", lambda *args: steps.append(1) or real(*args))
+    assert solver._lowest_multipliers(plan, -p.reshape(-1), np.zeros((2, 2)), bound) is None
+    assert len(steps) <= 2
 
-    def compared(equations, p, v, bound):
-        got = real(equations, p, v, bound)
-        step, MD = barrier_step_reference(equations, p, v, bound)
-        M, null, _ = equations
-        if got is not None:
-            assert got[1].shape == MD.shape
-            assert np.abs(got[1] - MD).max() <= 1e-13 * np.abs(MD).max()
-        if np.linalg.cond(MD @ M.T + null) < 1e4:
-            assert (got is None) == (step is None)
-            if step is not None:
-                assert np.abs(got[0] - step).max() <= 1e-13 * np.abs(step).max()
-            conditioned.append(step)
-        steps.append(got)
+
+def test_multiplier_search_outcomes_survive_one_ulp(twolines_arr, monkeypatch):
+    """Over every search of the seed-0 unfiltered realizability search, fixed
+    scaled by 1 + 2**-52, or each entry moved up one ulp by np.nextafter,
+    leaves the search's outcome (a point or None) as it was."""
+    from linbilliards import origami
+    outcomes = []
+    real = solver._lowest_multipliers
+
+    def compared(plan, fixed, start, bound):
+        got = real(plan, fixed, start, bound)
+        for moved in (fixed * (1.0 + 2.0**-52), np.nextafter(fixed, np.inf)):
+            assert (real(plan, moved, start, bound) is None) == (got is None)
+        outcomes.append(got is None)
         return got
 
-    monkeypatch.setattr(solver, "_barrier_step", compared)
-    _search_and_nbody_solves(twolines_arr, monkeypatch)
-    assert len(conditioned) > 200 and len(steps) > len(conditioned)
+    monkeypatch.setattr(solver, "_lowest_multipliers", compared)
+    origami.search_realizable(twolines_arr, 5, 100, seed=0, use_angle_filter=False)
+    assert len(outcomes) > 100 and any(outcomes) and not all(outcomes)
 
 
 def _pinned_snap_matches(reduced_minimum, problem, plan, pts):
@@ -1264,7 +1273,7 @@ def _reference_solve_spd(H, g):
                 return step, jitter
         except np.linalg.LinAlgError:
             pass
-        jitter = max(jitter * 100.0, 1e-14 * max(base, 1.0))
+        jitter = jitter * 100.0 if jitter else 1e-14 * base
     return None, None
 
 
@@ -1298,6 +1307,19 @@ def test_solve_spd_matches_cho_factor_to_backward_error():
                                     + np.linalg.norm(g))
         jittered += not np.all(np.linalg.eigvalsh(H) > 0)
     assert jittered > 0
+
+
+@pytest.mark.parametrize("s", [2.0**-70, 2.0**40])
+def test_solve_spd_does_not_depend_on_the_scale_of_the_system(s):
+    """The jitter of the singular H = [[1, 1], [1, 1]] is relative to its
+    trace, so H and g scaled by a power of two give the same step bit for
+    bit (a first jitter with an absolute floor made the step at s = 2**-70
+    about 1e21 times shorter)."""
+    from linbilliards.solver import _solve_spd
+    H, g = np.ones((2, 2)), np.array([1.0, -2.0])
+    step = _solve_spd(H, g)
+    assert step is not None
+    assert _solve_spd(s * H, s * g).tobytes() == step.tobytes()
 
 
 def test_solve_spd_rejects_non_finite_input():
