@@ -81,38 +81,39 @@ def _perp(complements: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _row_dot(complements, x[..., None, :])
 
 
-def _tube_approach(rho2, w, u):
+def _tube_approach(rho2, w, u, limit):
     """Closest approach of lines p + t d to tubes of squared radii rho2, from
-    the parts w = P⊥p, u = P⊥d (..., n, dim): (a, t_star, gap2), each (...,
-    n), a = |u|^2, t_star = -<w, u> / (a + (a == 0.0)), gap2 = rho2 - |w +
-    t_star u|^2, the residual formed before its norm (b^2 - ac would cancel
-    when rho << |p|); gap2 >= 0 puts t_star -+ sqrt(gap2 / a) in the tube."""
+    the parts w = P⊥p, u = P⊥d (..., n, dim): (a, t_star, gap2, half), each
+    (..., n), a = |u|^2, t_star = -<w, u> / D, gap2 = rho2 - |w + t_star u|^2
+    (the residual formed before its norm: b^2 - ac would cancel when rho <<
+    |p|) and half = sqrt(max(gap2, 0) / D); gap2 >= 0 puts t_star -+ half in
+    the tube.  One divisor D = max(a, limit), made 1 where 0: the t_star and
+    half of a parallel line, a <= limit, are not read."""
     a = _row_dot(u, u)
-    t_star = -_row_dot(w, u) / (a + (a == 0.0))
+    d = np.maximum(a, limit)
+    d += d == _ZERO
+    t_star = -_row_dot(w, u) / d
     res = w + t_star[..., None] * u
-    return a, t_star, rho2 - _row_dot(res, res)
+    gap2 = rho2 - _row_dot(res, res)
+    return a, t_star, gap2, np.sqrt(np.maximum(gap2, _ZERO) / d)
 
 
 def _rays_hit(perps, directions, tol: float) -> np.ndarray:
     """Whether each of r rays meets each subspace's tube of radius tol beyond
     its start, (r, n), from the perpendicular parts perps (2, r, n, dim) of
     the rays' starts and directions d (r, dim): its interval {t : |w + t u|
-    <= tol} begins at t > 0, or d is parallel to it (|P⊥d|^2 <= 1e-30 |d|^2,
-    at every scale, d = 0 included) and the ray starts inside.  One divisor,
-    max(a, limit), made 1 where 0, serves t* and the half width (a parallel
-    pair's are not read); t* - half > 0 is t* > half in IEEE arithmetic.  Off
-    the parallel limit |t*| <= |w| / |u| < 1e15 |w| / |d| and half <= tol /
-    |u|, so an end t* + half can overflow only where |w| / |d| > 1.8e293."""
-    w, u, tol2 = perps[0], perps[1], np.array(tol * tol)
-    dots = _row_dot(perps[:, None], perps)   # <w, w>, <w, u>; <u, w>, <u, u>
-    a, limit = dots[1, 1], _PARALLEL * _row_dot(directions, directions)[:, None]
-    d = np.maximum(a, limit)
-    d += d == 0.0
-    t = dots[0, 1] / d                       # -t*, so w + t* u is w - t u
-    res = w - t[..., None] * u
-    gap2 = tol2 - _row_dot(res, res)
-    half = np.sqrt(np.maximum(gap2, _ZERO) / d)
-    return np.where(a <= limit, dots[0, 0] <= tol2, (gap2 >= _ZERO) & (t < -half))
+    <= tol} (_tube_approach) begins at t > 0, or d is parallel to it (|P⊥d|^2
+    <= 1e-30 |d|^2, at every scale, d = 0 included) and the ray starts
+    inside; t* - half > 0 is t* > half in IEEE arithmetic.  Off the parallel
+    limit |t*| <= |w| / |u| < 1e15 |w| / |d| and half <= tol / |u|, so an
+    end t* + half can overflow only where |w| / |d| > 1.8e293."""
+    w, tol2 = perps[0], np.array(tol * tol)
+    limit = _PARALLEL * _row_dot(directions, directions)[:, None]
+    a, t_star, gap2, half = _tube_approach(tol2, w, perps[1], limit)
+    hit, parallel = (gap2 >= _ZERO) & (t_star > half), a <= limit
+    if parallel.any():
+        hit[parallel] = _row_dot(w[parallel], w[parallel]) <= tol2
+    return hit
 
 
 def orthonormalize(vectors: np.ndarray, dim: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrangement import Itinerary, load_arrangement
+from .arrangement import Itinerary, _as_vector, load_arrangement
 from .errors import (PACKAGE_ERRORS, CornerCollision, InputError, MaxIterations,
                      NonSmoothPoint, PreconditionError)
 from .origami import (
@@ -156,8 +156,9 @@ def cmd_scatter(args) -> int:
     _check_counts(args, "levels", "jobs")
     arr = load_arrangement(args.arrangement)
     itinerary = Itinerary.from_labels(arr, args.itinerary.split(",") if args.itinerary else ())
-    A = _parse_vector(args.A)
-    B = _parse_vector(args.B)
+    # checked before the default spacing reads B - A
+    A = _as_vector(_parse_vector(args.A), arr.dim, "anchor A")
+    B = _as_vector(_parse_vector(args.B), arr.dim, "anchor B")
     rng = np.random.default_rng(args.seed)
     # generic rotation of the grid axes avoids symmetry-degenerate stencils
     axes_A = np.linalg.qr(rng.standard_normal((arr.dim, arr.dim)))[0].T
@@ -259,8 +260,10 @@ def cmd_thicken(args) -> int:
 def cmd_origami(args) -> int:
     _check_counts(args, "max_len", "budget", "jobs")
     arr, itinerary = _load_problem(args)
+    if (args.A is None) != (args.B is None):
+        raise InputError("origami unfolds a solve only from both --A and --B")
     payload = {"itinerary_bound": defined_bound(arr)}
-    if args.A and args.B:
+    if args.A is not None:
         result = minimize(arr, itinerary, _parse_vector(args.A), _parse_vector(args.B))
         if result.is_valid:
             u = unfold(result.trajectory)

@@ -50,16 +50,18 @@ class Unfolding:
 def unfold(traj: BilliardTrajectory) -> Unfolding:
     """Measure the sector angles of a trajectory's cone of collision rays.
 
-    Needs every collision point away from the origin (the rays are undefined
-    otherwise); no line-arrangement assumption is used, so this is the
-    generalized form valid for any equal-codimension arrangement.
+    Needs every collision point farther than 1e-12 max(|A|, |B|) from the
+    origin (the rays are undefined otherwise), a floor relative to the
+    anchors, so a trajectory and its anchors scaled together unfold alike;
+    no line-arrangement assumption is used, so this is the generalized form
+    valid for any equal-codimension arrangement.
     """
     chain = traj.chain
     k = traj.k
     if k < 1:
         raise PreconditionError("unfolding needs at least one collision")
     norms = np.linalg.norm(chain, axis=1)
-    if np.any(norms <= 1e-12):
+    if np.any(norms <= 1e-12 * max(np.linalg.norm(traj.A), np.linalg.norm(traj.B))):
         raise PreconditionError("collision point at the origin: rays undefined")
     edges = traj.edge_velocities
     theta = [angle_between(chain[0], -edges[0])]

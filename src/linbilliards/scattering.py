@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import Chain, _to_points
-from .arrangement import Arrangement, Itinerary
+from .arrangement import Arrangement, Itinerary, _as_vector
 from .errors import InputError, PreconditionError
 from .solver import MinimizeResult, minimize
 from .trajectory import OrientedLine, boundary_lines
@@ -64,9 +64,13 @@ class AnchorGrid:
     spacing: float
 
     def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
+        base = np.asarray(self.base, dtype=float)
         axes = np.asarray(self.axes, dtype=float)
-        object.__setattr__(self, "axes", axes.reshape(-1, self.base.shape[0]))
+        if base.ndim != 1 or base.size == 0 or axes.shape[-1:] != base.shape:
+            raise InputError(f"grid axes of shape {axes.shape} are not vectors of the "
+                             f"base's dimension, base shape {base.shape}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "axes", axes.reshape(-1, base.shape[0]))
         # written so that a NaN spacing fails it
         if not (self.half >= 0 and 0 < self.spacing < math.inf):
             raise InputError("grid needs half >= 0 and a finite, positive spacing")
@@ -186,7 +190,11 @@ def sample_relation(arr: Arrangement, itinerary: Itinerary,
     they fan out over a process pool and are merged back by grid index, so
     the result does not depend on the worker count.  A cell whose input the
     solver refuses is absent; a solver failure (MaxIterations) propagates.
+    Grids outside the arrangement's dimension are refused (InputError)
+    before any cell is solved.
     """
+    for grid, name in ((grid_A, "A"), (grid_B, "B")):
+        _as_vector(grid.base, arr.dim, f"grid {name} base")
     b_indices = list(grid_B.indices())
     Bs = [grid_B.point(ib) for ib in b_indices]
     a_indices = list(grid_A.indices())

@@ -77,8 +77,9 @@ Newton's quadratic basin -- its first exact (mu = 0) Newton step at most
 WARM_GATE of its shortest edge, as for the solved chain of a neighbouring
 anchor pair -- it is polished past GRAD_TOL and classified directly
 (iterations == 0), as a cold solve would be: a smooth critical point of the
-convex length is its global minimizer.  Any other start fails the gate and
-runs the continuation from the given chain unchanged.
+convex length is its global minimizer.  The gate bounds the Newton core's
+first step: any other start stops there, unmoved, after one derivative pass,
+and runs the continuation from the given chain unchanged.
 
 The same weak duality bounds every smooth and certified GHOST result: from
 its multipliers and their vertex residual rows _dual_bound gives, in closed
@@ -94,9 +95,10 @@ search for collapsed-edge multipliers is a short Newton loop of its own,
 on a squared hinge over the solutions of the vertex equations.
 
 Classification order (coincidence, edge-in-subspace, non-generic rays, valid)
-mirrors the exclusions that define membership in the trajectory space.  A
-smooth result is classified from its polish's own arrays and solve plan, by
-one stacked projection of its edge and membership rows and one of its rays.
+mirrors the exclusions that define membership in the trajectory space.  Every
+solved chain, a one-point chain space's too, is classified from its problem's
+plan, point list and final exact pass, by one stacked projection of its edge
+and membership rows and one of its rays.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ import numpy as np
 from .arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, _check_size, _complement,
                           _frozen, _perp, _row_dot, intersection_basis)
 from .action import (COINCIDENCE_TOL, Chain, HessianModel, _edge_lengths, _edge_terms,
-                     _point_list, _stacked, _to_coords, _to_points, action)
+                     _stacked, _to_coords, _to_points)
 from .errors import InputError, MaxIterations, NonSmoothPoint, PreconditionError
 from .trajectory import BilliardTrajectory, _generic
 
@@ -235,12 +237,6 @@ class _StackedProblem:
         self._pts[0], self._pts[-1] = A, B
         self._measured = None   # (x, mu2, edges, soft lengths) last measured
         self._derived = None    # (x, mu2, soft lengths, units, g, H) last derived
-
-    def points_of(self, x: np.ndarray) -> np.ndarray:
-        return (self.bases_t @ x.reshape(self.k, self.m)[:, :, None])[:, :, 0]
-
-    def coords_of(self, points: np.ndarray) -> np.ndarray:
-        return _to_coords(self.bases, points).reshape(-1)
 
     def _point_list(self, x: np.ndarray) -> np.ndarray:
         np.matmul(self.bases_t, x.reshape(self.k, self.m)[:, :, None], out=self._pts[1:-1, :, None])
@@ -444,14 +440,13 @@ def _stages(scale: float) -> list[tuple[float, float]]:
 
 
 def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
-                   start=None, first_step=None):
+                   first_bound=math.inf):
     """Damped Newton from x; returns (x, value, grad_norm, reason).
 
     derivatives(x) gives the value, gradient and Hessian in the coordinates
-    of the step (start, if given, holds them at x already, and first_step
-    the Newton step they give), value_of(x) the same value alone, and
-    retract(x, step, t) the point reached by the step scaled by t, or None
-    where that is infeasible.
+    of the step, value_of(x) the same value alone, and retract(x, step, t)
+    the point reached by the step scaled by t, or None where that is
+    infeasible.
     Backtracks on the value while decreases are resolvable; once they sink
     below the rounding floor of the value, the full step is accepted as long
     as it keeps contracting the gradient norm, which drives the gradient to
@@ -462,17 +457,19 @@ def _damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
     read the edge pass of that value.  reason is
     "converged" (grad_norm <= tol), "floor" (no resolvable
     progress left, or an accepted step no longer than step_tol),
-    "no_descent" (no descent step) or "max_iters".
+    "no_descent" (no descent step), "first_step" (the first Newton step is
+    longer than first_bound; x is returned unmoved) or "max_iters".
     """
-    value, g, H = derivatives(x) if start is None else start
+    value, g, H = derivatives(x)
     grad_norm = math.sqrt(g @ g)
-    for _ in range(max_iters):
+    for i in range(max_iters):
         if grad_norm <= tol:
             return x, value, grad_norm, "converged"
-        step = _solve_spd(H, g) if first_step is None else first_step
-        first_step = None
+        step = _solve_spd(H, g)
         if step is None:
             return x, value, grad_norm, "no_descent"
+        if i == 0 and math.sqrt(step @ step) > first_bound:
+            return x, value, grad_norm, "first_step"
         # local phase: the full Newton step contracts the gradient near the
         # minimum, where value differences are already below rounding.  A
         # value above that rounding bound, 1e-12 |value|, fails Armijo at t =
@@ -520,25 +517,22 @@ def _exact_polish(problem, x, tol, max_iters, gate=WARM_GATE):
 
     x is in Newton's basin when every gap exceeds the floor COINCIDENCE_TOL
     * problem.scale and its first exact Newton step is at most gate of the
-    shortest gap; the gate only saves work.  The polish aims at WARM_AIM *
-    tol, typically one quadratic step past tol, so that a result's error
-    does not depend on where its start sat (finite differences over a patch
-    divide it by the spacing).  It is accepted once the gradient meets tol,
-    with every gap still above the floor.
+    shortest gap: the Newton core stops at a longer first step, unmoved,
+    and the polish is refused.  The polish aims at WARM_AIM * tol, typically
+    one quadratic step past tol, so that a result's error does not depend
+    on where its start sat (finite differences over a patch divide it by
+    the spacing); a start refused by the gate would skip that aim.  It is
+    accepted once the gradient meets tol, with every gap still above the
+    floor.
     """
-    floor, step_tol = COINCIDENCE_TOL * problem.scale, STEP_TOL * problem.scale
+    floor = COINCIDENCE_TOL * problem.scale
     shortest = problem.edge_pass(x, 0.0)[1].min()
     if not shortest > floor:
         return None
-    start = problem.derivatives(x, 0.0)
-    # at zero gradient no step is a descent step, and the zero step is taken
-    step = _solve_spd(start[2], start[1]) if start[1].any() else np.zeros_like(x)
-    if step is None or math.sqrt(step @ step) > gate * shortest:
-        return None
-    x, value, grad_norm, _ = _damped_newton(
-        x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0),
-        _add_step, WARM_AIM * tol, step_tol, max_iters, start=start, first_step=step)
-    if grad_norm > tol or problem.edge_pass(x, 0.0)[1].min() <= floor:
+    x, value, grad_norm, reason = _damped_newton(
+        x, partial(problem.derivatives, mu2=0.0), partial(problem.value, mu2=0.0), _add_step,
+        WARM_AIM * tol, STEP_TOL * problem.scale, max_iters, first_bound=gate * shortest)
+    if reason == "first_step" or grad_norm > tol or problem.edge_pass(x, 0.0)[1].min() <= floor:
         return None
     return x, value, grad_norm
 
@@ -579,7 +573,7 @@ def _reduced_minimum(problem, plan, pts, mu2):
     else:
         pts = _snapped(pts, plan.runs, plan.meets)
         reduced = _StackedProblem(plan.reduced, problem.A, problem.B, problem.scale)
-        y = reduced.coords_of(pts[1:-1][plan.keep])
+        y = _to_coords(reduced.bases, pts[1:-1][plan.keep]).reshape(-1)
         mu2 *= 1e-4
         y, *_ = _damped_newton(y, partial(reduced.derivatives, mu2=mu2),
                                partial(reduced.value, mu2=mu2), _add_step,
@@ -587,7 +581,8 @@ def _reduced_minimum(problem, plan, pts, mu2):
         polished = _exact_polish(reduced, y, CERT_RESIDUAL, 40)
         if polished is None:
             return None
-        pts[1:-1] = reduced.points_of(polished[0])[np.cumsum(plan.keep) - 1]
+        coords = _to_points(reduced.bases, polished[0].reshape(reduced.k, reduced.m))
+        pts[1:-1] = coords[np.cumsum(plan.keep) - 1]
     edges, lengths = _edge_lengths(pts)
     # the collapsed edges are exact zeros; the open ones are the reduced edges
     if not lengths[plan.open].min() > COINCIDENCE_TOL * problem.scale:
@@ -780,16 +775,12 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
 
     if initial_chain is not None:
         _check_start(arr, itinerary, initial_chain)
-    coincidence = COINCIDENCE_TOL * scale
 
-    plan = _plan_of(arr.bases_of(itinerary))
-    if plan.bases.size == 0:
+    problem = _StackedProblem(_plan_of(arr.bases_of(itinerary)), A, B, scale)
+    if problem.bases.size == 0:
         # one chain (the empty itinerary, or every subspace {0}): nothing to minimize
-        chain = Chain(np.zeros(plan.bases.shape[:2]), np.zeros((plan.k, arr.dim)))
-        return _classify(arr, itinerary, A, chain, B, action(A, chain.points, B), 0,
-                         (None, None, plan, _point_list(A, chain.points, B), scale))
+        return _classify(arr, itinerary, problem, np.zeros(0), None, None, 0)
 
-    problem = _StackedProblem(plan, A, B, scale)
     polished = certified = None
     spring_tried = False   # the opening stage's certificate, tried at its start
     if initial_chain is None:
@@ -803,7 +794,7 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         if spring_tried:
             certified = _certify_ghost(problem, x, mu2)
     else:
-        x = problem.coords_of(initial_chain.points)
+        x = _to_coords(problem.bases, initial_chain.points).reshape(-1)
         # a caller's chain in Newton's basin (a solved neighbour) is polished
         # at mu = 0 directly; any other falls through to the continuation
         polished = _exact_polish(problem, x, GRAD_TOL, POLISH_ITERS)
@@ -839,19 +830,13 @@ def minimize(arr: Arrangement, itinerary: Itinerary, A, B,
         return MinimizeResult(Chain(coords, _to_points(problem.bases, coords)), value,
                               math.nan, Classification.GHOST, None, iterations,
                               GHOST_MESSAGE, multipliers=(A, B, u, residual))
-    if polished is None and gaps.min() > coincidence:
+    if polished is None and gaps.min() > COINCIDENCE_TOL * scale:
         # no gate let the last chain through; the accept test alone proves it
         polished = _exact_polish(problem, x, GRAD_TOL, POLISH_ITERS, math.inf)
-    if polished is not None:
-        x, value, grad_norm = polished
-    elif gaps.min() > coincidence:
-        raise MaxIterations("continuation ended without a polished minimizer")
-    else:
-        # within the coincidence floor of a collapse, uncertified
-        value, grad_norm = action(A, problem.points_of(x), B), None
-    chain = _iterate_chain(problem, x)
-    return _classify(arr, itinerary, A, chain, B, value, iterations,
-                     (problem.exact_pass(x), grad_norm, problem.plan, problem._pts, scale))
+        if polished is None:
+            raise MaxIterations("continuation ended without a polished minimizer")
+    # unpolished: within the coincidence floor of a collapse, uncertified
+    return _classify(arr, itinerary, problem, *(polished or (x, None, None)), iterations)
 
 
 def _check_start(arr: Arrangement, itinerary: Itinerary, chain: Chain) -> None:
@@ -865,31 +850,25 @@ def _check_start(arr: Arrangement, itinerary: Itinerary, chain: Chain) -> None:
     _check_size(points, arr.dim, "initial chain")
 
 
-def _iterate_chain(problem: _StackedProblem, x: np.ndarray) -> Chain:
-    """The chain of the Newton core's iterate x itself, with no coordinate
-    round trip, so that its exact pass describes the returned chain; its
-    points are copied from the point list measured at x."""
-    problem.edge_pass(x, 0.0)
-    return Chain(x.reshape(problem.k, problem.m), problem._pts[1:-1].copy())
-
-
-def _classify(arr, itinerary, A, chain, B, value: float, iterations: int,
-              polish=None) -> MinimizeResult:
-    """Classify the solved chain from one HessianModel, the exact pass at
-    the chain: its coincidence test is the ghost test; one projection on
-    plan.projectors and one _row_dot give |P⊥_i u_{i-1}|, |P⊥_i u_i| (the
-    edge-in-subspace test) and the membership distances _generic reads; a
-    VALID trajectory reuses the point list, unit edges and lengths.  polish,
-    from minimize: (edge_pass, grad_norm, plan, pts, scale), the exact pass
-    and gradient norm where the Newton core stopped (None elsewhere), the
-    solve plan, the point list (A, chain, B) and anchor_scale's scale; what
-    it lacks is measured.  The anchors' locus test is minimize's precondition."""
-    if polish is None:
-        polish = (None, None, _plan_of(arr.bases_of(itinerary)),
-                  _point_list(A, chain.points, B), arr.anchor_scale(A, B)[0])
-    edge_pass, grad_norm, plan, pts, scale = polish
+def _classify(arr, itinerary, problem, x, value: float | None, grad_norm: float | None,
+              iterations: int) -> MinimizeResult:
+    """Classify the chain x itself (no coordinate round trip) from one
+    HessianModel, the exact pass at the chain: its coincidence test is the
+    ghost test; one projection on plan.projectors and one _row_dot give
+    |P⊥_i u_{i-1}|, |P⊥_i u_i| (the edge-in-subspace test) and the
+    membership distances _generic reads; a VALID trajectory reuses the point
+    list, unit edges and lengths.  The solve's problem (_StackedProblem)
+    gives the plan, the point list (A, chain, B) measured at x, the scale
+    and the exact pass where the Newton core stopped (a fresh problem has
+    none, and the model measures it); a value or grad_norm of None is
+    measured.  The anchors' locus test is minimize's precondition."""
+    plan, A, B, scale = problem.plan, problem.A, problem.B, problem.scale
+    lengths, pts = problem.edge_pass(x, 0.0)[1], problem._pts
+    chain = Chain(x.reshape(plan.k, plan.m), pts[1:-1].copy())
+    value = float(lengths.sum()) if value is None else value
     try:
-        model = HessianModel(arr, itinerary, A, chain, B, edge_pass, plan.bases, scale)
+        model = HessianModel(arr, itinerary, A, chain, B, problem.exact_pass(x), plan.bases,
+                             scale)
     except NonSmoothPoint:
         return MinimizeResult(chain, value, math.nan, Classification.GHOST, None, iterations,
                               GHOST_MESSAGE)

@@ -117,14 +117,13 @@ def _hit(table: ThickenedTable, p, v, w, norm, t_now: float = 0.0, t_max: float 
     before the corner test, so a corner past the horizon is no event.
     """
     arr = table.arrangement
-    a, t_star, gap2 = _tube_approach(table.rho2, w, arr.perp_parts(v))
-    size = math.sqrt(p @ p)   # > 0: every subspace meets the origin, which no start clears
-    t_eps = REENTRY_TOL * size
     # a <= _PARALLEL, the ray rule's parallel limit for a unit v: constant
     # clearance along the ray
+    a, t_star, gap2, half = _tube_approach(table.rho2, w, arr.perp_parts(v), _PARALLEL)
+    size = math.sqrt(p @ p)   # > 0: every subspace meets the origin, which no start clears
+    t_eps = REENTRY_TOL * size
     enters = (a > _PARALLEL) & (gap2 * a >= table.grazing_below)
-    # a + ~enters is a where the ray enters; elsewhere t_enter is not read
-    t_enter = t_star - np.sqrt(np.maximum(gap2, 0.0) / (a + ~enters))
+    t_enter = t_star - half
     t_enter = np.where(enters & (t_enter > t_eps), t_enter, math.inf)
     i = int(t_enter.argmin())  # the lowest index on ties
     t = float(t_enter[i])
@@ -368,9 +367,6 @@ class _WallProblem(_StackedProblem):
         # I - B^T B: each vertex's stored complement projector (k, dim, dim)
         self.perps = arr.complements[list(itinerary)]
         self._slacks = (None,)  # (pts, w, s) last measured
-
-    def points_of(self, pts):
-        return pts.reshape(self.k, self.dim)
 
     def slack(self, pts):
         """Offsets w = P⊥ q (k, dim) and slacks rho^2 - |w|^2 (k,) at pts,

@@ -13,7 +13,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from linbilliards import nbody, solver
-from linbilliards.arrangement import (MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace,
+from linbilliards.arrangement import (_PARALLEL, MEMBERSHIP_TOL, Arrangement, Itinerary, Subspace,
                                       _as_vector, _perp, _rays_hit, _row_dot, _tube_approach)
 from linbilliards.action import Chain, action, gradient
 from linbilliards.errors import InputError, PreconditionError
@@ -195,8 +195,9 @@ def perp_by_basis(bases, x):
 def line_tube(complements, radius, p, d):
     """(a, t_star, gap2) of arrangement._tube_approach for the line p + t d
     (dim,) against the subspaces with complement projectors (n, dim, dim),
-    as Arrangement.perp_parts projects it."""
-    return _tube_approach(radius * radius, *_perp(complements, np.stack((p, d))[:, None, :]))
+    as Arrangement.perp_parts projects it, at the parallel limit of a unit d."""
+    return _tube_approach(radius * radius, *_perp(complements, np.stack((p, d))[:, None, :]),
+                          _PARALLEL)[:3]
 
 
 def rays_hit_beyond_start(arr, starts, directions, tol: float):
@@ -244,12 +245,15 @@ def row_dot_reference(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def tube_approach_reference(rho2, w, u):
+def tube_approach_reference(rho2, w, u, limit):
     """arrangement._tube_approach with the division guarded by np.where."""
     a = row_dot_reference(u, u)
-    t_star = -row_dot_reference(w, u) / np.where(a == 0.0, 1.0, a)
+    d = np.maximum(a, limit)
+    d = np.where(d == 0.0, 1.0, d)
+    t_star = -row_dot_reference(w, u) / d
     res = w + t_star[..., None] * u
-    return a, t_star, rho2 - row_dot_reference(res, res)
+    gap2 = rho2 - row_dot_reference(res, res)
+    return a, t_star, gap2, np.sqrt(np.maximum(gap2, 0.0) / d)
 
 
 def rays_hit_reference(perps, directions, tol):
@@ -257,7 +261,7 @@ def rays_hit_reference(perps, directions, tol):
     division guarded by np.where, the divisor a + (a == 0) of t*, and the
     overflow term t* + half == inf that _rays_hit drops."""
     w, u = perps
-    a, t_star, gap2 = tube_approach_reference(tol * tol, w, u)
+    a, t_star, gap2, _ = tube_approach_reference(tol * tol, w, u, 0.0)
     parallel = a <= 1e-30 * row_dot_reference(directions, directions)[:, None]
     half = np.sqrt(np.maximum(gap2, 0.0) / np.where(parallel, 1.0, a))
     beyond = (gap2 >= 0.0) & ((t_star > half) | (t_star + half == math.inf))
@@ -271,7 +275,7 @@ def hit_reference(table, p, v, w, norm, t_now=0.0, t_max=math.inf):
     from linbilliards.errors import CornerCollision
     from linbilliards.thickened import CORNER_ROUNDING, REENTRY_TOL
     arr = table.arrangement
-    a, t_star, gap2 = tube_approach_reference(table.rho2, w, arr.perp_parts(v))
+    a, t_star, gap2, _ = tube_approach_reference(table.rho2, w, arr.perp_parts(v), 0.0)
     size = math.sqrt(p @ p)
     t_eps = REENTRY_TOL * size
     enters = (a > 1e-30) & (gap2 * a >= table.grazing_below)

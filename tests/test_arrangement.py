@@ -554,8 +554,9 @@ def test_tube_approach_and_ray_decisions_match_the_where_forms(dim):
             directions[3] = sub.project(rng.normal(size=dim)) - starts[3]
             perps = _perp(arr.complements, np.stack((starts, directions))[:, :, None, :])
             rho2 = 10.0 ** rng.uniform(-18, 0, size=len(arr.subspaces))
-            for got, want in zip(_tube_approach(rho2, *perps),
-                                 tube_approach_reference(rho2, *perps)):
+            limit = 1e-30 * _row_dot(directions, directions)[:, None]
+            for got, want in zip(_tube_approach(rho2, *perps, limit),
+                                 tube_approach_reference(rho2, *perps, limit)):
                 assert np.array_equal(got, want)
             got = _rays_hit(perps, directions, tol)
             assert np.array_equal(got, rays_hit_reference(perps, directions, tol))

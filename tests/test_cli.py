@@ -404,12 +404,17 @@ def test_thicken_rejects_a_non_finite_or_zero_start(tmp_path, mirror_json, simul
     ["scatter", "--itinerary", "L1", "--A", "0,1", "--B", "2,1", "--half", "-1"],
     ["scatter", "--A=nan,1", "--B=2,1", "--half", "2", "--spacing", "1e-3"],
     ["scatter", "--itinerary", "L1", "--A=nan,1", "--B=2,1", "--half", "2", "--spacing", "1e-3"],
-], ids=["t-max", "radius", "direction", "spacing", "half", "nan-free-motion", "nan-anchor"])
+    ["scatter", "--itinerary", "L1", "--A=1,2,3", "--B=1,2"],
+    ["scatter", "--itinerary", "L1", "--A=1,2,3", "--B=1,2", "--spacing", "1e-3"],
+], ids=["t-max", "radius", "direction", "spacing", "half", "nan-free-motion", "nan-anchor",
+        "anchor-dim", "anchor-dim-spacing"])
 def test_a_refused_input_leaves_no_output_directory(tmp_path, mirror_json, argv):
     """Every command computes before it makes --out: an input refused by
     the simulation or the grid exits 64 and leaves no directory behind.  A
     non-finite anchor is refused by the grid, with or without an itinerary
-    (free motion would otherwise report a valid patch of NaNs)."""
+    (free motion would otherwise report a valid patch of NaNs), and an
+    anchor of another dimension than the table's before the default
+    spacing reads B - A."""
     out = tmp_path / "out"
     code = main([argv[0], "--arrangement", str(mirror_json), *argv[1:], "--out", str(out)])
     assert code == 64
@@ -488,10 +493,14 @@ def test_origami_and_enumerate_run_where_subspaces_meet(tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["origami", "--itinerary", "L1,L2", "--max-len", "6", "--budget", "5"],
-    ["enumerate", "--max-len", "2"]], ids=["beyond-the-bound", "bad-arrangement"])
+    ["enumerate", "--max-len", "2"],
+    ["origami", "--itinerary", "L1,L2", "--A=2,1", "--max-len", "2", "--budget", "5"],
+    ["origami", "--itinerary", "L1,L2", "--B=-1,-3", "--max-len", "2", "--budget", "5"]],
+    ids=["beyond-the-bound", "bad-arrangement", "A-alone", "B-alone"])
 def test_origami_and_enumerate_refusals_leave_no_directory(tmp_path, twolines_json, argv):
-    """A max_len beyond the two-line bound plus one, and an arrangement with a
-    non-numeric basis, exit 64 and leave no --out directory behind."""
+    """A max_len beyond the two-line bound plus one, an arrangement with a
+    non-numeric basis, and origami with one anchor (it unfolds a solve from
+    both) exit 64 and leave no --out directory behind."""
     table = twolines_json
     if argv[0] == "enumerate":
         table = tmp_path / "bad.json"

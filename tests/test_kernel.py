@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from linbilliards.action import gradient_stacked, hessian
+from linbilliards.action import _to_points, gradient_stacked, hessian
 from linbilliards.arrangement import Itinerary
 from linbilliards.solver import _plan_of, _StackedProblem
 from linbilliards.thickened import ThickenedTable, _WallProblem
@@ -26,7 +26,8 @@ def test_smoothed_kernel_matches_finite_differences(request, name, mu2):
     problem = stacked_problem(arr, itin, A, B)
     x = rng.normal(size=problem.k * problem.m)
     value, grad, H = problem.derivatives(x, mu2)
-    edges = np.diff(np.vstack([A, problem.points_of(x), B]), axis=0)
+    edges = np.diff(np.vstack([A, _to_points(problem.bases, x.reshape(problem.k, problem.m)), B]),
+                    axis=0)
     assert value == pytest.approx(np.sum(np.sqrt(np.sum(edges ** 2, axis=1) + mu2)),
                                   rel=1e-14)
     assert np.allclose(grad, fd_jacobian(lambda y: problem.value(y, mu2), x, 1e-6),

@@ -47,12 +47,17 @@ def test_unfold_two_lines_angle_sum(twolines_arr):
 def test_readme_origami_example_meets_the_unfolding_identities(twolines_arr):
     """The README's origami example on two lines, solved at the library's
     own GRAD_TOL, meets the angle sum, the planar development's
-    collinearity and the law of sines to rounding (1e-14)."""
-    result = minimize(twolines_arr, Itinerary((0, 1)), [2.0, 1.0], [-1.0, -3.0])
-    assert result.is_valid
-    assert abs(unfold(result.trajectory).total - math.pi) <= 1e-14
-    assert collinearity_residual(develop_planar(result.trajectory)) <= 1e-14
-    assert law_of_sines_residual(result.trajectory) <= 1e-14
+    collinearity and the law of sines to rounding (1e-14) at its own scale,
+    and within 1e-13 with its anchors scaled by lam = 1e-20 ... 1e12: the
+    unfolding's origin floor is relative to the anchors."""
+    for lam in (10.0 ** e for e in range(-20, 13, 2)):
+        result = minimize(twolines_arr, Itinerary((0, 1)), [2.0 * lam, 1.0 * lam],
+                          [-1.0 * lam, -3.0 * lam])
+        assert result.is_valid
+        tol = 1e-14 if lam == 1.0 else 1e-13
+        assert abs(unfold(result.trajectory).total - math.pi) <= tol
+        assert collinearity_residual(develop_planar(result.trajectory)) <= tol
+        assert law_of_sines_residual(result.trajectory) <= tol
 
 
 def test_unfold_rejects_origin_vertex():

@@ -72,6 +72,23 @@ def test_anchor_grid_needs_a_finite_base_and_axes(bad):
         AnchorGrid(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, bad]]), 1, 1e-3)
 
 
+def test_grids_outside_the_arrangement_dimension_are_refused(twolines_arr, monkeypatch):
+    """Axes of another dimension than their base, and grids of another
+    dimension than the arrangement, are a caller's error (InputError), not a
+    NumPy broadcast error, nor a patch of absent cells: nothing is solved."""
+    from linbilliards import scattering
+    with pytest.raises(InputError):
+        AnchorGrid(np.array([2.0, 1.0, 0.0]), np.eye(2), 1, 1e-3)
+    solved = []
+    monkeypatch.setattr(scattering, "minimize", lambda *args, **kw: solved.append(args))
+    grid_A = AnchorGrid(np.array([2.0, 1.0, 0.0]), np.eye(3), 1, 1e-3)
+    grid_B = AnchorGrid(np.array([-1.0, -3.0, 0.0]), np.eye(3), 1, 1e-3)
+    for grids in ((grid_A, grid_B), (AnchorGrid(grid_A.base[:2], np.eye(2), 1, 1e-3), grid_B)):
+        with pytest.raises(InputError):
+            sample_relation(twolines_arr, Itinerary((0, 1)), *grids)
+    assert not solved
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_free_motion_refuses_non_finite_anchors(mirror_arr, bad):
     """A non-finite anchor of free motion, the empty itinerary, is refused

@@ -1172,6 +1172,32 @@ def test_multistart_random_starts_fail_the_warm_gate(itinerary, twolines_arr):
     assert all(r.iterations > 0 for r in results)
 
 
+def test_polish_refuses_a_long_first_step_after_one_pass(twolines_arr, kernel_passes,
+                                                        monkeypatch):
+    """A chain whose first exact Newton step is longer than WARM_GATE of its
+    shortest edge is refused by _exact_polish after one derivative pass: the
+    Newton core stops at that step and hands back the iterate unmoved."""
+    it = Itinerary((0, 1))
+    problem = stacked_problem(twolines_arr, it, TWOLINE_A, TWOLINE_B)
+    x = problem.plan.spring_coords(TWOLINE_A, TWOLINE_B)
+    fresh = stacked_problem(twolines_arr, it, TWOLINE_A, TWOLINE_B)
+    _, g, H = fresh.derivatives(x, 0.0)
+    step = solver._solve_spd(H, g)
+    shortest = fresh.edge_pass(x, 0.0)[1].min()
+    assert math.sqrt(g @ g) > solver.GRAD_TOL
+    assert np.linalg.norm(step) > solver.WARM_GATE * shortest
+    kernel_passes.clear()
+    returned = []
+    real = solver._damped_newton
+    monkeypatch.setattr(solver, "_damped_newton",
+                        lambda *args, **kw: returned.append(real(*args, **kw)) or returned[-1])
+    before = x.tobytes()
+    assert solver._exact_polish(problem, x, solver.GRAD_TOL, solver.POLISH_ITERS) is None
+    assert kernel_passes == {"derivatives": 1}
+    assert len(returned) == 1 and returned[0][0] is x and returned[0][3] == "first_step"
+    assert x.tobytes() == before
+
+
 def test_failed_warm_gate_runs_the_continuation_unchanged(twolines_arr, monkeypatch):
     """A start outside Newton's basin gives bit for bit what the continuation
     alone gives from the same chain: the reference refuses the start's
@@ -1334,19 +1360,20 @@ def test_solve_spd_rejects_non_finite_input():
 # -- Newton core: trial points valued first ------------------------------------
 
 def _reference_damped_newton(x, derivatives, value_of, retract, tol, step_tol, max_iters,
-                             start=None, first_step=None):
+                             first_bound=math.inf):
     """The Newton core as it was before trial points were valued first: every
     full step is differentiated.  Its steps come from the library's
     _solve_spd: the core's control flow is what is checked here."""
-    value, g, H = derivatives(x) if start is None else start
+    value, g, H = derivatives(x)
     grad_norm = math.sqrt(g @ g)
-    for _ in range(max_iters):
+    for i in range(max_iters):
         if grad_norm <= tol:
             return x, value, grad_norm, "converged"
-        step = solver._solve_spd(H, g) if first_step is None else first_step
-        first_step = None
+        step = solver._solve_spd(H, g)
         if step is None:
             return x, value, grad_norm, "no_descent"
+        if i == 0 and math.sqrt(step @ step) > first_bound:
+            return x, value, grad_norm, "first_step"
         full = retract(x, step, 1.0)
         if full is not None:
             fval, fg, fH = derivatives(full)
@@ -1383,15 +1410,15 @@ def _checked_core(seen):
     each full step before it differentiates it, and differentiate no point
     but its iterates and the full steps whose value is within rounding of
     their iterate's, which only the gradient can then reject.  Appends the
-    retract and the start of every call, and the number of full steps
-    rejected on their value alone, to seen."""
+    retract and the first-step bound of every call, and the number of full
+    steps rejected on their value alone, to seen."""
     core = solver._damped_newton
 
     def run(x, derivatives, value_of, retract, *args, **kwargs):
         expected = _reference_damped_newton(x, derivatives, value_of, retract,
                                             *args, **kwargs)
-        start = kwargs.get("start")
-        values = {} if start is None else {x.tobytes(): start}
+        bound = kwargs.get("first_bound", math.inf)
+        values = {}
         valued, differentiated, full_steps = {}, [], {}
         iterates = {x.tobytes()}
 
@@ -1423,7 +1450,7 @@ def _checked_core(seen):
                 continue
             value = values[full_steps[key]][0]
             assert valued[key] <= value + 1e-12 * max(1.0, value)
-        seen.append((retract, start, len(set(full_steps) - set(differentiated))))
+        seen.append((retract, bound, len(set(full_steps) - set(differentiated))))
         return got
 
     return run
@@ -1460,7 +1487,7 @@ def test_value_first_core_matches_the_reference_core(twolines_arr, monkeypatch):
     warm = minimize(twolines_arr, it, TWOLINE_A + 1e-4, TWOLINE_B,
                     initial_chain=base.chain)
     assert warm.iterations == 0
-    assert any(start is not None for _, start, _ in seen)
+    assert any(bound < math.inf for _, bound, _ in seen)
     assert any(retract is not solver._add_step for retract, _, _ in seen)
     assert sum(rejected for _, _, rejected in seen) > 0
 
@@ -1581,7 +1608,8 @@ def test_classify_matches_hessian_model_and_is_generic(fixture, request):
     for itinerary, A, coords, B, forced in _classify_cases(arr, rng):
         chain = Chain.from_coords(arr, itinerary, coords)
         cls, msg, grad_norm, eig = _classify_by_model(arr, itinerary, A, chain, B)
-        result = solver._classify(arr, itinerary, A, chain, B, 1.0, 0)
+        result = solver._classify(arr, itinerary, stacked_problem(arr, itinerary, A, B),
+                                  chain.coords.reshape(-1), 1.0, None, 0)
         assert (result.classification, result.message) == (cls, msg)
         assert forced in (None, cls)
         seen.add(cls)
@@ -1621,7 +1649,7 @@ def test_results_are_classified_from_the_final_exact_pass(table, request, monkey
     real = solver._classify
 
     def watched(*args):
-        fed.append(len(args) > 7 and args[7] is not None and args[7][0] is not None)
+        fed.append(args[2].exact_pass(args[3]) is not None)
         return real(*args)
 
     monkeypatch.setattr(solver, "_classify", watched)
@@ -1640,8 +1668,9 @@ def test_results_are_classified_from_the_final_exact_pass(table, request, monkey
         for a, b, result in solves:
             chain = result.chain
             assert chain.points.tobytes() == _to_points(arr.bases_of(it), chain.coords).tobytes()
-            parent = real(arr, it, a, Chain.from_points(arr, it, chain.points), b,
-                          result.value, result.iterations)
+            parent = real(arr, it, stacked_problem(arr, it, a, b),
+                          Chain.from_points(arr, it, chain.points).coords.reshape(-1),
+                          result.value, None, result.iterations)
             assert result.classification is parent.classification
             assert result.message == parent.message
             if not result.is_valid:
@@ -1776,7 +1805,8 @@ def test_certified_ghosts_are_measured_once(twolines_arr, monkeypatch):
         assert _result_bytes(result) == _result_bytes(other[4])
         if result.classification is Classification.GHOST:
             ghosts += 1
-            classified = solver._classify(arr, it, A, result.chain, B, result.value,
+            classified = solver._classify(arr, it, stacked_problem(arr, it, A, B),
+                                          result.chain.coords.reshape(-1), result.value, None,
                                           result.iterations)
             assert _result_bytes(classified) == _result_bytes(result)
             assert classified.trajectory is result.trajectory is None
